@@ -448,6 +448,8 @@ classify(const std::string &name)
             segmentEndsWith(segment, "_per_sec") ||
             segment.find("ns_per") != std::string::npos ||
             segmentEndsWith(segment, "_disabled_rate") ||
+            segmentEndsWith(segment, "_recorder_rate") ||
+            segmentEndsWith(segment, "enabled_rate") ||
             segmentEndsWith(segment, "_decode_rate") ||
             segmentEndsWith(segment, "speedup_x") ||
             segmentEndsWith(segment, "_rss_mb") ||

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/hashing.h"
+#include "core/logging.h"
 #include "core/stats_registry.h"
 
 namespace csp::prefetch {
@@ -14,7 +15,13 @@ GhbPrefetcher::GhbPrefetcher(const GhbConfig &config, GhbFlavor flavor,
       line_bytes_(line_bytes),
       buffer_(config.ghb_entries),
       index_(config.index_entries)
-{}
+{
+    // Power-of-two tables make every slot pick a mask, never a division.
+    CSP_ASSERT(isPowerOfTwo(buffer_.size()));
+    CSP_ASSERT(isPowerOfTwo(index_.size()));
+    CSP_ASSERT(config.history_length >= 1 &&
+               config.history_length < kMaxChain);
+}
 
 std::string
 GhbPrefetcher::name() const
@@ -29,27 +36,6 @@ GhbPrefetcher::indexKey(const AccessInfo &info) const
 }
 
 void
-GhbPrefetcher::rebuildStream(std::uint64_t head,
-                             std::vector<Addr> &stream) const
-{
-    stream.clear();
-    std::uint64_t pos = head;
-    const std::uint64_t capacity = buffer_.size();
-    while (pos != kNoLink && stream.size() < kMaxChain) {
-        // A link is stale once the buffer has wrapped past it.
-        if (next_pos_ - pos > capacity)
-            break;
-        const GhbEntry &entry = buffer_[pos % capacity];
-        stream.push_back(entry.line);
-        if (entry.prev != kNoLink && entry.prev >= pos)
-            break; // defensive: links must strictly decrease
-        pos = entry.prev;
-    }
-    // Collected newest-first; flip to oldest-first for delta analysis.
-    std::reverse(stream.begin(), stream.end());
-}
-
-void
 GhbPrefetcher::observe(const AccessInfo &info,
                        std::vector<PrefetchRequest> &out)
 {
@@ -58,67 +44,64 @@ GhbPrefetcher::observe(const AccessInfo &info,
         return;
 
     const Addr key = indexKey(info);
-    IndexEntry &idx =
-        index_[mix64(key) % index_.size()];
-    std::uint64_t prev_head = kNoLink;
+    IndexEntry &idx = index_[mix64(key) & (index_.size() - 1)];
+    std::uint64_t link = kNoLink;
     if (idx.valid && idx.key_tag == key)
-        prev_head = idx.head;
+        link = idx.head;
 
     // Insert the new access at the global position.
     const std::uint64_t pos = next_pos_++;
-    buffer_[pos % buffer_.size()] =
-        GhbEntry{info.line_addr, prev_head};
+    const std::uint64_t capacity = buffer_.size();
+    buffer_[pos & (capacity - 1)] = GhbEntry{info.line_addr, link};
     idx.key_tag = key;
     idx.valid = true;
     idx.head = pos;
 
-    // Reconstruct the localized stream and delta-correlate.
-    rebuildStream(pos, scratch_stream_);
-    const std::size_t n = scratch_stream_.size();
-    const unsigned hist = config_.history_length;
-    if (n < hist + 1)
-        return;
-
-    scratch_deltas_.clear();
-    for (std::size_t i = 1; i < n; ++i) {
-        scratch_deltas_.push_back(
-            blockDelta(scratch_stream_[i - 1], scratch_stream_[i],
-                       line_bytes_) );
-    }
-    const std::size_t d = scratch_deltas_.size();
-    // Pattern: the most recent (hist - 1) deltas.
-    const std::size_t plen = hist - 1;
-    if (d < plen + 1)
-        return;
-
-    // Search backwards for an earlier occurrence of the pattern
-    // (which itself occupies deltas[d-plen .. d-1]).
-    for (std::size_t j = d - 2;; --j) {
-        bool match = true;
-        for (std::size_t k = 0; k < plen; ++k) {
-            if (scratch_deltas_[j - k] != scratch_deltas_[d - 1 - k]) {
-                match = false;
-                break;
-            }
-        }
-        if (match) {
-            // Replay the deltas that followed the matched occurrence.
-            Addr target = info.line_addr;
-            unsigned issued = 0;
-            for (std::size_t k = j + 1;
-                 k < d && issued < config_.degree; ++k, ++issued) {
-                target += static_cast<Addr>(
-                    scratch_deltas_[k] *
-                    static_cast<std::int64_t>(line_bytes_));
-                if (target != info.line_addr) {
-                    out.push_back({target, false, info.pc});
-                    ++predictions_;
-                }
-            }
-            return;
-        }
-        if (j == plen - 1)
+    // Walk the key's chain newest first, one delta per line read:
+    // deltas[t] steps from the (t+1)-th newest line to the t-th. The
+    // pattern is deltas[0 .. plen-1]; the candidate occurrence ending
+    // q deltas back, deltas[q .. q+plen-1], is complete once deltas[t]
+    // with t = q + plen - 1 is read, so candidates are tried nearest
+    // first and the first match wins. The chain holds at most
+    // kMaxChain lines (this access included).
+    const std::size_t plen = config_.history_length - 1;
+    std::int64_t deltas[kMaxChain] = {};
+    Addr newer = info.line_addr;
+    for (std::size_t t = 0; t + 1 < kMaxChain && link != kNoLink; ++t) {
+        // A link is stale once the buffer has wrapped past it.
+        if (next_pos_ - link > capacity)
             break;
+        const GhbEntry &entry = buffer_[link & (capacity - 1)];
+        deltas[t] = blockDelta(entry.line, newer, line_bytes_);
+        if (t >= plen) {
+            // Open-coded: std::equal lowers to a memcmp call here,
+            // which made each step about 4x slower.
+            const std::size_t q = t - plen + 1;
+            std::size_t k = 0;
+            while (k < plen && deltas[q + k] == deltas[k])
+                ++k;
+            if (k == plen) {
+                // Replay the deltas that followed the matched
+                // occurrence, oldest first: deltas[q-1] down to [0].
+                Addr target = info.line_addr;
+                const std::size_t replay =
+                    std::min<std::size_t>(q, config_.degree);
+                for (std::size_t i = q; i > q - replay; --i) {
+                    // Unsigned, so a far delta wraps instead of
+                    // overflowing; equal to the signed product otherwise.
+                    target += static_cast<Addr>(deltas[i - 1]) * line_bytes_;
+                    if (target != info.line_addr) {
+                        out.push_back({target, false, info.pc});
+                        ++predictions_;
+                    }
+                }
+                return;
+            }
+        }
+        if (entry.prev != kNoLink && entry.prev >= link)
+            break; // defensive: links must strictly decrease
+        newer = entry.line;
+        link = entry.prev;
     }
 }
 

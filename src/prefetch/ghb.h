@@ -6,10 +6,10 @@
  *
  * The GHB is a circular buffer of recent access addresses; each entry is
  * chained to the previous entry of the same index-table key. Delta
- * correlation reconstructs the key's recent address stream, takes the
- * last `history_length - 1` deltas as a pattern, finds that pattern's
- * previous occurrence in the stream, and replays the deltas that followed
- * it as prefetch candidates.
+ * correlation walks the key's recent address stream, takes the last
+ * `history_length - 1` deltas as a pattern, finds that pattern's most
+ * recent previous occurrence in the stream, and replays the deltas that
+ * followed it as prefetch candidates.
  *
  * Following the original design, the GHB trains on the L1 miss stream
  * (plus accesses that hit prefetched lines, so training continues once
@@ -63,22 +63,17 @@ class GhbPrefetcher final : public Prefetcher
     };
 
     static constexpr std::uint64_t kNoLink = ~0ull;
-    /// Upper bound on chain reconstruction work per access.
+    /// Upper bound on the lines one chain walk reads per access.
     static constexpr std::size_t kMaxChain = 64;
 
     Addr indexKey(const AccessInfo &info) const;
 
-    /** Reconstruct the key's recent line stream, oldest first. */
-    void rebuildStream(std::uint64_t head, std::vector<Addr> &stream) const;
-
     GhbConfig config_;
     GhbFlavor flavor_;
     unsigned line_bytes_;
-    std::vector<GhbEntry> buffer_;
+    std::vector<GhbEntry> buffer_; ///< power-of-two ring
     std::uint64_t next_pos_ = 0; ///< global insertion counter
-    std::vector<IndexEntry> index_;
-    std::vector<Addr> scratch_stream_;
-    std::vector<std::int64_t> scratch_deltas_;
+    std::vector<IndexEntry> index_; ///< power-of-two table
     std::uint64_t predictions_ = 0;
 };
 

@@ -145,6 +145,12 @@ TEST(Classify, TimingNamesAreBanded)
     EXPECT_EQ(classify("observe_ns_per_access.context"),
               StatClass::Timing);
     EXPECT_EQ(classify("profile_disabled_rate"), StatClass::Timing);
+    EXPECT_EQ(classify("mem_obs_recorder_rate"), StatClass::Timing);
+    EXPECT_EQ(classify("events_overhead.enabled_rate"),
+              StatClass::Timing);
+    // A deterministic rate formula stays exact.
+    EXPECT_EQ(classify("stats.mem.l1.miss_rate"),
+              StatClass::Correctness);
 }
 
 TEST(Classify, ManifestIsProvenance)

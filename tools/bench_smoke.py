@@ -2,7 +2,9 @@
 """Bench smoke: perf gauges for the replay, tracing and profiling paths.
 
 Runs four quick probes against an existing build tree and writes a
-single JSON scorecard (BENCH_PR10.json) so CI tracks the perf trajectory:
+single JSON scorecard (bench_scorecard.json by default) so CI tracks the
+perf trajectory; each PR that moves a gauge archives its scorecard as
+results/BENCH_PR<N>.json, and CI diffs against the newest of those:
 
   1. A reduced fig12 sweep (CSP_SCALE-scaled) timed end to end, with the
      peak resident set of the child process captured via getrusage --
@@ -11,8 +13,8 @@ single JSON scorecard (BENCH_PR10.json) so CI tracks the perf trajectory:
      stays a cold-path wall-clock gauge no matter what state the working
      tree's results/cache happens to be in.
   2. `micro_prefetcher_ops` filtered to the replay-throughput, raw
-     trace-decode, per-access observe(), lifecycle-tracing and
-     self-profiling benchmarks, exported as google-benchmark JSON and
+     trace-decode, per-access observe() (stride, both GHB flavors,
+     context), lifecycle-tracing and self-profiling benchmarks, exported as google-benchmark JSON and
      distilled to insts/s, bytes/record, and ns/op.
   3. A cold-then-warm `cspsim --workloads` sweep against fresh cache
      directories: the warm pass must be fully memoized (zero cells
@@ -74,7 +76,7 @@ And the scale-out sweep-service bars (PR8 mmap replay + result cache):
   - The warm sweep pass must simulate zero cells and run at least
     MIN_WARM_SWEEP_SPEEDUP_X faster than the cold pass.
 
-Usage: python3 tools/bench_smoke.py [--build-dir build] [--out BENCH_PR10.json]
+Usage: python3 tools/bench_smoke.py [--build-dir build] [--out bench_scorecard.json]
 """
 
 import argparse
@@ -173,7 +175,7 @@ def run_micro_once(build_dir, min_time, repetitions, raw_out):
             "--benchmark_filter="
             "BM_Replay_|BM_ReplayMmap_|BM_Decode_|"
             "BM_TraceObs_|BM_Profile_|BM_LearnObs_|BM_MemObs_|"
-            "BM_Stride$|BM_Context$",
+            "BM_Stride$|BM_GhbGdc$|BM_GhbPcdc$|BM_Context$",
             f"--benchmark_min_time={min_time}",
             f"--benchmark_repetitions={repetitions}",
             "--benchmark_report_aggregates_only=true",
@@ -443,7 +445,7 @@ def run_events_overhead(build_dir, scale, jobs):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build-dir", default="build")
-    parser.add_argument("--out", default="BENCH_PR10.json")
+    parser.add_argument("--out", default="bench_scorecard.json")
     parser.add_argument("--fig12-scale", type=float, default=0.05,
                         help="CSP_SCALE for the reduced fig12 sweep")
     parser.add_argument("--jobs", type=int, default=2)
