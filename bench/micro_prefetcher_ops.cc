@@ -16,6 +16,7 @@
 #include "core/profiling.h"
 #include "core/rng.h"
 #include "obs/learning.h"
+#include "obs/lifecycle.h"
 #include "obs/mem_recorder.h"
 #include "obs/run_observer.h"
 #include "obs/trace_events.h"
@@ -344,14 +345,14 @@ BENCHMARK(BM_ReplayMmap_List_None);
 
 /** Lifecycle-tracing overhead on replay, three configurations over the
  *  same trace and prefetcher:
- *   - Control:  no observer — the replay loop's unobserved
- *               instantiation, codegen identical to pre-tracing.
- *   - NullSink: an observer with every sink null — the observed
+ *   - Control:  no observer attached.
+ *   - NullSink: an observer with every sink null — the same replay
  *               instantiation with all runtime guards false. This is
- *               the "compiled in but disabled" cost the disabled-rate bench
- *               gate compares against Control.
- *   - Enabled:  full tracker + Perfetto writer into a string sink,
- *               1-in-64 sampling — the real cost of tracing a run.
+ *               the "compiled in but disabled" cost the disabled-rate
+ *               bench gate compares against Control.
+ *   - Enabled:  full tracker + learning recorder + Perfetto writer
+ *               into a string sink, 1-in-64 sampling — the real cost
+ *               of tracing a run.
  */
 enum class TraceObsMode
 {
@@ -376,16 +377,18 @@ runTracedReplay(benchmark::State &state, TraceObsMode mode)
         std::ostringstream sink;
         std::unique_ptr<obs::TraceEventWriter> events;
         std::unique_ptr<obs::PrefetchTracker> tracker;
-        std::unique_ptr<obs::RlEventTap> rl_tap;
+        std::unique_ptr<obs::LearningRecorder> learner;
         obs::RunObserver observer;
         if (mode == TraceObsMode::Enabled) {
             events = std::make_unique<obs::TraceEventWriter>(sink);
             tracker = std::make_unique<obs::PrefetchTracker>(
                 events.get(), /*sample_every=*/64);
-            rl_tap = std::make_unique<obs::RlEventTap>(
-                events.get(), /*sample_every=*/64);
+            obs::LearningRecorder::Options opts;
+            opts.trace_sample = 64;
+            learner = std::make_unique<obs::LearningRecorder>(
+                opts, events.get());
             observer.tracker = tracker.get();
-            observer.rl = rl_tap.get();
+            observer.learn = learner.get();
         }
         if (mode != TraceObsMode::Control)
             simulator.setObserver(&observer);
@@ -418,10 +421,10 @@ BENCHMARK(BM_TraceObs_NullSink);
 BENCHMARK(BM_TraceObs_Enabled);
 
 /** Self-profiling overhead on replay. Disabled = no profiler attached
- *  (the unprofiled template instantiation — this is what every normal
- *  run executes, and what the disabled-rate bench gate compares against
- *  BM_TraceObs_Control). Enabled = a Profiler attached, timing every
- *  phase with steady_clock reads. */
+ *  (the unprofiled runFrom instantiation — what every normal run
+ *  executes, and what the disabled-rate bench gate compares against
+ *  BM_TraceObs_Control). Enabled = a Profiler in the observer bundle,
+ *  timing every phase with steady_clock reads. */
 void
 runProfiledReplay(benchmark::State &state, bool profiled)
 {
@@ -436,8 +439,10 @@ runProfiledReplay(benchmark::State &state, bool profiled)
         auto prefetcher = sim::makePrefetcher("context", config);
         sim::Simulator simulator(config);
         prof::Profiler profiler;
+        obs::RunObserver observer;
         if (profiled)
-            simulator.setProfiler(&profiler);
+            observer.profiler = &profiler;
+        simulator.setObserver(&observer);
         const sim::RunStats stats = simulator.run(trace, *prefetcher);
         benchmark::DoNotOptimize(stats.cycles);
         benchmark::DoNotOptimize(
@@ -465,10 +470,10 @@ BENCHMARK(BM_Profile_Enabled);
 /** Learning-observer overhead on replay, mirroring the TraceObs
  *  trio over the same mcf/context cell:
  *   - NullTap:  observer attached but observer.learn == nullptr — the
- *               observed instantiation with every learning hook's
- *               null guard false. This is the "hooks compiled in,
- *               learning observer off" cost the bench gate compares
- *               against BM_TraceObs_Control.
+ *               context prefetcher's uninstrumented observeImpl with
+ *               the replay loop's guards false. This is the "hooks
+ *               compiled in, learning observer off" cost the bench
+ *               gate compares against BM_TraceObs_Control.
  *   - Recorder: full LearningRecorder with periodic snapshots — the
  *               real cost of recording learning dynamics. */
 void
@@ -518,10 +523,9 @@ BENCHMARK(BM_LearnObs_Recorder);
 /** Memory-observer overhead on replay, the LearnObs pair's analogue
  *  for the hierarchy tap:
  *   - NullTap:  observer attached but observer.mem == nullptr — the
- *               observed instantiation with the hierarchy's null guard
- *               false on every demand access. This is the "hooks
- *               compiled in, mem observer off" cost the bench gate
- *               compares against BM_TraceObs_Control.
+ *               hierarchy's null guard false on every demand access.
+ *               This is the "hooks compiled in, mem observer off" cost
+ *               the bench gate compares against BM_TraceObs_Control.
  *   - Recorder: full MemRecorder — every demand access fed through the
  *               infinite tag set, the Fenwick stack distance and the
  *               demand-only shadow cache, plus per-set fill telemetry.

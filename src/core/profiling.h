@@ -6,12 +6,13 @@
  * flushing) and publish the accumulated nanoseconds under the `prof.*`
  * subtree of a run's stats registry.
  *
- * The replay hot loop is only instrumented in the kProfiled=true
- * instantiation of Simulator::runFrom (mirroring the kObserved
- * observability split of the lifecycle tracker), so runs without
- * --profile execute code with no timer plumbing at all; the ScopedTimer
- * additionally no-ops on a null Profiler so cold paths can share one
- * spelling for both modes.
+ * A profiler attaches through obs::RunObserver like every other sink,
+ * but it alone selects a replay-loop instantiation: the hot loop is
+ * only instrumented in the kProfiled=true instantiation of
+ * Simulator::runFrom, so runs without --profile execute code with no
+ * timer plumbing at all (measured to pay, DESIGN.md §6). The
+ * ScopedTimer additionally no-ops on a null Profiler so cold paths can
+ * share one spelling for both modes.
  */
 
 #ifndef CSP_CORE_PROFILING_H

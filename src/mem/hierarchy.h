@@ -15,14 +15,10 @@
 #include "core/types.h"
 #include "mem/cache.h"
 #include "mem/mshr.h"
+#include "obs/run_observer.h"
 
 namespace csp::stats {
 class Registry;
-}
-
-namespace csp::obs {
-class PrefetchTracker;
-class MemObserver;
 }
 
 namespace csp::mem {
@@ -108,26 +104,17 @@ class Hierarchy
                              unsigned min_free_mshrs, Addr pc = 0);
 
     /**
-     * Attach (or detach, with nullptr) a per-prefetch lifecycle
-     * tracker. The hooks are compiled in but cost one null check per
-     * access when no tracker is attached; attaching one never changes
-     * timing, HierarchyStats or any other simulation result.
+     * Attach the run's observer bundle, or detach it with nullptr. The
+     * hierarchy keeps its lifecycle tracker and memory observer (miss
+     * taxonomy, set pressure, queue-depth telemetry). Each hook is
+     * compiled in at one null check per access, and attaching never
+     * changes timing, HierarchyStats or any other simulation result.
      */
-    void setTracker(obs::PrefetchTracker *tracker)
+    void
+    attach(const obs::RunObserver *observer)
     {
-        tracker_ = tracker;
-    }
-
-    /**
-     * Attach (or detach, with nullptr) a memory-hierarchy observer
-     * (miss taxonomy, set pressure, queue-depth telemetry). Same
-     * contract as setTracker: compiled in at one null check per
-     * access, and attaching one never changes timing, HierarchyStats
-     * or any other simulation result.
-     */
-    void setMemObserver(obs::MemObserver *observer)
-    {
-        mem_obs_ = observer;
+        tracker_ = observer != nullptr ? observer->tracker : nullptr;
+        mem_obs_ = observer != nullptr ? observer->mem : nullptr;
     }
 
     /** Free L1 MSHR slots at @p now (throttling input). */

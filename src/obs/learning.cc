@@ -3,6 +3,7 @@
 #include <cmath>
 #include <iomanip>
 #include <ostream>
+#include <sstream>
 
 #include "core/stats_registry.h"
 #include "obs/trace_events.h"
@@ -44,7 +45,10 @@ normalisedEntropy(const int *scores, unsigned n)
 LearningRecorder::LearningRecorder(Options options,
                                    TraceEventWriter *events)
     : options_(options), events_(events)
-{}
+{
+    if (options_.trace_sample == 0)
+        options_.trace_sample = 1;
+}
 
 void
 LearningRecorder::onCstProbe(const CstProbeEvent &event)
@@ -103,7 +107,10 @@ LearningRecorder::onArmSelection(Cycle cycle,
     last_epsilon_ = event.epsilon;
     if (events_ != nullptr && options_.counter_every != 0 &&
         selections_ % options_.counter_every == 0) {
-        events_->policyCounter(cycle, event.epsilon, entropy_);
+        // Convergence reads as epsilon and entropy decaying together.
+        events_->counter("policy", cycle,
+                         {{"epsilon", event.epsilon},
+                          {"entropy", entropy_}});
     }
 }
 
@@ -118,7 +125,19 @@ LearningRecorder::onEpsilonAdapt(const EpsilonEvent &event)
 void
 LearningRecorder::onRewardApplied(Cycle cycle, const RewardEvent &event)
 {
-    (void)cycle;
+    if (events_ != nullptr &&
+        rewards_seen_++ % options_.trace_sample == 0) {
+        std::ostringstream args;
+        args << "{\"block\":\"" << hexAddr(event.block)
+             << "\",\"delta\":" << event.delta
+             << ",\"depth\":" << event.depth
+             << ",\"amount\":" << event.amount << ",\"in_window\":"
+             << (event.in_window ? "true" : "false")
+             << ",\"expiry\":" << (event.expiry ? "true" : "false")
+             << '}';
+        events_->instant("rl", event.expiry ? "expiry" : "reward",
+                         TraceEventWriter::kTidRl, cycle, args.str());
+    }
     cumulative_reward_ += event.amount;
     if (event.expiry) {
         ++expiries_;
@@ -130,6 +149,16 @@ LearningRecorder::onRewardApplied(Cycle cycle, const RewardEvent &event)
     } else if (event.amount < 0) {
         ++rewards_negative_;
         reward_depth_neg_.sample(event.depth);
+    }
+}
+
+void
+LearningRecorder::onBandit(Cycle cycle, const BanditSnapshot &snap)
+{
+    if (events_ != nullptr) {
+        events_->counter("bandit", cycle,
+                         {{"epsilon", snap.epsilon},
+                          {"accuracy", snap.accuracy}});
     }
 }
 

@@ -5,9 +5,11 @@
  * exploration ratio, cumulative reward, CST occupancy/churn,
  * probe-length and context-hash-collision histograms), publishes it
  * under "learn.*" in the run's stats registry (so interval sampling
- * picks it up as a time-series), mirrors epsilon/entropy onto a
- * Perfetto counter track, and keeps every periodic learning-state
- * snapshot for the `--learn-out learn.json` export `csplearn` renders.
+ * picks it up as a time-series), and keeps every periodic
+ * learning-state snapshot for the `--learn-out learn.json` export
+ * `csplearn` renders. With a Perfetto writer attached it also emits the
+ * learning tracks: sampled "rl" reward/expiry instants, the "bandit"
+ * epsilon/accuracy counter and the "policy" epsilon/entropy counter.
  *
  * The recorder is strictly read-only with respect to the simulation:
  * it owns no RNG, touches no prefetcher state, and its presence never
@@ -48,13 +50,16 @@ class LearningRecorder final : public LearningObserver
         /** Arm selections between "policy" counter-track samples when
          *  a trace-event writer is attached; 0 disables the track. */
         std::uint64_t counter_every = 4096;
+        /** Emit one "rl" instant per this many reward applications
+         *  (expiries included) when a trace-event writer is attached. */
+        std::uint64_t trace_sample = 1;
     };
 
     /** Default options: final snapshot only, no counter track. */
     LearningRecorder() : LearningRecorder(Options(), nullptr) {}
 
-    /** @param events optional Perfetto writer for the epsilon/entropy
-     *  "policy" counter track (borrowed, may be null). */
+    /** @param events optional Perfetto writer for the learning tracks
+     *  (borrowed, may be null). */
     explicit LearningRecorder(Options options,
                               TraceEventWriter *events = nullptr);
 
@@ -64,6 +69,7 @@ class LearningRecorder final : public LearningObserver
                         const ArmSelectionEvent &event) override;
     void onEpsilonAdapt(const EpsilonEvent &event) override;
     void onRewardApplied(Cycle cycle, const RewardEvent &event) override;
+    void onBandit(Cycle cycle, const BanditSnapshot &snap) override;
     void onSnapshot(Cycle cycle, const LearningSnapshot &snap) override;
 
     std::uint64_t snapshotEvery() const override
@@ -142,6 +148,7 @@ class LearningRecorder final : public LearningObserver
     std::uint64_t rewards_positive_ = 0;
     std::uint64_t rewards_negative_ = 0;
     std::uint64_t expiries_ = 0;
+    std::uint64_t rewards_seen_ = 0; ///< "rl" instant sampling phase
     Log2Histogram reward_depth_pos_{16};
     Log2Histogram reward_depth_neg_{16};
 

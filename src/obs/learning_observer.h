@@ -3,9 +3,9 @@
  * Learning-introspection tap: the interface through which an online-
  * learning prefetcher publishes its internal learning dynamics — arm
  * selections, epsilon adaptation, CST probe/insert/evict traffic,
- * reward applications and periodic full learning-state snapshots —
- * without knowing anything about sinks. Header-only on purpose, like
- * obs/taps.h: csp_prefetch sees only this pure interface and needs no
+ * reward applications, periodic bandit state and full learning-state
+ * snapshots — without knowing anything about sinks. Header-only on
+ * purpose: csp_prefetch sees only this pure interface and needs no
  * link dependency on csp_obs; the concrete sink (LearningRecorder)
  * lives in the obs library and is injected by the simulator through
  * RunObserver::learn.
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/types.h"
-#include "obs/taps.h"
 
 namespace csp::stats {
 class Registry;
@@ -36,6 +35,26 @@ namespace csp::obs {
 /** Max per-arm links surfaced through probe and snapshot events;
  *  matches the CST's own 16-candidate scan bound. */
 inline constexpr unsigned kMaxLearnLinks = 16;
+
+/** One reward application: the feedback unit credited (or penalised)
+ *  a learned link for a prediction of @p block. */
+struct RewardEvent
+{
+    Addr block = 0;           ///< predicted block address
+    std::int64_t delta = 0;   ///< link delta (blocks)
+    unsigned depth = 0;       ///< accesses between prediction and use
+    int amount = 0;           ///< signed reward applied to the link
+    bool in_window = false;   ///< inside the bell reward window
+    bool expiry = false;      ///< prediction aged out unmatched
+};
+
+/** Periodic snapshot of the exploration policy. */
+struct BanditSnapshot
+{
+    double epsilon = 0.0;     ///< current exploration rate
+    double accuracy = 0.0;    ///< smoothed prefetch-queue hit rate
+    std::uint64_t explorations = 0; ///< exploratory draws so far
+};
 
 /** One prediction-unit probe of the learner's action-value store. */
 struct CstProbeEvent
@@ -118,11 +137,12 @@ class LearningObserver
     /** The adaptive policy consumed one prediction outcome. */
     virtual void onEpsilonAdapt(const EpsilonEvent &event) = 0;
 
-    /** A reward or expiry penalty was applied at @p cycle (the same
-     *  feed RlTap::onReward carries, duplicated here so one observer
-     *  needs no second tap). */
+    /** A reward or expiry penalty was applied at @p cycle. */
     virtual void onRewardApplied(Cycle cycle,
                                  const RewardEvent &event) = 0;
+
+    /** Periodic policy state, every 4096 lookups. */
+    virtual void onBandit(Cycle cycle, const BanditSnapshot &snap) = 0;
 
     /** Snapshot cadence in demand accesses; 0 = final snapshot only. */
     virtual std::uint64_t snapshotEvery() const { return 0; }

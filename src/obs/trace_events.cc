@@ -96,13 +96,6 @@ TraceEventWriter::counter(
 }
 
 void
-TraceEventWriter::policyCounter(Cycle ts, double epsilon,
-                                double entropy)
-{
-    counter("policy", ts, {{"epsilon", epsilon}, {"entropy", entropy}});
-}
-
-void
 TraceEventWriter::close()
 {
     if (!open_)
@@ -110,40 +103,6 @@ TraceEventWriter::close()
     open_ = false;
     out_ << "\n]}\n";
     out_.flush();
-}
-
-RlEventTap::RlEventTap(TraceEventWriter *events,
-                       std::uint64_t sample_every)
-    : events_(events),
-      sample_every_(sample_every == 0 ? 1 : sample_every)
-{}
-
-void
-RlEventTap::onReward(Cycle cycle, const RewardEvent &event)
-{
-    if (events_ == nullptr)
-        return;
-    if (rewards_seen_++ % sample_every_ != 0)
-        return;
-    std::ostringstream args;
-    args << "{\"block\":\"" << hexAddr(event.block)
-         << "\",\"delta\":" << event.delta
-         << ",\"depth\":" << event.depth
-         << ",\"amount\":" << event.amount << ",\"in_window\":"
-         << (event.in_window ? "true" : "false")
-         << ",\"expiry\":" << (event.expiry ? "true" : "false") << '}';
-    events_->instant("rl", event.expiry ? "expiry" : "reward",
-                     TraceEventWriter::kTidRl, cycle, args.str());
-}
-
-void
-RlEventTap::onBandit(Cycle cycle, const BanditSnapshot &snap)
-{
-    if (events_ == nullptr)
-        return;
-    events_->counter("bandit", cycle,
-                     {{"epsilon", snap.epsilon},
-                      {"accuracy", snap.accuracy}});
 }
 
 } // namespace csp::obs

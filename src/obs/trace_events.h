@@ -28,7 +28,6 @@
 #include <utility>
 
 #include "core/types.h"
-#include "obs/taps.h"
 
 namespace csp::obs {
 
@@ -70,11 +69,6 @@ class TraceEventWriter
                  std::initializer_list<std::pair<const char *, double>>
                      values);
 
-    /** One sample on the "policy" counter track: the learning
-     *  observatory's exploration-rate and policy-entropy series
-     *  (convergence = both decaying together). */
-    void policyCounter(Cycle ts, double epsilon, double entropy);
-
     /** Terminate the JSON document. Idempotent. */
     void close();
 
@@ -93,27 +87,6 @@ class TraceEventWriter
 
 /** Hex-formatted address ("0x1234") for JSON args and autopsy rows. */
 std::string hexAddr(Addr addr);
-
-/**
- * RlTap implementation forwarding the context prefetcher's learning
- * events into a TraceEventWriter: reward applications as instant
- * events (1-in-N sampled), bandit snapshots as an epsilon/accuracy
- * counter track.
- */
-class RlEventTap final : public RlTap
-{
-  public:
-    explicit RlEventTap(TraceEventWriter *events,
-                        std::uint64_t sample_every = 1);
-
-    void onReward(Cycle cycle, const RewardEvent &event) override;
-    void onBandit(Cycle cycle, const BanditSnapshot &snap) override;
-
-  private:
-    TraceEventWriter *events_;
-    std::uint64_t sample_every_;
-    std::uint64_t rewards_seen_ = 0;
-};
 
 } // namespace csp::obs
 

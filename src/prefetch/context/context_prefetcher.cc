@@ -7,7 +7,7 @@
 #include "core/profiling.h"
 #include "core/stats_registry.h"
 #include "core/types.h"
-#include "obs/taps.h"
+#include "obs/run_observer.h"
 
 namespace csp::prefetch::ctx {
 
@@ -59,8 +59,11 @@ ContextPrefetcher::maxDelta() const
 }
 
 void
-ContextPrefetcher::setLearningObserver(obs::LearningObserver *learn)
+ContextPrefetcher::attach(const obs::RunObserver *observer)
 {
+    obs::LearningObserver *const learn =
+        observer != nullptr ? observer->learn : nullptr;
+    profiler_ = observer != nullptr ? observer->profiler : nullptr;
     learn_ = learn;
     cst_.setLearningObserver(learn);
     policy_.setLearningObserver(learn);
@@ -106,12 +109,6 @@ ContextPrefetcher::expireEntry(const PendingPrefetch &entry)
     policy_.recordOutcomeT<kInstr>(false);
     ++stats_.pq_expiries;
     if constexpr (kInstr) {
-        if (rl_tap_ != nullptr) {
-            rl_tap_->onReward(last_cycle_,
-                              {entry.line, entry.delta, /*depth=*/0,
-                               penalty, /*in_window=*/false,
-                               /*expiry=*/true});
-        }
         if (learn_ != nullptr) {
             learn_->onRewardApplied(last_cycle_,
                                     {entry.line, entry.delta,
@@ -126,7 +123,7 @@ void
 ContextPrefetcher::observe(const AccessInfo &info,
                            std::vector<PrefetchRequest> &out)
 {
-    if (rl_tap_ != nullptr || learn_ != nullptr || profiler_ != nullptr)
+    if (learn_ != nullptr || profiler_ != nullptr)
         observeImpl<true>(info, out);
     else
         observeImpl<false>(info, out);
@@ -153,10 +150,10 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
     last_cycle_ = info.cycle;
     ++stats_.lookups;
     if constexpr (kInstr) {
-        if (rl_tap_ != nullptr && (stats_.lookups & 4095) == 0) {
-            rl_tap_->onBandit(info.cycle,
-                              {policy_.epsilon(), policy_.accuracy(),
-                               stats_.explorations});
+        if (learn_ != nullptr && (stats_.lookups & 4095) == 0) {
+            learn_->onBandit(info.cycle,
+                             {policy_.epsilon(), policy_.accuracy(),
+                              stats_.explorations});
         }
     }
 
@@ -178,12 +175,6 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
             if (in_window)
                 ++stats_.pq_hits_in_window;
             if constexpr (kInstr) {
-                if (rl_tap_ != nullptr) {
-                    rl_tap_->onReward(info.cycle,
-                                      {entry.line, entry.delta, depth,
-                                       amount, in_window,
-                                       /*expiry=*/false});
-                }
                 if (learn_ != nullptr) {
                     learn_->onRewardApplied(
                         info.cycle,
@@ -394,7 +385,7 @@ ContextPrefetcher::onPrefetchOutcome(Addr addr,
 void
 ContextPrefetcher::finish()
 {
-    if (rl_tap_ != nullptr || learn_ != nullptr) {
+    if (learn_ != nullptr) {
         pq_.flush([this](const PendingPrefetch &entry) {
             expireEntry<true>(entry);
         });

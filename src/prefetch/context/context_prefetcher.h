@@ -39,6 +39,10 @@
 #include "prefetch/context/reward.h"
 #include "prefetch/prefetcher.h"
 
+namespace csp::prof {
+class Profiler;
+}
+
 namespace csp::prefetch::ctx {
 
 /** Learning-specific statistics exposed for the evaluation figures. */
@@ -89,24 +93,13 @@ class ContextPrefetcher final : public Prefetcher
      *  and the reward mix — the dynamics behind paper Figures 5/8/9. */
     void registerStats(stats::Registry &registry) const override;
 
-    /** Stream reward applications and periodic bandit snapshots to an
-     *  observability tap (Perfetto instants / counter tracks). */
-    void setRlTap(obs::RlTap *tap) override { rl_tap_ = tap; }
-
     /** Stream learning dynamics — arm selections, epsilon adaptation,
-     *  CST probe/insert traffic, reward applications and periodic
-     *  learning-state snapshots — to a learning observer. The observer
-     *  is a pure notification sink: attaching one never changes what
-     *  the prefetcher predicts. */
-    void setLearningObserver(obs::LearningObserver *learn) override;
-
-    /** Split observe() wall-clock into prof.prefetch.train (feedback +
-     *  collection units) and prof.prefetch.predict (prediction unit),
-     *  both nested inside the simulator's prefetch.observe phase. */
-    void setProfiler(prof::Profiler *profiler) override
-    {
-        profiler_ = profiler;
-    }
+     *  CST probe/insert traffic, reward applications, bandit state and
+     *  periodic learning-state snapshots — to the bundle's learning
+     *  observer, and split observe() wall-clock into
+     *  prof.prefetch.train (feedback + collection units) and
+     *  prof.prefetch.predict (prediction unit) on its profiler. */
+    void attach(const obs::RunObserver *observer) override;
 
     const Histogram *hitDepths() const override { return &hit_depths_; }
 
@@ -119,11 +112,12 @@ class ContextPrefetcher final : public Prefetcher
   private:
     /**
      * The whole of Algorithm 1, compiled twice: kInstr=true is the
-     * instrumented build (RL tap, learning observer, phase profiler —
-     * each still null-checked at runtime), kInstr=false is the bare
-     * replay hot path with every observer touch point compiled out.
-     * observe() dispatches on whether any sink is attached, so runs
-     * with no observability attached pay zero instrumentation cost.
+     * instrumented build (learning observer, phase profiler — each
+     * still null-checked at runtime), kInstr=false is the bare replay
+     * hot path with every observer touch point compiled out. observe()
+     * dispatches on whether either sink is attached, so runs with no
+     * observability attached pay zero instrumentation cost (measured:
+     * folding the two into runtime checks costs 1-5%, DESIGN.md §6).
      */
     template <bool kInstr>
     void observeImpl(const AccessInfo &info,
@@ -151,7 +145,6 @@ class ContextPrefetcher final : public Prefetcher
     /// Scratch snapshot for the software-hints-off ablation (the only
     /// path that must mutate the simulator-owned context).
     trace::ContextSnapshot hint_scratch_;
-    obs::RlTap *rl_tap_ = nullptr; ///< borrowed, may be null
     obs::LearningObserver *learn_ = nullptr; ///< borrowed, may be null
     std::uint64_t learn_snapshot_every_ = 0;
     std::uint64_t next_learn_snapshot_ = UINT64_MAX;

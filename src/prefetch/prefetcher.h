@@ -28,12 +28,7 @@ class Registry;
 }
 
 namespace csp::obs {
-class RlTap;
-class LearningObserver;
-}
-
-namespace csp::prof {
-class Profiler;
+struct RunObserver;
 }
 
 namespace csp::prefetch {
@@ -115,32 +110,15 @@ class Prefetcher
     }
 
     /**
-     * Attach a learning-event tap (reward applications, bandit
-     * snapshots). Only prefetchers that learn online emit anything;
-     * the default ignores the tap. Pass nullptr to detach.
+     * Attach the run's observer bundle, or detach it with nullptr (the
+     * simulator does, at end of run). A prefetcher keeps only the sinks
+     * it feeds: online learners the learning observer, prefetchers with
+     * a meaningful train/predict split the profiler. The default
+     * ignores the bundle. Attaching never changes what is predicted.
      */
-    virtual void setRlTap(obs::RlTap *tap) { (void)tap; }
-
-    /**
-     * Attach a learning observer (arm selections, epsilon adaptation,
-     * action-store probe/insert traffic, periodic learning-state
-     * snapshots). Only prefetchers that learn online emit anything;
-     * the default ignores it. Pass nullptr to detach.
-     */
-    virtual void setLearningObserver(obs::LearningObserver *learn)
+    virtual void attach(const obs::RunObserver *observer)
     {
-        (void)learn;
-    }
-
-    /**
-     * Attach a self-profiler so the prefetcher can attribute its
-     * observe() time to finer train/predict phases. Only prefetchers
-     * with a meaningful split implement this; the default ignores it.
-     * Pass nullptr to detach (the simulator does, at end of run).
-     */
-    virtual void setProfiler(prof::Profiler *profiler)
-    {
-        (void)profiler;
+        (void)observer;
     }
 };
 

@@ -14,6 +14,7 @@
 #include "core/profiling.h"
 #include "core/thread_pool.h"
 #include "obs/learning.h"
+#include "obs/lifecycle.h"
 #include "obs/mem_recorder.h"
 #include "obs/run_observer.h"
 #include "sim/result_cache.h"
@@ -849,27 +850,29 @@ runSweep(const std::vector<std::string> &workload_names,
                 auto prefetcher =
                     makePrefetcher(cell.prefetcher, config);
                 Simulator simulator(config);
+                // The cell's observer bundle, built from the mask; a
+                // profiler sink needs the per-cell profile to merge.
+                const unsigned observe =
+                    options.observe | (options.profiler_sink != nullptr
+                                           ? kObserveProfile
+                                           : 0u);
                 obs::PrefetchTracker tracker;
                 obs::LearningRecorder learner;
-                obs::RunObserver observer;
-                prof::Profiler profiler;
                 std::unique_ptr<obs::MemRecorder> memrec;
-                if (options.observe)
+                prof::Profiler profiler;
+                obs::RunObserver observer;
+                if (observe & kObserveTracker)
                     observer.tracker = &tracker;
-                if (options.observe_learning)
+                if (observe & kObserveLearn)
                     observer.learn = &learner;
-                if (options.observe_mem) {
+                if (observe & kObserveMem) {
                     memrec = std::make_unique<obs::MemRecorder>(
                         config.memory);
                     observer.mem = memrec.get();
                 }
-                if (options.observe || options.observe_learning ||
-                    options.observe_mem) {
-                    simulator.setObserver(&observer);
-                }
-                if (options.profile ||
-                    options.profiler_sink != nullptr)
-                    simulator.setProfiler(&profiler);
+                if (observe & kObserveProfile)
+                    observer.profiler = &profiler;
+                simulator.setObserver(&observer);
                 if (track)
                     simulator.setProgress(progress.hook(k));
                 cell.stats = simulator.run(traces[wi], *prefetcher);

@@ -221,6 +221,15 @@ class SweepProgress
     std::mutex mutex_;
 };
 
+/** The per-cell observer sinks SweepOptions::observe can attach. */
+enum ObserveSink : unsigned
+{
+    kObserveTracker = 1u << 0, ///< lifecycle tracker, no Perfetto sink
+    kObserveLearn = 1u << 1,   ///< learning recorder, final snapshot
+    kObserveMem = 1u << 2,     ///< memory-hierarchy recorder
+    kObserveProfile = 1u << 3, ///< self-profiler
+};
+
 /** Knobs for runSweep. */
 struct SweepOptions
 {
@@ -233,32 +242,12 @@ struct SweepOptions
      */
     unsigned jobs = 0;
     /**
-     * Attach a per-cell lifecycle tracker (no Perfetto sink) to every
-     * run. The autopsy results are discarded — this knob exists so the
-     * determinism tests can assert that observed and unobserved sweeps
-     * produce bit-identical RunStats.
+     * Mask of ObserveSink bits: the sinks attached to every simulated
+     * cell, their results discarded. This knob exists so the
+     * determinism tests can assert that observed sweeps produce
+     * RunStats bit-identical to unobserved ones.
      */
-    bool observe = false;
-    /**
-     * Attach a per-cell learning recorder (snapshots discarded), the
-     * learning-observer analogue of observe: determinism tests assert
-     * that sweeps with the learning hooks live are bit-identical to
-     * unobserved ones.
-     */
-    bool observe_learning = false;
-    /**
-     * Attach a per-cell memory-hierarchy recorder (miss taxonomy and
-     * telemetry discarded), the mem-observer analogue of observe:
-     * determinism tests assert that sweeps with the shadow models
-     * live are bit-identical to unobserved ones.
-     */
-    bool observe_mem = false;
-    /**
-     * Attach a per-cell self-profiler (phase timings discarded), the
-     * prof.* analogue of observe: determinism tests assert that the
-     * instrumented replay loop produces bit-identical RunStats.
-     */
-    bool profile = false;
+    unsigned observe = 0;
     /**
      * Memoize cells in the content-addressed result cache (see
      * result_cache.h): consult before simulating, store after. Off by

@@ -7,6 +7,9 @@
 
 #include "core/profiling.h"
 #include "cpu/core_model.h"
+#include "obs/learning_observer.h"
+#include "obs/lifecycle.h"
+#include "obs/mem_observer.h"
 #include "obs/run_observer.h"
 #include "sim/predicted_set.h"
 #include "trace/hw_state.h"
@@ -142,33 +145,23 @@ template <typename Source>
 RunStats
 Simulator::dispatchRun(Source &source, prefetch::Prefetcher &prefetcher)
 {
-    if (observer_ != nullptr) {
-        return profiler_ != nullptr
-                   ? runFrom<true, true>(source, prefetcher)
-                   : runFrom<true, false>(source, prefetcher);
-    }
-    return profiler_ != nullptr
-               ? runFrom<false, true>(source, prefetcher)
-               : runFrom<false, false>(source, prefetcher);
+    return observer_ != nullptr && observer_->profiler != nullptr
+               ? runFrom<true>(source, prefetcher)
+               : runFrom<false>(source, prefetcher);
 }
 
-template <bool kObserved, bool kProfiled, typename Source>
+template <bool kProfiled, typename Source>
 RunStats
 Simulator::runFrom(Source &source, prefetch::Prefetcher &prefetcher)
 {
     // Folds to a compile-time nullptr in the unprofiled instantiation,
     // so every ScopedTimer below vanishes from its codegen.
-    prof::Profiler *const profiler = kProfiled ? profiler_ : nullptr;
+    prof::Profiler *const profiler =
+        kProfiled ? observer_->profiler : nullptr;
     cpu::CoreModel core(config_.core);
     mem::Hierarchy hierarchy(config_.memory);
-    if constexpr (kObserved) {
-        hierarchy.setTracker(observer_->tracker);
-        hierarchy.setMemObserver(observer_->mem);
-        prefetcher.setRlTap(observer_->rl);
-        prefetcher.setLearningObserver(observer_->learn);
-    }
-    if constexpr (kProfiled)
-        prefetcher.setProfiler(profiler);
+    hierarchy.attach(observer_);
+    prefetcher.attach(observer_);
     trace::HwContextTracker hw(config_.memory.l1d.line_bytes);
     PredictedSet predicted_unissued;
 
@@ -215,12 +208,10 @@ Simulator::runFrom(Source &source, prefetch::Prefetcher &prefetcher)
                      "demand accesses sped up by a prefetch");
     hierarchy.registerStats(registry);
     prefetcher.registerStats(registry);
-    if constexpr (kObserved) {
-        if (observer_->learn != nullptr)
-            observer_->learn->registerStats(registry);
-        if (observer_->mem != nullptr)
-            observer_->mem->registerStats(registry);
-    }
+    if (observer_ != nullptr && observer_->learn != nullptr)
+        observer_->learn->registerStats(registry);
+    if (observer_ != nullptr && observer_->mem != nullptr)
+        observer_->mem->registerStats(registry);
     if constexpr (kProfiled)
         profiler->registerStats(registry);
     registry.formula("mem.mshr.occupancy_avg",
@@ -403,18 +394,13 @@ Simulator::runFrom(Source &source, prefetch::Prefetcher &prefetcher)
         prof::ScopedTimer timer(profiler, prof::Phase::StatsFlush);
         sampler.finish(core.instructions());
     }
-    if constexpr (kProfiled)
-        prefetcher.setProfiler(nullptr);
-    if constexpr (kObserved) {
-        // Close every still-active lifecycle as Useless and detach the
-        // taps: the prefetcher may outlive this run. The learning
-        // observer detaches after finish() so the final snapshot above
-        // reached it.
-        if (observer_->tracker != nullptr)
-            observer_->tracker->finish(core.elapsed());
-        prefetcher.setRlTap(nullptr);
-        prefetcher.setLearningObserver(nullptr);
-    }
+    // Close every still-active lifecycle as Useless and detach the
+    // bundle: the prefetcher may outlive this run. The learning
+    // observer detaches after finish() so the final snapshot above
+    // reached it.
+    if (observer_ != nullptr && observer_->tracker != nullptr)
+        observer_->tracker->finish(core.elapsed());
+    prefetcher.attach(nullptr);
 
     // RunStats keeps its public shape but is populated from the
     // registry — the registry is the single source of truth.

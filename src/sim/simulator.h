@@ -28,10 +28,6 @@ namespace csp::obs {
 struct RunObserver;
 }
 
-namespace csp::prof {
-class Profiler;
-}
-
 namespace csp::trace {
 class MappedTrace;
 }
@@ -167,30 +163,21 @@ class Simulator
     void setProgress(ProgressFn fn, std::uint64_t every_insts = 100000);
 
     /**
-     * Attach an observability bundle (lifecycle tracker, RL tap) for
-     * subsequent run() calls; nullptr (the default) detaches it and
-     * keeps the replay loop's unobserved instantiation. Installing an
-     * observer — even one with every sink null — switches to the
-     * observed instantiation; results are bit-identical either way.
-     * The observer must outlive the run() call.
+     * Attach an observability bundle (lifecycle tracker, learning and
+     * memory observers, self-profiler) for subsequent run() calls;
+     * nullptr (the default) detaches it. Each run hands the bundle to
+     * the hierarchy and the prefetcher and detaches it at the end, so
+     * the prefetcher may outlive the run. A bundle with a profiler
+     * selects the profiled replay-loop instantiation; every other sink
+     * is null-checked where it fires. Results are bit-identical either
+     * way. The bundle and its sinks must outlive the run() call; a
+     * profiler must also outlive any report taken from it, since the
+     * run's registry publishes `prof.*` stats that read through
+     * pointers into it.
      */
-    void setObserver(obs::RunObserver *observer)
+    void setObserver(const obs::RunObserver *observer)
     {
         observer_ = observer;
-    }
-
-    /**
-     * Attach a self-profiler for subsequent run() calls; nullptr (the
-     * default) detaches it and keeps the unprofiled replay-loop
-     * instantiation, which carries no timer plumbing at all (same
-     * idiom as setObserver). The profiler accumulates across runs and
-     * must outlive both the run() call and any report taken from it —
-     * the run's registry publishes `prof.*` stats that read through
-     * pointers into it. Results are bit-identical either way.
-     */
-    void setProfiler(prof::Profiler *profiler)
-    {
-        profiler_ = profiler;
     }
 
     /** Replay @p trace through @p prefetcher; returns the run's stats. */
@@ -226,23 +213,19 @@ class Simulator
   private:
     /** The replay loop, generic over a `const TraceRecord *next()`
      *  record source (TraceCursor or a plain vector walker).
-     *  @tparam kObserved selects the instantiation that wires the
-     *  RunObserver through the hierarchy and prefetcher; the false
-     *  instantiation carries no observer plumbing at all.
-     *  @tparam kProfiled likewise selects the instantiation whose hot
-     *  loop carries phase timers (setProfiler). */
-    template <bool kObserved, bool kProfiled, typename Source>
+     *  @tparam kProfiled selects the instantiation whose hot loop
+     *  carries phase timers; the false instantiation has none (runtime
+     *  checks instead measured ~3% slower unprofiled, DESIGN.md §6). */
+    template <bool kProfiled, typename Source>
     RunStats runFrom(Source &source, prefetch::Prefetcher &prefetcher);
 
-    /** Picks the runFrom instantiation for the attached observer and
-     *  profiler. */
+    /** Picks the runFrom instantiation for the attached profiler. */
     template <typename Source>
     RunStats dispatchRun(Source &source,
                          prefetch::Prefetcher &prefetcher);
 
     SystemConfig config_;
-    obs::RunObserver *observer_ = nullptr;
-    prof::Profiler *profiler_ = nullptr;
+    const obs::RunObserver *observer_ = nullptr;
     std::uint64_t stats_interval_ = 0;
     std::string stats_filter_;
     std::string report_filter_;

@@ -2,6 +2,7 @@
  *  distilled counters are internally consistent, the learn.json export
  *  parses and validates as csp-learn-v1, snapshot capture is
  *  byte-identical whether runs execute serially or on a thread pool,
+ *  the Perfetto rl/bandit tracks follow the reward and lookup counts,
  *  and the csplearn report renders deterministically (golden text). */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "diff/learn_report.h"
 #include "obs/learning.h"
 #include "obs/run_observer.h"
+#include "obs/trace_events.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "workloads/registry.h"
@@ -166,6 +168,50 @@ TEST(LearningRecorder, AttachingRecorderNeverChangesSimResults)
               observed.hierarchy.prefetches_issued);
     for (std::size_t c = 0; c < plain.classes.size(); ++c)
         EXPECT_EQ(plain.classes[c], observed.classes[c]);
+}
+
+/** Occurrences of @p needle in @p text. */
+std::size_t
+countOf(const std::string &text, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t pos = text.find(needle); pos != std::string::npos;
+         pos = text.find(needle, pos + needle.size()))
+        ++n;
+    return n;
+}
+
+TEST(LearningRecorder, PerfettoTracksFollowRewardsAndLookups)
+{
+    // The recorder writes one "rl" instant per 4 reward applications
+    // (expiries included, the first one sampled) and one "bandit"
+    // counter sample per 4096 lookups.
+    const trace::TraceBuffer trace = makeTrace();
+    SystemConfig config;
+    std::ostringstream out;
+    obs::TraceEventWriter events(out);
+    obs::LearningRecorder::Options opts;
+    opts.trace_sample = 4;
+    obs::LearningRecorder recorder(opts, &events);
+    obs::RunObserver observer;
+    observer.learn = &recorder;
+    auto prefetcher = sim::makePrefetcher("context", config);
+    sim::Simulator simulator(config);
+    simulator.setObserver(&observer);
+    simulator.run(trace, *prefetcher);
+    events.close();
+
+    const stats::Report &report = simulator.lastReport();
+    const auto rewards =
+        static_cast<std::uint64_t>(report.value("context.pq.hits") +
+                                   report.value("context.pq.expiries"));
+    const auto lookups =
+        static_cast<std::uint64_t>(report.value("context.lookups"));
+    ASSERT_GT(rewards, 4u);
+    ASSERT_GE(lookups, 4096u);
+    const std::string text = out.str();
+    EXPECT_EQ(countOf(text, "\"cat\":\"rl\""), (rewards + 3) / 4);
+    EXPECT_EQ(countOf(text, "{\"name\":\"bandit\""), lookups / 4096);
 }
 
 // Golden csplearn rendering over a small hand-written learn.json: the

@@ -37,7 +37,9 @@ TEST(LifecycleClassifier, FiveTerminalStatesWithExactCounts)
 {
     Hierarchy hierarchy(defaultMemory());
     PrefetchTracker tracker;
-    hierarchy.setTracker(&tracker);
+    obs::RunObserver observer;
+    observer.tracker = &tracker;
+    hierarchy.attach(&observer);
 
     // Timely: prefetch into L1, demand arrives after the fill.
     const Addr timely = 0x40; // set 1
@@ -97,7 +99,9 @@ TEST(LifecycleClassifier, DroppedUnderMshrPressure)
 {
     Hierarchy hierarchy(defaultMemory());
     PrefetchTracker tracker;
-    hierarchy.setTracker(&tracker);
+    obs::RunObserver observer;
+    observer.tracker = &tracker;
+    hierarchy.attach(&observer);
 
     // min_free_mshrs = 4 forbids L1 fills (L1 has exactly 4 MSHRs), so
     // every issue books an L2 MSHR; the backlog eventually exhausts the
@@ -120,7 +124,9 @@ TEST(LifecycleClassifier, AutopsyTablesRenderTheCounts)
 {
     Hierarchy hierarchy(defaultMemory());
     PrefetchTracker tracker;
-    hierarchy.setTracker(&tracker);
+    obs::RunObserver observer;
+    observer.tracker = &tracker;
+    hierarchy.attach(&observer);
 
     const Addr line = 0x40;
     ASSERT_EQ(hierarchy.prefetch(line, 0, 0, 0xAA),
@@ -155,7 +161,9 @@ TEST(TraceEvents, StreamIsWellFormed)
         PrefetchTracker tracker(&events, /*sample_every=*/1,
                                 /*counter_interval=*/100);
         Hierarchy hierarchy(defaultMemory());
-        hierarchy.setTracker(&tracker);
+        obs::RunObserver observer;
+        observer.tracker = &tracker;
+        hierarchy.attach(&observer);
         ASSERT_EQ(hierarchy.prefetch(0x40, 0, 0, 0xA0),
                   PrefetchOutcome::Issued);
         hierarchy.access(0x40, 2000, false, 0xB0);
@@ -178,8 +186,7 @@ TEST(TraceEvents, StreamIsWellFormed)
 
 TEST(ObservedSweep, BitIdenticalWithAndWithoutObserver)
 {
-    const auto sweep = [](bool observe, bool observe_learning,
-                          bool observe_mem, unsigned jobs) {
+    const auto sweep = [](unsigned observe, unsigned jobs) {
         SystemConfig config;
         workloads::WorkloadParams params;
         params.scale = 8000;
@@ -187,23 +194,26 @@ TEST(ObservedSweep, BitIdenticalWithAndWithoutObserver)
         options.verbose = false;
         options.jobs = jobs;
         options.observe = observe;
-        options.observe_learning = observe_learning;
-        options.observe_mem = observe_mem;
         return sim::runSweep({"list", "bst"},
                              {"none", "stride", "context"}, params,
                              config, options);
     };
-    const sim::SweepResult plain = sweep(false, false, false, 1);
-    const sim::SweepResult observed1 = sweep(true, false, false, 1);
-    const sim::SweepResult observed4 = sweep(true, false, false, 4);
+    using sim::kObserveLearn;
+    using sim::kObserveMem;
+    using sim::kObserveTracker;
+    const sim::SweepResult plain = sweep(0, 1);
+    const sim::SweepResult observed1 = sweep(kObserveTracker, 1);
+    const sim::SweepResult observed4 = sweep(kObserveTracker, 4);
     // The learning observer streams every bandit/CST event; it too
     // must never perturb a single simulated count.
-    const sim::SweepResult learning1 = sweep(true, true, false, 1);
-    const sim::SweepResult learning4 = sweep(true, true, false, 4);
+    const sim::SweepResult learning1 =
+        sweep(kObserveTracker | kObserveLearn, 1);
+    const sim::SweepResult learning4 =
+        sweep(kObserveTracker | kObserveLearn, 4);
     // And the memory observatory's shadow models classify every demand
     // access — strictly side-band, at any job count.
-    const sim::SweepResult mem1 = sweep(true, false, true, 1);
-    const sim::SweepResult mem4 = sweep(true, false, true, 4);
+    const sim::SweepResult mem1 = sweep(kObserveTracker | kObserveMem, 1);
+    const sim::SweepResult mem4 = sweep(kObserveTracker | kObserveMem, 4);
     ASSERT_EQ(plain.cells.size(), observed1.cells.size());
     ASSERT_EQ(plain.cells.size(), observed4.cells.size());
     ASSERT_EQ(plain.cells.size(), learning1.cells.size());

@@ -33,7 +33,7 @@ smallSweep(unsigned jobs, std::uint64_t scale = 12000)
 }
 
 SweepResult
-instrumentedSweep(unsigned jobs, bool profile, bool observe_learning)
+instrumentedSweep(unsigned jobs, unsigned observe)
 {
     SystemConfig config;
     workloads::WorkloadParams params;
@@ -41,8 +41,7 @@ instrumentedSweep(unsigned jobs, bool profile, bool observe_learning)
     SweepOptions options;
     options.verbose = false;
     options.jobs = jobs;
-    options.profile = profile;
-    options.observe_learning = observe_learning;
+    options.observe = observe;
     return runSweep(kWorkloads, kPrefetchers, params, config, options);
 }
 
@@ -104,15 +103,11 @@ TEST(ParallelSweep, BitIdenticalAcrossJobCounts)
 TEST(ParallelSweep, InstrumentationBitIdenticalAcrossJobCounts)
 {
     const SweepResult plain = smallSweep(1);
-    for (const bool profile : {false, true}) {
-        for (const bool learn : {false, true}) {
-            if (!profile && !learn)
-                continue;
-            expectIdenticalSweeps(
-                plain, instrumentedSweep(1, profile, learn));
-            expectIdenticalSweeps(
-                plain, instrumentedSweep(4, profile, learn));
-        }
+    const unsigned masks[] = {kObserveProfile, kObserveLearn,
+                              kObserveProfile | kObserveLearn};
+    for (const unsigned observe : masks) {
+        expectIdenticalSweeps(plain, instrumentedSweep(1, observe));
+        expectIdenticalSweeps(plain, instrumentedSweep(4, observe));
     }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/profiling.h"
+#include "obs/run_observer.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "workloads/registry.h"
@@ -148,7 +149,9 @@ TEST(Simulator, ProfilerAttributesEveryPhase)
     auto prefetcher = makePrefetcher("context", config);
     Simulator simulator(config);
     prof::Profiler profiler;
-    simulator.setProfiler(&profiler);
+    obs::RunObserver observer;
+    observer.profiler = &profiler;
+    simulator.setObserver(&observer);
     simulator.run(makeTrace("bst"), *prefetcher);
     for (const prof::Phase phase :
          {prof::Phase::Replay, prof::Phase::MemAccess,
@@ -174,7 +177,9 @@ TEST(Simulator, ProfilingNeverChangesResults)
     auto prefetcher = makePrefetcher("context", config);
     Simulator simulator(config);
     prof::Profiler profiler;
-    simulator.setProfiler(&profiler);
+    obs::RunObserver observer;
+    observer.profiler = &profiler;
+    simulator.setObserver(&observer);
     const RunStats profiled = simulator.run(trace, *prefetcher);
     EXPECT_EQ(plain.instructions, profiled.instructions);
     EXPECT_EQ(plain.cycles, profiled.cycles);

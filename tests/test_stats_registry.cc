@@ -316,7 +316,7 @@ class MiniJson
         return false;
     }
 
-    const std::string &text_;
+    const std::string text_;
     std::size_t pos_ = 0;
     bool ok_ = true;
     std::map<std::string, double> values_;

@@ -95,9 +95,10 @@ MIN_COMPRESSION_X = 2.0
 
 # Disabled-path overhead bar, shared by lifecycle tracing (NullSink vs
 # Control), self-profiling (Profile_Disabled vs Control) and the
-# learning observer (NullTap vs Control). The disabled paths are
-# codegen-identical to control (same template instantiation), so their
-# true ratio is 1.0 -- but on single-vCPU CI runners two identical
+# learning and memory observers (NullTap vs Control). Every disabled
+# path runs control's replay instantiation (only a profiler selects
+# another) with each sink's null check false, so their true ratio is
+# ~1.0 -- but on single-vCPU CI runners two identical
 # binaries timed seconds apart measure with up to ~5% spread even on
 # best-of-N medians (measured: Profile_Disabled at 0.95 of control).
 # The bar therefore sits below the noise floor but well above every
@@ -187,9 +188,11 @@ def run_micro_once(build_dir, min_time, repetitions, raw_out):
     )
     with open(raw_out) as f:
         raw = json.load(f)["benchmarks"]
+    # One repetition emits no aggregates: its single entry is the median.
+    wanted = "median" if repetitions > 1 else None
     medians = []
     for bench in raw:
-        if bench.get("aggregate_name") != "median":
+        if bench.get("aggregate_name") != wanted:
             continue
         bench = dict(bench)
         bench["name"] = bench["name"].removesuffix("_median")

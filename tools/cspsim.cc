@@ -33,6 +33,7 @@
 #include "core/run_manifest.h"
 #include "core/thread_pool.h"
 #include "obs/learning.h"
+#include "obs/lifecycle.h"
 #include "obs/mem_recorder.h"
 #include "obs/run_observer.h"
 #include "obs/trace_events.h"
@@ -698,7 +699,8 @@ main(int argc, char **argv)
         /// Phase wall-clock attribution; null unless --profile.
         std::unique_ptr<prof::Profiler> profiler;
         /// Learning-dynamics recorder, kept past the worker for the
-        /// serial learn.json write; null unless --learn-out.
+        /// serial learn.json write; null unless --learn-out or
+        /// --trace-events.
         std::unique_ptr<obs::LearningRecorder> learner;
         /// Memory-hierarchy recorder, kept past the worker for the
         /// serial mem.json write; null unless --mem-out.
@@ -766,15 +768,13 @@ main(int argc, char **argv)
                 } else if (options.verbose) {
                     simulator.setProgress(progress.hook(i));
                 }
-                if (outcomes[i].profiler != nullptr)
-                    simulator.setProfiler(outcomes[i].profiler.get());
                 // The timeline file is written live during the run (one
                 // per prefetcher — workers never share a stream); the
                 // autopsy tracker survives for serial output below.
                 std::ofstream events_file;
                 std::unique_ptr<obs::TraceEventWriter> events;
-                std::unique_ptr<obs::RlEventTap> rl_tap;
                 obs::RunObserver observer;
+                observer.profiler = outcomes[i].profiler.get();
                 if (!options.trace_events.empty()) {
                     const std::string path = traceEventsPath(
                         options, pf_names[i], multi);
@@ -784,20 +784,22 @@ main(int argc, char **argv)
                         fatal("cannot write %s", path.c_str());
                     events = std::make_unique<obs::TraceEventWriter>(
                         events_file);
-                    rl_tap = std::make_unique<obs::RlEventTap>(
-                        events.get(), options.trace_sample);
-                    observer.rl = rl_tap.get();
                 }
-                if (!options.learn_out.empty()) {
+                // One recorder feeds both learn.json and the timeline's
+                // rl/bandit/policy tracks.
+                if (!options.learn_out.empty() || events != nullptr) {
                     obs::LearningRecorder::Options learn_opts;
-                    // Auto cadence: ~32 snapshots per run. Lookup
-                    // counts, not wall-clock, so the snapshot series
-                    // is identical for any --jobs.
-                    learn_opts.snapshot_every =
-                        options.learn_snapshot_every != 0
-                            ? options.learn_snapshot_every
-                            : std::max<std::uint64_t>(
-                                  1, trace.memAccesses() / 32);
+                    learn_opts.trace_sample = options.trace_sample;
+                    if (!options.learn_out.empty()) {
+                        // Auto cadence: ~32 snapshots per run. Lookup
+                        // counts, not wall-clock, so the snapshot
+                        // series is identical for any --jobs.
+                        learn_opts.snapshot_every =
+                            options.learn_snapshot_every != 0
+                                ? options.learn_snapshot_every
+                                : std::max<std::uint64_t>(
+                                      1, trace.memAccesses() / 32);
+                    }
                     outcomes[i].learner =
                         std::make_unique<obs::LearningRecorder>(
                             learn_opts, events.get());
@@ -824,8 +826,8 @@ main(int argc, char **argv)
                         std::make_unique<obs::PrefetchTracker>(
                             events.get(), options.trace_sample);
                     observer.tracker = outcomes[i].tracker.get();
-                    simulator.setObserver(&observer);
                 }
+                simulator.setObserver(&observer);
                 outcomes[i].stats = simulator.run(trace, *prefetcher);
                 outcomes[i].report = simulator.lastReport();
                 outcomes[i].series = simulator.lastSeries();
