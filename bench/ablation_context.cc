@@ -5,121 +5,84 @@
  *  no-prefetching. */
 
 #include <iostream>
-#include <map>
 
 #include "bench_common.h"
-#include "prefetch/context/context_prefetcher.h"
-#include "sim/simulator.h"
-#include "workloads/registry.h"
-
-namespace {
-
-using namespace csp;
-
-struct Variant
-{
-    std::string name;
-    ContextPrefetcherConfig config;
-    prefetch::ctx::ContextFeatureToggles toggles;
-};
-
-} // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    using namespace csp;
     bench::banner("Context prefetcher ablations (geomean speedup)",
                   "DESIGN.md section 4; paper sections 4.1-4.4");
     const std::vector<std::string> workload_names = {
         "list", "listsort", "maptest", "prim", "graph500-list",
         "mcf",  "omnetpp",  "lbm",     "array", "astar", "KNN"};
 
-    SystemConfig config;
-    std::vector<Variant> variants;
-    variants.push_back({"full (paper)", config.context, {}});
-    {
-        Variant v{"no negative rewards", config.context, {}};
-        v.toggles.negative_rewards = false;
-        variants.push_back(v);
-    }
-    {
-        Variant v{"flat reward (no bell)", config.context, {}};
-        v.config.reward.peak_reward = 4;
-        v.config.reward.window_center =
-            (v.config.reward.window_lo + v.config.reward.window_hi) /
-            2;
-        variants.push_back(v);
-    }
-    {
-        Variant v{"static reducer (no adaptation)", config.context,
-                  {}};
-        v.toggles.adaptive_reducer = false;
-        variants.push_back(v);
-    }
-    {
-        Variant v{"no exploration (greedy only)", config.context, {}};
-        v.toggles.exploration = false;
-        variants.push_back(v);
-    }
-    {
-        Variant v{"hardware-only context (no hints)", config.context,
-                  {}};
-        v.toggles.software_hints = false;
-        variants.push_back(v);
-    }
-    {
-        Variant v{"softmax exploration (sec. 8 ext.)", config.context,
-                  {}};
-        v.config.softmax_exploration = true;
-        variants.push_back(v);
-    }
-    {
-        Variant v{"narrow reward window (24-40)", config.context, {}};
-        v.config.reward.window_lo = 24;
-        v.config.reward.window_hi = 40;
-        v.config.reward.window_center = 32;
-        variants.push_back(v);
-    }
-    {
-        Variant v{"conservative dispatch threshold (6)",
-                  config.context, {}};
-        v.config.real_score_threshold = 6;
-        variants.push_back(v);
-    }
+    // Each variant is the paper's system with one context-prefetcher
+    // edit.
+    const SystemConfig config;
+    std::vector<std::pair<std::string, SystemConfig>> variants;
+    const auto variant = [&](const char *name, auto edit) {
+        variants.emplace_back(name, config);
+        edit(variants.back().second.context);
+    };
+    variant("full (paper)", [](ContextPrefetcherConfig &) {});
+    variant("no negative rewards", [](ContextPrefetcherConfig &c) {
+        c.negative_rewards = false;
+    });
+    variant("flat reward (no bell)", [](ContextPrefetcherConfig &c) {
+        c.reward.peak_reward = 4;
+        c.reward.window_center =
+            (c.reward.window_lo + c.reward.window_hi) / 2;
+    });
+    variant("static reducer (no adaptation)",
+            [](ContextPrefetcherConfig &c) { c.adaptive_reducer = false; });
+    variant("no exploration (greedy only)",
+            [](ContextPrefetcherConfig &c) { c.exploration = false; });
+    variant("hardware-only context (no hints)",
+            [](ContextPrefetcherConfig &c) { c.software_hints = false; });
+    variant("softmax exploration (sec. 8 ext.)",
+            [](ContextPrefetcherConfig &c) { c.softmax_exploration = true; });
+    variant("narrow reward window (24-40)",
+            [](ContextPrefetcherConfig &c) {
+                c.reward.window_lo = 24;
+                c.reward.window_hi = 40;
+                c.reward.window_center = 32;
+            });
+    variant("conservative dispatch threshold (6)",
+            [](ContextPrefetcherConfig &c) { c.real_score_threshold = 6; });
 
-    workloads::WorkloadParams params =
+    const workloads::WorkloadParams params =
         bench::benchParams(bench::sweepScale());
-    std::map<std::string, trace::TraceBuffer> traces;
-    std::map<std::string, double> baseline;
-    for (const auto &name : workload_names) {
-        traces[name] = workloads::Registry::builtin()
-                           .create(name)
-                           ->generate(params);
-        auto none = sim::makePrefetcher("none", config);
-        sim::Simulator simulator(config);
-        baseline[name] = simulator.run(traces[name], *none).ipc();
+    // Cell w is workload w's baseline; cell (v + 1) * W + w is
+    // variant v on workload w.
+    std::vector<sim::SweepCell> grid;
+    for (const auto &name : workload_names)
+        grid.push_back({name, params, config, "none"});
+    for (const auto &[variant_name, varied] : variants) {
+        for (const auto &name : workload_names)
+            grid.push_back({name, params, varied, "context"});
     }
+    const sim::SweepResult result =
+        sim::runSweep(grid, bench::sweepOptions(argc, argv));
+    const std::size_t n_workloads = workload_names.size();
 
     sim::Table table({"variant", "geomean speedup", "worst workload",
                       "worst speedup"});
-    for (const Variant &variant : variants) {
+    for (std::size_t v = 0; v < variants.size(); ++v) {
         std::vector<double> speedups;
         std::string worst_name;
         double worst = 1e9;
-        for (const auto &name : workload_names) {
-            prefetch::ctx::ContextPrefetcher prefetcher(
-                variant.config, config.seed, variant.toggles);
-            sim::Simulator simulator(config);
+        for (std::size_t w = 0; w < workload_names.size(); ++w) {
             const double s =
-                simulator.run(traces[name], prefetcher).ipc() /
-                baseline[name];
+                bench::speedup(result, (v + 1) * n_workloads + w, w);
             speedups.push_back(s);
             if (s < worst) {
                 worst = s;
-                worst_name = name;
+                worst_name = workload_names[w];
             }
         }
-        table.addRow({variant.name,
+        table.addRow({variants[v].first,
                       sim::Table::num(sim::geomean(speedups), 3),
                       worst_name, sim::Table::num(worst, 3)});
     }

@@ -8,57 +8,45 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "sim/simulator.h"
-#include "workloads/registry.h"
-
-namespace {
-
-double
-speedupFor(const csp::trace::TraceBuffer &trace,
-           const std::string &pf_name, const csp::SystemConfig &config)
-{
-    auto none = csp::sim::makePrefetcher("none", config);
-    auto prefetcher = csp::sim::makePrefetcher(pf_name, config);
-    csp::sim::Simulator sim_a(config);
-    csp::sim::Simulator sim_b(config);
-    return sim_b.run(trace, *prefetcher).ipc() /
-           sim_a.run(trace, *none).ipc();
-}
-
-} // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace csp;
     bench::banner("Heap-placement sensitivity (speedups)",
                   "probe of the CST delta reach & SMS density needs");
     const std::vector<std::string> workload_names = {
         "list", "listsort", "bst", "hashtest", "maptest"};
-    SystemConfig config;
+    const SystemConfig config;
+
+    // A (run, baseline) cell pair per table entry, in row-major order;
+    // each placement's two prefetchers share its baseline simulation.
+    std::vector<sim::SweepCell> grid;
+    for (const std::string &name : workload_names) {
+        for (const std::string pf : {"context", "sms"}) {
+            for (const runtime::Placement placement :
+                 {runtime::Placement::Sequential,
+                  runtime::Placement::Randomized}) {
+                workloads::WorkloadParams params =
+                    bench::benchParams(bench::sweepScale());
+                params.placement = placement;
+                grid.push_back({name, params, config, pf});
+                grid.push_back({name, params, config, "none"});
+            }
+        }
+    }
+    const sim::SweepResult result =
+        sim::runSweep(grid, bench::sweepOptions(argc, argv));
 
     sim::Table table({"benchmark", "ctx seq", "ctx rand", "sms seq",
                       "sms rand"});
+    std::size_t cell = 0;
     for (const std::string &name : workload_names) {
-        workloads::WorkloadParams params =
-            bench::benchParams(bench::sweepScale());
-        params.placement = runtime::Placement::Sequential;
-        const trace::TraceBuffer seq_trace =
-            workloads::Registry::builtin().create(name)->generate(
-                params);
-        params.placement = runtime::Placement::Randomized;
-        const trace::TraceBuffer rand_trace =
-            workloads::Registry::builtin().create(name)->generate(
-                params);
-        table.addRow(
-            {name,
-             sim::Table::num(speedupFor(seq_trace, "context", config),
-                             3),
-             sim::Table::num(
-                 speedupFor(rand_trace, "context", config), 3),
-             sim::Table::num(speedupFor(seq_trace, "sms", config), 3),
-             sim::Table::num(speedupFor(rand_trace, "sms", config),
-                             3)});
+        std::vector<std::string> row = {name};
+        for (int column = 0; column < 4; ++column, cell += 2)
+            row.push_back(
+                sim::Table::num(bench::speedup(result, cell, cell + 1), 3));
+        table.addRow(row);
     }
     table.print(std::cout);
     std::cout << "\nScattered placement degrades spatial prefetching"

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared plumbing for the figure/table benchmark binaries: default
- * trace scale (overridable through CSP_SCALE), the paper's benchmark
- * ordering, and small printing helpers.
+ * trace scale (overridable through CSP_SCALE), sweep options, a
+ * speedup between two grid cells, and small printing helpers.
  *
  * Every binary regenerates one table or figure of the paper's
  * evaluation section; see DESIGN.md's per-experiment index.
@@ -11,6 +11,7 @@
 #ifndef CSP_BENCH_BENCH_COMMON_H
 #define CSP_BENCH_BENCH_COMMON_H
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -48,6 +49,15 @@ sweepOptions(int argc, char **argv)
     sim::SweepOptions options;
     options.jobs = jobsArg(argc, argv);
     return options;
+}
+
+/** IPC of grid cell @p cell over IPC of grid cell @p baseline. */
+inline double
+speedup(const sim::SweepResult &result, std::size_t cell,
+        std::size_t baseline)
+{
+    return result.cells[cell].stats.ipc() /
+           result.cells[baseline].stats.ipc();
 }
 
 /** Default per-workload memory-access budget for full-suite sweeps. */

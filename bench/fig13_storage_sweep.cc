@@ -6,15 +6,26 @@
 
 #include <algorithm>
 #include <iostream>
-#include <map>
+#include <numeric>
 
 #include "bench_common.h"
-#include "prefetch/context/context_prefetcher.h"
-#include "sim/simulator.h"
-#include "workloads/registry.h"
+
+namespace {
+
+/** The system with @p entries CST entries and the Reducer at 8x. */
+csp::SystemConfig
+sizedConfig(unsigned entries)
+{
+    csp::SystemConfig sized;
+    sized.context.cst_entries = entries;
+    sized.context.reducer_entries = entries * 8;
+    return sized;
+}
+
+} // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace csp;
     bench::banner("Impact of CST size on overall speedup",
@@ -29,66 +40,54 @@ main()
     const std::vector<unsigned> cst_sizes = {256, 512, 1024, 2048,
                                              4096, 8192, 16384};
 
-    SystemConfig config;
-    workloads::WorkloadParams params =
+    const workloads::WorkloadParams params =
         bench::benchParams(bench::sweepScale());
-
-    // Generate each trace once; baseline once.
-    std::map<std::string, trace::TraceBuffer> traces;
-    std::map<std::string, double> baseline_ipc;
-    for (const auto &name : workload_names) {
-        traces[name] = workloads::Registry::builtin()
-                           .create(name)
-                           ->generate(params);
-        auto none = sim::makePrefetcher("none", config);
-        sim::Simulator simulator(config);
-        baseline_ipc[name] =
-            simulator.run(traces[name], *none).ipc();
-    }
-
-    // Per size: speedup per workload.
-    std::map<unsigned, std::map<std::string, double>> speedups;
+    // Cell w is workload w's baseline; cell (s + 1) * W + w is CST
+    // size s on workload w.
+    std::vector<sim::SweepCell> grid;
+    for (const auto &name : workload_names)
+        grid.push_back({name, params, SystemConfig{}, "none"});
     for (unsigned entries : cst_sizes) {
-        SystemConfig sized = config;
-        sized.context.cst_entries = entries;
-        sized.context.reducer_entries = entries * 8;
-        for (const auto &name : workload_names) {
-            prefetch::ctx::ContextPrefetcher prefetcher(
-                sized.context, sized.seed);
-            sim::Simulator simulator(sized);
-            const double ipc =
-                simulator.run(traces[name], prefetcher).ipc();
-            speedups[entries][name] = ipc / baseline_ipc[name];
-        }
+        for (const auto &name : workload_names)
+            grid.push_back({name, params, sizedConfig(entries), "context"});
     }
+    const sim::SweepResult result =
+        sim::runSweep(grid, bench::sweepOptions(argc, argv));
+
+    const std::size_t n_workloads = workload_names.size();
+    const auto speedup = [&](unsigned entries, std::size_t w) {
+        const auto s = static_cast<std::size_t>(
+            std::find(cst_sizes.begin(), cst_sizes.end(), entries) -
+            cst_sizes.begin());
+        return bench::speedup(result, (s + 1) * n_workloads + w, w);
+    };
 
     // Top10 = the 10 workloads with the best speedup at the paper's
     // default size (2048 entries).
-    std::vector<std::string> by_benefit = workload_names;
+    std::vector<std::size_t> by_benefit(n_workloads);
+    std::iota(by_benefit.begin(), by_benefit.end(), std::size_t{0});
     std::sort(by_benefit.begin(), by_benefit.end(),
-              [&](const std::string &a, const std::string &b) {
-                  return speedups[2048][a] > speedups[2048][b];
+              [&](std::size_t a, std::size_t b) {
+                  return speedup(2048, a) > speedup(2048, b);
               });
     by_benefit.resize(10);
 
     sim::Table table(
         {"CST entries", "storage(kB)", "Top10 speedup", "All speedup"});
     for (unsigned entries : cst_sizes) {
-        SystemConfig sized = config;
-        sized.context.cst_entries = entries;
-        sized.context.reducer_entries = entries * 8;
         std::vector<double> top10;
         std::vector<double> all;
-        for (const auto &name : workload_names) {
-            all.push_back(speedups[entries][name]);
-            if (std::find(by_benefit.begin(), by_benefit.end(),
-                          name) != by_benefit.end())
-                top10.push_back(speedups[entries][name]);
+        for (std::size_t w = 0; w < n_workloads; ++w) {
+            all.push_back(speedup(entries, w));
+            if (std::find(by_benefit.begin(), by_benefit.end(), w) !=
+                by_benefit.end())
+                top10.push_back(speedup(entries, w));
         }
         table.addRow({std::to_string(entries),
                       sim::Table::num(
                           static_cast<double>(
-                              sized.context.storageBytes()) /
+                              sizedConfig(entries)
+                                  .context.storageBytes()) /
                               1024.0,
                           1),
                       sim::Table::num(sim::geomean(top10), 3),

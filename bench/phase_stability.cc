@@ -6,11 +6,9 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "sim/simulator.h"
-#include "workloads/registry.h"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace csp;
     bench::banner("Speedup stability across trace lengths",
@@ -18,7 +16,20 @@ main()
     const std::vector<std::string> workload_names = {
         "list", "mcf", "lbm", "graph500-list", "maptest"};
     const std::vector<unsigned> factors = {1, 2, 4};
-    SystemConfig config;
+    const SystemConfig config;
+
+    // A (context, baseline) cell pair per workload and length.
+    std::vector<sim::SweepCell> grid;
+    for (const std::string &name : workload_names) {
+        for (unsigned f : factors) {
+            const workloads::WorkloadParams params =
+                bench::benchParams(bench::sweepScale() / 2 * f);
+            grid.push_back({name, params, config, "context"});
+            grid.push_back({name, params, config, "none"});
+        }
+    }
+    const sim::SweepResult result =
+        sim::runSweep(grid, bench::sweepOptions(argc, argv));
 
     std::vector<std::string> headers = {"benchmark"};
     for (unsigned f : factors)
@@ -26,23 +37,13 @@ main()
     headers.push_back("max drift");
     sim::Table table(headers);
 
+    std::size_t cell = 0;
     for (const std::string &name : workload_names) {
         std::vector<std::string> row = {name};
         double lo = 1e9;
         double hi = 0.0;
-        for (unsigned f : factors) {
-            workloads::WorkloadParams params =
-                bench::benchParams(bench::sweepScale() / 2 * f);
-            const trace::TraceBuffer trace =
-                workloads::Registry::builtin().create(name)->generate(
-                    params);
-            auto none = sim::makePrefetcher("none", config);
-            auto context = sim::makePrefetcher("context", config);
-            sim::Simulator sim_a(config);
-            sim::Simulator sim_b(config);
-            const double speedup =
-                sim_b.run(trace, *context).ipc() /
-                sim_a.run(trace, *none).ipc();
+        for (std::size_t f = 0; f < factors.size(); ++f, cell += 2) {
+            const double speedup = bench::speedup(result, cell, cell + 1);
             lo = std::min(lo, speedup);
             hi = std::max(hi, speedup);
             row.push_back(sim::Table::num(speedup, 3));

@@ -6,11 +6,9 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "sim/simulator.h"
-#include "workloads/registry.h"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace csp;
     bench::banner("Seed sensitivity of context vs SMS speedups",
@@ -19,32 +17,38 @@ main()
         "list", "listsort", "mcf", "omnetpp", "graph500-list",
         "lbm",  "astar"};
     const std::vector<std::uint64_t> seeds = {1, 2, 3};
+    const std::vector<std::string> prefetchers = {"context", "sms"};
 
-    SystemConfig config;
-    sim::Table table({"benchmark", "prefetcher", "seed1", "seed2",
-                      "seed3", "spread"});
+    // A (run, baseline) cell pair per table entry, in row-major order;
+    // the two prefetchers share each seed's baseline simulation.
+    std::vector<sim::SweepCell> grid;
     for (const std::string &name : workload_names) {
-        for (const std::string pf : {"context", "sms"}) {
-            std::vector<std::string> row = {name, pf};
-            double lo = 1e9;
-            double hi = 0.0;
+        for (const std::string &pf : prefetchers) {
             for (const std::uint64_t seed : seeds) {
                 workloads::WorkloadParams params =
                     bench::benchParams(bench::sweepScale());
                 params.seed = seed;
-                SystemConfig seeded = config;
+                SystemConfig seeded;
                 seeded.seed = seed;
-                const trace::TraceBuffer trace =
-                    workloads::Registry::builtin()
-                        .create(name)
-                        ->generate(params);
-                auto none = sim::makePrefetcher("none", seeded);
-                auto prefetcher = sim::makePrefetcher(pf, seeded);
-                sim::Simulator sim_a(seeded);
-                sim::Simulator sim_b(seeded);
+                grid.push_back({name, params, seeded, pf});
+                grid.push_back({name, params, seeded, "none"});
+            }
+        }
+    }
+    const sim::SweepResult result =
+        sim::runSweep(grid, bench::sweepOptions(argc, argv));
+
+    sim::Table table({"benchmark", "prefetcher", "seed1", "seed2",
+                      "seed3", "spread"});
+    std::size_t cell = 0;
+    for (const std::string &name : workload_names) {
+        for (const std::string &pf : prefetchers) {
+            std::vector<std::string> row = {name, pf};
+            double lo = 1e9;
+            double hi = 0.0;
+            for (std::size_t s = 0; s < seeds.size(); ++s, cell += 2) {
                 const double speedup =
-                    sim_b.run(trace, *prefetcher).ipc() /
-                    sim_a.run(trace, *none).ipc();
+                    bench::speedup(result, cell, cell + 1);
                 lo = std::min(lo, speedup);
                 hi = std::max(hi, speedup);
                 row.push_back(sim::Table::num(speedup, 3));

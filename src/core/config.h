@@ -125,6 +125,11 @@ struct ContextPrefetcherConfig
     unsigned underload_threshold = 1;  ///< merge point for reduction
     unsigned min_free_mshrs = 1;     ///< below this, prefetches go shadow
     RewardConfig reward;
+    // Ablation toggles (DESIGN.md section 4); the paper has all on.
+    bool adaptive_reducer = true; ///< Reducer overload/underload on
+    bool exploration = true;      ///< epsilon-greedy shadow prefetches
+    bool software_hints = true;   ///< use compiler-hint attributes
+    bool negative_rewards = true; ///< penalties outside the window
 
     /** Storage estimate in bytes (paper: ~31kB total). */
     std::uint64_t storageBytes() const;

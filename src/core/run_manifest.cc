@@ -160,6 +160,10 @@ configDigest(const SystemConfig &config)
     h.add(markov.degree);
 
     h.add(config.seed);
+    h.add(ctx.adaptive_reducer ? 1 : 0);
+    h.add(ctx.exploration ? 1 : 0);
+    h.add(ctx.software_hints ? 1 : 0);
+    h.add(ctx.negative_rewards ? 1 : 0);
     return h.digest();
 }
 

@@ -3,10 +3,9 @@
 namespace csp::prefetch::ctx {
 
 BanditPolicy::BanditPolicy(const ContextPrefetcherConfig &config,
-                           std::uint64_t seed, bool explore_enabled)
+                           std::uint64_t seed)
     : config_(config),
       rng_(seed),
-      explore_enabled_(explore_enabled),
       accuracy_(0.005, 0.0)
 {
     refreshDerived();

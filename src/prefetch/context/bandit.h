@@ -31,7 +31,7 @@ class BanditPolicy
 {
   public:
     explicit BanditPolicy(const ContextPrefetcherConfig &config,
-                          std::uint64_t seed, bool explore_enabled = true);
+                          std::uint64_t seed);
 
     /** Record the outcome of one queued prediction (hit or expired). */
     void
@@ -72,7 +72,7 @@ class BanditPolicy
     bool
     explore()
     {
-        return explore_enabled_ && rng_.chance(epsilon_);
+        return config_.exploration && rng_.chance(epsilon_);
     }
 
     /**
@@ -119,7 +119,6 @@ class BanditPolicy
 
     ContextPrefetcherConfig config_;
     Rng rng_;
-    bool explore_enabled_;
     EwmaRate accuracy_;
     double epsilon_ = 0.0;       ///< cached; moves only on recordOutcome
     unsigned degree_base_ = 1;   ///< accuracy-scaled degree, pre-MSHR cap

@@ -35,17 +35,14 @@ initialMask(bool software_hints)
 } // namespace
 
 ContextPrefetcher::ContextPrefetcher(
-    const ContextPrefetcherConfig &config, std::uint64_t seed,
-    ContextFeatureToggles toggles)
+    const ContextPrefetcherConfig &config, std::uint64_t seed)
     : config_(config),
-      toggles_(toggles),
       reward_(config.reward),
       cst_(config),
-      reducer_(config, initialMask(toggles.software_hints),
-               toggles.adaptive_reducer),
+      reducer_(config, initialMask(config.software_hints)),
       history_(config.history_entries),
       pq_(config.prefetch_queue_entries),
-      policy_(config, seed, toggles.exploration),
+      policy_(config, seed),
       hit_depths_(config.prefetch_queue_entries,
                   config.prefetch_queue_entries)
 {}
@@ -67,6 +64,7 @@ ContextPrefetcher::attach(const obs::RunObserver *observer)
     learn_ = learn;
     cst_.setLearningObserver(learn);
     policy_.setLearningObserver(learn);
+    last_learn_snapshot_ = UINT64_MAX;
     if (learn != nullptr) {
         learn_snapshot_every_ = learn->snapshotEvery();
         learn_top_k_ = learn->snapshotTopK();
@@ -86,6 +84,7 @@ ContextPrefetcher::captureLearnSnapshot(Cycle cycle)
 {
     obs::LearningSnapshot snap;
     snap.lookup = stats_.lookups;
+    last_learn_snapshot_ = stats_.lookups;
     snap.epsilon = policy_.epsilon();
     snap.accuracy = policy_.accuracy();
     snap.explorations = stats_.explorations;
@@ -102,9 +101,8 @@ template <bool kInstr>
 void
 ContextPrefetcher::expireEntry(const PendingPrefetch &entry)
 {
-    int penalty = reward_.expiryPenalty();
-    if (!toggles_.negative_rewards)
-        penalty = 0;
+    const int penalty =
+        config_.negative_rewards ? reward_.expiryPenalty() : 0;
     cst_.reward(entry.reduced_key, entry.delta, penalty);
     policy_.recordOutcomeT<kInstr>(false);
     ++stats_.pq_expiries;
@@ -165,7 +163,7 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
             int amount = reward_(depth);
             const bool in_window = depth >= reward_.windowLo() &&
                                    depth <= reward_.windowHi();
-            if (!toggles_.negative_rewards && amount < 0)
+            if (!config_.negative_rewards && amount < 0)
                 amount = 0;
             cst_.reward(entry.reduced_key, entry.delta, amount);
             hit_depths_.sample(depth);
@@ -192,7 +190,7 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
     // simulator-owned snapshot in place (its lanes stay warm across
     // accesses — no copy, no re-mixing of unchanged attributes).
     const trace::ContextSnapshot *ctx_view = info.context;
-    if (!toggles_.software_hints) {
+    if (!config_.software_hints) {
         hint_scratch_ = *info.context;
         hint_scratch_.set(Attr::TypeInfo, 0);
         hint_scratch_.set(Attr::LinkOffset, 0);
@@ -394,10 +392,11 @@ ContextPrefetcher::finish()
             expireEntry<false>(entry);
         });
     }
-    // Always leave the observer one final snapshot of the converged
-    // learning state (captured after the queue flush so the policy's
-    // accuracy reflects every expiry).
-    if (learn_ != nullptr)
+    // Leave the observer one final snapshot of the converged learning
+    // state (captured after the queue flush so the policy's accuracy
+    // reflects every expiry), unless a periodic one already landed on
+    // this lookup: snapshot lookups must strictly increase.
+    if (learn_ != nullptr && last_learn_snapshot_ != stats_.lookups)
         captureLearnSnapshot(last_cycle_);
 }
 

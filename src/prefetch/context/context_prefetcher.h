@@ -61,22 +61,12 @@ struct ContextStats
     std::uint64_t delta_overflows = 0; ///< associations out of delta range
 };
 
-/** Feature toggles for the ablation benchmarks. */
-struct ContextFeatureToggles
-{
-    bool adaptive_reducer = true; ///< Reducer overload/underload on
-    bool exploration = true;      ///< epsilon-greedy shadow prefetches
-    bool software_hints = true;   ///< use compiler-hint attributes
-    bool negative_rewards = true; ///< penalties outside the window
-};
-
 /** See file comment. */
 class ContextPrefetcher final : public Prefetcher
 {
   public:
     ContextPrefetcher(const ContextPrefetcherConfig &config,
-                      std::uint64_t seed = 1,
-                      ContextFeatureToggles toggles = {});
+                      std::uint64_t seed = 1);
 
     std::string name() const override { return "context"; }
 
@@ -130,7 +120,6 @@ class ContextPrefetcher final : public Prefetcher
     void captureLearnSnapshot(Cycle cycle);
 
     ContextPrefetcherConfig config_;
-    ContextFeatureToggles toggles_;
     RewardFunction reward_;
     Cst cst_;
     Reducer reducer_;
@@ -148,6 +137,8 @@ class ContextPrefetcher final : public Prefetcher
     obs::LearningObserver *learn_ = nullptr; ///< borrowed, may be null
     std::uint64_t learn_snapshot_every_ = 0;
     std::uint64_t next_learn_snapshot_ = UINT64_MAX;
+    /// Lookup count of the last snapshot sent to learn_.
+    std::uint64_t last_learn_snapshot_ = UINT64_MAX;
     unsigned learn_top_k_ = 0;
     prof::Profiler *profiler_ = nullptr; ///< borrowed, may be null
     Cycle last_cycle_ = 0; ///< cycle of the access being observed

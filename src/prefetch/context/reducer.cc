@@ -13,10 +13,10 @@ using trace::attrBit;
 using trace::kNumAttrs;
 
 Reducer::Reducer(const ContextPrefetcherConfig &config,
-                 AttrMask initial_mask, bool adaptive)
+                 AttrMask initial_mask)
     : index_bits_(floorLog2(config.reducer_entries)),
       initial_mask_(initial_mask),
-      adaptive_(adaptive),
+      adaptive_(config.adaptive_reducer),
       underload_lookups_(16),
       table_(config.reducer_entries)
 {

@@ -35,12 +35,12 @@ class Reducer
 {
   public:
     /**
-     * @param config sizing and adaptation thresholds.
+     * @param config sizing, adaptation thresholds and the
+     *        adaptive_reducer toggle (off freezes masks, ablation).
      * @param initial_mask attributes active for fresh entries.
-     * @param adaptive disable to freeze masks (ablation).
      */
     Reducer(const ContextPrefetcherConfig &config,
-            trace::AttrMask initial_mask, bool adaptive = true);
+            trace::AttrMask initial_mask);
 
     /**
      * Active-attribute mask for @p full_hash, allocating (or displacing,

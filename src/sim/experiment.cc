@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <numeric>
+#include <tuple>
 
 #include "core/content_store.h"
 #include "core/hashing.h"
@@ -66,6 +68,38 @@ traceCachePath(const std::string &dir, const std::string &workload,
     h.add(params.placement == runtime::Placement::Sequential ? 0 : 1);
     return dir + "/" + workload + "-" + hexDigest(h.digest()) +
            ".csptrace";
+}
+
+void
+appendUnique(std::vector<std::string> &names, const std::string &name)
+{
+    if (std::find(names.begin(), names.end(), name) == names.end())
+        names.push_back(name);
+}
+
+/** Wall-clock nanoseconds since @p start. */
+std::uint64_t
+nsSince(std::chrono::steady_clock::time_point start)
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+}
+
+/** The calling pool worker's id, 0 off the pool (journal field). */
+std::uint64_t
+workerId()
+{
+    return static_cast<std::uint64_t>(
+        std::max(0, ThreadPool::currentWorkerId()));
+}
+
+const char *
+placementName(const workloads::WorkloadParams &params)
+{
+    return params.placement == runtime::Placement::Sequential ? "seq"
+                                                              : "rand";
 }
 
 /** Publish @p buffer at @p path atomically (temp sibling + rename);
@@ -418,10 +452,7 @@ SweepProgress::report()
 }
 
 SweepResult
-runSweep(const std::vector<std::string> &workload_names,
-         const std::vector<std::string> &prefetcher_names,
-         const workloads::WorkloadParams &params,
-         const SystemConfig &config, const SweepOptions &options)
+runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
 {
     if (options.shard_count == 0 ||
         options.shard_index >= options.shard_count) {
@@ -429,21 +460,56 @@ runSweep(const std::vector<std::string> &workload_names,
               options.shard_count);
     }
     SweepResult result;
-    result.workload_names = workload_names;
-    result.prefetcher_names = prefetcher_names;
     result.shard_index = options.shard_index;
     result.shard_count = options.shard_count;
-    const std::size_t n_workloads = workload_names.size();
-    const std::size_t n_prefetchers = prefetcher_names.size();
-    const std::size_t n_cells = n_workloads * n_prefetchers;
-    result.manifest = makeRunManifest("runSweep", config);
-    result.manifest.seed = params.seed;
-    result.manifest.scale = params.scale;
-    result.manifest.placement =
-        params.placement == runtime::Placement::Sequential ? "seq"
-                                                           : "rand";
-    result.manifest.workloads = joinNames(workload_names);
-    result.manifest.prefetchers = joinNames(prefetcher_names);
+    const std::size_t n_cells = grid.size();
+
+    // Dedup: cells sharing (workload, scale, seed, placement) share one
+    // trace, and cells sharing a CellKey — same trace, config digest
+    // and prefetcher — share one simulation, a pool task. Both lists
+    // keep first-appearance order, so a cross product's tasks are its
+    // cells.
+    using TraceId = std::tuple<std::string, std::uint64_t,
+                               std::uint64_t, runtime::Placement>;
+    using TaskId = std::tuple<std::size_t, std::uint64_t, std::string>;
+    std::map<TraceId, std::size_t> trace_ids;
+    std::map<TaskId, std::size_t> task_ids;
+    std::vector<std::size_t> trace_cell; // first cell of each trace
+    std::vector<std::size_t> task_cell;  // first cell of each task
+    std::vector<std::size_t> task_trace;
+    std::vector<std::size_t> cell_task(n_cells);
+    for (std::size_t i = 0; i < n_cells; ++i) {
+        const SweepCell &cell = grid[i];
+        const auto [trace_it, new_trace] = trace_ids.try_emplace(
+            TraceId{cell.workload, cell.params.scale, cell.params.seed,
+                    cell.params.placement},
+            trace_cell.size());
+        if (new_trace)
+            trace_cell.push_back(i);
+        const auto [task_it, new_task] = task_ids.try_emplace(
+            TaskId{trace_it->second, configDigest(cell.config),
+                   cell.prefetcher},
+            task_cell.size());
+        if (new_task) {
+            task_cell.push_back(i);
+            task_trace.push_back(trace_it->second);
+        }
+        cell_task[i] = task_it->second;
+        appendUnique(result.workload_names, cell.workload);
+        appendUnique(result.prefetcher_names, cell.prefetcher);
+    }
+    const std::size_t n_traces = trace_cell.size();
+    const std::size_t n_tasks = task_cell.size();
+
+    // The manifest describes the first cell's system and parameters —
+    // the whole sweep's, for a cross product.
+    const SweepCell &first = grid.empty() ? SweepCell{} : grid.front();
+    result.manifest = makeRunManifest("runSweep", first.config);
+    result.manifest.seed = first.params.seed;
+    result.manifest.scale = first.params.scale;
+    result.manifest.placement = placementName(first.params);
+    result.manifest.workloads = joinNames(result.workload_names);
+    result.manifest.prefetchers = joinNames(result.prefetcher_names);
     if (n_cells == 0)
         return result;
 
@@ -470,8 +536,8 @@ runSweep(const std::vector<std::string> &workload_names,
             {J::str("schema", kSweepEventsSchema),
              J::u64("unix_ns", journal->unixStartNs()),
              J::str("config_digest", result.manifest.config_digest),
-             J::u64("seed", params.seed),
-             J::u64("scale", params.scale),
+             J::u64("seed", result.manifest.seed),
+             J::u64("scale", result.manifest.scale),
              J::str("placement", result.manifest.placement),
              J::str("workloads", result.manifest.workloads),
              J::str("prefetchers", result.manifest.prefetchers),
@@ -486,94 +552,81 @@ runSweep(const std::vector<std::string> &workload_names,
         options.trace_cache_dir.empty() ? defaultTraceCacheDir()
                                         : options.trace_cache_dir;
     std::mutex sink_mutex; // guards options.profiler_sink merges
-    const auto generateTrace = [&](std::size_t wi) {
+    const auto generateTrace = [&](std::size_t ti) {
+        const SweepCell &cell = grid[trace_cell[ti]];
         const auto t0 = std::chrono::steady_clock::now();
         trace::TraceBuffer buffer =
-            registry.create(workload_names[wi])->generate(params);
+            registry.create(cell.workload)->generate(cell.params);
         if (options.profiler_sink != nullptr) {
-            const auto ns =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
             std::lock_guard<std::mutex> lock(sink_mutex);
-            options.profiler_sink->add(
-                prof::Phase::TraceGen,
-                static_cast<std::uint64_t>(ns));
+            options.profiler_sink->add(prof::Phase::TraceGen,
+                                       nsSince(t0));
         }
         return buffer;
     };
 
-    // Phase 1: establish every workload trace's summary (counts +
-    // content digest) once, workloads in parallel. A trace-cache hit
-    // contributes only its O(1) header here — the payload is mapped or
-    // loaded lazily in phase 2, and only if a cell actually misses the
-    // result cache. Misses generate (and store) the trace now. Summary
-    // lines print afterwards in workload order, so verbose output is
+    // Phase 1: establish every trace's summary (counts + content
+    // digest) once, traces in parallel. A trace-cache hit contributes
+    // only its O(1) header here — the payload is mapped or loaded
+    // lazily in phase 2, and only if a task actually misses the result
+    // cache. Misses generate (and store) the trace now. Summary lines
+    // print afterwards in trace order, so verbose output is
     // deterministic.
     const auto trace_gen_start = std::chrono::steady_clock::now();
-    std::vector<trace::TraceBuffer> traces(n_workloads);
-    std::vector<trace::TraceFileSummary> summaries(n_workloads);
-    std::vector<std::string> cache_paths(n_workloads);
+    std::vector<trace::TraceBuffer> traces(n_traces);
+    std::vector<trace::TraceFileSummary> summaries(n_traces);
+    std::vector<std::string> cache_paths(n_traces);
     // Written only before pool.wait() (phase 1) or under trace_once
     // (phase 2), so no atomics needed.
-    std::vector<std::uint8_t> materialized(n_workloads, 0);
+    std::vector<std::uint8_t> materialized(n_traces, 0);
     std::atomic<std::uint64_t> trace_cache_hits{0};
-    pool.parallelFor(n_workloads, [&](std::size_t wi) {
+    pool.parallelFor(n_traces, [&](std::size_t ti) {
+        const SweepCell &cell = grid[trace_cell[ti]];
         if (options.use_trace_cache) {
-            cache_paths[wi] = traceCachePath(
-                trace_cache_dir, workload_names[wi], params);
+            cache_paths[ti] = traceCachePath(
+                trace_cache_dir, cell.workload, cell.params);
             trace::TraceFileSummary summary;
-            if (trace::readTraceFileSummary(cache_paths[wi],
+            if (trace::readTraceFileSummary(cache_paths[ti],
                                             summary) ==
                 trace::TraceIoStatus::Ok) {
-                summaries[wi] = summary;
+                summaries[ti] = summary;
                 trace_cache_hits.fetch_add(
                     1, std::memory_order_relaxed);
                 if (journal != nullptr) {
                     journal->emit(
                         "trace_cache",
-                        {J::str("workload", workload_names[wi]),
+                        {J::str("workload", cell.workload),
                          J::str("digest",
                                 hexDigest(summary.content_digest)),
                          J::u64("records", summary.records),
                          J::u64("insts", summary.instructions),
-                         J::u64("worker",
-                                static_cast<std::uint64_t>(std::max(
-                                    0,
-                                    ThreadPool::currentWorkerId())))});
+                         J::u64("worker", workerId())});
                 }
                 return;
             }
         }
         const auto gen_start = std::chrono::steady_clock::now();
-        traces[wi] = generateTrace(wi);
-        summaries[wi] = {traces[wi].size(), traces[wi].instructions(),
-                         traces[wi].memAccesses(),
-                         traces[wi].contentDigest()};
-        materialized[wi] = 1;
+        traces[ti] = generateTrace(ti);
+        summaries[ti] = {traces[ti].size(), traces[ti].instructions(),
+                         traces[ti].memAccesses(),
+                         traces[ti].contentDigest()};
+        materialized[ti] = 1;
         if (options.use_trace_cache) {
-            storeTraceInCache(traces[wi], trace_cache_dir,
-                              cache_paths[wi]);
+            storeTraceInCache(traces[ti], trace_cache_dir,
+                              cache_paths[ti]);
         }
         if (journal != nullptr) {
-            const auto gen_ns = static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - gen_start)
-                    .count());
             journal->emit(
                 "trace_gen",
-                {J::str("workload", workload_names[wi]),
+                {J::str("workload", cell.workload),
                  J::str("digest",
-                        hexDigest(summaries[wi].content_digest)),
-                 J::u64("records", summaries[wi].records),
-                 J::u64("insts", summaries[wi].instructions),
-                 J::u64("accesses", summaries[wi].mem_accesses),
-                 J::u64("duration_ns", gen_ns),
-                 J::u64("cached",
-                        options.use_trace_cache ? 1 : 0),
-                 J::u64("worker",
-                        static_cast<std::uint64_t>(std::max(
-                            0, ThreadPool::currentWorkerId())))});
+                        hexDigest(summaries[ti].content_digest)),
+                 J::u64("records", summaries[ti].records),
+                 J::u64("insts", summaries[ti].instructions),
+                 J::u64("accesses", summaries[ti].mem_accesses),
+                 J::u64("duration_ns", nsSince(gen_start)),
+                 J::u64("cached", options.use_trace_cache ? 1 : 0),
+                 J::u64("worker", workerId())});
         }
         std::lock_guard<std::mutex> lock(telemetry_mutex);
         ++telemetry.traces_generated;
@@ -581,11 +634,9 @@ runSweep(const std::vector<std::string> &workload_names,
     result.trace_cache_hits =
         trace_cache_hits.load(std::memory_order_relaxed);
     result.manifest.trace_gen_seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - trace_gen_start)
-            .count();
+        static_cast<double>(nsSince(trace_gen_start)) / 1e9;
     // Trace provenance must be captured now: traces are released as
-    // their last cell completes in phase 2.
+    // their last task completes in phase 2.
     {
         WordHasher combined;
         for (const trace::TraceFileSummary &s : summaries) {
@@ -598,32 +649,32 @@ runSweep(const std::vector<std::string> &workload_names,
             hexDigest(combined.digest());
     }
     if (options.verbose) {
-        for (std::size_t wi = 0; wi < n_workloads; ++wi) {
+        for (std::size_t ti = 0; ti < n_traces; ++ti) {
             inform("%-14s %8.2fM insts, %6.2fM accesses%s",
-                   workload_names[wi].c_str(),
-                   static_cast<double>(summaries[wi].instructions) /
+                   grid[trace_cell[ti]].workload.c_str(),
+                   static_cast<double>(summaries[ti].instructions) /
                        1e6,
-                   static_cast<double>(summaries[wi].mem_accesses) /
+                   static_cast<double>(summaries[ti].mem_accesses) /
                        1e6,
-                   materialized[wi] ? "" : " [trace cache]");
+                   materialized[ti] ? "" : " [trace cache]");
         }
     }
 
     const auto sim_start = std::chrono::steady_clock::now();
 
-    // Phase 2: simulate the independent cells, scheduled longest
-    // trace first so a big workload never straggles at the end.
-    // Results land in pre-sized row-major slots, so assembly order is
-    // identical to the serial path no matter how cells interleave.
-    std::vector<std::uint64_t> cell_totals(n_cells);
-    for (std::size_t k = 0; k < n_cells; ++k)
-        cell_totals[k] = summaries[k / n_prefetchers].instructions;
+    // Phase 2: simulate the independent tasks, scheduled longest trace
+    // first so a big workload never straggles at the end. Results land
+    // in pre-sized per-task slots, so assembly order is identical to
+    // the serial path no matter how tasks interleave.
+    std::vector<std::uint64_t> task_totals(n_tasks);
+    for (std::size_t j = 0; j < n_tasks; ++j)
+        task_totals[j] = summaries[task_trace[j]].instructions;
 
-    std::vector<std::size_t> order(n_cells);
+    std::vector<std::size_t> order(n_tasks);
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::stable_sort(order.begin(), order.end(),
-                     [&cell_totals](std::size_t a, std::size_t b) {
-                         return cell_totals[a] > cell_totals[b];
+                     [&task_totals](std::size_t a, std::size_t b) {
+                         return task_totals[a] > task_totals[b];
                      });
 
     // Shard ownership: rank in the global longest-first order, mod
@@ -631,44 +682,35 @@ runSweep(const std::vector<std::string> &workload_names,
     // summaries, so the partition is deterministic and disjoint; the
     // round-robin over sorted ranks also balances big workloads across
     // shards instead of handing shard 0 all the long traces.
-    std::vector<std::uint8_t> owned(n_cells, 1);
-    if (options.shard_count > 1) {
-        owned.assign(n_cells, 0);
-        for (std::size_t rank = 0; rank < n_cells; ++rank) {
-            if (rank % options.shard_count == options.shard_index)
-                owned[order[rank]] = 1;
-        }
-    }
-    std::size_t owned_cells = 0;
-    std::vector<std::uint64_t> progress_totals(n_cells, 0);
-    for (std::size_t k = 0; k < n_cells; ++k) {
-        if (owned[k]) {
-            ++owned_cells;
-            progress_totals[k] = cell_totals[k];
-        }
-    }
-
+    std::vector<std::uint8_t> owned(n_tasks, 0);
+    std::size_t owned_tasks = 0;
     std::uint64_t owned_insts = 0;
-    for (std::size_t k = 0; k < n_cells; ++k) {
-        if (owned[k])
-            owned_insts += cell_totals[k];
+    std::vector<std::uint64_t> progress_totals(n_tasks, 0);
+    for (std::size_t rank = 0; rank < n_tasks; ++rank) {
+        if (rank % options.shard_count != options.shard_index)
+            continue;
+        const std::size_t j = order[rank];
+        owned[j] = 1;
+        ++owned_tasks;
+        owned_insts += task_totals[j];
+        progress_totals[j] = task_totals[j];
     }
     if (journal != nullptr) {
         journal->emit(
             "schedule",
-            {J::u64("cells_total", n_cells),
-             J::u64("cells_owned", owned_cells),
+            {J::u64("cells_total", n_tasks),
+             J::u64("cells_owned", owned_tasks),
              J::u64("insts_owned", owned_insts),
              J::str("trace_digest", result.manifest.trace_digest)});
     }
 
-    result.cells.resize(n_cells);
+    std::vector<RunStats> task_stats(n_tasks);
     // Progress tracking runs for verbose output or a live journal;
     // the hooks only observe instruction counts, so tracking on/off
     // cannot change results.
     const bool track = options.verbose || journal != nullptr;
     SweepProgress progress("sweep", std::move(progress_totals), jobs);
-    progress.setExpectedCells(owned_cells);
+    progress.setExpectedCells(owned_tasks);
     progress.setJournal(journal);
     progress.setPrint(options.verbose);
 
@@ -681,114 +723,90 @@ runSweep(const std::vector<std::string> &workload_names,
         warn("result cache: cannot create %s",
              result_cache.root().c_str());
     }
-    const std::uint64_t config_digest = configDigest(config);
     std::atomic<std::uint64_t> cells_cached{0};
     std::atomic<std::uint64_t> cells_simulated{0};
 
-    // Lazy trace materialization for cache-hit workloads: the first
-    // cell of a workload to miss the result cache loads (or, on a
-    // corrupt file, regenerates) the trace; call_once publishes it to
-    // every other cell.
-    std::unique_ptr<std::once_flag[]> trace_once(
-        new std::once_flag[n_workloads]);
-    const auto ensureTrace = [&](std::size_t wi) {
-        std::call_once(trace_once[wi], [&] {
-            if (materialized[wi])
+    // Lazy trace materialization for trace-cache hits: the first task
+    // of a trace to miss the result cache loads (or, on a corrupt
+    // file, regenerates) the trace; call_once publishes it to every
+    // other task.
+    std::vector<std::once_flag> trace_once(n_traces);
+    const auto ensureTrace = [&](std::size_t ti) {
+        std::call_once(trace_once[ti], [&] {
+            if (materialized[ti])
                 return; // generated in phase 1
             const auto load_start = std::chrono::steady_clock::now();
             trace::TraceBuffer loaded;
             const trace::TraceIoStatus status =
-                trace::loadTraceFile(cache_paths[wi], loaded);
+                trace::loadTraceFile(cache_paths[ti], loaded);
             if (journal != nullptr) {
-                const auto load_ns = static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - load_start)
-                        .count());
                 journal->emit(
                     "trace_load",
-                    {J::str("workload", workload_names[wi]),
+                    {J::str("workload", grid[trace_cell[ti]].workload),
                      J::str("status",
                             trace::traceIoStatusName(status)),
-                     J::u64("duration_ns", load_ns),
-                     J::u64("worker",
-                            static_cast<std::uint64_t>(std::max(
-                                0,
-                                ThreadPool::currentWorkerId())))});
+                     J::u64("duration_ns", nsSince(load_start)),
+                     J::u64("worker", workerId())});
             }
             if (status == trace::TraceIoStatus::Ok) {
-                traces[wi] = std::move(loaded);
+                traces[ti] = std::move(loaded);
                 std::lock_guard<std::mutex> lock(telemetry_mutex);
                 ++telemetry.traces_loaded;
             } else {
                 warn("trace cache: %s for %s, regenerating",
                      trace::traceIoStatusName(status),
-                     cache_paths[wi].c_str());
-                traces[wi] = generateTrace(wi);
+                     cache_paths[ti].c_str());
+                traces[ti] = generateTrace(ti);
                 {
                     std::lock_guard<std::mutex> lock(telemetry_mutex);
                     ++telemetry.traces_generated;
                 }
-                if (traces[wi].contentDigest() !=
-                    summaries[wi].content_digest) {
+                if (traces[ti].contentDigest() !=
+                    summaries[ti].content_digest) {
                     // The header lied (corrupt digest field). Results
-                    // stay correct — cells simulate the regenerated
+                    // stay correct — tasks simulate the regenerated
                     // trace — but their cache keys carry the stale
                     // digest, so they can only pollute, never alias.
                     warn("trace cache: stale header digest in %s",
-                         cache_paths[wi].c_str());
+                         cache_paths[ti].c_str());
                 }
-                storeTraceInCache(traces[wi], trace_cache_dir,
-                                  cache_paths[wi]);
+                storeTraceInCache(traces[ti], trace_cache_dir,
+                                  cache_paths[ti]);
             }
-            materialized[wi] = 1;
+            materialized[ti] = 1;
         });
     };
 
-    // Per-workload countdown so the last finishing cell releases its
+    // Per-trace countdown so the last finishing task releases its
     // trace — peak memory tapers during the sweep instead of holding
-    // every trace until the end. Sharded sweeps count owned cells
-    // only; a workload with no owned cells frees (or never loads) its
-    // trace immediately.
-    std::unique_ptr<std::atomic<std::size_t>[]> cells_left(
-        new std::atomic<std::size_t>[n_workloads]);
-    for (std::size_t wi = 0; wi < n_workloads; ++wi) {
-        std::size_t owned_here = 0;
-        for (std::size_t pi = 0; pi < n_prefetchers; ++pi)
-            owned_here += owned[wi * n_prefetchers + pi];
-        cells_left[wi].store(owned_here, std::memory_order_relaxed);
-        if (owned_here == 0)
-            traces[wi] = trace::TraceBuffer();
+    // every trace until the end. Sharded sweeps count owned tasks
+    // only; a trace with no owned tasks frees (or never loads) at once.
+    std::vector<std::atomic<std::size_t>> tasks_left(n_traces);
+    for (std::size_t j = 0; j < n_tasks; ++j)
+        tasks_left[task_trace[j]] += owned[j];
+    for (std::size_t ti = 0; ti < n_traces; ++ti) {
+        if (tasks_left[ti] == 0)
+            traces[ti] = trace::TraceBuffer();
     }
 
-    for (const std::size_t k : order) {
-        if (!owned[k])
+    for (const std::size_t j : order) {
+        if (!owned[j])
             continue;
-        pool.submit([&, k] {
-            const std::size_t wi = k / n_prefetchers;
-            const std::size_t pi = k % n_prefetchers;
-            CellResult cell;
-            cell.workload = workload_names[wi];
-            cell.prefetcher = prefetcher_names[pi];
-            cell.present = true;
+        pool.submit([&, j] {
+            const std::size_t ti = task_trace[j];
+            const std::size_t k = task_cell[j];
+            const SweepCell &cell = grid[k];
+            RunStats &stats = task_stats[j];
             CellKey key;
-            key.config_digest = config_digest;
-            key.trace_digest = summaries[wi].content_digest;
+            key.config_digest = configDigest(cell.config);
+            key.trace_digest = summaries[ti].content_digest;
             key.workload = cell.workload;
             key.prefetcher = cell.prefetcher;
-            key.scale = params.scale;
-            key.seed = params.seed;
-            key.placement = result.manifest.placement;
-            const auto worker = static_cast<std::uint64_t>(
-                std::max(0, ThreadPool::currentWorkerId()));
+            key.scale = cell.params.scale;
+            key.seed = cell.params.seed;
+            key.placement = placementName(cell.params);
+            const std::uint64_t worker = workerId();
             const auto cell_start = std::chrono::steady_clock::now();
-            const auto cellNs = [&cell_start] {
-                return static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - cell_start)
-                        .count());
-            };
             if (journal != nullptr) {
                 journal->emit(
                     "cell_start",
@@ -798,58 +816,34 @@ runSweep(const std::vector<std::string> &workload_names,
                      J::u64("worker", worker)});
             }
             ResultCache::LoadStats load_stats;
-            if (use_result_cache &&
-                result_cache.load(key, cell.stats, &load_stats)) {
+            const bool cached =
+                use_result_cache &&
+                result_cache.load(key, stats, &load_stats);
+            // A rejected entry (verify failure) cost a read+parse
+            // before the miss; attribute it like a hit's so the
+            // warm-path totals stay honest.
+            if (cached || load_stats.verify_failed ||
+                load_stats.bytes != 0) {
+                std::lock_guard<std::mutex> lock(telemetry_mutex);
+                telemetry.cache_read_ns += load_stats.read_ns;
+                telemetry.cache_parse_ns += load_stats.parse_ns;
+                telemetry.cache_entry_bytes += load_stats.bytes;
+                telemetry.cache_load_ns.sample(load_stats.read_ns +
+                                               load_stats.parse_ns);
+                telemetry.cache_entry_bytes_dist.sample(
+                    load_stats.bytes);
+                if (load_stats.verify_failed)
+                    ++telemetry.cache_verify_failures;
+            }
+            if (cached) {
                 cells_cached.fetch_add(1, std::memory_order_relaxed);
                 if (track)
-                    progress.cellCached(k);
-                const std::uint64_t duration_ns = cellNs();
-                {
-                    std::lock_guard<std::mutex> lock(telemetry_mutex);
-                    telemetry.cache_read_ns += load_stats.read_ns;
-                    telemetry.cache_parse_ns += load_stats.parse_ns;
-                    telemetry.cache_entry_bytes += load_stats.bytes;
-                    telemetry.cell_duration_ns.sample(duration_ns);
-                    telemetry.cache_load_ns.sample(
-                        load_stats.read_ns + load_stats.parse_ns);
-                    telemetry.cache_entry_bytes_dist.sample(
-                        load_stats.bytes);
-                }
-                if (journal != nullptr) {
-                    journal->emit(
-                        "cell_end",
-                        {J::u64("cell", k),
-                         J::str("workload", cell.workload),
-                         J::str("prefetcher", cell.prefetcher),
-                         J::u64("worker", worker),
-                         J::str("source", "cached"),
-                         J::u64("duration_ns", duration_ns),
-                         J::u64("read_ns", load_stats.read_ns),
-                         J::u64("parse_ns", load_stats.parse_ns),
-                         J::u64("bytes", load_stats.bytes),
-                         J::u64("insts", cell.stats.instructions)});
-                }
+                    progress.cellCached(j);
             } else {
-                // A rejected entry (verify failure) cost a read+parse
-                // before the miss; attribute it like a hit's so the
-                // warm-path totals stay honest.
-                if (load_stats.verify_failed ||
-                    load_stats.bytes != 0) {
-                    std::lock_guard<std::mutex> lock(telemetry_mutex);
-                    telemetry.cache_read_ns += load_stats.read_ns;
-                    telemetry.cache_parse_ns += load_stats.parse_ns;
-                    telemetry.cache_entry_bytes += load_stats.bytes;
-                    telemetry.cache_load_ns.sample(
-                        load_stats.read_ns + load_stats.parse_ns);
-                    telemetry.cache_entry_bytes_dist.sample(
-                        load_stats.bytes);
-                    if (load_stats.verify_failed)
-                        ++telemetry.cache_verify_failures;
-                }
-                ensureTrace(wi);
+                ensureTrace(ti);
                 auto prefetcher =
-                    makePrefetcher(cell.prefetcher, config);
-                Simulator simulator(config);
+                    makePrefetcher(cell.prefetcher, cell.config);
+                Simulator simulator(cell.config);
                 // The cell's observer bundle, built from the mask; a
                 // profiler sink needs the per-cell profile to merge.
                 const unsigned observe =
@@ -867,41 +861,23 @@ runSweep(const std::vector<std::string> &workload_names,
                     observer.learn = &learner;
                 if (observe & kObserveMem) {
                     memrec = std::make_unique<obs::MemRecorder>(
-                        config.memory);
+                        cell.config.memory);
                     observer.mem = memrec.get();
                 }
                 if (observe & kObserveProfile)
                     observer.profiler = &profiler;
                 simulator.setObserver(&observer);
                 if (track)
-                    simulator.setProgress(progress.hook(k));
-                cell.stats = simulator.run(traces[wi], *prefetcher);
+                    simulator.setProgress(progress.hook(j));
+                stats = simulator.run(traces[ti], *prefetcher);
                 cells_simulated.fetch_add(1,
                                           std::memory_order_relaxed);
                 if (use_result_cache) {
-                    result_cache.store(key, cell.stats,
+                    result_cache.store(key, stats,
                                        result.manifest.git_sha);
                 }
                 if (track)
-                    progress.cellDone(k);
-                const std::uint64_t duration_ns = cellNs();
-                {
-                    std::lock_guard<std::mutex> lock(telemetry_mutex);
-                    telemetry.cell_duration_ns.sample(duration_ns);
-                }
-                if (journal != nullptr) {
-                    journal->emit(
-                        "cell_end",
-                        {J::u64("cell", k),
-                         J::str("workload", cell.workload),
-                         J::str("prefetcher", cell.prefetcher),
-                         J::u64("worker", worker),
-                         J::str("source", "simulated"),
-                         J::u64("duration_ns", duration_ns),
-                         J::u64("verify_failed",
-                                load_stats.verify_failed ? 1 : 0),
-                         J::u64("insts", cell.stats.instructions)});
-                }
+                    progress.cellDone(j);
                 if (options.profiler_sink != nullptr) {
                     std::lock_guard<std::mutex> lock(sink_mutex);
                     for (std::size_t p = 0;
@@ -916,10 +892,40 @@ runSweep(const std::vector<std::string> &workload_names,
                     }
                 }
             }
-            result.cells[k] = std::move(cell);
-            if (cells_left[wi].fetch_sub(
+            const std::uint64_t duration_ns = nsSince(cell_start);
+            {
+                std::lock_guard<std::mutex> lock(telemetry_mutex);
+                telemetry.cell_duration_ns.sample(duration_ns);
+            }
+            if (journal != nullptr && cached) {
+                journal->emit(
+                    "cell_end",
+                    {J::u64("cell", k),
+                     J::str("workload", cell.workload),
+                     J::str("prefetcher", cell.prefetcher),
+                     J::u64("worker", worker),
+                     J::str("source", "cached"),
+                     J::u64("duration_ns", duration_ns),
+                     J::u64("read_ns", load_stats.read_ns),
+                     J::u64("parse_ns", load_stats.parse_ns),
+                     J::u64("bytes", load_stats.bytes),
+                     J::u64("insts", stats.instructions)});
+            } else if (journal != nullptr) {
+                journal->emit(
+                    "cell_end",
+                    {J::u64("cell", k),
+                     J::str("workload", cell.workload),
+                     J::str("prefetcher", cell.prefetcher),
+                     J::u64("worker", worker),
+                     J::str("source", "simulated"),
+                     J::u64("duration_ns", duration_ns),
+                     J::u64("verify_failed",
+                            load_stats.verify_failed ? 1 : 0),
+                     J::u64("insts", stats.instructions)});
+            }
+            if (tasks_left[ti].fetch_sub(
                     1, std::memory_order_acq_rel) == 1) {
-                traces[wi] = trace::TraceBuffer();
+                traces[ti] = trace::TraceBuffer();
             }
         });
     }
@@ -929,16 +935,22 @@ runSweep(const std::vector<std::string> &workload_names,
     result.cells_simulated =
         cells_simulated.load(std::memory_order_relaxed);
     result.manifest.sim_seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - sim_start)
-            .count();
+        static_cast<double>(nsSince(sim_start)) / 1e9;
     if (result.manifest.sim_seconds > 0.0) {
         std::uint64_t simulated = 0;
-        for (const CellResult &cell : result.cells)
-            simulated += cell.stats.instructions;
+        for (const RunStats &stats : task_stats)
+            simulated += stats.instructions;
         result.manifest.insts_per_sec =
             static_cast<double>(simulated) /
             result.manifest.sim_seconds;
+    }
+    // Every cell answers from its task; a task this shard does not own
+    // leaves its cells default-valued and absent.
+    result.cells.resize(n_cells);
+    for (std::size_t i = 0; i < n_cells; ++i) {
+        const std::size_t j = cell_task[i];
+        result.cells[i] = {grid[i].workload, grid[i].prefetcher,
+                           task_stats[j], owned[j] != 0};
     }
     // Fold the roll-up into the artefact's cache block (summed by
     // cspmerge) and the journal's sweep_end event. No lock: the pool
@@ -948,13 +960,13 @@ runSweep(const std::vector<std::string> &workload_names,
     result.cache_entry_bytes = telemetry.cache_entry_bytes;
     result.cache_verify_failures = telemetry.cache_verify_failures;
     if (journal != nullptr) {
-        telemetry.cells_owned = owned_cells;
+        telemetry.cells_owned = owned_tasks;
         telemetry.cells_cached = result.cells_cached;
         telemetry.cells_simulated = result.cells_simulated;
         telemetry.trace_cache_hits = result.trace_cache_hits;
         journal->emit(
             "sweep_end",
-            {J::u64("cells_owned", owned_cells),
+            {J::u64("cells_owned", owned_tasks),
              J::u64("cells_cached", result.cells_cached),
              J::u64("cells_simulated", result.cells_simulated),
              J::u64("trace_cache_hits", result.trace_cache_hits),
@@ -978,12 +990,14 @@ SweepResult
 runSweep(const std::vector<std::string> &workload_names,
          const std::vector<std::string> &prefetcher_names,
          const workloads::WorkloadParams &params,
-         const SystemConfig &config, bool verbose)
+         const SystemConfig &config, const SweepOptions &options)
 {
-    SweepOptions options;
-    options.verbose = verbose;
-    return runSweep(workload_names, prefetcher_names, params, config,
-                    options);
+    std::vector<SweepCell> grid;
+    for (const std::string &workload : workload_names) {
+        for (const std::string &prefetcher : prefetcher_names)
+            grid.push_back({workload, params, config, prefetcher});
+    }
+    return runSweep(grid, options);
 }
 
 } // namespace csp::sim

@@ -1,9 +1,10 @@
 /**
  * @file
- * Experiment runner: prefetcher construction by name, workload x
- * prefetcher sweeps with trace reuse, speedup/geomean helpers, and the
- * benchmark groupings the paper's figures use. Every bench/ binary is a
- * thin shell over this module.
+ * Experiment runner: prefetcher construction by name, the sweep engine
+ * over a grid of cells (each distinct trace generated once, each
+ * distinct cell simulated once), speedup/geomean helpers, and the
+ * benchmark groupings the paper's figures use. Every simulating bench/
+ * binary but fig08 declares a grid and renders its result.
  */
 
 #ifndef CSP_SIM_EXPERIMENT_H
@@ -55,7 +56,17 @@ std::vector<std::string> allWorkloads();
  */
 std::uint64_t effectiveScale(std::uint64_t base);
 
-/** One (workload, prefetcher) cell of a sweep. */
+/** One cell of a sweep grid: @p workload's trace generated with
+ *  @p params, replayed on @p config by makePrefetcher(@p prefetcher). */
+struct SweepCell
+{
+    std::string workload;
+    workloads::WorkloadParams params;
+    SystemConfig config;
+    std::string prefetcher;
+};
+
+/** The outcome of one SweepCell. */
 struct CellResult
 {
     std::string workload;
@@ -66,15 +77,17 @@ struct CellResult
     bool present = false;
 };
 
-/** Result matrix of a sweep, row-major by workload. */
+/** Result of a sweep: cells[i] answers the grid's i-th cell (a cross
+ *  product's are row-major by workload). */
 struct SweepResult
 {
+    /** Distinct workload and prefetcher names, first-appearance order. */
     std::vector<std::string> workload_names;
     std::vector<std::string> prefetcher_names;
     std::vector<CellResult> cells;
 
     // Scale-out accounting: how the cells were obtained. Cached and
-    // simulated counts cover this shard's owned cells only.
+    // simulated counts cover this shard's owned distinct cells only.
     std::uint64_t cells_cached = 0;
     std::uint64_t cells_simulated = 0;
     std::uint64_t trace_cache_hits = 0; ///< workload traces not regenerated
@@ -90,11 +103,11 @@ struct SweepResult
     unsigned shard_index = 0;
     unsigned shard_count = 1;
     /**
-     * Provenance of the sweep: build + config digest + seed, the
-     * combined content digest of every workload trace (in workload
-     * order), and the sweep's trace-gen/simulate wall-clock. Consumers
-     * embedding sweep numbers in a file should embed this too; never
-     * part of the deterministic cell data.
+     * Provenance of the sweep: build + the first cell's config digest,
+     * seed, scale and placement (the whole sweep's, for a cross
+     * product), the combined content digest of every distinct trace,
+     * and the trace-gen/simulate wall-clock. Embed it beside sweep
+     * numbers in a file; never part of the deterministic cell data.
      */
     RunManifest manifest;
 
@@ -270,10 +283,10 @@ struct SweepOptions
     std::string trace_cache_dir;
     /**
      * Deterministic 1-of-N partition of the sweep grid: this process
-     * owns every cell whose rank in the global longest-trace-first
-     * order is congruent to shard_index mod shard_count. Non-owned
-     * cells come back with present=false; cspmerge reassembles the
-     * full matrix bit-identically. shard_count=1 owns everything.
+     * owns every distinct cell whose rank in the global longest-trace-
+     * first order is shard_index mod shard_count. Non-owned cells come
+     * back with present=false; cspmerge reassembles the full matrix
+     * bit-identically. shard_count=1 owns everything.
      */
     unsigned shard_index = 0;
     unsigned shard_count = 1;
@@ -298,13 +311,13 @@ struct SweepOptions
 };
 
 /**
- * Run every workload against every prefetcher. Each workload's trace
- * is generated once (workloads in parallel) and shared read-only by
- * all of that workload's cells; the independent (workload, prefetcher)
- * cells are then simulated on @p options.jobs worker threads,
- * scheduled longest-trace-first. Cells are assembled in row-major
- * (workload-major) order and every cell's RunStats is bit-identical
- * to a jobs=1 run — parallelism never changes results.
+ * Run every cell of @p grid. Cells with the same workload, scale, seed
+ * and placement share one trace, generated once (traces in parallel);
+ * cells with the same CellKey (trace, config digest, prefetcher) share
+ * one simulation. Distinct cells run on @p options.jobs worker threads,
+ * longest trace first, and each trace is freed after its last cell.
+ * Every cell's RunStats is bit-identical to a direct Simulator::run of
+ * it at any jobs count: parallelism and dedup never change results.
  *
  * With options.use_trace_cache, a cached trace contributes only its
  * header (content digest + counts) up front and is materialised lazily
@@ -314,17 +327,16 @@ struct SweepOptions
  * and zero replay work while producing the same SweepResult cells
  * bit-for-bit (caching is invisible modulo manifest timing fields).
  */
+SweepResult runSweep(const std::vector<SweepCell> &grid,
+                     const SweepOptions &options = {});
+
+/** Every workload against every prefetcher on one system: the grid
+ *  of their cross product, row-major by workload. */
 SweepResult runSweep(const std::vector<std::string> &workload_names,
                      const std::vector<std::string> &prefetcher_names,
                      const workloads::WorkloadParams &params,
                      const SystemConfig &config,
                      const SweepOptions &options = {});
-
-/** Convenience overload keeping the historical verbose flag. */
-SweepResult runSweep(const std::vector<std::string> &workload_names,
-                     const std::vector<std::string> &prefetcher_names,
-                     const workloads::WorkloadParams &params,
-                     const SystemConfig &config, bool verbose);
 
 /** Geometric mean of a value vector (empty -> 1.0). */
 double geomean(const std::vector<double> &values);

@@ -53,7 +53,9 @@ TEST(Bandit, ExploreRateMatchesEpsilon)
 
 TEST(Bandit, ExplorationCanBeDisabled)
 {
-    BanditPolicy policy(defaultConfig(), 7, /*explore_enabled=*/false);
+    ContextPrefetcherConfig config = defaultConfig();
+    config.exploration = false;
+    BanditPolicy policy(config, 7);
     for (int i = 0; i < 1000; ++i)
         EXPECT_FALSE(policy.explore());
 }

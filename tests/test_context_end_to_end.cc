@@ -200,9 +200,8 @@ TEST(ContextEndToEnd, FinishFlushesPrefetchQueue)
 TEST(ContextEndToEnd, DisablingExplorationStopsShadowExploration)
 {
     ContextPrefetcherConfig config;
-    ContextFeatureToggles toggles;
-    toggles.exploration = false;
-    ContextPrefetcher pf(config, 1, toggles);
+    config.exploration = false;
+    ContextPrefetcher pf(config, 1);
     StreamDriver driver(pf);
     for (int i = 0; i < 5000; ++i)
         driver.access(0x400, 0x100000 + i * 64);

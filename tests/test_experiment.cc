@@ -10,6 +10,14 @@
 namespace csp::sim {
 namespace {
 
+SweepOptions
+quiet()
+{
+    SweepOptions options;
+    options.verbose = false;
+    return options;
+}
+
 TEST(Experiment, MakePrefetcherKnowsPaperLineup)
 {
     SystemConfig config;
@@ -79,7 +87,7 @@ TEST(Experiment, SweepProducesFullMatrix)
     params.scale = 15000;
     const SweepResult sweep = runSweep(
         {"array", "list"}, {"none", "context"}, params, config,
-        /*verbose=*/false);
+        quiet());
     EXPECT_EQ(sweep.cells.size(), 4u);
     EXPECT_GT(sweep.at("array", "none").ipc(), 0.0);
     EXPECT_GT(sweep.at("list", "context").ipc(), 0.0);
@@ -92,7 +100,7 @@ TEST(Experiment, SpeedupRelativeToBaseline)
     params.scale = 40000;
     const SweepResult sweep =
         runSweep({"list"}, {"none", "context"}, params, config,
-                 /*verbose=*/false);
+                 quiet());
     EXPECT_NEAR(sweep.speedup("list", "none"), 1.0, 1e-9);
     EXPECT_GT(sweep.speedup("list", "context"), 1.0);
     EXPECT_NEAR(sweep.geomeanSpeedup("context"),
@@ -107,7 +115,7 @@ TEST(Experiment, SweepCarriesProvenanceManifest)
     params.seed = 3;
     const auto sweep = [&] {
         return runSweep({"array", "list"}, {"none", "context"},
-                        params, config, /*verbose=*/false);
+                        params, config, quiet());
     };
     const SweepResult a = sweep();
     EXPECT_EQ(a.manifest.tool, "runSweep");

@@ -18,8 +18,10 @@
 #include "obs/learning.h"
 #include "obs/run_observer.h"
 #include "obs/trace_events.h"
+#include "prefetch/context/context_prefetcher.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
+#include "trace/hw_state.h"
 #include "workloads/registry.h"
 
 namespace csp {
@@ -118,6 +120,51 @@ TEST(LearningRecorder, LearnJsonParsesAndValidates)
     EXPECT_LE(hits->number, probes->number);
     ASSERT_NE(doc.find("snapshots.0.lookup"), nullptr);
     ASSERT_NE(doc.find("snapshots.0.top_contexts.0.key"), nullptr);
+}
+
+/** A run of exactly k x cadence lookups: the last periodic snapshot
+ *  already sits on the final lookup, so finish() must not add a second
+ *  one with the same lookup (learn.json requires strictly increasing
+ *  snapshot lookups). */
+TEST(LearningRecorder, FinishAddsNoSnapshotOnCadenceBoundary)
+{
+    constexpr std::uint64_t kCadence = 500;
+    constexpr std::uint64_t kPeriods = 3;
+    obs::LearningRecorder::Options opts;
+    opts.snapshot_every = kCadence;
+    opts.top_k = 2;
+    obs::LearningRecorder recorder(opts);
+    obs::RunObserver observer;
+    observer.learn = &recorder;
+    prefetch::ctx::ContextPrefetcher pf(ContextPrefetcherConfig{}, 1);
+    pf.attach(&observer);
+
+    trace::HwContextTracker hw;
+    std::vector<prefetch::PrefetchRequest> out;
+    for (std::uint64_t i = 0; i < kPeriods * kCadence; ++i) {
+        trace::TraceRecord rec;
+        rec.kind = trace::InstKind::Load;
+        rec.pc = 0x400;
+        rec.vaddr = 0x100000 + i * 64;
+        const trace::ContextSnapshot ctx = hw.capture(rec);
+        prefetch::AccessInfo info;
+        info.seq = i;
+        info.pc = rec.pc;
+        info.vaddr = rec.vaddr;
+        info.line_addr = rec.vaddr;
+        info.free_l1_mshrs = 4;
+        info.context = &ctx;
+        out.clear();
+        pf.observe(info, out);
+        hw.update(rec);
+    }
+    pf.finish();
+
+    ASSERT_EQ(pf.stats().lookups, kPeriods * kCadence);
+    const auto &snapshots = recorder.snapshots();
+    ASSERT_EQ(snapshots.size(), kPeriods);
+    for (std::uint64_t k = 0; k < kPeriods; ++k)
+        EXPECT_EQ(snapshots[k].snap.lookup, (k + 1) * kCadence);
 }
 
 TEST(LearningRecorder, SnapshotsByteIdenticalSerialVsThreadPool)

@@ -1,6 +1,8 @@
 /** @file Determinism contract of the parallel sweep engine: runSweep
  *  at jobs=N is bit-identical to jobs=1 for every cell, cells stay
- *  row-major, and the core ThreadPool behaves. Built under
+ *  row-major, a general grid matches direct simulation with each trace
+ *  generated and each distinct cell simulated once, and the core
+ *  ThreadPool behaves. Built under
  *  -fsanitize=thread by the CI TSan job (CSP_TSAN=ON) as the
  *  data-race smoke test for the whole engine. */
 
@@ -10,8 +12,10 @@
 #include <cstdlib>
 #include <vector>
 
+#include "core/profiling.h"
 #include "core/thread_pool.h"
 #include "sim/experiment.h"
+#include "sim/simulator.h"
 
 namespace csp::sim {
 namespace {
@@ -132,6 +136,74 @@ TEST(ParallelSweep, AutoJobsMatchesExplicitJobs)
     const SweepResult automatic = smallSweep(0);
     const SweepResult serial = smallSweep(1);
     expectIdenticalSweeps(automatic, serial);
+}
+
+/** A grid varying every axis — a config variant, an ablation toggle,
+ *  the seed, the scale and the placement — plus one duplicated cell.
+ *  Every cell must match a direct Simulator::run of it, the duplicate
+ *  must share its twin's simulation, and each distinct trace must be
+ *  generated exactly once. */
+TEST(ParallelSweep, GridMatchesDirectRunsAndDedups)
+{
+    const SystemConfig base;
+    SystemConfig small_cst = base;
+    small_cst.context.cst_entries = 512;
+    small_cst.context.reducer_entries = 4096;
+    SystemConfig greedy = base;
+    greedy.context.exploration = false;
+    SystemConfig seeded = base;
+    seeded.seed = 2;
+
+    workloads::WorkloadParams params;
+    params.scale = 10000;
+    workloads::WorkloadParams reseeded = params;
+    reseeded.seed = 2;
+    workloads::WorkloadParams longer = params;
+    longer.scale = 16000;
+    workloads::WorkloadParams sequential = params;
+    sequential.placement = runtime::Placement::Sequential;
+
+    const std::vector<SweepCell> grid = {
+        {"list", params, base, "none"},
+        {"list", params, base, "context"},
+        {"list", params, small_cst, "context"},
+        {"list", params, greedy, "context"},
+        {"list", reseeded, seeded, "context"},
+        {"list", longer, base, "stride"},
+        {"list", sequential, base, "context"},
+        {"bst", params, base, "context"},
+        {"list", params, base, "context"}, // duplicate of cell 1
+    };
+    constexpr std::uint64_t kDistinctCells = 8;
+    constexpr std::uint64_t kDistinctTraces = 5;
+
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        prof::Profiler sink;
+        SweepOptions options;
+        options.verbose = false;
+        options.jobs = jobs;
+        options.profiler_sink = &sink;
+        const SweepResult sweep = runSweep(grid, options);
+        ASSERT_EQ(sweep.cells.size(), grid.size());
+        EXPECT_EQ(sweep.cells_simulated, kDistinctCells);
+        EXPECT_EQ(sink.calls(prof::Phase::TraceGen), kDistinctTraces);
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            SCOPED_TRACE(i);
+            const SweepCell &cell = grid[i];
+            const trace::TraceBuffer trace =
+                workloads::Registry::builtin()
+                    .create(cell.workload)
+                    ->generate(cell.params);
+            auto prefetcher = makePrefetcher(cell.prefetcher, cell.config);
+            Simulator simulator(cell.config);
+            EXPECT_EQ(sweep.cells[i].workload, cell.workload);
+            EXPECT_EQ(sweep.cells[i].prefetcher, cell.prefetcher);
+            EXPECT_TRUE(sweep.cells[i].present);
+            expectIdenticalStats(sweep.cells[i].stats,
+                                 simulator.run(trace, *prefetcher));
+        }
+    }
 }
 
 /** TSan smoke: many workers, verbose heartbeat on, shared traces —

@@ -118,7 +118,9 @@ TEST(Reducer, UsefulLookupsResetBarrenCount)
 
 TEST(Reducer, NonAdaptiveModeFreezesMasks)
 {
-    Reducer reducer(smallConfig(), initialMask(), /*adaptive=*/false);
+    ContextPrefetcherConfig config = smallConfig();
+    config.adaptive_reducer = false;
+    Reducer reducer(config, initialMask());
     EXPECT_FALSE(reducer.onOverload(7));
     for (int i = 0; i < 1000; ++i)
         EXPECT_FALSE(reducer.recordOutcome(7, false));

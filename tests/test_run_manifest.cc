@@ -52,6 +52,18 @@ TEST(ConfigDigest, SensitiveToEveryKnobClass)
     softmax.context.softmax_exploration =
         !softmax.context.softmax_exploration;
     EXPECT_NE(configDigest(softmax), reference);
+
+    // The ablation toggles select different prefetchers too.
+    bool ContextPrefetcherConfig::*const toggles[] = {
+        &ContextPrefetcherConfig::adaptive_reducer,
+        &ContextPrefetcherConfig::exploration,
+        &ContextPrefetcherConfig::software_hints,
+        &ContextPrefetcherConfig::negative_rewards};
+    for (bool ContextPrefetcherConfig::*const toggle : toggles) {
+        SystemConfig toggled = base;
+        toggled.context.*toggle = !(toggled.context.*toggle);
+        EXPECT_NE(configDigest(toggled), reference);
+    }
 }
 
 TEST(ConfigDigest, HexDigestIsSixteenHexDigits)
