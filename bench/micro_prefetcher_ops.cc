@@ -88,14 +88,12 @@ void BM_Stride(benchmark::State &s) { runPrefetcher(s, "stride"); }
 void BM_GhbGdc(benchmark::State &s) { runPrefetcher(s, "ghb-gdc"); }
 void BM_GhbPcdc(benchmark::State &s) { runPrefetcher(s, "ghb-pcdc"); }
 void BM_Sms(benchmark::State &s) { runPrefetcher(s, "sms"); }
-void BM_Markov(benchmark::State &s) { runPrefetcher(s, "markov"); }
 void BM_Context(benchmark::State &s) { runPrefetcher(s, "context"); }
 
 BENCHMARK(BM_Stride);
 BENCHMARK(BM_GhbGdc);
 BENCHMARK(BM_GhbPcdc);
 BENCHMARK(BM_Sms);
-BENCHMARK(BM_Markov);
 BENCHMARK(BM_Context);
 
 /** Trace-generation throughput for one workload: how many simulated

@@ -162,14 +162,6 @@ struct StrideConfig
     unsigned confidence_threshold = 2;
 };
 
-/** Markov (Joseph & Grunwald) prefetcher configuration. */
-struct MarkovConfig
-{
-    unsigned table_entries = 4096;
-    unsigned successors = 4;
-    unsigned degree = 2;
-};
-
 /** Whole-system configuration. */
 struct SystemConfig
 {
@@ -179,7 +171,6 @@ struct SystemConfig
     GhbConfig ghb;
     SmsConfig sms;
     StrideConfig stride;
-    MarkovConfig markov;
     std::uint64_t seed = 1;
 
     /** Render the configuration as a human-readable table (Table 2). */

@@ -154,11 +154,6 @@ configDigest(const SystemConfig &config)
     h.add(stride.degree);
     h.add(stride.confidence_threshold);
 
-    const MarkovConfig &markov = config.markov;
-    h.add(markov.table_entries);
-    h.add(markov.successors);
-    h.add(markov.degree);
-
     h.add(config.seed);
     h.add(ctx.adaptive_reducer ? 1 : 0);
     h.add(ctx.exploration ? 1 : 0);

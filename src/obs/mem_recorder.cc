@@ -192,8 +192,11 @@ LevelModel::onAccess(Addr line_addr, bool real_miss, bool line_present)
 {
     ++accesses_;
     Result result;
-    result.first_touch = seen_.insert(line_addr).second;
+    // StackDistance never forgets a line, so it doubles as the
+    // infinite tag set: no previous position means first touch.
     result.reuse_distance = stack_.onAccess(line_addr);
+    result.first_touch =
+        result.reuse_distance == StackDistance::kNoReuse;
     const bool shadow_hit = shadow_.access(line_addr);
     if (shadow_hit)
         ++shadow_hits_;

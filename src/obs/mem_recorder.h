@@ -27,7 +27,6 @@
 #include <iosfwd>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/config.h"
@@ -178,7 +177,6 @@ class LevelModel
     friend class MemRecorder; // registry reads class counters directly
 
     std::uint64_t capacity_lines_;
-    std::unordered_set<Addr> seen_; ///< infinite tag set (compulsory)
     StackDistance stack_;
     ShadowCache shadow_;
     std::uint64_t classes_[static_cast<std::size_t>(MissClass::Count)] =

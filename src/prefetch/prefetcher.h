@@ -2,7 +2,7 @@
  * @file
  * The prefetcher interface shared by the context-based prefetcher (the
  * paper's contribution) and the competing spatio-temporal prefetchers it
- * is evaluated against (stride, GHB G/DC, GHB PC/DC, SMS, Markov).
+ * is evaluated against (stride, GHB G/DC, GHB PC/DC, SMS).
  *
  * The simulator calls observe() once per demand access, in program
  * order, with the access's machine context and memory-system pressure;
@@ -55,12 +55,15 @@ struct AccessInfo
     Addr pc = 0;
     Addr vaddr = 0;
     Addr line_addr = 0;  ///< vaddr aligned to the L1 line
+    /// No prefetcher reads this or loaded_value. Both stay because
+    /// perfbench's replay loop writes them in step with Simulator's;
+    /// they go when that second loop does.
     bool is_store = false;
     bool l1_miss = false;
     bool hit_prefetched_line = false;
     unsigned free_l1_mshrs = 0; ///< throttle input
-    /// Value returned by this load (0 when unknown/not a load). Used
-    /// by pointer-aware prefetchers (jump-pointer chasing).
+    /// Value returned by this load (0 when unknown/not a load); see
+    /// is_store.
     std::uint64_t loaded_value = 0;
     /// Full machine context (paper Table 1); never null.
     const trace::ContextSnapshot *context = nullptr;

@@ -24,15 +24,15 @@
 #include "trace/trace_io.h"
 #include "prefetch/context/context_prefetcher.h"
 #include "prefetch/ghb.h"
-#include "prefetch/jump_pointer.h"
-#include "prefetch/markov.h"
-#include "prefetch/next_line.h"
 #include "prefetch/sms.h"
 #include "prefetch/stride.h"
 
 namespace csp::sim {
 
 namespace {
+
+/** Least wall-clock time between two SweepProgress lines. */
+constexpr double kProgressMinSeconds = 2.0;
 
 std::string
 joinNames(const std::vector<std::string> &names)
@@ -142,18 +142,6 @@ makePrefetcher(const std::string &name, const SystemConfig &config)
     }
     if (name == "sms")
         return std::make_unique<prefetch::SmsPrefetcher>(config.sms);
-    if (name == "jump") {
-        return std::make_unique<prefetch::JumpPointerPrefetcher>(
-            prefetch::JumpPointerConfig{}, line);
-    }
-    if (name == "next-line") {
-        return std::make_unique<prefetch::NextLinePrefetcher>(
-            prefetch::NextLineConfig{}, line);
-    }
-    if (name == "markov") {
-        return std::make_unique<prefetch::MarkovPrefetcher>(
-            config.markov);
-    }
     if (name == "context") {
         return std::make_unique<prefetch::ctx::ContextPrefetcher>(
             config.context, config.seed);
@@ -245,59 +233,6 @@ SweepResult::geomeanSpeedup(const std::string &prefetcher) const
     return geomean(speedups);
 }
 
-Heartbeat::Heartbeat(std::string label, std::uint64_t total_insts,
-                     double min_seconds)
-    : label_(std::move(label)),
-      total_(total_insts),
-      min_seconds_(min_seconds),
-      start_(std::chrono::steady_clock::now()),
-      last_(start_)
-{}
-
-Simulator::ProgressFn
-Heartbeat::hook()
-{
-    return [this](std::uint64_t instructions) { beat(instructions); };
-}
-
-void
-Heartbeat::setStatus(std::function<std::string()> status)
-{
-    status_ = std::move(status);
-}
-
-void
-Heartbeat::beat(std::uint64_t instructions)
-{
-    const auto now = std::chrono::steady_clock::now();
-    const double since_last =
-        std::chrono::duration<double>(now - last_).count();
-    if (since_last < min_seconds_)
-        return;
-    last_ = now;
-    const double elapsed =
-        std::chrono::duration<double>(now - start_).count();
-    const double rate =
-        elapsed > 0.0 ? static_cast<double>(instructions) / elapsed
-                      : 0.0;
-    const double pct =
-        total_ == 0 ? 0.0
-                    : 100.0 * static_cast<double>(instructions) /
-                          static_cast<double>(total_);
-    // The status suffix is folded into the one inform() call so the
-    // line is still a single atomic write (concurrent heartbeats never
-    // interleave mid-line).
-    std::string status;
-    if (status_) {
-        status = status_();
-        if (!status.empty())
-            status.insert(0, ", ");
-    }
-    inform("%s: %5.1f%% (%.1fM insts, %.2fM insts/s%s)", label_.c_str(),
-           pct, static_cast<double>(instructions) / 1e6, rate / 1e6,
-           status.c_str());
-}
-
 double
 geomean(const std::vector<double> &values)
 {
@@ -318,13 +253,12 @@ geomean(const std::vector<double> &values)
 
 SweepProgress::SweepProgress(std::string label,
                              std::vector<std::uint64_t> cell_totals,
-                             unsigned jobs, double min_seconds)
+                             unsigned jobs)
     : label_(std::move(label)),
       totals_(std::move(cell_totals)),
       current_(totals_.size(), 0),
       expected_cells_(totals_.size()),
       jobs_(jobs),
-      min_seconds_(min_seconds),
       start_(std::chrono::steady_clock::now()),
       last_(start_)
 {
@@ -373,7 +307,7 @@ SweepProgress::update(std::size_t cell, std::uint64_t instructions)
 
     const auto now = std::chrono::steady_clock::now();
     if (std::chrono::duration<double>(now - last_).count() <
-        min_seconds_) {
+        kProgressMinSeconds) {
         return;
     }
     last_ = now;

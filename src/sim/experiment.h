@@ -12,7 +12,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -34,8 +33,9 @@ namespace csp::sim {
 class SweepEventJournal;
 
 /**
- * Build a prefetcher by name: "none", "stride", "ghb-gdc", "ghb-pcdc",
- * "sms", "markov", "context". fatal() on unknown names.
+ * Build a prefetcher by name: one of paperPrefetchers() ("none",
+ * "stride", "ghb-gdc", "ghb-pcdc", "sms", "context"). fatal() on
+ * unknown names.
  */
 std::unique_ptr<prefetch::Prefetcher>
 makePrefetcher(const std::string &name, const SystemConfig &config);
@@ -123,58 +123,20 @@ struct SweepResult
 };
 
 /**
- * Wall-clock rate-limited progress reporter for long simulations.
- * Install hook() as a Simulator progress callback; it prints via
- * inform() at most once every @p min_seconds, showing percent complete
- * and simulated instructions per second. Any bench/ or tools/ binary
- * can reuse it for a uniform heartbeat.
- */
-class Heartbeat
-{
-  public:
-    Heartbeat(std::string label, std::uint64_t total_insts,
-              double min_seconds = 2.0);
-
-    /** The callback to pass to Simulator::setProgress(). */
-    Simulator::ProgressFn hook();
-
-    /**
-     * Extra live state appended to each progress line (e.g. the
-     * context prefetcher's current accuracy/epsilon). The callback
-     * runs on the simulating thread, inside the single inform() call,
-     * so the log line stays one atomic write. Empty results are
-     * omitted.
-     */
-    void setStatus(std::function<std::string()> status);
-
-    /** Report progress at @p instructions (rate-limited). */
-    void beat(std::uint64_t instructions);
-
-  private:
-    std::string label_;
-    std::uint64_t total_;
-    double min_seconds_;
-    std::function<std::string()> status_;
-    std::chrono::steady_clock::time_point start_;
-    std::chrono::steady_clock::time_point last_;
-};
-
-/**
- * Mutex-guarded, wall-clock rate-limited progress reporter for a
- * multi-cell sweep running on several worker threads at once. Each
- * cell installs hook(cell) as its Simulator progress callback;
- * updates from all workers fold into one aggregate line (percent of
- * total instructions, simulated instructions per second, cells done)
- * printed via inform() at most once every @p min_seconds, plus a
- * final line when the last cell completes.
+ * Mutex-guarded, wall-clock rate-limited progress reporter for one or
+ * more cells running on several worker threads at once. Each cell
+ * installs hook(cell) as its Simulator progress callback; updates from
+ * all workers fold into one aggregate line (percent of total
+ * instructions, simulated instructions per second, cells done) printed
+ * via inform() at most once every 2 seconds, plus a final line when
+ * the last cell completes.
  */
 class SweepProgress
 {
   public:
     /** @param cell_totals expected instruction count per cell. */
     SweepProgress(std::string label,
-                  std::vector<std::uint64_t> cell_totals, unsigned jobs,
-                  double min_seconds = 2.0);
+                  std::vector<std::uint64_t> cell_totals, unsigned jobs);
 
     /** The callback to pass to Simulator::setProgress() for @p cell. */
     Simulator::ProgressFn hook(std::size_t cell);
@@ -228,7 +190,6 @@ class SweepProgress
     SweepEventJournal *journal_ = nullptr;
     bool print_ = true;
     unsigned jobs_;
-    double min_seconds_;
     std::chrono::steady_clock::time_point start_;
     std::chrono::steady_clock::time_point last_;
     std::mutex mutex_;

@@ -20,6 +20,13 @@ namespace csp::sim {
 using trace::InstKind;
 using trace::TraceRecord;
 
+namespace {
+
+/** Instructions between two progress hook calls (see setProgress). */
+constexpr std::uint64_t kProgressEvery = 100000;
+
+} // namespace
+
 const char *
 accessClassName(AccessClass cls)
 {
@@ -111,10 +118,9 @@ Simulator::setReportFilter(const std::string &filter)
 }
 
 void
-Simulator::setProgress(ProgressFn fn, std::uint64_t every_insts)
+Simulator::setProgress(ProgressFn fn)
 {
     progress_ = std::move(fn);
-    progress_every_ = every_insts;
 }
 
 RunStats
@@ -223,10 +229,7 @@ Simulator::runFrom(Source &source, prefetch::Prefetcher &prefetcher)
 
     stats::IntervalSampler sampler(registry, stats_interval_,
                                    stats_filter_);
-    const std::uint64_t progress_every =
-        progress_ ? progress_every_ : 0;
-    std::uint64_t next_progress =
-        progress_every == 0 ? UINT64_MAX : progress_every;
+    std::uint64_t next_progress = progress_ ? kProgressEvery : UINT64_MAX;
 
     // The hot loop pays for instrumentation with ONE compare against
     // this fused boundary (UINT64_MAX when sampling and progress are
@@ -368,7 +371,7 @@ Simulator::runFrom(Source &source, prefetch::Prefetcher &prefetcher)
                 if (insts >= next_progress) {
                     progress_(insts);
                     while (next_progress <= insts)
-                        next_progress += progress_every;
+                        next_progress += kProgressEvery;
                 }
                 next_event =
                     std::min(sampler.nextSampleAt(), next_progress);

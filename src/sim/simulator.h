@@ -157,10 +157,10 @@ class Simulator
     void setReportFilter(const std::string &filter);
 
     /**
-     * Install a progress hook called roughly every @p every_insts
-     * instructions during run() (0 disables, the default).
+     * Install a progress hook called roughly every 100000 instructions
+     * during run() (an empty hook, the default, disables it).
      */
-    void setProgress(ProgressFn fn, std::uint64_t every_insts = 100000);
+    void setProgress(ProgressFn fn);
 
     /**
      * Attach an observability bundle (lifecycle tracker, learning and
@@ -230,7 +230,6 @@ class Simulator
     std::string stats_filter_;
     std::string report_filter_;
     ProgressFn progress_;
-    std::uint64_t progress_every_ = 0;
     stats::Report last_report_;
     stats::TimeSeries last_series_;
 };

@@ -26,7 +26,6 @@ TEST(Experiment, MakePrefetcherKnowsPaperLineup)
         ASSERT_NE(prefetcher, nullptr);
         EXPECT_EQ(prefetcher->name(), name);
     }
-    EXPECT_EQ(makePrefetcher("markov", config)->name(), "markov");
 }
 
 TEST(Experiment, PaperLineupStartsWithBaseline)

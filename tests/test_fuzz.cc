@@ -1,13 +1,13 @@
 /** @file Fuzz-style robustness tests: random traces through every
- *  prefetcher and the full simulator must never violate accounting
- *  invariants, whatever the access mix looks like. */
+ *  prefetcher of the paper lineup and the full simulator must never
+ *  violate accounting invariants, whatever the access mix looks
+ *  like. */
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
-#include "workloads/registry.h"
 
 namespace csp {
 namespace {
@@ -79,10 +79,7 @@ TEST_P(FuzzTest, SimulatorInvariantsSurviveRandomTraces)
 INSTANTIATE_TEST_SUITE_P(
     SeedsByPrefetcher, FuzzTest,
     ::testing::Combine(::testing::Values(11ull, 22ull, 33ull),
-                       ::testing::Values("none", "stride", "ghb-gdc",
-                                         "ghb-pcdc", "sms", "markov",
-                                         "jump", "next-line",
-                                         "context")),
+                       ::testing::ValuesIn(sim::paperPrefetchers())),
     [](const auto &info) {
         std::string name =
             "s" + std::to_string(std::get<0>(info.param)) + "_" +
@@ -93,41 +90,6 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
-
-TEST(NextLine, TriggersOnMissesOnly)
-{
-    SystemConfig config;
-    auto prefetcher = sim::makePrefetcher("next-line", config);
-    trace::ContextSnapshot ctx;
-    std::vector<prefetch::PrefetchRequest> out;
-    prefetch::AccessInfo info;
-    info.line_addr = 0x1000;
-    info.context = &ctx;
-    info.l1_miss = false;
-    prefetcher->observe(info, out);
-    EXPECT_TRUE(out.empty());
-    info.l1_miss = true;
-    prefetcher->observe(info, out);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].addr, 0x1040u);
-}
-
-TEST(NextLine, CoversStreamingWorkloadEndToEnd)
-{
-    workloads::WorkloadParams params;
-    params.scale = 60000;
-    const trace::TraceBuffer trace = workloads::Registry::builtin()
-                                         .create("libquantum")
-                                         ->generate(params);
-    SystemConfig config;
-    auto none = sim::makePrefetcher("none", config);
-    auto next_line = sim::makePrefetcher("next-line", config);
-    sim::Simulator sim_a(config);
-    sim::Simulator sim_b(config);
-    const double base = sim_a.run(trace, *none).ipc();
-    const double with = sim_b.run(trace, *next_line).ipc();
-    EXPECT_GT(with, base * 1.2);
-}
 
 } // namespace
 } // namespace csp

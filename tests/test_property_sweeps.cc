@@ -165,8 +165,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("list", "array", "bst",
                                          "mcf", "graph500-list",
                                          "setCover"),
-                       ::testing::Values("none", "stride", "ghb-pcdc",
-                                         "sms", "markov", "context")),
+                       ::testing::ValuesIn(sim::paperPrefetchers())),
     [](const auto &info) {
         std::string name = std::get<0>(info.param) + "_" +
                            std::get<1>(info.param);

@@ -14,9 +14,9 @@
  *   cspsim --load-trace g.trace --prefetcher sms --csv
  */
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -37,7 +37,6 @@
 #include "obs/mem_recorder.h"
 #include "obs/run_observer.h"
 #include "obs/trace_events.h"
-#include "prefetch/context/context_prefetcher.h"
 #include "sim/experiment.h"
 #include "sim/result_cache.h"
 #include "sim/simulator.h"
@@ -103,9 +102,8 @@ usage()
         "  --describe               print the system configuration\n"
         "  --workload NAME          workload to run\n"
         "  --prefetcher NAME|all    one of: none stride ghb-gdc ghb-pcdc\n"
-        "                           sms markov jump next-line context;\n"
-        "                           'all' = the paper lineup (default:\n"
-        "                           context)\n"
+        "                           sms context; 'all' = the paper\n"
+        "                           lineup (default: context)\n"
         "  --scale N                target memory accesses (default "
         "250000)\n"
         "  --seed N                 workload + learner seed\n"
@@ -210,7 +208,8 @@ usage()
         "  --manifest               print the run-provenance manifest\n"
         "                           (build, config digest, host) as\n"
         "                           JSON and exit\n"
-        "  --verbose                rate-limited progress heartbeat\n"
+        "  --verbose                rate-limited progress line (percent,\n"
+        "                           insts/s, cells done) on stderr\n"
         "  --cst-entries N          context prefetcher CST size\n"
         "  --max-degree N           context prefetcher degree cap\n"
         "  --softmax                softmax exploration (extension)\n"
@@ -226,6 +225,17 @@ parse(int argc, char **argv)
             fatal("missing value for %s", argv[i]);
         return argv[++i];
     };
+    // A numeric flag's whole value must parse as an unsigned number
+    // of the field's type: empty input, trailing garbage or overflow
+    // is fatal and names the flag.
+    const auto need_number = [&]<typename T>(int &i, T &out) {
+        const char *flag = argv[i];
+        const char *text = need_value(i);
+        const char *end = text + std::strlen(text);
+        const auto [stop, error] = std::from_chars(text, end, out);
+        if (text == end || error != std::errc() || stop != end)
+            fatal("%s wants an unsigned number, got '%s'", flag, text);
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
@@ -240,9 +250,11 @@ parse(int argc, char **argv)
         } else if (arg == "--prefetcher") {
             options.prefetcher = need_value(i);
         } else if (arg == "--scale") {
-            options.scale = std::strtoull(need_value(i), nullptr, 10);
+            need_number(i, options.scale);
+            if (options.scale == 0)
+                fatal("--scale must be at least 1");
         } else if (arg == "--seed") {
-            options.seed = std::strtoull(need_value(i), nullptr, 10);
+            need_number(i, options.seed);
         } else if (arg == "--placement") {
             const std::string mode = need_value(i);
             if (mode == "seq")
@@ -262,8 +274,7 @@ parse(int argc, char **argv)
         } else if (arg == "--verbose") {
             options.verbose = true;
         } else if (arg == "--jobs") {
-            options.jobs = static_cast<unsigned>(
-                std::strtoul(need_value(i), nullptr, 10));
+            need_number(i, options.jobs);
         } else if (arg == "--stats-out") {
             options.stats_out = need_value(i);
         } else if (arg == "--stats-csv") {
@@ -271,8 +282,7 @@ parse(int argc, char **argv)
         } else if (arg == "--stats-filter") {
             options.stats_filter = need_value(i);
         } else if (arg == "--stats-interval") {
-            options.stats_interval =
-                std::strtoull(need_value(i), nullptr, 10);
+            need_number(i, options.stats_interval);
         } else if (arg == "--autopsy-out") {
             options.autopsy_out = need_value(i);
         } else if (arg == "--trace-events") {
@@ -280,13 +290,11 @@ parse(int argc, char **argv)
         } else if (arg == "--learn-out") {
             options.learn_out = need_value(i);
         } else if (arg == "--learn-snapshot-every") {
-            options.learn_snapshot_every =
-                std::strtoull(need_value(i), nullptr, 10);
+            need_number(i, options.learn_snapshot_every);
         } else if (arg == "--mem-out") {
             options.mem_out = need_value(i);
         } else if (arg == "--mem-interval") {
-            options.mem_interval =
-                std::strtoull(need_value(i), nullptr, 10);
+            need_number(i, options.mem_interval);
         } else if (arg == "--profile") {
             options.profile = true;
         } else if (arg == "--workloads") {
@@ -320,21 +328,17 @@ parse(int argc, char **argv)
         } else if (arg == "--manifest") {
             options.print_manifest = true;
         } else if (arg == "--trace-sample") {
-            options.trace_sample =
-                std::strtoull(need_value(i), nullptr, 10);
+            need_number(i, options.trace_sample);
             if (options.trace_sample == 0)
                 options.trace_sample = 1;
         } else if (arg == "--cst-entries") {
-            options.config.context.cst_entries = static_cast<unsigned>(
-                std::strtoul(need_value(i), nullptr, 10));
+            need_number(i, options.config.context.cst_entries);
         } else if (arg == "--max-degree") {
-            options.config.context.max_degree = static_cast<unsigned>(
-                std::strtoul(need_value(i), nullptr, 10));
+            need_number(i, options.config.context.max_degree);
         } else if (arg == "--softmax") {
             options.config.context.softmax_exploration = true;
         } else if (arg == "--dram-latency") {
-            options.config.memory.dram_latency =
-                std::strtoull(need_value(i), nullptr, 10);
+            need_number(i, options.config.memory.dram_latency);
         } else {
             fatal("unknown option: %s (try --help)", arg.c_str());
         }
@@ -431,34 +435,40 @@ writeFile(const std::string &path, const std::string &content)
     out << content;
 }
 
-/** Interval-CSV path for one prefetcher: --stats-csv when given, else
- *  derived from --stats-out (stats.json -> stats.intervals.csv); with
- *  several prefetchers the name is tagged per prefetcher. */
+/** Tag @p base per prefetcher on multi-prefetcher runs:
+ *  stem.<pf>.ext. */
 std::string
-intervalCsvPath(const Options &options, const std::string &pf_name,
-                bool multi)
+taggedPath(const std::string &base, const std::string &pf_name,
+           bool multi)
 {
-    std::string base = options.stats_csv;
-    if (base.empty()) {
-        base = options.stats_out;
-        if (base.empty()) {
-            fatal("--stats-interval needs --stats-out or "
-                  "--stats-csv for the CSV path");
-        }
-        if (base.size() > 5 &&
-            base.compare(base.size() - 5, 5, ".json") == 0) {
-            base.erase(base.size() - 5);
-        }
-        base += multi ? "." + pf_name + ".intervals.csv"
-                      : ".intervals.csv";
-        return base;
-    }
     if (!multi)
         return base;
     const std::size_t dot = base.rfind('.');
     if (dot == std::string::npos)
         return base + "." + pf_name;
     return base.substr(0, dot) + "." + pf_name + base.substr(dot);
+}
+
+/** Interval-CSV path for one prefetcher: --stats-csv (tagged) when
+ *  given, else derived from --stats-out (stats.json ->
+ *  stats.intervals.csv, or stats.<pf>.intervals.csv with several
+ *  prefetchers). */
+std::string
+intervalCsvPath(const Options &options, const std::string &pf_name,
+                bool multi)
+{
+    if (!options.stats_csv.empty())
+        return taggedPath(options.stats_csv, pf_name, multi);
+    std::string base = options.stats_out;
+    if (base.empty()) {
+        fatal("--stats-interval needs --stats-out or "
+              "--stats-csv for the CSV path");
+    }
+    if (base.size() > 5 &&
+        base.compare(base.size() - 5, 5, ".json") == 0) {
+        base.erase(base.size() - 5);
+    }
+    return base + (multi ? "." + pf_name : "") + ".intervals.csv";
 }
 
 /** FILE stem for --autopsy-out: drop a known extension, tag per
@@ -480,44 +490,6 @@ autopsyStem(const std::string &path, const std::string &pf_name,
     if (multi)
         stem += "." + pf_name;
     return stem;
-}
-
-/** Tag @p base per prefetcher on multi-prefetcher runs (the idiom the
- *  interval CSV uses: stem.<pf>.ext). */
-std::string
-taggedPath(const std::string &base, const std::string &pf_name,
-           bool multi)
-{
-    if (!multi)
-        return base;
-    const std::size_t dot = base.rfind('.');
-    if (dot == std::string::npos)
-        return base + "." + pf_name;
-    return base.substr(0, dot) + "." + pf_name + base.substr(dot);
-}
-
-/** Per-prefetcher path for --trace-events. */
-std::string
-traceEventsPath(const Options &options, const std::string &pf_name,
-                bool multi)
-{
-    return taggedPath(options.trace_events, pf_name, multi);
-}
-
-/** Per-prefetcher path for --learn-out. */
-std::string
-learnOutPath(const Options &options, const std::string &pf_name,
-             bool multi)
-{
-    return taggedPath(options.learn_out, pf_name, multi);
-}
-
-/** Per-prefetcher path for --mem-out. */
-std::string
-memOutPath(const Options &options, const std::string &pf_name,
-           bool multi)
-{
-    return taggedPath(options.mem_out, pf_name, multi);
 }
 
 } // namespace
@@ -740,34 +712,8 @@ main(int argc, char **argv)
                     simulator.setSampling(options.stats_interval,
                                           options.stats_filter);
                 }
-                // Single-prefetcher runs get a Heartbeat that also
-                // shows the live learning state when the context
-                // prefetcher is active; multi-prefetcher runs fold
-                // into the aggregate SweepProgress line.
-                std::unique_ptr<sim::Heartbeat> heartbeat;
-                if (options.verbose && !multi) {
-                    heartbeat = std::make_unique<sim::Heartbeat>(
-                        (options.workload.empty() ? "cspsim"
-                                                  : options.workload) +
-                            "/" + pf_names[i],
-                        trace.instructions());
-                    if (const auto *ctx = dynamic_cast<
-                            const prefetch::ctx::ContextPrefetcher *>(
-                            prefetcher.get())) {
-                        heartbeat->setStatus([ctx] {
-                            char buf[64];
-                            std::snprintf(
-                                buf, sizeof(buf),
-                                "acc %.3f, eps %.3f",
-                                ctx->policy().accuracy(),
-                                ctx->policy().epsilon());
-                            return std::string(buf);
-                        });
-                    }
-                    simulator.setProgress(heartbeat->hook());
-                } else if (options.verbose) {
+                if (options.verbose)
                     simulator.setProgress(progress.hook(i));
-                }
                 // The timeline file is written live during the run (one
                 // per prefetcher — workers never share a stream); the
                 // autopsy tracker survives for serial output below.
@@ -776,8 +722,8 @@ main(int argc, char **argv)
                 obs::RunObserver observer;
                 observer.profiler = outcomes[i].profiler.get();
                 if (!options.trace_events.empty()) {
-                    const std::string path = traceEventsPath(
-                        options, pf_names[i], multi);
+                    const std::string path = taggedPath(
+                        options.trace_events, pf_names[i], multi);
                     ensureParentDir(path);
                     events_file.open(path);
                     if (!events_file)
@@ -903,7 +849,7 @@ main(int argc, char **argv)
         }
         if (!options.learn_out.empty()) {
             const std::string path =
-                learnOutPath(options, pf_name, multi);
+                taggedPath(options.learn_out, pf_name, multi);
             ensureParentDir(path);
             std::ofstream learn_file(path);
             if (!learn_file)
@@ -915,7 +861,7 @@ main(int argc, char **argv)
         }
         if (!options.mem_out.empty()) {
             const std::string path =
-                memOutPath(options, pf_name, multi);
+                taggedPath(options.mem_out, pf_name, multi);
             ensureParentDir(path);
             std::ofstream mem_file(path);
             if (!mem_file)
