@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <tuple>
 
@@ -19,6 +22,7 @@
 #include "obs/lifecycle.h"
 #include "obs/mem_recorder.h"
 #include "obs/run_observer.h"
+#include "obs/trace_events.h"
 #include "sim/result_cache.h"
 #include "sim/sweep_events.h"
 #include "trace/trace_io.h"
@@ -33,6 +37,14 @@ namespace {
 
 /** Least wall-clock time between two SweepProgress lines. */
 constexpr double kProgressMinSeconds = 2.0;
+
+/** kObserveLearn snapshot cadence: about this many per run. Counted in
+ *  lookups, not wall-clock, so the series is identical for any jobs. */
+constexpr std::uint64_t kLearnSnapshotsPerRun = 32;
+
+/** kObserveMem queue-depth cadence: about this many samples per run,
+ *  counted in demand accesses. */
+constexpr std::uint64_t kMemSamplesPerRun = 64;
 
 std::string
 joinNames(const std::vector<std::string> &names)
@@ -120,7 +132,222 @@ storeTraceInCache(const trace::TraceBuffer &buffer,
     }
 }
 
+/**
+ * Mutex-guarded, wall-clock rate-limited progress of a sweep's cells
+ * running on several worker threads at once. Each simulated cell
+ * installs hook(cell) as its Simulator progress callback; updates from
+ * all workers fold into one aggregate line (percent of total
+ * instructions, simulated instructions per second, cells done) printed
+ * via inform() at most once every kProgressMinSeconds, plus a final
+ * line when the last expected cell completes. Every report is mirrored
+ * as a `heartbeat` journal event, so a quiet sweep with a journal
+ * still records progress.
+ */
+class SweepProgress
+{
+  public:
+    /** @param cell_totals expected instruction count per cell, 0 for
+     *  cells a sharded sweep does not own; @p expected_cells the
+     *  owned count, the line's denominator. */
+    SweepProgress(std::string label, std::vector<std::uint64_t> cell_totals,
+                  std::size_t expected_cells, unsigned jobs,
+                  SweepEventJournal *journal, bool print)
+        : label_(std::move(label)), totals_(std::move(cell_totals)),
+          current_(totals_.size(), 0),
+          total_sum_(std::accumulate(totals_.begin(), totals_.end(),
+                                     std::uint64_t{0})),
+          expected_cells_(expected_cells), journal_(journal),
+          print_(print), jobs_(jobs),
+          start_(std::chrono::steady_clock::now()), last_(start_)
+    {}
+
+    /** The callback to pass to Simulator::setProgress() for @p cell. */
+    Simulator::ProgressFn
+    hook(std::size_t cell)
+    {
+        return [this, cell](std::uint64_t instructions) {
+            update(cell, instructions);
+        };
+    }
+
+    /** Fold in cell progress; prints when the rate limit allows. */
+    void
+    update(std::size_t cell, std::uint64_t instructions)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        instructions = std::min(instructions, totals_[cell]);
+        if (instructions <= current_[cell])
+            return;
+        done_sum_ += instructions - current_[cell];
+        current_[cell] = instructions;
+
+        const auto now = std::chrono::steady_clock::now();
+        if (std::chrono::duration<double>(now - last_).count() <
+            kProgressMinSeconds) {
+            return;
+        }
+        last_ = now;
+        report();
+    }
+
+    /**
+     * Mark @p cell finished; the last cell always prints. A @p cached
+     * cell was satisfied from the result cache: its instructions count
+     * as done instantly and the line grows a "(N cached)" suffix.
+     */
+    void
+    cellDone(std::size_t cell, bool cached)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        done_sum_ += totals_[cell] - current_[cell];
+        current_[cell] = totals_[cell];
+        ++cells_done_;
+        if (cached)
+            ++cells_cached_;
+        if (cells_done_ == expected_cells_) {
+            last_ = std::chrono::steady_clock::now();
+            report();
+        }
+    }
+
+  private:
+    void
+    report()
+    {
+        const double elapsed =
+            std::chrono::duration<double>(last_ - start_).count();
+        const double rate =
+            elapsed > 0.0 ? static_cast<double>(done_sum_) / elapsed
+                          : 0.0;
+        const double pct =
+            total_sum_ == 0 ? 100.0
+                            : 100.0 * static_cast<double>(done_sum_) /
+                                  static_cast<double>(total_sum_);
+        if (journal_ != nullptr) {
+            journal_->emit(
+                "heartbeat",
+                {SweepEventJournal::u64("cells_done", cells_done_),
+                 SweepEventJournal::u64("cells_expected",
+                                        expected_cells_),
+                 SweepEventJournal::u64("cells_cached", cells_cached_),
+                 SweepEventJournal::u64("insts_done", done_sum_),
+                 SweepEventJournal::u64("insts_total", total_sum_),
+                 SweepEventJournal::u64(
+                     "insts_per_sec",
+                     static_cast<std::uint64_t>(rate))});
+        }
+        if (!print_)
+            return;
+        // Memoized cells show up as a suffix so a warm sweep's log
+        // makes the cache's contribution visible: "12/40 cells (7
+        // cached)".
+        char cached[32] = "";
+        if (cells_cached_ != 0) {
+            std::snprintf(cached, sizeof cached, " (%zu cached)",
+                          cells_cached_);
+        }
+        inform("%s: %5.1f%% (%.1fM/%.1fM insts, %.2fM insts/s, "
+               "%zu/%zu cells%s, jobs=%u)",
+               label_.c_str(), pct,
+               static_cast<double>(done_sum_) / 1e6,
+               static_cast<double>(total_sum_) / 1e6, rate / 1e6,
+               cells_done_, expected_cells_, cached, jobs_);
+    }
+
+    const std::string label_;
+    const std::vector<std::uint64_t> totals_;
+    std::vector<std::uint64_t> current_;
+    const std::uint64_t total_sum_;
+    std::uint64_t done_sum_ = 0;
+    std::size_t cells_done_ = 0;
+    std::size_t cells_cached_ = 0;
+    const std::size_t expected_cells_;
+    SweepEventJournal *const journal_;
+    const bool print_;
+    const unsigned jobs_;
+    const std::chrono::steady_clock::time_point start_;
+    std::chrono::steady_clock::time_point last_;
+    std::mutex mutex_;
+};
+
+/**
+ * Simulate @p cell on @p trace with the sinks @p options.observe asks
+ * for (plus a profiler for the sweep's profiler_sink), leaving them in
+ * @p out. @p trace_gen_ns is the trace's generation time, credited to
+ * the cell's profile.
+ */
+RunStats
+simulateCell(const SweepCell &cell, const trace::TraceBuffer &trace,
+             std::uint64_t trace_gen_ns, const SweepOptions &options,
+             Simulator::ProgressFn progress, CellOutputs &out)
+{
+    // The timeline is too big to buffer, so it streams to its file
+    // while the cell runs; each simulation owns its own stream.
+    std::ofstream events_file;
+    std::unique_ptr<obs::TraceEventWriter> events;
+    if (!cell.trace_events.empty()) {
+        events_file.open(cell.trace_events);
+        if (!events_file)
+            fatal("cannot write %s", cell.trace_events.c_str());
+        events = std::make_unique<obs::TraceEventWriter>(events_file);
+    }
+    const unsigned observe = options.observe;
+    const std::uint64_t accesses = trace.memAccesses();
+    obs::RunObserver observer;
+    if (observe & kObserveTracker) {
+        out.tracker = std::make_unique<obs::PrefetchTracker>(
+            events.get(), options.trace_sample);
+        observer.tracker = out.tracker.get();
+    }
+    if (observe & kObserveLearn) {
+        obs::LearningRecorder::Options learn;
+        learn.snapshot_every =
+            std::max<std::uint64_t>(1, accesses / kLearnSnapshotsPerRun);
+        learn.trace_sample = options.trace_sample;
+        out.learner =
+            std::make_unique<obs::LearningRecorder>(learn, events.get());
+        observer.learn = out.learner.get();
+    }
+    if (observe & kObserveMem) {
+        obs::MemRecorder::Options mem;
+        mem.queue_sample_every =
+            std::max<std::uint64_t>(1, accesses / kMemSamplesPerRun);
+        out.memrec = std::make_unique<obs::MemRecorder>(
+            cell.config.memory, mem, events.get());
+        observer.mem = out.memrec.get();
+    }
+    if ((observe & kObserveProfile) || options.profiler_sink != nullptr) {
+        out.profiler = std::make_unique<prof::Profiler>();
+        if (trace_gen_ns != 0)
+            out.profiler->add(prof::Phase::TraceGen, trace_gen_ns);
+        observer.profiler = out.profiler.get();
+    }
+
+    Simulator simulator(cell.config);
+    if (observe & kObserveStats) {
+        simulator.setReportFilter(options.stats_filter);
+        if (options.stats_interval != 0) {
+            simulator.setSampling(options.stats_interval,
+                                  options.stats_filter);
+        }
+    }
+    simulator.setObserver(&observer);
+    simulator.setProgress(std::move(progress));
+    const auto prefetcher = makePrefetcher(cell.prefetcher, cell.config);
+    const RunStats stats = simulator.run(trace, *prefetcher);
+    if (observe & kObserveStats) {
+        out.report = simulator.lastReport();
+        out.series = simulator.lastSeries();
+    }
+    if (events != nullptr)
+        events->close();
+    return stats;
+}
+
 } // namespace
+
+CellOutputs::CellOutputs() = default;
+CellOutputs::~CellOutputs() = default;
 
 std::unique_ptr<prefetch::Prefetcher>
 makePrefetcher(const std::string &name, const SystemConfig &config)
@@ -251,140 +478,6 @@ geomean(const std::vector<double> &values)
     return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-SweepProgress::SweepProgress(std::string label,
-                             std::vector<std::uint64_t> cell_totals,
-                             unsigned jobs)
-    : label_(std::move(label)),
-      totals_(std::move(cell_totals)),
-      current_(totals_.size(), 0),
-      expected_cells_(totals_.size()),
-      jobs_(jobs),
-      start_(std::chrono::steady_clock::now()),
-      last_(start_)
-{
-    total_sum_ = std::accumulate(totals_.begin(), totals_.end(),
-                                 std::uint64_t{0});
-}
-
-void
-SweepProgress::setExpectedCells(std::size_t expected)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    expected_cells_ = expected;
-}
-
-void
-SweepProgress::setJournal(SweepEventJournal *journal)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    journal_ = journal;
-}
-
-void
-SweepProgress::setPrint(bool print)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    print_ = print;
-}
-
-Simulator::ProgressFn
-SweepProgress::hook(std::size_t cell)
-{
-    return [this, cell](std::uint64_t instructions) {
-        update(cell, instructions);
-    };
-}
-
-void
-SweepProgress::update(std::size_t cell, std::uint64_t instructions)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    instructions = std::min(instructions, totals_[cell]);
-    if (instructions <= current_[cell])
-        return;
-    done_sum_ += instructions - current_[cell];
-    current_[cell] = instructions;
-
-    const auto now = std::chrono::steady_clock::now();
-    if (std::chrono::duration<double>(now - last_).count() <
-        kProgressMinSeconds) {
-        return;
-    }
-    last_ = now;
-    report();
-}
-
-void
-SweepProgress::cellDone(std::size_t cell)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    done_sum_ += totals_[cell] - current_[cell];
-    current_[cell] = totals_[cell];
-    ++cells_done_;
-    if (cells_done_ == expected_cells_) {
-        last_ = std::chrono::steady_clock::now();
-        report();
-    }
-}
-
-void
-SweepProgress::cellCached(std::size_t cell)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    done_sum_ += totals_[cell] - current_[cell];
-    current_[cell] = totals_[cell];
-    ++cells_done_;
-    ++cells_cached_;
-    if (cells_done_ == expected_cells_) {
-        last_ = std::chrono::steady_clock::now();
-        report();
-    }
-}
-
-void
-SweepProgress::report()
-{
-    const double elapsed =
-        std::chrono::duration<double>(last_ - start_).count();
-    const double rate =
-        elapsed > 0.0 ? static_cast<double>(done_sum_) / elapsed : 0.0;
-    const double pct =
-        total_sum_ == 0 ? 100.0
-                        : 100.0 * static_cast<double>(done_sum_) /
-                              static_cast<double>(total_sum_);
-    // Every rate-limited report also lands in the journal, so a
-    // non-verbose sweep with --events-out still records progress for
-    // csptop --follow (ETA, cells/s) without printing anything.
-    if (journal_ != nullptr) {
-        journal_->emit(
-            "heartbeat",
-            {SweepEventJournal::u64("cells_done", cells_done_),
-             SweepEventJournal::u64("cells_expected",
-                                    expected_cells_),
-             SweepEventJournal::u64("cells_cached", cells_cached_),
-             SweepEventJournal::u64("insts_done", done_sum_),
-             SweepEventJournal::u64("insts_total", total_sum_),
-             SweepEventJournal::u64(
-                 "insts_per_sec",
-                 static_cast<std::uint64_t>(rate))});
-    }
-    if (!print_)
-        return;
-    // Memoized cells show up as a suffix so a warm sweep's log makes
-    // the cache's contribution visible: "12/40 cells (7 cached)".
-    char cached[32] = "";
-    if (cells_cached_ != 0) {
-        std::snprintf(cached, sizeof cached, " (%zu cached)",
-                      cells_cached_);
-    }
-    inform("%s: %5.1f%% (%.1fM/%.1fM insts, %.2fM insts/s, "
-           "%zu/%zu cells%s, jobs=%u)",
-           label_.c_str(), pct,
-           static_cast<double>(done_sum_) / 1e6,
-           static_cast<double>(total_sum_) / 1e6, rate / 1e6,
-           cells_done_, expected_cells_, cached, jobs_);
-}
-
 SweepResult
 runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
 {
@@ -486,15 +579,19 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
         options.trace_cache_dir.empty() ? defaultTraceCacheDir()
                                         : options.trace_cache_dir;
     std::mutex sink_mutex; // guards options.profiler_sink merges
+    // Each trace's generation time, credited to its cells' profiles.
+    // Slot ti is written once, before any task of trace ti reads it.
+    std::vector<std::uint64_t> trace_gen_ns(n_traces, 0);
     const auto generateTrace = [&](std::size_t ti) {
         const SweepCell &cell = grid[trace_cell[ti]];
         const auto t0 = std::chrono::steady_clock::now();
         trace::TraceBuffer buffer =
             registry.create(cell.workload)->generate(cell.params);
+        trace_gen_ns[ti] = nsSince(t0);
         if (options.profiler_sink != nullptr) {
             std::lock_guard<std::mutex> lock(sink_mutex);
             options.profiler_sink->add(prof::Phase::TraceGen,
-                                       nsSince(t0));
+                                       trace_gen_ns[ti]);
         }
         return buffer;
     };
@@ -639,14 +736,16 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
     }
 
     std::vector<RunStats> task_stats(n_tasks);
+    std::vector<std::shared_ptr<const CellOutputs>> task_outputs(n_tasks);
     // Progress tracking runs for verbose output or a live journal;
     // the hooks only observe instruction counts, so tracking on/off
     // cannot change results.
     const bool track = options.verbose || journal != nullptr;
-    SweepProgress progress("sweep", std::move(progress_totals), jobs);
-    progress.setExpectedCells(owned_tasks);
-    progress.setJournal(journal);
-    progress.setPrint(options.verbose);
+    SweepProgress progress(result.workload_names.size() == 1
+                               ? result.workload_names.front()
+                               : "sweep",
+                           std::move(progress_totals), owned_tasks, jobs,
+                           journal, options.verbose);
 
     const bool use_result_cache = options.use_result_cache;
     const ResultCache result_cache(options.result_cache_dir.empty()
@@ -749,9 +848,13 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
                      J::str("prefetcher", cell.prefetcher),
                      J::u64("worker", worker)});
             }
+            // The cache holds only RunStats, so an observed cell is
+            // always simulated.
+            const bool observed =
+                options.observe != 0 || !cell.trace_events.empty();
             ResultCache::LoadStats load_stats;
             const bool cached =
-                use_result_cache &&
+                use_result_cache && !observed &&
                 result_cache.load(key, stats, &load_stats);
             // A rejected entry (verify failure) cost a read+parse
             // before the miss; attribute it like a hit's so the
@@ -772,38 +875,15 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
             if (cached) {
                 cells_cached.fetch_add(1, std::memory_order_relaxed);
                 if (track)
-                    progress.cellCached(j);
+                    progress.cellDone(j, /*cached=*/true);
             } else {
                 ensureTrace(ti);
-                auto prefetcher =
-                    makePrefetcher(cell.prefetcher, cell.config);
-                Simulator simulator(cell.config);
-                // The cell's observer bundle, built from the mask; a
-                // profiler sink needs the per-cell profile to merge.
-                const unsigned observe =
-                    options.observe | (options.profiler_sink != nullptr
-                                           ? kObserveProfile
-                                           : 0u);
-                obs::PrefetchTracker tracker;
-                obs::LearningRecorder learner;
-                std::unique_ptr<obs::MemRecorder> memrec;
-                prof::Profiler profiler;
-                obs::RunObserver observer;
-                if (observe & kObserveTracker)
-                    observer.tracker = &tracker;
-                if (observe & kObserveLearn)
-                    observer.learn = &learner;
-                if (observe & kObserveMem) {
-                    memrec = std::make_unique<obs::MemRecorder>(
-                        cell.config.memory);
-                    observer.mem = memrec.get();
-                }
-                if (observe & kObserveProfile)
-                    observer.profiler = &profiler;
-                simulator.setObserver(&observer);
-                if (track)
-                    simulator.setProgress(progress.hook(j));
-                stats = simulator.run(traces[ti], *prefetcher);
+                auto outputs = std::make_shared<CellOutputs>();
+                outputs->trace_digest = summaries[ti].content_digest;
+                stats = simulateCell(
+                    cell, traces[ti], trace_gen_ns[ti], options,
+                    track ? progress.hook(j) : Simulator::ProgressFn(),
+                    *outputs);
                 cells_simulated.fetch_add(1,
                                           std::memory_order_relaxed);
                 if (use_result_cache) {
@@ -811,8 +891,10 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
                                        result.manifest.git_sha);
                 }
                 if (track)
-                    progress.cellDone(j);
+                    progress.cellDone(j, /*cached=*/false);
                 if (options.profiler_sink != nullptr) {
+                    // TraceGen already reached the sink where the
+                    // trace was generated.
                     std::lock_guard<std::mutex> lock(sink_mutex);
                     for (std::size_t p = 0;
                          p <
@@ -820,11 +902,15 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
                          ++p) {
                         const auto phase =
                             static_cast<prof::Phase>(p);
+                        if (phase == prof::Phase::TraceGen)
+                            continue;
                         options.profiler_sink->add(
-                            phase, profiler.ns(phase),
-                            profiler.calls(phase));
+                            phase, outputs->profiler->ns(phase),
+                            outputs->profiler->calls(phase));
                     }
                 }
+                if (observed)
+                    task_outputs[j] = std::move(outputs);
             }
             const std::uint64_t duration_ns = nsSince(cell_start);
             {
@@ -884,7 +970,8 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
     for (std::size_t i = 0; i < n_cells; ++i) {
         const std::size_t j = cell_task[i];
         result.cells[i] = {grid[i].workload, grid[i].prefetcher,
-                           task_stats[j], owned[j] != 0};
+                           task_stats[j], owned[j] != 0,
+                           task_outputs[j]};
     }
     // Fold the roll-up into the artefact's cache block (summed by
     // cspmerge) and the journal's sweep_end event. No lock: the pool

@@ -10,11 +10,9 @@
 #ifndef CSP_SIM_EXPERIMENT_H
 #define CSP_SIM_EXPERIMENT_H
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -23,6 +21,12 @@
 #include "prefetch/prefetcher.h"
 #include "sim/simulator.h"
 #include "workloads/registry.h"
+
+namespace csp::obs {
+class LearningRecorder;
+class MemRecorder;
+class PrefetchTracker;
+} // namespace csp::obs
 
 namespace csp::prof {
 class Profiler;
@@ -64,6 +68,31 @@ struct SweepCell
     workloads::WorkloadParams params;
     SystemConfig config;
     std::string prefetcher;
+    /** When set, the cell's observer sinks stream a Chrome trace-event
+     *  (Perfetto) timeline into this file live during the run. Cells
+     *  sharing a CellKey share one simulation, which writes the first
+     *  such cell's file. */
+    std::string trace_events = {};
+};
+
+/**
+ * What the observer sinks of one simulated, observed cell recorded
+ * (see SweepOptions::observe). Each member is empty or null unless its
+ * sink was attached.
+ */
+struct CellOutputs
+{
+    CellOutputs();
+    ~CellOutputs();
+
+    stats::Report report;       ///< kObserveStats, stats_filter applied
+    stats::TimeSeries series;   ///< kObserveStats with stats_interval
+    std::unique_ptr<obs::PrefetchTracker> tracker;   ///< kObserveTracker
+    std::unique_ptr<obs::LearningRecorder> learner;  ///< kObserveLearn
+    std::unique_ptr<obs::MemRecorder> memrec;        ///< kObserveMem
+    /** kObserveProfile; carries the cell's trace-generation time. */
+    std::unique_ptr<prof::Profiler> profiler;
+    std::uint64_t trace_digest = 0; ///< content digest of the cell's trace
 };
 
 /** The outcome of one SweepCell. */
@@ -75,6 +104,9 @@ struct CellResult
     /** False for cells a sharded sweep did not own (see
      *  SweepOptions::shard_count); their stats are default-valued. */
     bool present = false;
+    /** What the cell's observers recorded; null for unobserved and
+     *  cached cells. Cells sharing a simulation share one. */
+    std::shared_ptr<const CellOutputs> outputs = {};
 };
 
 /** Result of a sweep: cells[i] answers the grid's i-th cell (a cross
@@ -122,92 +154,21 @@ struct SweepResult
     double geomeanSpeedup(const std::string &prefetcher) const;
 };
 
-/**
- * Mutex-guarded, wall-clock rate-limited progress reporter for one or
- * more cells running on several worker threads at once. Each cell
- * installs hook(cell) as its Simulator progress callback; updates from
- * all workers fold into one aggregate line (percent of total
- * instructions, simulated instructions per second, cells done) printed
- * via inform() at most once every 2 seconds, plus a final line when
- * the last cell completes.
- */
-class SweepProgress
-{
-  public:
-    /** @param cell_totals expected instruction count per cell. */
-    SweepProgress(std::string label,
-                  std::vector<std::uint64_t> cell_totals, unsigned jobs);
-
-    /** The callback to pass to Simulator::setProgress() for @p cell. */
-    Simulator::ProgressFn hook(std::size_t cell);
-
-    /** Fold in cell progress; prints when the rate limit allows. */
-    void update(std::size_t cell, std::uint64_t instructions);
-
-    /** Mark @p cell finished; the last cell always prints. */
-    void cellDone(std::size_t cell);
-
-    /**
-     * Mark @p cell satisfied from the result cache: its instructions
-     * count as done instantly and the progress line grows a
-     * "(N cached)" suffix distinguishing memoized cells from simulated
-     * ones.
-     */
-    void cellCached(std::size_t cell);
-
-    /**
-     * Sharded sweeps own a subset of the grid: the final line prints
-     * (and the cell denominator reads) @p expected instead of the full
-     * cell count. Call before any worker reports.
-     */
-    void setExpectedCells(std::size_t expected);
-
-    /**
-     * Mirror every rate-limited report as a `heartbeat` journal event
-     * (cells done/cached, instructions done/total, rate). Call before
-     * any worker reports.
-     */
-    void setJournal(SweepEventJournal *journal);
-
-    /**
-     * Suppress the inform() lines while keeping journal heartbeats —
-     * a non-verbose sweep with --events-out still records progress
-     * without spamming stderr. Call before any worker reports.
-     */
-    void setPrint(bool print);
-
-  private:
-    void report();
-
-    std::string label_;
-    std::vector<std::uint64_t> totals_;
-    std::vector<std::uint64_t> current_;
-    std::uint64_t total_sum_ = 0;
-    std::uint64_t done_sum_ = 0;
-    std::size_t cells_done_ = 0;
-    std::size_t cells_cached_ = 0;
-    std::size_t expected_cells_ = 0;
-    SweepEventJournal *journal_ = nullptr;
-    bool print_ = true;
-    unsigned jobs_;
-    std::chrono::steady_clock::time_point start_;
-    std::chrono::steady_clock::time_point last_;
-    std::mutex mutex_;
-};
-
 /** The per-cell observer sinks SweepOptions::observe can attach. */
 enum ObserveSink : unsigned
 {
-    kObserveTracker = 1u << 0, ///< lifecycle tracker, no Perfetto sink
-    kObserveLearn = 1u << 1,   ///< learning recorder, final snapshot
-    kObserveMem = 1u << 2,     ///< memory-hierarchy recorder
+    kObserveTracker = 1u << 0, ///< lifecycle tracker (autopsy)
+    kObserveLearn = 1u << 1,   ///< learning recorder, ~32 snapshots/run
+    kObserveMem = 1u << 2,     ///< memory recorder, ~64 queue samples/run
     kObserveProfile = 1u << 3, ///< self-profiler
+    kObserveStats = 1u << 4,   ///< full stats report + interval series
 };
 
 /** Knobs for runSweep. */
 struct SweepOptions
 {
-    /** Per-workload summary lines plus a SweepProgress heartbeat. */
+    /** Per-trace summary lines plus a SweepProgress heartbeat, labelled
+     *  with the workload's name when the grid has only one. */
     bool verbose = true;
     /**
      * Worker threads simulating cells; 0 resolves through
@@ -217,11 +178,20 @@ struct SweepOptions
     unsigned jobs = 0;
     /**
      * Mask of ObserveSink bits: the sinks attached to every simulated
-     * cell, their results discarded. This knob exists so the
-     * determinism tests can assert that observed sweeps produce
-     * RunStats bit-identical to unobserved ones.
+     * cell, returned in CellResult::outputs. An observed cell (a
+     * nonzero mask, or a SweepCell::trace_events file) is always
+     * simulated, never answered from the result cache, which holds only
+     * RunStats; its stats are still stored there. Observed sweeps
+     * produce RunStats bit-identical to unobserved ones.
      */
     unsigned observe = 0;
+    /** Emit 1 in N lifecycle spans and RL instants to trace_events. */
+    std::uint64_t trace_sample = 1;
+    /** kObserveStats: sample interval stats every N instructions into
+     *  CellOutputs::series (0 = no series). */
+    std::uint64_t stats_interval = 0;
+    /** kObserveStats: keep only stats under this dotted prefix. */
+    std::string stats_filter;
     /**
      * Memoize cells in the content-addressed result cache (see
      * result_cache.h): consult before simulating, store after. Off by
@@ -252,10 +222,11 @@ struct SweepOptions
     unsigned shard_index = 0;
     unsigned shard_count = 1;
     /**
-     * When set, every cell's phase timings (and trace generation) are
-     * merged into this aggregate profiler. The warm-sweep tests use it
-     * to assert a fully cached run does zero simulation work: Replay /
-     * MemAccess / TraceGen call counts stay 0.
+     * When set, every simulated cell's phase timings and every trace
+     * generation are merged into this aggregate profiler. Unlike
+     * kObserveProfile it does not make a cell observed. The warm-sweep
+     * tests use it to assert a fully cached run does zero simulation
+     * work: Replay / MemAccess / TraceGen call counts stay 0.
      */
     prof::Profiler *profiler_sink = nullptr;
     /**

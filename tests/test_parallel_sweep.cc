@@ -1,19 +1,29 @@
 /** @file Determinism contract of the parallel sweep engine: runSweep
  *  at jobs=N is bit-identical to jobs=1 for every cell, cells stay
  *  row-major, a general grid matches direct simulation with each trace
- *  generated and each distinct cell simulated once, and the core
+ *  generated and each distinct cell simulated once, observed cells
+ *  return what a direct run's observers record, and the core
  *  ThreadPool behaves. Built under
  *  -fsanitize=thread by the CI TSan job (CSP_TSAN=ON) as the
  *  data-race smoke test for the whole engine. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <vector>
 
 #include "core/profiling.h"
 #include "core/thread_pool.h"
+#include "obs/learning.h"
+#include "obs/lifecycle.h"
+#include "obs/mem_recorder.h"
+#include "obs/run_observer.h"
+#include "obs/trace_events.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 
@@ -204,6 +214,212 @@ TEST(ParallelSweep, GridMatchesDirectRunsAndDedups)
                                  simulator.run(trace, *prefetcher));
         }
     }
+}
+
+bool
+isProf(const std::string &name)
+{
+    return name.rfind("prof.", 0) == 0;
+}
+
+/** @p report as JSON without its prof.* wall-clock stats, the only
+ *  values two runs of one cell do not share. */
+std::string
+reportJsonWithoutProf(stats::Report report)
+{
+    std::erase_if(report.entries, [](const stats::ReportEntry &entry) {
+        return isProf(entry.name);
+    });
+    return report.toJson();
+}
+
+/** @p series as CSV without its prof.* columns. */
+std::string
+seriesCsvWithoutProf(const stats::TimeSeries &series)
+{
+    stats::TimeSeries kept;
+    std::vector<std::size_t> keep;
+    for (std::size_t c = 0; c < series.columns.size(); ++c) {
+        if (!isProf(series.columns[c])) {
+            keep.push_back(c);
+            kept.columns.push_back(series.columns[c]);
+        }
+    }
+    for (const stats::TimeSeries::Row &row : series.rows) {
+        stats::TimeSeries::Row &copy = kept.rows.emplace_back();
+        copy.instructions = row.instructions;
+        for (const std::size_t c : keep)
+            copy.values.push_back(row.values[c]);
+    }
+    std::ostringstream out;
+    kept.writeCsv(out);
+    return out.str();
+}
+
+/** Every file an observed cell can produce, rendered to strings. */
+struct ObservedFiles
+{
+    std::string report;
+    std::string series;
+    std::string autopsy;
+    std::string learn;
+    std::string mem;
+};
+
+ObservedFiles
+renderObserved(const CellOutputs &outputs, const std::string &pf)
+{
+    ObservedFiles files;
+    files.report = reportJsonWithoutProf(outputs.report);
+    files.series = seriesCsvWithoutProf(outputs.series);
+    std::ostringstream autopsy;
+    outputs.tracker->writeAutopsyJson(autopsy, pf);
+    files.autopsy = autopsy.str();
+    std::ostringstream learn;
+    outputs.learner->writeLearnJson(learn, "{}", pf);
+    files.learn = learn.str();
+    std::ostringstream mem;
+    outputs.memrec->writeMemJson(mem, "{}", pf);
+    files.mem = mem.str();
+    return files;
+}
+
+constexpr std::uint64_t kStatsInterval = 4000;
+
+/** A direct Simulator::run of @p pf with every sink runSweep attaches
+ *  under kObserveAll, at runSweep's documented cadences (about 32
+ *  learning snapshots and 64 queue samples per run); the timeline goes
+ *  to @p events_out. */
+ObservedFiles
+directObservedRun(const trace::TraceBuffer &trace, const std::string &pf,
+                  const SystemConfig &config, std::string &events_out)
+{
+    std::ostringstream events_stream;
+    obs::TraceEventWriter events(events_stream);
+    CellOutputs outputs;
+    outputs.tracker = std::make_unique<obs::PrefetchTracker>(&events);
+    obs::LearningRecorder::Options learn;
+    learn.snapshot_every =
+        std::max<std::uint64_t>(1, trace.memAccesses() / 32);
+    outputs.learner =
+        std::make_unique<obs::LearningRecorder>(learn, &events);
+    obs::MemRecorder::Options mem;
+    mem.queue_sample_every =
+        std::max<std::uint64_t>(1, trace.memAccesses() / 64);
+    outputs.memrec =
+        std::make_unique<obs::MemRecorder>(config.memory, mem, &events);
+    prof::Profiler profiler;
+    const obs::RunObserver observer{outputs.tracker.get(),
+                                    outputs.learner.get(),
+                                    outputs.memrec.get(), &profiler};
+    Simulator simulator(config);
+    simulator.setSampling(kStatsInterval);
+    simulator.setObserver(&observer);
+    auto prefetcher = makePrefetcher(pf, config);
+    simulator.run(trace, *prefetcher);
+    outputs.report = simulator.lastReport();
+    outputs.series = simulator.lastSeries();
+    events.close();
+    events_out = events_stream.str();
+    return renderObserved(outputs, pf);
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream content;
+    content << in.rdbuf();
+    return content.str();
+}
+
+/** runSweep returns what every observer recorded: for each cell of one
+ *  workload x the paper lineup, with every sink attached, the report,
+ *  interval series, autopsy, learn.json, mem.json and live-streamed
+ *  timeline equal a direct run's at jobs 1 and 4. An observed cell is
+ *  simulated even when the result cache holds its stats; unobserved
+ *  cells carry no outputs. */
+TEST(ParallelSweep, ObservedCellsMatchDirectRunObservers)
+{
+    constexpr unsigned kObserveAll = kObserveTracker | kObserveLearn |
+                                     kObserveMem | kObserveProfile |
+                                     kObserveStats;
+    char tmpl[] = "/tmp/csp_observed_XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+    const SystemConfig config;
+    workloads::WorkloadParams params;
+    params.scale = 12000;
+    const trace::TraceBuffer trace =
+        workloads::Registry::builtin().create("list")->generate(params);
+
+    const std::vector<std::string> lineup = paperPrefetchers();
+    std::vector<ObservedFiles> direct;
+    std::vector<std::string> direct_events(lineup.size());
+    for (std::size_t i = 0; i < lineup.size(); ++i) {
+        direct.push_back(directObservedRun(trace, lineup[i], config,
+                                           direct_events[i]));
+    }
+
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        std::vector<SweepCell> grid;
+        for (const std::string &pf : lineup) {
+            grid.push_back({"list", params, config, pf,
+                            dir + "/" + std::to_string(jobs) + "." + pf +
+                                ".json"});
+        }
+        SweepOptions options;
+        options.verbose = false;
+        options.jobs = jobs;
+        options.observe = kObserveAll;
+        options.stats_interval = kStatsInterval;
+        const SweepResult sweep = runSweep(grid, options);
+        ASSERT_EQ(sweep.cells.size(), lineup.size());
+        for (std::size_t i = 0; i < lineup.size(); ++i) {
+            SCOPED_TRACE(lineup[i]);
+            const CellResult &cell = sweep.cells[i];
+            ASSERT_NE(cell.outputs, nullptr);
+            EXPECT_EQ(cell.outputs->trace_digest, trace.contentDigest());
+            EXPECT_GT(cell.outputs->profiler->calls(prof::Phase::TraceGen),
+                      0u);
+            const ObservedFiles files =
+                renderObserved(*cell.outputs, lineup[i]);
+            EXPECT_EQ(files.report, direct[i].report);
+            EXPECT_EQ(files.series, direct[i].series);
+            EXPECT_FALSE(cell.outputs->series.empty());
+            EXPECT_EQ(files.autopsy, direct[i].autopsy);
+            EXPECT_EQ(files.learn, direct[i].learn);
+            EXPECT_EQ(files.mem, direct[i].mem);
+            EXPECT_EQ(readFile(grid[i].trace_events), direct_events[i]);
+        }
+    }
+
+    // Warm the result cache with an unobserved sweep; the observed
+    // sweep must still simulate every cell to have outputs to return.
+    SweepOptions cached;
+    cached.verbose = false;
+    cached.jobs = 4;
+    cached.use_result_cache = true;
+    cached.result_cache_dir = dir + "/rc";
+    const SweepResult cold =
+        runSweep({"list"}, lineup, params, config, cached);
+    EXPECT_EQ(cold.cells_simulated, lineup.size());
+    const SweepResult warm =
+        runSweep({"list"}, lineup, params, config, cached);
+    EXPECT_EQ(warm.cells_cached, lineup.size());
+    for (const CellResult &cell : warm.cells)
+        EXPECT_EQ(cell.outputs, nullptr);
+    cached.observe = kObserveStats;
+    const SweepResult observed =
+        runSweep({"list"}, lineup, params, config, cached);
+    EXPECT_EQ(observed.cells_simulated, lineup.size());
+    EXPECT_EQ(observed.cells_cached, 0u);
+    for (std::size_t i = 0; i < lineup.size(); ++i) {
+        EXPECT_NE(observed.cells[i].outputs, nullptr);
+        expectIdenticalStats(observed.cells[i].stats, cold.cells[i].stats);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 /** TSan smoke: many workers, verbose heartbeat on, shared traces —

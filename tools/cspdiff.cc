@@ -25,6 +25,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli_number.h"
 #include "diff/csp_diff.h"
 
 namespace {
@@ -83,6 +84,10 @@ main(int argc, char **argv)
         }
         return argv[++i];
     };
+    const auto need_number = [&](int &i, auto &out) {
+        const char *flag = argv[i];
+        csp::tools::requireUnsigned("cspdiff", flag, need_value(i), out);
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
@@ -97,7 +102,7 @@ main(int argc, char **argv)
         } else if (arg == "--require-same-input") {
             options.require_same_input = true;
         } else if (arg == "--max-rows") {
-            max_rows = std::strtoull(need_value(i), nullptr, 10);
+            need_number(i, max_rows);
         } else if (arg == "--report") {
             report_path = need_value(i);
         } else if (!arg.empty() && arg[0] == '-') {

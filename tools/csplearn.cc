@@ -23,6 +23,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli_number.h"
 #include "diff/csp_diff.h"
 #include "diff/learn_report.h"
 
@@ -87,16 +88,19 @@ main(int argc, char **argv)
         }
         return argv[++i];
     };
+    const auto need_number = [&](int &i, auto &out) {
+        const char *flag = argv[i];
+        csp::tools::requireUnsigned("csplearn", flag, need_value(i), out);
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
         } else if (arg == "--rows") {
-            options.max_rows = std::strtoull(need_value(i), nullptr, 10);
+            need_number(i, options.max_rows);
         } else if (arg == "--contexts") {
-            options.max_contexts =
-                std::strtoull(need_value(i), nullptr, 10);
+            need_number(i, options.max_contexts);
         } else if (arg == "--report") {
             report_path = need_value(i);
         } else if (!arg.empty() && arg[0] == '-') {

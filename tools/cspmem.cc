@@ -23,6 +23,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli_number.h"
 #include "diff/csp_diff.h"
 #include "diff/mem_report.h"
 
@@ -89,21 +90,23 @@ main(int argc, char **argv)
         }
         return argv[++i];
     };
+    const auto need_number = [&](int &i, auto &out) {
+        const char *flag = argv[i];
+        csp::tools::requireUnsigned("cspmem", flag, need_value(i), out);
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
         } else if (arg == "--sets") {
-            options.max_sets = std::strtoull(need_value(i), nullptr, 10);
+            need_number(i, options.max_sets);
         } else if (arg == "--pairs") {
-            options.max_pairs =
-                std::strtoull(need_value(i), nullptr, 10);
+            need_number(i, options.max_pairs);
         } else if (arg == "--pcs") {
-            options.max_pcs = std::strtoull(need_value(i), nullptr, 10);
+            need_number(i, options.max_pcs);
         } else if (arg == "--timeline") {
-            options.max_timeline =
-                std::strtoull(need_value(i), nullptr, 10);
+            need_number(i, options.max_timeline);
         } else if (arg == "--report") {
             report_path = need_value(i);
         } else if (!arg.empty() && arg[0] == '-') {

@@ -2,48 +2,46 @@
  * @file
  * cspsim — command-line driver for the simulator.
  *
- * Runs any registered workload against any prefetcher (or the paper's
- * whole lineup), with the common configuration knobs exposed as flags,
- * optional trace caching on disk, and table or CSV output.
+ * Runs registered workloads against one prefetcher or the paper's whole
+ * lineup, with the common configuration knobs exposed as flags. Every
+ * invocation is one sim::runSweep grid. With --workload the grid is one
+ * workload, rendered as a table, CSV or JSON, plus any per-run outputs
+ * (stats, autopsy, Perfetto timeline, learn.json, mem.json, profile).
+ * With --workloads it is a sweep, cached and shardable, printed as the
+ * cell CSV.
  *
  * Examples:
  *   cspsim --list
  *   cspsim --workload list --prefetcher all
  *   cspsim --workload mcf --prefetcher context --scale 1000000
- *   cspsim --workload graph500-list --save-trace g.trace
- *   cspsim --load-trace g.trace --prefetcher sms --csv
+ *   cspsim --workload list --stats-out s.json --learn-out learn.json
+ *   cspsim --workloads spec --prefetcher all --sweep-out spec.json
  */
 
-#include <charconv>
-#include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "cli_number.h"
 #include "core/config.h"
 #include "core/logging.h"
 #include "core/profiling.h"
 #include "core/run_manifest.h"
-#include "core/thread_pool.h"
 #include "obs/learning.h"
 #include "obs/lifecycle.h"
 #include "obs/mem_recorder.h"
-#include "obs/run_observer.h"
-#include "obs/trace_events.h"
 #include "sim/experiment.h"
 #include "sim/result_cache.h"
-#include "sim/simulator.h"
 #include "sim/sweep_events.h"
 #include "sim/sweep_io.h"
 #include "sim/table.h"
-#include "trace/trace_io.h"
 #include "workloads/registry.h"
 
 namespace {
@@ -57,8 +55,6 @@ struct Options
     std::uint64_t scale = 250000;
     std::uint64_t seed = 1;
     runtime::Placement placement = runtime::Placement::Randomized;
-    std::string save_trace;
-    std::string load_trace;
     bool csv = false;
     bool json = false;
     bool list = false;
@@ -75,10 +71,8 @@ struct Options
     std::string trace_events;
     std::uint64_t trace_sample = 1;
     std::string learn_out;
-    std::uint64_t learn_snapshot_every = 0; ///< 0 = auto (~32/run)
     std::string mem_out;
-    std::uint64_t mem_interval = 0; ///< 0 = auto (~64 samples/run)
-    // Sweep-service mode (--workloads): cached, shardable grid runs.
+    // Sweep mode (--workloads): cached grid runs, cell CSV on stdout.
     std::string sweep_workloads;
     std::string sweep_out;
     std::string events_out;
@@ -108,16 +102,11 @@ usage()
         "250000)\n"
         "  --seed N                 workload + learner seed\n"
         "  --placement seq|rand     heap placement for workloads\n"
-        "  --save-trace FILE        write the generated trace and "
-        "exit\n"
-        "  --load-trace FILE        simulate a saved trace instead of "
-        "generating\n"
         "  --csv                    CSV instead of aligned table\n"
         "  --json                   one JSON object per prefetcher\n"
-        "  --jobs N                 worker threads for multi-prefetcher\n"
-        "                           runs (default: CSP_JOBS, else all\n"
-        "                           cores); results are bit-identical\n"
-        "                           for any N\n"
+        "  --jobs N                 worker threads (default: CSP_JOBS,\n"
+        "                           else all cores); results are\n"
+        "                           bit-identical for any N\n"
         "  --stats-out FILE         full hierarchical stats as JSON\n"
         "  --stats-interval N       sample interval stats every N\n"
         "                           instructions into a CSV time-series\n"
@@ -138,25 +127,20 @@ usage()
         "                           events, MSHR occupancy counters\n"
         "  --trace-sample N         emit 1 in N lifecycle spans and\n"
         "                           instant events (default 1 = all)\n"
-        "  --learn-out FILE         periodic learning-state snapshots\n"
-        "                           (policy epsilon/accuracy/entropy,\n"
-        "                           CST health, top contexts with arm\n"
-        "                           scores) as learn.json, manifest\n"
-        "                           embedded; render with csplearn,\n"
-        "                           diff with cspdiff\n"
-        "  --learn-snapshot-every N snapshot the learning state every N\n"
-        "                           prefetcher lookups (default 0 =\n"
-        "                           auto, about 32 per run)\n"
+        "  --learn-out FILE         learning-state snapshots, about 32\n"
+        "                           per run (policy epsilon/accuracy/\n"
+        "                           entropy, CST health, top contexts\n"
+        "                           with arm scores) as learn.json,\n"
+        "                           manifest embedded; render with\n"
+        "                           csplearn, diff with cspdiff\n"
         "  --mem-out FILE           memory-hierarchy observatory export\n"
         "                           (3C+pollution miss taxonomy from\n"
         "                           shadow models, reuse-distance and\n"
         "                           set-pressure telemetry, MSHR/DRAM\n"
-        "                           queue timeline) as mem.json,\n"
-        "                           manifest embedded; render with\n"
-        "                           cspmem, diff with cspdiff\n"
-        "  --mem-interval N         sample MSHR/DRAM queue depths every\n"
-        "                           N demand accesses (default 0 =\n"
-        "                           auto, about 64 samples per run)\n"
+        "                           queue timeline of about 64 samples\n"
+        "                           per run) as mem.json, manifest\n"
+        "                           embedded; render with cspmem, diff\n"
+        "                           with cspdiff\n"
         "  --profile                attribute wall-clock to simulator\n"
         "                           phases (trace-gen, replay, train/\n"
         "                           predict, memory, stats flush) under\n"
@@ -170,7 +154,11 @@ usage()
         "                           memoized in the result cache and\n"
         "                           traces in the trace cache, so a\n"
         "                           repeated sweep does zero simulation\n"
-        "                           work with byte-identical output\n"
+        "                           work with byte-identical output.\n"
+        "                           Per-run outputs (--stats-out,\n"
+        "                           --stats-interval, --autopsy-out,\n"
+        "                           --trace-events, --learn-out,\n"
+        "                           --mem-out, --profile) need --workload\n"
         "  --sweep-out FILE         write the sweep artefact (manifest,\n"
         "                           cache/shard accounting, cells) as\n"
         "                           csp-sweep-v2 JSON; shards feed these\n"
@@ -208,8 +196,10 @@ usage()
         "  --manifest               print the run-provenance manifest\n"
         "                           (build, config digest, host) as\n"
         "                           JSON and exit\n"
-        "  --verbose                rate-limited progress line (percent,\n"
-        "                           insts/s, cells done) on stderr\n"
+        "  --verbose                one line per trace (instructions,\n"
+        "                           accesses) and a rate-limited progress\n"
+        "                           line (percent, insts/s, cells done)\n"
+        "                           on stderr\n"
         "  --cst-entries N          context prefetcher CST size\n"
         "  --max-degree N           context prefetcher degree cap\n"
         "  --softmax                softmax exploration (extension)\n"
@@ -231,9 +221,7 @@ parse(int argc, char **argv)
     const auto need_number = [&]<typename T>(int &i, T &out) {
         const char *flag = argv[i];
         const char *text = need_value(i);
-        const char *end = text + std::strlen(text);
-        const auto [stop, error] = std::from_chars(text, end, out);
-        if (text == end || error != std::errc() || stop != end)
+        if (!tools::parseUnsigned(text, out))
             fatal("%s wants an unsigned number, got '%s'", flag, text);
     };
     for (int i = 1; i < argc; ++i) {
@@ -263,10 +251,6 @@ parse(int argc, char **argv)
                 options.placement = runtime::Placement::Randomized;
             else
                 fatal("unknown placement: %s", mode.c_str());
-        } else if (arg == "--save-trace") {
-            options.save_trace = need_value(i);
-        } else if (arg == "--load-trace") {
-            options.load_trace = need_value(i);
         } else if (arg == "--csv") {
             options.csv = true;
         } else if (arg == "--json") {
@@ -289,12 +273,8 @@ parse(int argc, char **argv)
             options.trace_events = need_value(i);
         } else if (arg == "--learn-out") {
             options.learn_out = need_value(i);
-        } else if (arg == "--learn-snapshot-every") {
-            need_number(i, options.learn_snapshot_every);
         } else if (arg == "--mem-out") {
             options.mem_out = need_value(i);
-        } else if (arg == "--mem-interval") {
-            need_number(i, options.mem_interval);
         } else if (arg == "--profile") {
             options.profile = true;
         } else if (arg == "--workloads") {
@@ -311,8 +291,13 @@ parse(int argc, char **argv)
             options.cache_max_bytes_set = true;
         } else if (arg == "--shard") {
             const char *spec = need_value(i);
-            if (std::sscanf(spec, "%u/%u", &options.shard_index,
-                            &options.shard_count) != 2 ||
+            const std::string_view text = spec;
+            const std::size_t slash = text.find('/');
+            if (slash == std::string_view::npos ||
+                !tools::parseUnsigned(text.substr(0, slash),
+                                      options.shard_index) ||
+                !tools::parseUnsigned(text.substr(slash + 1),
+                                      options.shard_count) ||
                 options.shard_count == 0 ||
                 options.shard_index >= options.shard_count) {
                 fatal("--shard wants I/N with I < N, got %s", spec);
@@ -381,34 +366,9 @@ sweepWorkloadList(const std::string &selection)
     return names;
 }
 
-trace::TraceBuffer
-obtainTrace(const Options &options)
-{
-    if (!options.load_trace.empty()) {
-        trace::TraceBuffer buffer;
-        const trace::TraceIoStatus status =
-            trace::loadTraceFile(options.load_trace, buffer);
-        if (status != trace::TraceIoStatus::Ok) {
-            fatal("cannot load trace %s: %s",
-                  options.load_trace.c_str(),
-                  trace::traceIoStatusName(status));
-        }
-        return buffer;
-    }
-    if (options.workload.empty())
-        fatal("--workload or --load-trace is required (see --help)");
-    workloads::WorkloadParams params;
-    params.scale = options.scale;
-    params.seed = options.seed;
-    params.placement = options.placement;
-    const auto workload =
-        workloads::Registry::builtin().create(options.workload);
-    return workload->generate(params);
-}
-
 /** Create @p path's parent directories (fatal with a clear message on
- *  failure) so --stats-out/--autopsy-out/--trace-events/--save-trace
- *  into a fresh results directory just work. */
+ *  failure) so every output flag into a fresh results directory just
+ *  works. */
 void
 ensureParentDir(const std::string &path)
 {
@@ -425,14 +385,15 @@ ensureParentDir(const std::string &path)
     }
 }
 
-void
-writeFile(const std::string &path, const std::string &content)
+/** Open @p path for writing, creating its parent directories. */
+std::ofstream
+openOutput(const std::string &path)
 {
     ensureParentDir(path);
     std::ofstream out(path);
     if (!out)
         fatal("cannot write %s", path.c_str());
-    out << content;
+    return out;
 }
 
 /** Tag @p base per prefetcher on multi-prefetcher runs:
@@ -460,10 +421,6 @@ intervalCsvPath(const Options &options, const std::string &pf_name,
     if (!options.stats_csv.empty())
         return taggedPath(options.stats_csv, pf_name, multi);
     std::string base = options.stats_out;
-    if (base.empty()) {
-        fatal("--stats-interval needs --stats-out or "
-              "--stats-csv for the CSV path");
-    }
     if (base.size() > 5 &&
         base.compare(base.size() - 5, 5, ".json") == 0) {
         base.erase(base.size() - 5);
@@ -492,6 +449,188 @@ autopsyStem(const std::string &path, const std::string &pf_name,
     return stem;
 }
 
+/** A sweep prints only the cell CSV: every flag that writes a per-run
+ *  output is an error with --workloads, not silently ignored. */
+void
+rejectPerRunFlags(const Options &options)
+{
+    const std::pair<const char *, bool> per_run[] = {
+        {"--stats-out", !options.stats_out.empty()},
+        {"--stats-csv", !options.stats_csv.empty()},
+        {"--stats-interval", options.stats_interval != 0},
+        {"--autopsy-out", !options.autopsy_out.empty()},
+        {"--trace-events", !options.trace_events.empty()},
+        {"--learn-out", !options.learn_out.empty()},
+        {"--mem-out", !options.mem_out.empty()},
+        {"--profile", options.profile},
+    };
+    for (const auto &[flag, given] : per_run) {
+        if (given) {
+            fatal("%s writes a per-run output and needs --workload, "
+                  "not --workloads",
+                  flag);
+        }
+    }
+}
+
+/** The ObserveSink mask the per-run output flags need. */
+unsigned
+observeMask(const Options &options)
+{
+    unsigned observe = 0;
+    // The tracker rides along with every other observatory, as the
+    // autopsy of the same run; the learning recorder also feeds the
+    // timeline's rl/bandit/policy tracks.
+    if (!options.autopsy_out.empty() || !options.trace_events.empty() ||
+        !options.learn_out.empty() || !options.mem_out.empty())
+        observe |= sim::kObserveTracker;
+    if (!options.learn_out.empty() || !options.trace_events.empty())
+        observe |= sim::kObserveLearn;
+    if (!options.mem_out.empty())
+        observe |= sim::kObserveMem;
+    if (options.profile)
+        observe |= sim::kObserveProfile;
+    if (!options.stats_out.empty() || options.stats_interval != 0)
+        observe |= sim::kObserveStats;
+    return observe;
+}
+
+/** Write every per-run output file of a --workload run, in lineup
+ *  order, each embedding @p manifest. */
+void
+writeRunOutputs(const Options &options, const RunManifest &manifest,
+                const sim::SweepResult &result, bool multi)
+{
+    std::ostringstream stats_json;
+    for (const sim::CellResult &cell : result.cells) {
+        if (!cell.present)
+            continue;
+        const std::string &pf_name = cell.prefetcher;
+        const sim::CellOutputs *outputs = cell.outputs.get();
+        if (!options.stats_out.empty()) {
+            if (multi) {
+                stats_json << (stats_json.tellp() == 0 ? "{" : ",")
+                           << '"' << pf_name << "\":";
+            }
+            stats_json << outputs->report.toJson();
+        }
+        if (options.stats_interval != 0) {
+            const std::string path =
+                intervalCsvPath(options, pf_name, multi);
+            std::ofstream csv = openOutput(path);
+            manifest.writeCsvComment(csv);
+            outputs->series.writeCsv(csv);
+            if (options.verbose)
+                inform("wrote interval stats to %s", path.c_str());
+        }
+        if (!options.autopsy_out.empty()) {
+            const std::string stem =
+                autopsyStem(options.autopsy_out, pf_name, multi);
+            std::ofstream autopsy_csv = openOutput(stem + ".csv");
+            outputs->tracker->writeAutopsyCsv(autopsy_csv, pf_name);
+            std::ofstream autopsy_json = openOutput(stem + ".json");
+            outputs->tracker->writeAutopsyJson(autopsy_json, pf_name);
+            if (options.verbose) {
+                inform("wrote autopsy tables to %s.{csv,json}",
+                       stem.c_str());
+            }
+        }
+        if (!options.learn_out.empty()) {
+            const std::string path =
+                taggedPath(options.learn_out, pf_name, multi);
+            std::ofstream learn_file = openOutput(path);
+            outputs->learner->writeLearnJson(learn_file,
+                                             manifest.toJson(), pf_name);
+            if (options.verbose)
+                inform("wrote learning snapshots to %s", path.c_str());
+        }
+        if (!options.mem_out.empty()) {
+            const std::string path =
+                taggedPath(options.mem_out, pf_name, multi);
+            std::ofstream mem_file = openOutput(path);
+            outputs->memrec->writeMemJson(mem_file, manifest.toJson(),
+                                          pf_name);
+            if (options.verbose)
+                inform("wrote memory observatory to %s", path.c_str());
+        }
+    }
+    if (!options.stats_out.empty()) {
+        if (multi)
+            stats_json << '}';
+        // Every stats file leads with its provenance so any two runs
+        // can be compared (or rejected as incomparable) by cspdiff.
+        openOutput(options.stats_out)
+            << "{\"manifest\":" << manifest.toJson()
+            << ",\"stats\":" << stats_json.str() << "}\n";
+        if (options.verbose)
+            inform("wrote stats to %s", options.stats_out.c_str());
+    }
+    if (options.profile) {
+        for (const sim::CellResult &cell : result.cells) {
+            if (!cell.present)
+                continue;
+            const prof::Profiler &profile = *cell.outputs->profiler;
+            for (std::size_t p = 0;
+                 p < static_cast<std::size_t>(prof::Phase::Count); ++p) {
+                const auto phase = static_cast<prof::Phase>(p);
+                if (profile.calls(phase) == 0)
+                    continue;
+                inform("profile %-10s %-16s %10.2f ms %12llu calls",
+                       cell.prefetcher.c_str(),
+                       prof::phaseStatName(phase),
+                       static_cast<double>(profile.ns(phase)) / 1e6,
+                       static_cast<unsigned long long>(
+                           profile.calls(phase)));
+            }
+        }
+    }
+}
+
+/** The single-run table, one row per prefetcher: the full Figure-9
+ *  benefit breakdown plus wrong prefetches, and --json lines. */
+void
+printRunTable(const Options &options, const sim::SweepResult &result)
+{
+    sim::Table table({"prefetcher", "IPC", "speedup", "L1-MPKI",
+                      "L2-MPKI", "pf-issued", "pf-never-hit",
+                      "hit-pf%", "shorter%", "non-timely%",
+                      "miss-unpf%", "hit-dem%"});
+    double baseline_ipc = 0.0;
+    for (const sim::CellResult &cell : result.cells) {
+        if (!cell.present)
+            continue;
+        const sim::RunStats &stats = cell.stats;
+        if (options.json) {
+            std::cout << "{\"prefetcher\":\"" << cell.prefetcher
+                      << "\",\"stats\":" << stats.toJson() << "}\n";
+        }
+        if (baseline_ipc == 0.0) {
+            // First row is the reference (it is "none" for "all").
+            baseline_ipc = stats.ipc();
+        }
+        const auto pct = [&stats](sim::AccessClass cls) {
+            return sim::Table::num(
+                100.0 * stats.classFraction(cls), 1);
+        };
+        table.addRow(
+            {cell.prefetcher, sim::Table::num(stats.ipc(), 3),
+             sim::Table::num(stats.ipc() / baseline_ipc, 3),
+             sim::Table::num(stats.l1Mpki(), 1),
+             sim::Table::num(stats.l2Mpki(), 2),
+             std::to_string(stats.hierarchy.prefetches_issued),
+             std::to_string(stats.prefetch_never_hit),
+             pct(sim::AccessClass::HitPrefetchedLine),
+             pct(sim::AccessClass::ShorterWait),
+             pct(sim::AccessClass::NonTimely),
+             pct(sim::AccessClass::MissNotPrefetched),
+             pct(sim::AccessClass::HitOlderDemand)});
+    }
+    if (options.csv)
+        table.printCsv(std::cout);
+    else
+        table.print(std::cout);
+}
+
 } // namespace
 
 int
@@ -518,412 +657,147 @@ main(int argc, char **argv)
         return 0;
     }
 
-    RunManifest manifest = makeRunManifest("cspsim", options.config);
-    manifest.workloads = !options.load_trace.empty()
-                             ? "trace:" + options.load_trace
-                             : options.workload;
-    manifest.prefetchers = options.prefetcher;
-    manifest.scale = options.scale;
-    manifest.placement =
-        options.placement == runtime::Placement::Sequential ? "seq"
-                                                            : "rand";
     if (options.print_manifest) {
+        RunManifest manifest = makeRunManifest("cspsim", options.config);
+        manifest.workloads = options.workload;
+        manifest.prefetchers = options.prefetcher;
+        manifest.scale = options.scale;
+        manifest.placement =
+            options.placement == runtime::Placement::Sequential ? "seq"
+                                                                : "rand";
         std::cout << manifest.toJson() << '\n';
         return 0;
     }
 
-    if (options.sweep_workloads.empty() &&
-        (!options.events_out.empty() || options.cache_max_bytes_set)) {
-        fatal("--events-out / --cache-max-bytes are sweep-mode flags "
-              "(use --workloads)");
+    const bool sweep_mode = !options.sweep_workloads.empty();
+    if (sweep_mode)
+        rejectPerRunFlags(options);
+    else if (options.workload.empty())
+        fatal("--workload or --workloads is required (see --help)");
+    if (options.stats_interval != 0 && options.stats_out.empty() &&
+        options.stats_csv.empty()) {
+        fatal("--stats-interval needs --stats-out or "
+              "--stats-csv for the CSV path");
     }
 
-    // Sweep-service mode: the whole grid (or one shard of it) through
-    // runSweep with both caches on by default — the flags/env knobs
-    // above opt out. stdout carries the deterministic cell CSV;
-    // --sweep-out carries the full artefact for cspmerge/cspdiff.
-    if (!options.sweep_workloads.empty()) {
-        workloads::WorkloadParams params;
-        params.scale = options.scale;
-        params.seed = options.seed;
-        params.placement = options.placement;
-        sim::SweepOptions sweep_opts;
-        sweep_opts.verbose = options.verbose;
-        sweep_opts.jobs = options.jobs;
-        sweep_opts.use_result_cache = !options.no_result_cache &&
-                                      sim::resultCacheEnabledByEnv();
-        sweep_opts.use_trace_cache = !options.no_trace_cache &&
-                                     sim::traceCacheEnabledByEnv();
-        sweep_opts.result_cache_dir = options.result_cache_dir;
-        sweep_opts.trace_cache_dir = options.trace_cache_dir;
-        sweep_opts.shard_index = options.shard_index;
-        sweep_opts.shard_count = options.shard_count;
-        // The journal is strictly side-band: runSweep records what it
-        // already computed, so results are byte-identical with events
-        // on or off (enforced by test_sweep_events).
-        sim::SweepEventJournal journal;
-        if (!options.events_out.empty()) {
-            ensureParentDir(options.events_out);
-            if (!journal.open(options.events_out))
-                fatal("cannot write %s", options.events_out.c_str());
-            sweep_opts.journal = &journal;
-        }
-        const sim::SweepResult result = sim::runSweep(
-            sweepWorkloadList(options.sweep_workloads),
-            prefetcherList(options.prefetcher), params,
-            options.config, sweep_opts);
-        if (!options.sweep_out.empty()) {
-            std::ostringstream doc;
-            sim::writeSweepJson(doc, result);
-            writeFile(options.sweep_out, doc.str());
-            if (options.verbose) {
-                inform("wrote sweep artefact to %s",
-                       options.sweep_out.c_str());
+    // One grid for every invocation: the lineup against one workload,
+    // or against every --workloads entry. Each cell's timeline file is
+    // streamed live by the run itself.
+    const std::vector<std::string> pf_names =
+        prefetcherList(options.prefetcher);
+    const bool multi = pf_names.size() > 1;
+    workloads::WorkloadParams params;
+    params.scale = options.scale;
+    params.seed = options.seed;
+    params.placement = options.placement;
+    std::vector<sim::SweepCell> grid;
+    for (const std::string &workload :
+         sweep_mode ? sweepWorkloadList(options.sweep_workloads)
+                    : std::vector<std::string>{options.workload}) {
+        for (const std::string &pf_name : pf_names) {
+            std::string trace_events;
+            if (!options.trace_events.empty()) {
+                trace_events =
+                    taggedPath(options.trace_events, pf_name, multi);
+                ensureParentDir(trace_events);
             }
+            grid.push_back(
+                {workload, params, options.config, pf_name, trace_events});
         }
-        // Bound the result cache only after the sweep is done — a
-        // concurrent shard may be about to hit an entry mid-sweep. The
-        // trim events are the only ones allowed after sweep_end.
-        const std::uint64_t cache_budget =
-            options.cache_max_bytes_set ? options.cache_max_bytes
-                                        : sim::cacheMaxBytesFromEnv();
-        if (cache_budget != 0) {
-            const std::string cache_dir =
-                !options.result_cache_dir.empty()
-                    ? options.result_cache_dir
-                    : sim::defaultResultCacheDir();
-            const sim::CacheTrimResult trim =
-                sim::trimResultCache(cache_dir, cache_budget);
-            if (journal.isOpen()) {
-                using J = sim::SweepEventJournal;
-                for (const auto &[entry, bytes] : trim.evicted) {
-                    journal.emit("evict", {J::str("entry", entry),
-                                           J::u64("bytes", bytes)});
-                }
-                journal.emit(
-                    "cache_trim",
-                    {J::u64("max_bytes", cache_budget),
-                     J::u64("scanned_entries", trim.scanned_entries),
-                     J::u64("scanned_bytes", trim.scanned_bytes),
-                     J::u64("evicted_entries", trim.evicted_entries),
-                     J::u64("evicted_bytes", trim.evicted_bytes)});
-            }
-            if (options.verbose && trim.evicted_entries != 0) {
-                inform("cache trim: evicted %llu of %llu entries "
-                       "(%llu of %llu bytes) to fit %llu",
-                       static_cast<unsigned long long>(
-                           trim.evicted_entries),
-                       static_cast<unsigned long long>(
-                           trim.scanned_entries),
-                       static_cast<unsigned long long>(
-                           trim.evicted_bytes),
-                       static_cast<unsigned long long>(
-                           trim.scanned_bytes),
-                       static_cast<unsigned long long>(cache_budget));
-            }
+    }
+
+    // Sweeps consult both caches unless a flag or env knob opts out;
+    // single runs always simulate cold.
+    sim::SweepOptions sweep_opts;
+    sweep_opts.verbose = options.verbose;
+    sweep_opts.jobs = options.jobs;
+    sweep_opts.observe = observeMask(options);
+    sweep_opts.use_result_cache = sweep_mode && !options.no_result_cache &&
+                                  sim::resultCacheEnabledByEnv();
+    sweep_opts.use_trace_cache = sweep_mode && !options.no_trace_cache &&
+                                 sim::traceCacheEnabledByEnv();
+    sweep_opts.result_cache_dir = options.result_cache_dir;
+    sweep_opts.trace_cache_dir = options.trace_cache_dir;
+    sweep_opts.shard_index = options.shard_index;
+    sweep_opts.shard_count = options.shard_count;
+    sweep_opts.trace_sample = options.trace_sample;
+    sweep_opts.stats_interval = options.stats_interval;
+    sweep_opts.stats_filter = options.stats_filter;
+    // The journal is strictly side-band: runSweep records what it
+    // already computed, so results are byte-identical with events on
+    // or off (enforced by test_sweep_events).
+    sim::SweepEventJournal journal;
+    if (!options.events_out.empty()) {
+        ensureParentDir(options.events_out);
+        if (!journal.open(options.events_out))
+            fatal("cannot write %s", options.events_out.c_str());
+        sweep_opts.journal = &journal;
+    }
+    const sim::SweepResult result = sim::runSweep(grid, sweep_opts);
+    if (!options.sweep_out.empty()) {
+        std::ostringstream doc;
+        sim::writeSweepJson(doc, result);
+        openOutput(options.sweep_out) << doc.str();
+        if (options.verbose) {
+            inform("wrote sweep artefact to %s",
+                   options.sweep_out.c_str());
         }
-        journal.close();
+    }
+    // Bound the result cache only after the sweep is done — a
+    // concurrent shard may be about to hit an entry mid-sweep. The
+    // trim events are the only ones allowed after sweep_end.
+    const std::uint64_t cache_budget =
+        options.cache_max_bytes_set ? options.cache_max_bytes
+                                    : sim::cacheMaxBytesFromEnv();
+    if (cache_budget != 0) {
+        const std::string cache_dir =
+            !options.result_cache_dir.empty()
+                ? options.result_cache_dir
+                : sim::defaultResultCacheDir();
+        const sim::CacheTrimResult trim =
+            sim::trimResultCache(cache_dir, cache_budget);
+        if (journal.isOpen()) {
+            using J = sim::SweepEventJournal;
+            for (const auto &[entry, bytes] : trim.evicted) {
+                journal.emit("evict", {J::str("entry", entry),
+                                       J::u64("bytes", bytes)});
+            }
+            journal.emit(
+                "cache_trim",
+                {J::u64("max_bytes", cache_budget),
+                 J::u64("scanned_entries", trim.scanned_entries),
+                 J::u64("scanned_bytes", trim.scanned_bytes),
+                 J::u64("evicted_entries", trim.evicted_entries),
+                 J::u64("evicted_bytes", trim.evicted_bytes)});
+        }
+        if (options.verbose && trim.evicted_entries != 0) {
+            inform("cache trim: evicted %llu of %llu entries "
+                   "(%llu of %llu bytes) to fit %llu",
+                   static_cast<unsigned long long>(trim.evicted_entries),
+                   static_cast<unsigned long long>(trim.scanned_entries),
+                   static_cast<unsigned long long>(trim.evicted_bytes),
+                   static_cast<unsigned long long>(trim.scanned_bytes),
+                   static_cast<unsigned long long>(cache_budget));
+        }
+    }
+    journal.close();
+    if (sweep_mode) {
         sim::writeSweepCsv(std::cout, result);
         return 0;
     }
 
-    const auto trace_gen_start = std::chrono::steady_clock::now();
-    const trace::TraceBuffer trace = obtainTrace(options);
-    manifest.trace_gen_seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - trace_gen_start)
-            .count();
-    manifest.trace_digest = hexDigest(trace.contentDigest());
-    manifest.trace_records = trace.size();
-    manifest.trace_instructions = trace.instructions();
-    manifest.trace_accesses = trace.memAccesses();
-    if (options.verbose) {
-        inform("trace: %llu instructions, %llu memory accesses",
-               static_cast<unsigned long long>(trace.instructions()),
-               static_cast<unsigned long long>(trace.memAccesses()));
-    }
-    if (!options.save_trace.empty()) {
-        ensureParentDir(options.save_trace);
-        if (!trace::saveTraceFile(trace, options.save_trace))
-            fatal("cannot write %s", options.save_trace.c_str());
-        inform("saved %zu records to %s", trace.size(),
-               options.save_trace.c_str());
-        return 0;
-    }
-
-    const std::vector<std::string> pf_names =
-        prefetcherList(options.prefetcher);
-    const bool multi = pf_names.size() > 1;
-
-    // Simulate every requested prefetcher first — independent runs
-    // over the shared read-only trace, spread across --jobs worker
-    // threads — then emit all output serially in lineup order, so the
-    // table, JSON and CSV files are byte-identical for any job count.
-    struct PfOutcome
-    {
-        sim::RunStats stats;
-        stats::Report report;
-        stats::TimeSeries series;
-        /// Lifecycle results, kept past the worker for serial autopsy
-        /// output; null when neither --autopsy-out nor --trace-events
-        /// was given.
-        std::unique_ptr<obs::PrefetchTracker> tracker;
-        /// Phase wall-clock attribution; null unless --profile.
-        std::unique_ptr<prof::Profiler> profiler;
-        /// Learning-dynamics recorder, kept past the worker for the
-        /// serial learn.json write; null unless --learn-out or
-        /// --trace-events.
-        std::unique_ptr<obs::LearningRecorder> learner;
-        /// Memory-hierarchy recorder, kept past the worker for the
-        /// serial mem.json write; null unless --mem-out.
-        std::unique_ptr<obs::MemRecorder> memrec;
-    };
-    const bool observing = !options.autopsy_out.empty() ||
-                           !options.trace_events.empty() ||
-                           !options.learn_out.empty() ||
-                           !options.mem_out.empty();
-    std::vector<PfOutcome> outcomes(pf_names.size());
-    if (options.profile) {
-        // Trace generation is shared by every prefetcher's run, so
-        // each profile carries the full trace-gen cost.
-        const auto trace_gen_ns = static_cast<std::uint64_t>(
-            manifest.trace_gen_seconds * 1e9);
-        for (auto &outcome : outcomes) {
-            outcome.profiler = std::make_unique<prof::Profiler>();
-            outcome.profiler->add(prof::Phase::TraceGen, trace_gen_ns);
+    // Every per-run output embeds the sweep's manifest, named for
+    // cspsim and for its one trace rather than the combined digest.
+    RunManifest manifest = result.manifest;
+    manifest.tool = "cspsim";
+    manifest.prefetchers = options.prefetcher;
+    for (const sim::CellResult &cell : result.cells) {
+        if (cell.outputs != nullptr) {
+            manifest.trace_digest = hexDigest(cell.outputs->trace_digest);
+            break;
         }
     }
-    const auto sim_start = std::chrono::steady_clock::now();
-    {
-        ThreadPool pool(options.jobs);
-        manifest.jobs = pool.threads();
-        sim::SweepProgress progress(
-            options.workload.empty() ? "cspsim" : options.workload,
-            std::vector<std::uint64_t>(pf_names.size(),
-                                       trace.instructions()),
-            pool.threads());
-        for (std::size_t i = 0; i < pf_names.size(); ++i) {
-            pool.submit([&, i] {
-                auto prefetcher =
-                    sim::makePrefetcher(pf_names[i], options.config);
-                sim::Simulator simulator(options.config);
-                simulator.setReportFilter(options.stats_filter);
-                if (options.stats_interval != 0) {
-                    simulator.setSampling(options.stats_interval,
-                                          options.stats_filter);
-                }
-                if (options.verbose)
-                    simulator.setProgress(progress.hook(i));
-                // The timeline file is written live during the run (one
-                // per prefetcher — workers never share a stream); the
-                // autopsy tracker survives for serial output below.
-                std::ofstream events_file;
-                std::unique_ptr<obs::TraceEventWriter> events;
-                obs::RunObserver observer;
-                observer.profiler = outcomes[i].profiler.get();
-                if (!options.trace_events.empty()) {
-                    const std::string path = taggedPath(
-                        options.trace_events, pf_names[i], multi);
-                    ensureParentDir(path);
-                    events_file.open(path);
-                    if (!events_file)
-                        fatal("cannot write %s", path.c_str());
-                    events = std::make_unique<obs::TraceEventWriter>(
-                        events_file);
-                }
-                // One recorder feeds both learn.json and the timeline's
-                // rl/bandit/policy tracks.
-                if (!options.learn_out.empty() || events != nullptr) {
-                    obs::LearningRecorder::Options learn_opts;
-                    learn_opts.trace_sample = options.trace_sample;
-                    if (!options.learn_out.empty()) {
-                        // Auto cadence: ~32 snapshots per run. Lookup
-                        // counts, not wall-clock, so the snapshot
-                        // series is identical for any --jobs.
-                        learn_opts.snapshot_every =
-                            options.learn_snapshot_every != 0
-                                ? options.learn_snapshot_every
-                                : std::max<std::uint64_t>(
-                                      1, trace.memAccesses() / 32);
-                    }
-                    outcomes[i].learner =
-                        std::make_unique<obs::LearningRecorder>(
-                            learn_opts, events.get());
-                    observer.learn = outcomes[i].learner.get();
-                }
-                if (!options.mem_out.empty()) {
-                    obs::MemRecorder::Options mem_opts;
-                    // Auto cadence: ~64 queue-depth samples per run.
-                    // Demand-access counts, not wall-clock, so the
-                    // timeline is identical for any --jobs.
-                    mem_opts.queue_sample_every =
-                        options.mem_interval != 0
-                            ? options.mem_interval
-                            : std::max<std::uint64_t>(
-                                  1, trace.memAccesses() / 64);
-                    outcomes[i].memrec =
-                        std::make_unique<obs::MemRecorder>(
-                            options.config.memory, mem_opts,
-                            events.get());
-                    observer.mem = outcomes[i].memrec.get();
-                }
-                if (observing) {
-                    outcomes[i].tracker =
-                        std::make_unique<obs::PrefetchTracker>(
-                            events.get(), options.trace_sample);
-                    observer.tracker = outcomes[i].tracker.get();
-                }
-                simulator.setObserver(&observer);
-                outcomes[i].stats = simulator.run(trace, *prefetcher);
-                outcomes[i].report = simulator.lastReport();
-                outcomes[i].series = simulator.lastSeries();
-                if (events != nullptr)
-                    events->close();
-                if (options.verbose)
-                    progress.cellDone(i);
-            });
-        }
-        pool.wait();
-    }
-    manifest.sim_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      sim_start)
-            .count();
-    if (manifest.sim_seconds > 0.0) {
-        manifest.insts_per_sec =
-            static_cast<double>(trace.instructions()) *
-            static_cast<double>(pf_names.size()) / manifest.sim_seconds;
-    }
-
-    // Full Figure-9 benefit breakdown plus wrong prefetches, all
-    // sourced from the stats registry via RunStats.
-    sim::Table table({"prefetcher", "IPC", "speedup", "L1-MPKI",
-                      "L2-MPKI", "pf-issued", "pf-never-hit",
-                      "hit-pf%", "shorter%", "non-timely%",
-                      "miss-unpf%", "hit-dem%"});
-    double baseline_ipc = 0.0;
-    std::ostringstream stats_json;
-    for (std::size_t i = 0; i < pf_names.size(); ++i) {
-        const std::string &pf_name = pf_names[i];
-        const sim::RunStats &stats = outcomes[i].stats;
-        if (options.json) {
-            std::cout << "{\"prefetcher\":\"" << pf_name
-                      << "\",\"stats\":" << stats.toJson() << "}\n";
-        }
-        if (!options.stats_out.empty()) {
-            if (multi) {
-                stats_json << (stats_json.tellp() == 0 ? "{" : ",")
-                           << '"' << pf_name << "\":";
-            }
-            stats_json << outcomes[i].report.toJson();
-        }
-        if (options.stats_interval != 0) {
-            const std::string path =
-                intervalCsvPath(options, pf_name, multi);
-            ensureParentDir(path);
-            std::ofstream csv(path);
-            if (!csv)
-                fatal("cannot write %s", path.c_str());
-            manifest.writeCsvComment(csv);
-            outcomes[i].series.writeCsv(csv);
-            if (options.verbose)
-                inform("wrote interval stats to %s", path.c_str());
-        }
-        if (!options.autopsy_out.empty()) {
-            const std::string stem =
-                autopsyStem(options.autopsy_out, pf_name, multi);
-            const obs::PrefetchTracker &tracker = *outcomes[i].tracker;
-            ensureParentDir(stem + ".csv");
-            std::ofstream autopsy_csv(stem + ".csv");
-            if (!autopsy_csv)
-                fatal("cannot write %s.csv", stem.c_str());
-            tracker.writeAutopsyCsv(autopsy_csv, pf_name);
-            std::ofstream autopsy_json(stem + ".json");
-            if (!autopsy_json)
-                fatal("cannot write %s.json", stem.c_str());
-            tracker.writeAutopsyJson(autopsy_json, pf_name);
-            if (options.verbose) {
-                inform("wrote autopsy tables to %s.{csv,json}",
-                       stem.c_str());
-            }
-        }
-        if (!options.learn_out.empty()) {
-            const std::string path =
-                taggedPath(options.learn_out, pf_name, multi);
-            ensureParentDir(path);
-            std::ofstream learn_file(path);
-            if (!learn_file)
-                fatal("cannot write %s", path.c_str());
-            outcomes[i].learner->writeLearnJson(
-                learn_file, manifest.toJson(), pf_name);
-            if (options.verbose)
-                inform("wrote learning snapshots to %s", path.c_str());
-        }
-        if (!options.mem_out.empty()) {
-            const std::string path =
-                taggedPath(options.mem_out, pf_name, multi);
-            ensureParentDir(path);
-            std::ofstream mem_file(path);
-            if (!mem_file)
-                fatal("cannot write %s", path.c_str());
-            outcomes[i].memrec->writeMemJson(
-                mem_file, manifest.toJson(), pf_name);
-            if (options.verbose)
-                inform("wrote memory observatory to %s", path.c_str());
-        }
-        if (baseline_ipc == 0.0) {
-            // First row is the reference (it is "none" for "all").
-            baseline_ipc = stats.ipc();
-        }
-        const auto pct = [&stats](sim::AccessClass cls) {
-            return sim::Table::num(
-                100.0 * stats.classFraction(cls), 1);
-        };
-        table.addRow(
-            {pf_name, sim::Table::num(stats.ipc(), 3),
-             sim::Table::num(stats.ipc() / baseline_ipc, 3),
-             sim::Table::num(stats.l1Mpki(), 1),
-             sim::Table::num(stats.l2Mpki(), 2),
-             std::to_string(stats.hierarchy.prefetches_issued),
-             std::to_string(stats.prefetch_never_hit),
-             pct(sim::AccessClass::HitPrefetchedLine),
-             pct(sim::AccessClass::ShorterWait),
-             pct(sim::AccessClass::NonTimely),
-             pct(sim::AccessClass::MissNotPrefetched),
-             pct(sim::AccessClass::HitOlderDemand)});
-    }
-    if (!options.stats_out.empty()) {
-        if (multi)
-            stats_json << '}';
-        // Every stats file leads with its provenance so any two runs
-        // can be compared (or rejected as incomparable) by cspdiff.
-        std::ostringstream doc;
-        doc << "{\"manifest\":" << manifest.toJson()
-            << ",\"stats\":" << stats_json.str() << "}\n";
-        writeFile(options.stats_out, doc.str());
-        if (options.verbose)
-            inform("wrote stats to %s", options.stats_out.c_str());
-    }
-    if (options.profile) {
-        for (std::size_t i = 0; i < pf_names.size(); ++i) {
-            const prof::Profiler &profile = *outcomes[i].profiler;
-            for (std::size_t p = 0;
-                 p < static_cast<std::size_t>(prof::Phase::Count);
-                 ++p) {
-                const auto phase = static_cast<prof::Phase>(p);
-                if (profile.calls(phase) == 0)
-                    continue;
-                inform("profile %-10s %-16s %10.2f ms %12llu calls",
-                       pf_names[i].c_str(), prof::phaseStatName(phase),
-                       static_cast<double>(profile.ns(phase)) / 1e6,
-                       static_cast<unsigned long long>(
-                           profile.calls(phase)));
-            }
-        }
-    }
-    if (options.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    writeRunOutputs(options, manifest, result, multi);
+    printRunTable(options, result);
     return 0;
 }

@@ -32,6 +32,7 @@
 #include <string>
 #include <thread>
 
+#include "cli_number.h"
 #include "diff/sweep_report.h"
 
 namespace {
@@ -100,6 +101,10 @@ main(int argc, char **argv)
         }
         return argv[++i];
     };
+    const auto need_number = [&](int &i, auto &out) {
+        const char *flag = argv[i];
+        csp::tools::requireUnsigned("csptop", flag, need_value(i), out);
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
@@ -110,11 +115,9 @@ main(int argc, char **argv)
         } else if (arg == "--follow") {
             follow = true;
         } else if (arg == "--interval-ms") {
-            interval_ms = static_cast<unsigned>(
-                std::strtoul(need_value(i), nullptr, 10));
+            need_number(i, interval_ms);
         } else if (arg == "--stragglers") {
-            options.max_stragglers =
-                std::strtoull(need_value(i), nullptr, 10);
+            need_number(i, options.max_stragglers);
         } else if (arg == "--report") {
             report_path = need_value(i);
         } else if (!arg.empty() && arg[0] == '-') {
