@@ -322,6 +322,71 @@ parseJsonFlat(const std::string &text, FlatDoc &out,
     return JsonParser(text, out).parse(error);
 }
 
+DocRules::DocRules(const FlatDoc &doc)
+{
+    for (const auto &[name, value] : doc.entries) {
+        index_.emplace(name, &value);
+        for (std::size_t dot = name.find('.'); dot != std::string::npos;
+             dot = name.find('.', dot + 1))
+            index_.emplace(std::string_view(name).substr(0, dot), nullptr);
+    }
+}
+
+std::size_t
+DocRules::length(const std::string &prefix) const
+{
+    std::size_t n = 0;
+    while (index_.count(prefix + '.' + std::to_string(n)) != 0)
+        ++n;
+    return n;
+}
+
+const FlatValue *
+DocRules::find(const std::string &key) const
+{
+    const auto it = index_.find(key);
+    return it == index_.end() ? nullptr : it->second;
+}
+
+double
+DocRules::number(const std::string &key)
+{
+    const FlatValue *value = find(key);
+    if (!check(value != nullptr && value->is_number &&
+                   std::isfinite(value->number),
+               key + " missing or non-numeric"))
+        return 0.0;
+    return value->number;
+}
+
+std::string
+DocRules::text(const std::string &key)
+{
+    const FlatValue *value = find(key);
+    if (!check(value != nullptr && !value->is_number,
+               key + " missing or not a string"))
+        return "";
+    return value->text;
+}
+
+bool
+DocRules::check(bool holds, const std::string &message)
+{
+    if (!error_.empty())
+        return false;
+    if (!holds)
+        error_ = message;
+    return holds;
+}
+
+bool
+DocRules::result(std::string *error) const
+{
+    if (!error_.empty() && error != nullptr)
+        *error = error_;
+    return error_.empty();
+}
+
 bool
 parseCsvFlat(const std::string &text, FlatDoc &out, std::string *error)
 {

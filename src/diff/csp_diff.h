@@ -20,6 +20,8 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -54,6 +56,44 @@ struct FlatDoc
  */
 bool parseJsonFlat(const std::string &text, FlatDoc &out,
                    std::string *error);
+
+/**
+ * The rule checker behind the document readers (isLearnDoc, isMemDoc):
+ * each call tests one rule and the first broken one keeps its message.
+ * After a failure every call is a no-op that reports failure, so a
+ * reader states its rules in a row and reports only the first. The
+ * checker indexes the document's names, so the document must outlive
+ * it.
+ */
+class DocRules
+{
+  public:
+    explicit DocRules(const FlatDoc &doc);
+
+    /** The finite number at @p key; 0 once the rule "@p key is a
+     *  number" (or an earlier one) is broken. */
+    double number(const std::string &key);
+    /** The string at @p key; "" once it is missing or numeric. */
+    std::string text(const std::string &key);
+    /** Elements of the array at @p prefix: the leading indices i
+     *  with a value or object at "<prefix>.<i>". Flattening keeps no
+     *  trace of an empty or absent array, so both have none. */
+    std::size_t length(const std::string &prefix) const;
+    /** @p holds, or break the rule named by @p message. */
+    bool check(bool holds, const std::string &message);
+    bool ok() const { return error_.empty(); }
+    /** True when every rule held; else false with *error set. */
+    bool result(std::string *error) const;
+
+  private:
+    const FlatValue *find(const std::string &key) const;
+
+    /** Every name and every dotted prefix of one (objects and array
+     *  elements, mapped to nullptr), first entry winning like
+     *  FlatDoc::find, so lookups need no scan of the entries. */
+    std::unordered_map<std::string_view, const FlatValue *> index_;
+    std::string error_;
+};
 
 /**
  * Flatten a CSV table: each cell becomes "<row key>.<column header>",

@@ -11,6 +11,22 @@ namespace csp::diff {
 
 namespace {
 
+/** Counters every learn summary carries, under "learn.". */
+const char *const kSummaryKeys[] = {
+    "cst.probes", "cst.probe_hits", "cst.insert_attempts",
+    "cst.inserts", "cst.duplicates", "cst.new_entries",
+    "cst.entry_evictions", "cst.link_evictions", "cst.tag_conflicts",
+    "policy.selections", "policy.real", "policy.shadow",
+    "policy.explorations", "policy.epsilon_updates", "policy.epsilon",
+    "policy.accuracy", "policy.entropy", "reward.cumulative",
+    "reward.positive", "reward.negative", "reward.expiries"};
+
+/** Numbers every learning-state snapshot carries. */
+const char *const kSnapshotKeys[] = {
+    "lookup", "cycle", "epsilon", "accuracy", "entropy",
+    "cumulative_reward", "explorations", "associations", "pq_hits",
+    "pq_expiries", "cst_live_entries", "cst_entries"};
+
 double
 num(const FlatDoc &doc, const std::string &name, double fallback = 0.0)
 {
@@ -346,23 +362,63 @@ renderOne(const FlatDoc &doc, const std::string &label,
 bool
 isLearnDoc(const FlatDoc &doc, std::string *error)
 {
-    const FlatValue *schema = doc.find("schema");
-    if (schema == nullptr || schema->text != "csp-learn-v1") {
-        if (error != nullptr)
-            *error = "not a csp-learn-v1 document (missing or "
-                     "unexpected \"schema\")";
-        return false;
-    }
-    for (const char *key :
-         {"learn.policy.selections", "learn.cst.probes"}) {
-        if (doc.find(key) == nullptr) {
-            if (error != nullptr)
-                *error = std::string("missing required key \"") + key +
-                         '"';
-            return false;
+    DocRules rules(doc);
+    rules.check(text(doc, "schema", "") == "csp-learn-v1",
+                "not a csp-learn-v1 document (missing or unexpected "
+                "\"schema\")");
+    rules.check(text(doc, "manifest.schema", "") ==
+                    "csp-run-manifest-v1",
+                "missing embedded csp-run-manifest-v1 manifest");
+    rules.text("prefetcher");
+    for (const char *key : kSummaryKeys)
+        rules.number(std::string("learn.") + key);
+    rules.check(rules.number("learn.cst.probe_hits") <=
+                    rules.number("learn.cst.probes"),
+                "learn.cst: probe_hits exceeds probes");
+    rules.check(rules.number("learn.cst.inserts") +
+                        rules.number("learn.cst.duplicates") <=
+                    rules.number("learn.cst.insert_attempts"),
+                "learn.cst: inserts + duplicates exceed "
+                "insert_attempts");
+
+    const std::size_t snaps = rules.length("snapshots");
+    rules.check(snaps != 0, "snapshots array missing or empty");
+    double last_lookup = -1.0;
+    for (std::size_t n = 0; n < snaps && rules.ok(); ++n) {
+        const std::string at = "snapshots." + std::to_string(n) + '.';
+        for (const char *key : kSnapshotKeys)
+            rules.number(at + key);
+        const double lookup = rules.number(at + "lookup");
+        rules.check(lookup > last_lookup,
+                    at + "lookup not strictly increasing");
+        last_lookup = lookup;
+        for (const char *key : {"epsilon", "accuracy", "entropy"}) {
+            const double value = rules.number(at + key);
+            rules.check(value >= 0.0 && value <= 1.0,
+                        at + key + " outside [0, 1]");
+        }
+        rules.check(rules.number(at + "cst_live_entries") <=
+                        rules.number(at + "cst_entries"),
+                    at + "cst_live_entries exceeds cst_entries");
+        const std::size_t contexts = rules.length(at + "top_contexts");
+        for (std::size_t c = 0; c < contexts; ++c) {
+            const std::string ctx =
+                at + "top_contexts." + std::to_string(c) + '.';
+            rules.number(ctx + "key");
+            rules.number(ctx + "churn");
+            const std::size_t links = rules.length(ctx + "links");
+            for (std::size_t l = 0; l < links; ++l) {
+                const std::string link =
+                    ctx + "links." + std::to_string(l) + '.';
+                rules.check(rules.number(link + "delta") != 0.0,
+                            link + "delta is 0");
+                const double score = rules.number(link + "score");
+                rules.check(score >= -128.0 && score <= 127.0,
+                            link + "score outside the Score8 range");
+            }
         }
     }
-    return true;
+    return rules.result(error);
 }
 
 bool

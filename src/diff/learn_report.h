@@ -34,8 +34,14 @@ struct LearnReportOptions
 };
 
 /**
- * Validate that @p doc looks like a flattened csp-learn-v1 document.
- * Returns false with *error set when a required key is missing.
+ * Check @p doc against every csp-learn-v1 rule: the schema tags, the
+ * run manifest and prefetcher name, numeric learn.cst/policy/reward
+ * counters with probe_hits <= probes and inserts + duplicates <=
+ * insert_attempts, and a non-empty snapshot series whose lookups
+ * strictly increase, whose epsilon/accuracy/entropy stay in [0, 1],
+ * whose cst_live_entries <= cst_entries, and whose top-context links
+ * have a non-zero delta and a Score8 score. False with *error naming
+ * the first broken rule.
  */
 bool isLearnDoc(const FlatDoc &doc, std::string *error);
 

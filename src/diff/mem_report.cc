@@ -325,24 +325,105 @@ renderOne(const FlatDoc &doc, const std::string &label,
 bool
 isMemDoc(const FlatDoc &doc, std::string *error)
 {
-    const FlatValue *schema = doc.find("schema");
-    if (schema == nullptr || schema->text != "csp-mem-v1") {
-        if (error != nullptr)
-            *error = "not a csp-mem-v1 document (missing or "
-                     "unexpected \"schema\")";
-        return false;
-    }
-    for (const char *key : {"mem.l1.classes.compulsory",
-                            "mem.l2.classes.compulsory",
-                            "mem.l1.classified", "mem.accesses"}) {
-        if (doc.find(key) == nullptr) {
-            if (error != nullptr)
-                *error = std::string("missing required key \"") + key +
-                         '"';
-            return false;
+    DocRules rules(doc);
+    rules.check(text(doc, "schema", "") == "csp-mem-v1",
+                "not a csp-mem-v1 document (missing or unexpected "
+                "\"schema\")");
+    rules.check(text(doc, "manifest.schema", "") ==
+                    "csp-run-manifest-v1",
+                "missing embedded csp-run-manifest-v1 manifest");
+    rules.text("prefetcher");
+    rules.number("mem.interval");
+    rules.number("mem.accesses");
+
+    for (const char *level : {"l1", "l2"}) {
+        const std::string at = levelKey(level, "");
+        const double accesses = rules.number(at + "accesses");
+        const double classified = rules.number(at + "classified");
+        rules.number(at + "shadow_hits");
+        rules.number(at + "capacity_lines");
+        double classes = 0.0;
+        for (const char *cls : kClasses)
+            classes += rules.number(at + "classes." + cls);
+        rules.check(classes == classified,
+                    at + "classes do not sum to classified");
+        rules.check(classified <= accesses,
+                    at + "classified exceeds accesses");
+        rules.check(rules.number(at + "reuse.count") <= accesses,
+                    at + "reuse.count exceeds accesses");
+
+        const double sets = rules.number(at + "sets.count");
+        for (const char *key :
+             {"sets.fills_demand", "sets.fills_prefetch",
+              "sets.evictions"})
+            rules.number(at + key);
+        const std::size_t top = rules.length(at + "sets.top");
+        for (std::size_t i = 0; i < top; ++i) {
+            const std::string set =
+                at + "sets.top." + std::to_string(i) + '.';
+            const double index = rules.number(set + "set");
+            rules.check(index >= 0.0 && index < sets,
+                        set + "set index out of range");
+            const double share = rules.number(set + "demand_share");
+            rules.check(share >= 0.0 && share <= 1.0,
+                        set + "demand_share outside [0, 1]");
+            rules.check(rules.number(set + "evictions") <=
+                            rules.number(set + "fills_demand") +
+                                rules.number(set + "fills_prefetch"),
+                        set + "evictions exceed fills");
         }
+
+        const std::string pollution =
+            std::string("mem.pollution.") + level + '.';
+        rules.check(rules.number(pollution + "attributed") +
+                            rules.number(pollution + "unattributed") ==
+                        rules.number(at + "classes.pollution"),
+                    pollution + "attributed + unattributed differs "
+                                "from the pollution class");
     }
-    return true;
+
+    const std::size_t pairs = rules.length("mem.pollution.pairs");
+    for (std::size_t i = 0; i < pairs; ++i) {
+        const std::string pair =
+            "mem.pollution.pairs." + std::to_string(i) + '.';
+        const double level = rules.number(pair + "level");
+        rules.check(level == 1.0 || level == 2.0,
+                    pair + "level is not 1 or 2");
+        rules.check(rules.number(pair + "count") > 0.0,
+                    pair + "count is not positive");
+        rules.text(pair + "issuer_pc");
+        rules.text(pair + "demand_pc");
+    }
+
+    const std::size_t pcs = rules.length("mem.pc");
+    for (std::size_t i = 0; i < pcs; ++i) {
+        const std::string pc = "mem.pc." + std::to_string(i) + '.';
+        rules.text(pc + "pc");
+        rules.number(pc + "l2_misses");
+        rules.check(rules.number(pc + "l1_misses") <=
+                        rules.number(pc + "accesses"),
+                    pc + "l1_misses exceed accesses");
+    }
+
+    for (const char *key : {"mem.shadow.compactions",
+                            "mem.shadow.l1_live_lines",
+                            "mem.shadow.l2_live_lines"})
+        rules.number(key);
+
+    const std::size_t samples = rules.length("mem.timeline");
+    double last_access = 0.0;
+    for (std::size_t i = 0; i < samples; ++i) {
+        const std::string sample =
+            "mem.timeline." + std::to_string(i) + '.';
+        for (const char *key :
+             {"cycle", "l1_mshr", "l2_mshr", "dram_backlog"})
+            rules.number(sample + key);
+        const double access = rules.number(sample + "access");
+        rules.check(access >= last_access,
+                    sample + "access position decreased");
+        last_access = access;
+    }
+    return rules.result(error);
 }
 
 bool

@@ -1,10 +1,11 @@
 #include "diff/sweep_report.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <ostream>
+#include <set>
 #include <utility>
 
 #include "core/content_store.h"
@@ -13,14 +14,165 @@ namespace csp::diff {
 
 namespace {
 
-std::uint64_t
-parseU64Text(const std::string &text, std::uint64_t fallback)
+/** All of @p text as a decimal uint64: "-5" and "1e3" are refused,
+ *  not wrapped or truncated. */
+bool
+parseU64Text(const std::string &text, std::uint64_t &out)
 {
-    if (text.empty())
-        return fallback;
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    return (end != nullptr && *end == '\0') ? value : fallback;
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, out);
+    return !text.empty() && ec == std::errc() && stop == end;
+}
+
+/** Keys beyond the envelope (event/t_ns/seq/shard) every event of a
+ *  type carries. The vocabulary is closed: an unknown type is refused,
+ *  so a renamed emitter fails here instead of vanishing from csptop. */
+const std::map<std::string, std::vector<std::string>> kRequiredKeys = {
+    {"sweep_start",
+     {"schema", "unix_ns", "config_digest", "seed", "scale",
+      "placement", "workloads", "prefetchers", "shard_count",
+      "jobs", "git_sha"}},
+    {"trace_gen",
+     {"workload", "digest", "records", "insts", "accesses",
+      "duration_ns", "cached", "worker"}},
+    {"trace_cache", {"workload", "digest", "records", "insts",
+                     "worker"}},
+    {"trace_load", {"workload", "status", "duration_ns", "worker"}},
+    {"schedule", {"cells_total", "cells_owned", "insts_owned",
+                  "trace_digest"}},
+    {"heartbeat",
+     {"cells_done", "cells_expected", "cells_cached", "insts_done",
+      "insts_total", "insts_per_sec"}},
+    {"cell_start", {"cell", "workload", "prefetcher", "worker"}},
+    {"cell_end",
+     {"cell", "workload", "prefetcher", "worker", "source",
+      "duration_ns", "insts"}},
+    {"sweep_end",
+     {"cells_owned", "cells_cached", "cells_simulated",
+      "trace_cache_hits", "cache_read_ns", "cache_parse_ns",
+      "cache_entry_bytes", "cache_verify_failures", "trace_gen_ns",
+      "sim_ns", "stats"}},
+    {"evict", {"entry", "bytes"}},
+    {"cache_trim",
+     {"max_bytes", "scanned_entries", "scanned_bytes",
+      "evicted_entries", "evicted_bytes"}},
+};
+
+/** Whether @p doc has @p key as a value or as an object's prefix. */
+bool
+hasKey(const FlatDoc &doc, const std::string &key)
+{
+    return std::any_of(
+        doc.entries.begin(), doc.entries.end(), [&](const auto &entry) {
+            const std::string &name = entry.first;
+            return name.compare(0, key.size(), key) == 0 &&
+                   (name.size() == key.size() || name[key.size()] == '.');
+        });
+}
+
+/** One event's own rules: known type, its keys, their values. */
+std::string
+eventError(const SweepEvent &event)
+{
+    const auto keys = kRequiredKeys.find(event.type);
+    if (keys == kRequiredKeys.end())
+        return "unknown event type \"" + event.type + '"';
+    for (const std::string &key : keys->second) {
+        if (!hasKey(event.doc, key))
+            return event.type + " missing \"" + key + '"';
+    }
+    if (event.type == "cell_end" && event.text("source") != "cached" &&
+        event.text("source") != "simulated")
+        return "cell_end source must be cached or simulated";
+    if ((event.type == "trace_gen" || event.type == "trace_cache") &&
+        event.text("digest").empty())
+        return event.type + " has an empty digest";
+    return "";
+}
+
+/** What the per-shard rules remember between a shard's events. */
+struct ShardState
+{
+    const SweepEvent *last = nullptr;
+    const SweepEvent *end = nullptr;  ///< its sweep_end
+    const SweepEvent *trim = nullptr; ///< its cache_trim
+    std::set<std::string> open_cells;
+    std::uint64_t cells = 0, cached = 0, evicts = 0;
+};
+
+/** The rules that order @p event after the shard's earlier ones. */
+std::string
+orderError(ShardState &shard, const SweepEvent &event)
+{
+    const SweepEvent *last = shard.last;
+    shard.last = &event;
+    if (last != nullptr && event.seq <= last->seq)
+        return "seq not strictly increasing";
+    if (last != nullptr && event.t_ns < last->t_ns)
+        return "t_ns went backwards";
+    if (shard.end != nullptr && event.type != "evict" &&
+        event.type != "cache_trim")
+        return event.type + " after sweep_end (only evict and "
+                            "cache_trim may follow it)";
+    const std::string cell = event.text("cell");
+    if (event.type == "sweep_start") {
+        if (last != nullptr)
+            return "sweep_start is not the shard's first event";
+        if (event.text("schema") != "csp-events-v1")
+            return "sweep_start schema is not csp-events-v1";
+    } else if (event.type == "sweep_end") {
+        shard.end = &event;
+    } else if (event.type == "cache_trim") {
+        if (shard.trim != nullptr)
+            return "second cache_trim";
+        shard.trim = &event;
+    } else if (event.type == "evict") {
+        ++shard.evicts;
+    } else if (event.type == "cell_start") {
+        if (!shard.open_cells.insert(cell).second)
+            return "cell " + cell + " started twice";
+    } else if (event.type == "cell_end") {
+        if (shard.open_cells.erase(cell) == 0)
+            return "cell_end for cell " + cell + " without cell_start";
+        ++shard.cells;
+        shard.cached += event.text("source") == "cached" ? 1 : 0;
+    }
+    return "";
+}
+
+/** The roll-up rules: sweep_end and cache_trim against the events
+ *  they count. */
+std::string
+rollupError(const ShardState &shard)
+{
+    if (const SweepEvent *end = shard.end) {
+        if (!shard.open_cells.empty())
+            return "cell " + *shard.open_cells.begin() +
+                   " still open at sweep_end";
+        const std::pair<const char *, std::uint64_t> counts[] = {
+            {"cells_owned", shard.cells},
+            {"cells_cached", shard.cached},
+            {"cells_simulated", shard.cells - shard.cached}};
+        for (const auto &[key, have] : counts) {
+            if (end->u64(key, UINT64_MAX) != have)
+                return std::string("sweep_end ") + key + " is " +
+                       end->text(key) + " but the journal shows " +
+                       std::to_string(have);
+        }
+    }
+    if (const SweepEvent *trim = shard.trim) {
+        if (trim->u64("evicted_entries", UINT64_MAX) != shard.evicts)
+            return "cache_trim evicted_entries is " +
+                   trim->text("evicted_entries") + " but the journal "
+                   "shows " + std::to_string(shard.evicts) + " evict(s)";
+        const std::uint64_t scanned = trim->u64("scanned_bytes");
+        const std::uint64_t evicted = trim->u64("evicted_bytes");
+        if (scanned > evicted &&
+            scanned - evicted > trim->u64("max_bytes"))
+            return "cache_trim left scanned_bytes - evicted_bytes "
+                   "above max_bytes";
+    }
+    return "";
 }
 
 std::string
@@ -105,9 +257,11 @@ std::uint64_t
 SweepEvent::u64(const std::string &key, std::uint64_t fallback) const
 {
     const FlatValue *value = doc.find(key);
-    if (value == nullptr || !value->is_number)
-        return fallback;
-    return parseU64Text(value->text, fallback);
+    std::uint64_t out = 0;
+    return value != nullptr && value->is_number &&
+                   parseU64Text(value->text, out)
+               ? out
+               : fallback;
 }
 
 std::string
@@ -143,6 +297,13 @@ parseJournal(const std::string &text, SweepJournal &out,
              std::string *error)
 {
     out.events.clear();
+    const auto fail = [&](const std::string &where,
+                          const std::string &what) {
+        if (error != nullptr)
+            *error = where + ": " + what;
+        return false;
+    };
+    std::vector<std::size_t> line_of; // per event, its 1-based line
     std::size_t start = 0;
     std::size_t line_no = 0;
     while (start < text.size()) {
@@ -154,41 +315,51 @@ parseJournal(const std::string &text, SweepJournal &out,
         start = end + 1;
         if (line.empty())
             continue;
+        const std::string where = "line " + std::to_string(line_no);
         SweepEvent event;
         event.line = line;
         std::string parse_error;
-        if (!parseJsonFlat(line, event.doc, &parse_error)) {
-            if (error != nullptr) {
-                *error = "line " + std::to_string(line_no) + ": " +
-                         parse_error;
-            }
-            return false;
+        if (!parseJsonFlat(line, event.doc, &parse_error))
+            return fail(where, parse_error);
+        event.type = event.text("event");
+        if (event.type.empty())
+            return fail(where, "missing \"event\" field");
+        const std::pair<const char *, std::uint64_t *> envelope[] = {
+            {"t_ns", &event.t_ns},
+            {"seq", &event.seq},
+            {"shard", &event.shard}};
+        for (const auto &[name, field] : envelope) {
+            const FlatValue *value = event.doc.find(name);
+            if (value == nullptr || !value->is_number ||
+                !parseU64Text(value->text, *field))
+                return fail(where, std::string(name) +
+                                       " missing or not an unsigned "
+                                       "integer");
         }
-        const FlatValue *type = event.doc.find("event");
-        if (type == nullptr || type->text.empty()) {
-            if (error != nullptr) {
-                *error = "line " + std::to_string(line_no) +
-                         ": missing \"event\" field";
-            }
-            return false;
-        }
-        event.type = type->text;
-        const FlatValue *t_ns = event.doc.find("t_ns");
-        const FlatValue *seq = event.doc.find("seq");
-        const FlatValue *shard = event.doc.find("shard");
-        if (t_ns == nullptr || !t_ns->is_number || seq == nullptr ||
-            !seq->is_number || shard == nullptr ||
-            !shard->is_number) {
-            if (error != nullptr) {
-                *error = "line " + std::to_string(line_no) +
-                         ": missing t_ns/seq/shard";
-            }
-            return false;
-        }
-        event.t_ns = parseU64Text(t_ns->text, 0);
-        event.seq = parseU64Text(seq->text, 0);
-        event.shard = parseU64Text(shard->text, 0);
+        const std::string event_error = eventError(event);
+        if (!event_error.empty())
+            return fail(where, event_error);
         out.events.push_back(std::move(event));
+        line_of.push_back(line_no);
+    }
+
+    // Per-shard rules: a merged journal interleaves several shards,
+    // each ordered on its own.
+    std::map<std::uint64_t, ShardState> shards;
+    for (std::size_t i = 0; i < out.events.size(); ++i) {
+        const SweepEvent &event = out.events[i];
+        const std::string order_error =
+            orderError(shards[event.shard], event);
+        if (!order_error.empty()) {
+            return fail("line " + std::to_string(line_of[i]),
+                        "shard " + std::to_string(event.shard) + ": " +
+                            order_error);
+        }
+    }
+    for (const auto &[index, shard] : shards) {
+        const std::string rollup_error = rollupError(shard);
+        if (!rollup_error.empty())
+            return fail("shard " + std::to_string(index), rollup_error);
     }
     return true;
 }

@@ -71,9 +71,16 @@ struct JournalIdentity
 };
 
 /**
- * Parse journal @p text (JSONL). Every line must parse as a JSON
- * object carrying event/t_ns/seq/shard; false with *error (including
- * the 1-based line number) otherwise. Empty trailing line is fine.
+ * Parse journal @p text (JSONL) and check every csp-events-v1 rule;
+ * false with *error naming the first broken one (with its 1-based line
+ * or shard). Each line is a JSON object with event and unsigned
+ * t_ns/seq/shard, of a known event type carrying that type's keys
+ * (cell_end's source is cached or simulated, trace digests are
+ * non-empty). Per shard: seq strictly increases, t_ns never
+ * decreases, a sweep_start comes first, cell_start/cell_end pair up
+ * by cell id, only evict and one cache_trim follow sweep_end, and the
+ * sweep_end and cache_trim roll-ups match the events they count. A
+ * partial journal (no sweep_end yet, or no sweep_start) still parses.
  */
 bool parseJournal(const std::string &text, SweepJournal &out,
                   std::string *error);

@@ -14,6 +14,7 @@
 
 #include "core/thread_pool.h"
 #include "diff/csp_diff.h"
+#include "doc_goldens.h"
 #include "diff/learn_report.h"
 #include "obs/learning.h"
 #include "obs/run_observer.h"
@@ -61,7 +62,8 @@ std::string
 learnJson(const obs::LearningRecorder &recorder)
 {
     std::ostringstream out;
-    recorder.writeLearnJson(out, "", "context");
+    recorder.writeLearnJson(out, R"({"schema":"csp-run-manifest-v1"})",
+                           "context");
     return out.str();
 }
 
@@ -260,42 +262,6 @@ TEST(LearningRecorder, PerfettoTracksFollowRewardsAndLookups)
     EXPECT_EQ(countOf(text, "\"cat\":\"rl\""), (rewards + 3) / 4);
     EXPECT_EQ(countOf(text, "{\"name\":\"bandit\""), lookups / 4096);
 }
-
-// Golden csplearn rendering over a small hand-written learn.json: the
-// report text is part of the tool's contract (deterministic, diffable
-// across runs), so any change here is a deliberate format change.
-const char *const kGoldenLearnJson = R"({
-  "schema":"csp-learn-v1",
-  "manifest":{"schema":"csp-run-manifest-v1","seed":7,
-              "workloads":"list"},
-  "prefetcher":"context",
-  "learn":{
-    "snapshot_every":100,"top_k":2,
-    "cst":{"probes":200,"probe_hits":150,"insert_attempts":100,
-           "inserts":80,"duplicates":10,"new_entries":40,
-           "entry_evictions":2,"link_evictions":20,
-           "tag_conflicts":2},
-    "policy":{"selections":200,"real":120,"shadow":50,
-              "explorations":12,"epsilon_updates":180,
-              "epsilon":0.055,"accuracy":0.5,"entropy":0.25},
-    "reward":{"cumulative":3000,"positive":90,"negative":30,
-              "expiries":15}},
-  "snapshots":[
-    {"lookup":100,"cycle":1000,"epsilon":0.2,"accuracy":0.3,
-     "entropy":0.8,"cumulative_reward":700,"explorations":5,
-     "associations":50,"pq_hits":30,"pq_expiries":5,
-     "cst_live_entries":20,"cst_entries":512,
-     "top_contexts":[{"key":11,"churn":1,
-                      "links":[{"delta":8,"score":90}]}]},
-    {"lookup":200,"cycle":2100,"epsilon":0.055,"accuracy":0.5,
-     "entropy":0.25,"cumulative_reward":3000,"explorations":12,
-     "associations":90,"pq_hits":80,"pq_expiries":15,
-     "cst_live_entries":40,"cst_entries":512,
-     "top_contexts":[{"key":11,"churn":3,
-                      "links":[{"delta":8,"score":127},
-                               {"delta":16,"score":40}]},
-                     {"key":42,"churn":0,
-                      "links":[{"delta":-4,"score":12}]}]}]})";
 
 TEST(LearnReport, GoldenRendering)
 {

@@ -22,6 +22,7 @@
 #include "core/stats_registry.h"
 #include "core/thread_pool.h"
 #include "diff/csp_diff.h"
+#include "doc_goldens.h"
 #include "diff/mem_report.h"
 #include "obs/mem_recorder.h"
 #include "obs/run_observer.h"
@@ -188,7 +189,8 @@ std::string
 memJson(const obs::MemRecorder &recorder)
 {
     std::ostringstream out;
-    recorder.writeMemJson(out, "", "context");
+    recorder.writeMemJson(out, R"({"schema":"csp-run-manifest-v1"})",
+                         "context");
     return out.str();
 }
 
@@ -479,58 +481,6 @@ TEST(MemRecorder, RegistryStatsMirrorRecorderCounters)
 
 // ---------------------------------------------------------------------
 // cspmem rendering (golden text over a small hand-written mem.json).
-
-const char *const kGoldenMemJson = R"({
-  "schema":"csp-mem-v1",
-  "manifest":{"schema":"csp-run-manifest-v1","seed":7,
-              "workloads":"mcf"},
-  "prefetcher":"context",
-  "mem":{
-    "interval":100,"accesses":1000,
-    "l1":{"accesses":1000,"classified":400,
-          "classes":{"compulsory":100,"pollution":40,"conflict":60,
-                     "capacity":200},
-          "shadow_hits":500,"capacity_lines":1024,
-          "reuse":{"count":900,"mean":80.5,"p50":48,"p90":1024,
-                   "p99":4096,"buckets":[10,20,30]},
-          "sets":{"count":128,"fills_demand":300,"fills_prefetch":100,
-                  "evictions":350,
-                  "top":[{"set":5,"fills_demand":40,"fills_prefetch":24,
-                          "evictions":60,"demand_share":0.625},
-                         {"set":9,"fills_demand":30,"fills_prefetch":2,
-                          "evictions":30,"demand_share":0.9375}]}},
-    "l2":{"accesses":400,"classified":120,
-          "classes":{"compulsory":100,"pollution":8,"conflict":2,
-                     "capacity":10},
-          "shadow_hits":250,"capacity_lines":32768,
-          "reuse":{"count":300,"mean":512.0,"p50":256,"p90":8192,
-                   "p99":32768,"buckets":[1,2,3]},
-          "sets":{"count":2048,"fills_demand":110,"fills_prefetch":90,
-                  "evictions":150,
-                  "top":[{"set":17,"fills_demand":9,"fills_prefetch":3,
-                          "evictions":12,"demand_share":0.75}]}},
-    "pc":[{"pc":"0x400100","accesses":600,"l1_misses":300,
-           "l2_misses":100,
-           "reuse":{"count":550,"mean":90.0,"p50":64,"p90":2048,
-                    "p99":8192,"buckets":[5,6]}},
-          {"pc":"0x400200","accesses":400,"l1_misses":100,
-           "l2_misses":20,
-           "reuse":{"count":350,"mean":30.0,"p50":16,"p90":128,
-                    "p99":512,"buckets":[7]}}],
-    "pc_tracked":2,"pc_other_accesses":0,
-    "pollution":{"l1":{"attributed":30,"unattributed":10},
-                 "l2":{"attributed":6,"unattributed":2},
-                 "pairs_overflow":0,
-                 "pairs":[{"level":1,"issuer_pc":"0x400300",
-                           "demand_pc":"0x400100","count":25},
-                          {"level":2,"issuer_pc":"0x400300",
-                           "demand_pc":"0x400200","count":6}]},
-    "shadow":{"compactions":3,"l1_live_lines":900,
-              "l2_live_lines":700},
-    "timeline":[{"access":100,"cycle":1500,"l1_mshr":2,"l2_mshr":5,
-                 "dram_backlog":120},
-                {"access":200,"cycle":3100,"l1_mshr":4,"l2_mshr":20,
-                 "dram_backlog":900}]}})";
 
 TEST(MemReport, GoldenRendering)
 {

@@ -18,14 +18,12 @@
  */
 
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 
-#include "cli_number.h"
+#include "cli.h"
 #include "diff/csp_diff.h"
 
 namespace {
@@ -51,18 +49,6 @@ usage()
         "(default 40)\n"
         "  --report FILE        also write the report to FILE\n"
         "                       (parent directories are created)\n";
-}
-
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    out = buffer.str();
-    return true;
 }
 
 } // namespace
@@ -94,9 +80,9 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else if (arg == "--timing-tol") {
-            options.timing_tolerance = std::atof(need_value(i));
+            need_number(i, options.timing_tolerance);
         } else if (arg == "--float-tol") {
-            options.float_tolerance = std::atof(need_value(i));
+            need_number(i, options.float_tolerance);
         } else if (arg == "--lax-timing") {
             options.fail_on_timing = false;
         } else if (arg == "--require-same-input") {
@@ -123,27 +109,20 @@ main(int argc, char **argv)
         return 3;
     }
 
-    std::string text_a;
-    std::string text_b;
-    if (!readFile(path_a, text_a)) {
-        std::cerr << "cspdiff: cannot read " << path_a << "\n";
-        return 3;
-    }
-    if (!readFile(path_b, text_b)) {
-        std::cerr << "cspdiff: cannot read " << path_b << "\n";
-        return 3;
-    }
-
     csp::diff::FlatDoc doc_a;
     csp::diff::FlatDoc doc_b;
-    std::string error;
-    if (!csp::diff::parseFlat(text_a, doc_a, &error)) {
-        std::cerr << "cspdiff: " << path_a << ": " << error << "\n";
-        return 3;
-    }
-    if (!csp::diff::parseFlat(text_b, doc_b, &error)) {
-        std::cerr << "cspdiff: " << path_b << ": " << error << "\n";
-        return 3;
+    for (const auto &[path, doc] :
+         {std::pair{&path_a, &doc_a}, std::pair{&path_b, &doc_b}}) {
+        std::string text;
+        std::string error;
+        if (!csp::readFileToString(*path, text)) {
+            std::cerr << "cspdiff: cannot read " << *path << "\n";
+            return 3;
+        }
+        if (!csp::diff::parseFlat(text, *doc, &error)) {
+            std::cerr << "cspdiff: " << *path << ": " << error << "\n";
+            return 3;
+        }
     }
 
     const csp::diff::DiffResult result =
@@ -153,19 +132,6 @@ main(int argc, char **argv)
     result.writeReport(report, max_rows);
     std::cout << report.str();
 
-    if (!report_path.empty()) {
-        const std::filesystem::path parent =
-            std::filesystem::path(report_path).parent_path();
-        std::error_code ec;
-        if (!parent.empty())
-            std::filesystem::create_directories(parent, ec);
-        std::ofstream out(report_path);
-        if (!out) {
-            std::cerr << "cspdiff: cannot write " << report_path
-                      << "\n";
-            return 3;
-        }
-        out << report.str();
-    }
+    csp::tools::writeReport("cspdiff", report_path, report.str());
     return result.exitCode();
 }

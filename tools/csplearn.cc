@@ -6,9 +6,14 @@
  * the final learning states (e.g. two seeds, or before/after a
  * policy change).
  *
+ * Reading a file checks it against every csp-learn-v1 rule (the CST
+ * counters add up, snapshot lookups strictly increase, epsilon,
+ * accuracy and entropy stay in [0, 1], link scores fit Score8); a file
+ * that breaks one is refused, naming the rule.
+ *
  * Exit codes:
  *   0  report rendered
- *   3  usage or file/format error
+ *   3  usage or file/format error, or a file that breaks a rule
  *
  * Examples:
  *   csplearn learn.json
@@ -17,13 +22,11 @@
  */
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
-#include "cli_number.h"
+#include "cli.h"
 #include "diff/csp_diff.h"
 #include "diff/learn_report.h"
 
@@ -43,27 +46,16 @@ usage()
 }
 
 bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    out = buffer.str();
-    return true;
-}
-
-bool
 loadLearnDoc(const std::string &path, csp::diff::FlatDoc &doc)
 {
     std::string content;
-    if (!readFile(path, content)) {
+    if (!csp::readFileToString(path, content)) {
         std::cerr << "csplearn: cannot read " << path << "\n";
         return false;
     }
     std::string error;
-    if (!csp::diff::parseJsonFlat(content, doc, &error)) {
+    if (!csp::diff::parseJsonFlat(content, doc, &error) ||
+        !csp::diff::isLearnDoc(doc, &error)) {
         std::cerr << "csplearn: " << path << ": " << error << "\n";
         return false;
     }
@@ -140,19 +132,6 @@ main(int argc, char **argv)
     }
     std::cout << report.str();
 
-    if (!report_path.empty()) {
-        const std::filesystem::path parent =
-            std::filesystem::path(report_path).parent_path();
-        std::error_code ec;
-        if (!parent.empty())
-            std::filesystem::create_directories(parent, ec);
-        std::ofstream out(report_path);
-        if (!out) {
-            std::cerr << "csplearn: cannot write " << report_path
-                      << "\n";
-            return 3;
-        }
-        out << report.str();
-    }
+    csp::tools::writeReport("csplearn", report_path, report.str());
     return 0;
 }

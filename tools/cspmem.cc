@@ -6,9 +6,15 @@
  * two miss taxonomies (e.g. context vs stride prefetching on the same
  * workload — "where did the misses go").
  *
+ * Reading a file checks it against every csp-mem-v1 rule (miss
+ * classes sum to the classified misses, pollution attribution adds up
+ * to the pollution class, set indices and shares are in range,
+ * timeline positions never decrease); a file that breaks one is
+ * refused, naming the rule.
+ *
  * Exit codes:
  *   0  report rendered
- *   3  usage or file/format error
+ *   3  usage or file/format error, or a file that breaks a rule
  *
  * Examples:
  *   cspmem mem.json
@@ -17,13 +23,11 @@
  */
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
-#include "cli_number.h"
+#include "cli.h"
 #include "diff/csp_diff.h"
 #include "diff/mem_report.h"
 
@@ -45,27 +49,16 @@ usage()
 }
 
 bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    out = buffer.str();
-    return true;
-}
-
-bool
 loadMemDoc(const std::string &path, csp::diff::FlatDoc &doc)
 {
     std::string content;
-    if (!readFile(path, content)) {
+    if (!csp::readFileToString(path, content)) {
         std::cerr << "cspmem: cannot read " << path << "\n";
         return false;
     }
     std::string error;
-    if (!csp::diff::parseJsonFlat(content, doc, &error)) {
+    if (!csp::diff::parseJsonFlat(content, doc, &error) ||
+        !csp::diff::isMemDoc(doc, &error)) {
         std::cerr << "cspmem: " << path << ": " << error << "\n";
         return false;
     }
@@ -145,19 +138,6 @@ main(int argc, char **argv)
     }
     std::cout << report.str();
 
-    if (!report_path.empty()) {
-        const std::filesystem::path parent =
-            std::filesystem::path(report_path).parent_path();
-        std::error_code ec;
-        if (!parent.empty())
-            std::filesystem::create_directories(parent, ec);
-        std::ofstream out(report_path);
-        if (!out) {
-            std::cerr << "cspmem: cannot write " << report_path
-                      << "\n";
-            return 3;
-        }
-        out << report.str();
-    }
+    csp::tools::writeReport("cspmem", report_path, report.str());
     return 0;
 }

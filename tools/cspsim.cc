@@ -29,7 +29,7 @@
 #include <utility>
 #include <vector>
 
-#include "cli_number.h"
+#include "cli.h"
 #include "core/config.h"
 #include "core/logging.h"
 #include "core/profiling.h"

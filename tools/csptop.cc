@@ -13,9 +13,15 @@
  * from the clock, so for a finished journal csptop is deterministic —
  * which is what lets tests golden the summary.
  *
+ * Reading a journal checks it against the csp-events-v1 rules
+ * (closed event vocabulary, per-shard ordering, cell pairing, and the
+ * sweep_end and cache_trim roll-ups against the events they count); a
+ * journal that breaks one is refused, naming the rule and the line.
+ *
  * Exit codes:
  *   0  report rendered (follow mode: sweep_end observed)
- *   3  usage or file/format error
+ *   1  --summary rendered, but a shard has no sweep_end (incomplete)
+ *   3  usage or file/format error, or a journal that breaks a rule
  *
  * Examples:
  *   csptop results/sweep.events.jsonl
@@ -24,15 +30,15 @@
  */
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 
-#include "cli_number.h"
+#include "cli.h"
 #include "diff/sweep_report.h"
 
 namespace {
@@ -62,14 +68,11 @@ bool
 loadJournal(const std::string &path, bool tolerate_tail,
             csp::diff::SweepJournal &out, std::string &error)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::string text;
+    if (!csp::readFileToString(path, text)) {
         error = "cannot read " + path;
         return false;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string text = buffer.str();
     if (csp::diff::parseJournal(text, out, &error))
         return true;
     if (!tolerate_tail)
@@ -188,19 +191,19 @@ main(int argc, char **argv)
     }
     std::cout << report.str();
 
-    if (!report_path.empty()) {
-        const std::filesystem::path parent =
-            std::filesystem::path(report_path).parent_path();
-        std::error_code ec;
-        if (!parent.empty())
-            std::filesystem::create_directories(parent, ec);
-        std::ofstream out(report_path);
-        if (!out) {
-            std::cerr << "csptop: cannot write " << report_path
-                      << "\n";
-            return 3;
-        }
-        out << report.str();
+    csp::tools::writeReport("csptop", report_path, report.str());
+
+    // A summary vouches for a finished sweep: every shard in the
+    // journal must have reached its sweep_end.
+    std::map<std::uint64_t, bool> ended;
+    for (const csp::diff::SweepEvent &event : journal.events)
+        ended[event.shard] |= event.type == "sweep_end";
+    for (const auto &[shard, done] : ended) {
+        if (!summary || done)
+            continue;
+        std::cerr << "csptop: " << journal_path << ": shard " << shard
+                  << " has no sweep_end (sweep incomplete)\n";
+        return 1;
     }
     return 0;
 }
