@@ -13,11 +13,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "core/logging.h"
+#include "core/parse.h"
 #include "sim/experiment.h"
 #include "sim/table.h"
 
@@ -28,6 +29,8 @@ namespace csp::bench {
  * the command line wins; 0 means "auto", which runSweep resolves as
  * CSP_JOBS when set, else every hardware thread. Results are
  * bit-identical for any value — parallelism only changes wall time.
+ * A value that is not wholly an unsigned number is fatal and names
+ * the flag.
  */
 inline unsigned
 jobsArg(int argc, char **argv)
@@ -35,8 +38,12 @@ jobsArg(int argc, char **argv)
     for (int i = 1; i + 1 < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--jobs" || arg == "-j") {
-            return static_cast<unsigned>(
-                std::strtoul(argv[i + 1], nullptr, 10));
+            unsigned jobs = 0;
+            if (!parseUnsigned(argv[i + 1], jobs)) {
+                fatal("%s wants an unsigned number, got '%s'",
+                      arg.c_str(), argv[i + 1]);
+            }
+            return jobs;
         }
     }
     return 0;

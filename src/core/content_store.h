@@ -4,8 +4,9 @@
  * `results/cache/` result cache and `traces/cache/` trace cache):
  * recursive directory creation, whole-file reads, and atomic writes.
  *
- * Atomicity matters because sweep shards run as independent processes
- * that may store the same digest concurrently: every write goes to a
+ * Atomicity matters because concurrent cspsim processes may share one
+ * cache directory and store the same digest at once, and because a
+ * crash mid-write must not leave a torn entry: every write goes to a
  * unique temp file in the destination directory and is renamed into
  * place, so readers only ever observe complete entries and concurrent
  * writers race benignly (the entries are content-addressed — both

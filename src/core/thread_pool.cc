@@ -2,6 +2,9 @@
 
 #include <cstdlib>
 
+#include "core/logging.h"
+#include "core/parse.h"
+
 namespace csp {
 
 namespace {
@@ -18,10 +21,16 @@ ThreadPool::currentWorkerId()
 unsigned
 ThreadPool::defaultJobs()
 {
-    if (const char *env = std::getenv("CSP_JOBS")) {
-        const long parsed = std::atol(env);
-        if (parsed > 0)
-            return static_cast<unsigned>(parsed);
+    const char *env = std::getenv("CSP_JOBS");
+    if (env != nullptr && *env != '\0') {
+        unsigned parsed = 0;
+        if (!parseUnsigned(env, parsed)) {
+            warn("CSP_JOBS: '%s' is not a thread count, using the "
+                 "hardware threads",
+                 env);
+        } else if (parsed != 0) {
+            return parsed;
+        }
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;

@@ -58,8 +58,9 @@ class ThreadPool
 
     /**
      * The jobs knob every sweep entry point resolves through: the
-     * CSP_JOBS environment variable when set to a positive integer,
-     * otherwise the hardware thread count (at least 1).
+     * CSP_JOBS environment variable when it is wholly a positive
+     * integer in the unsigned range, otherwise the hardware thread
+     * count (at least 1). Garbage or overflow in CSP_JOBS warns.
      */
     static unsigned defaultJobs();
 

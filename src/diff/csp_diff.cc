@@ -475,11 +475,11 @@ classify(const std::string &name)
         const std::string segment = name.substr(begin, dot - begin);
         if (first && segment == "manifest")
             return StatClass::Provenance;
-        // Sweep artefacts' cache/shard accounting blocks: how cells
-        // were obtained (memoized vs simulated, which shard), never
-        // what they contain — a warm rerun or a merged shard set
-        // legitimately differs here while every cell matches.
-        if (first && (segment == "cache" || segment == "shard"))
+        // Sweep artefacts' cache accounting block: how cells were
+        // obtained (memoized vs simulated), never what they contain —
+        // a warm rerun legitimately differs here while every cell
+        // matches.
+        if (first && segment == "cache")
             return StatClass::Provenance;
         first = false;
         if (segment == "prof")

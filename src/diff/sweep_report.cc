@@ -1,7 +1,6 @@
 #include "diff/sweep_report.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <map>
 #include <ostream>
@@ -9,29 +8,19 @@
 #include <utility>
 
 #include "core/content_store.h"
+#include "core/parse.h"
 
 namespace csp::diff {
 
 namespace {
 
-/** All of @p text as a decimal uint64: "-5" and "1e3" are refused,
- *  not wrapped or truncated. */
-bool
-parseU64Text(const std::string &text, std::uint64_t &out)
-{
-    const char *end = text.data() + text.size();
-    const auto [stop, ec] = std::from_chars(text.data(), end, out);
-    return !text.empty() && ec == std::errc() && stop == end;
-}
-
-/** Keys beyond the envelope (event/t_ns/seq/shard) every event of a
+/** Keys beyond the envelope (event/t_ns/seq) every event of a
  *  type carries. The vocabulary is closed: an unknown type is refused,
  *  so a renamed emitter fails here instead of vanishing from csptop. */
 const std::map<std::string, std::vector<std::string>> kRequiredKeys = {
     {"sweep_start",
      {"schema", "unix_ns", "config_digest", "seed", "scale",
-      "placement", "workloads", "prefetchers", "shard_count",
-      "jobs", "git_sha"}},
+      "placement", "workloads", "prefetchers", "jobs", "git_sha"}},
     {"trace_gen",
      {"workload", "digest", "records", "insts", "accesses",
       "duration_ns", "cached", "worker"}},
@@ -90,8 +79,8 @@ eventError(const SweepEvent &event)
     return "";
 }
 
-/** What the per-shard rules remember between a shard's events. */
-struct ShardState
+/** What the ordering rules remember between a journal's events. */
+struct JournalState
 {
     const SweepEvent *last = nullptr;
     const SweepEvent *end = nullptr;  ///< its sweep_end
@@ -100,42 +89,45 @@ struct ShardState
     std::uint64_t cells = 0, cached = 0, evicts = 0;
 };
 
-/** The rules that order @p event after the shard's earlier ones. */
+/** The rules that order @p event after the journal's earlier ones. */
 std::string
-orderError(ShardState &shard, const SweepEvent &event)
+orderError(JournalState &state, const SweepEvent &event)
 {
-    const SweepEvent *last = shard.last;
-    shard.last = &event;
+    const SweepEvent *last = state.last;
+    state.last = &event;
+    // Checked first: a second sweep's sweep_start (concatenated
+    // journals) also restarts seq and t_ns.
+    if (event.type == "sweep_start" && last != nullptr)
+        return "sweep_start is not the journal's first event (one "
+               "journal holds one sweep)";
     if (last != nullptr && event.seq <= last->seq)
         return "seq not strictly increasing";
     if (last != nullptr && event.t_ns < last->t_ns)
         return "t_ns went backwards";
-    if (shard.end != nullptr && event.type != "evict" &&
+    if (state.end != nullptr && event.type != "evict" &&
         event.type != "cache_trim")
         return event.type + " after sweep_end (only evict and "
                             "cache_trim may follow it)";
     const std::string cell = event.text("cell");
     if (event.type == "sweep_start") {
-        if (last != nullptr)
-            return "sweep_start is not the shard's first event";
         if (event.text("schema") != "csp-events-v1")
             return "sweep_start schema is not csp-events-v1";
     } else if (event.type == "sweep_end") {
-        shard.end = &event;
+        state.end = &event;
     } else if (event.type == "cache_trim") {
-        if (shard.trim != nullptr)
+        if (state.trim != nullptr)
             return "second cache_trim";
-        shard.trim = &event;
+        state.trim = &event;
     } else if (event.type == "evict") {
-        ++shard.evicts;
+        ++state.evicts;
     } else if (event.type == "cell_start") {
-        if (!shard.open_cells.insert(cell).second)
+        if (!state.open_cells.insert(cell).second)
             return "cell " + cell + " started twice";
     } else if (event.type == "cell_end") {
-        if (shard.open_cells.erase(cell) == 0)
+        if (state.open_cells.erase(cell) == 0)
             return "cell_end for cell " + cell + " without cell_start";
-        ++shard.cells;
-        shard.cached += event.text("source") == "cached" ? 1 : 0;
+        ++state.cells;
+        state.cached += event.text("source") == "cached" ? 1 : 0;
     }
     return "";
 }
@@ -143,16 +135,16 @@ orderError(ShardState &shard, const SweepEvent &event)
 /** The roll-up rules: sweep_end and cache_trim against the events
  *  they count. */
 std::string
-rollupError(const ShardState &shard)
+rollupError(const JournalState &state)
 {
-    if (const SweepEvent *end = shard.end) {
-        if (!shard.open_cells.empty())
-            return "cell " + *shard.open_cells.begin() +
+    if (const SweepEvent *end = state.end) {
+        if (!state.open_cells.empty())
+            return "cell " + *state.open_cells.begin() +
                    " still open at sweep_end";
         const std::pair<const char *, std::uint64_t> counts[] = {
-            {"cells_owned", shard.cells},
-            {"cells_cached", shard.cached},
-            {"cells_simulated", shard.cells - shard.cached}};
+            {"cells_owned", state.cells},
+            {"cells_cached", state.cached},
+            {"cells_simulated", state.cells - state.cached}};
         for (const auto &[key, have] : counts) {
             if (end->u64(key, UINT64_MAX) != have)
                 return std::string("sweep_end ") + key + " is " +
@@ -160,11 +152,11 @@ rollupError(const ShardState &shard)
                        std::to_string(have);
         }
     }
-    if (const SweepEvent *trim = shard.trim) {
-        if (trim->u64("evicted_entries", UINT64_MAX) != shard.evicts)
+    if (const SweepEvent *trim = state.trim) {
+        if (trim->u64("evicted_entries", UINT64_MAX) != state.evicts)
             return "cache_trim evicted_entries is " +
                    trim->text("evicted_entries") + " but the journal "
-                   "shows " + std::to_string(shard.evicts) + " evict(s)";
+                   "shows " + std::to_string(state.evicts) + " evict(s)";
         const std::uint64_t scanned = trim->u64("scanned_bytes");
         const std::uint64_t evicted = trim->u64("evicted_bytes");
         if (scanned > evicted &&
@@ -259,7 +251,7 @@ SweepEvent::u64(const std::string &key, std::uint64_t fallback) const
     const FlatValue *value = doc.find(key);
     std::uint64_t out = 0;
     return value != nullptr && value->is_number &&
-                   parseU64Text(value->text, out)
+                   parseUnsigned(value->text, out)
                ? out
                : fallback;
 }
@@ -317,7 +309,6 @@ parseJournal(const std::string &text, SweepJournal &out,
             continue;
         const std::string where = "line " + std::to_string(line_no);
         SweepEvent event;
-        event.line = line;
         std::string parse_error;
         if (!parseJsonFlat(line, event.doc, &parse_error))
             return fail(where, parse_error);
@@ -326,12 +317,11 @@ parseJournal(const std::string &text, SweepJournal &out,
             return fail(where, "missing \"event\" field");
         const std::pair<const char *, std::uint64_t *> envelope[] = {
             {"t_ns", &event.t_ns},
-            {"seq", &event.seq},
-            {"shard", &event.shard}};
+            {"seq", &event.seq}};
         for (const auto &[name, field] : envelope) {
             const FlatValue *value = event.doc.find(name);
             if (value == nullptr || !value->is_number ||
-                !parseU64Text(value->text, *field))
+                !parseUnsigned(value->text, *field))
                 return fail(where, std::string(name) +
                                        " missing or not an unsigned "
                                        "integer");
@@ -343,23 +333,19 @@ parseJournal(const std::string &text, SweepJournal &out,
         line_of.push_back(line_no);
     }
 
-    // Per-shard rules: a merged journal interleaves several shards,
-    // each ordered on its own.
-    std::map<std::uint64_t, ShardState> shards;
+    // The ordering rules keep pointers into out.events, so they run
+    // once the vector stops growing.
+    JournalState state;
     for (std::size_t i = 0; i < out.events.size(); ++i) {
-        const SweepEvent &event = out.events[i];
-        const std::string order_error =
-            orderError(shards[event.shard], event);
-        if (!order_error.empty()) {
-            return fail("line " + std::to_string(line_of[i]),
-                        "shard " + std::to_string(event.shard) + ": " +
-                            order_error);
-        }
+        const std::string order_error = orderError(state, out.events[i]);
+        if (!order_error.empty())
+            return fail("line " + std::to_string(line_of[i]), order_error);
     }
-    for (const auto &[index, shard] : shards) {
-        const std::string rollup_error = rollupError(shard);
-        if (!rollup_error.empty())
-            return fail("shard " + std::to_string(index), rollup_error);
+    const std::string rollup_error = rollupError(state);
+    if (!rollup_error.empty()) {
+        if (error != nullptr)
+            *error = rollup_error;
+        return false;
     }
     return true;
 }
@@ -398,9 +384,6 @@ journalIdentity(const SweepJournal &journal, JournalIdentity &out,
     out.placement = start->text("placement");
     out.workloads = start->text("workloads");
     out.prefetchers = start->text("prefetchers");
-    out.shard_count = start->u64("shard_count", 1);
-    out.shard_index = start->shard;
-    out.unix_ns = start->u64("unix_ns");
     return true;
 }
 
@@ -413,28 +396,9 @@ renderSweepSummary(const SweepJournal &journal, std::ostream &out,
     if (!journalIdentity(journal, id, error))
         return false;
 
-    // Per-shard journal-open wall clock, for span across merged
-    // journals; single journals span [0, max t_ns].
-    std::map<std::uint64_t, std::uint64_t> shard_unix;
-    std::uint64_t shard_count_seen = 0;
-    for (const SweepEvent &event : journal.events) {
-        if (event.type == "sweep_start") {
-            shard_unix[event.shard] = event.u64("unix_ns");
-            ++shard_count_seen;
-        }
-    }
     std::uint64_t span_ns = 0;
-    {
-        std::uint64_t min_abs = UINT64_MAX, max_abs = 0;
-        for (const SweepEvent &event : journal.events) {
-            const auto it = shard_unix.find(event.shard);
-            const std::uint64_t base =
-                it == shard_unix.end() ? 0 : it->second;
-            min_abs = std::min(min_abs, base);
-            max_abs = std::max(max_abs, base + event.t_ns);
-        }
-        span_ns = max_abs >= min_abs ? max_abs - min_abs : 0;
-    }
+    for (const SweepEvent &event : journal.events)
+        span_ns = std::max(span_ns, event.t_ns);
 
     // Collect the cell matrix actually recorded.
     std::vector<CellEndInfo> cells;
@@ -455,8 +419,7 @@ renderSweepSummary(const SweepJournal &journal, std::ostream &out,
     {
         std::uint64_t cells = 0, busy_ns = 0;
     };
-    std::map<std::pair<std::uint64_t, std::uint64_t>, WorkerAgg>
-        by_worker;
+    std::map<std::uint64_t, WorkerAgg> by_worker;
     for (const SweepEvent &event : journal.events) {
         if (event.type == "cell_end") {
             CellEndInfo info;
@@ -479,8 +442,7 @@ renderSweepSummary(const SweepJournal &journal, std::ostream &out,
             w.cached += info.cached ? 1 : 0;
             w.total_ns += info.duration_ns;
             w.max_ns = std::max(w.max_ns, info.duration_ns);
-            WorkerAgg &worker =
-                by_worker[{event.shard, event.u64("worker")}];
+            WorkerAgg &worker = by_worker[event.u64("worker")];
             ++worker.cells;
             worker.busy_ns += info.duration_ns;
         } else if (event.type == "trace_cache") {
@@ -501,15 +463,13 @@ renderSweepSummary(const SweepJournal &journal, std::ostream &out,
 
     out << "sweep observatory summary\n"
         << "=========================\n";
-    out << "journal : " << shard_count_seen << " shard journal(s), "
-        << journal.events.size() << " events, span " << fmtMs(span_ns)
-        << " ms\n";
+    out << "journal : " << journal.events.size() << " events, span "
+        << fmtMs(span_ns) << " ms\n";
     out << "sweep   : workloads=" << id.workloads
         << " prefetchers=" << id.prefetchers << "\n"
         << "          scale=" << id.scale << " seed=" << id.seed
         << " placement=" << id.placement
-        << " config=" << id.config_digest << " shards="
-        << id.shard_count << "\n";
+        << " config=" << id.config_digest << "\n";
     const std::uint64_t n_cached = cached_ns.size();
     const std::uint64_t n_simulated = simulated_ns.size();
     const std::uint64_t n_cells = all_ns.size();
@@ -550,8 +510,8 @@ renderSweepSummary(const SweepJournal &journal, std::ostream &out,
         // The cold-vs-warm attribution the ROADMAP asked for: where a
         // memoized cell's wall-clock actually goes. Skipped outright
         // when nothing was cached — or when the cached cells carry no
-        // read/parse timings (a journal from a shard that predates the
-        // attribution fields) — instead of rendering an all-zero table.
+        // read/parse timings (a journal that predates the attribution
+        // fields) — instead of rendering an all-zero table.
         const std::uint64_t other_ns =
             cached_wall_ns > read_ns + parse_ns
                 ? cached_wall_ns - read_ns - parse_ns
@@ -631,13 +591,11 @@ renderSweepSummary(const SweepJournal &journal, std::ostream &out,
                   [](const CellEndInfo *a, const CellEndInfo *b) {
                       if (a->duration_ns != b->duration_ns)
                           return a->duration_ns > b->duration_ns;
-                      if (a->event->shard != b->event->shard)
-                          return a->event->shard < b->event->shard;
                       return a->event->seq < b->event->seq;
                   });
         out << "\nstragglers (longest cells):\n"
             << "  #  workload            prefetcher  source     "
-               "shard  worker  duration-ms\n";
+               "worker  duration-ms\n";
         for (std::size_t i = 0;
              i < longest.size() && i < options.max_stragglers; ++i) {
             const CellEndInfo &info = *longest[i];
@@ -649,9 +607,8 @@ renderSweepSummary(const SweepJournal &journal, std::ostream &out,
             padTo(line, 37);
             line += info.cached ? "cached" : "simulated";
             padTo(line, 48);
-            line += rightAlign(std::to_string(info.event->shard), 5);
             line += rightAlign(
-                std::to_string(info.event->u64("worker")), 8);
+                std::to_string(info.event->u64("worker")), 6);
             line += rightAlign(fmtMs(info.duration_ns), 13);
             out << line << "\n";
         }
@@ -662,11 +619,10 @@ renderSweepSummary(const SweepJournal &journal, std::ostream &out,
         for (const auto &[key, agg] : by_worker)
             busy_total += agg.busy_ns;
         out << "\nworkers:\n"
-            << "  shard  worker  cells    busy-ms   share\n";
-        for (const auto &[key, agg] : by_worker) {
+            << "  worker  cells    busy-ms   share\n";
+        for (const auto &[worker, agg] : by_worker) {
             std::string line = "  ";
-            line += rightAlign(std::to_string(key.first), 5);
-            line += rightAlign(std::to_string(key.second), 8);
+            line += rightAlign(std::to_string(worker), 6);
             line += rightAlign(std::to_string(agg.cells), 7);
             line += rightAlign(fmtMs(agg.busy_ns), 11);
             line += rightAlign(
@@ -704,37 +660,32 @@ renderSweepStatus(const SweepJournal &journal, std::ostream &out,
         now_ns = std::max(now_ns, event.t_ns);
 
     // In-flight cells: cell_start without a matching cell_end.
-    std::map<std::pair<std::uint64_t, std::uint64_t>,
-             const SweepEvent *>
-        running; // (shard, cell) -> cell_start
+    std::map<std::uint64_t, const SweepEvent *> running; // by cell id
     std::uint64_t cells_done = 0, cells_cached = 0;
     std::uint64_t insts_done = 0;
     for (const SweepEvent &event : journal.events) {
         if (event.type == "cell_start") {
-            running[{event.shard, event.u64("cell")}] = &event;
+            running[event.u64("cell")] = &event;
         } else if (event.type == "cell_end") {
-            running.erase({event.shard, event.u64("cell")});
+            running.erase(event.u64("cell"));
             ++cells_done;
             if (event.text("source") == "cached")
                 ++cells_cached;
             insts_done += event.u64("insts");
         }
     }
-    std::uint64_t cells_owned = 0, insts_owned = 0;
-    for (const SweepEvent &event : journal.events) {
-        if (event.type == "schedule") {
-            cells_owned += event.u64("cells_owned");
-            insts_owned += event.u64("insts_owned");
-        }
-    }
+    const SweepEvent *schedule = journal.first("schedule");
+    const std::uint64_t cells_owned =
+        schedule == nullptr ? 0 : schedule->u64("cells_owned");
+    const std::uint64_t insts_owned =
+        schedule == nullptr ? 0 : schedule->u64("insts_owned");
 
     out << "sweep status\n"
         << "  sweep    : workloads=" << id.workloads
         << " prefetchers=" << id.prefetchers << " scale=" << id.scale
         << " seed=" << id.seed << " placement=" << id.placement
         << "\n";
-    out << "  journal  : shard " << id.shard_index << "/"
-        << id.shard_count << ", " << journal.events.size()
+    out << "  journal  : " << journal.events.size()
         << " events, elapsed " << fmtMs(now_ns) << " ms\n";
     const double elapsed_sec = static_cast<double>(now_ns) / 1e9;
     const double rate = elapsed_sec > 0.0
@@ -772,134 +723,14 @@ renderSweepStatus(const SweepJournal &journal, std::ostream &out,
         out << "  workers  : no cells in flight\n";
     } else {
         out << "  workers  :\n";
-        for (const auto &[key, start] : running) {
-            out << "    shard " << start->shard << " worker "
-                << start->u64("worker") << ": "
+        for (const auto &[cell, start] : running) {
+            out << "    worker " << start->u64("worker") << ": "
                 << start->text("workload") << "/"
                 << start->text("prefetcher") << " (running "
                 << fmtMs(now_ns - std::min(start->t_ns, now_ns))
                 << " ms)\n";
         }
     }
-    return true;
-}
-
-bool
-mergeJournals(const std::vector<std::string> &paths,
-              const JournalIdentity *expect, std::ostream &out,
-              std::string *error)
-{
-    if (paths.empty()) {
-        if (error != nullptr)
-            *error = "no journals to merge";
-        return false;
-    }
-    struct Shard
-    {
-        SweepJournal journal;
-        JournalIdentity id;
-        std::string path;
-    };
-    std::vector<Shard> shards;
-    shards.reserve(paths.size());
-    for (const std::string &path : paths) {
-        Shard shard;
-        shard.path = path;
-        if (!readJournal(path, shard.journal, error))
-            return false;
-        if (!journalIdentity(shard.journal, shard.id, error)) {
-            if (error != nullptr)
-                *error = path + ": " + *error;
-            return false;
-        }
-        shards.push_back(std::move(shard));
-    }
-    const auto mismatch = [&](const std::string &path,
-                              const char *what) {
-        if (error != nullptr) {
-            *error = path + ": sweep identity mismatch (" + what +
-                     ") — refusing to merge journals of different "
-                     "sweeps";
-        }
-        return false;
-    };
-    const JournalIdentity &ref =
-        expect != nullptr ? *expect : shards.front().id;
-    for (const Shard &shard : shards) {
-        const JournalIdentity &id = shard.id;
-        if (id.config_digest != ref.config_digest)
-            return mismatch(shard.path, "config_digest");
-        if (id.seed != ref.seed)
-            return mismatch(shard.path, "seed");
-        if (id.scale != ref.scale)
-            return mismatch(shard.path, "scale");
-        if (id.placement != ref.placement)
-            return mismatch(shard.path, "placement");
-        if (id.workloads != ref.workloads)
-            return mismatch(shard.path, "workloads");
-        if (id.prefetchers != ref.prefetchers)
-            return mismatch(shard.path, "prefetchers");
-        if (id.shard_count != ref.shard_count)
-            return mismatch(shard.path, "shard_count");
-        if (id.shard_index >= id.shard_count)
-            return mismatch(shard.path, "shard index out of range");
-    }
-    for (std::size_t a = 0; a < shards.size(); ++a) {
-        for (std::size_t b = a + 1; b < shards.size(); ++b) {
-            if (shards[a].id.shard_index ==
-                shards[b].id.shard_index) {
-                if (error != nullptr) {
-                    *error = shards[b].path + ": shard " +
-                             std::to_string(
-                                 shards[b].id.shard_index) +
-                             " journal given twice";
-                }
-                return false;
-            }
-        }
-    }
-    if (shards.size() != ref.shard_count) {
-        if (error != nullptr) {
-            *error = "expected " + std::to_string(ref.shard_count) +
-                     " shard journals, got " +
-                     std::to_string(shards.size());
-        }
-        return false;
-    }
-
-    // Time-ordered concatenation: each journal is already
-    // t_ns-ordered; absolute time anchors the shards against each
-    // other. Ties (identical wall-clock ns) break by journal open
-    // time then seq, so the merge is deterministic for a given set of
-    // files.
-    struct Item
-    {
-        std::uint64_t abs_ns = 0;
-        std::uint64_t unix_ns = 0;
-        std::uint64_t seq = 0;
-        const std::string *line = nullptr;
-    };
-    std::vector<Item> items;
-    for (const Shard &shard : shards) {
-        for (const SweepEvent &event : shard.journal.events) {
-            Item item;
-            item.abs_ns = shard.id.unix_ns + event.t_ns;
-            item.unix_ns = shard.id.unix_ns;
-            item.seq = event.seq;
-            item.line = &event.line;
-            items.push_back(item);
-        }
-    }
-    std::stable_sort(items.begin(), items.end(),
-                     [](const Item &a, const Item &b) {
-                         if (a.abs_ns != b.abs_ns)
-                             return a.abs_ns < b.abs_ns;
-                         if (a.unix_ns != b.unix_ns)
-                             return a.unix_ns < b.unix_ns;
-                         return a.seq < b.seq;
-                     });
-    for (const Item &item : items)
-        out << *item.line << "\n";
     return true;
 }
 

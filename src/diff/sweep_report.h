@@ -7,7 +7,7 @@
  * p50/p90/p99, per-workload timing, straggler/critical-path table,
  * per-worker utilisation, warm-path read/parse attribution) or a
  * live status snapshot (per-worker current cell, progress, ETA) for
- * follow mode. Also the shard-journal merge cspmerge uses.
+ * follow mode.
  *
  * Lives in csp_diff, not csp_sim: the renderers only ever see the
  * journal bytes, so csptop links the same light library cspdiff and
@@ -34,9 +34,7 @@ struct SweepEvent
     std::string type;       ///< "sweep_start", "cell_end", ...
     std::uint64_t t_ns = 0; ///< monotonic ns since the journal opened
     std::uint64_t seq = 0;  ///< per-journal emission index
-    std::uint64_t shard = 0;
-    FlatDoc doc;      ///< every field, flattened
-    std::string line; ///< the raw line (merge re-emits it verbatim)
+    FlatDoc doc;            ///< every field, flattened
 
     /** Integer field (full uint64 precision), @p fallback if absent
      *  or non-numeric. */
@@ -55,8 +53,7 @@ struct SweepJournal
     const SweepEvent *last(const std::string &type) const;
 };
 
-/** What a sweep_start event says was swept — the identity cspmerge
- *  matches against the artefacts before concatenating journals. */
+/** What a sweep_start event says was swept. */
 struct JournalIdentity
 {
     std::string config_digest;
@@ -65,22 +62,20 @@ struct JournalIdentity
     std::string placement;
     std::string workloads;
     std::string prefetchers;
-    std::uint64_t shard_count = 1;
-    std::uint64_t shard_index = 0;
-    std::uint64_t unix_ns = 0; ///< wall clock at journal open
 };
 
 /**
  * Parse journal @p text (JSONL) and check every csp-events-v1 rule;
  * false with *error naming the first broken one (with its 1-based line
- * or shard). Each line is a JSON object with event and unsigned
- * t_ns/seq/shard, of a known event type carrying that type's keys
+ * where one line breaks it). Each line is a JSON object with event and
+ * unsigned t_ns/seq, of a known event type carrying that type's keys
  * (cell_end's source is cached or simulated, trace digests are
- * non-empty). Per shard: seq strictly increases, t_ns never
- * decreases, a sweep_start comes first, cell_start/cell_end pair up
- * by cell id, only evict and one cache_trim follow sweep_end, and the
- * sweep_end and cache_trim roll-ups match the events they count. A
- * partial journal (no sweep_end yet, or no sweep_start) still parses.
+ * non-empty). A journal holds one sweep: seq strictly increases, t_ns
+ * never decreases, only the first event may be a sweep_start,
+ * cell_start/cell_end pair up by cell id, only evict and one
+ * cache_trim follow sweep_end, and the sweep_end and cache_trim
+ * roll-ups match the events they count. A partial journal (no
+ * sweep_end yet, or no sweep_start) still parses.
  */
 bool parseJournal(const std::string &text, SweepJournal &out,
                   std::string *error);
@@ -105,7 +100,7 @@ struct SweepReportOptions
 };
 
 /**
- * Post-hoc report over a complete (or merged) journal: identity,
+ * Post-hoc report over a complete journal: identity,
  * cache hit rate, exact per-cell duration percentiles split
  * cached/simulated, warm-path read/parse attribution, per-workload
  * table, stragglers, per-worker utilisation, evictions. Handles
@@ -119,28 +114,13 @@ bool renderSweepSummary(const SweepJournal &journal, std::ostream &out,
 /**
  * Live status snapshot for follow mode: progress (cells, insts, rate
  * from the last heartbeat or from completed cells), ETA against the
- * longest-first schedule's owned instruction total, per-worker
+ * longest-first schedule's instruction total, per-worker
  * current cell with its running time, cache hits so far. "now" is the
  * latest t_ns in the journal, so the output is a pure function of the
  * bytes read. False with *error when @p journal has no sweep_start.
  */
 bool renderSweepStatus(const SweepJournal &journal, std::ostream &out,
                        std::string *error);
-
-/**
- * Merge shard journals into one time-ordered journal (satellite of
- * the sweep observatory): events are re-emitted verbatim, ordered by
- * absolute time (each journal's sweep_start unix_ns + the event's
- * t_ns; ties break by journal open time, then seq). Refuses (false,
- * *error) when a journal is malformed, lacks a sweep_start, repeats a
- * shard index, disagrees with another journal on the sweep identity —
- * or, when @p expect is non-null, mismatches the artefacts' identity
- * (config digest, seed, scale, placement, workload/prefetcher lists,
- * shard count; expect->shard_index is ignored).
- */
-bool mergeJournals(const std::vector<std::string> &paths,
-                   const JournalIdentity *expect, std::ostream &out,
-                   std::string *error);
 
 } // namespace csp::diff
 

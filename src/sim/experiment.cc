@@ -146,17 +146,15 @@ storeTraceInCache(const trace::TraceBuffer &buffer,
 class SweepProgress
 {
   public:
-    /** @param cell_totals expected instruction count per cell, 0 for
-     *  cells a sharded sweep does not own; @p expected_cells the
-     *  owned count, the line's denominator. */
+    /** @param cell_totals expected instruction count per cell; their
+     *  number is the line's denominator. */
     SweepProgress(std::string label, std::vector<std::uint64_t> cell_totals,
-                  std::size_t expected_cells, unsigned jobs,
-                  SweepEventJournal *journal, bool print)
+                  unsigned jobs, SweepEventJournal *journal, bool print)
         : label_(std::move(label)), totals_(std::move(cell_totals)),
           current_(totals_.size(), 0),
           total_sum_(std::accumulate(totals_.begin(), totals_.end(),
                                      std::uint64_t{0})),
-          expected_cells_(expected_cells), journal_(journal),
+          expected_cells_(totals_.size()), journal_(journal),
           print_(print), jobs_(jobs),
           start_(std::chrono::steady_clock::now()), last_(start_)
     {}
@@ -481,14 +479,7 @@ geomean(const std::vector<double> &values)
 SweepResult
 runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
 {
-    if (options.shard_count == 0 ||
-        options.shard_index >= options.shard_count) {
-        fatal("runSweep: invalid shard %u/%u", options.shard_index,
-              options.shard_count);
-    }
     SweepResult result;
-    result.shard_index = options.shard_index;
-    result.shard_count = options.shard_count;
     const std::size_t n_cells = grid.size();
 
     // Dedup: cells sharing (workload, scale, seed, placement) share one
@@ -557,7 +548,6 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
             : nullptr;
     using J = SweepEventJournal;
     if (journal != nullptr) {
-        journal->setShard(options.shard_index);
         journal->emit(
             "sweep_start",
             {J::str("schema", kSweepEventsSchema),
@@ -568,7 +558,6 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
              J::str("placement", result.manifest.placement),
              J::str("workloads", result.manifest.workloads),
              J::str("prefetchers", result.manifest.prefetchers),
-             J::u64("shard_count", options.shard_count),
              J::u64("jobs", jobs),
              J::str("git_sha", result.manifest.git_sha)});
     }
@@ -708,30 +697,14 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
                          return task_totals[a] > task_totals[b];
                      });
 
-    // Shard ownership: rank in the global longest-first order, mod
-    // shard_count. Every shard computes the same order from the same
-    // summaries, so the partition is deterministic and disjoint; the
-    // round-robin over sorted ranks also balances big workloads across
-    // shards instead of handing shard 0 all the long traces.
-    std::vector<std::uint8_t> owned(n_tasks, 0);
-    std::size_t owned_tasks = 0;
-    std::uint64_t owned_insts = 0;
-    std::vector<std::uint64_t> progress_totals(n_tasks, 0);
-    for (std::size_t rank = 0; rank < n_tasks; ++rank) {
-        if (rank % options.shard_count != options.shard_index)
-            continue;
-        const std::size_t j = order[rank];
-        owned[j] = 1;
-        ++owned_tasks;
-        owned_insts += task_totals[j];
-        progress_totals[j] = task_totals[j];
-    }
     if (journal != nullptr) {
         journal->emit(
             "schedule",
             {J::u64("cells_total", n_tasks),
-             J::u64("cells_owned", owned_tasks),
-             J::u64("insts_owned", owned_insts),
+             J::u64("cells_owned", n_tasks),
+             J::u64("insts_owned",
+                    std::accumulate(task_totals.begin(),
+                                    task_totals.end(), std::uint64_t{0})),
              J::str("trace_digest", result.manifest.trace_digest)});
     }
 
@@ -744,8 +717,7 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
     SweepProgress progress(result.workload_names.size() == 1
                                ? result.workload_names.front()
                                : "sweep",
-                           std::move(progress_totals), owned_tasks, jobs,
-                           journal, options.verbose);
+                           task_totals, jobs, journal, options.verbose);
 
     const bool use_result_cache = options.use_result_cache;
     const ResultCache result_cache(options.result_cache_dir.empty()
@@ -812,19 +784,12 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
 
     // Per-trace countdown so the last finishing task releases its
     // trace — peak memory tapers during the sweep instead of holding
-    // every trace until the end. Sharded sweeps count owned tasks
-    // only; a trace with no owned tasks frees (or never loads) at once.
+    // every trace until the end.
     std::vector<std::atomic<std::size_t>> tasks_left(n_traces);
     for (std::size_t j = 0; j < n_tasks; ++j)
-        tasks_left[task_trace[j]] += owned[j];
-    for (std::size_t ti = 0; ti < n_traces; ++ti) {
-        if (tasks_left[ti] == 0)
-            traces[ti] = trace::TraceBuffer();
-    }
+        ++tasks_left[task_trace[j]];
 
     for (const std::size_t j : order) {
-        if (!owned[j])
-            continue;
         pool.submit([&, j] {
             const std::size_t ti = task_trace[j];
             const std::size_t k = task_cell[j];
@@ -964,30 +929,27 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
             static_cast<double>(simulated) /
             result.manifest.sim_seconds;
     }
-    // Every cell answers from its task; a task this shard does not own
-    // leaves its cells default-valued and absent.
+    // Every cell answers from its task.
     result.cells.resize(n_cells);
     for (std::size_t i = 0; i < n_cells; ++i) {
         const std::size_t j = cell_task[i];
         result.cells[i] = {grid[i].workload, grid[i].prefetcher,
-                           task_stats[j], owned[j] != 0,
-                           task_outputs[j]};
+                           task_stats[j], task_outputs[j]};
     }
-    // Fold the roll-up into the artefact's cache block (summed by
-    // cspmerge) and the journal's sweep_end event. No lock: the pool
-    // is drained.
+    // Fold the roll-up into the artefact's cache block and the
+    // journal's sweep_end event. No lock: the pool is drained.
     result.cache_read_ns = telemetry.cache_read_ns;
     result.cache_parse_ns = telemetry.cache_parse_ns;
     result.cache_entry_bytes = telemetry.cache_entry_bytes;
     result.cache_verify_failures = telemetry.cache_verify_failures;
     if (journal != nullptr) {
-        telemetry.cells_owned = owned_tasks;
+        telemetry.cells_owned = n_tasks;
         telemetry.cells_cached = result.cells_cached;
         telemetry.cells_simulated = result.cells_simulated;
         telemetry.trace_cache_hits = result.trace_cache_hits;
         journal->emit(
             "sweep_end",
-            {J::u64("cells_owned", owned_tasks),
+            {J::u64("cells_owned", n_tasks),
              J::u64("cells_cached", result.cells_cached),
              J::u64("cells_simulated", result.cells_simulated),
              J::u64("trace_cache_hits", result.trace_cache_hits),

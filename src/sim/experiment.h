@@ -101,9 +101,6 @@ struct CellResult
     std::string workload;
     std::string prefetcher;
     RunStats stats;
-    /** False for cells a sharded sweep did not own (see
-     *  SweepOptions::shard_count); their stats are default-valued. */
-    bool present = false;
     /** What the cell's observers recorded; null for unobserved and
      *  cached cells. Cells sharing a simulation share one. */
     std::shared_ptr<const CellOutputs> outputs = {};
@@ -118,22 +115,19 @@ struct SweepResult
     std::vector<std::string> prefetcher_names;
     std::vector<CellResult> cells;
 
-    // Scale-out accounting: how the cells were obtained. Cached and
-    // simulated counts cover this shard's owned distinct cells only.
+    // Cache accounting: how the cells were obtained. Cached and
+    // simulated counts cover distinct cells (one per simulation).
     std::uint64_t cells_cached = 0;
     std::uint64_t cells_simulated = 0;
     std::uint64_t trace_cache_hits = 0; ///< workload traces not regenerated
-    // Warm-path cost attribution, summed over this shard's cached
-    // cells (see ResultCache::LoadStats). Side-band telemetry like the
-    // manifest's timing block: never part of the deterministic cell
-    // data, carried in the artefact's cache block so cspmerge can sum
-    // it and csptop can report it.
+    // Warm-path cost attribution, summed over the cached cells (see
+    // ResultCache::LoadStats). Side-band telemetry like the manifest's
+    // timing block: never part of the deterministic cell data, carried
+    // in the artefact's cache block.
     std::uint64_t cache_read_ns = 0;
     std::uint64_t cache_parse_ns = 0;
     std::uint64_t cache_entry_bytes = 0;
     std::uint64_t cache_verify_failures = 0;
-    unsigned shard_index = 0;
-    unsigned shard_count = 1;
     /**
      * Provenance of the sweep: build + the first cell's config digest,
      * seed, scale and placement (the whole sweep's, for a cross
@@ -213,15 +207,6 @@ struct SweepOptions
     /** Trace-cache directory; empty -> defaultTraceCacheDir(). */
     std::string trace_cache_dir;
     /**
-     * Deterministic 1-of-N partition of the sweep grid: this process
-     * owns every distinct cell whose rank in the global longest-trace-
-     * first order is shard_index mod shard_count. Non-owned cells come
-     * back with present=false; cspmerge reassembles the full matrix
-     * bit-identically. shard_count=1 owns everything.
-     */
-    unsigned shard_index = 0;
-    unsigned shard_count = 1;
-    /**
      * When set, every simulated cell's phase timings and every trace
      * generation are merged into this aggregate profiler. Unlike
      * kObserveProfile it does not make a cell observed. The warm-sweep
@@ -236,8 +221,7 @@ struct SweepOptions
      * — to this journal (see sweep_events.h). Strictly side-band: the
      * journal observes the sweep but never alters scheduling or
      * results; sweeps with and without a journal are bit-identical
-     * (enforced by test). runSweep stamps the journal with
-     * shard_index; the cspsim front-end owns open/close.
+     * (enforced by test). The cspsim front-end owns open/close.
      */
     SweepEventJournal *journal = nullptr;
 };

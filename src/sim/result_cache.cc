@@ -8,11 +8,13 @@
 #include <filesystem>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "core/content_store.h"
 #include "core/hashing.h"
 #include "core/logging.h"
+#include "core/parse.h"
 #include "core/run_manifest.h"
 #include "diff/csp_diff.h"
 
@@ -155,28 +157,25 @@ runStatsFields(const RunStats &stats)
 bool
 parseByteSize(const std::string &text, std::uint64_t &out)
 {
-    // strtoull silently wraps a leading '-'; only plain digits lead.
-    if (text.empty() ||
-        std::isdigit(static_cast<unsigned char>(text[0])) == 0)
-        return false;
-    char *end = nullptr;
-    const std::uint64_t value =
-        std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str())
-        return false;
-    std::uint64_t scale = 1;
-    if (*end != '\0') {
-        switch (std::toupper(static_cast<unsigned char>(*end))) {
-        case 'K': scale = std::uint64_t{1} << 10; break;
-        case 'M': scale = std::uint64_t{1} << 20; break;
-        case 'G': scale = std::uint64_t{1} << 30; break;
-        case 'T': scale = std::uint64_t{1} << 40; break;
-        default: return false;
+    std::string_view digits = text;
+    unsigned shift = 0;
+    if (!digits.empty()) {
+        switch (std::toupper(static_cast<unsigned char>(digits.back()))) {
+        case 'K': shift = 10; break;
+        case 'M': shift = 20; break;
+        case 'G': shift = 30; break;
+        case 'T': shift = 40; break;
+        default: break;
         }
-        if (end[1] != '\0')
-            return false;
+        if (shift != 0)
+            digits.remove_suffix(1);
     }
-    out = value * scale;
+    std::uint64_t value = 0;
+    // Overflow of the digits or of the suffix's scaling is refused,
+    // never wrapped into a tiny budget.
+    if (!parseUnsigned(digits, value) || value > (UINT64_MAX >> shift))
+        return false;
+    out = value << shift;
     return true;
 }
 

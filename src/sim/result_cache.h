@@ -150,10 +150,11 @@ class ResultCache
               LoadStats *load_stats = nullptr) const;
 
     /**
-     * Store @p stats under @p key (atomic write; concurrent shards
-     * storing the same digest race benignly). @p git_sha is recorded
-     * as provenance. False on filesystem failure — never fatal, a
-     * sweep without a writable cache still runs.
+     * Store @p stats under @p key (atomic write; concurrent processes
+     * sharing the directory and storing the same digest race
+     * benignly). @p git_sha is recorded as provenance. False on
+     * filesystem failure — never fatal, a sweep without a writable
+     * cache still runs.
      */
     bool store(const CellKey &key, const RunStats &stats,
                const std::string &git_sha) const;
@@ -167,7 +168,8 @@ class ResultCache
  * unbounded" item): when the *.json entries exceed @p max_bytes,
  * delete oldest-mtime-first until the total fits. Run after sweep
  * completion (cspsim --cache-max-bytes / CSP_CACHE_MAX_BYTES), never
- * during one — a concurrent shard may be about to hit an entry.
+ * during one — the sweep, or another process sharing the directory,
+ * may be about to hit an entry.
  * @p max_bytes == 0 means unbounded (no-op). Eviction order ties on
  * mtime break by path, so a given directory state trims
  * deterministically. Filesystem errors warn and skip the entry.

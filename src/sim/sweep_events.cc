@@ -134,8 +134,6 @@ SweepEventJournal::emit(const char *event,
     line += std::to_string(elapsedNs());
     line += ",\"seq\":";
     line += std::to_string(seq_++);
-    line += ",\"shard\":";
-    line += std::to_string(shard_);
     for (const Field &field : fields) {
         line += ",\"";
         line += field.key;
@@ -163,7 +161,7 @@ SweepTelemetry::statsJson() const
 {
     stats::Registry registry;
     registry.counter("sweep.cells_owned", &cells_owned,
-                     "cells this shard owned");
+                     "distinct cells the sweep scheduled");
     registry.counter("sweep.cells_cached", &cells_cached,
                      "cells satisfied from the result cache");
     registry.counter("sweep.cells_simulated", &cells_simulated,

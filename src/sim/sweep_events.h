@@ -3,13 +3,13 @@
  * Sweep observability: the csp-events-v1 JSONL journal and the
  * telemetry rolled up into its `sweep_end` event.
  *
- * A long sharded sweep is a black box without a record of which cells
- * ran where and why the caches hit or missed. `cspsim --events-out`
+ * A long sweep is a black box without a record of which cells ran on
+ * which worker and why the caches hit or missed. `cspsim --events-out`
  * opens a SweepEventJournal and `runSweep` appends one JSON object per
  * line as the sweep progresses: `sweep_start` (identity + schedule
  * parameters), `trace_cache`/`trace_gen`/`trace_load` (per-workload
- * trace provenance), `schedule` (ownership under the longest-first
- * order), `cell_start`/`cell_end` (worker attribution, duration,
+ * trace provenance), `schedule` (the longest-first plan's cell and
+ * instruction totals), `cell_start`/`cell_end` (worker attribution, duration,
  * cached-vs-simulated, cache read+parse time), rate-limited
  * `heartbeat` snapshots, and a `sweep_end` roll-up embedding a
  * stats-registry report (`sweep.*` / `cache.*` counters and
@@ -29,8 +29,6 @@
  *    interleave mid-line and a crashed sweep leaves a valid prefix.
  *    `t_ns` (monotonic since open) and `seq` are assigned under the
  *    same mutex, so both are nondecreasing within one journal file.
- *    Merged journals (cspmerge --events-out) are ordered by
- *    `sweep_start.unix_ns + t_ns` instead.
  */
 
 #ifndef CSP_SIM_SWEEP_EVENTS_H
@@ -72,9 +70,6 @@ class SweepEventJournal
     /** Flush and close; further emit() calls are ignored. */
     void close();
 
-    /** Every event line carries this shard index (default 0). */
-    void setShard(unsigned shard) { shard_ = shard; }
-
     /** One typed field of an event line. */
     struct Field
     {
@@ -95,7 +90,7 @@ class SweepEventJournal
     static Field raw(const char *key, std::string json);
 
     /**
-     * Append `{"event":"<event>","t_ns":…,"seq":…,"shard":…,<fields>}`
+     * Append `{"event":"<event>","t_ns":…,"seq":…,<fields>}`
      * as one atomic line. Safe from any thread; no-op when closed.
      */
     void emit(const char *event, std::initializer_list<Field> fields);
@@ -110,7 +105,6 @@ class SweepEventJournal
     std::FILE *file_ = nullptr;
     std::mutex mutex_;
     std::uint64_t seq_ = 0;
-    unsigned shard_ = 0;
     std::chrono::steady_clock::time_point start_{};
     std::uint64_t unix_start_ns_ = 0;
 };

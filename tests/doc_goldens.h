@@ -103,22 +103,22 @@ inline constexpr char kGoldenMemJson[] = R"({
  *  the renderers never consult the clock. Two workloads x two
  *  prefetchers, half cached, one worker idle-ish, a post-sweep trim. */
 inline constexpr char kSyntheticJournal[] =
-    R"({"event":"sweep_start","t_ns":0,"seq":0,"shard":0,"schema":"csp-events-v1","unix_ns":1000000000000,"config_digest":"cafe01234567","seed":7,"scale":1000,"placement":"rand","workloads":"alpha,beta","prefetchers":"none,context","shard_count":1,"jobs":2,"git_sha":"deadbeef"}
-{"event":"trace_gen","t_ns":1000000,"seq":1,"shard":0,"workload":"alpha","digest":"d1","records":10,"insts":100000,"accesses":30,"duration_ns":800000,"cached":1,"worker":0}
-{"event":"trace_cache","t_ns":1200000,"seq":2,"shard":0,"workload":"beta","digest":"d2","records":10,"insts":100000,"worker":1}
-{"event":"schedule","t_ns":1300000,"seq":3,"shard":0,"cells_total":4,"cells_owned":4,"insts_owned":400000,"trace_digest":"td"}
-{"event":"cell_start","t_ns":1400000,"seq":4,"shard":0,"cell":0,"workload":"alpha","prefetcher":"none","worker":0}
-{"event":"cell_start","t_ns":1400000,"seq":5,"shard":0,"cell":1,"workload":"alpha","prefetcher":"context","worker":1}
-{"event":"cell_end","t_ns":1900000,"seq":6,"shard":0,"cell":1,"workload":"alpha","prefetcher":"context","worker":1,"source":"cached","duration_ns":500000,"read_ns":200000,"parse_ns":250000,"bytes":900,"insts":100000}
-{"event":"cell_start","t_ns":2000000,"seq":7,"shard":0,"cell":3,"workload":"beta","prefetcher":"context","worker":1}
-{"event":"heartbeat","t_ns":2500000,"seq":8,"shard":0,"cells_done":1,"cells_expected":4,"cells_cached":1,"insts_done":100000,"insts_total":400000,"insts_per_sec":50000000}
-{"event":"cell_end","t_ns":3400000,"seq":9,"shard":0,"cell":0,"workload":"alpha","prefetcher":"none","worker":0,"source":"simulated","duration_ns":2000000,"verify_failed":0,"insts":100000}
-{"event":"cell_start","t_ns":3500000,"seq":10,"shard":0,"cell":2,"workload":"beta","prefetcher":"none","worker":0}
-{"event":"cell_end","t_ns":3900000,"seq":11,"shard":0,"cell":2,"workload":"beta","prefetcher":"none","worker":0,"source":"cached","duration_ns":400000,"read_ns":100000,"parse_ns":250000,"bytes":800,"insts":100000}
-{"event":"cell_end","t_ns":5000000,"seq":12,"shard":0,"cell":3,"workload":"beta","prefetcher":"context","worker":1,"source":"simulated","duration_ns":3000000,"verify_failed":0,"insts":100000}
-{"event":"sweep_end","t_ns":5100000,"seq":13,"shard":0,"cells_owned":4,"cells_cached":2,"cells_simulated":2,"trace_cache_hits":1,"cache_read_ns":300000,"cache_parse_ns":500000,"cache_entry_bytes":1700,"cache_verify_failures":0,"trace_gen_ns":800000,"sim_ns":5000000,"stats":{"sweep":{"cells_owned":4}}}
-{"event":"evict","t_ns":5200000,"seq":14,"shard":0,"entry":"00aa.json","bytes":123}
-{"event":"cache_trim","t_ns":5300000,"seq":15,"shard":0,"max_bytes":4096,"scanned_entries":5,"scanned_bytes":4219,"evicted_entries":1,"evicted_bytes":123}
+    R"({"event":"sweep_start","t_ns":0,"seq":0,"schema":"csp-events-v1","unix_ns":1000000000000,"config_digest":"cafe01234567","seed":7,"scale":1000,"placement":"rand","workloads":"alpha,beta","prefetchers":"none,context","jobs":2,"git_sha":"deadbeef"}
+{"event":"trace_gen","t_ns":1000000,"seq":1,"workload":"alpha","digest":"d1","records":10,"insts":100000,"accesses":30,"duration_ns":800000,"cached":1,"worker":0}
+{"event":"trace_cache","t_ns":1200000,"seq":2,"workload":"beta","digest":"d2","records":10,"insts":100000,"worker":1}
+{"event":"schedule","t_ns":1300000,"seq":3,"cells_total":4,"cells_owned":4,"insts_owned":400000,"trace_digest":"td"}
+{"event":"cell_start","t_ns":1400000,"seq":4,"cell":0,"workload":"alpha","prefetcher":"none","worker":0}
+{"event":"cell_start","t_ns":1400000,"seq":5,"cell":1,"workload":"alpha","prefetcher":"context","worker":1}
+{"event":"cell_end","t_ns":1900000,"seq":6,"cell":1,"workload":"alpha","prefetcher":"context","worker":1,"source":"cached","duration_ns":500000,"read_ns":200000,"parse_ns":250000,"bytes":900,"insts":100000}
+{"event":"cell_start","t_ns":2000000,"seq":7,"cell":3,"workload":"beta","prefetcher":"context","worker":1}
+{"event":"heartbeat","t_ns":2500000,"seq":8,"cells_done":1,"cells_expected":4,"cells_cached":1,"insts_done":100000,"insts_total":400000,"insts_per_sec":50000000}
+{"event":"cell_end","t_ns":3400000,"seq":9,"cell":0,"workload":"alpha","prefetcher":"none","worker":0,"source":"simulated","duration_ns":2000000,"verify_failed":0,"insts":100000}
+{"event":"cell_start","t_ns":3500000,"seq":10,"cell":2,"workload":"beta","prefetcher":"none","worker":0}
+{"event":"cell_end","t_ns":3900000,"seq":11,"cell":2,"workload":"beta","prefetcher":"none","worker":0,"source":"cached","duration_ns":400000,"read_ns":100000,"parse_ns":250000,"bytes":800,"insts":100000}
+{"event":"cell_end","t_ns":5000000,"seq":12,"cell":3,"workload":"beta","prefetcher":"context","worker":1,"source":"simulated","duration_ns":3000000,"verify_failed":0,"insts":100000}
+{"event":"sweep_end","t_ns":5100000,"seq":13,"cells_owned":4,"cells_cached":2,"cells_simulated":2,"trace_cache_hits":1,"cache_read_ns":300000,"cache_parse_ns":500000,"cache_entry_bytes":1700,"cache_verify_failures":0,"trace_gen_ns":800000,"sim_ns":5000000,"stats":{"sweep":{"cells_owned":4}}}
+{"event":"evict","t_ns":5200000,"seq":14,"entry":"00aa.json","bytes":123}
+{"event":"cache_trim","t_ns":5300000,"seq":15,"max_bytes":4096,"scanned_entries":5,"scanned_bytes":4219,"evicted_entries":1,"evicted_bytes":123}
 )";
 
 } // namespace csp

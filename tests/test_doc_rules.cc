@@ -198,42 +198,56 @@ const RuleRow kJournalRules[] = {
     {"t_ns_never_decreases", Doc::Journal, R"("t_ns":3400000,)",
      R"("t_ns":2400000,)", "t_ns went backwards"},
     {"sweep_start_first", Doc::Journal,
-     R"({"event":"heartbeat","t_ns":2500000,"seq":8,"shard":0,)",
-     R"({"event":"sweep_start","t_ns":2500000,"seq":8,"shard":0,)"
+     R"({"event":"heartbeat","t_ns":2500000,"seq":8,)",
+     R"({"event":"sweep_start","t_ns":2500000,"seq":8,)"
      R"("schema":"csp-events-v1","unix_ns":1,"config_digest":"c",)"
      R"("seed":7,"scale":1,"placement":"p","workloads":"w",)"
-     R"("prefetchers":"p","shard_count":1,"jobs":1,"git_sha":"g",)",
-     "sweep_start is not the shard's first event"},
+     R"("prefetchers":"p","jobs":1,"git_sha":"g",)",
+     "sweep_start is not the journal's first event"},
+    // What a merged journal looked like: a second sweep concatenated
+    // after the first one's trim.
+    {"one_sweep_per_journal", Doc::Journal, R"("evicted_bytes":123})",
+     R"("evicted_bytes":123})" "\n"
+     R"({"event":"sweep_start","t_ns":0,"seq":0,)"
+     R"("schema":"csp-events-v1","unix_ns":2,"config_digest":"c",)"
+     R"("seed":7,"scale":1,"placement":"p","workloads":"w",)"
+     R"("prefetchers":"p","jobs":1,"git_sha":"g"})" "\n"
+     R"({"event":"sweep_end","t_ns":1,"seq":1,)"
+     R"("cells_owned":0,"cells_cached":0,"cells_simulated":0,)"
+     R"("trace_cache_hits":0,"cache_read_ns":0,"cache_parse_ns":0,)"
+     R"("cache_entry_bytes":0,"cache_verify_failures":0,)"
+     R"("trace_gen_ns":0,"sim_ns":0,"stats":0})",
+     "line 17: sweep_start is not the journal's first event"},
     {"sweep_start_schema", Doc::Journal, R"("schema":"csp-events-v1")",
      R"("schema":"csp-events-v2")", "schema is not csp-events-v1"},
     {"one_sweep_end", Doc::Journal,
-     R"({"event":"evict","t_ns":5200000,"seq":14,"shard":0,)",
-     R"({"event":"sweep_end","t_ns":5200000,"seq":14,"shard":0,)"
+     R"({"event":"evict","t_ns":5200000,"seq":14,)",
+     R"({"event":"sweep_end","t_ns":5200000,"seq":14,)"
      R"("cells_owned":4,"cells_cached":2,"cells_simulated":2,)"
      R"("trace_cache_hits":1,"cache_read_ns":0,"cache_parse_ns":0,)"
      R"("cache_entry_bytes":0,"cache_verify_failures":0,)"
      R"("trace_gen_ns":0,"sim_ns":0,"stats":0,)",
-     "line 15: shard 0: sweep_end after sweep_end"},
+     "line 15: sweep_end after sweep_end"},
     {"cell_start_once", Doc::Journal,
-     R"("seq":7,"shard":0,"cell":3,)", R"("seq":7,"shard":0,"cell":0,)",
+     R"("seq":7,"cell":3,)", R"("seq":7,"cell":0,)",
      "cell 0 started twice"},
     {"cell_end_after_start", Doc::Journal,
-     R"("seq":10,"shard":0,"cell":2,)",
-     R"("seq":10,"shard":0,"cell":5,)",
+     R"("seq":10,"cell":2,)",
+     R"("seq":10,"cell":5,)",
      "cell_end for cell 2 without cell_start"},
     {"cells_closed_at_sweep_end", Doc::Journal,
-     R"({"event":"cell_end","t_ns":5000000,"seq":12,"shard":0,"cell":3,)",
-     R"({"event":"cell_start","t_ns":5000000,"seq":12,"shard":0,"cell":4,)",
-     "shard 0: cell 3 still open at sweep_end"},
+     R"({"event":"cell_end","t_ns":5000000,"seq":12,"cell":3,)",
+     R"({"event":"cell_start","t_ns":5000000,"seq":12,"cell":4,)",
+     "cell 3 still open at sweep_end"},
     {"only_trim_after_sweep_end", Doc::Journal,
-     R"({"event":"evict","t_ns":5200000,"seq":14,"shard":0,)",
-     R"({"event":"heartbeat","t_ns":5200000,"seq":14,"shard":0,)"
+     R"({"event":"evict","t_ns":5200000,"seq":14,)",
+     R"({"event":"heartbeat","t_ns":5200000,"seq":14,)"
      R"("cells_done":4,"cells_expected":4,"cells_cached":2,)"
      R"("insts_done":1,"insts_total":1,"insts_per_sec":1,)",
      "heartbeat after sweep_end"},
     {"sweep_end_cells_owned", Doc::Journal,
-     R"("seq":13,"shard":0,"cells_owned":4,)",
-     R"("seq":13,"shard":0,"cells_owned":5,)",
+     R"("seq":13,"cells_owned":4,)",
+     R"("seq":13,"cells_owned":5,)",
      "sweep_end cells_owned is 5 but the journal shows 4"},
     {"sweep_end_cells_cached", Doc::Journal,
      R"("cells_cached":2,"cells_simulated":2,)",
@@ -244,9 +258,9 @@ const RuleRow kJournalRules[] = {
      R"("cells_cached":2,"cells_simulated":3,)",
      "sweep_end cells_simulated is 3 but the journal shows 2"},
     {"one_cache_trim", Doc::Journal,
-     R"({"event":"evict","t_ns":5200000,"seq":14,"shard":0,)"
+     R"({"event":"evict","t_ns":5200000,"seq":14,)"
      R"("entry":"00aa.json","bytes":123})",
-     R"({"event":"cache_trim","t_ns":5200000,"seq":14,"shard":0,)"
+     R"({"event":"cache_trim","t_ns":5200000,"seq":14,)"
      R"("max_bytes":4096,"scanned_entries":5,"scanned_bytes":4219,)"
      R"("evicted_entries":1,"evicted_bytes":123})",
      "second cache_trim"},
@@ -278,7 +292,7 @@ TEST(DocRules, JournalFieldsParseWholeIntegers)
     diff::SweepJournal journal;
     std::string error;
     ASSERT_TRUE(diff::parseJournal(
-        R"({"event":"heartbeat","t_ns":1,"seq":0,"shard":0,)"
+        R"({"event":"heartbeat","t_ns":1,"seq":0,)"
         R"("cells_done":-5,"cells_expected":4,"cells_cached":1e3,)"
         R"("insts_done":0,"insts_total":1,"insts_per_sec":0})",
         journal, &error))

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/profiling.h"
@@ -209,7 +210,6 @@ TEST(ParallelSweep, GridMatchesDirectRunsAndDedups)
             Simulator simulator(cell.config);
             EXPECT_EQ(sweep.cells[i].workload, cell.workload);
             EXPECT_EQ(sweep.cells[i].prefetcher, cell.prefetcher);
-            EXPECT_TRUE(sweep.cells[i].present);
             expectIdenticalStats(sweep.cells[i].stats,
                                  simulator.run(trace, *prefetcher));
         }
@@ -470,10 +470,19 @@ TEST(ThreadPool, DefaultJobsHonoursEnvironment)
 {
     setenv("CSP_JOBS", "3", 1);
     EXPECT_EQ(ThreadPool::defaultJobs(), 3u);
-    setenv("CSP_JOBS", "garbage", 1);
-    EXPECT_GE(ThreadPool::defaultJobs(), 1u);
+    const unsigned hw =
+        std::max(1u, std::thread::hardware_concurrency());
+    // Garbage, a numeric prefix, a sign and overflow of the unsigned
+    // range all fall back to the hardware threads, never to a
+    // truncated or wrapped count.
+    for (const char *bad : {"garbage", "8x", "-1", "99999999999"}) {
+        setenv("CSP_JOBS", bad, 1);
+        EXPECT_EQ(ThreadPool::defaultJobs(), hw) << bad;
+    }
+    setenv("CSP_JOBS", "0", 1);
+    EXPECT_EQ(ThreadPool::defaultJobs(), hw);
     unsetenv("CSP_JOBS");
-    EXPECT_GE(ThreadPool::defaultJobs(), 1u);
+    EXPECT_EQ(ThreadPool::defaultJobs(), hw);
 }
 
 } // namespace

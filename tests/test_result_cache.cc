@@ -1,8 +1,6 @@
-/** @file The scale-out sweep service's contract: a warm (fully
- *  memoized) sweep does zero simulation work and emits byte-identical
- *  artefacts; corrupt cache entries are detected and recomputed;
- *  sharded sweeps merge bit-identically to an unsharded run; merges
- *  of mismatched sweeps are refused. */
+/** @file The cached sweep service's contract: a warm (fully memoized)
+ *  sweep does zero simulation work and emits byte-identical artefacts;
+ *  corrupt cache entries are detected and recomputed. */
 
 #include <gtest/gtest.h>
 
@@ -207,91 +205,6 @@ TEST(ResultCache, EntryRefusesServingAForeignKey)
     ASSERT_TRUE(readFileToString(cache.entryPath(key), entry));
     ASSERT_TRUE(atomicWriteFile(cache.entryPath(other), entry));
     EXPECT_FALSE(cache.load(other, loaded));
-}
-
-TEST(ResultCache, ShardsMergeByteIdenticalToUnsharded)
-{
-    SweepOptions unsharded;
-    unsharded.verbose = false;
-    unsharded.jobs = 4;
-    const SweepResult full = sweep(unsharded);
-
-    for (const unsigned jobs : {1u, 4u}) {
-        std::vector<SweepResult> shards;
-        std::size_t present_total = 0;
-        for (unsigned i = 0; i < 3; ++i) {
-            SweepOptions options;
-            options.verbose = false;
-            options.jobs = jobs;
-            options.shard_index = i;
-            options.shard_count = 3;
-            shards.push_back(sweep(options));
-            for (const CellResult &cell : shards.back().cells)
-                present_total += cell.present ? 1 : 0;
-        }
-        EXPECT_EQ(present_total, full.cells.size()) << "jobs " << jobs;
-        SweepResult merged;
-        std::string error;
-        ASSERT_TRUE(mergeSweeps(shards, merged, &error)) << error;
-        EXPECT_EQ(cellCsv(full), cellCsv(merged)) << "jobs " << jobs;
-    }
-}
-
-TEST(ResultCache, MergeRefusesMismatchedSweeps)
-{
-    SweepOptions options;
-    options.verbose = false;
-    options.jobs = 2;
-    options.shard_count = 2;
-    options.shard_index = 0;
-    const SweepResult shard0 = sweep(options);
-    options.shard_index = 1;
-    const SweepResult other_seed = sweep(options, /*seed=*/7);
-
-    SweepResult merged;
-    std::string error;
-    EXPECT_FALSE(mergeSweeps({shard0, other_seed}, merged, &error));
-    EXPECT_FALSE(error.empty());
-
-    // Incomplete coverage is refused too.
-    error.clear();
-    EXPECT_FALSE(mergeSweeps({shard0}, merged, &error));
-    EXPECT_FALSE(error.empty());
-
-    // A duplicated shard is a double-owned cell.
-    error.clear();
-    EXPECT_FALSE(mergeSweeps({shard0, shard0}, merged, &error));
-    EXPECT_FALSE(error.empty());
-}
-
-TEST(ResultCache, SweepJsonRoundTrips)
-{
-    TempDir dirs;
-    SweepOptions options;
-    options.verbose = false;
-    options.jobs = 2;
-    SweepResult result = sweep(options);
-    // Pin the derived timing doubles to exactly representable values
-    // so the byte-identity below is not at the mercy of printf
-    // round-tripping 16-significant-digit doubles.
-    result.manifest.trace_gen_seconds = 0.125;
-    result.manifest.sim_seconds = 0.25;
-    result.manifest.insts_per_sec = 1536.5;
-
-    std::ostringstream first;
-    writeSweepJson(first, result);
-    const std::string path = dirs.path + "/sweep.json";
-    {
-        std::ofstream out(path);
-        out << first.str();
-    }
-    SweepResult reread;
-    std::string error;
-    ASSERT_TRUE(readSweepJson(path, reread, &error)) << error;
-    std::ostringstream second;
-    writeSweepJson(second, reread);
-    EXPECT_EQ(first.str(), second.str());
-    EXPECT_EQ(cellCsv(result), cellCsv(reread));
 }
 
 } // namespace

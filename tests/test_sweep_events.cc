@@ -2,9 +2,8 @@
  *  well-formed (envelope, ordering, cell pairing, roll-up counts) and
  *  strictly side-band (cell CSV bit-identical with events on or off,
  *  at any job count); csptop's renderers are deterministic against
- *  golden output; shard journals merge time-ordered and mismatched
- *  identities are refused; the result-cache LRU trim evicts
- *  oldest-mtime-first; warm sweeps attribute their read/parse cost. */
+ *  golden output; the result-cache LRU trim evicts oldest-mtime-first;
+ *  warm sweeps attribute their read/parse cost. */
 
 #include <gtest/gtest.h>
 
@@ -104,7 +103,6 @@ TEST(SweepEventJournal, LiveJournalIsWellFormed)
     const diff::SweepEvent &first = parsed.events.front();
     EXPECT_EQ(first.type, "sweep_start");
     EXPECT_EQ(first.text("schema"), "csp-events-v1");
-    EXPECT_EQ(first.u64("shard_count"), 1u);
     EXPECT_EQ(first.text("workloads"), "array,list,bst");
     std::uint64_t prev_seq = 0, prev_t = 0;
     bool first_event = true;
@@ -177,10 +175,10 @@ TEST(SweepReport, GoldenSummary)
     EXPECT_EQ(out.str(),
               "sweep observatory summary\n"
               "=========================\n"
-              "journal : 1 shard journal(s), 16 events, span 5.300 ms\n"
+              "journal : 16 events, span 5.300 ms\n"
               "sweep   : workloads=alpha,beta prefetchers=none,context\n"
               "          scale=1000 seed=7 placement=rand "
-              "config=cafe01234567 shards=1\n"
+              "config=cafe01234567\n"
               "cells   : 4 completed | 2 cached (50.0% hit rate) | 2 "
               "simulated | 0 verify failure(s)\n"
               "traces  : 1 cache hit(s), 1 generated (0.800 ms), 0 "
@@ -210,20 +208,20 @@ TEST(SweepReport, GoldenSummary)
               "\n"
               "stragglers (longest cells):\n"
               "  #  workload            prefetcher  source     "
-              "shard  worker  duration-ms\n"
-              "  1  beta                context     simulated      0"
-              "       1        3.000\n"
-              "  2  alpha               none        simulated      0"
-              "       0        2.000\n"
-              "  3  alpha               context     cached         0"
-              "       1        0.500\n"
-              "  4  beta                none        cached         0"
-              "       0        0.400\n"
+              "worker  duration-ms\n"
+              "  1  beta                context     simulated  "
+              "     1        3.000\n"
+              "  2  alpha               none        simulated  "
+              "     0        2.000\n"
+              "  3  alpha               context     cached     "
+              "     1        0.500\n"
+              "  4  beta                none        cached     "
+              "     0        0.400\n"
               "\n"
               "workers:\n"
-              "  shard  worker  cells    busy-ms   share\n"
-              "      0       0      2      2.400   40.7%\n"
-              "      0       1      2      3.500   59.3%\n"
+              "  worker  cells    busy-ms   share\n"
+              "       0      2      2.400   40.7%\n"
+              "       1      2      3.500   59.3%\n"
               "\n"
               "cache trim: 1 entry evicted, 123 bytes reclaimed\n");
 }
@@ -263,8 +261,8 @@ TEST(SweepReport, SummarySkipsEmptyWarmPath)
     EXPECT_EQ(cold.find("warm-path attribution"), std::string::npos);
     EXPECT_NE(cold.find("0 cached (0.0% hit rate)"), std::string::npos);
 
-    // Cached cells without attribution fields (an older shard's
-    // journal): the section is equally meaningless, so it is skipped.
+    // Cached cells without attribution fields (an older journal): the
+    // section is equally meaningless, so it is skipped.
     std::string no_attr = kSyntheticJournal;
     no_attr = replaceAll(no_attr, "\"read_ns\":200000", "\"read_ns\":0");
     no_attr = replaceAll(no_attr, "\"read_ns\":100000", "\"read_ns\":0");
@@ -291,15 +289,14 @@ TEST(SweepReport, GoldenStatus)
               "  sweep    : workloads=alpha,beta "
               "prefetchers=none,context scale=1000 seed=7 "
               "placement=rand\n"
-              "  journal  : shard 0/1, 9 events, elapsed 2.500 ms\n"
+              "  journal  : 9 events, elapsed 2.500 ms\n"
               "  progress : 1/4 cells (1 cached), 25.0% of 0.4M "
               "insts, 40.0M insts/s\n"
               "  eta      : ~0.0 s\n"
               "  cache    : 100.0% hit rate so far\n"
               "  workers  :\n"
-              "    shard 0 worker 0: alpha/none (running 1.100 ms)\n"
-              "    shard 0 worker 1: beta/context (running 0.500 "
-              "ms)\n");
+              "    worker 0: alpha/none (running 1.100 ms)\n"
+              "    worker 1: beta/context (running 0.500 ms)\n");
 }
 
 TEST(SweepReport, RejectsMalformedJournals)
@@ -315,85 +312,13 @@ TEST(SweepReport, RejectsMalformedJournals)
                            journal, &error));
     // No sweep_start: parses, but has no identity.
     ASSERT_TRUE(diff::parseJournal(
-        "{\"event\":\"heartbeat\",\"t_ns\":1,\"seq\":0,\"shard\":0,"
+        "{\"event\":\"heartbeat\",\"t_ns\":1,\"seq\":0,"
         "\"cells_done\":0,\"cells_expected\":1,\"cells_cached\":0,"
         "\"insts_done\":0,\"insts_total\":1,\"insts_per_sec\":0}\n",
         journal, &error))
         << error;
     diff::JournalIdentity id;
     EXPECT_FALSE(diff::journalIdentity(journal, id, &error));
-}
-
-/** Two-shard merge: events interleave by absolute time (per-journal
- *  unix_ns anchor + t_ns), lines re-emitted verbatim. */
-TEST(SweepReport, MergeOrdersJournalsByAbsoluteTime)
-{
-    TempDir dir;
-    const auto shardJournal = [&](unsigned shard,
-                                  std::uint64_t unix_ns,
-                                  std::uint64_t heartbeat_t) {
-        std::ostringstream text;
-        text << "{\"event\":\"sweep_start\",\"t_ns\":0,\"seq\":0,"
-                "\"shard\":"
-             << shard
-             << ",\"schema\":\"csp-events-v1\",\"unix_ns\":" << unix_ns
-             << ",\"config_digest\":\"cafe\",\"seed\":1,"
-                "\"scale\":100,\"placement\":\"rand\","
-                "\"workloads\":\"a\",\"prefetchers\":\"p\","
-                "\"shard_count\":2,\"jobs\":1,\"git_sha\":\"g\"}\n"
-             << "{\"event\":\"heartbeat\",\"t_ns\":" << heartbeat_t
-             << ",\"seq\":1,\"shard\":" << shard
-             << ",\"cells_done\":0,\"cells_expected\":1,"
-                "\"cells_cached\":0,\"insts_done\":0,"
-                "\"insts_total\":1,\"insts_per_sec\":0}\n";
-        const std::string path =
-            dir.path + "/s" + std::to_string(shard) + ".jsonl";
-        std::ofstream(path) << text.str();
-        return path;
-    };
-    // shard 0 opens at t=1000, heartbeat at abs 1900; shard 1 opens
-    // at abs 1500, heartbeat at abs 1600 — merged order interleaves.
-    const std::string s0 = shardJournal(0, 1000, 900);
-    const std::string s1 = shardJournal(1, 1500, 100);
-    std::ostringstream merged;
-    std::string error;
-    ASSERT_TRUE(
-        diff::mergeJournals({s0, s1}, nullptr, merged, &error))
-        << error;
-    diff::SweepJournal journal;
-    ASSERT_TRUE(diff::parseJournal(merged.str(), journal, &error))
-        << error;
-    ASSERT_EQ(journal.events.size(), 4u);
-    EXPECT_EQ(journal.events[0].type, "sweep_start");
-    EXPECT_EQ(journal.events[0].shard, 0u);
-    EXPECT_EQ(journal.events[1].type, "sweep_start");
-    EXPECT_EQ(journal.events[1].shard, 1u);
-    EXPECT_EQ(journal.events[2].type, "heartbeat");
-    EXPECT_EQ(journal.events[2].shard, 1u);
-    EXPECT_EQ(journal.events[3].type, "heartbeat");
-    EXPECT_EQ(journal.events[3].shard, 0u);
-
-    // Duplicate shard index: refused.
-    std::ostringstream sink;
-    EXPECT_FALSE(diff::mergeJournals({s0, s0}, nullptr, sink, &error));
-    EXPECT_NE(error.find("twice"), std::string::npos);
-
-    // Identity mismatch vs the artefacts: refused.
-    diff::JournalIdentity expect;
-    expect.config_digest = "cafe";
-    expect.seed = 2; // journals say seed=1
-    expect.scale = 100;
-    expect.placement = "rand";
-    expect.workloads = "a";
-    expect.prefetchers = "p";
-    expect.shard_count = 2;
-    EXPECT_FALSE(
-        diff::mergeJournals({s0, s1}, &expect, sink, &error));
-    EXPECT_NE(error.find("seed"), std::string::npos);
-
-    // Incomplete shard set: refused.
-    EXPECT_FALSE(diff::mergeJournals({s0}, nullptr, sink, &error));
-    EXPECT_NE(error.find("expected 2"), std::string::npos);
 }
 
 TEST(CacheTrim, EvictsOldestMtimeFirstUntilUnderBudget)
@@ -453,6 +378,10 @@ TEST(CacheTrim, ParseByteSizeAcceptsSuffixes)
     EXPECT_FALSE(sim::parseByteSize("K", bytes));
     EXPECT_FALSE(sim::parseByteSize("64X", bytes));
     EXPECT_FALSE(sim::parseByteSize("-5", bytes));
+    // Overflow is refused, not wrapped (2^54 + 1 K would be 1024
+    // bytes) or saturated at 2^64 - 1.
+    EXPECT_FALSE(sim::parseByteSize("18014398509481985K", bytes));
+    EXPECT_FALSE(sim::parseByteSize("99999999999999999999999", bytes));
 }
 
 TEST(CacheTrim, MaxBytesFromEnvironment)
@@ -496,18 +425,22 @@ TEST(WarmSweep, AttributesReadAndParseCost)
     EXPECT_EQ(warm.cache_verify_failures, 0u);
     EXPECT_EQ(cellCsv(cold), cellCsv(warm));
 
-    const std::string path = dir.path + "/sweep.json";
     std::ostringstream doc;
     sim::writeSweepJson(doc, warm);
-    std::ofstream(path) << doc.str();
-    sim::SweepResult reread;
+    diff::FlatDoc reread;
     std::string error;
-    ASSERT_TRUE(sim::readSweepJson(path, reread, &error)) << error;
-    EXPECT_EQ(reread.cache_read_ns, warm.cache_read_ns);
-    EXPECT_EQ(reread.cache_parse_ns, warm.cache_parse_ns);
-    EXPECT_EQ(reread.cache_entry_bytes, warm.cache_entry_bytes);
-    EXPECT_EQ(reread.cache_verify_failures,
-              warm.cache_verify_failures);
+    ASSERT_TRUE(diff::parseJsonFlat(doc.str(), reread, &error)) << error;
+    const auto field = [&reread](const char *name) {
+        const diff::FlatValue *value = reread.find(name);
+        return value == nullptr ? std::string() : value->text;
+    };
+    EXPECT_EQ(field("cache.read_ns"), std::to_string(warm.cache_read_ns));
+    EXPECT_EQ(field("cache.parse_ns"),
+              std::to_string(warm.cache_parse_ns));
+    EXPECT_EQ(field("cache.entry_bytes"),
+              std::to_string(warm.cache_entry_bytes));
+    EXPECT_EQ(field("cache.verify_failures"),
+              std::to_string(warm.cache_verify_failures));
 }
 
 } // namespace

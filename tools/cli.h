@@ -1,47 +1,22 @@
 /**
  * @file
- * Command-line plumbing shared by the tools. Number parsing is strict:
- * the whole value must be a number in the target type's range, so
- * "12x", "abc", "" and overflow are rejected instead of read as a
- * prefix or 0. The report readers also share their --report writer.
+ * Command-line plumbing shared by the tools: strict number flags (see
+ * core/parse.h) and the report readers' --report writer.
  */
 
 #ifndef CSP_TOOLS_CLI_H
 #define CSP_TOOLS_CLI_H
 
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
-#include <system_error>
-#include <type_traits>
 
 #include "core/content_store.h"
+#include "core/parse.h"
 
 namespace csp::tools {
-
-/** Parse all of @p text into @p out; false (out untouched) otherwise.
- *  A floating-point @p out also refuses negative, infinite and NaN. */
-template <typename T>
-bool
-parseUnsigned(std::string_view text, T &out)
-{
-    const char *end = text.data() + text.size();
-    T value{};
-    const auto [stop, error] = std::from_chars(text.data(), end, value);
-    if (text.empty() || error != std::errc() || stop != end)
-        return false;
-    if constexpr (std::is_floating_point_v<T>) {
-        if (!std::isfinite(value) || value < 0)
-            return false;
-    }
-    out = value;
-    return true;
-}
 
 /**
  * For the report readers: parse @p text, the value of @p flag, into

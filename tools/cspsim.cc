@@ -7,8 +7,7 @@
  * invocation is one sim::runSweep grid. With --workload the grid is one
  * workload, rendered as a table, CSV or JSON, plus any per-run outputs
  * (stats, autopsy, Perfetto timeline, learn.json, mem.json, profile).
- * With --workloads it is a sweep, cached and shardable, printed as the
- * cell CSV.
+ * With --workloads it is a sweep, cached, printed as the cell CSV.
  *
  * Examples:
  *   cspsim --list
@@ -25,7 +24,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -76,8 +74,6 @@ struct Options
     std::string sweep_workloads;
     std::string sweep_out;
     std::string events_out;
-    unsigned shard_index = 0;
-    unsigned shard_count = 1;
     bool no_result_cache = false;
     bool no_trace_cache = false;
     std::string result_cache_dir;
@@ -160,16 +156,14 @@ usage()
         "                           --trace-events, --learn-out,\n"
         "                           --mem-out, --profile) need --workload\n"
         "  --sweep-out FILE         write the sweep artefact (manifest,\n"
-        "                           cache/shard accounting, cells) as\n"
-        "                           csp-sweep-v2 JSON; shards feed these\n"
-        "                           files to cspmerge\n"
+        "                           cache accounting, cells) as\n"
+        "                           csp-sweep-v2 JSON\n"
         "  --events-out FILE        append-only csp-events-v1 JSONL\n"
         "                           journal of the sweep (trace gen,\n"
         "                           per-cell start/end with cached-vs-\n"
         "                           simulated attribution, heartbeats,\n"
         "                           roll-ups); watch live or post-hoc\n"
-        "                           with csptop, merge shard journals\n"
-        "                           with cspmerge --journal. Side-band:\n"
+        "                           with csptop. Side-band:\n"
         "                           results are byte-identical with the\n"
         "                           journal on or off\n"
         "  --cache-max-bytes SIZE   bound the result cache: after the\n"
@@ -178,11 +172,6 @@ usage()
         "                           (K/M/G/T suffixes, powers of 1024;\n"
         "                           default $CSP_CACHE_MAX_BYTES, else\n"
         "                           unbounded)\n"
-        "  --shard I/N              own only every N-th cell (rank I) of\n"
-        "                           the sweep's longest-first schedule;\n"
-        "                           N independent shard processes cover\n"
-        "                           the grid and cspmerge reassembles\n"
-        "                           bit-identically\n"
         "  --no-result-cache        always simulate (or set\n"
         "                           CSP_RESULT_CACHE=0)\n"
         "  --no-trace-cache         always regenerate traces (or set\n"
@@ -221,7 +210,7 @@ parse(int argc, char **argv)
     const auto need_number = [&]<typename T>(int &i, T &out) {
         const char *flag = argv[i];
         const char *text = need_value(i);
-        if (!tools::parseUnsigned(text, out))
+        if (!csp::parseUnsigned(text, out))
             fatal("%s wants an unsigned number, got '%s'", flag, text);
     };
     for (int i = 1; i < argc; ++i) {
@@ -289,19 +278,6 @@ parse(int argc, char **argv)
                 fatal("--cache-max-bytes wants BYTES with an optional "
                       "K/M/G/T suffix, got %s", spec);
             options.cache_max_bytes_set = true;
-        } else if (arg == "--shard") {
-            const char *spec = need_value(i);
-            const std::string_view text = spec;
-            const std::size_t slash = text.find('/');
-            if (slash == std::string_view::npos ||
-                !tools::parseUnsigned(text.substr(0, slash),
-                                      options.shard_index) ||
-                !tools::parseUnsigned(text.substr(slash + 1),
-                                      options.shard_count) ||
-                options.shard_count == 0 ||
-                options.shard_index >= options.shard_count) {
-                fatal("--shard wants I/N with I < N, got %s", spec);
-            }
         } else if (arg == "--no-result-cache") {
             options.no_result_cache = true;
         } else if (arg == "--no-trace-cache") {
@@ -503,8 +479,6 @@ writeRunOutputs(const Options &options, const RunManifest &manifest,
 {
     std::ostringstream stats_json;
     for (const sim::CellResult &cell : result.cells) {
-        if (!cell.present)
-            continue;
         const std::string &pf_name = cell.prefetcher;
         const sim::CellOutputs *outputs = cell.outputs.get();
         if (!options.stats_out.empty()) {
@@ -567,8 +541,6 @@ writeRunOutputs(const Options &options, const RunManifest &manifest,
     }
     if (options.profile) {
         for (const sim::CellResult &cell : result.cells) {
-            if (!cell.present)
-                continue;
             const prof::Profiler &profile = *cell.outputs->profiler;
             for (std::size_t p = 0;
                  p < static_cast<std::size_t>(prof::Phase::Count); ++p) {
@@ -597,8 +569,6 @@ printRunTable(const Options &options, const sim::SweepResult &result)
                       "miss-unpf%", "hit-dem%"});
     double baseline_ipc = 0.0;
     for (const sim::CellResult &cell : result.cells) {
-        if (!cell.present)
-            continue;
         const sim::RunStats &stats = cell.stats;
         if (options.json) {
             std::cout << "{\"prefetcher\":\"" << cell.prefetcher
@@ -718,8 +688,6 @@ main(int argc, char **argv)
                                  sim::traceCacheEnabledByEnv();
     sweep_opts.result_cache_dir = options.result_cache_dir;
     sweep_opts.trace_cache_dir = options.trace_cache_dir;
-    sweep_opts.shard_index = options.shard_index;
-    sweep_opts.shard_count = options.shard_count;
     sweep_opts.trace_sample = options.trace_sample;
     sweep_opts.stats_interval = options.stats_interval;
     sweep_opts.stats_filter = options.stats_filter;
@@ -743,9 +711,9 @@ main(int argc, char **argv)
                    options.sweep_out.c_str());
         }
     }
-    // Bound the result cache only after the sweep is done — a
-    // concurrent shard may be about to hit an entry mid-sweep. The
-    // trim events are the only ones allowed after sweep_end.
+    // Bound the result cache only after the sweep is done — its own
+    // workers may still read an entry a mid-sweep trim would evict.
+    // The trim events are the only ones allowed after sweep_end.
     const std::uint64_t cache_budget =
         options.cache_max_bytes_set ? options.cache_max_bytes
                                     : sim::cacheMaxBytesFromEnv();

@@ -6,34 +6,34 @@
  * --follow re-reads the journal on an interval and redraws until
  * sweep_end; --summary renders the post-hoc report (exact per-cell
  * percentiles, warm-path read/parse attribution, stragglers,
- * per-worker utilisation). Works on single-shard journals and on
- * cspmerge --events-out merged journals alike.
+ * per-worker utilisation).
  *
  * Every timestamp in the output comes from the journal bytes, never
  * from the clock, so for a finished journal csptop is deterministic —
  * which is what lets tests golden the summary.
  *
  * Reading a journal checks it against the csp-events-v1 rules
- * (closed event vocabulary, per-shard ordering, cell pairing, and the
- * sweep_end and cache_trim roll-ups against the events they count); a
- * journal that breaks one is refused, naming the rule and the line.
+ * (closed event vocabulary, one sweep per journal, event ordering, cell
+ * pairing, and the sweep_end and cache_trim roll-ups against the events
+ * they count); a journal that breaks one is refused, naming the rule
+ * and the line.
  *
  * Exit codes:
  *   0  report rendered (follow mode: sweep_end observed)
- *   1  --summary rendered, but a shard has no sweep_end (incomplete)
+ *   1  --summary rendered, but the journal has no sweep_end
+ *      (incomplete)
  *   3  usage or file/format error, or a journal that breaks a rule
  *
  * Examples:
  *   csptop results/sweep.events.jsonl
  *   csptop results/sweep.events.jsonl --follow
- *   csptop merged.events.jsonl --summary --stragglers 16
+ *   csptop results/sweep.events.jsonl --summary --stragglers 16
  */
 
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -49,8 +49,7 @@ usage()
     std::cout <<
         "usage: csptop JOURNAL [options]\n"
         "  JOURNAL          csp-events-v1 JSONL file from\n"
-        "                   cspsim --events-out (or a merged journal\n"
-        "                   from cspmerge --events-out)\n"
+        "                   cspsim --events-out\n"
         "  --summary        post-hoc report: percentiles, warm-path\n"
         "                   attribution, stragglers, workers\n"
         "  --follow         re-read and redraw the status snapshot\n"
@@ -193,16 +192,10 @@ main(int argc, char **argv)
 
     csp::tools::writeReport("csptop", report_path, report.str());
 
-    // A summary vouches for a finished sweep: every shard in the
-    // journal must have reached its sweep_end.
-    std::map<std::uint64_t, bool> ended;
-    for (const csp::diff::SweepEvent &event : journal.events)
-        ended[event.shard] |= event.type == "sweep_end";
-    for (const auto &[shard, done] : ended) {
-        if (!summary || done)
-            continue;
-        std::cerr << "csptop: " << journal_path << ": shard " << shard
-                  << " has no sweep_end (sweep incomplete)\n";
+    // A summary vouches for a finished sweep.
+    if (summary && journal.last("sweep_end") == nullptr) {
+        std::cerr << "csptop: " << journal_path
+                  << ": no sweep_end (sweep incomplete)\n";
         return 1;
     }
     return 0;
