@@ -1,0 +1,879 @@
+/** @file Every figure and table of bench/ as a spec: grid builders and
+ *  renderers in paper order, then the table figureSpecs() returns. */
+
+#include <algorithm>
+#include <cstdio>
+#include <numeric>
+#include <ostream>
+
+#include "core/config.h"
+#include "core/logging.h"
+#include "figure.h"
+#include "prefetch/context/reward.h"
+#include "sim/table.h"
+#include "workloads/registry.h"
+#include "workloads/ubench/listsort.h"
+
+namespace csp::bench {
+
+namespace {
+
+/** Per-workload memory-access budget of the full-suite sweeps. */
+constexpr std::uint64_t kSweepScale = 250000;
+
+/** Workload parameters of every figure: seed 1 at @p scale. */
+workloads::WorkloadParams
+benchParams(std::uint64_t scale = sim::effectiveScale(kSweepScale))
+{
+    workloads::WorkloadParams params;
+    params.scale = scale;
+    params.seed = 1;
+    return params;
+}
+
+/** Every workload against every prefetcher on the default system: a
+ *  cross product, row-major by workload. */
+std::vector<sim::SweepCell>
+crossGrid(const std::vector<std::string> &workloads,
+          const std::vector<std::string> &prefetchers,
+          std::uint64_t scale = sim::effectiveScale(kSweepScale))
+{
+    std::vector<sim::SweepCell> grid;
+    for (const std::string &workload : workloads) {
+        for (const std::string &prefetcher : prefetchers) {
+            grid.push_back(
+                {workload, benchParams(scale), SystemConfig{}, prefetcher});
+        }
+    }
+    return grid;
+}
+
+/** The paper's evaluation grid: every workload × the lineup. */
+std::vector<sim::SweepCell>
+paperGrid()
+{
+    return crossGrid(sim::allWorkloads(), sim::paperPrefetchers());
+}
+
+/** IPC of grid cell @p cell over IPC of grid cell @p baseline. */
+double
+speedup(const sim::SweepResult &result, std::size_t cell,
+        std::size_t baseline)
+{
+    return result.cells[cell].stats.ipc() /
+           result.cells[baseline].stats.ipc();
+}
+
+/** Baselines of @p workloads, then one block of context cells per
+ *  config: cell (v + 1) * W + w is config v on workload w. */
+std::vector<sim::SweepCell>
+variantGrid(const std::vector<std::string> &workloads,
+            const std::vector<SystemConfig> &configs)
+{
+    const workloads::WorkloadParams params = benchParams();
+    std::vector<sim::SweepCell> grid;
+    for (const auto &name : workloads)
+        grid.push_back({name, params, SystemConfig{}, "none"});
+    for (const SystemConfig &config : configs) {
+        for (const auto &name : workloads)
+            grid.push_back({name, params, config, "context"});
+    }
+    return grid;
+}
+
+/** Append the speedups of @p n (run, baseline) cell pairs from
+ *  @p cell on, then their spread, to @p row; advances @p cell. */
+void
+addSpreadRow(const sim::SweepResult &result, std::size_t &cell,
+             std::size_t n, std::vector<std::string> &row)
+{
+    double lo = 1e9;
+    double hi = 0.0;
+    for (std::size_t i = 0; i < n; ++i, cell += 2) {
+        const double s = speedup(result, cell, cell + 1);
+        lo = std::min(lo, s);
+        hi = std::max(hi, s);
+        row.push_back(sim::Table::num(s, 3));
+    }
+    row.push_back(sim::Table::num(100.0 * (hi - lo) / lo, 1) + "%");
+}
+
+// Paper Table 3: workloads and benchmarks used.
+void
+renderTable3(const sim::SweepResult &, std::ostream &out)
+{
+    const auto &registry = workloads::Registry::builtin();
+    sim::Table table({"suite", "workloads"});
+    for (const std::string suite :
+         {"spec2006", "pbbs", "graph500", "hpcs", "ubench"}) {
+        std::string row;
+        for (const std::string &name : registry.namesInSuite(suite)) {
+            if (!row.empty())
+                row += ", ";
+            row += name;
+        }
+        table.addRow({suite, row});
+    }
+    table.print(out);
+}
+
+// Paper Figure 1: memory accesses of linked-list insertion sort (100
+// random elements) indexed by real address and by logical list
+// position. Prints both series plus summary statistics showing that
+// addresses scatter while logical indices stay linear.
+void
+renderFig01(const sim::SweepResult &, std::ostream &out)
+{
+    const auto samples = workloads::ubench::ListSort::accessPattern(100, 1);
+
+    sim::Table table({"access#", "address(hex)", "logical-index"});
+    // Print a readable subsample of the stream (every 16th access).
+    for (std::size_t i = 0; i < samples.size(); i += 16) {
+        char hex[32];
+        std::snprintf(hex, sizeof hex, "0x%llx",
+                      static_cast<unsigned long long>(samples[i].addr));
+        table.addRow({std::to_string(i), hex,
+                      std::to_string(samples[i].logical_index)});
+    }
+    table.print(out);
+
+    // Quantify the contrast the figure makes visually: correlation of
+    // each series with the access number, per insertion walk the
+    // logical index is perfectly linear while addresses jump.
+    std::uint64_t addr_jumps = 0;
+    std::uint64_t logical_steps = 0;
+    for (std::size_t i = 1; i < samples.size(); ++i) {
+        const bool same_walk = samples[i].logical_index ==
+                               samples[i - 1].logical_index + 1;
+        if (!same_walk)
+            continue;
+        ++logical_steps;
+        const auto delta = static_cast<std::int64_t>(samples[i].addr -
+                                                     samples[i - 1].addr);
+        if (delta < 0 || delta > 256)
+            ++addr_jumps;
+    }
+    out << "\nWithin-walk steps: " << logical_steps
+        << "; of those, address jumps (>4 lines or backwards): "
+        << addr_jumps << " ("
+        << sim::Table::num(100.0 * static_cast<double>(addr_jumps) /
+                               static_cast<double>(logical_steps),
+                           1)
+        << "%)\n"
+        << "Logical traversal is always +1 per step (semantic "
+           "linearity); the address stream is not.\n";
+}
+
+// Paper Figure 5: the bell-shaped reward function over prefetch-queue
+// hit depth.
+void
+renderFig05(const sim::SweepResult &, std::ostream &out)
+{
+    const RewardConfig config;
+    const prefetch::ctx::RewardFunction reward(config);
+    sim::Table table({"depth", "reward", "plot"});
+    const auto values = reward.tabulate(80);
+    for (unsigned depth = 0; depth < values.size(); depth += 2) {
+        const int r = values[depth];
+        std::string bar;
+        if (r >= 0)
+            bar = std::string(6, ' ') + '|' +
+                  std::string(static_cast<std::size_t>(r), '#');
+        else
+            bar = std::string(static_cast<std::size_t>(6 + r), ' ') +
+                  std::string(static_cast<std::size_t>(-r), '#') + '|';
+        table.addRow({std::to_string(depth), std::to_string(r), bar});
+    }
+    table.print(out);
+    out << "\nPositive window: depths " << config.window_lo << "-"
+        << config.window_hi << ", peaking at " << config.window_center
+        << " (the target prefetch distance).\n";
+}
+
+// Paper Figure 8: cumulative distribution of prefetch hit depths
+// (accesses between prediction and demand) for the µbenchmarks (top)
+// and a subset of regular benchmarks (bottom). Values of P at depth N
+// mean P% of predictions were demanded within N accesses; the reward
+// window is 18-50.
+const std::vector<std::pair<std::string, std::vector<std::string>>>
+    kFig08Groups = {
+        {"ubenchmarks",
+         {"array", "list", "listsort", "bst", "hashtest", "maptest", "prim",
+          "ssca_lds", "graph500-list"}},
+        {"regular benchmarks",
+         {"lbm", "libquantum", "mcf", "omnetpp", "sphinx3", "h264ref",
+          "milc"}},
+};
+
+std::vector<sim::SweepCell>
+fig08Grid()
+{
+    std::vector<sim::SweepCell> grid;
+    for (const auto &[group, names] : kFig08Groups) {
+        for (sim::SweepCell &cell : crossGrid(names, {"context"}))
+            grid.push_back(std::move(cell));
+    }
+    return grid;
+}
+
+void
+renderFig08(const sim::SweepResult &sweep, std::ostream &out)
+{
+    const std::vector<unsigned> depth_points = {4,  8,  12, 17, 24,
+                                                32, 40, 50, 64, 127};
+    std::size_t cell = 0;
+    for (const auto &[group, names] : kFig08Groups) {
+        out << "\n--- " << group << " ---\n";
+        std::vector<std::string> headers = {"benchmark"};
+        for (unsigned d : depth_points)
+            headers.push_back("<=" + std::to_string(d));
+        sim::Table table(headers);
+        for (const std::string &name : names) {
+            // context.pq.hit_depth is a width-1 Histogram: bucket i
+            // counts the hits at depth i. The CDF at d is the hits at
+            // depth <= d over all hits, as Histogram::cdfAt sums it.
+            const stats::ReportEntry *depths =
+                sweep.cells[cell++].outputs->report.find(
+                    "context.pq.hit_depth");
+            if (depths == nullptr)
+                fatal("%s: no context.pq.hit_depth", name.c_str());
+            const stats::DistSummary &dist = depths->dist;
+            std::vector<std::string> row = {name};
+            for (unsigned d : depth_points) {
+                const auto end =
+                    dist.buckets.begin() +
+                    std::min<std::size_t>(d + 1, dist.buckets.size());
+                const auto below = static_cast<double>(std::accumulate(
+                    dist.buckets.begin(), end, std::uint64_t{0}));
+                const auto count = static_cast<double>(dist.count);
+                row.push_back(sim::Table::num(
+                    100.0 * (dist.count == 0 ? 0.0 : below / count), 1));
+            }
+            table.addRow(row);
+        }
+        table.print(out);
+    }
+    out << "\nExpected shape: a visible step beginning at depth"
+           " ~18 (the positive reward window); input-dependent\n"
+           "lookup benchmarks (maptest, hashtest, bst) show the"
+           " weakest concentration (paper section 7.1).\n";
+}
+
+// Paper Figure 9: per-access benefit classification (hit-prefetched /
+// shorter-wait / non-timely / miss-not-prefetched / hit-older-demand,
+// plus wrong prefetches above 100%) for every prefetcher over a
+// representative benchmark set.
+void
+renderFig09(const sim::SweepResult &sweep, std::ostream &out)
+{
+    sim::Table table({"benchmark", "prefetcher", "hit-pf", "shorter",
+                      "non-timely", "miss-unpred", "hit-older",
+                      "wrong-pf"});
+    for (const std::string &workload : sweep.workload_names) {
+        for (const std::string &pf : sweep.prefetcher_names) {
+            const sim::RunStats &stats = sweep.at(workload, pf);
+            const auto pct = [&](sim::AccessClass cls) {
+                return sim::Table::num(100.0 * stats.classFraction(cls),
+                                       1);
+            };
+            table.addRow(
+                {workload, pf, pct(sim::AccessClass::HitPrefetchedLine),
+                 pct(sim::AccessClass::ShorterWait),
+                 pct(sim::AccessClass::NonTimely),
+                 pct(sim::AccessClass::MissNotPrefetched),
+                 pct(sim::AccessClass::HitOlderDemand),
+                 sim::Table::num(
+                     100.0 * static_cast<double>(stats.prefetch_never_hit) /
+                         static_cast<double>(stats.demand_accesses),
+                     1)});
+        }
+    }
+    table.print(out);
+    out << "\nColumns sum to 100% per row; wrong-pf is counted"
+           " on top (paper: 'pass the 100% mark').\n";
+}
+
+// Paper Figures 10 and 11: L1 / L2 misses per kilo-instruction per
+// prefetcher for the benchmarks whose baseline MPKI exceeds
+// @p threshold, plus the all-benchmark average. Returns the
+// per-prefetcher MPKI sums.
+std::vector<double>
+renderMpki(const sim::SweepResult &sweep, std::ostream &out,
+           double (sim::RunStats::*mpki)() const, double threshold,
+           int precision)
+{
+    const auto &all = sweep.workload_names;
+    std::vector<std::string> headers = {"benchmark"};
+    for (const auto &pf : sweep.prefetcher_names)
+        headers.push_back(pf);
+    sim::Table table(headers);
+
+    std::vector<double> sums(sweep.prefetcher_names.size(), 0.0);
+    for (const std::string &workload : all) {
+        std::vector<std::string> row = {workload};
+        const double base_mpki = (sweep.at(workload, "none").*mpki)();
+        for (std::size_t p = 0; p < sweep.prefetcher_names.size(); ++p) {
+            const double value =
+                (sweep.at(workload, sweep.prefetcher_names[p]).*mpki)();
+            sums[p] += value;
+            row.push_back(sim::Table::num(value, precision));
+        }
+        if (base_mpki > threshold)
+            table.addRow(row);
+    }
+    std::vector<std::string> avg = {"AVERAGE(all)"};
+    for (double sum : sums) {
+        avg.push_back(sim::Table::num(
+            sum / static_cast<double>(all.size()), precision));
+    }
+    table.addRow(avg);
+    table.print(out);
+    return sums;
+}
+
+// The paper's headline: the context prefetcher cuts average L2 MPKI
+// ~4x vs. no prefetching and ~2x vs. SMS.
+void
+renderFig11(const sim::SweepResult &sweep, std::ostream &out)
+{
+    const std::vector<double> sums =
+        renderMpki(sweep, out, &sim::RunStats::l2Mpki, 1.0, 2);
+    const double none_avg = sums[0];
+    const double ctx_avg = sums.back();
+    const auto &names = sweep.prefetcher_names;
+    const auto sms_index = static_cast<std::size_t>(
+        std::find(names.begin(), names.end(), "sms") - names.begin());
+    out << "\nAverage L2 MPKI reduction vs no-prefetch: "
+        << sim::Table::num(none_avg / ctx_avg, 2)
+        << "x (paper: ~4x); vs SMS: "
+        << sim::Table::num(sums[sms_index] / ctx_avg, 2)
+        << "x (paper: ~2x)\n";
+}
+
+// Paper Figure 12: speedups over the no-prefetch baseline for every
+// prefetcher across the full benchmark suite, with the SPEC-only and
+// overall geometric means the paper quotes (SPEC avg 20%, overall avg
+// 32%, context ~76% better than the best spatio-temporal prefetcher on
+// average).
+void
+renderFig12(const sim::SweepResult &sweep, std::ostream &out)
+{
+    const auto &all = sweep.workload_names;
+    std::vector<std::string> headers = {"benchmark"};
+    for (const auto &pf : sweep.prefetcher_names) {
+        if (pf != "none")
+            headers.push_back(pf);
+    }
+    sim::Table table(headers);
+    for (const std::string &workload : all) {
+        std::vector<std::string> row = {workload};
+        for (const auto &pf : sweep.prefetcher_names) {
+            if (pf == "none")
+                continue;
+            row.push_back(sim::Table::num(sweep.speedup(workload, pf), 3));
+        }
+        table.addRow(row);
+    }
+
+    const auto geo_over = [&](const std::vector<std::string> &group,
+                              const std::string &pf) {
+        std::vector<double> speedups;
+        for (const auto &w : group)
+            speedups.push_back(sweep.speedup(w, pf));
+        return sim::geomean(speedups);
+    };
+    std::vector<std::string> spec_row = {"GEOMEAN(spec2006)"};
+    std::vector<std::string> all_row = {"GEOMEAN(all)"};
+    for (const auto &pf : sweep.prefetcher_names) {
+        if (pf == "none")
+            continue;
+        spec_row.push_back(
+            sim::Table::num(geo_over(sim::specWorkloads(), pf), 3));
+        all_row.push_back(sim::Table::num(geo_over(all, pf), 3));
+    }
+    table.addRow(spec_row);
+    table.addRow(all_row);
+    table.print(out);
+
+    const double ctx = geo_over(all, "context");
+    double best_spatial = 0.0;
+    std::string best_name;
+    for (const std::string pf : {"stride", "ghb-gdc", "ghb-pcdc", "sms"}) {
+        const double g = geo_over(all, pf);
+        if (g > best_spatial) {
+            best_spatial = g;
+            best_name = pf;
+        }
+    }
+    out << "\nContext speedup (all): "
+        << sim::Table::num(100.0 * (ctx - 1.0), 1)
+        << "% (paper: 32%);  SPEC2006: "
+        << sim::Table::num(
+               100.0 * (geo_over(sim::specWorkloads(), "context") - 1.0),
+               1)
+        << "% (paper: 20%)\nBest spatio-temporal (" << best_name
+        << "): " << sim::Table::num(100.0 * (best_spatial - 1.0), 1)
+        << "%;  context advantage: "
+        << sim::Table::num(100.0 * (ctx - best_spatial) /
+                               (best_spatial - 1.0 + 1e-12),
+                           0)
+        << "% of its gain (paper: ~76%)\n";
+}
+
+// Paper Figure 13: overall speedup as a function of the context
+// prefetcher's storage size. CST entries sweep from 256 to 16K with the
+// Reducer held at 8x the CST size (paper section 7.4); the two series
+// are the 10 workloads that benefit most ("Top10") and the whole set
+// ("All"). A representative subset keeps the sweep tractable; Top10 is
+// picked from the baseline run exactly like the paper does.
+const std::vector<std::string> kFig13Workloads = {
+    "array",   "list",    "listsort",      "bst",
+    "maptest", "prim",    "graph500-list", "ssca2-list",
+    "mcf",     "omnetpp", "lbm",           "sphinx3",
+    "h264ref", "soplex"};
+const std::vector<unsigned> kCstSizes = {256,  512,  1024, 2048,
+                                         4096, 8192, 16384};
+
+/** The system with @p entries CST entries and the Reducer at 8x. */
+SystemConfig
+sizedConfig(unsigned entries)
+{
+    SystemConfig sized;
+    sized.context.cst_entries = entries;
+    sized.context.reducer_entries = entries * 8;
+    return sized;
+}
+
+std::vector<sim::SweepCell>
+fig13Grid()
+{
+    std::vector<SystemConfig> configs;
+    for (unsigned entries : kCstSizes)
+        configs.push_back(sizedConfig(entries));
+    return variantGrid(kFig13Workloads, configs);
+}
+
+void
+renderFig13(const sim::SweepResult &result, std::ostream &out)
+{
+    const std::size_t n_workloads = kFig13Workloads.size();
+    const auto speedup_at = [&](std::size_t s, std::size_t w) {
+        return speedup(result, (s + 1) * n_workloads + w, w);
+    };
+
+    // Top10 = the 10 workloads with the best speedup at the paper's
+    // default size (2048 entries, size 3).
+    std::vector<std::size_t> by_benefit(n_workloads);
+    std::iota(by_benefit.begin(), by_benefit.end(), std::size_t{0});
+    std::sort(by_benefit.begin(), by_benefit.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return speedup_at(3, a) > speedup_at(3, b);
+              });
+    by_benefit.resize(10);
+
+    sim::Table table(
+        {"CST entries", "storage(kB)", "Top10 speedup", "All speedup"});
+    for (std::size_t s = 0; s < kCstSizes.size(); ++s) {
+        const unsigned entries = kCstSizes[s];
+        std::vector<double> top10;
+        std::vector<double> all;
+        for (std::size_t w = 0; w < n_workloads; ++w) {
+            all.push_back(speedup_at(s, w));
+            if (std::find(by_benefit.begin(), by_benefit.end(), w) !=
+                by_benefit.end())
+                top10.push_back(speedup_at(s, w));
+        }
+        table.addRow(
+            {std::to_string(entries),
+             sim::Table::num(
+                 static_cast<double>(
+                     sizedConfig(entries).context.storageBytes()) /
+                     1024.0,
+                 1),
+             sim::Table::num(sim::geomean(top10), 3),
+             sim::Table::num(sim::geomean(all), 3)});
+    }
+    table.print(out);
+    out << "\nExpected shape (paper section 7.4): speedup rises"
+           " with size, then flattens or dips — larger tables\n"
+           "are not automatically better for a learning"
+           " prefetcher.\n";
+}
+
+// Paper Figure 14: cycles-per-instruction of naive (pointer-linked) vs
+// spatially optimised (CSR) implementations of SSCA2 betweenness
+// centrality and Graph500 BFS, under every prefetcher — the
+// data-layout-agnostic-programming experiment.
+const std::vector<std::pair<std::string, std::string>> kLayoutCases = {
+    {"ssca2-csr", "ssca2-list"},
+    {"graph500", "graph500-list"},
+};
+
+std::vector<sim::SweepCell>
+fig14Grid()
+{
+    // A focused experiment: longer traces than the full-suite sweeps.
+    return crossGrid({"ssca2-csr", "ssca2-list", "graph500", "graph500-list"},
+                     sim::paperPrefetchers(), sim::effectiveScale(400000));
+}
+
+void
+renderFig14(const sim::SweepResult &sweep, std::ostream &out)
+{
+    sim::Table table({"prefetcher", "ssca2 CSR CPI", "ssca2 list CPI",
+                      "graph500 CSR CPI", "graph500 list CPI"});
+    for (const auto &pf : sweep.prefetcher_names) {
+        table.addRow(
+            {pf, sim::Table::num(sweep.at("ssca2-csr", pf).cpi(), 2),
+             sim::Table::num(sweep.at("ssca2-list", pf).cpi(), 2),
+             sim::Table::num(sweep.at("graph500", pf).cpi(), 2),
+             sim::Table::num(sweep.at("graph500-list", pf).cpi(), 2)});
+    }
+    table.print(out);
+
+    for (const auto &[csr, list] : kLayoutCases) {
+        const double naive_gap_none =
+            sweep.at(list, "none").cpi() / sweep.at(csr, "none").cpi();
+        const double naive_gap_ctx =
+            sweep.at(list, "context").cpi() / sweep.at(csr, "context").cpi();
+        out << "\n" << csr << " vs " << list
+            << ": naive-layout CPI penalty "
+            << sim::Table::num(naive_gap_none, 2)
+            << "x without prefetching, "
+            << sim::Table::num(naive_gap_ctx, 2)
+            << "x with the context prefetcher\n";
+    }
+    out << "\nExpected shape (paper section 7.5): the context"
+           " prefetcher gives the linked layouts performance\n"
+           "comparable to spatially optimised code, while"
+           " spatio-temporal prefetchers favour the CSR layout.\n";
+}
+
+// Ablation study of the context prefetcher's design choices (DESIGN.md
+// section 4): reward shape, adaptive reducer, exploration, software
+// hints, and history-queue sampling density. Each variant runs the
+// focused workload set; rows report geomean speedup over
+// no-prefetching.
+const std::vector<std::string> kAblationWorkloads = {
+    "list",    "listsort", "maptest", "prim",  "graph500-list", "mcf",
+    "omnetpp", "lbm",      "array",   "astar", "KNN"};
+
+/** Each variant is the paper's system with one context-prefetcher
+ *  edit. */
+std::vector<std::pair<std::string, SystemConfig>>
+ablationVariants()
+{
+    std::vector<std::pair<std::string, SystemConfig>> variants;
+    const auto variant = [&](const char *name, auto edit) {
+        variants.emplace_back(name, SystemConfig{});
+        edit(variants.back().second.context);
+    };
+    variant("full (paper)", [](ContextPrefetcherConfig &) {});
+    variant("no negative rewards", [](ContextPrefetcherConfig &c) {
+        c.negative_rewards = false;
+    });
+    variant("flat reward (no bell)", [](ContextPrefetcherConfig &c) {
+        c.reward.peak_reward = 4;
+        c.reward.window_center =
+            (c.reward.window_lo + c.reward.window_hi) / 2;
+    });
+    variant("static reducer (no adaptation)",
+            [](ContextPrefetcherConfig &c) { c.adaptive_reducer = false; });
+    variant("no exploration (greedy only)",
+            [](ContextPrefetcherConfig &c) { c.exploration = false; });
+    variant("hardware-only context (no hints)",
+            [](ContextPrefetcherConfig &c) { c.software_hints = false; });
+    variant("softmax exploration (sec. 8 ext.)",
+            [](ContextPrefetcherConfig &c) { c.softmax_exploration = true; });
+    variant("narrow reward window (24-40)",
+            [](ContextPrefetcherConfig &c) {
+                c.reward.window_lo = 24;
+                c.reward.window_hi = 40;
+                c.reward.window_center = 32;
+            });
+    variant("conservative dispatch threshold (6)",
+            [](ContextPrefetcherConfig &c) { c.real_score_threshold = 6; });
+    return variants;
+}
+
+std::vector<sim::SweepCell>
+ablationContextGrid()
+{
+    std::vector<SystemConfig> configs;
+    for (const auto &[name, config] : ablationVariants())
+        configs.push_back(config);
+    return variantGrid(kAblationWorkloads, configs);
+}
+
+void
+renderAblationContext(const sim::SweepResult &result, std::ostream &out)
+{
+    const std::size_t n_workloads = kAblationWorkloads.size();
+    const auto variants = ablationVariants();
+    sim::Table table({"variant", "geomean speedup", "worst workload",
+                      "worst speedup"});
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+        std::vector<double> speedups;
+        std::string worst_name;
+        double worst = 1e9;
+        for (std::size_t w = 0; w < n_workloads; ++w) {
+            const double s = speedup(result, (v + 1) * n_workloads + w, w);
+            speedups.push_back(s);
+            if (s < worst) {
+                worst = s;
+                worst_name = kAblationWorkloads[w];
+            }
+        }
+        table.addRow({variants[v].first,
+                      sim::Table::num(sim::geomean(speedups), 3),
+                      worst_name, sim::Table::num(worst, 3)});
+    }
+    table.print(out);
+    out << "\nThe full configuration should dominate or match"
+           " every ablated variant on the geomean.\n";
+}
+
+// Heap-placement sensitivity: the µbenchmarks run over the simulated
+// heap with slot placement either sequential (bump allocator) or
+// randomised (churned heap). This probes the CST's ±8kB short-delta
+// reach (paper section 5) and SMS's dependence on dense regions:
+// scattering the heap hurts the spatial prefetcher far more than the
+// semantic one.
+const std::vector<std::string> kPlacementWorkloads = {
+    "list", "listsort", "bst", "hashtest", "maptest"};
+
+// A (run, baseline) cell pair per table entry, in row-major order;
+// each placement's two prefetchers share its baseline simulation.
+std::vector<sim::SweepCell>
+ablationPlacementGrid()
+{
+    std::vector<sim::SweepCell> grid;
+    for (const std::string &name : kPlacementWorkloads) {
+        for (const std::string pf : {"context", "sms"}) {
+            for (const runtime::Placement placement :
+                 {runtime::Placement::Sequential,
+                  runtime::Placement::Randomized}) {
+                workloads::WorkloadParams params = benchParams();
+                params.placement = placement;
+                grid.push_back({name, params, SystemConfig{}, pf});
+                grid.push_back({name, params, SystemConfig{}, "none"});
+            }
+        }
+    }
+    return grid;
+}
+
+void
+renderAblationPlacement(const sim::SweepResult &result, std::ostream &out)
+{
+    sim::Table table(
+        {"benchmark", "ctx seq", "ctx rand", "sms seq", "sms rand"});
+    std::size_t cell = 0;
+    for (const std::string &name : kPlacementWorkloads) {
+        std::vector<std::string> row = {name};
+        for (int column = 0; column < 4; ++column, cell += 2)
+            row.push_back(
+                sim::Table::num(speedup(result, cell, cell + 1), 3));
+        table.addRow(row);
+    }
+    table.print(out);
+    out << "\nScattered placement degrades spatial prefetching"
+           " more than semantic prefetching wherever the\n"
+           "structure's semantic neighbours stay within the"
+           " CST's short-pointer (±8kB) reach.\n";
+}
+
+// The paper's target-prefetch-distance analysis (section 4.3):
+// distance = L1 miss penalty x IPC x Prob(mem op), computed from each
+// workload's no-prefetch baseline run. The paper reports distances
+// between ~10 and ~90 accesses with an average of ~30 — the value the
+// reward window (18-50, centre 30) is built around.
+void
+renderPrefetchDistance(const sim::SweepResult &sweep, std::ostream &out)
+{
+    const SystemConfig config;
+    sim::Table table({"benchmark", "IPC", "P(mem)", "L2-missrate",
+                      "L1-penalty", "distance"});
+    double sum = 0.0;
+    double lo = 1e9;
+    double hi = 0.0;
+    for (const std::string &name : sweep.workload_names) {
+        const sim::RunStats &stats = sweep.at(name, "none");
+        const double penalty =
+            config.memory.l1MissPenalty(stats.l2MissRate());
+        const double distance = stats.targetPrefetchDistance(config.memory);
+        sum += distance;
+        lo = std::min(lo, distance);
+        hi = std::max(hi, distance);
+        table.addRow({name, sim::Table::num(stats.ipc(), 3),
+                      sim::Table::num(stats.memFraction(), 2),
+                      sim::Table::num(stats.l2MissRate(), 2),
+                      sim::Table::num(penalty, 0),
+                      sim::Table::num(distance, 1)});
+    }
+    table.print(out);
+    out << "\nRange: " << sim::Table::num(lo, 1) << " - "
+        << sim::Table::num(hi, 1) << " accesses; mean "
+        << sim::Table::num(
+               sum / static_cast<double>(sweep.workload_names.size()), 1)
+        << " (paper: ~10-90, average ~30; the reward window is"
+           " centred accordingly)\n";
+}
+
+// The paper's phase-length claim (section 6: "the impact of using
+// longer phases is negligible"): context-prefetcher speedups measured
+// at 1x / 2x / 4x trace length should agree to within a few percent
+// once past the training ramp.
+const std::vector<std::string> kPhaseWorkloads = {
+    "list", "mcf", "lbm", "graph500-list", "maptest"};
+const std::vector<unsigned> kLengthFactors = {1, 2, 4};
+
+// A (context, baseline) cell pair per workload and length.
+std::vector<sim::SweepCell>
+phaseStabilityGrid()
+{
+    std::vector<sim::SweepCell> grid;
+    for (const std::string &name : kPhaseWorkloads) {
+        for (unsigned f : kLengthFactors) {
+            const workloads::WorkloadParams params =
+                benchParams(sim::effectiveScale(kSweepScale) / 2 * f);
+            grid.push_back({name, params, SystemConfig{}, "context"});
+            grid.push_back({name, params, SystemConfig{}, "none"});
+        }
+    }
+    return grid;
+}
+
+void
+renderPhaseStability(const sim::SweepResult &result, std::ostream &out)
+{
+    std::vector<std::string> headers = {"benchmark"};
+    for (unsigned f : kLengthFactors)
+        headers.push_back(std::to_string(f) + "x speedup");
+    headers.push_back("max drift");
+    sim::Table table(headers);
+    std::size_t cell = 0;
+    for (const std::string &name : kPhaseWorkloads) {
+        std::vector<std::string> row = {name};
+        addSpreadRow(result, cell, kLengthFactors.size(), row);
+        table.addRow(row);
+    }
+    table.print(out);
+    out << "\nDrift mixes true phase effects with learning-ramp"
+           " amortisation; longer traces mildly favour the\n"
+           "learning prefetcher, which is why the drift is"
+           " one-sided.\n";
+}
+
+// Seed sensitivity of the headline comparison: the Figure 12 ordering
+// must not be an artifact of one workload seed. Runs a representative
+// subset under three seeds and reports per-seed context and SMS
+// speedups plus the spread.
+const std::vector<std::string> kSeedWorkloads = {
+    "list", "listsort", "mcf", "omnetpp", "graph500-list", "lbm", "astar"};
+const std::vector<std::uint64_t> kSeeds = {1, 2, 3};
+const std::vector<std::string> kSeedPrefetchers = {"context", "sms"};
+
+// A (run, baseline) cell pair per table entry, in row-major order; the
+// two prefetchers share each seed's baseline simulation.
+std::vector<sim::SweepCell>
+seedSensitivityGrid()
+{
+    std::vector<sim::SweepCell> grid;
+    for (const std::string &name : kSeedWorkloads) {
+        for (const std::string &pf : kSeedPrefetchers) {
+            for (const std::uint64_t seed : kSeeds) {
+                workloads::WorkloadParams params = benchParams();
+                params.seed = seed;
+                SystemConfig seeded;
+                seeded.seed = seed;
+                grid.push_back({name, params, seeded, pf});
+                grid.push_back({name, params, seeded, "none"});
+            }
+        }
+    }
+    return grid;
+}
+
+void
+renderSeedSensitivity(const sim::SweepResult &result, std::ostream &out)
+{
+    sim::Table table({"benchmark", "prefetcher", "seed1", "seed2", "seed3",
+                      "spread"});
+    std::size_t cell = 0;
+    for (const std::string &name : kSeedWorkloads) {
+        for (const std::string &pf : kSeedPrefetchers) {
+            std::vector<std::string> row = {name, pf};
+            addSpreadRow(result, cell, kSeeds.size(), row);
+            table.addRow(row);
+        }
+    }
+    table.print(out);
+    out << "\nThe context-vs-SMS ordering should hold for every"
+           " seed on every benchmark above.\n";
+}
+
+} // namespace
+
+std::vector<FigureSpec>
+figureSpecs()
+{
+    return {
+        {"table2_config", "Simulator parameters", "paper Table 2", {},
+         [](const sim::SweepResult &, std::ostream &out) {
+             out << SystemConfig{}.describe() << '\n';
+         }},
+        {"table3_workloads", "Workloads and benchmarks used",
+         "paper Table 3", {}, renderTable3},
+        {"fig01_semantic_pattern",
+         "Memory accesses for list insertion sort (100 elements)",
+         "paper Figure 1", {}, renderFig01},
+        {"fig05_reward", "Reward function for context-based prefetcher",
+         "paper Figure 5", {}, renderFig05},
+        {"fig08_hit_depth_cdf",
+         "Cumulative distribution of prefetch hit depths (%)",
+         "paper Figure 8; reward window 18-50", fig08Grid, renderFig08},
+        {"fig09_accuracy", "Accuracy and timeliness classification (%)",
+         "paper Figure 9",
+         [] {
+             return crossGrid({"array", "list", "listsort", "maptest",
+                               "prim", "graph500", "graph500-list",
+                               "ssca2-list", "h264ref", "lbm", "mcf",
+                               "omnetpp", "sphinx3", "namd"},
+                              sim::paperPrefetchers());
+         },
+         renderFig09},
+        {"fig10_l1_mpki", "L1 MPKI per prefetcher",
+         "paper Figure 10; benchmarks with MPKI > 5", paperGrid,
+         [](const sim::SweepResult &sweep, std::ostream &out) {
+             renderMpki(sweep, out, &sim::RunStats::l1Mpki, 5.0, 1);
+         }},
+        {"fig11_l2_mpki", "L2 MPKI per prefetcher",
+         "paper Figure 11; benchmarks with L2 MPKI > 1", paperGrid,
+         renderFig11},
+        {"fig12_speedup", "Speedup over no-prefetching baseline",
+         "paper Figure 12", paperGrid, renderFig12},
+        {"fig13_storage_sweep", "Impact of CST size on overall speedup",
+         "paper Figure 13", fig13Grid, renderFig13},
+        {"fig14_layout", "Naive (linked) vs spatially optimised layouts: CPI",
+         "paper Figure 14", fig14Grid, renderFig14},
+        {"ablation_context", "Context prefetcher ablations (geomean speedup)",
+         "DESIGN.md section 4; paper sections 4.1-4.4", ablationContextGrid,
+         renderAblationContext},
+        {"ablation_placement", "Heap-placement sensitivity (speedups)",
+         "probe of the CST delta reach & SMS density needs",
+         ablationPlacementGrid, renderAblationPlacement},
+        {"prefetch_distance", "Target prefetch distance per workload",
+         "paper section 4.3 formula",
+         [] { return crossGrid(sim::allWorkloads(), {"none"}); },
+         renderPrefetchDistance},
+        {"phase_stability", "Speedup stability across trace lengths",
+         "paper section 6 phase-length validation", phaseStabilityGrid,
+         renderPhaseStability},
+        {"seed_sensitivity", "Seed sensitivity of context vs SMS speedups",
+         "robustness check for Figure 12", seedSensitivityGrid,
+         renderSeedSensitivity},
+    };
+}
+
+} // namespace csp::bench

@@ -72,6 +72,7 @@ summarise(const Histogram &hist)
         if (!found)
             s.min = s.max;
     }
+    s.buckets = buckets;
     return s;
 }
 
@@ -319,24 +320,23 @@ Registry::toJson(const std::string &filter) const
 // Report
 // ---------------------------------------------------------------------
 
-bool
-Report::contains(const std::string &name) const
+const ReportEntry *
+Report::find(const std::string &name) const
 {
     for (const ReportEntry &entry : entries) {
         if (entry.name == name)
-            return true;
+            return &entry;
     }
-    return false;
+    return nullptr;
 }
 
 double
 Report::value(const std::string &name) const
 {
-    for (const ReportEntry &entry : entries) {
-        if (entry.name == name)
-            return entry.value;
-    }
-    panic("unknown stat: %s", name.c_str());
+    const ReportEntry *entry = find(name);
+    if (entry == nullptr)
+        panic("unknown stat: %s", name.c_str());
+    return entry->value;
 }
 
 namespace {

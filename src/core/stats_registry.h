@@ -55,8 +55,9 @@ struct DistSummary
     double p50 = 0.0;
     double p90 = 0.0;
     double p99 = 0.0;
-    /// Per-bucket counts of a log2 histogram (empty otherwise); bucket
-    /// i covers [2^(i-1), 2^i), bucket 0 holds the value 0.
+    /// Per-bucket counts: a Histogram's uniform buckets, or a log2
+    /// histogram's, where bucket i covers [2^(i-1), 2^i) and bucket 0
+    /// holds 0. Exported only with has_percentiles (log2 histograms).
     std::vector<std::uint64_t> buckets;
 };
 
@@ -78,7 +79,10 @@ struct Report
 {
     std::vector<ReportEntry> entries;
 
-    bool contains(const std::string &name) const;
+    /** The entry named @p name, null when there is none. */
+    const ReportEntry *find(const std::string &name) const;
+
+    bool contains(const std::string &name) const { return find(name); }
 
     /** Value of a scalar stat; panics on unknown names. */
     double value(const std::string &name) const;

@@ -91,7 +91,8 @@ class ContextPrefetcher final : public Prefetcher
      *  prof.prefetch.predict (prediction unit) on its profiler. */
     void attach(const obs::RunObserver *observer) override;
 
-    const Histogram *hitDepths() const override { return &hit_depths_; }
+    /** Accesses between prediction and use: context.pq.hit_depth. */
+    const Histogram &hitDepths() const { return hit_depths_; }
 
     const ContextStats &stats() const { return stats_; }
     const Cst &cst() const { return cst_; }

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/stats.h"
 #include "core/types.h"
 #include "mem/hierarchy.h"
 #include "trace/context.h"
@@ -92,13 +91,6 @@ class Prefetcher
 
     /** End-of-run hook (flush training structures into stats). */
     virtual void finish() {}
-
-    /**
-     * Hit-depth histogram (accesses between prediction and use), when
-     * the prefetcher tracks one — the context prefetcher's feedback unit
-     * does (paper Figure 8). Null otherwise.
-     */
-    virtual const Histogram *hitDepths() const { return nullptr; }
 
     /**
      * Register internal counters and gauges with the run's stats

@@ -587,11 +587,10 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
 
     // Phase 1: establish every trace's summary (counts + content
     // digest) once, traces in parallel. A trace-cache hit contributes
-    // only its O(1) header here — the payload is mapped or loaded
-    // lazily in phase 2, and only if a task actually misses the result
-    // cache. Misses generate (and store) the trace now. Summary lines
-    // print afterwards in trace order, so verbose output is
-    // deterministic.
+    // only its O(1) header here — the file is loaded lazily in phase
+    // 2, and only if a task actually misses the result cache. Misses
+    // generate (and store) the trace now. Summary lines print
+    // afterwards in trace order, so verbose output is deterministic.
     const auto trace_gen_start = std::chrono::steady_clock::now();
     std::vector<trace::TraceBuffer> traces(n_traces);
     std::vector<trace::TraceFileSummary> summaries(n_traces);

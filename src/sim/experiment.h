@@ -3,8 +3,8 @@
  * Experiment runner: prefetcher construction by name, the sweep engine
  * over a grid of cells (each distinct trace generated once, each
  * distinct cell simulated once), speedup/geomean helpers, and the
- * benchmark groupings the paper's figures use. Every simulating bench/
- * binary but fig08 declares a grid and renders its result.
+ * benchmark groupings the paper's figures use. bench/ runs the grids
+ * of the selected figures through one runSweep.
  */
 
 #ifndef CSP_SIM_EXPERIMENT_H
@@ -198,8 +198,8 @@ struct SweepOptions
      * Persist generated workload traces as
      * <trace_cache_dir>/<key>.csptrace and reuse them across runs. A
      * warm sweep reads only each file's header (content digest) up
-     * front and maps the payload lazily, only for cells that miss the
-     * result cache.
+     * front and loads the file into a TraceBuffer (loadTraceFile)
+     * lazily, only for cells that miss the result cache.
      */
     bool use_trace_cache = false;
     /** Result-cache directory; empty -> defaultResultCacheDir(). */

@@ -5,10 +5,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <new>
 #include <ostream>
 
 #include "core/hashing.h"
@@ -59,6 +59,73 @@ unpackHint(const DiskHint &disk)
     hint.link_offset = disk.link_offset;
     hint.ref_form = static_cast<hints::RefForm>(disk.ref_form);
     return hint;
+}
+
+/** Bytes of the two dictionaries that follow @p header. */
+std::uint64_t
+dictBytes(const Header &header)
+{
+    return std::uint64_t{header.pc_dict_count} * sizeof(Addr) +
+           std::uint64_t{header.hint_dict_count} * sizeof(DiskHint);
+}
+
+/** Unpack the dictionaries stored at @p at. */
+void
+unpackDicts(const char *at, const Header &header, std::vector<Addr> &pc_dict,
+            std::vector<hints::Hint> &hint_dict)
+{
+    pc_dict.resize(header.pc_dict_count);
+    std::memcpy(pc_dict.data(), at, pc_dict.size() * sizeof(Addr));
+    at += pc_dict.size() * sizeof(Addr);
+    hint_dict.resize(header.hint_dict_count);
+    for (hints::Hint &hint : hint_dict) {
+        DiskHint disk{};
+        std::memcpy(&disk, at, sizeof disk);
+        at += sizeof disk;
+        hint = unpackHint(disk);
+    }
+}
+
+/**
+ * The header check every reader makes before it sizes anything from
+ * the header. @p bytes holds the first min(@p file_len, sizeof(Header))
+ * bytes of the file. Checks magic, version and that the sections fit
+ * in the file (no overflow: the dictionary counts are 32-bit).
+ */
+TraceIoStatus
+checkHeader(const char *bytes, std::uint64_t file_len, Header &header)
+{
+    // Magic is checked before the header length so an unrelated short
+    // file reports BadMagic, not Truncated.
+    if (file_len < sizeof kMagic)
+        return TraceIoStatus::Truncated;
+    if (std::memcmp(bytes, kMagic, sizeof kMagic) != 0)
+        return TraceIoStatus::BadMagic;
+    if (file_len < sizeof(Header))
+        return TraceIoStatus::Truncated;
+    std::memcpy(&header, bytes, sizeof header);
+    if (header.version != kVersion)
+        return TraceIoStatus::BadVersion;
+    const std::uint64_t payload_off = sizeof(Header) + dictBytes(header);
+    if (payload_off > file_len ||
+        header.payload_bytes > file_len - payload_off)
+        return TraceIoStatus::Truncated;
+    return TraceIoStatus::Ok;
+}
+
+/** Read and check the header at @p stream's position; the file length
+ *  is what remains of the stream from there. */
+TraceIoStatus
+readHeader(std::istream &stream, Header &header)
+{
+    const std::streampos start = stream.tellg();
+    const std::streampos end = stream.seekg(0, std::ios::end).tellg();
+    if (start < 0 || end < start || !stream.seekg(start))
+        return TraceIoStatus::CannotOpen;
+    char bytes[sizeof(Header)] = {};
+    stream.read(bytes, std::min<std::streamoff>(end - start, sizeof bytes));
+    return checkHeader(bytes, static_cast<std::uint64_t>(end - start),
+                       header);
 }
 
 /** Window size for digest verification over a mapping (see
@@ -129,52 +196,29 @@ saveTraceFile(const TraceBuffer &buffer, const std::string &path)
 TraceIoStatus
 loadTrace(std::istream &stream, TraceBuffer &buffer)
 {
-    // Magic is validated from its own read so an unrelated short file
-    // reports BadMagic, not Truncated.
     Header header{};
-    stream.read(header.magic, sizeof header.magic);
+    const TraceIoStatus status = readHeader(stream, header);
+    if (status != TraceIoStatus::Ok)
+        return status;
+    // Every size below was bounded by the stream length in readHeader.
+    std::vector<char> dicts(dictBytes(header));
+    stream.read(dicts.data(), static_cast<std::streamsize>(dicts.size()));
+    std::vector<Addr> pc_dict;
+    std::vector<hints::Hint> hint_dict;
+    unpackDicts(dicts.data(), header, pc_dict, hint_dict);
+    std::vector<std::uint8_t> payload(header.payload_bytes);
+    stream.read(reinterpret_cast<char *>(payload.data()),
+                static_cast<std::streamsize>(payload.size()));
     if (!stream)
         return TraceIoStatus::Truncated;
-    if (std::memcmp(header.magic, kMagic, sizeof kMagic) != 0)
-        return TraceIoStatus::BadMagic;
-    stream.read(reinterpret_cast<char *>(&header) + sizeof header.magic,
-                sizeof header - sizeof header.magic);
-    if (!stream)
-        return TraceIoStatus::Truncated;
-    if (header.version != kVersion)
-        return TraceIoStatus::BadVersion;
-    try {
-        std::vector<Addr> pc_dict(header.pc_dict_count);
-        stream.read(reinterpret_cast<char *>(pc_dict.data()),
-                    static_cast<std::streamsize>(pc_dict.size() *
-                                                 sizeof(Addr)));
-        std::vector<hints::Hint> hint_dict;
-        hint_dict.reserve(header.hint_dict_count);
-        for (std::uint32_t i = 0; i < header.hint_dict_count; ++i) {
-            DiskHint disk{};
-            stream.read(reinterpret_cast<char *>(&disk), sizeof disk);
-            hint_dict.push_back(unpackHint(disk));
-        }
-        std::vector<std::uint8_t> payload(header.payload_bytes);
-        stream.read(reinterpret_cast<char *>(payload.data()),
-                    static_cast<std::streamsize>(payload.size()));
-        if (!stream)
-            return TraceIoStatus::Truncated;
-        if (packedTraceDigest(header.record_count, header.instructions,
-                              payload.data(), payload.size(),
-                              pc_dict.data(), pc_dict.size(),
-                              hint_dict.data(), hint_dict.size()) !=
-            header.content_digest)
-            return TraceIoStatus::BadDigest;
-        buffer = TraceBuffer::fromPacked(
-            std::move(payload), std::move(pc_dict),
-            std::move(hint_dict), header.record_count,
-            header.instructions, header.mem_accesses);
-    } catch (const std::bad_alloc &) {
-        // A corrupt header can claim absurd section sizes; treat the
-        // failed allocation as the truncation it reflects.
-        return TraceIoStatus::Truncated;
-    }
+    if (packedTraceDigest(header.record_count, header.instructions,
+                          payload.data(), payload.size(), pc_dict.data(),
+                          pc_dict.size(), hint_dict.data(),
+                          hint_dict.size()) != header.content_digest)
+        return TraceIoStatus::BadDigest;
+    buffer = TraceBuffer::fromPacked(
+        std::move(payload), std::move(pc_dict), std::move(hint_dict),
+        header.record_count, header.instructions, header.mem_accesses);
     return TraceIoStatus::Ok;
 }
 
@@ -194,17 +238,9 @@ readTraceFileSummary(const std::string &path, TraceFileSummary &out)
     if (!stream)
         return TraceIoStatus::CannotOpen;
     Header header{};
-    stream.read(header.magic, sizeof header.magic);
-    if (!stream)
-        return TraceIoStatus::Truncated;
-    if (std::memcmp(header.magic, kMagic, sizeof kMagic) != 0)
-        return TraceIoStatus::BadMagic;
-    stream.read(reinterpret_cast<char *>(&header) + sizeof header.magic,
-                sizeof header - sizeof header.magic);
-    if (!stream)
-        return TraceIoStatus::Truncated;
-    if (header.version != kVersion)
-        return TraceIoStatus::BadVersion;
+    const TraceIoStatus status = readHeader(stream, header);
+    if (status != TraceIoStatus::Ok)
+        return status;
     out.records = header.record_count;
     out.instructions = header.instructions;
     out.mem_accesses = header.mem_accesses;
@@ -267,7 +303,7 @@ MappedTrace::open(const std::string &path, bool verify_digest)
         return TraceIoStatus::CannotOpen;
     }
     const std::size_t file_len = static_cast<std::size_t>(st.st_size);
-    if (file_len < sizeof(std::uint64_t) + sizeof kMagic) {
+    if (file_len == 0) {
         ::close(fd);
         return TraceIoStatus::Truncated;
     }
@@ -279,45 +315,16 @@ MappedTrace::open(const std::string &path, bool verify_digest)
     base_ = base;
     map_len_ = file_len;
 
-    const auto *bytes = static_cast<const std::uint8_t *>(base_);
-    if (std::memcmp(bytes, kMagic, sizeof kMagic) != 0) {
-        close();
-        return TraceIoStatus::BadMagic;
-    }
-    if (file_len < sizeof(Header)) {
-        close();
-        return TraceIoStatus::Truncated;
-    }
+    const auto *bytes = static_cast<const char *>(base_);
     Header header{};
-    std::memcpy(&header, bytes, sizeof header);
-    if (header.version != kVersion) {
+    const TraceIoStatus status = checkHeader(bytes, file_len, header);
+    if (status != TraceIoStatus::Ok) {
         close();
-        return TraceIoStatus::BadVersion;
+        return status;
     }
-    const std::size_t pc_bytes =
-        std::size_t{header.pc_dict_count} * sizeof(Addr);
-    const std::size_t hint_bytes =
-        std::size_t{header.hint_dict_count} * sizeof(DiskHint);
-    const std::size_t payload_off =
-        sizeof(Header) + pc_bytes + hint_bytes;
-    if (payload_off > file_len ||
-        header.payload_bytes > file_len - payload_off) {
-        close();
-        return TraceIoStatus::Truncated;
-    }
-
-    pc_dict_.resize(header.pc_dict_count);
-    std::memcpy(pc_dict_.data(), bytes + sizeof(Header), pc_bytes);
-    hint_dict_.reserve(header.hint_dict_count);
-    for (std::uint32_t i = 0; i < header.hint_dict_count; ++i) {
-        DiskHint disk{};
-        std::memcpy(&disk,
-                    bytes + sizeof(Header) + pc_bytes +
-                        std::size_t{i} * sizeof(DiskHint),
-                    sizeof disk);
-        hint_dict_.push_back(unpackHint(disk));
-    }
-    payload_ = bytes + payload_off;
+    unpackDicts(bytes + sizeof(Header), header, pc_dict_, hint_dict_);
+    payload_ = static_cast<const std::uint8_t *>(base_) + sizeof(Header) +
+               dictBytes(header);
     payload_bytes_ = header.payload_bytes;
     record_count_ = header.record_count;
     instructions_ = header.instructions;

@@ -74,8 +74,10 @@ struct TraceFileSummary
  * Read only the fixed header of the trace file at @p path — O(1) I/O.
  * This is how a warm sweep learns a cached trace's content digest (and
  * thus its result-cache keys) without generating or loading the trace.
- * The payload is NOT verified here; materialising readers re-check the
- * digest and fall back to regeneration on mismatch.
+ * Like every reader it checks magic, version and that the sections the
+ * header claims fit in the file; the payload is NOT verified here, so
+ * materialising readers re-check the digest and fall back to
+ * regeneration on mismatch.
  */
 TraceIoStatus readTraceFileSummary(const std::string &path,
                                    TraceFileSummary &out);

@@ -165,11 +165,10 @@ TEST(ContextEndToEnd, HitDepthsConcentrateInWindow)
     StreamDriver driver(pf);
     for (int i = 0; i < 20000; ++i)
         driver.access(0x400, 0x100000 + i * 64);
-    const Histogram *depths = pf.hitDepths();
-    ASSERT_NE(depths, nullptr);
-    ASSERT_GT(depths->count(), 100u);
+    const Histogram &depths = pf.hitDepths();
+    ASSERT_GT(depths.count(), 100u);
     // The mass below the window start must be a minority.
-    EXPECT_LT(depths->cdfAt(17), 0.5);
+    EXPECT_LT(depths.cdfAt(17), 0.5);
 }
 
 TEST(ContextEndToEnd, DeltaOverflowsAreCounted)

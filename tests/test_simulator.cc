@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "core/profiling.h"
 #include "obs/run_observer.h"
 #include "sim/experiment.h"
@@ -138,9 +140,16 @@ TEST(Simulator, HitDepthHistogramPopulatedForContext)
     Simulator simulator(config);
     const auto trace = makeTrace("list", 100000);
     simulator.run(trace, *prefetcher);
-    const Histogram *depths = prefetcher->hitDepths();
+    // The report carries every bucket of the width-1 depth histogram.
+    const stats::ReportEntry *depths =
+        simulator.lastReport().find("context.pq.hit_depth");
     ASSERT_NE(depths, nullptr);
-    EXPECT_GT(depths->count(), 0u);
+    EXPECT_GT(depths->dist.count, 0u);
+    ASSERT_EQ(depths->dist.buckets.size(),
+              config.context.prefetch_queue_entries);
+    EXPECT_LE(std::accumulate(depths->dist.buckets.begin(),
+                              depths->dist.buckets.end(), std::uint64_t{0}),
+              depths->dist.count);
 }
 
 TEST(Simulator, ProfilerAttributesEveryPhase)

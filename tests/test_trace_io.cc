@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "trace/trace_io.h"
 #include "workloads/registry.h"
@@ -114,6 +120,179 @@ TEST(TraceIo, FileRoundTrip)
     EXPECT_EQ(loadTraceFile(path, loaded), TraceIoStatus::Ok);
     EXPECT_EQ(loaded.size(), original.size());
     std::remove(path.c_str());
+}
+
+/** The three readers' statuses for a trace file holding @p bytes. */
+struct ReadStatuses
+{
+    TraceIoStatus load;
+    TraceIoStatus summary;
+    TraceIoStatus mapped;
+};
+
+ReadStatuses
+readAll(const std::string &bytes)
+{
+    const std::string path = testing::TempDir() + "csp_corrupt.csptrace";
+    std::ofstream(path, std::ios::binary) << bytes;
+    ReadStatuses out{};
+    TraceBuffer loaded;
+    out.load = loadTraceFile(path, loaded);
+    TraceFileSummary summary;
+    out.summary = readTraceFileSummary(path, summary);
+    MappedTrace mapped;
+    out.mapped = mapped.open(path, true);
+    std::remove(path.c_str());
+    return out;
+}
+
+long
+peakRssKib()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+}
+
+/** A header field of the v2 layout: offset and width in bytes. */
+struct HeaderField
+{
+    const char *name;
+    std::size_t offset;
+    std::size_t size;
+};
+
+// Every header field the content digest or the size check covers.
+// mem_accesses (offset 32) and reserved (offset 12) are covered by
+// neither, so a flip there still loads; they are left out.
+constexpr HeaderField kCheckedFields[] = {
+    {"magic", 0, 8},           {"version", 8, 4},
+    {"record_count", 16, 8},   {"instructions", 24, 8},
+    {"content_digest", 40, 8}, {"pc_dict_count", 48, 4},
+    {"hint_dict_count", 52, 4}, {"payload_bytes", 56, 8},
+};
+constexpr std::size_t kHeaderBytes = 64;
+
+template <typename T>
+T
+fieldAt(const std::string &bytes, std::size_t offset)
+{
+    T value{};
+    std::memcpy(&value, bytes.data() + offset, sizeof value);
+    return value;
+}
+
+template <typename T>
+void
+setField(std::string &bytes, std::size_t offset, T value)
+{
+    std::memcpy(bytes.data() + offset, &value, sizeof value);
+}
+
+/** Whether @p bytes' header claims more dictionary and payload bytes
+ *  than the file holds, which a header-only read can see. */
+bool
+claimsPastEnd(const std::string &bytes)
+{
+    const std::uint64_t claimed =
+        kHeaderBytes + 8 * std::uint64_t{fieldAt<std::uint32_t>(bytes, 48)} +
+        8 * std::uint64_t{fieldAt<std::uint32_t>(bytes, 52)};
+    return claimed > bytes.size() ||
+           fieldAt<std::uint64_t>(bytes, 56) > bytes.size() - claimed;
+}
+
+TEST(TraceIo, CorruptionMatrixIsRefusedByEveryReader)
+{
+    workloads::WorkloadParams params;
+    params.scale = 2000;
+    std::stringstream stream;
+    ASSERT_TRUE(saveTrace(
+        workloads::Registry::builtin().create("list")->generate(params),
+        stream));
+    const std::string good = stream.str();
+    ASSERT_EQ(readAll(good).load, TraceIoStatus::Ok);
+    const std::uint64_t payload_bytes = fieldAt<std::uint64_t>(good, 56);
+    const std::size_t payload_off = good.size() - payload_bytes;
+    ASSERT_GT(payload_off, kHeaderBytes); // both dictionaries non-empty
+    const long rss_before = peakRssKib();
+
+    const auto expectRefused = [](const std::string &bytes,
+                                  const std::string &row,
+                                  bool header_visible) {
+        const ReadStatuses got = readAll(bytes);
+        EXPECT_NE(got.load, TraceIoStatus::Ok) << row;
+        EXPECT_NE(got.mapped, TraceIoStatus::Ok) << row;
+        if (header_visible) {
+            EXPECT_NE(got.summary, TraceIoStatus::Ok) << row;
+        }
+    };
+
+    // Truncation at every header offset and at sampled payload offsets.
+    std::vector<std::size_t> cuts;
+    for (std::size_t n = 0; n <= kHeaderBytes; ++n)
+        cuts.push_back(n);
+    for (std::size_t n = payload_off; n < good.size();
+         n += payload_bytes / 16 + 1)
+        cuts.push_back(n);
+    cuts.push_back(good.size() - 1);
+    for (const std::size_t n : cuts)
+        expectRefused(good.substr(0, n), "cut at " + std::to_string(n),
+                      true);
+
+    // Every byte of every checked header field flipped. Only magic,
+    // version and a claim past the end of the file are visible to the
+    // header-only summary; the rest fail the content digest.
+    for (const HeaderField &field : kCheckedFields) {
+        for (std::size_t b = 0; b < field.size; ++b) {
+            std::string bytes = good;
+            bytes[field.offset + b] ^= 0xff;
+            const bool header_visible = field.offset < 12 ||
+                                        claimsPastEnd(bytes);
+            expectRefused(bytes,
+                          std::string(field.name) + " byte " +
+                              std::to_string(b),
+                          header_visible);
+        }
+    }
+
+    // Both dictionaries, byte by byte, and sampled payload bytes. The
+    // last three bytes of each 8-byte hint entry are padding no reader
+    // looks at.
+    const std::size_t hint_off =
+        kHeaderBytes + 8 * std::size_t{fieldAt<std::uint32_t>(good, 48)};
+    std::vector<std::size_t> flips;
+    for (std::size_t off = kHeaderBytes; off < payload_off; ++off) {
+        if (off < hint_off || (off - hint_off) % 8 < 5)
+            flips.push_back(off);
+    }
+    for (std::size_t off = payload_off; off < good.size();
+         off += payload_bytes / 16 + 1)
+        flips.push_back(off);
+    for (const std::size_t off : flips) {
+        std::string bytes = good;
+        bytes[off] ^= 0xff;
+        expectRefused(bytes, "flip at " + std::to_string(off), false);
+    }
+
+    // Section sizes that would each cost seconds and gigabytes to
+    // allocate before the read could fail: refused from the header.
+    const std::vector<std::pair<std::size_t, std::uint64_t>> huge = {
+        {52, 0x7fffffff}, {52, 0x10000000}, {56, std::uint64_t{1} << 30}};
+    for (const auto &[offset, value] : huge) {
+        std::string bytes = good;
+        if (offset == 52)
+            setField(bytes, offset, static_cast<std::uint32_t>(value));
+        else
+            setField(bytes, offset, value);
+        const ReadStatuses got = readAll(bytes);
+        const std::string row = "huge field at " + std::to_string(offset);
+        EXPECT_EQ(got.load, TraceIoStatus::Truncated) << row;
+        EXPECT_EQ(got.summary, TraceIoStatus::Truncated) << row;
+        EXPECT_EQ(got.mapped, TraceIoStatus::Truncated) << row;
+    }
+
+    EXPECT_LT(peakRssKib() - rss_before, 64 * 1024)
+        << "a reader sized an allocation from a corrupt header";
 }
 
 TEST(TraceIo, StatusNamesDistinct)
