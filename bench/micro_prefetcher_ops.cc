@@ -98,8 +98,9 @@ BENCHMARK(BM_Context);
 
 /** Trace-generation throughput for one workload: how many simulated
  *  instructions (and memory accesses) per host second the generator
- *  produces. Surfaces trace-gen hotspots next to the prefetcher op
- *  costs above — runSweep's phase 1 is bound by exactly this rate. */
+ *  produces, content digest included. Surfaces trace-gen hotspots next
+ *  to the prefetcher op costs above — runSweep's phase 1 pays exactly
+ *  this per trace. */
 void
 runTraceGen(benchmark::State &state, const std::string &name)
 {
@@ -112,7 +113,8 @@ runTraceGen(benchmark::State &state, const std::string &name)
     for (auto _ : state) {
         const auto workload = registry.create(name);
         const trace::TraceBuffer trace = workload->generate(params);
-        benchmark::DoNotOptimize(trace.size());
+        // runSweep's phase 1 digests every trace it generates.
+        benchmark::DoNotOptimize(trace.contentDigest());
         insts += trace.instructions();
         accesses += trace.memAccesses();
     }

@@ -52,18 +52,16 @@ atomicWriteFile(const std::string &path, std::string_view bytes)
     if (!parent.empty() && !ensureDirectories(parent.string()))
         return false;
     const std::string tmp = uniqueTempPath(path);
-    {
-        std::ofstream out(tmp, std::ios::binary);
-        if (!out) {
-            return false;
-        }
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        if (!out) {
-            out.close();
-            std::remove(tmp.c_str());
-            return false;
-        }
+    std::ofstream out(tmp, std::ios::binary);
+    if (!out)
+        return false;
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    // Close before checking: the final flush can fail too (a full
+    // disk), and a short file must never be renamed into place.
+    out.close();
+    if (!out) {
+        std::remove(tmp.c_str());
+        return false;
     }
     if (!atomicRename(tmp, path)) {
         std::remove(tmp.c_str());

@@ -5,10 +5,8 @@ namespace csp {
 std::uint64_t
 fnv1aResume(std::uint64_t state, std::span<const std::uint8_t> bytes)
 {
-    for (std::uint8_t byte : bytes) {
-        state ^= byte;
-        state *= 0x100000001b3ull;
-    }
+    for (std::uint8_t byte : bytes)
+        state = fnv1aStep(state, byte);
     return state;
 }
 

@@ -20,6 +20,13 @@ namespace csp {
 /** FNV-1a initial state (offset basis), for chunked hashing. */
 inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
 
+/** One FNV-1a step: @p state with @p byte folded in. */
+constexpr std::uint64_t
+fnv1aStep(std::uint64_t state, std::uint8_t byte)
+{
+    return (state ^ byte) * 0x100000001b3ull;
+}
+
 /** 64-bit FNV-1a over a byte span. */
 std::uint64_t fnv1a(std::span<const std::uint8_t> bytes);
 

@@ -1,6 +1,8 @@
 #include "trace/trace.h"
 
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <utility>
 
 #include "core/hashing.h"
@@ -19,15 +21,35 @@ constexpr std::uint8_t kHasLoaded = 0x20;
 constexpr std::uint8_t kHasRepeat = 0x40; ///< repeat != 1
 constexpr std::uint8_t kHasSize = 0x80;   ///< size != 8
 
-void
-appendVarint(std::vector<std::uint8_t> &bytes, std::uint64_t value)
+/** Longest encoded record: header, five varints at their widest (PC
+ *  and hint indices and the burst length are 32-bit, the register and
+ *  loaded values 64-bit), the size byte and the vaddr. */
+constexpr std::size_t kMaxRecordBytes = 1 + 5 + 1 + 8 + 5 + 10 + 10 + 5;
+
+/** Writes one record's bytes into reserved payload space and folds
+ *  each into the running payload hash as it goes. */
+struct RecordWriter
 {
-    while (value >= 0x80) {
-        bytes.push_back(static_cast<std::uint8_t>(value) | 0x80);
-        value >>= 7;
+    std::uint8_t *out;
+    std::uint64_t fnv;
+
+    void
+    put(std::uint8_t byte)
+    {
+        *out++ = byte;
+        fnv = fnv1aStep(fnv, byte);
     }
-    bytes.push_back(static_cast<std::uint8_t>(value));
-}
+
+    void
+    putVarint(std::uint64_t value)
+    {
+        while (value >= 0x80) {
+            put(static_cast<std::uint8_t>(value) | 0x80);
+            value >>= 7;
+        }
+        put(static_cast<std::uint8_t>(value));
+    }
+};
 
 std::uint64_t
 readVarint(const std::uint8_t *&pos)
@@ -56,6 +78,43 @@ thread_local void *t_default_tap_user = nullptr;
 
 } // namespace
 
+PackedBytes::PackedBytes(std::size_t size)
+{
+    if (size != 0)
+        grow(size);
+    size_ = size;
+}
+
+PackedBytes &
+PackedBytes::operator=(PackedBytes &&other) noexcept
+{
+    if (this != &other) {
+        std::free(data_);
+        data_ = std::exchange(other.data_, nullptr);
+        size_ = std::exchange(other.size_, 0);
+        capacity_ = std::exchange(other.capacity_, 0);
+    }
+    return *this;
+}
+
+PackedBytes::~PackedBytes()
+{
+    std::free(data_);
+}
+
+void
+PackedBytes::grow(std::size_t min_capacity)
+{
+    std::size_t capacity = capacity_ == 0 ? 4096 : 2 * capacity_;
+    if (capacity < min_capacity)
+        capacity = min_capacity;
+    void *data = std::realloc(data_, capacity);
+    if (data == nullptr)
+        throw std::bad_alloc();
+    data_ = static_cast<std::uint8_t *>(data);
+    capacity_ = capacity;
+}
+
 TraceBuffer::TraceBuffer()
     : tap_(t_default_tap), tap_user_(t_default_tap_user)
 {}
@@ -67,31 +126,31 @@ TraceBuffer::setThreadPushTap(PushTap tap, void *user)
     t_default_tap_user = user;
 }
 
-std::uint32_t
+inline std::uint32_t
 TraceBuffer::pcIndex(Addr pc)
 {
-    const auto [it, inserted] =
-        pc_index_.try_emplace(pc, static_cast<std::uint32_t>(
-                                      pc_dict_.size()));
-    if (inserted)
-        pc_dict_.push_back(pc);
-    return it->second;
+    if (const std::uint32_t *index = pc_index_.find(pc))
+        return *index;
+    pc_index_.tryEmplace(pc, static_cast<std::uint32_t>(pc_dict_.size()));
+    pc_dict_.push_back(pc);
+    return static_cast<std::uint32_t>(pc_dict_.size() - 1);
 }
 
-std::uint32_t
+inline std::uint32_t
 TraceBuffer::hintIndex(const hints::Hint &hint)
 {
-    const auto [it, inserted] =
-        hint_index_.try_emplace(hintKey(hint),
-                                static_cast<std::uint32_t>(
-                                    hint_dict_.size()));
-    if (inserted)
-        hint_dict_.push_back(hint);
-    return it->second;
+    const std::uint64_t key = hintKey(hint);
+    if (const std::uint32_t *index = hint_index_.find(key))
+        return *index;
+    hint_index_.tryEmplace(key,
+                           static_cast<std::uint32_t>(hint_dict_.size()));
+    hint_dict_.push_back(hint);
+    return static_cast<std::uint32_t>(hint_dict_.size() - 1);
 }
 
 void
-TraceBuffer::encode(const TraceRecord &rec)
+TraceBuffer::encode(const TraceRecord &rec, std::uint32_t pc_index,
+                    std::uint32_t hint_index)
 {
     std::uint8_t header = static_cast<std::uint8_t>(rec.kind);
     if (rec.kind == InstKind::Branch ? rec.taken : rec.dep_on_prev_load)
@@ -106,23 +165,27 @@ TraceBuffer::encode(const TraceRecord &rec)
         header |= kHasRepeat;
     if (rec.size != 8)
         header |= kHasSize;
-    bytes_.push_back(header);
-    appendVarint(bytes_, pcIndex(rec.pc));
+    RecordWriter w{bytes_.tail(kMaxRecordBytes), payload_fnv_};
+    w.put(header);
+    w.putVarint(pc_index);
     if (header & kHasSize)
-        bytes_.push_back(rec.size);
+        w.put(rec.size);
     if (rec.isMem()) {
-        const std::size_t at = bytes_.size();
-        bytes_.resize(at + sizeof rec.vaddr);
-        std::memcpy(bytes_.data() + at, &rec.vaddr, sizeof rec.vaddr);
+        std::uint8_t vaddr[sizeof rec.vaddr];
+        std::memcpy(vaddr, &rec.vaddr, sizeof vaddr);
+        for (const std::uint8_t byte : vaddr)
+            w.put(byte);
     }
     if (header & kHasHint)
-        appendVarint(bytes_, hintIndex(rec.hint));
+        w.putVarint(hint_index);
     if (header & kHasReg)
-        appendVarint(bytes_, rec.reg_value);
+        w.putVarint(rec.reg_value);
     if (header & kHasLoaded)
-        appendVarint(bytes_, rec.loaded_value);
+        w.putVarint(rec.loaded_value);
     if (header & kHasRepeat)
-        appendVarint(bytes_, rec.repeat);
+        w.putVarint(rec.repeat);
+    bytes_.commit(w.out);
+    payload_fnv_ = w.fnv;
 }
 
 void
@@ -136,16 +199,25 @@ TraceBuffer::push(const TraceRecord &rec)
     // summed burst length; every other field of the original survives.
     if (rec.kind == InstKind::Compute && last_is_compute_ &&
         last_rec_.pc == rec.pc) {
-        bytes_.resize(last_offset_);
+        bytes_.commit(bytes_.data() + last_offset_);
+        payload_fnv_ = last_fnv_;
         last_rec_.repeat += rec.repeat;
-        encode(last_rec_);
+        encode(last_rec_, last_pc_index_, last_hint_index_);
         instructions_ += rec.repeat;
         return;
     }
     last_offset_ = bytes_.size();
-    last_rec_ = rec;
+    last_fnv_ = payload_fnv_;
     last_is_compute_ = rec.kind == InstKind::Compute;
-    encode(rec);
+    const std::uint32_t pc_index = pcIndex(rec.pc);
+    const std::uint32_t hint_index =
+        rec.hint.valid() ? hintIndex(rec.hint) : 0;
+    if (last_is_compute_) {
+        last_rec_ = rec;
+        last_pc_index_ = pc_index;
+        last_hint_index_ = hint_index;
+    }
+    encode(rec, pc_index, hint_index);
     ++count_;
     instructions_ += rec.kind == InstKind::Compute ? rec.repeat : 1;
     if (rec.isMem())
@@ -164,23 +236,25 @@ TraceBuffer::decode() const
 }
 
 TraceBuffer
-TraceBuffer::fromPacked(std::vector<std::uint8_t> bytes,
+TraceBuffer::fromPacked(PackedBytes bytes,
                         std::vector<Addr> pc_dict,
                         std::vector<hints::Hint> hint_dict,
                         std::size_t count, std::uint64_t instructions,
-                        std::uint64_t mem_accesses)
+                        std::uint64_t mem_accesses,
+                        std::uint64_t payload_fnv)
 {
     TraceBuffer buffer;
     buffer.bytes_ = std::move(bytes);
+    buffer.payload_fnv_ = payload_fnv;
     buffer.pc_dict_ = std::move(pc_dict);
     buffer.hint_dict_ = std::move(hint_dict);
     buffer.count_ = count;
     buffer.instructions_ = instructions;
     buffer.mem_accesses_ = mem_accesses;
     for (std::uint32_t i = 0; i < buffer.pc_dict_.size(); ++i)
-        buffer.pc_index_.emplace(buffer.pc_dict_[i], i);
+        buffer.pc_index_.tryEmplace(buffer.pc_dict_[i], i);
     for (std::uint32_t i = 0; i < buffer.hint_dict_.size(); ++i)
-        buffer.hint_index_.emplace(hintKey(buffer.hint_dict_[i]), i);
+        buffer.hint_index_.tryEmplace(hintKey(buffer.hint_dict_[i]), i);
     // The trailing record is unknown without decoding, so disable burst
     // folding for the first append: last_offset_ at end-of-payload with
     // last_is_compute_ false makes push() start a fresh record.
@@ -206,11 +280,8 @@ packedTraceDigestPrehashed(std::size_t count, std::uint64_t instructions,
     for (std::size_t i = 0; i < pc_count; ++i)
         h.add(pcs[i]);
     h.add(hint_count);
-    for (std::size_t i = 0; i < hint_count; ++i) {
-        h.add(static_cast<std::uint64_t>(hints[i].type_id) |
-              (static_cast<std::uint64_t>(hints[i].link_offset) << 16) |
-              (static_cast<std::uint64_t>(hints[i].ref_form) << 32));
-    }
+    for (std::size_t i = 0; i < hint_count; ++i)
+        h.add(hintKey(hints[i]));
     return h.digest();
 }
 
@@ -228,10 +299,9 @@ packedTraceDigest(std::size_t count, std::uint64_t instructions,
 std::uint64_t
 TraceBuffer::contentDigest() const
 {
-    return packedTraceDigest(count_, instructions_, bytes_.data(),
-                             bytes_.size(), pc_dict_.data(),
-                             pc_dict_.size(), hint_dict_.data(),
-                             hint_dict_.size());
+    return packedTraceDigestPrehashed(count_, instructions_, payload_fnv_,
+                                      pc_dict_.data(), pc_dict_.size(),
+                                      hint_dict_.data(), hint_dict_.size());
 }
 
 const TraceRecord *

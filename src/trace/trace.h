@@ -22,16 +22,25 @@
  * Decoding is sequential via TraceCursor, which rehydrates records into
  * one reusable TraceRecord slot — the replay hot loop never allocates
  * and only streams the packed bytes.
+ *
+ * Recording costs what writing the bytes costs: each record is encoded
+ * straight into the payload's tail, its PC and hint are looked up in
+ * flat open-addressing dictionaries, and the payload's FNV-1a is kept
+ * as the bytes are written, so the content digest never re-reads the
+ * payload.
  */
 
 #ifndef CSP_TRACE_TRACE_H
 #define CSP_TRACE_TRACE_H
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "core/flat_map.h"
+#include "core/hashing.h"
 #include "core/types.h"
 #include "hints/hint.h"
 
@@ -68,6 +77,62 @@ struct TraceRecord
 };
 
 class TraceCursor;
+
+/**
+ * Storage for a packed payload: a malloc'd byte array grown by realloc.
+ * For a large block realloc remaps the pages rather than copying them
+ * into fresh memory, so each payload page is faulted in once instead of
+ * once per doubling as with std::vector; and the encoder writes each
+ * record straight into reserved tail space. Move-only.
+ */
+class PackedBytes
+{
+  public:
+    PackedBytes() = default;
+
+    /** @p size uninitialised bytes, for a reader to fill in place. */
+    explicit PackedBytes(std::size_t size);
+
+    PackedBytes(PackedBytes &&other) noexcept { *this = std::move(other); }
+    PackedBytes &operator=(PackedBytes &&other) noexcept;
+    PackedBytes(const PackedBytes &) = delete;
+    PackedBytes &operator=(const PackedBytes &) = delete;
+    ~PackedBytes();
+
+    std::uint8_t *data() { return data_; }
+    const std::uint8_t *data() const { return data_; }
+    std::size_t size() const { return size_; }
+
+    /** At least @p n writable bytes past the end; commit() what is
+     *  written. */
+    std::uint8_t *
+    tail(std::size_t n)
+    {
+        if (capacity_ - size_ < n)
+            grow(size_ + n);
+        return data_ + size_;
+    }
+
+    /** Set the end to @p end: inside tail()'s space to append what was
+     *  written there, or before the end to truncate. */
+    void
+    commit(const std::uint8_t *end)
+    {
+        size_ = static_cast<std::size_t>(end - data_);
+    }
+
+    operator std::span<const std::uint8_t>() const
+    {
+        return {data_, size_};
+    }
+
+  private:
+    void grow(std::size_t min_capacity);
+
+    std::uint8_t *data_ = nullptr;
+    std::size_t size_ = 0;
+    std::size_t capacity_ = 0;
+};
 
 /**
  * A recorded, replayable trace. Produced by workloads through Recorder,
@@ -122,7 +187,7 @@ class TraceBuffer
     std::size_t pcDictSize() const { return pc_dict_.size(); }
 
     /** Packed record payload (serialization; see trace_io). */
-    const std::vector<std::uint8_t> &packedBytes() const { return bytes_; }
+    std::span<const std::uint8_t> packedBytes() const { return bytes_; }
 
     /** PC dictionary, index order (serialization; see trace_io). */
     const std::vector<Addr> &pcDict() const { return pc_dict_; }
@@ -134,19 +199,27 @@ class TraceBuffer
      * Reconstitute a buffer from its packed parts (the trace_io load
      * path). Rebuilds the dictionary reverse indices and the
      * trailing-record fold state so the buffer stays appendable.
+     * @p payload_fnv is fnv1a(@p bytes), which the loader has just
+     * computed to verify them; the buffer carries it on rather than
+     * hashing the payload a second time.
      */
-    static TraceBuffer fromPacked(std::vector<std::uint8_t> bytes,
+    static TraceBuffer fromPacked(PackedBytes bytes,
                                   std::vector<Addr> pc_dict,
                                   std::vector<hints::Hint> hint_dict,
                                   std::size_t count,
                                   std::uint64_t instructions,
-                                  std::uint64_t mem_accesses);
+                                  std::uint64_t mem_accesses,
+                                  std::uint64_t payload_fnv);
 
     /**
      * Order-sensitive digest over the packed payload and both
      * dictionaries — the trace's content identity for run-provenance
      * manifests. Two buffers holding the same record stream digest
      * identically; any record, PC or hint difference changes it.
+     *
+     * Equal to packedTraceDigest over packedBytes() and the
+     * dictionaries, but the payload's fnv1a is kept as bytes are
+     * appended, so this costs only the dictionaries.
      */
     std::uint64_t contentDigest() const;
 
@@ -179,27 +252,35 @@ class TraceBuffer
 
     std::uint32_t pcIndex(Addr pc);
     std::uint32_t hintIndex(const hints::Hint &hint);
-    void encode(const TraceRecord &rec);
+    void encode(const TraceRecord &rec, std::uint32_t pc_index,
+                std::uint32_t hint_index);
 
-    std::vector<std::uint8_t> bytes_; ///< packed records
+    PackedBytes bytes_;               ///< packed records
+    std::uint64_t payload_fnv_ = kFnv1aBasis; ///< fnv1a(bytes_)
     std::vector<Addr> pc_dict_;       ///< PC-dictionary index -> PC
-    std::unordered_map<Addr, std::uint32_t> pc_index_; ///< PC -> index
+    FlatMap<Addr, std::uint32_t> pc_index_; ///< PC -> index
     // Hints are dictionary-encoded too (workloads use a handful of
     // distinct hints), stored unpacked so the round trip is lossless —
     // Hint::pack() truncates link_offset to the NOP immediate's 13 bits
     // and would corrupt the kNoLinkOffset sentinel on valid hints.
     std::vector<hints::Hint> hint_dict_;
-    std::unordered_map<std::uint64_t, std::uint32_t> hint_index_;
+    FlatMap<std::uint64_t, std::uint32_t> hint_index_;
     std::size_t count_ = 0;
     std::uint64_t instructions_ = 0;
     std::uint64_t mem_accesses_ = 0;
 
     // Trailing-record state so compute bursts from the same site fold
-    // into one record (the encoder truncates and re-emits the tail,
-    // which must preserve every field of the folded-into record).
+    // into one record. Folding truncates the payload to last_offset_,
+    // rewinds the payload hash to last_fnv_ and re-encodes last_rec_
+    // (every field preserved, dictionary indices reused) with the
+    // summed burst length. last_rec_ and its indices are kept only
+    // while the trailing record is a compute record.
     std::size_t last_offset_ = 0;
+    std::uint64_t last_fnv_ = kFnv1aBasis;
     bool last_is_compute_ = false;
     TraceRecord last_rec_;
+    std::uint32_t last_pc_index_ = 0;
+    std::uint32_t last_hint_index_ = 0;
 
     PushTap tap_ = nullptr;
     void *tap_user_ = nullptr;

@@ -188,9 +188,12 @@ bool
 saveTraceFile(const TraceBuffer &buffer, const std::string &path)
 {
     std::ofstream stream(path, std::ios::binary);
-    if (!stream)
+    if (!stream || !saveTrace(buffer, stream))
         return false;
-    return saveTrace(buffer, stream);
+    // The last buffered bytes reach the file only on close; a full
+    // disk may refuse them there.
+    stream.close();
+    return static_cast<bool>(stream);
 }
 
 TraceIoStatus
@@ -206,19 +209,22 @@ loadTrace(std::istream &stream, TraceBuffer &buffer)
     std::vector<Addr> pc_dict;
     std::vector<hints::Hint> hint_dict;
     unpackDicts(dicts.data(), header, pc_dict, hint_dict);
-    std::vector<std::uint8_t> payload(header.payload_bytes);
+    PackedBytes payload(header.payload_bytes);
     stream.read(reinterpret_cast<char *>(payload.data()),
                 static_cast<std::streamsize>(payload.size()));
     if (!stream)
         return TraceIoStatus::Truncated;
-    if (packedTraceDigest(header.record_count, header.instructions,
-                          payload.data(), payload.size(), pc_dict.data(),
-                          pc_dict.size(), hint_dict.data(),
-                          hint_dict.size()) != header.content_digest)
+    const std::uint64_t payload_fnv = fnv1a(payload);
+    if (packedTraceDigestPrehashed(header.record_count,
+                                   header.instructions, payload_fnv,
+                                   pc_dict.data(), pc_dict.size(),
+                                   hint_dict.data(), hint_dict.size()) !=
+        header.content_digest)
         return TraceIoStatus::BadDigest;
     buffer = TraceBuffer::fromPacked(
         std::move(payload), std::move(pc_dict), std::move(hint_dict),
-        header.record_count, header.instructions, header.mem_accesses);
+        header.record_count, header.instructions, header.mem_accesses,
+        payload_fnv);
     return TraceIoStatus::Ok;
 }
 

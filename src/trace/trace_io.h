@@ -51,7 +51,8 @@ const char *traceIoStatusName(TraceIoStatus status);
 /** Serialize @p buffer to @p stream. Returns false on write failure. */
 bool saveTrace(const TraceBuffer &buffer, std::ostream &stream);
 
-/** Serialize @p buffer to the file at @p path. */
+/** Serialize @p buffer to the file at @p path; false if any byte,
+ *  the final flush on close included, failed to write. */
 bool saveTraceFile(const TraceBuffer &buffer, const std::string &path);
 
 /** Deserialize a trace from @p stream into @p buffer. */

@@ -1,7 +1,8 @@
-/** @file The three golden documents the readers are tested against:
- *  a learn.json, a mem.json and a sweep journal, each valid under
- *  every rule of its schema. Shared by the renderer goldens and by the
- *  rule and corruption tests in test_doc_rules.cc. */
+/** @file The golden documents the readers are tested against: a
+ *  learn.json, a mem.json and a sweep journal, each valid under every
+ *  rule of its schema, and a --stats-out document. Shared by the
+ *  renderer goldens and by the rule and corruption tests in
+ *  test_doc_rules.cc. */
 
 #ifndef CSP_TESTS_DOC_GOLDENS_H
 #define CSP_TESTS_DOC_GOLDENS_H
@@ -120,6 +121,23 @@ inline constexpr char kSyntheticJournal[] =
 {"event":"evict","t_ns":5200000,"seq":14,"entry":"00aa.json","bytes":123}
 {"event":"cache_trim","t_ns":5300000,"seq":15,"max_bytes":4096,"scanned_entries":5,"scanned_bytes":4219,"evicted_entries":1,"evicted_bytes":123}
 )";
+
+/** A small --stats-out document (cspsim, list with stride, scale 2000,
+ *  seed 7), cut down to one or two stats per group: the nested JSON
+ *  cspdiff reads through parseJsonFlat. It has no schema of its own
+ *  beyond the run manifest, so the corruption matrix is its check. */
+inline constexpr char kGoldenStatsJson[] = R"({
+  "manifest":{"schema":"csp-run-manifest-v1","tool":"cspsim",
+              "config_digest":"0b2ab3abcc4fbab0","seed":7,
+              "workloads":"list","prefetchers":"stride","scale":2000,
+              "trace_digest":"2d3792083385ba83","trace_records":6144,
+              "trace_gen_seconds":0.00069,"sim_seconds":0.001837},
+  "stats":{
+    "mem":{"l1":{"demand_accesses":2048,"miss_rate":0.04052734375,
+                 "misses":83}},
+    "prefetch":{"inflight":0},
+    "sim":{"class":{"hit-older-demand":1965,"miss-not-prefetched":83},
+           "cycles":30656,"instructions":10240,"ipc":0.334029227557}}})";
 
 } // namespace csp
 

@@ -1,8 +1,8 @@
 /** @file The document readers enforce their schemas: isLearnDoc,
  *  isMemDoc and parseJournal each refuse a golden document with one
- *  identity broken, naming that identity, and survive truncated or
- *  byte-flipped input by refusing it with a message or accepting a
- *  document that still renders. */
+ *  identity broken, naming that identity, and they and cspdiff's stats
+ *  reader survive truncated or byte-flipped input by refusing it with
+ *  a message or accepting a document that still renders. */
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,7 @@ enum class Doc
     Learn,
     Mem,
     Journal,
+    Stats,
 };
 
 const char *
@@ -33,12 +34,13 @@ golden(Doc kind)
       case Doc::Learn: return kGoldenLearnJson;
       case Doc::Mem: return kGoldenMemJson;
       case Doc::Journal: return kSyntheticJournal;
+      case Doc::Stats: return kGoldenStatsJson;
     }
     return "";
 }
 
-/** Read @p text the way csplearn, cspmem and csptop do, then render
- *  it; false with *error when the reader refuses it. */
+/** Read @p text the way csplearn, cspmem, csptop and cspdiff do, then
+ *  render it; false with *error when the reader refuses it. */
 bool
 readAndRender(Doc kind, const std::string &text, std::string *error)
 {
@@ -57,6 +59,13 @@ readAndRender(Doc kind, const std::string &text, std::string *error)
     diff::FlatDoc doc;
     if (!diff::parseJsonFlat(text, doc, error))
         return false;
+    if (kind == Doc::Stats) {
+        // cspdiff's report of the intact golden against what was read.
+        diff::FlatDoc golden_doc;
+        diff::parseJsonFlat(kGoldenStatsJson, golden_doc, nullptr);
+        diff::diffDocs(golden_doc, doc).writeReport(out);
+        return true;
+    }
     return kind == Doc::Learn
                ? diff::renderLearnReport(doc, "a", &doc, "b", out, error)
                : diff::renderMemReport(doc, "a", &doc, "b", out, error);
@@ -310,8 +319,12 @@ TEST(DocRules, JournalFieldsParseWholeIntegers)
  *  bounds. */
 TEST(DocRules, SurvivesTruncationAndByteFlips)
 {
-    for (const Doc kind : {Doc::Learn, Doc::Mem, Doc::Journal}) {
+    for (const Doc kind :
+         {Doc::Learn, Doc::Mem, Doc::Journal, Doc::Stats}) {
         const std::string text = golden(kind);
+        std::string golden_error;
+        ASSERT_TRUE(readAndRender(kind, text, &golden_error))
+            << golden_error;
         const auto probe = [&](const std::string &mutated) {
             std::string error;
             if (!readAndRender(kind, mutated, &error)) {

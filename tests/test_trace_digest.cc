@@ -1,0 +1,138 @@
+/** @file TraceBuffer keeps its payload hash as records are appended;
+ *  these tests check that contentDigest() always equals the digest
+ *  recomputed from the packed bytes — for every workload, across
+ *  compute-burst folds and hints, and for a loaded buffer that keeps
+ *  recording — and pin the trace digests of results/baseline/. */
+
+#include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
+
+#include "core/rng.h"
+#include "trace/trace.h"
+#include "trace/trace_io.h"
+#include "workloads/registry.h"
+
+namespace csp::trace {
+namespace {
+
+/** The digest of @p buffer's parts, hashing the payload from scratch. */
+std::uint64_t
+recomputedDigest(const TraceBuffer &buffer)
+{
+    return packedTraceDigest(
+        buffer.size(), buffer.instructions(), buffer.packedBytes().data(),
+        buffer.packedBytes().size(), buffer.pcDict().data(),
+        buffer.pcDict().size(), buffer.hintDict().data(),
+        buffer.hintDict().size());
+}
+
+/** Push one random record: few sites so compute bursts fold often,
+ *  hints from a small set, every optional field sometimes set. */
+void
+pushRandom(TraceBuffer &buffer, Rng &rng)
+{
+    TraceRecord rec;
+    rec.kind = static_cast<InstKind>(rng.below(4));
+    rec.pc = 0x4000 + 4 * rng.below(6);
+    if (rec.kind == InstKind::Compute) {
+        rec.repeat = static_cast<std::uint32_t>(1 + rng.below(300));
+    } else if (rec.isMem()) {
+        rec.vaddr = rng.next();
+        if (rng.chance(0.5)) {
+            rec.hint = hints::Hint{
+                static_cast<std::uint16_t>(rng.below(4)),
+                static_cast<std::uint16_t>(8 * rng.below(3)),
+                hints::RefForm::Arrow};
+        }
+        rec.loaded_value = rng.chance(0.5) ? rng.next() : 0;
+        rec.dep_on_prev_load = rng.chance(0.3);
+    } else {
+        rec.taken = rng.chance(0.5);
+    }
+    rec.reg_value = rng.chance(0.2) ? rng.next() : 0;
+    if (rng.chance(0.1))
+        rec.size = 4;
+    buffer.push(rec);
+}
+
+TEST(TraceContentDigest, EveryWorkloadMatchesTheRecomputedDigest)
+{
+    const auto &registry = workloads::Registry::builtin();
+    workloads::WorkloadParams params;
+    params.scale = 20000;
+    for (const std::string &name : registry.names()) {
+        const TraceBuffer buffer = registry.create(name)->generate(params);
+        EXPECT_EQ(buffer.contentDigest(), recomputedDigest(buffer))
+            << name;
+    }
+}
+
+TEST(TraceContentDigest, RandomPushesWithFoldsAndHintsMatchAfterEveryPush)
+{
+    Rng rng(7);
+    TraceBuffer buffer;
+    EXPECT_EQ(buffer.contentDigest(), recomputedDigest(buffer));
+    std::size_t pushes = 0;
+    for (; pushes < 3000; ++pushes) {
+        pushRandom(buffer, rng);
+        ASSERT_EQ(buffer.contentDigest(), recomputedDigest(buffer))
+            << "after push " << pushes;
+    }
+    // Folds happened, so the rewind path was exercised.
+    EXPECT_LT(buffer.size(), pushes);
+    EXPECT_GT(buffer.hintDict().size(), 1u);
+}
+
+TEST(TraceContentDigest, LoadedBufferKeepsMatchingAsItGrows)
+{
+    Rng rng(11);
+    TraceBuffer original;
+    for (int i = 0; i < 500; ++i)
+        pushRandom(original, rng);
+
+    // loadTrace hands fromPacked the payload hash it verified.
+    std::stringstream stream;
+    ASSERT_TRUE(saveTrace(original, stream));
+    TraceBuffer loaded;
+    ASSERT_EQ(loadTrace(stream, loaded), TraceIoStatus::Ok);
+    EXPECT_EQ(loaded.contentDigest(), original.contentDigest());
+
+    // A compute burst first: folding is off for the first append.
+    TraceRecord burst;
+    burst.pc = 0x4000;
+    burst.repeat = 3;
+    loaded.push(burst);
+    loaded.push(burst);
+    EXPECT_EQ(loaded.size(), original.size() + 1);
+    for (int i = 0; i < 500; ++i) {
+        pushRandom(loaded, rng);
+        ASSERT_EQ(loaded.contentDigest(), recomputedDigest(loaded))
+            << "after push " << i;
+    }
+}
+
+/** The content digest of @p workload's trace at seed 1. */
+std::uint64_t
+workloadDigest(const std::string &workload, std::uint64_t scale)
+{
+    workloads::WorkloadParams params;
+    params.scale = scale;
+    params.seed = 1;
+    return workloads::Registry::builtin()
+        .create(workload)
+        ->generate(params)
+        .contentDigest();
+}
+
+TEST(TraceContentDigest, BaselineTraceDigestsArePinned)
+{
+    // The manifest trace_digest of results/baseline/list_context.json
+    // and mcf_all.json (cspsim --stats-out runs at these scales).
+    EXPECT_EQ(workloadDigest("list", 50000), 0x335438bb5b66df0bull);
+    EXPECT_EQ(workloadDigest("mcf", 20000), 0x9d42426f4624aee6ull);
+}
+
+} // namespace
+} // namespace csp::trace

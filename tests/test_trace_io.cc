@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -120,6 +121,15 @@ TEST(TraceIo, FileRoundTrip)
     EXPECT_EQ(loadTraceFile(path, loaded), TraceIoStatus::Ok);
     EXPECT_EQ(loaded.size(), original.size());
     std::remove(path.c_str());
+}
+
+TEST(TraceIo, WriteFailureOnTheFinalFlushIsReported)
+{
+    // Every write to /dev/full fails with ENOSPC, but a trace this
+    // small sits in the stream's buffer until close flushes it.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full";
+    EXPECT_FALSE(saveTraceFile(sampleTrace(), "/dev/full"));
 }
 
 /** The three readers' statuses for a trace file holding @p bytes. */
