@@ -474,7 +474,7 @@ BENCHMARK(BM_Profile_Enabled);
  *               the replay loop's guards false. This is the "hooks
  *               compiled in, learning observer off" cost the bench
  *               gate compares against BM_TraceObs_Control.
- *   - Recorder: full LearningRecorder with periodic snapshots — the
+ *   - Recorder: full LearningRecorder, a snapshot per tick — the
  *               real cost of recording learning dynamics. */
 void
 runLearnObsReplay(benchmark::State &state, bool recording)
@@ -492,9 +492,7 @@ runLearnObsReplay(benchmark::State &state, bool recording)
         std::unique_ptr<obs::LearningRecorder> learner;
         obs::RunObserver observer;
         if (recording) {
-            obs::LearningRecorder::Options opts;
-            opts.snapshot_every = 20000;
-            learner = std::make_unique<obs::LearningRecorder>(opts);
+            learner = std::make_unique<obs::LearningRecorder>();
             observer.learn = learner.get();
         }
         simulator.setObserver(&observer);
@@ -546,10 +544,7 @@ runMemObsReplay(benchmark::State &state, bool recording)
         std::unique_ptr<obs::MemRecorder> recorder;
         obs::RunObserver observer;
         if (recording) {
-            obs::MemRecorder::Options opts;
-            opts.queue_sample_every = 20000;
-            recorder = std::make_unique<obs::MemRecorder>(
-                config.memory, opts, nullptr);
+            recorder = std::make_unique<obs::MemRecorder>(config.memory);
             observer.mem = recorder.get();
         }
         simulator.setObserver(&observer);

@@ -459,12 +459,9 @@ TimeSeries::writeCsv(std::ostream &out) const
 // ---------------------------------------------------------------------
 
 IntervalSampler::IntervalSampler(const Registry &registry,
-                                 std::uint64_t interval,
                                  const std::string &filter)
-    : registry_(registry), interval_(interval), next_(interval)
+    : registry_(registry)
 {
-    if (interval_ == 0)
-        return;
     for (std::size_t i = 0; i < registry.entries_.size(); ++i) {
         const Registry::Entry &entry = registry.entries_[i];
         if (!Registry::matchesFilter(entry.name, filter))
@@ -490,8 +487,6 @@ IntervalSampler::IntervalSampler(const Registry &registry,
 void
 IntervalSampler::sample(std::uint64_t instructions)
 {
-    if (interval_ == 0)
-        return;
     TimeSeries::Row row;
     row.instructions = instructions;
     row.values.reserve(series_.columns.size());
@@ -551,17 +546,6 @@ IntervalSampler::sample(std::uint64_t instructions)
         }
     }
     series_.rows.push_back(std::move(row));
-    last_instructions_ = instructions;
-    next_ += interval_;
-    while (next_ <= instructions)
-        next_ += interval_;
-}
-
-void
-IntervalSampler::finish(std::uint64_t instructions)
-{
-    if (interval_ != 0 && instructions > last_instructions_)
-        sample(instructions);
 }
 
 } // namespace csp::stats

@@ -206,54 +206,28 @@ class Registry
 };
 
 /**
- * Snapshots a Registry every N instructions into a TimeSeries. The
- * hot-path cost when disabled (interval 0) is the inlined due() compare.
+ * Snapshots a Registry into a TimeSeries, one row per sample() call;
+ * the caller (the simulator's observation tick) decides when.
  */
 class IntervalSampler
 {
   public:
-    /** @param interval instructions per sample; 0 disables sampling.
-     *  @param filter dotted-prefix column filter (empty = all). */
-    IntervalSampler(const Registry &registry, std::uint64_t interval,
-                    const std::string &filter = "");
+    /** @param filter dotted-prefix column filter (empty = all). */
+    explicit IntervalSampler(const Registry &registry,
+                             const std::string &filter = "");
 
-    bool enabled() const { return interval_ != 0; }
-    std::uint64_t interval() const { return interval_; }
-
-    /** True when @p instructions crossed the next sample boundary. */
-    bool
-    due(std::uint64_t instructions) const
-    {
-        return interval_ != 0 && instructions >= next_;
-    }
-
-    /** Instruction count of the next sample boundary; UINT64_MAX when
-     *  sampling is disabled (lets callers fuse the hot-loop check into
-     *  one compare against a register-resident bound). */
-    std::uint64_t
-    nextSampleAt() const
-    {
-        return interval_ == 0 ? UINT64_MAX : next_;
-    }
-
-    /** Record one row at @p instructions and advance the boundary. */
+    /** Record one row at @p instructions: counters as deltas since the
+     *  previous row, gauges as point samples. */
     void sample(std::uint64_t instructions);
-
-    /** Record the final partial interval, if any instructions ran since
-     *  the last row (call after end-of-run flushes). */
-    void finish(std::uint64_t instructions);
 
     const TimeSeries &series() const { return series_; }
     TimeSeries takeSeries() { return std::move(series_); }
 
   private:
     const Registry &registry_;
-    std::uint64_t interval_;
-    std::uint64_t next_;
     std::vector<std::size_t> sampled_;   ///< registry entry indices
     std::vector<double> last_cumulative_; ///< per sampled column
     std::vector<double> last_num_, last_den_; ///< formula operands
-    std::uint64_t last_instructions_ = 0;
     TimeSeries series_;
 };
 

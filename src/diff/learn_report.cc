@@ -23,7 +23,7 @@ const char *const kSummaryKeys[] = {
 
 /** Numbers every learning-state snapshot carries. */
 const char *const kSnapshotKeys[] = {
-    "lookup", "cycle", "epsilon", "accuracy", "entropy",
+    "instructions", "lookup", "cycle", "epsilon", "accuracy", "entropy",
     "cumulative_reward", "explorations", "associations", "pq_hits",
     "pq_expiries", "cst_live_entries", "cst_entries"};
 
@@ -363,13 +363,14 @@ bool
 isLearnDoc(const FlatDoc &doc, std::string *error)
 {
     DocRules rules(doc);
-    rules.check(text(doc, "schema", "") == "csp-learn-v1",
-                "not a csp-learn-v1 document (missing or unexpected "
+    rules.check(text(doc, "schema", "") == "csp-learn-v2",
+                "not a csp-learn-v2 document (missing or unexpected "
                 "\"schema\")");
     rules.check(text(doc, "manifest.schema", "") ==
                     "csp-run-manifest-v1",
                 "missing embedded csp-run-manifest-v1 manifest");
     rules.text("prefetcher");
+    rules.number("learn.tick_insts");
     for (const char *key : kSummaryKeys)
         rules.number(std::string("learn.") + key);
     rules.check(rules.number("learn.cst.probe_hits") <=
@@ -383,14 +384,21 @@ isLearnDoc(const FlatDoc &doc, std::string *error)
 
     const std::size_t snaps = rules.length("snapshots");
     rules.check(snaps != 0, "snapshots array missing or empty");
-    double last_lookup = -1.0;
+    // Snapshots sit on the run's observation ticks: instructions
+    // strictly increase; lookups (memory accesses) may repeat when a
+    // tick follows a stretch with no access.
+    double last_insts = 0.0;
+    double last_lookup = 0.0;
     for (std::size_t n = 0; n < snaps && rules.ok(); ++n) {
         const std::string at = "snapshots." + std::to_string(n) + '.';
         for (const char *key : kSnapshotKeys)
             rules.number(at + key);
+        const double insts = rules.number(at + "instructions");
+        rules.check(insts > last_insts,
+                    at + "instructions not strictly increasing");
+        last_insts = insts;
         const double lookup = rules.number(at + "lookup");
-        rules.check(lookup > last_lookup,
-                    at + "lookup not strictly increasing");
+        rules.check(lookup >= last_lookup, at + "lookup decreased");
         last_lookup = lookup;
         for (const char *key : {"epsilon", "accuracy", "entropy"}) {
             const double value = rules.number(at + key);

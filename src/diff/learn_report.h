@@ -34,11 +34,12 @@ struct LearnReportOptions
 };
 
 /**
- * Check @p doc against every csp-learn-v1 rule: the schema tags, the
- * run manifest and prefetcher name, numeric learn.cst/policy/reward
- * counters with probe_hits <= probes and inserts + duplicates <=
- * insert_attempts, and a non-empty snapshot series whose lookups
- * strictly increase, whose epsilon/accuracy/entropy stay in [0, 1],
+ * Check @p doc against every csp-learn-v2 rule: the schema tags, the
+ * run manifest and prefetcher name, a numeric tick_insts,
+ * numeric learn.cst/policy/reward counters with probe_hits <= probes
+ * and inserts + duplicates <= insert_attempts, and a non-empty
+ * snapshot series whose instructions strictly increase, whose lookups
+ * never decrease, whose epsilon/accuracy/entropy stay in [0, 1],
  * whose cst_live_entries <= cst_entries, and whose top-context links
  * have a non-zero delta and a Score8 score. False with *error naming
  * the first broken rule.

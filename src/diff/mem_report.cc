@@ -228,7 +228,7 @@ renderTimeline(const FlatDoc &doc, std::ostream &out,
     if (samples == 0)
         return;
     out << "queue-depth timeline (" << samples << " samples, every "
-        << fmtCount(num(doc, "mem.interval")) << " accesses)\n";
+        << fmtCount(num(doc, "mem.tick_insts")) << " instructions)\n";
     out << "  " << std::setw(12) << "access" << std::setw(12) << "cycle"
         << std::setw(10) << "l1_mshr" << std::setw(10) << "l2_mshr"
         << std::setw(14) << "dram_backlog" << "\n";
@@ -326,14 +326,14 @@ bool
 isMemDoc(const FlatDoc &doc, std::string *error)
 {
     DocRules rules(doc);
-    rules.check(text(doc, "schema", "") == "csp-mem-v1",
-                "not a csp-mem-v1 document (missing or unexpected "
+    rules.check(text(doc, "schema", "") == "csp-mem-v2",
+                "not a csp-mem-v2 document (missing or unexpected "
                 "\"schema\")");
     rules.check(text(doc, "manifest.schema", "") ==
                     "csp-run-manifest-v1",
                 "missing embedded csp-run-manifest-v1 manifest");
     rules.text("prefetcher");
-    rules.number("mem.interval");
+    rules.number("mem.tick_insts");
     rules.number("mem.accesses");
 
     for (const char *level : {"l1", "l2"}) {
@@ -410,7 +410,10 @@ isMemDoc(const FlatDoc &doc, std::string *error)
                             "mem.shadow.l2_live_lines"})
         rules.number(key);
 
+    // One row per observation tick: instructions strictly increase,
+    // the access position never decreases.
     const std::size_t samples = rules.length("mem.timeline");
+    double last_insts = 0.0;
     double last_access = 0.0;
     for (std::size_t i = 0; i < samples; ++i) {
         const std::string sample =
@@ -418,6 +421,10 @@ isMemDoc(const FlatDoc &doc, std::string *error)
         for (const char *key :
              {"cycle", "l1_mshr", "l2_mshr", "dram_backlog"})
             rules.number(sample + key);
+        const double insts = rules.number(sample + "instructions");
+        rules.check(insts > last_insts,
+                    sample + "instructions not strictly increasing");
+        last_insts = insts;
         const double access = rules.number(sample + "access");
         rules.check(access >= last_access,
                     sample + "access position decreased");

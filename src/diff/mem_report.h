@@ -38,15 +38,16 @@ struct MemReportOptions
 };
 
 /**
- * Check @p doc against every csp-mem-v1 rule: the schema tags, the run
- * manifest and prefetcher name; per level, the miss classes sum to
- * classified <= accesses, reuse samples <= accesses, hot-set indices
- * lie in [0, sets.count) with demand_share in [0, 1] and evictions <=
- * fills, and attributed + unattributed pollution equals the pollution
- * class; pollution pairs name level 1 or 2 with a positive count; per
- * PC l1_misses <= accesses; the shadow block is present; timeline
- * positions never decrease. False with *error naming the first
- * broken rule.
+ * Check @p doc against every csp-mem-v2 rule: the schema tags, the run
+ * manifest and prefetcher name, a numeric tick_insts; per level, the
+ * miss classes sum to classified <= accesses, reuse samples <=
+ * accesses, hot-set indices lie in [0, sets.count) with demand_share
+ * in [0, 1] and evictions <= fills, and attributed + unattributed
+ * pollution equals the pollution class; pollution pairs name level 1
+ * or 2 with a positive count; per PC l1_misses <= accesses; the
+ * shadow block is present; timeline instructions strictly increase
+ * and access positions never decrease. False with *error naming the
+ * first broken rule.
  */
 bool isMemDoc(const FlatDoc &doc, std::string *error);
 

@@ -107,21 +107,6 @@ Hierarchy::access(Addr addr, Cycle now, bool is_store, Addr pc)
     const Cycle l1_lat = config_.l1d.access_latency;
     ++stats_.demand_accesses;
     now_ = now;
-    if (tracker_ != nullptr && tracker_->counterDue(now)) {
-        tracker_->counterSample(now,
-                                l1_mshrs_.slots() - l1_mshrs_.freeAt(now),
-                                l2_mshrs_.slots() - l2_mshrs_.freeAt(now));
-    }
-    if (mem_obs_ != nullptr && mem_obs_->queueSampleDue()) {
-        obs::MemQueueSample sample;
-        sample.cycle = now;
-        sample.accesses = stats_.demand_accesses - 1;
-        sample.l1_mshr_busy = l1_mshrs_.slots() - l1_mshrs_.freeAt(now);
-        sample.l2_mshr_busy = l2_mshrs_.slots() - l2_mshrs_.freeAt(now);
-        sample.dram_backlog =
-            dram_next_free_ > now ? dram_next_free_ - now : 0;
-        mem_obs_->onQueueSample(sample);
-    }
     obs::MemAccessEvent demand_event;
     if (mem_obs_ != nullptr) {
         demand_event.line_addr = line_addr;
@@ -315,6 +300,17 @@ Hierarchy::prefetch(Addr addr, Cycle now, unsigned min_free_mshrs,
         }
     }
     return PrefetchOutcome::Issued;
+}
+
+obs::QueueSample
+Hierarchy::queueSample(Cycle now) const
+{
+    obs::QueueSample sample;
+    sample.l1_mshr_busy = l1_mshrs_.slots() - l1_mshrs_.freeAt(now);
+    sample.l2_mshr_busy = l2_mshrs_.slots() - l2_mshrs_.freeAt(now);
+    sample.dram_backlog =
+        dram_next_free_ > now ? dram_next_free_ - now : 0;
+    return sample;
 }
 
 unsigned

@@ -106,7 +106,7 @@ class Hierarchy
     /**
      * Attach the run's observer bundle, or detach it with nullptr. The
      * hierarchy keeps its lifecycle tracker and memory observer (miss
-     * taxonomy, set pressure, queue-depth telemetry). Each hook is
+     * taxonomy, set pressure). Each hook is
      * compiled in at one null check per access, and attaching never
      * changes timing, HierarchyStats or any other simulation result.
      */
@@ -116,6 +116,10 @@ class Hierarchy
         tracker_ = observer != nullptr ? observer->tracker : nullptr;
         mem_obs_ = observer != nullptr ? observer->mem : nullptr;
     }
+
+    /** MSHR occupancy and DRAM backlog at @p now: the queue depths an
+     *  observation tick carries. */
+    obs::QueueSample queueSample(Cycle now) const;
 
     /** Free L1 MSHR slots at @p now (throttling input). */
     unsigned freeL1Mshrs(Cycle now) const;

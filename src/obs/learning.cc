@@ -96,8 +96,7 @@ LearningRecorder::onCstInsert(const CstInsertEvent &event)
 }
 
 void
-LearningRecorder::onArmSelection(Cycle cycle,
-                                 const ArmSelectionEvent &event)
+LearningRecorder::onArmSelection(const ArmSelectionEvent &event)
 {
     ++selections_;
     real_ += event.real;
@@ -105,13 +104,6 @@ LearningRecorder::onArmSelection(Cycle cycle,
     if (event.explored)
         ++explorations_;
     last_epsilon_ = event.epsilon;
-    if (events_ != nullptr && options_.counter_every != 0 &&
-        selections_ % options_.counter_every == 0) {
-        // Convergence reads as epsilon and entropy decaying together.
-        events_->counter("policy", cycle,
-                         {{"epsilon", event.epsilon},
-                          {"entropy", entropy_}});
-    }
 }
 
 void
@@ -153,20 +145,20 @@ LearningRecorder::onRewardApplied(Cycle cycle, const RewardEvent &event)
 }
 
 void
-LearningRecorder::onBandit(Cycle cycle, const BanditSnapshot &snap)
+LearningRecorder::onSnapshot(const Tick &tick,
+                             const LearningSnapshot &snap)
 {
     if (events_ != nullptr) {
-        events_->counter("bandit", cycle,
+        events_->counter("bandit", tick.cycle,
                          {{"epsilon", snap.epsilon},
                           {"accuracy", snap.accuracy}});
+        // Convergence reads as epsilon and entropy decaying together.
+        events_->counter("policy", tick.cycle,
+                         {{"epsilon", snap.epsilon},
+                          {"entropy", entropy_}});
     }
-}
-
-void
-LearningRecorder::onSnapshot(Cycle cycle, const LearningSnapshot &snap)
-{
     StoredSnapshot stored;
-    stored.cycle = cycle;
+    stored.tick = tick;
     stored.entropy = entropy_;
     stored.cumulative_reward = cumulative_reward_;
     stored.snap = snap;
@@ -250,12 +242,13 @@ LearningRecorder::writeLearnJson(std::ostream &out,
                                  const std::string &prefetcher) const
 {
     out << std::setprecision(12);
-    out << "{\"schema\":\"csp-learn-v1\"";
+    out << "{\"schema\":\"csp-learn-v2\"";
     if (!manifest_json.empty())
         out << ",\"manifest\":" << manifest_json;
     out << ",\"prefetcher\":\"" << prefetcher << '"';
     out << ",\"learn\":{"
-        << "\"snapshot_every\":" << options_.snapshot_every
+        << "\"tick_insts\":"
+        << (snapshots_.empty() ? 0 : snapshots_.back().tick.every)
         << ",\"top_k\":" << options_.top_k
         << ",\"cst\":{\"probes\":" << probes_
         << ",\"probe_hits\":" << probe_hits_
@@ -281,8 +274,10 @@ LearningRecorder::writeLearnJson(std::ostream &out,
     for (std::size_t i = 0; i < snapshots_.size(); ++i) {
         const StoredSnapshot &stored = snapshots_[i];
         const LearningSnapshot &snap = stored.snap;
-        out << (i == 0 ? "" : ",") << "{\"lookup\":" << snap.lookup
-            << ",\"cycle\":" << stored.cycle
+        out << (i == 0 ? "" : ",")
+            << "{\"instructions\":" << stored.tick.instructions
+            << ",\"lookup\":" << snap.lookup
+            << ",\"cycle\":" << stored.tick.cycle
             << ",\"epsilon\":" << snap.epsilon
             << ",\"accuracy\":" << snap.accuracy
             << ",\"entropy\":" << stored.entropy

@@ -5,10 +5,11 @@
  * exploration ratio, cumulative reward, CST occupancy/churn,
  * probe-length and context-hash-collision histograms), publishes it
  * under "learn.*" in the run's stats registry (so interval sampling
- * picks it up as a time-series), and keeps every periodic
- * learning-state snapshot for the `--learn-out learn.json` export
- * `csplearn` renders. With a Perfetto writer attached it also emits the
- * learning tracks: sampled "rl" reward/expiry instants, the "bandit"
+ * picks it up as a time-series), and keeps the learning-state
+ * snapshot of every observation tick for the
+ * `--learn-out learn.json` export `csplearn` renders. With a Perfetto
+ * writer attached it also emits the learning tracks: sampled "rl"
+ * reward/expiry instants, and per snapshot the "bandit"
  * epsilon/accuracy counter and the "policy" epsilon/entropy counter.
  *
  * The recorder is strictly read-only with respect to the simulation:
@@ -42,20 +43,14 @@ class LearningRecorder final : public LearningObserver
   public:
     struct Options
     {
-        /** Lookups between learning-state snapshots; 0 keeps only the
-         *  final end-of-run snapshot. */
-        std::uint64_t snapshot_every = 0;
         /** Contexts captured per snapshot. */
         unsigned top_k = 32;
-        /** Arm selections between "policy" counter-track samples when
-         *  a trace-event writer is attached; 0 disables the track. */
-        std::uint64_t counter_every = 4096;
         /** Emit one "rl" instant per this many reward applications
          *  (expiries included) when a trace-event writer is attached. */
         std::uint64_t trace_sample = 1;
     };
 
-    /** Default options: final snapshot only, no counter track. */
+    /** Default options, no Perfetto tracks. */
     LearningRecorder() : LearningRecorder(Options(), nullptr) {}
 
     /** @param events optional Perfetto writer for the learning tracks
@@ -65,17 +60,13 @@ class LearningRecorder final : public LearningObserver
 
     void onCstProbe(const CstProbeEvent &event) override;
     void onCstInsert(const CstInsertEvent &event) override;
-    void onArmSelection(Cycle cycle,
-                        const ArmSelectionEvent &event) override;
+    void onArmSelection(const ArmSelectionEvent &event) override;
     void onEpsilonAdapt(const EpsilonEvent &event) override;
     void onRewardApplied(Cycle cycle, const RewardEvent &event) override;
-    void onBandit(Cycle cycle, const BanditSnapshot &snap) override;
-    void onSnapshot(Cycle cycle, const LearningSnapshot &snap) override;
-
-    std::uint64_t snapshotEvery() const override
-    {
-        return options_.snapshot_every;
-    }
+    /** Stores the snapshot; with a trace-event writer, also samples
+     *  the "bandit" and "policy" counter tracks at the tick's cycle. */
+    void onSnapshot(const Tick &tick,
+                    const LearningSnapshot &snap) override;
 
     unsigned snapshotTopK() const override { return options_.top_k; }
 
@@ -86,7 +77,7 @@ class LearningRecorder final : public LearningObserver
      *  derived series captured alongside. */
     struct StoredSnapshot
     {
-        Cycle cycle = 0;
+        Tick tick;
         double entropy = 0.0;
         std::int64_t cumulative_reward = 0;
         LearningSnapshot snap;
@@ -104,7 +95,7 @@ class LearningRecorder final : public LearningObserver
     std::int64_t cumulativeReward() const { return cumulative_reward_; }
 
     /**
-     * Write the full learning-state document (schema "csp-learn-v1"):
+     * Write the full learning-state document (schema "csp-learn-v2"):
      * the run's provenance manifest, the distilled summary and every
      * snapshot, as the JSON file `csplearn` and `cspdiff` consume.
      * @p manifest_json is the RunManifest as a JSON object literal.

@@ -3,8 +3,8 @@
  * Learning-introspection tap: the interface through which an online-
  * learning prefetcher publishes its internal learning dynamics — arm
  * selections, epsilon adaptation, CST probe/insert/evict traffic,
- * reward applications, periodic bandit state and full learning-state
- * snapshots — without knowing anything about sinks. Header-only on
+ * reward applications and a full learning-state snapshot per
+ * observation tick — without knowing anything about sinks. Header-only on
  * purpose: csp_prefetch sees only this pure interface and needs no
  * link dependency on csp_obs; the concrete sink (LearningRecorder)
  * lives in the obs library and is injected by the simulator through
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/types.h"
+#include "obs/run_observer.h"
 
 namespace csp::stats {
 class Registry;
@@ -46,14 +47,6 @@ struct RewardEvent
     int amount = 0;           ///< signed reward applied to the link
     bool in_window = false;   ///< inside the bell reward window
     bool expiry = false;      ///< prediction aged out unmatched
-};
-
-/** Periodic snapshot of the exploration policy. */
-struct BanditSnapshot
-{
-    double epsilon = 0.0;     ///< current exploration rate
-    double accuracy = 0.0;    ///< smoothed prefetch-queue hit rate
-    std::uint64_t explorations = 0; ///< exploratory draws so far
 };
 
 /** One prediction-unit probe of the learner's action-value store. */
@@ -102,8 +95,9 @@ struct SnapshotContext
     int scores[kMaxLearnLinks] = {};
 };
 
-/** Periodic full learning-state snapshot: policy state plus the top-K
- *  contexts by best link score (deterministic order). */
+/** Full learning-state snapshot, one per observation tick: policy
+ *  state plus the top-K contexts by best link score (deterministic
+ *  order). */
 struct LearningSnapshot
 {
     std::uint64_t lookup = 0;  ///< demand accesses seen at capture
@@ -130,9 +124,8 @@ class LearningObserver
     /** The collection unit tried to insert an association. */
     virtual void onCstInsert(const CstInsertEvent &event) = 0;
 
-    /** One lookup's arms were selected at @p cycle. */
-    virtual void onArmSelection(Cycle cycle,
-                                const ArmSelectionEvent &event) = 0;
+    /** One lookup's arms were selected. */
+    virtual void onArmSelection(const ArmSelectionEvent &event) = 0;
 
     /** The adaptive policy consumed one prediction outcome. */
     virtual void onEpsilonAdapt(const EpsilonEvent &event) = 0;
@@ -141,17 +134,11 @@ class LearningObserver
     virtual void onRewardApplied(Cycle cycle,
                                  const RewardEvent &event) = 0;
 
-    /** Periodic policy state, every 4096 lookups. */
-    virtual void onBandit(Cycle cycle, const BanditSnapshot &snap) = 0;
-
-    /** Snapshot cadence in demand accesses; 0 = final snapshot only. */
-    virtual std::uint64_t snapshotEvery() const { return 0; }
-
     /** Contexts to capture per snapshot. */
     virtual unsigned snapshotTopK() const { return 32; }
 
-    /** Periodic (and always one final) learning-state snapshot. */
-    virtual void onSnapshot(Cycle cycle,
+    /** The learning state at observation tick @p tick. */
+    virtual void onSnapshot(const Tick &tick,
                             const LearningSnapshot &snap) = 0;
 
     /** Publish observer-side telemetry (entropy, churn histograms, ...)

@@ -25,11 +25,9 @@ prefetchClassName(PrefetchClass cls)
 }
 
 PrefetchTracker::PrefetchTracker(TraceEventWriter *events,
-                                 std::uint64_t sample_every,
-                                 Cycle counter_interval)
+                                 std::uint64_t sample_every)
     : events_(events),
-      sample_every_(sample_every == 0 ? 1 : sample_every),
-      counter_interval_(counter_interval)
+      sample_every_(sample_every == 0 ? 1 : sample_every)
 {}
 
 void
@@ -164,18 +162,15 @@ PrefetchTracker::onDemandMiss(Addr line, Addr pc, Cycle now,
 }
 
 void
-PrefetchTracker::counterSample(Cycle now, unsigned l1_mshr_busy,
-                               unsigned l2_mshr_busy)
+PrefetchTracker::onTick(const Tick &tick)
 {
-    if (events_ == nullptr || counter_interval_ == 0)
+    if (events_ == nullptr)
         return;
-    events_->counter("mshr", now,
-                     {{"l1", static_cast<double>(l1_mshr_busy)},
-                      {"l2", static_cast<double>(l2_mshr_busy)},
+    events_->counter("mshr", tick.cycle,
+                     {{"l1", static_cast<double>(tick.queue.l1_mshr_busy)},
+                      {"l2", static_cast<double>(tick.queue.l2_mshr_busy)},
                       {"inflight_pf",
                        static_cast<double>(active_.size())}});
-    while (next_counter_ <= now)
-        next_counter_ += counter_interval_;
 }
 
 void

@@ -23,8 +23,8 @@
  * accuracy/timeliness and per-demand-PC coverage — and renders them as
  * autopsy CSV/JSON tables. With a TraceEventWriter attached it also
  * emits each (1-in-N sampled) lifecycle as a Perfetto async span,
- * demand misses as instant events, and MSHR occupancy as a periodic
- * counter track.
+ * demand misses as instant events, and MSHR occupancy as a counter
+ * track sampled on every observation tick.
  */
 
 #ifndef CSP_OBS_LIFECYCLE_H
@@ -37,6 +37,7 @@
 #include <unordered_map>
 
 #include "core/types.h"
+#include "obs/run_observer.h"
 
 namespace csp::obs {
 
@@ -62,12 +63,9 @@ class PrefetchTracker
 {
   public:
     /** @param events optional Perfetto sink (null: autopsy only).
-     *  @param sample_every emit 1 in N lifecycles/instants (min 1).
-     *  @param counter_interval cycles between MSHR-occupancy counter
-     *         samples (0 disables the track). */
+     *  @param sample_every emit 1 in N lifecycles/instants (min 1). */
     explicit PrefetchTracker(TraceEventWriter *events = nullptr,
-                             std::uint64_t sample_every = 1,
-                             Cycle counter_interval = 4096);
+                             std::uint64_t sample_every = 1);
 
     // ---- hooks called by mem::Hierarchy ------------------------------
     /** A prefetch was dispatched; a lifecycle record opens. If the line
@@ -93,17 +91,10 @@ class PrefetchTracker
      *  the coverage denominator and the demand instant-event feed. */
     void onDemandMiss(Addr line, Addr pc, Cycle now, bool to_memory);
 
-    /** True when the MSHR counter track wants a sample at @p now. */
-    bool
-    counterDue(Cycle now) const
-    {
-        return events_ != nullptr && counter_interval_ != 0 &&
-               now >= next_counter_;
-    }
-
-    /** Record one MSHR-occupancy counter sample. */
-    void counterSample(Cycle now, unsigned l1_mshr_busy,
-                       unsigned l2_mshr_busy);
+    // ---- hook called by the simulator -------------------------------
+    /** One observation tick: an "mshr" counter sample (L1/L2 MSHRs
+     *  busy, prefetches in flight) when a Perfetto sink is attached. */
+    void onTick(const Tick &tick);
 
     /** Close every still-active lifecycle as Useless (end of run). */
     void finish(Cycle now);
@@ -201,8 +192,6 @@ class PrefetchTracker
 
     TraceEventWriter *events_;
     std::uint64_t sample_every_;
-    Cycle counter_interval_;
-    Cycle next_counter_ = 0;
 };
 
 } // namespace csp::obs

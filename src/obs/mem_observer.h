@@ -3,11 +3,11 @@
  * Memory-hierarchy introspection tap: the interface through which
  * mem::Hierarchy publishes its demand/fill/evict traffic — one event
  * per demand access with the level it was served from, one per cache
- * fill with the victim it displaced, and a periodic queue-depth sample
- * — without knowing anything about sinks. Header-only on purpose, like
- * obs/learning_observer.h: csp_mem sees only this pure interface; the
- * concrete sink (MemRecorder) lives in the obs library and is injected
- * by the simulator through RunObserver::mem.
+ * fill with the victim it displaced — without knowing anything about
+ * sinks; the simulator adds its observation ticks. Header-only on
+ * purpose, like obs/learning_observer.h: csp_mem sees only this pure
+ * interface; the concrete sink (MemRecorder) lives in the obs library
+ * and is injected by the simulator through RunObserver::mem.
  *
  * Hooks are notifications only — an observer can never perturb the
  * simulation (the bit-identical on/off contract is tested). The
@@ -21,6 +21,7 @@
 #include <cstdint>
 
 #include "core/types.h"
+#include "obs/run_observer.h"
 
 namespace csp::stats {
 class Registry;
@@ -61,16 +62,6 @@ struct MemFillEvent
     Addr victim_addr = 0;     ///< displaced line address (when valid)
 };
 
-/** One queue-depth sample (MSHR occupancy + DRAM backlog). */
-struct MemQueueSample
-{
-    Cycle cycle = 0;
-    std::uint64_t accesses = 0;    ///< demand accesses seen so far
-    unsigned l1_mshr_busy = 0;
-    unsigned l2_mshr_busy = 0;
-    std::uint64_t dram_backlog = 0;///< cycles until DRAM is free again
-};
-
 /** See file comment. */
 class MemObserver
 {
@@ -83,13 +74,9 @@ class MemObserver
     /** A line was installed (and possibly displaced a victim). */
     virtual void onFill(const MemFillEvent &event) = 0;
 
-    /** True when the next demand access should carry a queue-depth
-     *  sample; the hierarchy asks before building one (same
-     *  counterDue/counterSample idiom as PrefetchTracker). */
-    virtual bool queueSampleDue() const { return false; }
-
-    /** Periodic MSHR/DRAM queue-depth sample. */
-    virtual void onQueueSample(const MemQueueSample &sample) = 0;
+    /** One observation tick from the simulator, carrying the MSHR/DRAM
+     *  queue depths. Default: nothing. */
+    virtual void onTick(const Tick &tick) { (void)tick; }
 
     /** Publish observer-side telemetry (miss classes, reuse-distance
      *  histograms, set pressure) into the run's registry under the

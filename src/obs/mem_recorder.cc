@@ -259,10 +259,13 @@ MemRecorder::creditPollution(std::uint8_t level, Addr line_addr,
 }
 
 void
-MemRecorder::emitCounterTracks(Cycle cycle)
+MemRecorder::onTick(const Tick &tick)
 {
+    timeline_.push_back({tick, accesses_});
+    if (events_ == nullptr)
+        return;
     events_->counter(
-        "mem.l1", cycle,
+        "mem.l1", tick.cycle,
         {{"compulsory",
           static_cast<double>(l1_.classCount(MissClass::Compulsory))},
          {"capacity",
@@ -272,7 +275,7 @@ MemRecorder::emitCounterTracks(Cycle cycle)
          {"pollution",
           static_cast<double>(l1_.classCount(MissClass::Pollution))}});
     events_->counter(
-        "mem.l2", cycle,
+        "mem.l2", tick.cycle,
         {{"compulsory",
           static_cast<double>(l2_.classCount(MissClass::Compulsory))},
          {"capacity",
@@ -323,11 +326,6 @@ MemRecorder::onDemandAccess(const MemAccessEvent &event)
         if (l2r.cls != MissClass::Count)
             ++pc->l2_misses;
     }
-
-    if (events_ != nullptr && options_.counter_every != 0 &&
-        accesses_ % options_.counter_every == 0) {
-        emitCounterTracks(event.cycle);
-    }
 }
 
 void
@@ -350,14 +348,6 @@ MemRecorder::onFill(const MemFillEvent &event)
         auto &victims = event.level == 1 ? l1_victims_ : l2_victims_;
         victims[event.victim_addr] = event.pc;
     }
-}
-
-void
-MemRecorder::onQueueSample(const MemQueueSample &sample)
-{
-    timeline_.push_back(sample);
-    last_sample_ = sample;
-    next_queue_sample_ = accesses_ + options_.queue_sample_every;
 }
 
 void
@@ -428,16 +418,16 @@ MemRecorder::registerStats(stats::Registry &registry)
         "MSHR/DRAM queue-depth samples taken");
     registry.gauge(
         "mem.timeline.l1_mshr",
-        [this] { return static_cast<double>(last_sample_.l1_mshr_busy); },
+        [this] { return static_cast<double>(lastQueue().l1_mshr_busy); },
         "L1 MSHR slots busy at the last queue sample");
     registry.gauge(
         "mem.timeline.l2_mshr",
-        [this] { return static_cast<double>(last_sample_.l2_mshr_busy); },
+        [this] { return static_cast<double>(lastQueue().l2_mshr_busy); },
         "L2 MSHR slots busy at the last queue sample");
     registry.gauge(
         "mem.timeline.dram_backlog",
         [this] {
-            return static_cast<double>(last_sample_.dram_backlog);
+            return static_cast<double>(lastQueue().dram_backlog);
         },
         "cycles until DRAM frees up, at the last queue sample");
 }
@@ -505,11 +495,12 @@ MemRecorder::writeMemJson(std::ostream &out,
                           const std::string &prefetcher) const
 {
     out << std::setprecision(12);
-    out << "{\"schema\":\"csp-mem-v1\"";
+    out << "{\"schema\":\"csp-mem-v2\"";
     if (!manifest_json.empty())
         out << ",\"manifest\":" << manifest_json;
     out << ",\"prefetcher\":\"" << prefetcher << '"';
-    out << ",\"mem\":{\"interval\":" << options_.queue_sample_every
+    out << ",\"mem\":{\"tick_insts\":"
+        << (timeline_.empty() ? 0 : timeline_.back().tick.every)
         << ",\"accesses\":" << accesses_ << ',';
     writeLevelJson(out, "l1", l1_, l1_sets_);
     out << ',';
@@ -582,12 +573,14 @@ MemRecorder::writeMemJson(std::ostream &out,
 
     out << ",\"timeline\":[";
     for (std::size_t i = 0; i < timeline_.size(); ++i) {
-        const MemQueueSample &s = timeline_[i];
-        out << (i == 0 ? "" : ",") << "{\"access\":" << s.accesses
-            << ",\"cycle\":" << s.cycle
-            << ",\"l1_mshr\":" << s.l1_mshr_busy
-            << ",\"l2_mshr\":" << s.l2_mshr_busy
-            << ",\"dram_backlog\":" << s.dram_backlog << '}';
+        const Tick &tick = timeline_[i].tick;
+        out << (i == 0 ? "" : ",")
+            << "{\"instructions\":" << tick.instructions
+            << ",\"access\":" << timeline_[i].accesses
+            << ",\"cycle\":" << tick.cycle
+            << ",\"l1_mshr\":" << tick.queue.l1_mshr_busy
+            << ",\"l2_mshr\":" << tick.queue.l2_mshr_busy
+            << ",\"dram_backlog\":" << tick.queue.dram_backlog << '}';
     }
     out << "]}}\n";
 }

@@ -7,16 +7,18 @@
  * same-geometry demand-only shadow cache), maintains reuse-distance
  * log2 histograms per level and per demand PC, per-set fill/eviction
  * pressure heatmaps, a pollution-attribution table (which issuer PCs'
- * prefetches displaced which demand PCs' lines) and MSHR/DRAM
- * queue-depth timelines. The telemetry lands under the
+ * prefetches displaced which demand PCs' lines) and an MSHR/DRAM
+ * queue-depth timeline, one row per observation tick. The telemetry
+ * lands under the
  * "mem.class/reuse/sets/pollution/timeline/shadow" registry subtrees
  * (so interval sampling picks it up) and in the `--mem-out mem.json`
- * export (schema "csp-mem-v1") that `cspmem` renders.
+ * export (schema "csp-mem-v2") that `cspmem` renders.
  *
  * The recorder is strictly read-only with respect to the simulation:
  * it owns no RNG, touches no hierarchy state, and its presence never
- * changes a single simulated count (tested bit-for-bit). All cadences
- * are counted in demand accesses, never wall clock, so the export is
+ * changes a single simulated count (tested bit-for-bit). Ticks come
+ * on the simulator's instruction grid and the shadow structures
+ * compact by access counts, never wall clock, so the export is
  * byte-identical across --jobs.
  */
 
@@ -192,26 +194,19 @@ class MemRecorder final : public MemObserver
   public:
     struct Options
     {
-        /** Demand accesses between MSHR/DRAM queue-depth samples;
-         *  0 disables the timeline. */
-        std::uint64_t queue_sample_every = 0;
         /** Hot sets exported per level in mem.json. */
         unsigned top_sets = 8;
         /** Demand PCs exported in mem.json. */
         unsigned top_pcs = 8;
         /** Pollution (issuer PC, demand PC) pairs exported. */
         unsigned top_pairs = 16;
-        /** Demand accesses between "mem.l1"/"mem.l2" counter-track
-         *  samples when a trace-event writer is attached; 0 disables
-         *  the tracks. */
-        std::uint64_t counter_every = 4096;
         /** Distinct demand PCs tracked exactly; the tail aggregates. */
         std::size_t max_pcs = 4096;
         /** Distinct pollution pairs tracked exactly. */
         std::size_t max_pairs = 4096;
     };
 
-    /** Default options, no counter track. */
+    /** Default options, no counter tracks. */
     explicit MemRecorder(const MemoryConfig &config)
         : MemRecorder(config, Options(), nullptr)
     {}
@@ -223,19 +218,16 @@ class MemRecorder final : public MemObserver
 
     void onDemandAccess(const MemAccessEvent &event) override;
     void onFill(const MemFillEvent &event) override;
-    bool queueSampleDue() const override
-    {
-        return options_.queue_sample_every != 0 &&
-               accesses_ >= next_queue_sample_;
-    }
-    void onQueueSample(const MemQueueSample &sample) override;
+    /** One queue-timeline row, plus the "mem.l1"/"mem.l2" miss-class
+     *  counter samples when a trace-event writer is attached. */
+    void onTick(const Tick &tick) override;
 
     /** Publish the distilled telemetry under "mem.class" / "mem.reuse"
      *  / "mem.sets" / "mem.pollution" / "mem.timeline" / "mem.shadow". */
     void registerStats(stats::Registry &registry) override;
 
     /**
-     * Write the full memory-observatory document (schema "csp-mem-v1"):
+     * Write the full memory-observatory document (schema "csp-mem-v2"):
      * the run's provenance manifest, per-level miss taxonomy,
      * reuse-distance histograms, set-pressure heatmap, per-PC table,
      * pollution attribution and the queue-depth timeline, as the JSON
@@ -294,9 +286,16 @@ class MemRecorder final : public MemObserver
         }
     };
 
+    /** Queue depths of the last timeline row (zeros before one). */
+    QueueSample
+    lastQueue() const
+    {
+        return timeline_.empty() ? QueueSample()
+                                 : timeline_.back().tick.queue;
+    }
+
     void creditPollution(std::uint8_t level, Addr line_addr,
                          Addr demand_pc);
-    void emitCounterTracks(Cycle cycle);
     void writeLevelJson(std::ostream &out, const char *name,
                         const LevelModel &model,
                         const std::vector<SetStats> &sets) const;
@@ -308,7 +307,6 @@ class MemRecorder final : public MemObserver
     LevelModel l2_;
 
     std::uint64_t accesses_ = 0; ///< demand accesses seen
-    std::uint64_t next_queue_sample_ = 0;
 
     std::vector<SetStats> l1_sets_;
     std::vector<SetStats> l2_sets_;
@@ -326,8 +324,14 @@ class MemRecorder final : public MemObserver
     std::unordered_map<Addr, PcStats> pcs_;
     PcStats other_pcs_; ///< aggregate past max_pcs
 
-    std::vector<MemQueueSample> timeline_;
-    MemQueueSample last_sample_;
+    /** One queue-timeline row: the tick and the demand accesses seen
+     *  by then. */
+    struct TimelineRow
+    {
+        Tick tick;
+        std::uint64_t accesses = 0;
+    };
+    std::vector<TimelineRow> timeline_;
 };
 
 } // namespace csp::obs

@@ -64,27 +64,15 @@ ContextPrefetcher::attach(const obs::RunObserver *observer)
     learn_ = learn;
     cst_.setLearningObserver(learn);
     policy_.setLearningObserver(learn);
-    last_learn_snapshot_ = UINT64_MAX;
-    if (learn != nullptr) {
-        learn_snapshot_every_ = learn->snapshotEvery();
-        learn_top_k_ = learn->snapshotTopK();
-        next_learn_snapshot_ =
-            learn_snapshot_every_ == 0
-                ? UINT64_MAX
-                : stats_.lookups + learn_snapshot_every_;
-    } else {
-        learn_snapshot_every_ = 0;
-        next_learn_snapshot_ = UINT64_MAX;
-        learn_top_k_ = 0;
-    }
 }
 
 void
-ContextPrefetcher::captureLearnSnapshot(Cycle cycle)
+ContextPrefetcher::onTick(const obs::Tick &tick)
 {
+    if (learn_ == nullptr)
+        return;
     obs::LearningSnapshot snap;
     snap.lookup = stats_.lookups;
-    last_learn_snapshot_ = stats_.lookups;
     snap.epsilon = policy_.epsilon();
     snap.accuracy = policy_.accuracy();
     snap.explorations = stats_.explorations;
@@ -93,8 +81,8 @@ ContextPrefetcher::captureLearnSnapshot(Cycle cycle)
     snap.pq_expiries = stats_.pq_expiries;
     snap.cst_entries = cst_.entries();
     snap.cst_live_entries =
-        cst_.snapshotTopK(learn_top_k_, snap.top_contexts);
-    learn_->onSnapshot(cycle, snap);
+        cst_.snapshotTopK(learn_->snapshotTopK(), snap.top_contexts);
+    learn_->onSnapshot(tick, snap);
 }
 
 template <bool kInstr>
@@ -147,13 +135,6 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
     const AccessSeq seq = info.seq;
     last_cycle_ = info.cycle;
     ++stats_.lookups;
-    if constexpr (kInstr) {
-        if (learn_ != nullptr && (stats_.lookups & 4095) == 0) {
-            learn_->onBandit(info.cycle,
-                             {policy_.epsilon(), policy_.accuracy(),
-                              stats_.explorations});
-        }
-    }
 
     // ------------------------------------------------------------------
     // Feedback unit: reward the predictions this access confirms.
@@ -337,11 +318,7 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
                 stats_.shadow_predictions - learn_shadow_before);
             sel.explored = stats_.explorations != learn_explore_before;
             sel.epsilon = policy_.epsilon();
-            learn_->onArmSelection(info.cycle, sel);
-            if (stats_.lookups >= next_learn_snapshot_) {
-                captureLearnSnapshot(info.cycle);
-                next_learn_snapshot_ += learn_snapshot_every_;
-            }
+            learn_->onArmSelection(sel);
         }
     }
 
@@ -392,12 +369,6 @@ ContextPrefetcher::finish()
             expireEntry<false>(entry);
         });
     }
-    // Leave the observer one final snapshot of the converged learning
-    // state (captured after the queue flush so the policy's accuracy
-    // reflects every expiry), unless a periodic one already landed on
-    // this lookup: snapshot lookups must strictly increase.
-    if (learn_ != nullptr && last_learn_snapshot_ != stats_.lookups)
-        captureLearnSnapshot(last_cycle_);
 }
 
 void

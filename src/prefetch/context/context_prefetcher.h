@@ -84,12 +84,14 @@ class ContextPrefetcher final : public Prefetcher
     void registerStats(stats::Registry &registry) const override;
 
     /** Stream learning dynamics — arm selections, epsilon adaptation,
-     *  CST probe/insert traffic, reward applications, bandit state and
-     *  periodic learning-state snapshots — to the bundle's learning
-     *  observer, and split observe() wall-clock into
+     *  CST probe/insert traffic and reward applications — to the
+     *  bundle's learning observer, and split observe() wall-clock into
      *  prof.prefetch.train (feedback + collection units) and
      *  prof.prefetch.predict (prediction unit) on its profiler. */
     void attach(const obs::RunObserver *observer) override;
+
+    /** Hand the learning observer, if any, a learning-state snapshot. */
+    void onTick(const obs::Tick &tick) override;
 
     /** Accesses between prediction and use: context.pq.hit_depth. */
     const Histogram &hitDepths() const { return hit_depths_; }
@@ -118,7 +120,6 @@ class ContextPrefetcher final : public Prefetcher
     void expireEntry(const PendingPrefetch &entry);
 
     std::int64_t maxDelta() const;
-    void captureLearnSnapshot(Cycle cycle);
 
     ContextPrefetcherConfig config_;
     RewardFunction reward_;
@@ -136,11 +137,6 @@ class ContextPrefetcher final : public Prefetcher
     /// path that must mutate the simulator-owned context).
     trace::ContextSnapshot hint_scratch_;
     obs::LearningObserver *learn_ = nullptr; ///< borrowed, may be null
-    std::uint64_t learn_snapshot_every_ = 0;
-    std::uint64_t next_learn_snapshot_ = UINT64_MAX;
-    /// Lookup count of the last snapshot sent to learn_.
-    std::uint64_t last_learn_snapshot_ = UINT64_MAX;
-    unsigned learn_top_k_ = 0;
     prof::Profiler *profiler_ = nullptr; ///< borrowed, may be null
     Cycle last_cycle_ = 0; ///< cycle of the access being observed
 };

@@ -28,6 +28,7 @@ class Registry;
 
 namespace csp::obs {
 struct RunObserver;
+struct Tick;
 }
 
 namespace csp::prefetch {
@@ -115,6 +116,11 @@ class Prefetcher
     {
         (void)observer;
     }
+
+    /** One observation tick of the simulator's instruction grid (see
+     *  obs::Tick). Default: nothing; the context prefetcher hands its
+     *  learning observer a snapshot. */
+    virtual void onTick(const obs::Tick &tick) { (void)tick; }
 };
 
 /**

@@ -38,14 +38,6 @@ namespace {
 /** Least wall-clock time between two SweepProgress lines. */
 constexpr double kProgressMinSeconds = 2.0;
 
-/** kObserveLearn snapshot cadence: about this many per run. Counted in
- *  lookups, not wall-clock, so the series is identical for any jobs. */
-constexpr std::uint64_t kLearnSnapshotsPerRun = 32;
-
-/** kObserveMem queue-depth cadence: about this many samples per run,
- *  counted in demand accesses. */
-constexpr std::uint64_t kMemSamplesPerRun = 64;
-
 std::string
 joinNames(const std::vector<std::string> &names)
 {
@@ -290,7 +282,6 @@ simulateCell(const SweepCell &cell, const trace::TraceBuffer &trace,
         events = std::make_unique<obs::TraceEventWriter>(events_file);
     }
     const unsigned observe = options.observe;
-    const std::uint64_t accesses = trace.memAccesses();
     obs::RunObserver observer;
     if (observe & kObserveTracker) {
         out.tracker = std::make_unique<obs::PrefetchTracker>(
@@ -299,19 +290,15 @@ simulateCell(const SweepCell &cell, const trace::TraceBuffer &trace,
     }
     if (observe & kObserveLearn) {
         obs::LearningRecorder::Options learn;
-        learn.snapshot_every =
-            std::max<std::uint64_t>(1, accesses / kLearnSnapshotsPerRun);
         learn.trace_sample = options.trace_sample;
         out.learner =
             std::make_unique<obs::LearningRecorder>(learn, events.get());
         observer.learn = out.learner.get();
     }
     if (observe & kObserveMem) {
-        obs::MemRecorder::Options mem;
-        mem.queue_sample_every =
-            std::max<std::uint64_t>(1, accesses / kMemSamplesPerRun);
         out.memrec = std::make_unique<obs::MemRecorder>(
-            cell.config.memory, mem, events.get());
+            cell.config.memory, obs::MemRecorder::Options(),
+            events.get());
         observer.mem = out.memrec.get();
     }
     if ((observe & kObserveProfile) || options.profiler_sink != nullptr) {

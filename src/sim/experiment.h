@@ -152,8 +152,8 @@ struct SweepResult
 enum ObserveSink : unsigned
 {
     kObserveTracker = 1u << 0, ///< lifecycle tracker (autopsy)
-    kObserveLearn = 1u << 1,   ///< learning recorder, ~32 snapshots/run
-    kObserveMem = 1u << 2,     ///< memory recorder, ~64 queue samples/run
+    kObserveLearn = 1u << 1,   ///< learning recorder, a snapshot per tick
+    kObserveMem = 1u << 2,     ///< memory recorder, a queue row per tick
     kObserveProfile = 1u << 3, ///< self-profiler
     kObserveStats = 1u << 4,   ///< full stats report + interval series
 };
@@ -182,7 +182,8 @@ struct SweepOptions
     /** Emit 1 in N lifecycle spans and RL instants to trace_events. */
     std::uint64_t trace_sample = 1;
     /** kObserveStats: sample interval stats every N instructions into
-     *  CellOutputs::series (0 = no series). */
+     *  CellOutputs::series (0 = no series); N is then every observer's
+     *  tick grid too (see kTicksPerRun). */
     std::uint64_t stats_interval = 0;
     /** kObserveStats: keep only stats under this dotted prefix. */
     std::string stats_filter;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -31,18 +32,15 @@ stringHash(const std::string &text)
                   text.size()});
 }
 
-/** Parse a uint64 from the flattened value's source text — the double
- *  lane loses precision above 2^53. */
+/** Parse a uint64 from the flattened value's whole source text — the
+ *  double lane loses precision above 2^53; "-1" and overflow fail. */
 bool
 parseU64(const diff::FlatDoc &doc, const std::string &name,
          std::uint64_t &out)
 {
     const diff::FlatValue *value = doc.find(name);
-    if (value == nullptr || !value->is_number)
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(value->text.c_str(), &end, 10);
-    return end != nullptr && *end == '\0';
+    return value != nullptr && value->is_number &&
+           parseUnsigned(value->text, out);
 }
 
 bool
@@ -295,10 +293,12 @@ ResultCache::load(const CellKey &key, RunStats &stats,
     const diff::FlatValue *digest_field = doc.find("payload_digest");
     if (digest_field == nullptr || digest_field->text.empty())
         return reject("missing payload digest");
-    char *end = nullptr;
-    const std::uint64_t payload_digest =
-        std::strtoull(digest_field->text.c_str(), &end, 16);
-    if (end == nullptr || *end != '\0')
+    // Whole-string hex: no sign, prefix or overflow is read as a digest.
+    const std::string &hex = digest_field->text;
+    std::uint64_t payload_digest = 0;
+    const auto [stop, parse_error] = std::from_chars(
+        hex.data(), hex.data() + hex.size(), payload_digest, 16);
+    if (parse_error != std::errc() || stop != hex.data() + hex.size())
         return reject("malformed payload digest");
     if (runStatsDigest(parsed) != payload_digest)
         return reject("payload digest mismatch");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -19,13 +20,6 @@ namespace csp::sim {
 
 using trace::InstKind;
 using trace::TraceRecord;
-
-namespace {
-
-/** Instructions between two progress hook calls (see setProgress). */
-constexpr std::uint64_t kProgressEvery = 100000;
-
-} // namespace
 
 const char *
 accessClassName(AccessClass cls)
@@ -128,15 +122,18 @@ Simulator::run(const trace::TraceBuffer &trace,
                prefetch::Prefetcher &prefetcher)
 {
     trace::TraceCursor cursor = trace.cursor();
-    return dispatchRun(cursor, prefetcher);
+    return dispatchRun(cursor, trace.instructions(), prefetcher);
 }
 
 RunStats
 Simulator::run(const std::vector<trace::TraceRecord> &records,
                prefetch::Prefetcher &prefetcher)
 {
+    std::uint64_t instructions = 0;
+    for (const TraceRecord &rec : records)
+        instructions += rec.kind == InstKind::Compute ? rec.repeat : 1;
     VectorSource source(records);
-    return dispatchRun(source, prefetcher);
+    return dispatchRun(source, instructions, prefetcher);
 }
 
 RunStats
@@ -144,21 +141,23 @@ Simulator::run(const trace::MappedTrace &trace,
                prefetch::Prefetcher &prefetcher)
 {
     trace::StreamingTraceSource source(trace);
-    return dispatchRun(source, prefetcher);
+    return dispatchRun(source, trace.instructions(), prefetcher);
 }
 
 template <typename Source>
 RunStats
-Simulator::dispatchRun(Source &source, prefetch::Prefetcher &prefetcher)
+Simulator::dispatchRun(Source &source, std::uint64_t instructions,
+                       prefetch::Prefetcher &prefetcher)
 {
     return observer_ != nullptr && observer_->profiler != nullptr
-               ? runFrom<true>(source, prefetcher)
-               : runFrom<false>(source, prefetcher);
+               ? runFrom<true>(source, instructions, prefetcher)
+               : runFrom<false>(source, instructions, prefetcher);
 }
 
 template <bool kProfiled, typename Source>
 RunStats
-Simulator::runFrom(Source &source, prefetch::Prefetcher &prefetcher)
+Simulator::runFrom(Source &source, std::uint64_t instructions,
+                   prefetch::Prefetcher &prefetcher)
 {
     // Folds to a compile-time nullptr in the unprofiled instantiation,
     // so every ScopedTimer below vanishes from its codegen.
@@ -227,15 +226,48 @@ Simulator::runFrom(Source &source, prefetch::Prefetcher &prefetcher)
                      "mem.mshr.l2_busy_cycles", "sim.cycles", 1.0,
                      "average L2 MSHR slots in use");
 
-    stats::IntervalSampler sampler(registry, stats_interval_,
-                                   stats_filter_);
-    std::uint64_t next_progress = progress_ ? kProgressEvery : UINT64_MAX;
+    // The one observation clock: every periodic consumer fires on the
+    // same tick, so their rows join on instructions. The grid is the
+    // stats interval when set, else about kTicksPerRun ticks per run.
+    std::optional<stats::IntervalSampler> sampler;
+    if (stats_interval_ != 0)
+        sampler.emplace(registry, stats_filter_);
+    obs::PrefetchTracker *const tracker =
+        observer_ != nullptr ? observer_->tracker : nullptr;
+    obs::MemObserver *const mem_obs =
+        observer_ != nullptr ? observer_->mem : nullptr;
+    const bool ticking =
+        sampler || progress_ || tracker != nullptr ||
+        mem_obs != nullptr ||
+        (observer_ != nullptr && observer_->learn != nullptr);
+    const std::uint64_t tick_every =
+        stats_interval_ != 0
+            ? stats_interval_
+            : std::max<std::uint64_t>(1, instructions / kTicksPerRun);
+    std::uint64_t last_tick = 0;
+    const auto tick = [&](Cycle now) {
+        obs::Tick t;
+        t.instructions = core.instructions();
+        t.cycle = now;
+        t.every = tick_every;
+        t.queue = hierarchy.queueSample(now);
+        if (tracker != nullptr)
+            tracker->onTick(t);
+        if (mem_obs != nullptr)
+            mem_obs->onTick(t);
+        prefetcher.onTick(t);
+        if (sampler) {
+            prof::ScopedTimer timer(profiler, prof::Phase::StatsFlush);
+            sampler->sample(t.instructions);
+        }
+        if (progress_)
+            progress_(t.instructions);
+        last_tick = t.instructions;
+    };
 
     // The hot loop pays for instrumentation with ONE compare against
-    // this fused boundary (UINT64_MAX when sampling and progress are
-    // both off); the cold path below recomputes it.
-    std::uint64_t next_event =
-        std::min(sampler.nextSampleAt(), next_progress);
+    // the next grid point (UINT64_MAX when nothing consumes ticks).
+    std::uint64_t next_tick = ticking ? tick_every : UINT64_MAX;
 
     // One context snapshot for the whole run; captureInto() writes
     // every attribute per access.
@@ -356,25 +388,15 @@ Simulator::runFrom(Source &source, prefetch::Prefetcher &prefetcher)
             hw.update(rec);
             ++seq;
 
-            // Instrumentation boundary check, on the memory-access
-            // path only (every boundary is crossed within a few
-            // hundred instructions on any workload; the compute/branch
-            // paths stay call-free and register-resident). One compare
-            // against the fused bound when nothing is enabled.
-            if (core.instructions() >= next_event) [[unlikely]] {
-                const std::uint64_t insts = core.instructions();
-                if (sampler.due(insts)) {
-                    prof::ScopedTimer timer(profiler,
-                                            prof::Phase::StatsFlush);
-                    sampler.sample(insts);
-                }
-                if (insts >= next_progress) {
-                    progress_(insts);
-                    while (next_progress <= insts)
-                        next_progress += kProgressEvery;
-                }
-                next_event =
-                    std::min(sampler.nextSampleAt(), next_progress);
+            // Observation tick check, on the memory-access path only
+            // (every grid point is crossed within a few hundred
+            // instructions on any workload; the compute/branch paths
+            // stay call-free and register-resident). One tick per
+            // crossing, however many grid points this access spans.
+            if (core.instructions() >= next_tick) [[unlikely]] {
+                tick(issue);
+                while (next_tick <= last_tick)
+                    next_tick += tick_every;
             }
             break;
           }
@@ -393,16 +415,15 @@ Simulator::runFrom(Source &source, prefetch::Prefetcher &prefetcher)
                           static_cast<std::uint64_t>(replay_ns));
         }
     }
-    {
-        prof::ScopedTimer timer(profiler, prof::Phase::StatsFlush);
-        sampler.finish(core.instructions());
-    }
+    // A final tick, after the end-of-run flushes, covers the
+    // instructions since the last one (none when the last tick landed
+    // on the final instruction).
+    if (ticking && core.instructions() > last_tick)
+        tick(core.elapsed());
     // Close every still-active lifecycle as Useless and detach the
-    // bundle: the prefetcher may outlive this run. The learning
-    // observer detaches after finish() so the final snapshot above
-    // reached it.
-    if (observer_ != nullptr && observer_->tracker != nullptr)
-        observer_->tracker->finish(core.elapsed());
+    // bundle: the prefetcher may outlive this run.
+    if (tracker != nullptr)
+        tracker->finish(core.elapsed());
     prefetcher.attach(nullptr);
 
     // RunStats keeps its public shape but is populated from the
@@ -421,7 +442,7 @@ Simulator::runFrom(Source &source, prefetch::Prefetcher &prefetcher)
         registry.value("mem.prefetch.never_hit"));
 
     last_report_ = registry.report(report_filter_);
-    last_series_ = sampler.takeSeries();
+    last_series_ = sampler ? sampler->takeSeries() : stats::TimeSeries();
     return stats;
 }
 

@@ -135,11 +135,19 @@ struct RunStats
     std::string toJson() const;
 };
 
+/**
+ * Observation ticks per run when no stats interval is set: the grid is
+ * then max(1, trace instructions / kTicksPerRun). Every periodic
+ * observation (interval stats row, learning snapshot, queue timeline,
+ * Perfetto counter tracks, progress) fires on this one grid.
+ */
+inline constexpr std::uint64_t kTicksPerRun = 64;
+
 /** See file comment. */
 class Simulator
 {
   public:
-    /** Periodic progress hook: called with instructions retired so far. */
+    /** Progress hook: called with instructions retired so far. */
     using ProgressFn = std::function<void(std::uint64_t)>;
 
     explicit Simulator(const SystemConfig &config);
@@ -148,7 +156,9 @@ class Simulator
      * Enable interval stats sampling for subsequent run() calls: one
      * time-series row every @p interval_insts instructions (0 disables,
      * the default), keeping only columns under the dotted prefix
-     * @p filter (empty keeps all). Read the result via lastSeries().
+     * @p filter (empty keeps all). A nonzero interval is also the
+     * run's observation grid (see kTicksPerRun). Read the result via
+     * lastSeries().
      */
     void setSampling(std::uint64_t interval_insts,
                      const std::string &filter = "");
@@ -157,8 +167,10 @@ class Simulator
     void setReportFilter(const std::string &filter);
 
     /**
-     * Install a progress hook called roughly every 100000 instructions
-     * during run() (an empty hook, the default, disables it).
+     * Install a progress hook called on every observation tick of
+     * run(): about kTicksPerRun times per run, or once per stats
+     * interval when one is set (an empty hook, the default, disables
+     * it).
      */
     void setProgress(ProgressFn fn);
 
@@ -217,11 +229,14 @@ class Simulator
      *  carries phase timers; the false instantiation has none (runtime
      *  checks instead measured ~3% slower unprofiled, DESIGN.md §6). */
     template <bool kProfiled, typename Source>
-    RunStats runFrom(Source &source, prefetch::Prefetcher &prefetcher);
+    RunStats runFrom(Source &source, std::uint64_t instructions,
+                     prefetch::Prefetcher &prefetcher);
 
-    /** Picks the runFrom instantiation for the attached profiler. */
+    /** Picks the runFrom instantiation for the attached profiler;
+     *  @p instructions is the source's total, which sizes the
+     *  observation grid. */
     template <typename Source>
-    RunStats dispatchRun(Source &source,
+    RunStats dispatchRun(Source &source, std::uint64_t instructions,
                          prefetch::Prefetcher &prefetcher);
 
     SystemConfig config_;

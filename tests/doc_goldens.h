@@ -1,6 +1,7 @@
 /** @file The golden documents the readers are tested against: a
  *  learn.json, a mem.json and a sweep journal, each valid under every
- *  rule of its schema, and a --stats-out document. Shared by the
+ *  rule of its schema, a --stats-out document and an interval CSV.
+ *  Shared by the
  *  renderer goldens and by the rule and corruption tests in
  *  test_doc_rules.cc. */
 
@@ -14,12 +15,12 @@ namespace csp {
  *  (deterministic, diffable across runs), so any change to it is a
  *  deliberate format change. */
 inline constexpr char kGoldenLearnJson[] = R"({
-  "schema":"csp-learn-v1",
+  "schema":"csp-learn-v2",
   "manifest":{"schema":"csp-run-manifest-v1","seed":7,
               "workloads":"list"},
   "prefetcher":"context",
   "learn":{
-    "snapshot_every":100,"top_k":2,
+    "tick_insts":1000,"top_k":2,
     "cst":{"probes":200,"probe_hits":150,"insert_attempts":100,
            "inserts":80,"duplicates":10,"new_entries":40,
            "entry_evictions":2,"link_evictions":20,
@@ -30,13 +31,13 @@ inline constexpr char kGoldenLearnJson[] = R"({
     "reward":{"cumulative":3000,"positive":90,"negative":30,
               "expiries":15}},
   "snapshots":[
-    {"lookup":100,"cycle":1000,"epsilon":0.2,"accuracy":0.3,
+    {"instructions":1000,"lookup":100,"cycle":1000,"epsilon":0.2,"accuracy":0.3,
      "entropy":0.8,"cumulative_reward":700,"explorations":5,
      "associations":50,"pq_hits":30,"pq_expiries":5,
      "cst_live_entries":20,"cst_entries":512,
      "top_contexts":[{"key":11,"churn":1,
                       "links":[{"delta":8,"score":90}]}]},
-    {"lookup":200,"cycle":2100,"epsilon":0.055,"accuracy":0.5,
+    {"instructions":2000,"lookup":200,"cycle":2100,"epsilon":0.055,"accuracy":0.5,
      "entropy":0.25,"cumulative_reward":3000,"explorations":12,
      "associations":90,"pq_hits":80,"pq_expiries":15,
      "cst_live_entries":40,"cst_entries":512,
@@ -48,12 +49,12 @@ inline constexpr char kGoldenLearnJson[] = R"({
 
 /** A small hand-written mem.json, golden for the cspmem rendering. */
 inline constexpr char kGoldenMemJson[] = R"({
-  "schema":"csp-mem-v1",
+  "schema":"csp-mem-v2",
   "manifest":{"schema":"csp-run-manifest-v1","seed":7,
               "workloads":"mcf"},
   "prefetcher":"context",
   "mem":{
-    "interval":100,"accesses":1000,
+    "tick_insts":1000,"accesses":1000,
     "l1":{"accesses":1000,"classified":400,
           "classes":{"compulsory":100,"pollution":40,"conflict":60,
                      "capacity":200},
@@ -94,10 +95,10 @@ inline constexpr char kGoldenMemJson[] = R"({
                            "demand_pc":"0x400200","count":6}]},
     "shadow":{"compactions":3,"l1_live_lines":900,
               "l2_live_lines":700},
-    "timeline":[{"access":100,"cycle":1500,"l1_mshr":2,"l2_mshr":5,
-                 "dram_backlog":120},
-                {"access":200,"cycle":3100,"l1_mshr":4,"l2_mshr":20,
-                 "dram_backlog":900}]}})";
+    "timeline":[{"instructions":1000,"access":100,"cycle":1500,
+                 "l1_mshr":2,"l2_mshr":5,"dram_backlog":120},
+                {"instructions":2000,"access":200,"cycle":3100,
+                 "l1_mshr":4,"l2_mshr":20,"dram_backlog":900}]}})";
 
 /** A fixed sweep journal with known timings: csptop's summary and
  *  status goldens over it are exact, which is only possible because
@@ -138,6 +139,21 @@ inline constexpr char kGoldenStatsJson[] = R"({
     "prefetch":{"inflight":0},
     "sim":{"class":{"hit-older-demand":1965,"miss-not-prefetched":83},
            "cycles":30656,"instructions":10240,"ipc":0.334029227557}}})";
+
+/** A small --stats-csv interval series (cspsim, list with stride,
+ *  scale 2000, seed 7, --stats-interval 4000 --stats-filter sim), cut
+ *  down to a few columns: the CSV cspdiff reads through parseCsvFlat.
+ *  One row per observation tick, the last at the final instruction. */
+inline constexpr char kGoldenStatsCsv[] =
+    R"(# manifest {"schema":"csp-run-manifest-v1","tool":"cspsim",)"
+    R"("config_digest":"0b2ab3abcc4fbab0","seed":7,"workloads":"list",)"
+    R"("prefetchers":"stride","scale":2000,)"
+    R"("trace_digest":"2d3792083385ba83"}
+instructions,sim.instructions,sim.cycles,sim.ipc,sim.class.miss-not-prefetched,sim.class.hit-older-demand
+4001,4001,28162,0.142070875648,83,718
+8001,4000,1600,2.5,0,800
+10240,2239,894,2.50447427293,0,447
+)";
 
 } // namespace csp
 

@@ -1,8 +1,9 @@
 /** @file The document readers enforce their schemas: isLearnDoc,
  *  isMemDoc and parseJournal each refuse a golden document with one
  *  identity broken, naming that identity, and they and cspdiff's stats
- *  reader survive truncated or byte-flipped input by refusing it with
- *  a message or accepting a document that still renders. */
+ *  JSON and interval CSV readers survive truncated or byte-flipped
+ *  input by refusing it with a message or accepting a document that
+ *  still renders. */
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@ enum class Doc
     Mem,
     Journal,
     Stats,
+    Csv,
 };
 
 const char *
@@ -35,6 +37,7 @@ golden(Doc kind)
       case Doc::Mem: return kGoldenMemJson;
       case Doc::Journal: return kSyntheticJournal;
       case Doc::Stats: return kGoldenStatsJson;
+      case Doc::Csv: return kGoldenStatsCsv;
     }
     return "";
 }
@@ -57,10 +60,18 @@ readAndRender(Doc kind, const std::string &text, std::string *error)
         return true;
     }
     diff::FlatDoc doc;
+    if (kind == Doc::Csv) {
+        // cspdiff's report of the intact golden against what was read.
+        if (!diff::parseCsvFlat(text, doc, error))
+            return false;
+        diff::FlatDoc golden_doc;
+        diff::parseCsvFlat(kGoldenStatsCsv, golden_doc, nullptr);
+        diff::diffDocs(golden_doc, doc).writeReport(out);
+        return true;
+    }
     if (!diff::parseJsonFlat(text, doc, error))
         return false;
     if (kind == Doc::Stats) {
-        // cspdiff's report of the intact golden against what was read.
         diff::FlatDoc golden_doc;
         diff::parseJsonFlat(kGoldenStatsJson, golden_doc, nullptr);
         diff::diffDocs(golden_doc, doc).writeReport(out);
@@ -126,8 +137,13 @@ const RuleRow kLearnRules[] = {
      R"("pq_hit":30,)", "snapshots.0.pq_hits"},
     {"snapshot_value_finite", Doc::Learn, R"("cycle":1000,)",
      R"("cycle":-nan,)", "snapshots.0.cycle"},
-    {"lookups_increase", Doc::Learn, R"({"lookup":200,)",
-     R"({"lookup":100,)", "snapshots.1.lookup not strictly increasing"},
+    {"lookups_increase", Doc::Learn, R"("lookup":200,)",
+     R"("lookup":50,)", "snapshots.1.lookup decreased"},
+    {"instructions_increase", Doc::Learn, R"("instructions":2000,)",
+     R"("instructions":1000,)",
+     "snapshots.1.instructions not strictly increasing"},
+    {"tick_insts_numeric", Doc::Learn, R"("tick_insts":1000,)",
+     R"("tick_insts":null,)", "learn.tick_insts"},
     {"epsilon_in_unit_range", Doc::Learn, R"("epsilon":0.2,)",
      R"("epsilon":1.5,)", "snapshots.0.epsilon outside [0, 1]"},
     {"accuracy_in_unit_range", Doc::Learn, R"("accuracy":0.3,)",
@@ -149,8 +165,8 @@ const RuleRow kMemRules[] = {
      R"("manifest":{"schema":"other")", "manifest"},
     {"prefetcher_name", Doc::Mem, R"("prefetcher":"context")",
      R"("prefetcher":1)", "prefetcher"},
-    {"interval_numeric", Doc::Mem, R"("interval":100,)",
-     R"("interval":"x",)", "mem.interval"},
+    {"interval_numeric", Doc::Mem, R"("tick_insts":1000,)",
+     R"("tick_insts":"x",)", "mem.tick_insts"},
     {"classes_sum_to_classified", Doc::Mem, R"("conflict":60,)",
      R"("conflict":61,)", "mem.l1.classes do not sum to classified"},
     {"classified_within_accesses", Doc::Mem,
@@ -180,8 +196,11 @@ const RuleRow kMemRules[] = {
      R"("shadows":{)", "mem.shadow"},
     {"timeline_sample_numeric", Doc::Mem, R"("dram_backlog":900)",
      R"("dram_backlog":"x")", "mem.timeline.1.dram_backlog"},
-    {"timeline_never_decreases", Doc::Mem, R"({"access":200,)",
-     R"({"access":50,)", "mem.timeline.1.access position decreased"},
+    {"timeline_never_decreases", Doc::Mem, R"("access":200,)",
+     R"("access":50,)", "mem.timeline.1.access position decreased"},
+    {"timeline_instructions_increase", Doc::Mem,
+     R"({"instructions":2000,)", R"({"instructions":1000,)",
+     "mem.timeline.1.instructions not strictly increasing"},
 };
 
 const RuleRow kJournalRules[] = {
@@ -320,7 +339,7 @@ TEST(DocRules, JournalFieldsParseWholeIntegers)
 TEST(DocRules, SurvivesTruncationAndByteFlips)
 {
     for (const Doc kind :
-         {Doc::Learn, Doc::Mem, Doc::Journal, Doc::Stats}) {
+         {Doc::Learn, Doc::Mem, Doc::Journal, Doc::Stats, Doc::Csv}) {
         const std::string text = golden(kind);
         std::string golden_error;
         ASSERT_TRUE(readAndRender(kind, text, &golden_error))

@@ -1,9 +1,10 @@
 /** @file Learning-observatory contract tests: the LearningRecorder's
  *  distilled counters are internally consistent, the learn.json export
- *  parses and validates as csp-learn-v1, snapshot capture is
- *  byte-identical whether runs execute serially or on a thread pool,
- *  the Perfetto rl/bandit tracks follow the reward and lookup counts,
- *  and the csplearn report renders deterministically (golden text). */
+ *  parses and validates as csp-learn-v2, snapshots land on the
+ *  simulator's observation ticks, snapshot capture is byte-identical
+ *  whether runs execute serially or on a thread pool, the Perfetto
+ *  rl/bandit/policy tracks follow the reward and snapshot counts, and
+ *  the csplearn report renders deterministically (golden text). */
 
 #include <gtest/gtest.h>
 
@@ -19,10 +20,8 @@
 #include "obs/learning.h"
 #include "obs/run_observer.h"
 #include "obs/trace_events.h"
-#include "prefetch/context/context_prefetcher.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
-#include "trace/hw_state.h"
 #include "workloads/registry.h"
 
 namespace csp {
@@ -38,14 +37,15 @@ makeTrace(std::uint64_t scale = 20000)
         params);
 }
 
-/** One observed context run; returns the recorder after finish(). */
+/** One observed context run over @p trace (a TraceBuffer or a record
+ *  vector) ticking every @p tick_insts instructions; returns the
+ *  recorder after the run. */
+template <typename Trace>
 std::unique_ptr<obs::LearningRecorder>
-observedRun(const trace::TraceBuffer &trace,
-            std::uint64_t snapshot_every)
+observedRun(const Trace &trace, std::uint64_t tick_insts)
 {
     SystemConfig config;
     obs::LearningRecorder::Options opts;
-    opts.snapshot_every = snapshot_every;
     opts.top_k = 8;
     auto recorder =
         std::make_unique<obs::LearningRecorder>(opts);
@@ -53,9 +53,32 @@ observedRun(const trace::TraceBuffer &trace,
     observer.learn = recorder.get();
     auto prefetcher = sim::makePrefetcher("context", config);
     sim::Simulator simulator(config);
+    simulator.setSampling(tick_insts);
     simulator.setObserver(&observer);
     simulator.run(trace, *prefetcher);
     return recorder;
+}
+
+/** @p loads one-instruction loads on consecutive lines, then a compute
+ *  burst of @p tail instructions (none when 0). */
+std::vector<trace::TraceRecord>
+loadRun(std::uint64_t loads, std::uint32_t tail)
+{
+    std::vector<trace::TraceRecord> records;
+    for (std::uint64_t i = 0; i < loads; ++i) {
+        trace::TraceRecord rec;
+        rec.kind = trace::InstKind::Load;
+        rec.pc = 0x400;
+        rec.vaddr = 0x100000 + i * 64;
+        records.push_back(rec);
+    }
+    if (tail != 0) {
+        trace::TraceRecord rec;
+        rec.kind = trace::InstKind::Compute;
+        rec.repeat = tail;
+        records.push_back(rec);
+    }
+    return records;
 }
 
 std::string
@@ -72,11 +95,16 @@ TEST(LearningRecorder, SnapshotSeriesIsConsistent)
     const trace::TraceBuffer trace = makeTrace();
     const auto recorder = observedRun(trace, 4000);
     const auto &snapshots = recorder->snapshots();
-    // Periodic snapshots plus the final one finish() captures.
+    // One snapshot per tick, the last at the run's final instruction.
     ASSERT_GE(snapshots.size(), 2u);
+    EXPECT_EQ(snapshots.back().tick.instructions, trace.instructions());
+    std::uint64_t last_insts = 0;
     std::uint64_t last_lookup = 0;
     for (const auto &stored : snapshots) {
         const obs::LearningSnapshot &snap = stored.snap;
+        EXPECT_GT(stored.tick.instructions, last_insts);
+        EXPECT_EQ(stored.tick.every, 4000u);
+        last_insts = stored.tick.instructions;
         EXPECT_GT(snap.lookup, last_lookup);
         last_lookup = snap.lookup;
         EXPECT_GE(snap.epsilon, 0.0);
@@ -113,7 +141,7 @@ TEST(LearningRecorder, LearnJsonParsesAndValidates)
 
     const diff::FlatValue *schema = doc.find("schema");
     ASSERT_NE(schema, nullptr);
-    EXPECT_EQ(schema->text, "csp-learn-v1");
+    EXPECT_EQ(schema->text, "csp-learn-v2");
     const diff::FlatValue *probes = doc.find("learn.cst.probes");
     ASSERT_NE(probes, nullptr);
     EXPECT_GT(probes->number, 0.0);
@@ -121,52 +149,53 @@ TEST(LearningRecorder, LearnJsonParsesAndValidates)
     ASSERT_NE(hits, nullptr);
     EXPECT_LE(hits->number, probes->number);
     ASSERT_NE(doc.find("snapshots.0.lookup"), nullptr);
+    ASSERT_NE(doc.find("snapshots.0.instructions"), nullptr);
+    const diff::FlatValue *tick_insts = doc.find("learn.tick_insts");
+    ASSERT_NE(tick_insts, nullptr);
+    EXPECT_EQ(tick_insts->number, 4000.0);
     ASSERT_NE(doc.find("snapshots.0.top_contexts.0.key"), nullptr);
 }
 
-/** A run of exactly k x cadence lookups: the last periodic snapshot
- *  already sits on the final lookup, so finish() must not add a second
- *  one with the same lookup (learn.json requires strictly increasing
- *  snapshot lookups). */
+/** A run whose last tick lands on its final instruction: the
+ *  end-of-run tick has nothing left to cover, so no duplicate final
+ *  snapshot follows (learn.json requires strictly increasing snapshot
+ *  instructions). */
 TEST(LearningRecorder, FinishAddsNoSnapshotOnCadenceBoundary)
 {
     constexpr std::uint64_t kCadence = 500;
     constexpr std::uint64_t kPeriods = 3;
-    obs::LearningRecorder::Options opts;
-    opts.snapshot_every = kCadence;
-    opts.top_k = 2;
-    obs::LearningRecorder recorder(opts);
-    obs::RunObserver observer;
-    observer.learn = &recorder;
-    prefetch::ctx::ContextPrefetcher pf(ContextPrefetcherConfig{}, 1);
-    pf.attach(&observer);
-
-    trace::HwContextTracker hw;
-    std::vector<prefetch::PrefetchRequest> out;
-    for (std::uint64_t i = 0; i < kPeriods * kCadence; ++i) {
-        trace::TraceRecord rec;
-        rec.kind = trace::InstKind::Load;
-        rec.pc = 0x400;
-        rec.vaddr = 0x100000 + i * 64;
-        const trace::ContextSnapshot ctx = hw.capture(rec);
-        prefetch::AccessInfo info;
-        info.seq = i;
-        info.pc = rec.pc;
-        info.vaddr = rec.vaddr;
-        info.line_addr = rec.vaddr;
-        info.free_l1_mshrs = 4;
-        info.context = &ctx;
-        out.clear();
-        pf.observe(info, out);
-        hw.update(rec);
-    }
-    pf.finish();
-
-    ASSERT_EQ(pf.stats().lookups, kPeriods * kCadence);
-    const auto &snapshots = recorder.snapshots();
+    const auto recorder =
+        observedRun(loadRun(kPeriods * kCadence, 0), kCadence);
+    const auto &snapshots = recorder->snapshots();
     ASSERT_EQ(snapshots.size(), kPeriods);
-    for (std::uint64_t k = 0; k < kPeriods; ++k)
+    for (std::uint64_t k = 0; k < kPeriods; ++k) {
+        EXPECT_EQ(snapshots[k].tick.instructions, (k + 1) * kCadence);
         EXPECT_EQ(snapshots[k].snap.lookup, (k + 1) * kCadence);
+    }
+}
+
+/** Ticks are counted in instructions, lookups in memory accesses: a
+ *  compute tail after the last grid tick gets its own end-of-run tick
+ *  whose lookup count equals the previous one. learn.json's snapshot
+ *  lookups are therefore non-decreasing, its instructions strictly
+ *  increasing, and the document still passes every rule. */
+TEST(LearningRecorder, ComputeTailRepeatsTheLookupOnTheFinalTick)
+{
+    constexpr std::uint64_t kCadence = 500;
+    const auto recorder =
+        observedRun(loadRun(2 * kCadence, 100), kCadence);
+    const auto &snapshots = recorder->snapshots();
+    ASSERT_EQ(snapshots.size(), 3u);
+    EXPECT_EQ(snapshots[1].tick.instructions, 2 * kCadence);
+    EXPECT_EQ(snapshots[2].tick.instructions, 2 * kCadence + 100);
+    EXPECT_EQ(snapshots[1].snap.lookup, 2 * kCadence);
+    EXPECT_EQ(snapshots[2].snap.lookup, 2 * kCadence);
+
+    diff::FlatDoc doc;
+    std::string error;
+    ASSERT_TRUE(diff::parseJsonFlat(learnJson(*recorder), doc, &error))
+        << error;
+    EXPECT_TRUE(diff::isLearnDoc(doc, &error)) << error;
 }
 
 TEST(LearningRecorder, SnapshotsByteIdenticalSerialVsThreadPool)
@@ -233,8 +262,8 @@ countOf(const std::string &text, const std::string &needle)
 TEST(LearningRecorder, PerfettoTracksFollowRewardsAndLookups)
 {
     // The recorder writes one "rl" instant per 4 reward applications
-    // (expiries included, the first one sampled) and one "bandit"
-    // counter sample per 4096 lookups.
+    // (expiries included, the first one sampled) and one "bandit" and
+    // one "policy" counter sample per snapshot, i.e. per tick.
     const trace::TraceBuffer trace = makeTrace();
     SystemConfig config;
     std::ostringstream out;
@@ -257,10 +286,15 @@ TEST(LearningRecorder, PerfettoTracksFollowRewardsAndLookups)
     const auto lookups =
         static_cast<std::uint64_t>(report.value("context.lookups"));
     ASSERT_GT(rewards, 4u);
-    ASSERT_GE(lookups, 4096u);
+    const std::size_t snapshots = recorder.snapshots().size();
+    // About kTicksPerRun grid ticks plus the end-of-run one.
+    ASSERT_GE(snapshots, sim::kTicksPerRun / 2);
+    ASSERT_LE(snapshots, sim::kTicksPerRun + 1);
+    EXPECT_EQ(recorder.snapshots().back().snap.lookup, lookups);
     const std::string text = out.str();
     EXPECT_EQ(countOf(text, "\"cat\":\"rl\""), (rewards + 3) / 4);
-    EXPECT_EQ(countOf(text, "{\"name\":\"bandit\""), lookups / 4096);
+    EXPECT_EQ(countOf(text, "{\"name\":\"bandit\""), snapshots);
+    EXPECT_EQ(countOf(text, "{\"name\":\"policy\""), snapshots);
 }
 
 TEST(LearnReport, GoldenRendering)

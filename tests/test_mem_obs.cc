@@ -2,7 +2,7 @@
  *  shadow-cache models match brute-force references bit for bit (on
  *  randomized streams and on a captured mcf replay), the 3C+pollution
  *  classes sum exactly to the run's miss counters, the mem.json export
- *  parses and validates as csp-mem-v1 and is byte-identical whether
+ *  parses and validates as csp-mem-v2 and is byte-identical whether
  *  runs execute serially or on a thread pool, attaching the recorder
  *  never changes simulated results, the registry subtree mirrors the
  *  recorder's counters, and the cspmem report renders deterministically
@@ -167,15 +167,11 @@ struct ObservedMemRun
 
 ObservedMemRun
 observedRun(const trace::TraceBuffer &trace,
-            const std::string &prefetcher_name,
-            std::uint64_t queue_sample_every = 0)
+            const std::string &prefetcher_name)
 {
     SystemConfig config;
-    obs::MemRecorder::Options opts;
-    opts.queue_sample_every = queue_sample_every;
     ObservedMemRun run;
-    run.recorder = std::make_unique<obs::MemRecorder>(config.memory,
-                                                      opts, nullptr);
+    run.recorder = std::make_unique<obs::MemRecorder>(config.memory);
     obs::RunObserver observer;
     observer.mem = run.recorder.get();
     auto prefetcher = sim::makePrefetcher(prefetcher_name, config);
@@ -273,7 +269,6 @@ class CaptureObserver final : public obs::MemObserver
     {
         fills.push_back(event);
     }
-    void onQueueSample(const obs::MemQueueSample &) override {}
 
     std::vector<obs::MemAccessEvent> accesses;
     std::vector<obs::MemFillEvent> fills;
@@ -385,7 +380,7 @@ TEST(MemRecorder, MemJsonParsesAndValidates)
 {
     const trace::TraceBuffer trace = makeTrace("mcf");
     const ObservedMemRun run =
-        observedRun(trace, "context", /*queue_sample_every=*/2000);
+        observedRun(trace, "context");
     const std::string text = memJson(*run.recorder);
 
     diff::FlatDoc doc;
@@ -395,7 +390,7 @@ TEST(MemRecorder, MemJsonParsesAndValidates)
 
     const diff::FlatValue *schema = doc.find("schema");
     ASSERT_NE(schema, nullptr);
-    EXPECT_EQ(schema->text, "csp-mem-v1");
+    EXPECT_EQ(schema->text, "csp-mem-v2");
 
     // The export repeats the accounting identity: per level, the four
     // class counters sum to the classified-miss count.
@@ -429,7 +424,7 @@ TEST(MemRecorder, MemJsonByteIdenticalSerialVsThreadPool)
     // runs produce mem.json files byte-identical to a serial run.
     const trace::TraceBuffer trace = makeTrace("mcf", 12000);
     const std::string serial =
-        memJson(*observedRun(trace, "context", 2000).recorder);
+        memJson(*observedRun(trace, "context").recorder);
     ASSERT_FALSE(serial.empty());
 
     std::vector<std::string> parallel(4);
@@ -438,7 +433,7 @@ TEST(MemRecorder, MemJsonByteIdenticalSerialVsThreadPool)
         for (std::size_t i = 0; i < parallel.size(); ++i) {
             pool.submit([&trace, &parallel, i] {
                 parallel[i] =
-                    memJson(*observedRun(trace, "context", 2000).recorder);
+                    memJson(*observedRun(trace, "context").recorder);
             });
         }
         pool.wait();
@@ -450,7 +445,7 @@ TEST(MemRecorder, MemJsonByteIdenticalSerialVsThreadPool)
 TEST(MemRecorder, RegistryStatsMirrorRecorderCounters)
 {
     const trace::TraceBuffer trace = makeTrace("mcf");
-    const ObservedMemRun run = observedRun(trace, "context", 2000);
+    const ObservedMemRun run = observedRun(trace, "context");
     stats::Registry registry;
     run.recorder->registerStats(registry);
     const stats::Report report = registry.report("mem");
@@ -542,7 +537,7 @@ TEST(MemReport, RejectsNonMemDocuments)
     EXPECT_FALSE(error.empty());
 
     diff::FlatDoc learn;
-    ASSERT_TRUE(parseJsonFlat(R"({"schema":"csp-learn-v1"})", learn,
+    ASSERT_TRUE(parseJsonFlat(R"({"schema":"csp-learn-v2"})", learn,
                               &error));
     EXPECT_FALSE(diff::isMemDoc(learn, &error));
 }
@@ -552,7 +547,7 @@ TEST(MemReport, EndToEndRenderFromRealRun)
     // A real run's export renders without error and mentions the real
     // class counts — the cspmem tool is a thin shell over this path.
     const trace::TraceBuffer trace = makeTrace("mcf");
-    const ObservedMemRun run = observedRun(trace, "context", 2000);
+    const ObservedMemRun run = observedRun(trace, "context");
     diff::FlatDoc doc;
     std::string error;
     ASSERT_TRUE(diff::parseJsonFlat(memJson(*run.recorder), doc, &error))

@@ -158,8 +158,7 @@ TEST(TraceEvents, StreamIsWellFormed)
     std::ostringstream out;
     {
         obs::TraceEventWriter events(out);
-        PrefetchTracker tracker(&events, /*sample_every=*/1,
-                                /*counter_interval=*/100);
+        PrefetchTracker tracker(&events, /*sample_every=*/1);
         Hierarchy hierarchy(defaultMemory());
         obs::RunObserver observer;
         observer.tracker = &tracker;
@@ -168,6 +167,11 @@ TEST(TraceEvents, StreamIsWellFormed)
                   PrefetchOutcome::Issued);
         hierarchy.access(0x40, 2000, false, 0xB0);
         hierarchy.access(0x20000, 2100, false, 0xB1); // plain miss
+        obs::Tick tick;
+        tick.instructions = 2;
+        tick.cycle = 2100;
+        tick.queue = hierarchy.queueSample(tick.cycle);
+        tracker.onTick(tick);
         tracker.finish(3000);
         events.close();
     }
@@ -178,6 +182,8 @@ TEST(TraceEvents, StreamIsWellFormed)
     EXPECT_NE(text.find("\"ph\":\"b\""), std::string::npos);
     EXPECT_NE(text.find("\"ph\":\"e\""), std::string::npos);
     EXPECT_NE(text.find("\"ph\":\"i\""), std::string::npos);
+    EXPECT_NE(text.find("{\"name\":\"mshr\",\"cat\":\"counter\""),
+              std::string::npos);
     EXPECT_NE(text.find("\"cat\":\"prefetch\""), std::string::npos);
     EXPECT_EQ(text.rfind("\n]}\n"), text.size() - 4);
     // No trailing comma before the closing bracket.

@@ -20,6 +20,7 @@
 
 #include "core/profiling.h"
 #include "core/thread_pool.h"
+#include "diff/csp_diff.h"
 #include "obs/learning.h"
 #include "obs/lifecycle.h"
 #include "obs/mem_recorder.h"
@@ -287,9 +288,8 @@ renderObserved(const CellOutputs &outputs, const std::string &pf)
 constexpr std::uint64_t kStatsInterval = 4000;
 
 /** A direct Simulator::run of @p pf with every sink runSweep attaches
- *  under kObserveAll, at runSweep's documented cadences (about 32
- *  learning snapshots and 64 queue samples per run); the timeline goes
- *  to @p events_out. */
+ *  under kObserveAll, ticking every kStatsInterval instructions; the
+ *  timeline goes to @p events_out. */
 ObservedFiles
 directObservedRun(const trace::TraceBuffer &trace, const std::string &pf,
                   const SystemConfig &config, std::string &events_out)
@@ -298,16 +298,10 @@ directObservedRun(const trace::TraceBuffer &trace, const std::string &pf,
     obs::TraceEventWriter events(events_stream);
     CellOutputs outputs;
     outputs.tracker = std::make_unique<obs::PrefetchTracker>(&events);
-    obs::LearningRecorder::Options learn;
-    learn.snapshot_every =
-        std::max<std::uint64_t>(1, trace.memAccesses() / 32);
-    outputs.learner =
-        std::make_unique<obs::LearningRecorder>(learn, &events);
-    obs::MemRecorder::Options mem;
-    mem.queue_sample_every =
-        std::max<std::uint64_t>(1, trace.memAccesses() / 64);
-    outputs.memrec =
-        std::make_unique<obs::MemRecorder>(config.memory, mem, &events);
+    outputs.learner = std::make_unique<obs::LearningRecorder>(
+        obs::LearningRecorder::Options(), &events);
+    outputs.memrec = std::make_unique<obs::MemRecorder>(
+        config.memory, obs::MemRecorder::Options(), &events);
     prof::Profiler profiler;
     const obs::RunObserver observer{outputs.tracker.get(),
                                     outputs.learner.get(),
@@ -420,6 +414,79 @@ TEST(ParallelSweep, ObservedCellsMatchDirectRunObservers)
         expectIdenticalStats(observed.cells[i].stats, cold.cells[i].stats);
     }
     std::filesystem::remove_all(dir);
+}
+
+/** The instructions column of @p array_prefix's rows in a flattened
+ *  learn.json or mem.json. */
+std::vector<std::uint64_t>
+tickInstructions(const std::string &json, const std::string &array_prefix)
+{
+    diff::FlatDoc doc;
+    std::string error;
+    EXPECT_TRUE(diff::parseJsonFlat(json, doc, &error)) << error;
+    std::vector<std::uint64_t> insts;
+    for (std::size_t i = 0;; ++i) {
+        const diff::FlatValue *value = doc.find(
+            array_prefix + std::to_string(i) + ".instructions");
+        if (value == nullptr)
+            return insts;
+        insts.push_back(static_cast<std::uint64_t>(value->number));
+    }
+}
+
+/** One observation clock: in a cell observed by the learning and
+ *  memory recorders, the tracker and interval stats, learn.json's
+ *  snapshots, mem.json's queue timeline and the interval series rows
+ *  all sit on the same instructions (the grid crossings plus the
+ *  end-of-run tick), at jobs 1 and 4, and the cell's results are
+ *  bit-identical to the unobserved cell's. */
+TEST(ParallelSweep, ObserversJoinOnOneTickGrid)
+{
+    constexpr std::uint64_t kInterval = 3000;
+    const SystemConfig config;
+    workloads::WorkloadParams params;
+    params.scale = 12000;
+    const std::vector<SweepCell> grid = {
+        {"list", params, config, "context", ""}};
+    SweepOptions plain;
+    plain.verbose = false;
+    plain.jobs = 1;
+    const SweepResult unobserved = runSweep(grid, plain);
+    ASSERT_EQ(unobserved.cells.size(), 1u);
+
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        SweepOptions options;
+        options.verbose = false;
+        options.jobs = jobs;
+        options.observe = kObserveLearn | kObserveMem | kObserveStats |
+                          kObserveTracker;
+        options.stats_interval = kInterval;
+        const SweepResult sweep = runSweep(grid, options);
+        ASSERT_EQ(sweep.cells.size(), 1u);
+        expectIdenticalStats(sweep.cells[0].stats,
+                             unobserved.cells[0].stats);
+        const CellOutputs &out = *sweep.cells[0].outputs;
+
+        std::vector<std::uint64_t> series;
+        for (const stats::TimeSeries::Row &row : out.series.rows)
+            series.push_back(row.instructions);
+        ASSERT_GT(series.size(), 2u);
+        std::ostringstream learn;
+        out.learner->writeLearnJson(learn, "{}", "context");
+        std::ostringstream mem;
+        out.memrec->writeMemJson(mem, "{}", "context");
+        EXPECT_EQ(tickInstructions(learn.str(), "snapshots."), series);
+        EXPECT_EQ(tickInstructions(mem.str(), "mem.timeline."), series);
+
+        // Each row sits at the first access at or past a grid point,
+        // the last at the run's final instruction.
+        EXPECT_EQ(series.back(), sweep.cells[0].stats.instructions);
+        for (std::size_t i = 0; i + 1 < series.size(); ++i) {
+            EXPECT_GE(series[i], (i + 1) * kInterval) << i;
+            EXPECT_LT(series[i], (i + 2) * kInterval) << i;
+        }
+    }
 }
 
 /** TSan smoke: many workers, verbose heartbeat on, shared traces —

@@ -14,6 +14,7 @@
 
 #include "core/content_store.h"
 #include "core/profiling.h"
+#include "diff/csp_diff.h"
 #include "sim/experiment.h"
 #include "sim/result_cache.h"
 #include "sim/sweep_io.h"
@@ -205,6 +206,71 @@ TEST(ResultCache, EntryRefusesServingAForeignKey)
     ASSERT_TRUE(readFileToString(cache.entryPath(key), entry));
     ASSERT_TRUE(atomicWriteFile(cache.entryPath(other), entry));
     EXPECT_FALSE(cache.load(other, loaded));
+}
+
+/** Every RunStats field parses as a whole unsigned integer: a
+ *  negative field is not wrapped to 2^64 - 1 and an overflowing one is
+ *  not clamped to the maximum. */
+TEST(ResultCache, ParseRunStatsFlatRefusesNegativeAndOverflow)
+{
+    RunStats stats;
+    stats.instructions = 123;
+    stats.cycles = 456;
+    std::ostringstream out;
+    writeRunStatsJson(out, stats);
+    const std::string text = out.str();
+    const std::string field = "\"cycles\":456";
+    ASSERT_NE(text.find(field), std::string::npos);
+
+    const auto parses = [&](const std::string &value) {
+        std::string edited = text;
+        edited.replace(edited.find(field), field.size(),
+                       "\"cycles\":" + value);
+        diff::FlatDoc doc;
+        EXPECT_TRUE(diff::parseJsonFlat(edited, doc, nullptr)) << value;
+        RunStats parsed;
+        return parseRunStatsFlat(doc, "", parsed);
+    };
+    EXPECT_TRUE(parses("456"));
+    EXPECT_TRUE(parses("18446744073709551615"));
+    EXPECT_FALSE(parses("-1"));
+    EXPECT_FALSE(parses("18446744073709551616"));
+    EXPECT_FALSE(parses("4.5"));
+}
+
+/** The payload digest parses as whole hex: a signed spelling that
+ *  wraps to the right value is refused, not served. */
+TEST(ResultCache, PayloadDigestRefusesASignedSpelling)
+{
+    TempDir dirs;
+    RunStats stats;
+    stats.instructions = 123;
+    stats.cycles = 456;
+    CellKey key;
+    key.workload = "array";
+    key.prefetcher = "stride";
+    key.placement = "rand";
+    const ResultCache cache(dirs.resultDir());
+    ASSERT_TRUE(ensureDirectories(cache.root()));
+    ASSERT_TRUE(cache.store(key, stats, "testsha"));
+    std::string entry;
+    ASSERT_TRUE(readFileToString(cache.entryPath(key), entry));
+
+    // "-x" wraps to 2^64 - x under strtoull: the same digest, spelled
+    // with a sign.
+    const std::uint64_t digest = runStatsDigest(stats);
+    std::ostringstream negated;
+    negated << "-" << std::hex << (~digest + 1);
+    const std::string stored = "\"payload_digest\":\"";
+    const std::size_t at = entry.find(stored);
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t begin = at + stored.size();
+    const std::size_t end = entry.find('"', begin);
+    ASSERT_NE(end, std::string::npos);
+    entry.replace(begin, end - begin, negated.str());
+    ASSERT_TRUE(atomicWriteFile(cache.entryPath(key), entry));
+    RunStats loaded;
+    EXPECT_FALSE(cache.load(key, loaded));
 }
 
 } // namespace

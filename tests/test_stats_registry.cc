@@ -138,20 +138,16 @@ TEST(StatsRegistry, IntervalRowsHoldDeltasCumulativeHoldsTotals)
     registry.counter("sim.num", &num);
     registry.formula("sim.rate", "sim.num", "sim.count");
 
-    IntervalSampler sampler(registry, 100);
-    ASSERT_TRUE(sampler.enabled());
+    IntervalSampler sampler(registry);
 
     count = 10;
     num = 5;
     level = 1.0;
-    ASSERT_TRUE(sampler.due(100));
     sampler.sample(100);
 
     count = 30;
     num = 15;
     level = 2.0;
-    EXPECT_FALSE(sampler.due(199));
-    ASSERT_TRUE(sampler.due(200));
     sampler.sample(200);
 
     const TimeSeries &series = sampler.series();
@@ -176,9 +172,10 @@ TEST(StatsRegistry, IntervalRowsHoldDeltasCumulativeHoldsTotals)
     // The registry itself still reads cumulative totals.
     EXPECT_DOUBLE_EQ(registry.value("sim.count"), 30.0);
 
-    // finish() emits the final partial interval exactly once.
+    // A short final interval (the simulator's end-of-run tick) is one
+    // more row of deltas.
     count = 31;
-    sampler.finish(210);
+    sampler.sample(210);
     ASSERT_EQ(sampler.series().rows.size(), 3u);
     EXPECT_DOUBLE_EQ(sampler.series().rows[2].values[c], 1.0);
     EXPECT_EQ(sampler.series().rows[2].instructions, 210u);
@@ -190,7 +187,7 @@ TEST(StatsRegistry, SamplerFilterSelectsColumns)
     std::uint64_t a = 0, b = 0;
     registry.counter("mem.reads", &a);
     registry.counter("context.lookups", &b);
-    IntervalSampler sampler(registry, 10, "context");
+    IntervalSampler sampler(registry, "context");
     ASSERT_EQ(sampler.series().columns.size(), 1u);
     EXPECT_EQ(sampler.series().columns[0], "context.lookups");
 }
@@ -200,7 +197,7 @@ TEST(StatsRegistry, CsvHasHeaderAndOneLinePerRow)
     Registry registry;
     std::uint64_t v = 0;
     registry.counter("sim.count", &v);
-    IntervalSampler sampler(registry, 50);
+    IntervalSampler sampler(registry);
     v = 5;
     sampler.sample(50);
     v = 9;

@@ -17,10 +17,11 @@ Checks, in order:
      must end Useless spans at finish()).
   4. Timestamps are non-negative and counters' args are numeric.
   5. Known counter tracks carry exactly their expected series: the
-     "bandit" track {epsilon, accuracy}, the learning observatory's
-     "policy" track {epsilon, entropy}, and the memory observatory's
-     "mem.l1" / "mem.l2" miss-class tracks {compulsory, capacity,
-     conflict, pollution}.
+     tracker's "mshr" track {l1, l2, inflight_pf}, the "bandit" track
+     {epsilon, accuracy}, the learning observatory's "policy" track
+     {epsilon, entropy}, and the memory observatory's "mem.l1" /
+     "mem.l2" miss-class tracks {compulsory, capacity, conflict,
+     pollution}.
 
 --require NAME (repeatable) additionally fails the check when the
 named counter track never appears — CI uses it to assert that a
@@ -50,6 +51,7 @@ REQUIRED_BY_PHASE = {
 # exactly these arg keys (a renamed series would silently produce an
 # empty Perfetto track).
 COUNTER_TRACK_ARGS = {
+    "mshr": {"l1", "l2", "inflight_pf"},
     "bandit": {"epsilon", "accuracy"},
     "policy": {"epsilon", "entropy"},
     "mem.l1": {"compulsory", "capacity", "conflict", "pollution"},

@@ -6,8 +6,8 @@
  * the final learning states (e.g. two seeds, or before/after a
  * policy change).
  *
- * Reading a file checks it against every csp-learn-v1 rule (the CST
- * counters add up, snapshot lookups strictly increase, epsilon,
+ * Reading a file checks it against every csp-learn-v2 rule (the CST
+ * counters add up, snapshot instructions strictly increase, epsilon,
  * accuracy and entropy stay in [0, 1], link scores fit Score8); a file
  * that breaks one is refused, naming the rule.
  *

@@ -6,10 +6,10 @@
  * two miss taxonomies (e.g. context vs stride prefetching on the same
  * workload — "where did the misses go").
  *
- * Reading a file checks it against every csp-mem-v1 rule (miss
+ * Reading a file checks it against every csp-mem-v2 rule (miss
  * classes sum to the classified misses, pollution attribution adds up
  * to the pollution class, set indices and shares are in range,
- * timeline positions never decrease); a file that breaks one is
+ * timeline instructions strictly increase); a file that breaks one is
  * refused, naming the rule.
  *
  * Exit codes:

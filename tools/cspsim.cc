@@ -105,7 +105,10 @@ usage()
         "                           bit-identical for any N\n"
         "  --stats-out FILE         full hierarchical stats as JSON\n"
         "  --stats-interval N       sample interval stats every N\n"
-        "                           instructions into a CSV time-series\n"
+        "                           instructions into a CSV time-series;\n"
+        "                           N is also the observation grid of\n"
+        "                           every observer below (default: 64\n"
+        "                           ticks per run)\n"
         "  --stats-csv FILE         interval CSV path (default: derived\n"
         "                           from --stats-out)\n"
         "  --stats-filter PREFIX    keep only stats under the dotted\n"
@@ -121,22 +124,24 @@ usage()
         "                           prefetch lifecycles as async spans,\n"
         "                           demand misses + RL rewards as instant\n"
         "                           events, MSHR occupancy counters\n"
+        "                           (one sample per observation tick)\n"
         "  --trace-sample N         emit 1 in N lifecycle spans and\n"
         "                           instant events (default 1 = all)\n"
-        "  --learn-out FILE         learning-state snapshots, about 32\n"
-        "                           per run (policy epsilon/accuracy/\n"
-        "                           entropy, CST health, top contexts\n"
-        "                           with arm scores) as learn.json,\n"
-        "                           manifest embedded; render with\n"
-        "                           csplearn, diff with cspdiff\n"
+        "  --learn-out FILE         learning-state snapshots, one per\n"
+        "                           observation tick (policy epsilon/\n"
+        "                           accuracy/entropy, CST health, top\n"
+        "                           contexts with arm scores) as\n"
+        "                           learn.json, manifest embedded;\n"
+        "                           render with csplearn, diff with\n"
+        "                           cspdiff\n"
         "  --mem-out FILE           memory-hierarchy observatory export\n"
         "                           (3C+pollution miss taxonomy from\n"
         "                           shadow models, reuse-distance and\n"
         "                           set-pressure telemetry, MSHR/DRAM\n"
-        "                           queue timeline of about 64 samples\n"
-        "                           per run) as mem.json, manifest\n"
-        "                           embedded; render with cspmem, diff\n"
-        "                           with cspdiff\n"
+        "                           queue timeline, one row per tick)\n"
+        "                           as mem.json, manifest embedded;\n"
+        "                           render with cspmem, diff with\n"
+        "                           cspdiff\n"
         "  --profile                attribute wall-clock to simulator\n"
         "                           phases (trace-gen, replay, train/\n"
         "                           predict, memory, stats flush) under\n"
