@@ -13,7 +13,6 @@
 #include <string>
 #include <unistd.h>
 
-#include "core/profiling.h"
 #include "core/rng.h"
 #include "obs/learning.h"
 #include "obs/lifecycle.h"
@@ -419,53 +418,6 @@ BM_TraceObs_Enabled(benchmark::State &s)
 BENCHMARK(BM_TraceObs_Control);
 BENCHMARK(BM_TraceObs_NullSink);
 BENCHMARK(BM_TraceObs_Enabled);
-
-/** Self-profiling overhead on replay. Disabled = no profiler attached
- *  (the unprofiled runFrom instantiation — what every normal run
- *  executes, and what the disabled-rate bench gate compares against
- *  BM_TraceObs_Control). Enabled = a Profiler in the observer bundle,
- *  timing every phase with steady_clock reads. */
-void
-runProfiledReplay(benchmark::State &state, bool profiled)
-{
-    workloads::WorkloadParams params;
-    params.scale = 100000;
-    params.seed = 1;
-    const trace::TraceBuffer trace =
-        workloads::Registry::builtin().create("mcf")->generate(params);
-    SystemConfig config;
-    std::uint64_t insts = 0;
-    for (auto _ : state) {
-        auto prefetcher = sim::makePrefetcher("context", config);
-        sim::Simulator simulator(config);
-        prof::Profiler profiler;
-        obs::RunObserver observer;
-        if (profiled)
-            observer.profiler = &profiler;
-        simulator.setObserver(&observer);
-        const sim::RunStats stats = simulator.run(trace, *prefetcher);
-        benchmark::DoNotOptimize(stats.cycles);
-        benchmark::DoNotOptimize(
-            profiler.ns(prof::Phase::Replay));
-        insts += stats.instructions;
-    }
-    state.counters["insts/s"] = benchmark::Counter(
-        static_cast<double>(insts), benchmark::Counter::kIsRate);
-}
-
-void
-BM_Profile_Disabled(benchmark::State &s)
-{
-    runProfiledReplay(s, false);
-}
-void
-BM_Profile_Enabled(benchmark::State &s)
-{
-    runProfiledReplay(s, true);
-}
-
-BENCHMARK(BM_Profile_Disabled);
-BENCHMARK(BM_Profile_Enabled);
 
 /** Learning-observer overhead on replay, mirroring the TraceObs
  *  trio over the same mcf/context cell:

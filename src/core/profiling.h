@@ -1,18 +1,16 @@
 /**
  * @file
- * Hierarchical self-profiling: RAII scoped phase timers that attribute
- * simulator wall-clock to named phases (trace generation, replay, each
- * prefetcher's train/predict paths, memory-hierarchy work, stats
- * flushing) and publish the accumulated nanoseconds under the `prof.*`
- * subtree of a run's stats registry.
- *
- * A profiler attaches through obs::RunObserver like every other sink,
- * but it alone selects a replay-loop instantiation: the hot loop is
- * only instrumented in the kProfiled=true instantiation of
- * Simulator::runFrom, so runs without --profile execute code with no
- * timer plumbing at all (measured to pay, DESIGN.md §6). The
- * ScopedTimer additionally no-ops on a null Profiler so cold paths can
- * share one spelling for both modes.
+ * The sampled layer ledger: always-on attribution of replay time to the
+ * layers of Simulator::runFrom's loop. About 1 access in kSampleEvery
+ * starts a timed run of kRun accesses, where each layer boundary is one
+ * unfenced counter read (mark()) charged to the layer it closes; the
+ * kBracket untimed accesses before it are timed at their two ends only.
+ * Sample points depend on the access sequence number alone, so `calls`
+ * counts are identical across runs and job counts. A timed access costs
+ * more than its layers less their reads (the reads disturb the code
+ * around them, and the timed code is cold), so the layers keep the split
+ * the timed runs measured, scaled to the bracketed cost of every access.
+ * Counter ticks convert to ns against the replay's steady_clock ends.
  */
 
 #ifndef CSP_CORE_PROFILING_H
@@ -22,110 +20,161 @@
 #include <chrono>
 #include <cstdint>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <x86intrin.h>
+#endif
+
 namespace csp::stats {
 class Registry;
 }
 
 namespace csp::prof {
 
-/** The phases wall-clock is attributed to. Replay is inclusive of the
- *  finer-grained phases nested inside it (mem.access, prefetch.*). */
-enum class Phase : std::uint8_t
+/** The layers replay time is attributed to. Decode through Loop tile a
+ *  timed step: each boundary closes one and opens the next. */
+enum class Layer : std::uint8_t
 {
-    TraceGen,        ///< workload trace generation (or trace load)
-    Replay,          ///< the whole replay loop, inclusive
-    MemAccess,       ///< mem::Hierarchy::access (demand path)
-    MemPrefetch,     ///< mem::Hierarchy::prefetch (dispatch path)
-    PrefetchObserve, ///< Prefetcher::observe, inclusive of train/predict
-    PrefetchTrain,   ///< learning-side work inside observe (context pf)
-    PrefetchPredict, ///< prediction-side work inside observe (context pf)
-    StatsFlush,      ///< interval sampling + end-of-run stats snapshot
+    Decode,      ///< the trace source's next()
+    Cpu,         ///< cpu::CoreModel dispatch, issue and completion
+    Capture,     ///< HwContextTracker capture and update
+    MemAccess,   ///< mem::Hierarchy::access (demand path)
+    Classify,    ///< the Figure-9 benefit classification
+    Observe,     ///< Prefetcher::observe, inclusive of Train/Predict
+    MemPrefetch, ///< request dispatch through mem::Hierarchy::prefetch
+    Loop,        ///< the loop's own bookkeeping between calls
+    Tick,        ///< observation ticks, each timed whole
+    Train,       ///< learning-side work inside Observe (context pf)
+    Predict,     ///< prediction-side work inside Observe (context pf)
     Count,
 };
 
-/** Dotted stat name for @p phase (without the "prof." prefix). */
-const char *phaseStatName(Phase phase);
+/** Dotted stat name for @p layer (without the "prof." prefix). */
+const char *layerName(Layer layer);
 
-/**
- * Per-run accumulator of phase wall-clock. One per simulated run;
- * never shared across threads. registerStats() publishes
- * `prof.<phase>.ns` / `prof.<phase>.calls` counters plus derived
- * per-call and per-access gauges; the registry reads through pointers
- * into this object, so it must outlive any report taken from that
- * registry.
- */
-class Profiler
+inline constexpr std::uint64_t kSampleEvery = 1024; ///< mean run spacing
+inline constexpr std::uint64_t kRun = 16;      ///< accesses per timed run
+inline constexpr std::uint64_t kBracket = 256; ///< bracket before a run
+
+/** The access at which the timed run after the one starting at
+ *  @p start starts (the first run follows 0): a hash of @p start
+ *  spreads the gaps over [kSampleEvery/2, 3*kSampleEvery/2), so runs do
+ *  not alias with a workload's periodic access pattern. */
+std::uint64_t nextTimedRun(std::uint64_t start);
+
+/** One boundary read: the time-stamp counter, unfenced, where the
+ *  target has one. A steady_clock read is ordered, so every boundary
+ *  would wait for the replay's outstanding host cache misses. */
+inline std::int64_t
+readCounter()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    return static_cast<std::int64_t>(__rdtsc());
+#else
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+#endif
+}
+
+/** One run's layer costs. registerStats() publishes
+ *  `prof.<layer>.{ns,calls,ns_per_access}`, `prof.replay.*` and
+ *  `prof.unattributed_frac` = 1 - (layers + ticks) / replay: the
+ *  ledger's own cost, the end-of-run flushes and sampling error. */
+class Ledger
 {
   public:
-    /** Fold @p ns nanoseconds (from @p calls timed sections) into
-     *  @p phase. */
+    /** Whether a timed run is open: marks are only taken inside one. */
+    bool timing() const { return timing_; }
+
+    /** Replay start and end (after @p accesses demand accesses); end()
+     *  converts every layer to nanoseconds. */
+    void begin();
+    void end(std::uint64_t accesses);
+
+    /** Open the bracket of the timed run kBracket accesses ahead. */
+    void openBracket() { bracket_start_ = readCounter(); }
+
+    /** Close the open bracket and start a timed run. */
     void
-    add(Phase phase, std::uint64_t ns, std::uint64_t calls = 1)
+    beginRun()
     {
-        Slot &slot = slots_[static_cast<std::size_t>(phase)];
-        slot.ns += ns;
-        slot.calls += calls;
+        const std::int64_t t = readCounter();
+        bracket_ticks_ += t - bracket_start_;
+        ++brackets_;
+        timing_ = true;
+        prev_ = nested_prev_ = t;
     }
 
-    std::uint64_t
-    ns(Phase phase) const
+    void
+    endRun(std::uint64_t accesses)
     {
-        return slots_[static_cast<std::size_t>(phase)].ns;
+        timing_ = false;
+        timed_accesses_ += accesses;
     }
 
-    std::uint64_t
-    calls(Phase phase) const
+    /** Close @p layer at this boundary, inside a timed run. */
+    void
+    mark(Layer layer)
     {
-        return slots_[static_cast<std::size_t>(phase)].calls;
+        const std::int64_t t = readCounter();
+        charge(layer, t - prev_);
+        prev_ = nested_prev_ = t;
     }
 
-    /** Publish the `prof.*` subtree into @p registry. */
+    /** Close @p layer, nested in the open one: from the last boundary
+     *  of either kind, leaving the open layer open. */
+    void
+    markNested(Layer layer)
+    {
+        const std::int64_t t = readCounter();
+        charge(layer, t - nested_prev_);
+        nested_prev_ = t;
+    }
+
+    /** Charge the tick that started at counter value @p start; an open
+     *  bracket or layer goes on as if it had not run. */
+    void
+    endTick(std::int64_t start)
+    {
+        const std::int64_t elapsed = readCounter() - start;
+        charge(Layer::Tick, elapsed);
+        prev_ += elapsed;
+        nested_prev_ += elapsed;
+        bracket_start_ += elapsed;
+    }
+
     void registerStats(stats::Registry &registry) const;
 
   private:
-    struct Slot
-    {
-        std::uint64_t ns = 0;
-        std::uint64_t calls = 0;
-    };
-    std::array<Slot, static_cast<std::size_t>(Phase::Count)> slots_{};
-};
+    static constexpr std::size_t kLayers =
+        static_cast<std::size_t>(Layer::Count);
 
-/**
- * RAII section timer: measures from construction to destruction and
- * folds the elapsed nanoseconds into one Profiler phase. A null
- * profiler skips the clock reads entirely, so the same spelling works
- * on paths where profiling may be disabled.
- */
-class ScopedTimer
-{
-  public:
-    ScopedTimer(Profiler *profiler, Phase phase)
-        : profiler_(profiler), phase_(phase)
+    void
+    charge(Layer layer, std::int64_t ticks)
     {
-        if (profiler_ != nullptr)
-            start_ = std::chrono::steady_clock::now();
+        ticks_[static_cast<std::size_t>(layer)] += ticks;
+        ++calls_[static_cast<std::size_t>(layer)];
     }
 
-    ~ScopedTimer()
-    {
-        if (profiler_ != nullptr) {
-            const auto ns =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count();
-            profiler_->add(phase_, static_cast<std::uint64_t>(ns));
-        }
-    }
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-  private:
-    Profiler *profiler_;
-    Phase phase_;
-    std::chrono::steady_clock::time_point start_;
+    bool timing_ = false;
+    std::int64_t prev_ = 0;        ///< counter at the last boundary
+    std::int64_t nested_prev_ = 0; ///< ... of either kind
+    std::array<std::int64_t, kLayers> ticks_{};
+    std::array<std::uint64_t, kLayers> calls_{};
+    std::array<std::uint64_t, kLayers> ns_{}; ///< set by end()
+    std::uint64_t timed_accesses_ = 0;
+    std::int64_t bracket_start_ = 0;
+    std::int64_t bracket_ticks_ = 0;
+    std::uint64_t brackets_ = 0;
+    std::uint64_t accesses_ = 0;
+    std::uint64_t replay_ns_ = 0;
+    std::int64_t start_ns_ = 0;
+    std::int64_t start_counter_ = 0;
 };
+
+/** A ledger that never times: what a prefetcher observed outside a
+ *  simulator run points at. */
+inline constinit Ledger idle_ledger;
 
 } // namespace csp::prof
 

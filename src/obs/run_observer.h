@@ -3,14 +3,12 @@
  * The bundle a caller hands to Simulator::setObserver(), and the only
  * way anything attaches to a run: the optional lifecycle tracker
  * (autopsy + Perfetto spans), learning observer (bandit, CST and reward
- * events), memory-hierarchy observer and self-profiler. The simulator
- * passes it to Hierarchy::attach and Prefetcher::attach, which keep the
- * sinks they understand; every sink is null-checked where it fires, so
- * a null sink costs one predictable branch. Periodic observations
- * arrive as Ticks on the simulator's one instruction grid. Only the
- * profiler selects a separate replay-loop instantiation (its timers sit
- * in the hot loop itself); results are bit-identical with any mix
- * attached.
+ * events) and memory-hierarchy observer. The simulator adds its run's
+ * layer ledger and passes the bundle to Hierarchy::attach and
+ * Prefetcher::attach, which keep the sinks they understand; every sink
+ * is null-checked where it fires, so a null sink costs one predictable
+ * branch. Periodic observations arrive as Ticks on the simulator's one
+ * instruction grid. Results are bit-identical with any mix attached.
  */
 
 #ifndef CSP_OBS_RUN_OBSERVER_H
@@ -21,7 +19,7 @@
 #include "core/types.h"
 
 namespace csp::prof {
-class Profiler;
+class Ledger;
 }
 
 namespace csp::obs {
@@ -62,7 +60,7 @@ struct RunObserver
     PrefetchTracker *tracker = nullptr; ///< lifecycle + autopsy sink
     LearningObserver *learn = nullptr;  ///< learning-dynamics sink
     MemObserver *mem = nullptr;         ///< memory-hierarchy sink
-    prof::Profiler *profiler = nullptr; ///< phase-timing sink
+    prof::Ledger *ledger = nullptr; ///< set by the simulator per run
 };
 
 } // namespace csp::obs

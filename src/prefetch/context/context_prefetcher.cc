@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "core/logging.h"
-#include "core/profiling.h"
 #include "core/stats_registry.h"
 #include "core/types.h"
 #include "obs/run_observer.h"
@@ -60,7 +59,9 @@ ContextPrefetcher::attach(const obs::RunObserver *observer)
 {
     obs::LearningObserver *const learn =
         observer != nullptr ? observer->learn : nullptr;
-    profiler_ = observer != nullptr ? observer->profiler : nullptr;
+    ledger_ = observer != nullptr && observer->ledger != nullptr
+                  ? observer->ledger
+                  : &prof::idle_ledger;
     learn_ = learn;
     cst_.setLearningObserver(learn);
     policy_.setLearningObserver(learn);
@@ -109,7 +110,7 @@ void
 ContextPrefetcher::observe(const AccessInfo &info,
                            std::vector<PrefetchRequest> &out)
 {
-    if (learn_ != nullptr || profiler_ != nullptr)
+    if (learn_ != nullptr || ledger_->timing())
         observeImpl<true>(info, out);
     else
         observeImpl<false>(info, out);
@@ -121,16 +122,9 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
                                std::vector<PrefetchRequest> &out)
 {
     CSP_ASSERT(info.context != nullptr);
-    // Train/predict phase attribution (explicit clock reads, not
-    // ScopedTimer, to avoid re-scoping the unit sections): everything
-    // through the collection unit is training, the prediction unit
-    // onward is prediction. No clock is touched unless a profiler is
-    // attached.
-    std::chrono::steady_clock::time_point phase_start;
-    if constexpr (kInstr) {
-        if (profiler_ != nullptr)
-            phase_start = std::chrono::steady_clock::now();
-    }
+    // Train/predict attribution on timed accesses: everything through
+    // the collection unit is training, the prediction unit onward is
+    // prediction.
     const Addr block = alignDown(info.vaddr, config_.block_bytes);
     const AccessSeq seq = info.seq;
     last_cycle_ = info.cycle;
@@ -236,16 +230,8 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
     }
 
     if constexpr (kInstr) {
-        if (profiler_ != nullptr) {
-            const auto now = std::chrono::steady_clock::now();
-            profiler_->add(prof::Phase::PrefetchTrain,
-                           static_cast<std::uint64_t>(
-                               std::chrono::duration_cast<
-                                   std::chrono::nanoseconds>(
-                                   now - phase_start)
-                                   .count()));
-            phase_start = now;
-        }
+        if (ledger_->timing())
+            ledger_->markNested(prof::Layer::Train);
     }
 
     // ------------------------------------------------------------------
@@ -333,15 +319,8 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
     history_.push({reduced_key, full_hash, block, seq});
 
     if constexpr (kInstr) {
-        if (profiler_ != nullptr) {
-            profiler_->add(prof::Phase::PrefetchPredict,
-                           static_cast<std::uint64_t>(
-                               std::chrono::duration_cast<
-                                   std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now() -
-                                   phase_start)
-                                   .count()));
-        }
+        if (ledger_->timing())
+            ledger_->markNested(prof::Layer::Predict);
     }
 }
 

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "core/config.h"
+#include "core/profiling.h"
 #include "core/stats.h"
 #include "prefetch/context/bandit.h"
 #include "prefetch/context/cst.h"
@@ -38,10 +39,6 @@
 #include "prefetch/context/reducer.h"
 #include "prefetch/context/reward.h"
 #include "prefetch/prefetcher.h"
-
-namespace csp::prof {
-class Profiler;
-}
 
 namespace csp::prefetch::ctx {
 
@@ -85,9 +82,9 @@ class ContextPrefetcher final : public Prefetcher
 
     /** Stream learning dynamics — arm selections, epsilon adaptation,
      *  CST probe/insert traffic and reward applications — to the
-     *  bundle's learning observer, and split observe() wall-clock into
-     *  prof.prefetch.train (feedback + collection units) and
-     *  prof.prefetch.predict (prediction unit) on its profiler. */
+     *  bundle's learning observer, and split timed observe() calls
+     *  into prof.prefetch.train (feedback + collection units) and
+     *  prof.prefetch.predict (prediction unit) on its ledger. */
     void attach(const obs::RunObserver *observer) override;
 
     /** Hand the learning observer, if any, a learning-state snapshot. */
@@ -105,12 +102,13 @@ class ContextPrefetcher final : public Prefetcher
   private:
     /**
      * The whole of Algorithm 1, compiled twice: kInstr=true is the
-     * instrumented build (learning observer, phase profiler — each
-     * still null-checked at runtime), kInstr=false is the bare replay
-     * hot path with every observer touch point compiled out. observe()
-     * dispatches on whether either sink is attached, so runs with no
-     * observability attached pay zero instrumentation cost (measured:
-     * folding the two into runtime checks costs 1-5%, DESIGN.md §6).
+     * instrumented build (learning observer, ledger marks — each
+     * still checked at runtime), kInstr=false is the bare replay hot
+     * path with every observer touch point compiled out. observe()
+     * dispatches on whether a learning observer is attached or the
+     * access is timed, so untimed accesses of unobserved runs pay zero
+     * instrumentation cost (measured: folding the two into runtime
+     * checks costs 1-5%, DESIGN.md §6).
      */
     template <bool kInstr>
     void observeImpl(const AccessInfo &info,
@@ -137,7 +135,7 @@ class ContextPrefetcher final : public Prefetcher
     /// path that must mutate the simulator-owned context).
     trace::ContextSnapshot hint_scratch_;
     obs::LearningObserver *learn_ = nullptr; ///< borrowed, may be null
-    prof::Profiler *profiler_ = nullptr; ///< borrowed, may be null
+    prof::Ledger *ledger_ = &prof::idle_ledger; ///< borrowed, never null
     Cycle last_cycle_ = 0; ///< cycle of the access being observed
 };
 

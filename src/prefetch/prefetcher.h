@@ -109,7 +109,7 @@ class Prefetcher
      * Attach the run's observer bundle, or detach it with nullptr (the
      * simulator does, at end of run). A prefetcher keeps only the sinks
      * it feeds: online learners the learning observer, prefetchers with
-     * a meaningful train/predict split the profiler. The default
+     * a meaningful train/predict split the ledger. The default
      * ignores the bundle. Attaching never changes what is predicted.
      */
     virtual void attach(const obs::RunObserver *observer)

@@ -16,7 +16,7 @@
 #include "core/content_store.h"
 #include "core/hashing.h"
 #include "core/logging.h"
-#include "core/profiling.h"
+#include "core/parse.h"
 #include "core/thread_pool.h"
 #include "obs/learning.h"
 #include "obs/lifecycle.h"
@@ -262,13 +262,11 @@ class SweepProgress
 
 /**
  * Simulate @p cell on @p trace with the sinks @p options.observe asks
- * for (plus a profiler for the sweep's profiler_sink), leaving them in
- * @p out. @p trace_gen_ns is the trace's generation time, credited to
- * the cell's profile.
+ * for, leaving them in @p out.
  */
 RunStats
 simulateCell(const SweepCell &cell, const trace::TraceBuffer &trace,
-             std::uint64_t trace_gen_ns, const SweepOptions &options,
+             const SweepOptions &options,
              Simulator::ProgressFn progress, CellOutputs &out)
 {
     // The timeline is too big to buffer, so it streams to its file
@@ -300,12 +298,6 @@ simulateCell(const SweepCell &cell, const trace::TraceBuffer &trace,
             cell.config.memory, obs::MemRecorder::Options(),
             events.get());
         observer.mem = out.memrec.get();
-    }
-    if ((observe & kObserveProfile) || options.profiler_sink != nullptr) {
-        out.profiler = std::make_unique<prof::Profiler>();
-        if (trace_gen_ns != 0)
-            out.profiler->add(prof::Phase::TraceGen, trace_gen_ns);
-        observer.profiler = out.profiler.get();
     }
 
     Simulator simulator(cell.config);
@@ -407,11 +399,16 @@ effectiveScale(std::uint64_t base)
     const char *env = std::getenv("CSP_SCALE");
     if (env == nullptr)
         return base;
-    const double factor = std::atof(env);
-    if (factor <= 0.0)
+    double factor = 0.0;
+    const bool parsed = parseUnsigned(env, factor);
+    const double scaled = static_cast<double>(base) * factor;
+    if (!parsed || factor == 0.0 || !(scaled < std::ldexp(1.0, 64))) {
+        warn("CSP_SCALE: %s ignored (want a positive factor whose "
+             "product with %llu fits in 64 bits)",
+             env, static_cast<unsigned long long>(base));
         return base;
-    return static_cast<std::uint64_t>(
-        static_cast<double>(base) * factor);
+    }
+    return static_cast<std::uint64_t>(scaled);
 }
 
 const RunStats &
@@ -554,22 +551,9 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
     const std::string trace_cache_dir =
         options.trace_cache_dir.empty() ? defaultTraceCacheDir()
                                         : options.trace_cache_dir;
-    std::mutex sink_mutex; // guards options.profiler_sink merges
-    // Each trace's generation time, credited to its cells' profiles.
-    // Slot ti is written once, before any task of trace ti reads it.
-    std::vector<std::uint64_t> trace_gen_ns(n_traces, 0);
     const auto generateTrace = [&](std::size_t ti) {
         const SweepCell &cell = grid[trace_cell[ti]];
-        const auto t0 = std::chrono::steady_clock::now();
-        trace::TraceBuffer buffer =
-            registry.create(cell.workload)->generate(cell.params);
-        trace_gen_ns[ti] = nsSince(t0);
-        if (options.profiler_sink != nullptr) {
-            std::lock_guard<std::mutex> lock(sink_mutex);
-            options.profiler_sink->add(prof::Phase::TraceGen,
-                                       trace_gen_ns[ti]);
-        }
-        return buffer;
+        return registry.create(cell.workload)->generate(cell.params);
     };
 
     // Phase 1: establish every trace's summary (counts + content
@@ -832,7 +816,7 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
                 auto outputs = std::make_shared<CellOutputs>();
                 outputs->trace_digest = summaries[ti].content_digest;
                 stats = simulateCell(
-                    cell, traces[ti], trace_gen_ns[ti], options,
+                    cell, traces[ti], options,
                     track ? progress.hook(j) : Simulator::ProgressFn(),
                     *outputs);
                 cells_simulated.fetch_add(1,
@@ -843,23 +827,6 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
                 }
                 if (track)
                     progress.cellDone(j, /*cached=*/false);
-                if (options.profiler_sink != nullptr) {
-                    // TraceGen already reached the sink where the
-                    // trace was generated.
-                    std::lock_guard<std::mutex> lock(sink_mutex);
-                    for (std::size_t p = 0;
-                         p <
-                         static_cast<std::size_t>(prof::Phase::Count);
-                         ++p) {
-                        const auto phase =
-                            static_cast<prof::Phase>(p);
-                        if (phase == prof::Phase::TraceGen)
-                            continue;
-                        options.profiler_sink->add(
-                            phase, outputs->profiler->ns(phase),
-                            outputs->profiler->calls(phase));
-                    }
-                }
                 if (observed)
                     task_outputs[j] = std::move(outputs);
             }
@@ -924,6 +891,7 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
     }
     // Fold the roll-up into the artefact's cache block and the
     // journal's sweep_end event. No lock: the pool is drained.
+    result.traces_generated = telemetry.traces_generated;
     result.cache_read_ns = telemetry.cache_read_ns;
     result.cache_parse_ns = telemetry.cache_parse_ns;
     result.cache_entry_bytes = telemetry.cache_entry_bytes;

@@ -28,10 +28,6 @@ class MemRecorder;
 class PrefetchTracker;
 } // namespace csp::obs
 
-namespace csp::prof {
-class Profiler;
-}
-
 namespace csp::sim {
 
 class SweepEventJournal;
@@ -56,7 +52,9 @@ std::vector<std::string> allWorkloads();
 /**
  * Effective workload scale: the compiled-in default, scaled by the
  * CSP_SCALE environment variable when set (a multiplier, e.g.
- * CSP_SCALE=4 quadruples every trace).
+ * CSP_SCALE=4 quadruples every trace). A value that is not wholly a
+ * finite positive number, or whose product overflows, is ignored with
+ * a warning.
  */
 std::uint64_t effectiveScale(std::uint64_t base);
 
@@ -90,8 +88,6 @@ struct CellOutputs
     std::unique_ptr<obs::PrefetchTracker> tracker;   ///< kObserveTracker
     std::unique_ptr<obs::LearningRecorder> learner;  ///< kObserveLearn
     std::unique_ptr<obs::MemRecorder> memrec;        ///< kObserveMem
-    /** kObserveProfile; carries the cell's trace-generation time. */
-    std::unique_ptr<prof::Profiler> profiler;
     std::uint64_t trace_digest = 0; ///< content digest of the cell's trace
 };
 
@@ -120,6 +116,7 @@ struct SweepResult
     std::uint64_t cells_cached = 0;
     std::uint64_t cells_simulated = 0;
     std::uint64_t trace_cache_hits = 0; ///< workload traces not regenerated
+    std::uint64_t traces_generated = 0; ///< workload traces generated
     // Warm-path cost attribution, summed over the cached cells (see
     // ResultCache::LoadStats). Side-band telemetry like the manifest's
     // timing block: never part of the deterministic cell data, carried
@@ -154,8 +151,7 @@ enum ObserveSink : unsigned
     kObserveTracker = 1u << 0, ///< lifecycle tracker (autopsy)
     kObserveLearn = 1u << 1,   ///< learning recorder, a snapshot per tick
     kObserveMem = 1u << 2,     ///< memory recorder, a queue row per tick
-    kObserveProfile = 1u << 3, ///< self-profiler
-    kObserveStats = 1u << 4,   ///< full stats report + interval series
+    kObserveStats = 1u << 3,   ///< full stats report + interval series
 };
 
 /** Knobs for runSweep. */
@@ -207,14 +203,6 @@ struct SweepOptions
     std::string result_cache_dir;
     /** Trace-cache directory; empty -> defaultTraceCacheDir(). */
     std::string trace_cache_dir;
-    /**
-     * When set, every simulated cell's phase timings and every trace
-     * generation are merged into this aggregate profiler. Unlike
-     * kObserveProfile it does not make a cell observed. The warm-sweep
-     * tests use it to assert a fully cached run does zero simulation
-     * work: Replay / MemAccess / TraceGen call counts stay 0.
-     */
-    prof::Profiler *profiler_sink = nullptr;
     /**
      * When non-null (and open), runSweep appends csp-events-v1
      * lifecycle events — sweep_start, trace_cache/trace_gen/

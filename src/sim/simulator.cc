@@ -73,24 +73,269 @@ RunStats::toJson() const
 
 namespace {
 
-/** Record source over a materialised vector, matching TraceCursor's
- *  `const TraceRecord *next()` shape for runFrom(). */
-class VectorSource
-{
-  public:
-    explicit VectorSource(const std::vector<TraceRecord> &records)
-        : cur_(records.data()), end_(records.data() + records.size())
-    {}
+using prof::Layer;
 
-    const TraceRecord *
-    next()
+/**
+ * One replay: the models, the run-local counters and the per-access
+ * step, which replays the records up to and including the next demand
+ * access. step<false> is the loop body and carries no timing code;
+ * step<true> is the same code with a ledger boundary after every layer
+ * and runs only inside timedRun().
+ */
+template <typename Source>
+struct Replay
+{
+    Replay(Source &trace, const SystemConfig &system,
+           prefetch::Prefetcher &pf, const obs::RunObserver *observer)
+        : source(trace), config(system), prefetcher(pf),
+          core(system.core), hierarchy(system.memory),
+          hw(system.memory.l1d.line_bytes),
+          bundle(observer != nullptr ? *observer : obs::RunObserver())
     {
-        return cur_ == end_ ? nullptr : cur_++;
+        bundle.ledger = &ledger;
+        hierarchy.attach(&bundle);
+        prefetcher.attach(&bundle);
+    }
+    Replay(const Replay &) = delete;
+    Replay &operator=(const Replay &) = delete;
+
+    /** Replay the trace, then the end-of-run flushes and final tick.
+     *  The ledger costs the loop one compare per access, against its
+     *  next sample point: a bracket opening, or the timed run that
+     *  closes it. */
+    void
+    run()
+    {
+        ledger.begin();
+        AccessSeq timed = prof::nextTimedRun(0);
+        AccessSeq next_sample = timed - prof::kBracket;
+        for (;;) {
+            if (seq == next_sample) [[unlikely]] {
+                if (next_sample != timed) {
+                    ledger.openBracket();
+                    next_sample = timed;
+                } else {
+                    timed = prof::nextTimedRun(timed);
+                    next_sample = timed - prof::kBracket;
+                    if (!timedRun())
+                        break;
+                    continue;
+                }
+            }
+            if (!step<false>())
+                break;
+        }
+        prefetcher.finish();
+        hierarchy.finish();
+        // A final tick, after the end-of-run flushes, covers the
+        // instructions since the last one (none when the last tick
+        // landed on the final instruction).
+        if (ticking && core.instructions() > last_tick)
+            tick(core.elapsed());
+        ledger.end(seq);
     }
 
-  private:
-    const TraceRecord *cur_;
-    const TraceRecord *end_;
+    /** Up to kRun accesses through the timed step; false once the trace
+     *  is exhausted. */
+    [[gnu::noinline]] bool
+    timedRun()
+    {
+        const AccessSeq start = seq;
+        ledger.beginRun();
+        bool more = true;
+        while (more && seq - start < prof::kRun)
+            more = step<true>();
+        ledger.endRun(seq - start);
+        return more;
+    }
+
+    template <bool kTimed>
+    void
+    mark(Layer layer)
+    {
+        if constexpr (kTimed)
+            ledger.mark(layer);
+    }
+
+    /** False once the trace is exhausted. */
+    template <bool kTimed>
+    [[gnu::always_inline]] bool
+    step()
+    {
+        for (;;) {
+            const TraceRecord *rec_ptr = source.next();
+            mark<kTimed>(Layer::Decode);
+            if (rec_ptr == nullptr)
+                return false;
+            const TraceRecord &rec = *rec_ptr;
+            switch (rec.kind) {
+              case InstKind::Compute:
+                core.computeBurst(rec.repeat);
+                mark<kTimed>(Layer::Cpu);
+                break;
+
+              case InstKind::Branch: {
+                const Cycle dispatch = core.dispatchNext();
+                core.complete(dispatch + 1);
+                mark<kTimed>(Layer::Cpu);
+                hw.update(rec);
+                mark<kTimed>(Layer::Capture);
+                break;
+              }
+
+              case InstKind::Load:
+              case InstKind::Store:
+                access<kTimed>(rec);
+                return true;
+            }
+        }
+    }
+
+    template <bool kTimed>
+    [[gnu::always_inline]] void
+    access(const TraceRecord &rec)
+    {
+        const bool is_store = rec.kind == InstKind::Store;
+        const Cycle dispatch = core.dispatchNext();
+        const Cycle issue =
+            is_store ? dispatch
+                     : core.loadIssueAt(dispatch, rec.dep_on_prev_load);
+        mark<kTimed>(Layer::Cpu);
+        const mem::AccessResult result =
+            hierarchy.access(rec.vaddr, issue, is_store, rec.pc);
+        mark<kTimed>(Layer::MemAccess);
+        if (is_store) {
+            // The store buffer hides the fill latency; retirement only
+            // needs the L1 write port.
+            core.complete(issue + config.memory.l1d.access_latency);
+        } else {
+            core.completeLoad(result.complete);
+        }
+        mark<kTimed>(Layer::Cpu);
+
+        // Classify the access (paper Figure 9).
+        const Addr line = hierarchy.lineAddr(rec.vaddr);
+        AccessClass cls;
+        if (result.hit_prefetched_line)
+            cls = AccessClass::HitPrefetchedLine;
+        else if (result.shorter_wait)
+            cls = AccessClass::ShorterWait;
+        else if (!result.l1_miss)
+            cls = AccessClass::HitOlderDemand;
+        else if (predicted_unissued.contains(line))
+            cls = AccessClass::NonTimely;
+        else
+            cls = AccessClass::MissNotPrefetched;
+        ++stats.classes[static_cast<std::size_t>(cls)];
+        if (cls == AccessClass::HitPrefetchedLine ||
+            cls == AccessClass::ShorterWait) {
+            ++useful_hits;
+        }
+        mark<kTimed>(Layer::Classify);
+
+        // Hand the access to the prefetcher and dispatch its requests.
+        hw.captureInto(rec, ctx);
+        mark<kTimed>(Layer::Capture);
+        prefetch::AccessInfo info;
+        info.seq = seq;
+        info.cycle = issue;
+        info.pc = rec.pc;
+        info.vaddr = rec.vaddr;
+        info.line_addr = line;
+        info.is_store = is_store;
+        info.l1_miss = result.l1_miss;
+        info.hit_prefetched_line = result.hit_prefetched_line;
+        info.free_l1_mshrs = hierarchy.freeL1Mshrs(issue);
+        info.loaded_value = is_store ? 0 : rec.loaded_value;
+        info.context = &ctx;
+        requests.clear();
+        mark<kTimed>(Layer::Loop);
+        prefetcher.observe(info, requests);
+        mark<kTimed>(Layer::Observe);
+        for (const prefetch::PrefetchRequest &req : requests) {
+            if (req.shadow) {
+                ++requests_shadow;
+                predicted_unissued.record(hierarchy.lineAddr(req.addr));
+                continue;
+            }
+            ++requests_real;
+            const mem::PrefetchOutcome outcome = hierarchy.prefetch(
+                req.addr, issue, config.context.min_free_mshrs, req.pc);
+            prefetcher.onPrefetchOutcome(req.addr, outcome);
+            if (outcome == mem::PrefetchOutcome::NoMshr)
+                predicted_unissued.record(hierarchy.lineAddr(req.addr));
+        }
+        mark<kTimed>(Layer::MemPrefetch);
+        hw.update(rec);
+        mark<kTimed>(Layer::Capture);
+        ++seq;
+
+        // Observation tick check, on the memory-access path only (every
+        // grid point is crossed within a few hundred instructions on any
+        // workload; the compute/branch paths stay call-free and
+        // register-resident). One tick per crossing, however many grid
+        // points this access spans.
+        if (core.instructions() >= next_tick) [[unlikely]] {
+            tick(issue);
+            while (next_tick <= last_tick)
+                next_tick += tick_every;
+        }
+    }
+
+    /** One observation tick, timed whole as sim.tick. */
+    [[gnu::noinline]] void
+    tick(Cycle now)
+    {
+        const std::int64_t start = prof::readCounter();
+        obs::Tick t;
+        t.instructions = core.instructions();
+        t.cycle = now;
+        t.every = tick_every;
+        t.queue = hierarchy.queueSample(now);
+        if (bundle.tracker != nullptr)
+            bundle.tracker->onTick(t);
+        if (bundle.mem != nullptr)
+            bundle.mem->onTick(t);
+        prefetcher.onTick(t);
+        if (sampler != nullptr)
+            sampler->sample(t.instructions);
+        if (progress)
+            progress(t.instructions);
+        last_tick = t.instructions;
+        ledger.endTick(start);
+    }
+
+    Source &source;
+    const SystemConfig &config;
+    prefetch::Prefetcher &prefetcher;
+    cpu::CoreModel core;
+    mem::Hierarchy hierarchy;
+    trace::HwContextTracker hw;
+    PredictedSet predicted_unissued;
+    RunStats stats;
+    AccessSeq seq = 0;
+    std::vector<prefetch::PrefetchRequest> requests;
+    /// One context snapshot for the whole run; captureInto() writes
+    /// every attribute per access.
+    trace::ContextSnapshot ctx;
+    // Run-local counters that exist only as registry stats.
+    std::uint64_t requests_real = 0;
+    std::uint64_t requests_shadow = 0;
+    std::uint64_t useful_hits = 0;
+    prof::Ledger ledger;
+    /// The caller's sinks plus the ledger: what every layer sees.
+    obs::RunObserver bundle;
+
+    // The one observation clock: every periodic consumer fires on the
+    // same tick, so their rows join on instructions. The hot loop pays
+    // for it with ONE compare against the next grid point (UINT64_MAX
+    // when nothing consumes ticks).
+    stats::IntervalSampler *sampler = nullptr;
+    Simulator::ProgressFn progress;
+    bool ticking = false;
+    std::uint64_t tick_every = 1;
+    std::uint64_t next_tick = UINT64_MAX;
+    std::uint64_t last_tick = 0;
 };
 
 } // namespace
@@ -122,18 +367,7 @@ Simulator::run(const trace::TraceBuffer &trace,
                prefetch::Prefetcher &prefetcher)
 {
     trace::TraceCursor cursor = trace.cursor();
-    return dispatchRun(cursor, trace.instructions(), prefetcher);
-}
-
-RunStats
-Simulator::run(const std::vector<trace::TraceRecord> &records,
-               prefetch::Prefetcher &prefetcher)
-{
-    std::uint64_t instructions = 0;
-    for (const TraceRecord &rec : records)
-        instructions += rec.kind == InstKind::Compute ? rec.repeat : 1;
-    VectorSource source(records);
-    return dispatchRun(source, instructions, prefetcher);
+    return runFrom(cursor, trace.instructions(), prefetcher);
 }
 
 RunStats
@@ -141,47 +375,22 @@ Simulator::run(const trace::MappedTrace &trace,
                prefetch::Prefetcher &prefetcher)
 {
     trace::StreamingTraceSource source(trace);
-    return dispatchRun(source, trace.instructions(), prefetcher);
+    return runFrom(source, trace.instructions(), prefetcher);
 }
+
 
 template <typename Source>
-RunStats
-Simulator::dispatchRun(Source &source, std::uint64_t instructions,
-                       prefetch::Prefetcher &prefetcher)
-{
-    return observer_ != nullptr && observer_->profiler != nullptr
-               ? runFrom<true>(source, instructions, prefetcher)
-               : runFrom<false>(source, instructions, prefetcher);
-}
-
-template <bool kProfiled, typename Source>
 RunStats
 Simulator::runFrom(Source &source, std::uint64_t instructions,
                    prefetch::Prefetcher &prefetcher)
 {
-    // Folds to a compile-time nullptr in the unprofiled instantiation,
-    // so every ScopedTimer below vanishes from its codegen.
-    prof::Profiler *const profiler =
-        kProfiled ? observer_->profiler : nullptr;
-    cpu::CoreModel core(config_.core);
-    mem::Hierarchy hierarchy(config_.memory);
-    hierarchy.attach(observer_);
-    prefetcher.attach(observer_);
-    trace::HwContextTracker hw(config_.memory.l1d.line_bytes);
-    PredictedSet predicted_unissued;
-
-    RunStats stats;
-    AccessSeq seq = 0;
-    std::vector<prefetch::PrefetchRequest> requests;
-
-    // Run-local counters that exist only as registry stats.
-    std::uint64_t requests_real = 0;
-    std::uint64_t requests_shadow = 0;
-    std::uint64_t useful_hits = 0;
+    Replay<Source> replay(source, config_, prefetcher, observer_);
+    const obs::RunObserver &bundle = replay.bundle;
 
     // The run's stats registry: every layer contributes named stats,
     // the registry reads them through pointers/callbacks only when a
     // snapshot is taken (end of run, or each sampling interval).
+    const cpu::CoreModel &core = replay.core;
     stats::Registry registry;
     registry.counter(
         "sim.instructions", [&core] { return core.instructions(); },
@@ -202,23 +411,22 @@ Simulator::runFrom(Source &source, std::uint64_t instructions,
         registry.counter(
             std::string("sim.class.") +
                 accessClassName(static_cast<AccessClass>(c)),
-            &stats.classes[c],
+            &replay.stats.classes[c],
             "demand accesses in this Figure-9 benefit class");
     }
-    registry.counter("sim.prefetch.requests_real", &requests_real,
+    registry.counter("sim.prefetch.requests_real", &replay.requests_real,
                      "real prefetch candidates emitted");
-    registry.counter("sim.prefetch.requests_shadow", &requests_shadow,
+    registry.counter("sim.prefetch.requests_shadow",
+                     &replay.requests_shadow,
                      "shadow (training-only) candidates emitted");
-    registry.counter("sim.prefetch.useful_hits", &useful_hits,
+    registry.counter("sim.prefetch.useful_hits", &replay.useful_hits,
                      "demand accesses sped up by a prefetch");
-    hierarchy.registerStats(registry);
+    replay.hierarchy.registerStats(registry);
     prefetcher.registerStats(registry);
-    if (observer_ != nullptr && observer_->learn != nullptr)
-        observer_->learn->registerStats(registry);
-    if (observer_ != nullptr && observer_->mem != nullptr)
-        observer_->mem->registerStats(registry);
-    if constexpr (kProfiled)
-        profiler->registerStats(registry);
+    if (bundle.learn != nullptr)
+        bundle.learn->registerStats(registry);
+    if (bundle.mem != nullptr)
+        bundle.mem->registerStats(registry);
     registry.formula("mem.mshr.occupancy_avg",
                      "mem.mshr.l1_busy_cycles", "sim.cycles", 1.0,
                      "average L1 MSHR slots in use");
@@ -226,212 +434,40 @@ Simulator::runFrom(Source &source, std::uint64_t instructions,
                      "mem.mshr.l2_busy_cycles", "sim.cycles", 1.0,
                      "average L2 MSHR slots in use");
 
-    // The one observation clock: every periodic consumer fires on the
-    // same tick, so their rows join on instructions. The grid is the
-    // stats interval when set, else about kTicksPerRun ticks per run.
+    // The grid is the stats interval when set, else about kTicksPerRun
+    // ticks per run.
     std::optional<stats::IntervalSampler> sampler;
     if (stats_interval_ != 0)
         sampler.emplace(registry, stats_filter_);
-    obs::PrefetchTracker *const tracker =
-        observer_ != nullptr ? observer_->tracker : nullptr;
-    obs::MemObserver *const mem_obs =
-        observer_ != nullptr ? observer_->mem : nullptr;
-    const bool ticking =
-        sampler || progress_ || tracker != nullptr ||
-        mem_obs != nullptr ||
-        (observer_ != nullptr && observer_->learn != nullptr);
-    const std::uint64_t tick_every =
+    // Registered after the sampler fixed its columns, so wall-clock
+    // never enters the interval series.
+    replay.ledger.registerStats(registry);
+    replay.sampler = sampler ? &*sampler : nullptr;
+    replay.progress = progress_;
+    replay.ticking = sampler || progress_ || bundle.tracker != nullptr ||
+                     bundle.mem != nullptr || bundle.learn != nullptr;
+    replay.tick_every =
         stats_interval_ != 0
             ? stats_interval_
             : std::max<std::uint64_t>(1, instructions / kTicksPerRun);
-    std::uint64_t last_tick = 0;
-    const auto tick = [&](Cycle now) {
-        obs::Tick t;
-        t.instructions = core.instructions();
-        t.cycle = now;
-        t.every = tick_every;
-        t.queue = hierarchy.queueSample(now);
-        if (tracker != nullptr)
-            tracker->onTick(t);
-        if (mem_obs != nullptr)
-            mem_obs->onTick(t);
-        prefetcher.onTick(t);
-        if (sampler) {
-            prof::ScopedTimer timer(profiler, prof::Phase::StatsFlush);
-            sampler->sample(t.instructions);
-        }
-        if (progress_)
-            progress_(t.instructions);
-        last_tick = t.instructions;
-    };
+    if (replay.ticking)
+        replay.next_tick = replay.tick_every;
 
-    // The hot loop pays for instrumentation with ONE compare against
-    // the next grid point (UINT64_MAX when nothing consumes ticks).
-    std::uint64_t next_tick = ticking ? tick_every : UINT64_MAX;
+    replay.run();
 
-    // One context snapshot for the whole run; captureInto() writes
-    // every attribute per access.
-    trace::ContextSnapshot ctx;
-
-    // Replay wall-clock is inclusive of the finer phases timed inside
-    // the loop (mem.access, mem.prefetch, prefetch.observe). Timed
-    // manually rather than via ScopedTimer: the accumulated value must
-    // land in the profiler before the end-of-run registry snapshot.
-    std::chrono::steady_clock::time_point replay_start;
-    if (profiler != nullptr)
-        replay_start = std::chrono::steady_clock::now();
-
-    while (const TraceRecord *rec_ptr = source.next()) {
-        const TraceRecord &rec = *rec_ptr;
-        switch (rec.kind) {
-          case InstKind::Compute:
-            core.computeBurst(rec.repeat);
-            break;
-
-          case InstKind::Branch: {
-            const Cycle dispatch = core.dispatchNext();
-            core.complete(dispatch + 1);
-            hw.update(rec);
-            break;
-          }
-
-          case InstKind::Load:
-          case InstKind::Store: {
-            const bool is_store = rec.kind == InstKind::Store;
-            const Cycle dispatch = core.dispatchNext();
-            const Cycle issue = is_store
-                                    ? dispatch
-                                    : core.loadIssueAt(
-                                          dispatch,
-                                          rec.dep_on_prev_load);
-            mem::AccessResult result;
-            {
-                prof::ScopedTimer timer(profiler,
-                                        prof::Phase::MemAccess);
-                result = hierarchy.access(rec.vaddr, issue, is_store,
-                                          rec.pc);
-            }
-            if (is_store) {
-                // The store buffer hides the fill latency; retirement
-                // only needs the L1 write port.
-                core.complete(
-                    issue + config_.memory.l1d.access_latency);
-            } else {
-                core.completeLoad(result.complete);
-            }
-
-            // Classify the access (paper Figure 9).
-            const Addr line = hierarchy.lineAddr(rec.vaddr);
-            AccessClass cls;
-            if (result.hit_prefetched_line)
-                cls = AccessClass::HitPrefetchedLine;
-            else if (result.shorter_wait)
-                cls = AccessClass::ShorterWait;
-            else if (!result.l1_miss)
-                cls = AccessClass::HitOlderDemand;
-            else if (predicted_unissued.contains(line))
-                cls = AccessClass::NonTimely;
-            else
-                cls = AccessClass::MissNotPrefetched;
-            ++stats.classes[static_cast<std::size_t>(cls)];
-            if (cls == AccessClass::HitPrefetchedLine ||
-                cls == AccessClass::ShorterWait) {
-                ++useful_hits;
-            }
-
-            // Hand the access to the prefetcher and dispatch its
-            // requests.
-            hw.captureInto(rec, ctx);
-            prefetch::AccessInfo info;
-            info.seq = seq;
-            info.cycle = issue;
-            info.pc = rec.pc;
-            info.vaddr = rec.vaddr;
-            info.line_addr = line;
-            info.is_store = is_store;
-            info.l1_miss = result.l1_miss;
-            info.hit_prefetched_line = result.hit_prefetched_line;
-            info.free_l1_mshrs = hierarchy.freeL1Mshrs(issue);
-            info.loaded_value = is_store ? 0 : rec.loaded_value;
-            info.context = &ctx;
-            requests.clear();
-            {
-                prof::ScopedTimer timer(profiler,
-                                        prof::Phase::PrefetchObserve);
-                prefetcher.observe(info, requests);
-            }
-            {
-                prof::ScopedTimer timer(profiler,
-                                        prof::Phase::MemPrefetch);
-                for (const prefetch::PrefetchRequest &req : requests) {
-                    if (req.shadow)
-                        ++requests_shadow;
-                    else
-                        ++requests_real;
-                    if (req.shadow) {
-                        predicted_unissued.record(
-                            hierarchy.lineAddr(req.addr));
-                        continue;
-                    }
-                    const mem::PrefetchOutcome outcome =
-                        hierarchy.prefetch(
-                            req.addr, issue,
-                            config_.context.min_free_mshrs, req.pc);
-                    prefetcher.onPrefetchOutcome(req.addr, outcome);
-                    if (outcome == mem::PrefetchOutcome::NoMshr) {
-                        predicted_unissued.record(
-                            hierarchy.lineAddr(req.addr));
-                    }
-                }
-            }
-
-            hw.update(rec);
-            ++seq;
-
-            // Observation tick check, on the memory-access path only
-            // (every grid point is crossed within a few hundred
-            // instructions on any workload; the compute/branch paths
-            // stay call-free and register-resident). One tick per
-            // crossing, however many grid points this access spans.
-            if (core.instructions() >= next_tick) [[unlikely]] {
-                tick(issue);
-                while (next_tick <= last_tick)
-                    next_tick += tick_every;
-            }
-            break;
-          }
-        }
-    }
-
-    prefetcher.finish();
-    hierarchy.finish();
-    if constexpr (kProfiled) {
-        if (profiler != nullptr) {
-            const auto replay_ns =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - replay_start)
-                    .count();
-            profiler->add(prof::Phase::Replay,
-                          static_cast<std::uint64_t>(replay_ns));
-        }
-    }
-    // A final tick, after the end-of-run flushes, covers the
-    // instructions since the last one (none when the last tick landed
-    // on the final instruction).
-    if (ticking && core.instructions() > last_tick)
-        tick(core.elapsed());
     // Close every still-active lifecycle as Useless and detach the
     // bundle: the prefetcher may outlive this run.
-    if (tracker != nullptr)
-        tracker->finish(core.elapsed());
+    if (bundle.tracker != nullptr)
+        bundle.tracker->finish(core.elapsed());
     prefetcher.attach(nullptr);
 
     // RunStats keeps its public shape but is populated from the
     // registry — the registry is the single source of truth.
+    RunStats &stats = replay.stats;
     stats.instructions =
         static_cast<std::uint64_t>(registry.value("sim.instructions"));
     stats.cycles = static_cast<Cycle>(registry.value("sim.cycles"));
-    stats.hierarchy = hierarchy.stats();
+    stats.hierarchy = replay.hierarchy.stats();
     stats.demand_accesses = static_cast<std::uint64_t>(
         registry.value("mem.l1.demand_accesses"));
     stats.l1_misses =

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "core/config.h"
 #include "core/stats.h"
@@ -176,16 +175,13 @@ class Simulator
 
     /**
      * Attach an observability bundle (lifecycle tracker, learning and
-     * memory observers, self-profiler) for subsequent run() calls;
-     * nullptr (the default) detaches it. Each run hands the bundle to
-     * the hierarchy and the prefetcher and detaches it at the end, so
-     * the prefetcher may outlive the run. A bundle with a profiler
-     * selects the profiled replay-loop instantiation; every other sink
-     * is null-checked where it fires. Results are bit-identical either
-     * way. The bundle and its sinks must outlive the run() call; a
-     * profiler must also outlive any report taken from it, since the
-     * run's registry publishes `prof.*` stats that read through
-     * pointers into it.
+     * memory observers) for subsequent run() calls; nullptr (the
+     * default) detaches it. Each run hands the bundle, with the run's
+     * layer ledger added, to the hierarchy and the prefetcher and
+     * detaches it at the end, so the prefetcher may outlive the run.
+     * Every sink is null-checked where it fires; results are
+     * bit-identical either way. The bundle and its sinks must outlive
+     * the run() call.
      */
     void setObserver(const obs::RunObserver *observer)
     {
@@ -194,15 +190,6 @@ class Simulator
 
     /** Replay @p trace through @p prefetcher; returns the run's stats. */
     RunStats run(const trace::TraceBuffer &trace,
-                 prefetch::Prefetcher &prefetcher);
-
-    /**
-     * Replay an already-materialised record vector. Same replay loop as
-     * the TraceBuffer overload (both instantiate runFrom), so the
-     * golden representation tests can compare packed-trace replay
-     * against a reference std::vector<TraceRecord> trace bit for bit.
-     */
-    RunStats run(const std::vector<trace::TraceRecord> &records,
                  prefetch::Prefetcher &prefetcher);
 
     /**
@@ -223,21 +210,12 @@ class Simulator
     const stats::TimeSeries &lastSeries() const { return last_series_; }
 
   private:
-    /** The replay loop, generic over a `const TraceRecord *next()`
-     *  record source (TraceCursor or a plain vector walker).
-     *  @tparam kProfiled selects the instantiation whose hot loop
-     *  carries phase timers; the false instantiation has none (runtime
-     *  checks instead measured ~3% slower unprofiled, DESIGN.md §6). */
-    template <bool kProfiled, typename Source>
+    /** The replay loop, with its layer ledger (core/profiling.h), over
+     *  a TraceCursor or StreamingTraceSource; @p instructions is the
+     *  source's total, which sizes the observation grid. */
+    template <typename Source>
     RunStats runFrom(Source &source, std::uint64_t instructions,
                      prefetch::Prefetcher &prefetcher);
-
-    /** Picks the runFrom instantiation for the attached profiler;
-     *  @p instructions is the source's total, which sizes the
-     *  observation grid. */
-    template <typename Source>
-    RunStats dispatchRun(Source &source, std::uint64_t instructions,
-                         prefetch::Prefetcher &prefetcher);
 
     SystemConfig config_;
     const obs::RunObserver *observer_ = nullptr;

@@ -74,8 +74,13 @@ TEST(Experiment, EffectiveScaleHonoursEnvironment)
     EXPECT_EQ(effectiveScale(1000), 1000u);
     setenv("CSP_SCALE", "2.5", 1);
     EXPECT_EQ(effectiveScale(1000), 2500u);
-    setenv("CSP_SCALE", "garbage", 1);
-    EXPECT_EQ(effectiveScale(1000), 1000u);
+    // Anything but a whole finite positive factor whose product fits
+    // in 64 bits is ignored.
+    for (const char *bad : {"garbage", "2.5x", "inf", "1e30", "0", "-2",
+                            "nan", ""}) {
+        setenv("CSP_SCALE", bad, 1);
+        EXPECT_EQ(effectiveScale(1000), 1000u) << bad;
+    }
     unsetenv("CSP_SCALE");
 }
 

@@ -37,12 +37,10 @@ makeTrace(std::uint64_t scale = 20000)
         params);
 }
 
-/** One observed context run over @p trace (a TraceBuffer or a record
- *  vector) ticking every @p tick_insts instructions; returns the
- *  recorder after the run. */
-template <typename Trace>
+/** One observed context run over @p trace ticking every @p tick_insts
+ *  instructions; returns the recorder after the run. */
 std::unique_ptr<obs::LearningRecorder>
-observedRun(const Trace &trace, std::uint64_t tick_insts)
+observedRun(const trace::TraceBuffer &trace, std::uint64_t tick_insts)
 {
     SystemConfig config;
     obs::LearningRecorder::Options opts;
@@ -61,24 +59,24 @@ observedRun(const Trace &trace, std::uint64_t tick_insts)
 
 /** @p loads one-instruction loads on consecutive lines, then a compute
  *  burst of @p tail instructions (none when 0). */
-std::vector<trace::TraceRecord>
+trace::TraceBuffer
 loadRun(std::uint64_t loads, std::uint32_t tail)
 {
-    std::vector<trace::TraceRecord> records;
+    trace::TraceBuffer trace;
     for (std::uint64_t i = 0; i < loads; ++i) {
         trace::TraceRecord rec;
         rec.kind = trace::InstKind::Load;
         rec.pc = 0x400;
         rec.vaddr = 0x100000 + i * 64;
-        records.push_back(rec);
+        trace.push(rec);
     }
     if (tail != 0) {
         trace::TraceRecord rec;
         rec.kind = trace::InstKind::Compute;
         rec.repeat = tail;
-        records.push_back(rec);
+        trace.push(rec);
     }
-    return records;
+    return trace;
 }
 
 std::string

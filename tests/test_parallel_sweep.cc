@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/profiling.h"
 #include "core/thread_pool.h"
 #include "diff/csp_diff.h"
 #include "obs/learning.h"
@@ -26,6 +25,7 @@
 #include "obs/mem_recorder.h"
 #include "obs/run_observer.h"
 #include "obs/trace_events.h"
+#include "report_util.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 
@@ -110,21 +110,47 @@ TEST(ParallelSweep, BitIdenticalAcrossJobCounts)
     expectIdenticalSweeps(serial, eight);
 }
 
-/** The instrumented replay loops (prof.* phase timers, learning
- *  observer) must not perturb simulation results: every combination of
- *  profiling and learning hooks, at jobs 1 and 4, is bit-identical to
- *  the plain serial sweep. This is the contract that lets the hot-path
- *  rework template observe()/run() on instrumentation without a
- *  correctness risk. */
+/** The instrumented observe() (learning observer) must not perturb
+ *  simulation results: at jobs 1 and 4 it is bit-identical to the
+ *  plain serial sweep. This is the contract that lets the hot path
+ *  template observe() on instrumentation without a correctness risk.
+ *  (Every sweep keeps the layer ledger, so the plain one is timed
+ *  too.) */
 TEST(ParallelSweep, InstrumentationBitIdenticalAcrossJobCounts)
 {
     const SweepResult plain = smallSweep(1);
-    const unsigned masks[] = {kObserveProfile, kObserveLearn,
-                              kObserveProfile | kObserveLearn};
-    for (const unsigned observe : masks) {
-        expectIdenticalSweeps(plain, instrumentedSweep(1, observe));
-        expectIdenticalSweeps(plain, instrumentedSweep(4, observe));
+    expectIdenticalSweeps(plain, instrumentedSweep(1, kObserveLearn));
+    expectIdenticalSweeps(plain, instrumentedSweep(4, kObserveLearn));
+}
+
+/** The ledger's timed runs start at a function of the access sequence
+ *  alone: every prof.*.calls count of one cell is the same across two
+ *  runs at jobs 1 and 4. */
+TEST(ParallelSweep, LedgerCallsIdenticalAcrossRunsAndJobCounts)
+{
+    workloads::WorkloadParams params;
+    params.scale = 12000;
+    const std::vector<SweepCell> grid = {
+        {"list", params, SystemConfig(), "context", ""}};
+    std::vector<std::vector<std::pair<std::string, double>>> calls;
+    for (const unsigned jobs : {1u, 4u, 1u, 4u}) {
+        SweepOptions options;
+        options.verbose = false;
+        options.jobs = jobs;
+        options.observe = kObserveStats;
+        const SweepResult sweep = runSweep(grid, options);
+        ASSERT_EQ(sweep.cells.size(), 1u);
+        auto &cell_calls = calls.emplace_back();
+        for (const stats::ReportEntry &entry :
+             sweep.cells[0].outputs->report.entries) {
+            const std::string &name = entry.name;
+            if (isProf(name) && name.ends_with(".calls"))
+                cell_calls.emplace_back(name, entry.value);
+        }
     }
+    ASSERT_FALSE(calls[0].empty());
+    for (std::size_t i = 1; i < calls.size(); ++i)
+        EXPECT_EQ(calls[i], calls[0]) << "run " << i;
 }
 
 TEST(ParallelSweep, CellsAssembleRowMajor)
@@ -191,15 +217,13 @@ TEST(ParallelSweep, GridMatchesDirectRunsAndDedups)
 
     for (const unsigned jobs : {1u, 4u}) {
         SCOPED_TRACE(jobs);
-        prof::Profiler sink;
         SweepOptions options;
         options.verbose = false;
         options.jobs = jobs;
-        options.profiler_sink = &sink;
         const SweepResult sweep = runSweep(grid, options);
         ASSERT_EQ(sweep.cells.size(), grid.size());
         EXPECT_EQ(sweep.cells_simulated, kDistinctCells);
-        EXPECT_EQ(sink.calls(prof::Phase::TraceGen), kDistinctTraces);
+        EXPECT_EQ(sweep.traces_generated, kDistinctTraces);
         for (std::size_t i = 0; i < grid.size(); ++i) {
             SCOPED_TRACE(i);
             const SweepCell &cell = grid[i];
@@ -217,46 +241,6 @@ TEST(ParallelSweep, GridMatchesDirectRunsAndDedups)
     }
 }
 
-bool
-isProf(const std::string &name)
-{
-    return name.rfind("prof.", 0) == 0;
-}
-
-/** @p report as JSON without its prof.* wall-clock stats, the only
- *  values two runs of one cell do not share. */
-std::string
-reportJsonWithoutProf(stats::Report report)
-{
-    std::erase_if(report.entries, [](const stats::ReportEntry &entry) {
-        return isProf(entry.name);
-    });
-    return report.toJson();
-}
-
-/** @p series as CSV without its prof.* columns. */
-std::string
-seriesCsvWithoutProf(const stats::TimeSeries &series)
-{
-    stats::TimeSeries kept;
-    std::vector<std::size_t> keep;
-    for (std::size_t c = 0; c < series.columns.size(); ++c) {
-        if (!isProf(series.columns[c])) {
-            keep.push_back(c);
-            kept.columns.push_back(series.columns[c]);
-        }
-    }
-    for (const stats::TimeSeries::Row &row : series.rows) {
-        stats::TimeSeries::Row &copy = kept.rows.emplace_back();
-        copy.instructions = row.instructions;
-        for (const std::size_t c : keep)
-            copy.values.push_back(row.values[c]);
-    }
-    std::ostringstream out;
-    kept.writeCsv(out);
-    return out.str();
-}
-
 /** Every file an observed cell can produce, rendered to strings. */
 struct ObservedFiles
 {
@@ -272,7 +256,9 @@ renderObserved(const CellOutputs &outputs, const std::string &pf)
 {
     ObservedFiles files;
     files.report = reportJsonWithoutProf(outputs.report);
-    files.series = seriesCsvWithoutProf(outputs.series);
+    std::ostringstream series;
+    outputs.series.writeCsv(series);
+    files.series = series.str();
     std::ostringstream autopsy;
     outputs.tracker->writeAutopsyJson(autopsy, pf);
     files.autopsy = autopsy.str();
@@ -302,10 +288,9 @@ directObservedRun(const trace::TraceBuffer &trace, const std::string &pf,
         obs::LearningRecorder::Options(), &events);
     outputs.memrec = std::make_unique<obs::MemRecorder>(
         config.memory, obs::MemRecorder::Options(), &events);
-    prof::Profiler profiler;
     const obs::RunObserver observer{outputs.tracker.get(),
                                     outputs.learner.get(),
-                                    outputs.memrec.get(), &profiler};
+                                    outputs.memrec.get()};
     Simulator simulator(config);
     simulator.setSampling(kStatsInterval);
     simulator.setObserver(&observer);
@@ -336,8 +321,7 @@ readFile(const std::string &path)
 TEST(ParallelSweep, ObservedCellsMatchDirectRunObservers)
 {
     constexpr unsigned kObserveAll = kObserveTracker | kObserveLearn |
-                                     kObserveMem | kObserveProfile |
-                                     kObserveStats;
+                                     kObserveMem | kObserveStats;
     char tmpl[] = "/tmp/csp_observed_XXXXXX";
     ASSERT_NE(mkdtemp(tmpl), nullptr);
     const std::string dir = tmpl;
@@ -370,13 +354,12 @@ TEST(ParallelSweep, ObservedCellsMatchDirectRunObservers)
         options.stats_interval = kStatsInterval;
         const SweepResult sweep = runSweep(grid, options);
         ASSERT_EQ(sweep.cells.size(), lineup.size());
+        EXPECT_EQ(sweep.traces_generated, 1u);
         for (std::size_t i = 0; i < lineup.size(); ++i) {
             SCOPED_TRACE(lineup[i]);
             const CellResult &cell = sweep.cells[i];
             ASSERT_NE(cell.outputs, nullptr);
             EXPECT_EQ(cell.outputs->trace_digest, trace.contentDigest());
-            EXPECT_GT(cell.outputs->profiler->calls(prof::Phase::TraceGen),
-                      0u);
             const ObservedFiles files =
                 renderObserved(*cell.outputs, lineup[i]);
             EXPECT_EQ(files.report, direct[i].report);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/content_store.h"
-#include "core/profiling.h"
 #include "diff/csp_diff.h"
 #include "sim/experiment.h"
 #include "sim/result_cache.h"
@@ -93,23 +92,18 @@ TEST(ResultCache, WarmSweepIsByteIdenticalAndDoesZeroWork)
                                         kPrefetchers.size());
     EXPECT_EQ(cold.cells_cached, 0u);
     EXPECT_EQ(cold.trace_cache_hits, 0u);
+    EXPECT_EQ(cold.traces_generated, kWorkloads.size());
     // Caching must be invisible in the deterministic cell data.
     EXPECT_EQ(cellCsv(baseline), cellCsv(cold));
 
-    prof::Profiler sink;
-    SweepOptions warm_options = cachedOptions(dirs);
-    warm_options.profiler_sink = &sink;
-    const SweepResult warm = sweep(warm_options);
+    const SweepResult warm = sweep(cachedOptions(dirs));
     EXPECT_EQ(warm.cells_cached,
               kWorkloads.size() * kPrefetchers.size());
     EXPECT_EQ(warm.cells_simulated, 0u);
     EXPECT_EQ(warm.trace_cache_hits, kWorkloads.size());
     EXPECT_EQ(cellCsv(cold), cellCsv(warm));
-    // Zero simulation work, asserted via the aggregate prof.*
-    // counters: no trace generation, no replay, no memory accesses.
-    EXPECT_EQ(sink.calls(prof::Phase::TraceGen), 0u);
-    EXPECT_EQ(sink.calls(prof::Phase::Replay), 0u);
-    EXPECT_EQ(sink.calls(prof::Phase::MemAccess), 0u);
+    // Zero simulation work: no trace generated, no cell replayed.
+    EXPECT_EQ(warm.traces_generated, 0u);
     // Manifests of cold and warm describe the same experiment.
     EXPECT_EQ(cold.manifest.config_digest,
               warm.manifest.config_digest);

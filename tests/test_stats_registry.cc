@@ -15,6 +15,7 @@
 #include "core/stats.h"
 #include "core/stats_registry.h"
 #include "prefetch/context/context_prefetcher.h"
+#include "report_util.h"
 #include "sim/simulator.h"
 #include "workloads/registry.h"
 
@@ -473,7 +474,8 @@ TEST(StatsRegistry, EndToEndRunsAreDeterministic)
                                                     config.seed);
         sim::Simulator simulator(config);
         simulator.run(trace, prefetcher);
-        const std::string json = simulator.lastReport().toJson();
+        const std::string json =
+            reportJsonWithoutProf(simulator.lastReport());
         if (i == 0)
             first = json;
         else

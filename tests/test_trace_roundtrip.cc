@@ -5,8 +5,9 @@
  *  and fed every record exactly as the workload pushed it, via the
  *  TraceBuffer push tap. The packed buffer must decode to the exact
  *  same record sequence for every registered workload, and replaying
- *  the reference records must produce bit-identical RunStats to the
- *  packed-trace sweep at jobs=1 and jobs=4. */
+ *  the reference records (pushed into a fresh TraceBuffer) must
+ *  produce bit-identical RunStats to the packed-trace sweep at jobs=1
+ *  and jobs=4. */
 
 #include <gtest/gtest.h>
 
@@ -173,8 +174,9 @@ expectIdenticalStats(const sim::RunStats &a, const sim::RunStats &b,
         << what;
 }
 
-/** Replaying the reference AoS records must match the packed-trace
- *  sweep bit for bit, serial and parallel. */
+/** Replaying the reference AoS records, pushed into a fresh
+ *  TraceBuffer, must match the packed-trace sweep bit for bit, serial
+ *  and parallel. */
 TEST(TraceGoldenStats, ReferenceReplayMatchesSweep)
 {
     const std::vector<std::string> workload_names = {"array", "list",
@@ -190,11 +192,13 @@ TEST(TraceGoldenStats, ReferenceReplayMatchesSweep)
     for (const std::string &wname : workload_names) {
         ReferenceAos ref;
         (void)generateTapped(wname, params, ref);
+        TraceBuffer repacked;
+        for (const TraceRecord &rec : ref.records)
+            repacked.push(rec);
         for (const std::string &pname : prefetchers) {
             auto prefetcher = sim::makePrefetcher(pname, config);
             sim::Simulator simulator(config);
-            expected.push_back(
-                simulator.run(ref.records, *prefetcher));
+            expected.push_back(simulator.run(repacked, *prefetcher));
         }
     }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Bench smoke: perf gauges for the replay, tracing and profiling paths.
+"""Bench smoke: perf gauges for the replay and observer paths.
 
 Runs four quick probes against an existing build tree and writes a
 single JSON scorecard (bench_scorecard.json by default) so CI tracks the
@@ -14,8 +14,8 @@ results/BENCH_PR<N>.json, and CI diffs against the newest of those:
      tree's results/cache happens to be in.
   2. `micro_prefetcher_ops` filtered to the replay-throughput, raw
      trace-decode, per-access observe() (stride, both GHB flavors,
-     context), lifecycle-tracing and self-profiling benchmarks, exported as google-benchmark JSON and
-     distilled to insts/s, bytes/record, and ns/op.
+     context) and observer benchmarks, exported as google-benchmark
+     JSON and distilled to insts/s, bytes/record, and ns/op.
   3. A cold-then-warm `cspsim --workloads` sweep against fresh cache
      directories: the warm pass must be fully memoized (zero cells
      simulated) and at least MIN_WARM_SWEEP_SPEEDUP_X faster end to end.
@@ -38,14 +38,11 @@ compresses worse than MIN_COMPRESSION_X against the retired 56-byte
 array-of-structs record, so a regression in the trace encoding turns
 the bench-smoke job red rather than silently fattening sweeps.
 
-It also gates the four "disabled observability must stay free" bars
+It also gates the three "disabled observability must stay free" bars
 (see MIN_DISABLED_RATE for how the bar relates to timer noise):
 
   - BM_TraceObs_NullSink (observer attached, every sink null) must
     retain at least MIN_DISABLED_RATE of BM_TraceObs_Control's insts/s.
-  - BM_Profile_Disabled (no profiler attached -- the path every normal
-    run takes) must retain at least MIN_DISABLED_RATE of the same
-    control rate, so compiling in --profile costs nothing when unused.
   - BM_LearnObs_NullTap (observer attached, learning observer null)
     must retain at least MIN_DISABLED_RATE of the control rate, so the
     learning hooks cost nothing when --learn-out is not requested.
@@ -94,17 +91,14 @@ AOS_RECORD_BYTES = 56.0
 MIN_COMPRESSION_X = 2.0
 
 # Disabled-path overhead bar, shared by lifecycle tracing (NullSink vs
-# Control), self-profiling (Profile_Disabled vs Control) and the
-# learning and memory observers (NullTap vs Control). Every disabled
-# path runs control's replay instantiation (only a profiler selects
-# another) with each sink's null check false, so their true ratio is
-# ~1.0 -- but on single-vCPU CI runners two identical
-# binaries timed seconds apart measure with up to ~5% spread even on
-# best-of-N medians (measured: Profile_Disabled at 0.95 of control).
-# The bar therefore sits below the noise floor but well above every
-# *enabled* path's level (trace-obs 0.72, profile 0.74, learn-obs 0.86
-# of control), so a hook accidentally left live on the disabled path
-# still turns the job red.
+# Control) and the learning and memory observers (NullTap vs Control).
+# Every disabled path runs control's replay loop with each sink's null
+# check false, so their true ratio is ~1.0 -- but on single-vCPU CI
+# runners two identical binaries timed seconds apart measure with up
+# to ~5% spread even on best-of-N medians. The bar therefore sits below
+# the noise floor but well above every *enabled* path's level
+# (trace-obs 0.72, learn-obs 0.86 of control), so a hook accidentally
+# left live on the disabled path still turns the job red.
 MIN_DISABLED_RATE = 0.92
 
 # Context-prefetcher hot-path bars (PR7). The tuned path replays mcf at
@@ -175,7 +169,7 @@ def run_micro_once(build_dir, min_time, repetitions, raw_out):
             binary,
             "--benchmark_filter="
             "BM_Replay_|BM_ReplayMmap_|BM_Decode_|"
-            "BM_TraceObs_|BM_Profile_|BM_LearnObs_|BM_MemObs_|"
+            "BM_TraceObs_|BM_LearnObs_|BM_MemObs_|"
             "BM_Stride$|BM_GhbGdc$|BM_GhbPcdc$|BM_Context$",
             f"--benchmark_min_time={min_time}",
             f"--benchmark_repetitions={repetitions}",
@@ -243,12 +237,11 @@ def run_manifest(build_dir):
 
 
 def distill(benchmarks):
-    """Split raw entries into replay/tracing/profiling rates + observe costs."""
+    """Split raw entries into replay/observer rates + observe costs."""
     replay = {}
     replay_mmap = {}
     decode = {}
     trace_obs = {}
-    profile = {}
     learn_obs = {}
     mem_obs = {}
     observe_ns = {}
@@ -284,10 +277,6 @@ def distill(benchmarks):
             # BM_TraceObs_<Mode>: lifecycle-tracing replay rates
             mode = name.removeprefix("BM_TraceObs_").lower()
             trace_obs[mode] = round(bench["insts/s"])
-        elif name.startswith("BM_Profile_"):
-            # BM_Profile_<Disabled|Enabled>: self-profiling replay rates
-            mode = name.removeprefix("BM_Profile_").lower()
-            profile[mode] = round(bench["insts/s"])
         elif name.startswith("BM_LearnObs_"):
             # BM_LearnObs_<NullTap|Recorder>: learning-observer rates
             mode = name.removeprefix("BM_LearnObs_").lower()
@@ -299,8 +288,8 @@ def distill(benchmarks):
         else:
             observe_ns[name.removeprefix("BM_").lower()] = round(
                 bench["real_time"], 1)
-    return (replay, replay_mmap, decode, trace_obs, profile, learn_obs,
-            mem_obs, observe_ns)
+    return (replay, replay_mmap, decode, trace_obs, learn_obs, mem_obs,
+            observe_ns)
 
 
 def run_sweep_probe(build_dir, scale, jobs):
@@ -491,16 +480,14 @@ def main():
           f">= {MIN_EVENTS_ENABLED_RATE} required)")
 
     raw_out = args.out + ".raw"
-    (replay, replay_mmap, decode, trace_obs, profile, learn_obs,
-     mem_obs, observe_ns) = distill(
+    (replay, replay_mmap, decode, trace_obs, learn_obs, mem_obs,
+     observe_ns) = distill(
         run_micro(args.build_dir, args.min_time, args.repetitions,
                   args.micro_runs, raw_out))
     os.remove(raw_out)
 
     control = trace_obs.get("control", 0)
     disabled_rate = (trace_obs["nullsink"] / control if control else 0.0)
-    profile_rate = (profile.get("disabled", 0) / control
-                    if control else 0.0)
     learn_rate = (learn_obs.get("nulltap", 0) / control
                   if control else 0.0)
     mem_rate = (mem_obs.get("nulltap", 0) / control if control else 0.0)
@@ -513,7 +500,7 @@ def main():
     mmap_rate = decode.get("mmap", {}).get("insts_per_sec", 0)
     mmap_decode_rate = (mmap_rate / packed_rate if packed_rate else 0.0)
     report = {
-        "schema": "csp-bench-smoke-v7",
+        "schema": "csp-bench-smoke-v8",
         "generated_by": "tools/bench_smoke.py",
         "manifest": run_manifest(args.build_dir),
         "aos_record_bytes": AOS_RECORD_BYTES,
@@ -526,8 +513,6 @@ def main():
         "events_overhead": events,
         "trace_obs_insts_per_sec": trace_obs,
         "trace_obs_disabled_rate": round(disabled_rate, 4),
-        "profile_insts_per_sec": profile,
-        "profile_disabled_rate": round(profile_rate, 4),
         "learn_obs_insts_per_sec": learn_obs,
         "learn_obs_disabled_rate": round(learn_rate, 4),
         "mem_obs_insts_per_sec": mem_obs,
@@ -563,9 +548,6 @@ def main():
     for mode in ("control", "nullsink", "enabled"):
         if mode in trace_obs:
             print(f"trace-obs {mode}: {trace_obs[mode] / 1e6:.2f} M insts/s")
-    for mode in ("disabled", "enabled"):
-        if mode in profile:
-            print(f"profile {mode}: {profile[mode] / 1e6:.2f} M insts/s")
     for mode in ("nulltap", "recorder"):
         if mode in learn_obs:
             print(f"learn-obs {mode}: {learn_obs[mode] / 1e6:.2f} "
@@ -575,8 +557,6 @@ def main():
             print(f"mem-obs {mode}: {mem_obs[mode] / 1e6:.2f} "
                   f"M insts/s")
     print(f"trace-obs disabled-path rate: {disabled_rate:.4f} "
-          f"(>= {MIN_DISABLED_RATE} required)")
-    print(f"profile disabled-path rate: {profile_rate:.4f} "
           f"(>= {MIN_DISABLED_RATE} required)")
     print(f"learn-obs disabled-path rate: {learn_rate:.4f} "
           f"(>= {MIN_DISABLED_RATE} required)")
@@ -599,11 +579,6 @@ def main():
     if disabled_rate < MIN_DISABLED_RATE:
         print(f"FAIL: disabled-path tracing keeps only "
               f"{disabled_rate:.4f} of the control replay rate "
-              f"(bar: {MIN_DISABLED_RATE})", file=sys.stderr)
-        failed = True
-    if profile_rate < MIN_DISABLED_RATE:
-        print(f"FAIL: disabled-path profiling keeps only "
-              f"{profile_rate:.4f} of the control replay rate "
               f"(bar: {MIN_DISABLED_RATE})", file=sys.stderr)
         failed = True
     if learn_rate < MIN_DISABLED_RATE:

@@ -6,7 +6,7 @@
  * lineup, with the common configuration knobs exposed as flags. Every
  * invocation is one sim::runSweep grid. With --workload the grid is one
  * workload, rendered as a table, CSV or JSON, plus any per-run outputs
- * (stats, autopsy, Perfetto timeline, learn.json, mem.json, profile).
+ * (stats, autopsy, Perfetto timeline, learn.json, mem.json).
  * With --workloads it is a sweep, cached, printed as the cell CSV.
  *
  * Examples:
@@ -30,7 +30,6 @@
 #include "cli.h"
 #include "core/config.h"
 #include "core/logging.h"
-#include "core/profiling.h"
 #include "core/run_manifest.h"
 #include "obs/learning.h"
 #include "obs/lifecycle.h"
@@ -58,7 +57,6 @@ struct Options
     bool list = false;
     bool describe = false;
     bool verbose = false;
-    bool profile = false;
     bool print_manifest = false;
     unsigned jobs = 0; ///< 0 = auto (CSP_JOBS, else all cores)
     std::string stats_out;
@@ -142,11 +140,6 @@ usage()
         "                           as mem.json, manifest embedded;\n"
         "                           render with cspmem, diff with\n"
         "                           cspdiff\n"
-        "  --profile                attribute wall-clock to simulator\n"
-        "                           phases (trace-gen, replay, train/\n"
-        "                           predict, memory, stats flush) under\n"
-        "                           prof.* in --stats-out, plus a\n"
-        "                           summary on stderr; off = zero-cost\n"
         "  --workloads LIST         sweep mode: run every workload in\n"
         "                           LIST (comma-separated, or one of\n"
         "                           all/ubench/spec/irregular) against\n"
@@ -159,7 +152,7 @@ usage()
         "                           Per-run outputs (--stats-out,\n"
         "                           --stats-interval, --autopsy-out,\n"
         "                           --trace-events, --learn-out,\n"
-        "                           --mem-out, --profile) need --workload\n"
+        "                           --mem-out) need --workload\n"
         "  --sweep-out FILE         write the sweep artefact (manifest,\n"
         "                           cache accounting, cells) as\n"
         "                           csp-sweep-v2 JSON\n"
@@ -269,8 +262,6 @@ parse(int argc, char **argv)
             options.learn_out = need_value(i);
         } else if (arg == "--mem-out") {
             options.mem_out = need_value(i);
-        } else if (arg == "--profile") {
-            options.profile = true;
         } else if (arg == "--workloads") {
             options.sweep_workloads = need_value(i);
         } else if (arg == "--sweep-out") {
@@ -443,7 +434,6 @@ rejectPerRunFlags(const Options &options)
         {"--trace-events", !options.trace_events.empty()},
         {"--learn-out", !options.learn_out.empty()},
         {"--mem-out", !options.mem_out.empty()},
-        {"--profile", options.profile},
     };
     for (const auto &[flag, given] : per_run) {
         if (given) {
@@ -469,8 +459,6 @@ observeMask(const Options &options)
         observe |= sim::kObserveLearn;
     if (!options.mem_out.empty())
         observe |= sim::kObserveMem;
-    if (options.profile)
-        observe |= sim::kObserveProfile;
     if (!options.stats_out.empty() || options.stats_interval != 0)
         observe |= sim::kObserveStats;
     return observe;
@@ -543,23 +531,6 @@ writeRunOutputs(const Options &options, const RunManifest &manifest,
             << ",\"stats\":" << stats_json.str() << "}\n";
         if (options.verbose)
             inform("wrote stats to %s", options.stats_out.c_str());
-    }
-    if (options.profile) {
-        for (const sim::CellResult &cell : result.cells) {
-            const prof::Profiler &profile = *cell.outputs->profiler;
-            for (std::size_t p = 0;
-                 p < static_cast<std::size_t>(prof::Phase::Count); ++p) {
-                const auto phase = static_cast<prof::Phase>(p);
-                if (profile.calls(phase) == 0)
-                    continue;
-                inform("profile %-10s %-16s %10.2f ms %12llu calls",
-                       cell.prefetcher.c_str(),
-                       prof::phaseStatName(phase),
-                       static_cast<double>(profile.ns(phase)) / 1e6,
-                       static_cast<unsigned long long>(
-                           profile.calls(phase)));
-            }
-        }
     }
 }
 
