@@ -48,7 +48,11 @@ layerName(Layer layer)
     static constexpr const char *kNames[] = {
         "trace.decode", "cpu",          "trace.capture", "mem.access",
         "sim.classify", "prefetch.observe", "mem.prefetch", "sim.loop",
-        "sim.tick",     "prefetch.train",   "prefetch.predict"};
+        "sim.tick",     "prefetch.train",   "prefetch.predict",
+        "prefetch.feedback", "prefetch.index", "prefetch.collect",
+        "prefetch.select",   "prefetch.enqueue"};
+    static_assert(std::size(kNames) ==
+                  static_cast<std::size_t>(Layer::Count));
     return kNames[static_cast<std::size_t>(layer)];
 }
 
@@ -90,17 +94,27 @@ Ledger::end(std::uint64_t accesses)
     const auto at = [](Layer layer) {
         return static_cast<std::size_t>(layer);
     };
+    std::uint64_t nested = 0;
+    for (std::size_t i = at(Layer::Feedback); i < kLayers; ++i)
+        nested += calls_[i];
     std::array<double, kLayers> layer_ticks{};
     double timed = 0.0;
     for (std::size_t i = 0; i < kLayers; ++i) {
-        const std::uint64_t nested =
-            i == at(Layer::Observe)
-                ? calls_[at(Layer::Train)] + calls_[at(Layer::Predict)]
-                : 0;
-        layer_ticks[i] = self(ticks_[i], calls_[i] + nested);
+        layer_ticks[i] = self(
+            ticks_[i], calls_[i] + (i == at(Layer::Observe) ? nested : 0));
         if (i <= at(Layer::Loop))
             timed += layer_ticks[i];
     }
+    const auto sum = [&](Layer total, Layer first, Layer last) {
+        layer_ticks[at(total)] = 0.0;
+        calls_[at(total)] = 0;
+        for (std::size_t i = at(first); i <= at(last); ++i) {
+            layer_ticks[at(total)] += layer_ticks[i];
+            calls_[at(total)] += calls_[i];
+        }
+    };
+    sum(Layer::Train, Layer::Feedback, Layer::Collect);
+    sum(Layer::Predict, Layer::Select, Layer::Enqueue);
     // The factor taking the timed split to the bracketed cost of every
     // access. Ticks are all timed already.
     const double bracketed =

@@ -43,8 +43,15 @@ enum class Layer : std::uint8_t
     MemPrefetch, ///< request dispatch through mem::Hierarchy::prefetch
     Loop,        ///< the loop's own bookkeeping between calls
     Tick,        ///< observation ticks, each timed whole
-    Train,       ///< learning-side work inside Observe (context pf)
-    Predict,     ///< prediction-side work inside Observe (context pf)
+    // Inside Observe (context prefetcher). Train and Predict are never
+    // marked: end() sets each to the sum of the sub-layers after it.
+    Train,       ///< Feedback + Index + Collect
+    Predict,     ///< Select + Enqueue
+    Feedback,    ///< prefetch-queue search and the rewards it applies
+    Index,       ///< full/reduced context hashes and the reducer lookup
+    Collect,     ///< history-ladder CST links and the overload check
+    Select,      ///< degree, best links and the exploration draw
+    Enqueue,     ///< prefetch-queue pushes and the history push
     Count,
 };
 

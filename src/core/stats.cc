@@ -8,21 +8,7 @@ Histogram::Histogram(std::uint64_t max, std::size_t buckets)
     CSP_ASSERT(max > 0 && buckets > 0);
     if (width_ == 0)
         width_ = 1;
-}
-
-void
-Histogram::sample(std::uint64_t value)
-{
-    ++total_;
-    sum_ += value < max_ ? value : max_;
-    if (value >= max_) {
-        ++overflow_;
-        return;
-    }
-    std::size_t idx = value / width_;
-    if (idx >= counts_.size())
-        idx = counts_.size() - 1;
-    ++counts_[idx];
+    shift_ = isPowerOfTwo(width_) ? floorLog2(width_) : kNoShift;
 }
 
 std::uint64_t

@@ -79,7 +79,21 @@ class Histogram
     Histogram(std::uint64_t max, std::size_t buckets);
 
     /** Record one sample. */
-    void sample(std::uint64_t value);
+    void
+    sample(std::uint64_t value)
+    {
+        ++total_;
+        sum_ += value < max_ ? value : max_;
+        if (value >= max_) {
+            ++overflow_;
+            return;
+        }
+        std::size_t idx = shift_ != kNoShift ? value >> shift_
+                                             : value / width_;
+        if (idx >= counts_.size())
+            idx = counts_.size() - 1;
+        ++counts_[idx];
+    }
 
     /** Total number of samples, including overflow. */
     std::uint64_t count() const { return total_; }
@@ -106,8 +120,11 @@ class Histogram
     void clear();
 
   private:
+    static constexpr unsigned kNoShift = ~0u;
+
     std::uint64_t max_;
     std::uint64_t width_;
+    unsigned shift_; ///< log2(width_) when a power of two, else kNoShift
     std::vector<std::uint64_t> counts_;
     std::uint64_t overflow_ = 0;
     std::uint64_t total_ = 0;

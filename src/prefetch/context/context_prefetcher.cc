@@ -1,6 +1,8 @@
 #include "prefetch/context/context_prefetcher.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdlib>
 
 #include "core/logging.h"
@@ -15,6 +17,13 @@ using trace::AttrMask;
 using trace::attrBit;
 
 namespace {
+
+/** Mask keeping the low @p bits bits of a hash. */
+std::uint64_t
+lowBitsMask(unsigned bits)
+{
+    return bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+}
 
 /** Initial active-attribute set for fresh Reducer entries: the load
  *  site plus the compiler hints — cheap, general attributes; the
@@ -43,16 +52,10 @@ ContextPrefetcher::ContextPrefetcher(
       pq_(config.prefetch_queue_entries),
       policy_(config, seed),
       hit_depths_(config.prefetch_queue_entries,
-                  config.prefetch_queue_entries)
+                  config.prefetch_queue_entries),
+      full_hash_mask_(lowBitsMask(config.full_hash_bits)),
+      reduced_key_mask_(lowBitsMask(config.reduced_hash_bits))
 {}
-
-std::int64_t
-ContextPrefetcher::maxDelta() const
-{
-    // Paper: 1-byte delta of cache-line granularity, pointing up to 8kB
-    // in each direction.
-    return 127;
-}
 
 void
 ContextPrefetcher::attach(const obs::RunObserver *observer)
@@ -87,7 +90,7 @@ ContextPrefetcher::onTick(const obs::Tick &tick)
 }
 
 template <bool kInstr>
-void
+inline void
 ContextPrefetcher::expireEntry(const PendingPrefetch &entry)
 {
     const int penalty =
@@ -122,9 +125,14 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
                                std::vector<PrefetchRequest> &out)
 {
     CSP_ASSERT(info.context != nullptr);
-    // Train/predict attribution on timed accesses: everything through
-    // the collection unit is training, the prediction unit onward is
-    // prediction.
+    // Sub-layer attribution on timed accesses (prof::Layer::Feedback
+    // through Enqueue): each mark closes the sub-layer named.
+    const auto mark = [this](prof::Layer layer) {
+        if constexpr (kInstr) {
+            if (ledger_->timing())
+                ledger_->markNested(layer);
+        }
+    };
     const Addr block = alignDown(info.vaddr, config_.block_bytes);
     const AccessSeq seq = info.seq;
     last_cycle_ = info.cycle;
@@ -156,6 +164,7 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
                 }
             }
         });
+    mark(prof::Layer::Feedback);
 
     // ------------------------------------------------------------------
     // Two-level context indexing (Figure 7).
@@ -172,11 +181,19 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
         hint_scratch_.set(Attr::RefForm, 0);
         ctx_view = &hint_scratch_;
     }
+    // The reducer's mask is a prefix of the attribute order, so the
+    // reduced key is a state of the full-context chain: one chain
+    // serves both levels.
+    const std::array<std::uint64_t, trace::kNumAttrs> prefixes =
+        ctx_view->prefixHashes();
     const auto full_hash = static_cast<std::uint16_t>(
-        ctx_view->hash(trace::kAllAttrs, config_.full_hash_bits));
+        prefixes[trace::kNumAttrs - 1] & full_hash_mask_);
     const AttrMask mask = reducer_.lookup(full_hash);
+    CSP_ASSERT(mask != 0 && trace::isPrefixMask(mask));
     const auto reduced_key = static_cast<std::uint32_t>(
-        ctx_view->hash(mask, config_.reduced_hash_bits));
+        prefixes[std::bit_width(static_cast<unsigned>(mask)) - 1] &
+        reduced_key_mask_);
+    mark(prof::Layer::Index);
 
     // ------------------------------------------------------------------
     // Collection unit: bind sampled history contexts to this block.
@@ -185,7 +202,14 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
         expireEntry<kInstr>(entry);
     };
     // Walk the sample ladder directly (same order HistoryQueue::sample
-    // would visit, minus the scratch vector of pointers).
+    // would visit, minus the scratch vector of pointers). The loop's
+    // bounds are read once: the table stores in it may alias them.
+    const unsigned window_lo = reward_.windowLo();
+    const unsigned window_hi = reward_.windowHi();
+    const unsigned overload_threshold = config_.overload_threshold;
+    const unsigned block_shift = floorLog2(config_.block_bytes);
+    const auto block_index =
+        static_cast<std::int64_t>(block >> block_shift);
     for (const unsigned sample_depth : history_.sampleDepths()) {
         const HistoryEntry *hist = history_.at(sample_depth);
         if (hist == nullptr)
@@ -194,20 +218,21 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
         // prefetch window are associated — a context bound to a
         // too-near address would only ever earn late penalties.
         const auto depth = static_cast<unsigned>(seq - hist->seq);
-        if (depth < reward_.windowLo() || depth > reward_.windowHi())
+        if (depth < window_lo || depth > window_hi)
             continue;
+        // blockDelta(hist->line, block, block_bytes), shift hoisted.
         const std::int64_t delta =
-            blockDelta(hist->line, block, config_.block_bytes);
+            block_index -
+            static_cast<std::int64_t>(hist->line >> block_shift);
         if (delta == 0)
             continue;
-        if (std::llabs(delta) > maxDelta()) {
+        if (std::llabs(delta) > kMaxDelta) {
             ++stats_.delta_overflows;
             continue;
         }
         const CstAddResult added = cst_.addLinkT<kInstr>(
             hist->reduced_key, static_cast<std::int32_t>(delta));
-        if (added.inserted)
-            ++stats_.associations;
+        stats_.associations += added.inserted;
         // Overload adaptation: heavy link churn on an entry that is
         // NOT earning rewards means too many distinct futures share
         // one reduced context — split it. Churn on a healthy entry
@@ -215,8 +240,7 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
         // competition and is discarded. addLink already reports the
         // entry's post-insert churn, so the common (quiet) case needs
         // no second table probe.
-        if (added.entry_matches &&
-            added.churn >= config_.overload_threshold) {
+        if (added.entry_matches && added.churn >= overload_threshold) {
             // "Healthy" = some link has accumulated at least one
             // full-strength reward; deliberately independent of the
             // dispatch threshold.
@@ -229,10 +253,7 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
         }
     }
 
-    if constexpr (kInstr) {
-        if (ledger_->timing())
-            ledger_->markNested(prof::Layer::Train);
-    }
+    mark(prof::Layer::Collect);
 
     // ------------------------------------------------------------------
     // Prediction unit: exploit the best links, explore a random one.
@@ -249,21 +270,21 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
     const unsigned n = cst_.bestLinksT<kInstr>(
         reduced_key, deltas, std::min<unsigned>(want, 16),
         /*min_score=*/-1, scores);
+    mark(prof::Layer::Select);
     for (unsigned i = 0; i < n; ++i) {
         const Addr target =
             block + static_cast<Addr>(
                         static_cast<std::int64_t>(deltas[i]) *
                         config_.block_bytes);
         // Unvetted links explore as shadow operations; only links the
-        // reward loop has confirmed dispatch real prefetches.
-        bool shadow = i >= degree ||
-                      scores[i] < config_.real_score_threshold;
-        // Paper: a duplicate of an earlier (dispatched) prefetch
-        // re-enters the queue as a shadow operation to train another
-        // pair. Pending shadows do not block dispatch.
-        if (pq_.pendingReal(target))
-            shadow = true;
-        pq_.push(target, reduced_key, deltas[i], seq, shadow, expiry);
+        // reward loop has confirmed dispatch real prefetches. Paper: a
+        // duplicate of an earlier (dispatched) prefetch re-enters the
+        // queue as a shadow operation to train another pair. Pending
+        // shadows do not block dispatch.
+        const bool shadow = pq_.pushUnlessPendingReal(
+            target, reduced_key, deltas[i], seq,
+            i >= degree || scores[i] < config_.real_score_threshold,
+            expiry);
         // Shadow candidates are reported too (flagged) so the simulator
         // can account "predicted but not issued" demand misses.
         out.push_back({target, shadow, info.pc});
@@ -273,25 +294,32 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
             ++stats_.real_predictions;
         useful = true;
     }
+    mark(prof::Layer::Enqueue);
 
-    if (policy_.explore()) {
-        std::int32_t delta = 0;
-        const bool drew =
-            config_.softmax_exploration
-                ? cst_.softmaxLink(reduced_key, policy_.rng(),
-                                   config_.softmax_temperature, &delta)
-                : cst_.randomLink(reduced_key, policy_.rng(), &delta);
-        if (drew) {
-            const Addr target =
-                block + static_cast<Addr>(
-                            static_cast<std::int64_t>(delta) *
-                            config_.block_bytes);
-            if (!pq_.pending(target)) {
-                pq_.push(target, reduced_key, delta, seq, true, expiry);
-                out.push_back({target, true, info.pc});
-                ++stats_.explorations;
-                ++stats_.shadow_predictions;
-            }
+    // The draw must follow the pushes: an expiry inside one moves the
+    // bandit's epsilon and the scores a softmax draw weighs. So select
+    // and enqueue each close twice.
+    std::int32_t explore_delta = 0;
+    const bool drew =
+        policy_.explore() &&
+        (config_.softmax_exploration
+             ? cst_.softmaxLink(reduced_key, policy_.rng(),
+                                config_.softmax_temperature,
+                                &explore_delta)
+             : cst_.randomLink(reduced_key, policy_.rng(),
+                               &explore_delta));
+    mark(prof::Layer::Select);
+    if (drew) {
+        const Addr target =
+            block + static_cast<Addr>(
+                        static_cast<std::int64_t>(explore_delta) *
+                        config_.block_bytes);
+        if (!pq_.pending(target)) {
+            pq_.push(target, reduced_key, explore_delta, seq, true,
+                     expiry);
+            out.push_back({target, true, info.pc});
+            ++stats_.explorations;
+            ++stats_.shadow_predictions;
         }
     }
 
@@ -317,11 +345,7 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
     // Remember this context for future associations.
     // ------------------------------------------------------------------
     history_.push({reduced_key, full_hash, block, seq});
-
-    if constexpr (kInstr) {
-        if (ledger_->timing())
-            ledger_->markNested(prof::Layer::Predict);
-    }
+    mark(prof::Layer::Enqueue);
 }
 
 void

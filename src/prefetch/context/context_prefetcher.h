@@ -83,8 +83,9 @@ class ContextPrefetcher final : public Prefetcher
     /** Stream learning dynamics — arm selections, epsilon adaptation,
      *  CST probe/insert traffic and reward applications — to the
      *  bundle's learning observer, and split timed observe() calls
-     *  into prof.prefetch.train (feedback + collection units) and
-     *  prof.prefetch.predict (prediction unit) on its ledger. */
+     *  into the prof.prefetch.{feedback,index,collect,select,enqueue}
+     *  sub-layers on its ledger (train is the first three, predict the
+     *  last two). */
     void attach(const obs::RunObserver *observer) override;
 
     /** Hand the learning observer, if any, a learning-state snapshot. */
@@ -115,9 +116,11 @@ class ContextPrefetcher final : public Prefetcher
                      std::vector<PrefetchRequest> &out);
 
     template <bool kInstr>
-    void expireEntry(const PendingPrefetch &entry);
+    [[gnu::always_inline]] void expireEntry(const PendingPrefetch &entry);
 
-    std::int64_t maxDelta() const;
+    /// Paper: 1-byte deltas of cache-line granularity, reaching 8 KiB
+    /// in each direction.
+    static constexpr std::int64_t kMaxDelta = 127;
 
     ContextPrefetcherConfig config_;
     RewardFunction reward_;
@@ -137,6 +140,8 @@ class ContextPrefetcher final : public Prefetcher
     obs::LearningObserver *learn_ = nullptr; ///< borrowed, may be null
     prof::Ledger *ledger_ = &prof::idle_ledger; ///< borrowed, never null
     Cycle last_cycle_ = 0; ///< cycle of the access being observed
+    std::uint64_t full_hash_mask_;   ///< low full_hash_bits
+    std::uint64_t reduced_key_mask_; ///< low reduced_hash_bits
 };
 
 } // namespace csp::prefetch::ctx

@@ -55,72 +55,6 @@ Cst::bestScore(std::uint32_t reduced_key) const
     return best;
 }
 
-template <bool kLearn>
-unsigned
-Cst::bestLinksT(std::uint32_t reduced_key, std::int32_t *out,
-                unsigned max_links, int min_score,
-                int *scores_out) const
-{
-    const std::uint32_t index = indexOf(reduced_key);
-    const Entry &entry = *entryAt(index);
-    const bool hit =
-        entry.valid != 0 && entry.tag == tagOf(reduced_key);
-    const std::int8_t *const deltas = deltasAt(index);
-    const std::int8_t *const scores = deltas + links_per_entry_;
-    if constexpr (kLearn) {
-        if (learn_ != nullptr) {
-            obs::CstProbeEvent probe;
-            probe.hit = hit;
-            if (hit) {
-                std::uint32_t mask = entry.link_mask;
-                while (mask != 0 &&
-                       probe.valid_links < obs::kMaxLearnLinks) {
-                    const unsigned i =
-                        static_cast<unsigned>(std::countr_zero(mask));
-                    mask &= mask - 1;
-                    probe.scores[probe.valid_links++] =
-                        static_cast<int>(scores[i]);
-                }
-            }
-            learn_->onCstProbe(probe);
-        }
-    }
-    if (!hit)
-        return 0;
-    struct Candidate
-    {
-        std::int32_t delta;
-        int score;
-    };
-    Candidate candidates[16];
-    unsigned count = 0;
-    std::uint32_t mask = entry.link_mask;
-    while (mask != 0) {
-        const unsigned i =
-            static_cast<unsigned>(std::countr_zero(mask));
-        mask &= mask - 1;
-        const int score = scores[i];
-        if (score > min_score && count < 16)
-            candidates[count++] = {deltas[i], score};
-    }
-    std::sort(candidates, candidates + count,
-              [](const Candidate &a, const Candidate &b) {
-                  return a.score > b.score;
-              });
-    const unsigned emit = std::min(count, max_links);
-    for (unsigned i = 0; i < emit; ++i) {
-        out[i] = candidates[i].delta;
-        if (scores_out != nullptr)
-            scores_out[i] = candidates[i].score;
-    }
-    return emit;
-}
-
-template unsigned Cst::bestLinksT<false>(std::uint32_t, std::int32_t *,
-                                         unsigned, int, int *) const;
-template unsigned Cst::bestLinksT<true>(std::uint32_t, std::int32_t *,
-                                        unsigned, int, int *) const;
-
 bool
 Cst::randomLink(std::uint32_t reduced_key, Rng &rng,
                 std::int32_t *delta_out) const

@@ -89,7 +89,8 @@ class Cst
     /** addLink with the learning-tap notifications compiled out
      *  (kLearn=false) — the replay hot path's entry point. */
     template <bool kLearn>
-    CstAddResult addLinkT(std::uint32_t reduced_key, std::int32_t delta);
+    [[gnu::always_inline]] CstAddResult
+    addLinkT(std::uint32_t reduced_key, std::int32_t delta);
 
     /** Feedback: apply @p reward to the (key, delta) association. */
     void reward(std::uint32_t reduced_key, std::int32_t delta, int amount);
@@ -113,9 +114,10 @@ class Cst
 
     /** bestLinks with the probe-event notification compiled out. */
     template <bool kLearn>
-    unsigned bestLinksT(std::uint32_t reduced_key, std::int32_t *out,
-                        unsigned max_links, int min_score,
-                        int *scores_out = nullptr) const;
+    [[gnu::always_inline]] unsigned
+    bestLinksT(std::uint32_t reduced_key, std::int32_t *out,
+               unsigned max_links, int min_score,
+               int *scores_out = nullptr) const;
 
     /** Best valid-link score of the entry holding @p reduced_key
      *  (-128 when the entry has no links; key must be present). */
@@ -239,17 +241,51 @@ class Cst
 
     const Entry *entryIfMatch(std::uint32_t reduced_key) const;
 
+    /** The delta and score lanes of a 4-link entry block as one word:
+     *  delta i in byte i, score i in byte 4 + i. */
+    std::uint64_t &
+    linkLanes4(std::uint32_t index)
+    {
+        static_assert(std::endian::native == std::endian::little);
+        return arena_[index * stride_words_ + 1];
+    }
+
+    static int
+    laneScore4(std::uint64_t lanes, unsigned slot)
+    {
+        return static_cast<std::int8_t>(lanes >> (32 + 8 * slot));
+    }
+
+    /** Bit 7 of byte i set iff slot i of @p lanes is live in
+     *  @p link_mask and holds @p delta: one compare over the four
+     *  delta bytes (a zero byte of lanes ^ broadcast(delta), found
+     *  without borrows between bytes), masked by the link mask spread
+     *  to one bit per byte. */
+    static std::uint32_t
+    liveMatches4(std::uint64_t lanes, std::int32_t delta,
+                 std::uint32_t link_mask)
+    {
+        const std::uint32_t x =
+            static_cast<std::uint32_t>(lanes) ^
+            (0x01010101u * static_cast<std::uint8_t>(delta));
+        const std::uint32_t zero =
+            ~(((x & 0x7f7f7f7fu) + 0x7f7f7f7fu) | x | 0x7f7f7f7fu);
+        const std::uint32_t live =
+            (((link_mask & 0xfu) * 0x00204081u) & 0x01010101u) * 0x80u;
+        return zero & live;
+    }
+
     /** addLinkT body, with the link count a compile-time constant on
      *  the common configuration (kLinks = 0 reads it at runtime) so the
      *  per-slot scans fully unroll. */
     template <bool kLearn, unsigned kLinks>
-    CstAddResult addLinkImpl(std::uint32_t reduced_key,
-                             std::int32_t delta);
+    [[gnu::always_inline]] CstAddResult
+    addLinkImpl(std::uint32_t reduced_key, std::int32_t delta);
 
     /** reward() body under the same link-count specialization. */
     template <unsigned kLinks>
-    void rewardImpl(std::uint32_t reduced_key, std::int32_t delta,
-                    int amount);
+    [[gnu::always_inline]] void
+    rewardImpl(std::uint32_t reduced_key, std::int32_t delta, int amount);
 
     unsigned index_bits_;
     std::uint32_t index_mask_;
@@ -266,10 +302,11 @@ class Cst
 };
 
 // The data-collection path runs several times per demand access (one
-// addLink per sampled history depth) and every reward lands here too;
-// both are defined inline so the replay loop never pays a call, and
-// both dispatch to a body whose link count is a compile-time constant
-// for the stock 4-link configuration so every per-slot scan unrolls.
+// addLink per sampled history depth), every reward lands here too and
+// every access ranks one entry's links; all three are inlined so the
+// replay loop never pays a call, and the first two dispatch to a body
+// whose link count is a compile-time constant for the stock 4-link
+// configuration so every per-slot scan unrolls.
 
 template <bool kLearn>
 inline CstAddResult
@@ -281,7 +318,7 @@ Cst::addLinkT(std::uint32_t reduced_key, std::int32_t delta)
 }
 
 template <bool kLearn, unsigned kLinks>
-CstAddResult
+inline CstAddResult
 Cst::addLinkImpl(std::uint32_t reduced_key, std::int32_t delta)
 {
     const unsigned nlinks =
@@ -338,6 +375,62 @@ Cst::addLinkImpl(std::uint32_t reduced_key, std::int32_t delta)
 
     const std::uint32_t full_mask = (1u << nlinks) - 1;
     const std::uint32_t free_bits = ~entry.link_mask & full_mask;
+    if constexpr (kLinks == 4) {
+        // The ladder's links nearly always land on the entry the last
+        // one wrote, so each insertion waits on that one's stores. Both
+        // lanes are one word, read and written whole, so the probe
+        // forwards from the store; the duplicate check is one compare
+        // and the victim a tree of selects. The outcome branches stay:
+        // they predict well, and computing every outcome with selects
+        // measured 1-10% slower (DESIGN.md section 6).
+        std::uint64_t &lanes = linkLanes4(index);
+        if (liveMatches4(lanes, delta, entry.link_mask) != 0) {
+            result.already_present = true;
+            result.entry_matches = true;
+            result.churn = entry.churn;
+            notify();
+            return result;
+        }
+        unsigned slot = static_cast<unsigned>(std::countr_zero(free_bits));
+        if (free_bits == 0) {
+            // The victim: the first strictly-minimal score (a later
+            // slot wins only when strictly lower).
+            const int s0 = laneScore4(lanes, 0);
+            const int s1 = laneScore4(lanes, 1);
+            const int s2 = laneScore4(lanes, 2);
+            const int s3 = laneScore4(lanes, 3);
+            const unsigned low01 = s1 < s0 ? 1 : 0;
+            const unsigned low23 = s3 < s2 ? 3 : 2;
+            const int min01 = std::min(s0, s1);
+            const int min23 = std::min(s2, s3);
+            slot = min23 < min01 ? low23 : low01;
+            // Score-based replacement: only displace non-positive links.
+            if (std::min(min01, min23) > 0) {
+                if (entry.churn < 255)
+                    ++entry.churn;
+                result.entry_matches = true;
+                result.churn = entry.churn;
+                notify();
+                return result;
+            }
+            result.evicted_link = true;
+            ++link_evictions_;
+            if (entry.churn < 255)
+                ++entry.churn;
+        }
+        // New link: this delta, score 0.
+        const unsigned shift = 8 * slot;
+        lanes = (lanes & ~((std::uint64_t{0xff} << shift) |
+                           (std::uint64_t{0xff} << (32 + shift)))) |
+                (std::uint64_t{static_cast<std::uint8_t>(delta)} << shift);
+        entry.link_mask |= static_cast<std::uint16_t>(1u << slot);
+        result.inserted = true;
+        result.entry_matches = true;
+        result.churn = entry.churn;
+        notify();
+        return result;
+    }
+
     const unsigned no_slot = nlinks;
     unsigned weakest = no_slot;
     int weakest_score = 0;
@@ -396,7 +489,7 @@ Cst::reward(std::uint32_t reduced_key, std::int32_t delta, int amount)
 }
 
 template <unsigned kLinks>
-void
+inline void
 Cst::rewardImpl(std::uint32_t reduced_key, std::int32_t delta,
                 int amount)
 {
@@ -406,6 +499,33 @@ Cst::rewardImpl(std::uint32_t reduced_key, std::int32_t delta,
     Entry &entry = *entryAt(index);
     if (entry.valid == 0 || entry.tag != tagOf(reduced_key))
         return;
+    // A rewarded entry is healthy: candidate pressure on it is
+    // competition, not overload. Decay the churn signal so the Reducer
+    // only splits contexts that fail to earn rewards.
+    const auto decay = [&] {
+        if (amount > 0 && entry.churn > 0)
+            --entry.churn;
+    };
+    if constexpr (kLinks == 4) {
+        // Live links hold distinct in-range deltas, so at most one
+        // matches.
+        if (delta != static_cast<std::int8_t>(delta))
+            return;
+        std::uint64_t &lanes = linkLanes4(index);
+        const std::uint32_t match =
+            liveMatches4(lanes, delta, entry.link_mask);
+        if (match == 0)
+            return;
+        const unsigned shift =
+            32 + static_cast<unsigned>(std::countr_zero(match)) / 8 * 8;
+        const int score = static_cast<std::int8_t>(lanes >> shift);
+        const auto next = static_cast<std::uint8_t>(
+            std::clamp(score + amount, -128, 127));
+        lanes = (lanes & ~(std::uint64_t{0xff} << shift)) |
+                (std::uint64_t{next} << shift);
+        decay();
+        return;
+    }
     std::int8_t *const deltas = deltasAt(index);
     std::int8_t *const scores = deltas + nlinks;
     for (unsigned i = 0; i < nlinks; ++i) {
@@ -415,14 +535,77 @@ Cst::rewardImpl(std::uint32_t reduced_key, std::int32_t delta,
             // Branchless saturating apply on the int8 score lane.
             scores[i] = static_cast<std::int8_t>(std::clamp(
                 static_cast<int>(scores[i]) + amount, -128, 127));
-            // A rewarded entry is healthy: candidate pressure on it is
-            // competition, not overload. Decay the churn signal so the
-            // Reducer only splits contexts that fail to earn rewards.
-            if (amount > 0 && entry.churn > 0)
-                --entry.churn;
+            decay();
             return;
         }
     }
+}
+
+template <bool kLearn>
+inline unsigned
+Cst::bestLinksT(std::uint32_t reduced_key, std::int32_t *out,
+                unsigned max_links, int min_score,
+                int *scores_out) const
+{
+    const std::uint32_t index = indexOf(reduced_key);
+    const Entry &entry = *entryAt(index);
+    const bool hit =
+        entry.valid != 0 && entry.tag == tagOf(reduced_key);
+    const std::int8_t *const deltas = deltasAt(index);
+    const std::int8_t *const scores = deltas + links_per_entry_;
+    if constexpr (kLearn) {
+        if (learn_ != nullptr) {
+            obs::CstProbeEvent probe;
+            probe.hit = hit;
+            if (hit) {
+                std::uint32_t mask = entry.link_mask;
+                while (mask != 0 &&
+                       probe.valid_links < obs::kMaxLearnLinks) {
+                    const unsigned i =
+                        static_cast<unsigned>(std::countr_zero(mask));
+                    mask &= mask - 1;
+                    probe.scores[probe.valid_links++] =
+                        static_cast<int>(scores[i]);
+                }
+            }
+            learn_->onCstProbe(probe);
+        }
+    }
+    if (!hit)
+        return 0;
+    struct Candidate
+    {
+        std::int32_t delta;
+        int score;
+    };
+    Candidate candidates[16];
+    unsigned count = 0;
+    std::uint32_t mask = entry.link_mask;
+    while (mask != 0) {
+        const unsigned i =
+            static_cast<unsigned>(std::countr_zero(mask));
+        mask &= mask - 1;
+        const int score = scores[i];
+        if (score > min_score && count < 16)
+            candidates[count++] = {deltas[i], score};
+    }
+    // Stable descending insertion sort: equal scores keep slot order.
+    // This is what std::sort does at this size (libstdc++ sorts up to
+    // 16 elements by insertion), without its call and range checks.
+    for (unsigned i = 1; i < count; ++i) {
+        const Candidate next = candidates[i];
+        unsigned j = i;
+        for (; j > 0 && candidates[j - 1].score < next.score; --j)
+            candidates[j] = candidates[j - 1];
+        candidates[j] = next;
+    }
+    const unsigned emit = std::min(count, max_links);
+    for (unsigned i = 0; i < emit; ++i) {
+        out[i] = candidates[i].delta;
+        if (scores_out != nullptr)
+            scores_out[i] = candidates[i].score;
+    }
+    return emit;
 }
 
 } // namespace csp::prefetch::ctx

@@ -23,8 +23,9 @@ PrefetchQueue::PrefetchQueue(unsigned capacity) : ring_(capacity)
 {
     CSP_ASSERT(capacity > 0);
     words_ = (capacity + 63) / 64;
-    // At most `capacity` distinct lines are indexed at once; 4x slots
-    // keeps the load factor <= 1/4 so probe chains stay short.
+    // At most `capacity` distinct lines are indexed at once (one more
+    // inside a push); 4x slots keeps the load factor near 1/4 so probe
+    // chains stay short.
     const std::size_t slots =
         std::max<std::size_t>(nextPowerOfTwo(capacity) * 4, 8);
     slot_mask_ = slots - 1;
@@ -32,6 +33,7 @@ PrefetchQueue::PrefetchQueue(unsigned capacity) : ring_(capacity)
         64 - static_cast<unsigned>(std::countr_zero(slots));
     slots_.resize(slots);
     bits_.assign(slots * words_, 0);
+    real_.assign(words_, 0);
 }
 
 void
@@ -55,8 +57,10 @@ PrefetchQueue::demoteToShadow(Addr line)
             }
         }
     }
-    if (newest != nullptr)
+    if (newest != nullptr) {
         newest->shadow = true;
+        setReal(static_cast<std::size_t>(newest - ring_.data()), false);
+    }
 }
 
 

@@ -67,19 +67,28 @@ class PrefetchQueue
     push(Addr line, std::uint32_t reduced_key, std::int32_t delta,
          AccessSeq seq, bool shadow, const ExpiryFn &on_expiry)
     {
-        const std::size_t s = head_;
-        if (++head_ == ring_.size())
-            head_ = 0;
-        PendingPrefetch &slot = ring_[s];
-        if (slot.valid && !slot.hit) {
-            indexClearBit(slot.line, s);
-            if constexpr (!kIsNullFn<ExpiryFn>)
-                on_expiry(static_cast<const PendingPrefetch &>(slot));
-        }
-        slot = PendingPrefetch{line, reduced_key, delta, seq, shadow,
-                               false, true};
-        indexSetBit(line, s);
-        ++pushes_;
+        pushAt(indexFindOrInsert(line), line, reduced_key, delta, seq,
+               shadow, on_expiry);
+    }
+
+    /**
+     * push() for a prediction that must not duplicate a dispatched
+     * one: it is stored as shadow when @p shadow is set or an un-hit
+     * REAL entry for @p line was pending before the push evicted the
+     * oldest slot (a pending shadow does not count, so it never blocks
+     * a vetted link from dispatching). One index probe serves the
+     * check and the push. Returns the shadow flag stored.
+     */
+    template <typename ExpiryFn>
+    bool
+    pushUnlessPendingReal(Addr line, std::uint32_t reduced_key,
+                          std::int32_t delta, AccessSeq seq, bool shadow,
+                          const ExpiryFn &on_expiry)
+    {
+        const std::size_t islot = indexFindOrInsert(line);
+        shadow = shadow || anyReal(islot);
+        pushAt(islot, line, reduced_key, delta, seq, shadow, on_expiry);
+        return shadow;
     }
 
     /**
@@ -143,29 +152,6 @@ class PrefetchQueue
         return indexFind(line) != kNoSlot;
     }
 
-    /** True iff an un-hit REAL (dispatched) entry for @p line is
-     *  pending. Only these demote duplicates to shadow; a pending
-     *  shadow must not block a vetted link from dispatching. */
-    bool
-    pendingReal(Addr line) const
-    {
-        const std::size_t islot = indexFind(line);
-        if (islot == kNoSlot)
-            return false;
-        const std::uint64_t *bits = bitsAt(islot);
-        for (unsigned w = 0; w < words_; ++w) {
-            std::uint64_t word = bits[w];
-            while (word != 0) {
-                const unsigned b =
-                    static_cast<unsigned>(std::countr_zero(word));
-                word &= word - 1;
-                if (!ring_[w * 64 + b].shadow)
-                    return true;
-            }
-        }
-        return false;
-    }
-
     /** Flip the most recent un-hit real entry for @p line to shadow
      *  (used when the memory system refused the dispatch). */
     void demoteToShadow(Addr line);
@@ -227,6 +213,53 @@ class PrefetchQueue
         return bits_.data() + islot * words_;
     }
 
+    /** Store a prediction of the line indexed at @p islot in the
+     *  oldest ring slot, expiring what it held. The new entry's bit is
+     *  set before the old entry's is cleared, so @p islot is still
+     *  valid (a clear may erase a slot and shift others). */
+    template <typename ExpiryFn>
+    [[gnu::always_inline]] void
+    pushAt(std::size_t islot, Addr line, std::uint32_t reduced_key,
+           std::int32_t delta, AccessSeq seq, bool shadow,
+           const ExpiryFn &on_expiry)
+    {
+        const std::size_t s = head_;
+        if (++head_ == ring_.size())
+            head_ = 0;
+        PendingPrefetch &slot = ring_[s];
+        // Already set when the expiring entry predicted the same line.
+        bitsAt(islot)[s / 64] |= std::uint64_t{1} << (s % 64);
+        if (slot.valid && !slot.hit) {
+            if (slot.line != line)
+                indexClearBit(slot.line, s);
+            if constexpr (!kIsNullFn<ExpiryFn>)
+                on_expiry(static_cast<const PendingPrefetch &>(slot));
+        }
+        slot = PendingPrefetch{line, reduced_key, delta, seq, shadow,
+                               false, true};
+        setReal(s, !shadow);
+        ++pushes_;
+    }
+
+    /** Record whether ring slot @p s holds a real entry. */
+    void
+    setReal(std::size_t s, bool real)
+    {
+        const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+        real_[s / 64] = (real_[s / 64] & ~bit) | (real ? bit : 0);
+    }
+
+    /** Whether any un-hit entry on @p islot's bitmap is real. */
+    bool
+    anyReal(std::size_t islot) const
+    {
+        const std::uint64_t *bits = bitsAt(islot);
+        std::uint64_t any = 0;
+        for (unsigned w = 0; w < words_; ++w)
+            any |= bits[w] & real_[w];
+        return any != 0;
+    }
+
     /** Index slot holding @p line, or kNoSlot. */
     std::size_t
     indexFind(Addr line) const
@@ -240,23 +273,19 @@ class PrefetchQueue
         return kNoSlot;
     }
 
-    void
-    indexSetBit(Addr line, std::size_t ring_slot)
+    /** Index slot holding @p line, claimed (with its all-zero
+     *  bitmap) when absent. */
+    std::size_t
+    indexFindOrInsert(Addr line)
     {
         std::size_t i = homeOf(line);
         while (slots_[i].used) {
-            if (slots_[i].line == line) {
-                bitsAt(i)[ring_slot / 64] |=
-                    std::uint64_t{1} << (ring_slot % 64);
-                return;
-            }
+            if (slots_[i].line == line)
+                return i;
             i = (i + 1) & slot_mask_;
         }
         slots_[i] = IndexSlot{line, true};
-        // Unused slots hold all-zero bitmaps, so only the new bit is
-        // set.
-        bitsAt(i)[ring_slot / 64] =
-            std::uint64_t{1} << (ring_slot % 64);
+        return i;
     }
 
     void
@@ -274,6 +303,7 @@ class PrefetchQueue
         indexEraseSlot(i);
     }
 
+    /** Erase @p islot, whose bitmap the caller has already emptied. */
     void
     indexEraseSlot(std::size_t islot)
     {
@@ -287,9 +317,12 @@ class PrefetchQueue
             for (;;) {
                 j = (j + 1) & slot_mask_;
                 if (!slots_[j].used) {
-                    std::uint64_t *bits = bitsAt(i);
-                    for (unsigned w = 0; w < words_; ++w)
-                        bits[w] = 0;
+                    // The last hole still holds a moved bitmap's copy.
+                    if (i != islot) {
+                        std::uint64_t *bits = bitsAt(i);
+                        for (unsigned w = 0; w < words_; ++w)
+                            bits[w] = 0;
+                    }
                     return;
                 }
                 const std::size_t h = homeOf(slots_[j].line);
@@ -320,6 +353,11 @@ class PrefetchQueue
     unsigned home_shift_;   ///< 64 - log2(index size)
     std::vector<IndexSlot> slots_;
     std::vector<std::uint64_t> bits_; ///< slots * words_, slot-major
+    /// Ring-slot bitmap, words_ words: bit s set iff ring slot s was
+    /// last written with a real entry that has not been demoted since.
+    /// Only read through an index bitmap, so stale bits of invalid or
+    /// hit slots never count.
+    std::vector<std::uint64_t> real_;
 };
 
 } // namespace csp::prefetch::ctx

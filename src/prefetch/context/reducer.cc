@@ -21,7 +21,7 @@ Reducer::Reducer(const ContextPrefetcherConfig &config,
       table_(config.reducer_entries)
 {
     CSP_ASSERT(isPowerOfTwo(config.reducer_entries));
-    CSP_ASSERT(initial_mask != 0);
+    CSP_ASSERT(initial_mask != 0 && trace::isPrefixMask(initial_mask));
 }
 
 Attr

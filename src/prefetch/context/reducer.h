@@ -17,6 +17,12 @@
  *    never recur usefully (detected as many lookups with no usable
  *    prediction): deactivate the most recently activated attribute,
  *    merging states back together.
+ *
+ * Every mask is therefore a prefix of the activation order
+ * (trace::prefixMask): the initial mask must be one, overload sets the
+ * lowest clear bit and underload clears the highest bit outside the
+ * initial set. The prefetcher relies on this to read both hashes off
+ * one chain (trace::ContextSnapshot::prefixHashes).
  */
 
 #ifndef CSP_PREFETCH_CONTEXT_REDUCER_H
@@ -37,7 +43,8 @@ class Reducer
     /**
      * @param config sizing, adaptation thresholds and the
      *        adaptive_reducer toggle (off freezes masks, ablation).
-     * @param initial_mask attributes active for fresh entries.
+     * @param initial_mask attributes active for fresh entries; a
+     *        non-empty prefix of the activation order.
      */
     Reducer(const ContextPrefetcherConfig &config,
             trace::AttrMask initial_mask);

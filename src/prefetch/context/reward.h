@@ -30,8 +30,14 @@ class RewardFunction
   public:
     explicit RewardFunction(const RewardConfig &config);
 
-    /** Reward for a prediction hit at @p depth demand accesses. */
-    int operator()(unsigned depth) const;
+    /** Reward for a prediction hit at @p depth demand accesses: a
+     *  lookup in a table of the function filled at construction. */
+    int
+    operator()(unsigned depth) const
+    {
+        return depth < table_.size() ? table_[depth]
+                                     : config_.early_penalty;
+    }
 
     /** Reward for a prediction that left the queue unhit. */
     int expiryPenalty() const { return config_.expiry_penalty; }
@@ -49,6 +55,7 @@ class RewardFunction
 
   private:
     RewardConfig config_;
+    std::vector<int> table_; ///< the reward over [0, window_hi]
 };
 
 } // namespace csp::prefetch::ctx

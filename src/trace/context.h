@@ -60,6 +60,20 @@ attrBit(Attr attr)
     return static_cast<AttrMask>(1u << static_cast<unsigned>(attr));
 }
 
+/** Mask of attributes 0..@p k: the only form a Reducer mask takes. */
+constexpr AttrMask
+prefixMask(unsigned k)
+{
+    return static_cast<AttrMask>((2u << k) - 1);
+}
+
+/** True iff @p mask is empty or prefixMask(k) for some k. */
+constexpr bool
+isPrefixMask(AttrMask mask)
+{
+    return (mask & (mask + 1u)) == 0;
+}
+
 /** Human-readable attribute name. */
 const char *attrName(Attr attr);
 
@@ -111,6 +125,23 @@ class ContextSnapshot
             state = hashCombinePremixed(state, lanes_[i]);
         }
         return bits >= 64 ? state : (state & ((1ull << bits) - 1));
+    }
+
+    /**
+     * One chain over every attribute, keeping each prefix state:
+     * element k is hash(prefixMask(k), 64), and the last element is
+     * hash(kAllAttrs, 64). Both indexing levels read from one call.
+     */
+    std::array<std::uint64_t, kNumAttrs>
+    prefixHashes() const
+    {
+        std::array<std::uint64_t, kNumAttrs> prefixes;
+        std::uint64_t state = kWordHasherSeed;
+        for (unsigned i = 0; i < kNumAttrs; ++i) {
+            state = hashCombinePremixed(state, lanes_[i]);
+            prefixes[i] = state;
+        }
+        return prefixes;
     }
 
     /** Debug rendering of all attribute values. */

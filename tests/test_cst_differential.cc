@@ -172,9 +172,10 @@ class ReferenceCst
             std::int32_t delta;
             int score;
         };
-        // Same collection order and the same sort call as the real
-        // table: ties in score keep slot order only because both sides
-        // feed identically ordered arrays to the same sort.
+        // Same collection order as the real table, then std::sort: at
+        // up to 16 elements libstdc++ sorts by insertion, so ties in
+        // score keep slot order, the order the table's own insertion
+        // sort must reproduce.
         Candidate candidates[16];
         unsigned count = 0;
         for (unsigned i = 0; i < links_; ++i) {
@@ -334,12 +335,30 @@ expectSameAddResult(const CstAddResult &a, const CstAddResult &b,
     EXPECT_EQ(a.churn, b.churn) << "op " << op;
 }
 
+/** Where runDifferential draws its deltas from. */
+enum class Deltas
+{
+    /// The whole int8 range, -128 included.
+    Full,
+    /// A handful of values: duplicates hit often, entries fill, and
+    /// the delta lane holds the bytes 0x00, 0x7f, 0x80 and 0xff.
+    Narrow,
+};
+
+/** Which Cst bodies runDifferential drives. */
+enum class Body
+{
+    Plain,   ///< addLink/bestLinks dispatch (no observer: kLearn=false)
+    Learning ///< the kLearn=true bodies, called directly
+};
+
 /** Replay a randomized op mix against both tables and compare every
  *  observable output. Small table + narrow key space force aliasing,
  *  conflicts, full entries, and score-based replacement. */
 void
 runDifferential(unsigned cst_entries, unsigned cst_links,
-                std::uint64_t seed, std::uint64_t ops)
+                std::uint64_t seed, std::uint64_t ops,
+                Deltas delta_mode = Deltas::Full, Body body = Body::Plain)
 {
     ContextPrefetcherConfig config;
     config.cst_entries = cst_entries;
@@ -354,20 +373,29 @@ runDifferential(unsigned cst_entries, unsigned cst_links,
     Rng draw_b(seed ^ 0x9e3779b97f4a7c15ull);
 
     // Keys span 4x the table so tags collide per index; deltas span
-    // the full 1-byte range the prefetcher can produce.
+    // the full 1-byte range a link can hold.
     const std::uint32_t key_space = cst_entries * 4;
+    static constexpr std::int32_t kNarrow[] = {-128, -127, -2, -1, 0,
+                                               1,    2,    126, 127};
+    const auto drawDelta = [&] {
+        if (delta_mode == Deltas::Narrow)
+            return kNarrow[op_rng.below(std::size(kNarrow))];
+        return static_cast<std::int32_t>(op_rng.range(-128, 127));
+    };
+    const auto addLink = [&](std::uint32_t key, std::int32_t delta) {
+        return body == Body::Learning ? cst.addLinkT<true>(key, delta)
+                                      : cst.addLink(key, delta);
+    };
     for (std::uint64_t op = 0; op < ops; ++op) {
         const auto key =
             static_cast<std::uint32_t>(op_rng.below(key_space));
         const auto pick = op_rng.below(100);
         if (pick < 50) {
-            const auto delta = static_cast<std::int32_t>(
-                op_rng.range(-127, 127));
-            expectSameAddResult(cst.addLink(key, delta),
+            const std::int32_t delta = drawDelta();
+            expectSameAddResult(addLink(key, delta),
                                 ref.addLink(key, delta), op);
         } else if (pick < 70) {
-            const auto delta = static_cast<std::int32_t>(
-                op_rng.range(-127, 127));
+            const std::int32_t delta = drawDelta();
             const auto amount =
                 static_cast<int>(op_rng.range(-16, 16));
             cst.reward(key, delta, amount);
@@ -379,8 +407,12 @@ runDifferential(unsigned cst_entries, unsigned cst_links,
                 static_cast<int>(op_rng.range(-2, 4));
             std::int32_t deltas_a[16], deltas_b[16];
             int scores_a[16], scores_b[16];
-            const unsigned na = cst.bestLinks(key, deltas_a, max_links,
-                                              min_score, scores_a);
+            const unsigned na =
+                body == Body::Learning
+                    ? cst.bestLinksT<true>(key, deltas_a, max_links,
+                                           min_score, scores_a)
+                    : cst.bestLinks(key, deltas_a, max_links, min_score,
+                                    scores_a);
             const unsigned nb = ref.bestLinks(key, deltas_b, max_links,
                                               min_score, scores_b);
             ASSERT_EQ(na, nb) << "op " << op;
@@ -459,6 +491,40 @@ TEST(CstDifferential, SingleLinkDegenerate)
 {
     runDifferential(/*cst_entries=*/8, /*cst_links=*/1,
                     /*seed=*/13, /*ops=*/20000);
+}
+
+// The stock geometry finds duplicates with one compare over the four
+// delta bytes and picks victims with selects; the narrow runs aim that
+// compare at the bytes 0x00, 0x7f, 0x80 and 0xff, at frequent
+// duplicates and at full entries.
+
+TEST(CstDifferential, StockGeometryNarrowDeltas)
+{
+    runDifferential(/*cst_entries=*/64, /*cst_links=*/4,
+                    /*seed=*/21, /*ops=*/40000, Deltas::Narrow);
+}
+
+TEST(CstDifferential, RuntimeLinkCountNarrowDeltas)
+{
+    runDifferential(/*cst_entries=*/32, /*cst_links=*/3,
+                    /*seed=*/23, /*ops=*/40000, Deltas::Narrow);
+}
+
+TEST(CstDifferential, StockGeometryLearningBody)
+{
+    runDifferential(/*cst_entries=*/64, /*cst_links=*/4,
+                    /*seed=*/31, /*ops=*/40000, Deltas::Full,
+                    Body::Learning);
+    runDifferential(/*cst_entries=*/64, /*cst_links=*/4,
+                    /*seed=*/33, /*ops=*/40000, Deltas::Narrow,
+                    Body::Learning);
+}
+
+TEST(CstDifferential, RuntimeLinkCountLearningBody)
+{
+    runDifferential(/*cst_entries=*/16, /*cst_links=*/6,
+                    /*seed=*/35, /*ops=*/40000, Deltas::Narrow,
+                    Body::Learning);
 }
 
 } // namespace

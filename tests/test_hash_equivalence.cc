@@ -13,10 +13,14 @@
  * is built for — and checks, for every memory access and a spread of
  * (mask, bits) pairs, that the incremental snapshot, a freshly
  * constructed snapshot, and the explicit WordHasher chain all agree.
+ * It also checks the prefix states of the one full-context chain
+ * (ContextSnapshot::prefixHashes) against the masked hash of each
+ * prefix mask, the identity the prefetcher's two-level index rests on.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -82,6 +86,7 @@ replayAndCompare(const std::string &workload_name)
     ContextSnapshot incremental;
     std::uint64_t accesses = 0;
     std::uint64_t mismatches = 0;
+    std::uint64_t prefix_mismatches = 0;
     for (const TraceRecord &rec : records) {
         if (rec.kind == InstKind::Load ||
             rec.kind == InstKind::Store) {
@@ -94,6 +99,22 @@ replayAndCompare(const std::string &workload_name)
                           incremental.get(static_cast<Attr>(i)));
             }
             ++accesses;
+            // The one chain both indexing levels read: each prefix
+            // state is the hash of that prefix mask, at every width
+            // the prefetcher uses.
+            const std::array<std::uint64_t, kNumAttrs> prefixes =
+                incremental.prefixHashes();
+            for (unsigned k = 0; k < kNumAttrs; ++k) {
+                for (const unsigned bits : {16u, 19u, 64u}) {
+                    const std::uint64_t low =
+                        bits >= 64 ? ~std::uint64_t{0}
+                                   : (std::uint64_t{1} << bits) - 1;
+                    if ((prefixes[k] & low) !=
+                        incremental.hash(prefixMask(k), bits)) {
+                        ++prefix_mismatches;
+                    }
+                }
+            }
             for (const AttrMask mask : masks) {
                 for (const unsigned bits : widths) {
                     const std::uint64_t want =
@@ -109,6 +130,7 @@ replayAndCompare(const std::string &workload_name)
     }
     EXPECT_GT(accesses, 1000u);
     EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(prefix_mismatches, 0u);
 }
 
 TEST(HashEquivalence, McfReplay)

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
+#include "core/rng.h"
 #include "prefetch/context/prefetch_queue.h"
 
 namespace csp::prefetch::ctx {
@@ -131,6 +135,165 @@ TEST(PrefetchQueue, ShadowFlagPreserved)
                    shadow = entry.shadow;
                });
     EXPECT_TRUE(shadow);
+}
+
+TEST(PrefetchQueue, PushUnlessPendingRealSeesTheEvictedSlot)
+{
+    // The only real prediction of 0x1000 sits in the slot this push
+    // evicts: the dedup check must still count it.
+    PrefetchQueue q(2);
+    std::vector<Addr> expired;
+    const auto on_expiry = [&](const PendingPrefetch &entry) {
+        expired.push_back(entry.line);
+    };
+    q.push(0x1000, 1, 1, 0, false, on_expiry);
+    q.push(0x2000, 2, 2, 1, false, on_expiry);
+    EXPECT_TRUE(q.pushUnlessPendingReal(0x1000, 3, 3, 2, false, on_expiry));
+    EXPECT_EQ(expired, std::vector<Addr>{0x1000});
+    EXPECT_TRUE(q.pending(0x1000));
+    // Only a shadow of 0x1000 is pending now, and a shadow does not
+    // block: the flag passes through, both ways.
+    EXPECT_FALSE(q.pushUnlessPendingReal(0x1000, 4, 4, 3, false, on_expiry));
+    EXPECT_TRUE(q.pushUnlessPendingReal(0x3000, 5, 5, 4, true, on_expiry));
+}
+
+/** The queue's semantics restated naively: a ring scanned in slot
+ *  order, no index, no bitmaps. */
+class ReferenceQueue
+{
+  public:
+    explicit ReferenceQueue(unsigned capacity) : ring_(capacity) {}
+
+    template <typename ExpiryFn>
+    void
+    push(Addr line, std::uint32_t key, AccessSeq seq, bool shadow,
+         const ExpiryFn &on_expiry)
+    {
+        PendingPrefetch &slot = ring_[head_];
+        head_ = (head_ + 1) % ring_.size();
+        if (slot.valid && !slot.hit)
+            on_expiry(slot);
+        slot = PendingPrefetch{line, key, 1, seq, shadow, false, true};
+    }
+
+    template <typename HitFn>
+    unsigned
+    onAccess(Addr line, AccessSeq seq, const HitFn &on_hit)
+    {
+        unsigned hits = 0;
+        for (PendingPrefetch &entry : ring_) {
+            if (entry.valid && !entry.hit && entry.line == line) {
+                entry.hit = true;
+                ++hits;
+                on_hit(entry, static_cast<unsigned>(seq - entry.seq));
+            }
+        }
+        return hits;
+    }
+
+    bool
+    pending(Addr line, bool real_only) const
+    {
+        for (const PendingPrefetch &entry : ring_) {
+            if (entry.valid && !entry.hit && entry.line == line &&
+                !(real_only && entry.shadow))
+                return true;
+        }
+        return false;
+    }
+
+    void
+    demoteToShadow(Addr line)
+    {
+        PendingPrefetch *newest = nullptr;
+        for (PendingPrefetch &entry : ring_) {
+            if (entry.valid && !entry.hit && !entry.shadow &&
+                entry.line == line &&
+                (newest == nullptr || entry.seq > newest->seq))
+                newest = &entry;
+        }
+        if (newest != nullptr)
+            newest->shadow = true;
+    }
+
+    template <typename ExpiryFn>
+    void
+    flush(const ExpiryFn &on_expiry)
+    {
+        for (PendingPrefetch &entry : ring_) {
+            if (entry.valid && !entry.hit)
+                on_expiry(entry);
+            entry.valid = false;
+        }
+    }
+
+  private:
+    std::vector<PendingPrefetch> ring_;
+    std::size_t head_ = 0;
+};
+
+/** pushUnlessPendingReal against the reference's check-then-push over
+ *  random pushes, hits, demotions and flushes on a few lines: same
+ *  flags, same expiries and hits in the same order. */
+void
+runPushDifferential(unsigned capacity, std::uint64_t seed)
+{
+    PrefetchQueue queue(capacity);
+    ReferenceQueue ref(capacity);
+    using Event = std::tuple<Addr, std::uint32_t, AccessSeq, bool, unsigned>;
+    std::vector<Event> got_events;
+    std::vector<Event> want_events;
+    const auto recorder = [](std::vector<Event> &events) {
+        return [&events](const PendingPrefetch &entry) {
+            events.emplace_back(entry.line, entry.reduced_key, entry.seq,
+                                entry.shadow, ~0u);
+        };
+    };
+    const auto hit_recorder = [](std::vector<Event> &events) {
+        return [&events](const PendingPrefetch &entry, unsigned depth) {
+            events.emplace_back(entry.line, entry.reduced_key, entry.seq,
+                                entry.shadow, depth);
+        };
+    };
+    Rng rng(seed);
+    std::size_t events = 0;
+    for (AccessSeq seq = 0; seq < 40000; ++seq) {
+        const Addr line = 0x1000 * (1 + rng.below(12));
+        const auto pick = rng.below(100);
+        if (pick < 60) {
+            const bool shadow = rng.chance(0.3);
+            const auto key = static_cast<std::uint32_t>(seq);
+            const bool got = queue.pushUnlessPendingReal(
+                line, key, 1, seq, shadow, recorder(got_events));
+            const bool want = shadow || ref.pending(line, true);
+            ref.push(line, key, seq, want, recorder(want_events));
+            ASSERT_EQ(got, want) << "seq " << seq;
+        } else if (pick < 85) {
+            EXPECT_EQ(queue.onAccess(line, seq, hit_recorder(got_events)),
+                      ref.onAccess(line, seq, hit_recorder(want_events)))
+                << "seq " << seq;
+        } else if (pick < 97) {
+            queue.demoteToShadow(line);
+            ref.demoteToShadow(line);
+        } else if (pick < 99) {
+            EXPECT_EQ(queue.pending(line), ref.pending(line, false))
+                << "seq " << seq;
+        } else {
+            queue.flush(recorder(got_events));
+            ref.flush(recorder(want_events));
+        }
+        ASSERT_EQ(got_events, want_events) << "seq " << seq;
+        events += got_events.size();
+        got_events.clear();
+        want_events.clear();
+    }
+    EXPECT_GT(events, 0u);
+}
+
+TEST(PrefetchQueue, PushUnlessPendingRealMatchesCheckThenPush)
+{
+    runPushDifferential(/*capacity=*/8, /*seed=*/3);
+    runPushDifferential(/*capacity=*/130, /*seed=*/4); // 3 bitmap words
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 
 #include <bit>
 
+#include "core/rng.h"
 #include "prefetch/context/reducer.h"
 
 namespace csp::prefetch::ctx {
@@ -155,6 +156,47 @@ TEST(Reducer, ResetClearsEntries)
     reducer.reset();
     EXPECT_EQ(reducer.lookup(7), initialMask());
     EXPECT_DOUBLE_EQ(reducer.meanActiveAttrs(), 1.0 * 2);
+}
+
+// The prefetcher reads the reduced key off the full-context hash chain
+// (trace::ContextSnapshot::prefixHashes), which is only right while
+// every mask is a prefix {0..k} of the activation order. Random
+// overload/underload/outcome sequences, over a small table so entries
+// also get displaced, must never leave another shape.
+TEST(Reducer, MasksStayPrefixesUnderRandomAdaptation)
+{
+    const AttrMask hints = attrBit(Attr::IP) | attrBit(Attr::TypeInfo) |
+                           attrBit(Attr::LinkOffset) |
+                           attrBit(Attr::RefForm);
+    for (const AttrMask initial : {attrBit(Attr::IP), hints}) {
+        Reducer reducer(smallConfig(), initial);
+        Rng rng(initial);
+        for (int step = 0; step < 20000; ++step) {
+            const auto key = static_cast<std::uint16_t>(rng.below(256));
+            switch (rng.below(4)) {
+            case 0:
+                reducer.onOverload(key);
+                break;
+            case 1:
+                reducer.onUnderload(key);
+                break;
+            default:
+                reducer.recordOutcome(key, rng.chance(0.2));
+                break;
+            }
+            const AttrMask mask = reducer.lookup(key);
+            ASSERT_EQ(mask & (mask + 1), 0) << "step " << step;
+            ASSERT_EQ(mask & initial, initial) << "step " << step;
+        }
+    }
+}
+
+TEST(ReducerDeathTest, InitialMaskMustBeAPrefix)
+{
+    EXPECT_DEATH(Reducer(smallConfig(), attrBit(Attr::TypeInfo)), "");
+    EXPECT_DEATH(Reducer(smallConfig(),
+                         attrBit(Attr::IP) | attrBit(Attr::RefForm)),
+                 "");
 }
 
 } // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "prefetch/context/reward.h"
 
 namespace csp::prefetch::ctx {
@@ -76,6 +82,50 @@ TEST(Reward, TabulateMatchesOperator)
     ASSERT_EQ(table.size(), 101u);
     for (unsigned d = 0; d <= 100; ++d)
         EXPECT_EQ(table[d], reward(d));
+}
+
+/** The reward function's formula, restated independently of
+ *  RewardFunction (section 4.3: a Gaussian bell over the window, at
+ *  least +1 inside it, flat penalties outside). */
+int
+referenceReward(const RewardConfig &config, unsigned depth)
+{
+    if (depth < config.window_lo)
+        return config.late_penalty;
+    if (depth > config.window_hi)
+        return config.early_penalty;
+    const double sigma =
+        static_cast<double>(config.window_hi - config.window_lo) / 4.0;
+    const double x = (static_cast<double>(depth) -
+                      static_cast<double>(config.window_center)) /
+                     sigma;
+    const long reward = std::lround(std::exp(-0.5 * x * x) *
+                                    static_cast<double>(config.peak_reward));
+    return std::max(1, static_cast<int>(reward));
+}
+
+// operator() reads a table filled at construction; it must equal the
+// formula everywhere, past the table's end too, for the stock config
+// and every reward geometry bench/ablation_context runs.
+TEST(Reward, TableMatchesClosedForm)
+{
+    std::vector<std::pair<std::string, ContextPrefetcherConfig>> configs;
+    configs.emplace_back("full (paper)", ContextPrefetcherConfig{});
+    ContextPrefetcherConfig no_negative;
+    no_negative.negative_rewards = false;
+    configs.emplace_back("no negative rewards", no_negative);
+    ContextPrefetcherConfig flat;
+    flat.reward.peak_reward = 4;
+    flat.reward.window_center =
+        (flat.reward.window_lo + flat.reward.window_hi) / 2;
+    configs.emplace_back("flat reward (no bell)", flat);
+    for (const auto &[name, config] : configs) {
+        const RewardFunction reward(config.reward);
+        for (unsigned d = 0; d <= 4 * config.reward.window_hi; ++d) {
+            EXPECT_EQ(reward(d), referenceReward(config.reward, d))
+                << name << " depth " << d;
+        }
+    }
 }
 
 /** Property sweep over alternative window geometries. */

@@ -173,6 +173,28 @@ TEST(Simulator, LedgerAttributesEveryLayer)
         EXPECT_GT(report.value(base + ".ns"), 0.0) << base;
         EXPECT_GT(report.value(base + ".ns_per_access"), 0.0) << base;
     }
+    // The context prefetcher's sub-layers: feedback, index and collect
+    // close once per timed observe, select and enqueue twice (before
+    // and after the exploration draw); train and predict are their
+    // sums.
+    const auto calls = [&](const char *layer) {
+        return report.value(std::string("prof.prefetch.") + layer +
+                            ".calls");
+    };
+    const auto ns = [&](const char *layer) {
+        return report.value(std::string("prof.prefetch.") + layer + ".ns");
+    };
+    const double observes = calls("observe");
+    for (const char *layer : {"feedback", "index", "collect"})
+        EXPECT_EQ(calls(layer), observes) << layer;
+    for (const char *layer : {"select", "enqueue"})
+        EXPECT_EQ(calls(layer), 2 * observes) << layer;
+    EXPECT_EQ(calls("train"), 3 * observes);
+    EXPECT_EQ(calls("predict"), 4 * observes);
+    // Each layer's ns is rounded on its own.
+    EXPECT_NEAR(ns("train"), ns("feedback") + ns("index") + ns("collect"),
+                2.0);
+    EXPECT_NEAR(ns("predict"), ns("select") + ns("enqueue"), 2.0);
     EXPECT_GT(report.value("prof.timed_accesses"), 0.0);
     EXPECT_GT(report.value("prof.replay.ns"), 0.0);
     EXPECT_GT(report.value("prof.replay.ns_per_access"), 0.0);
