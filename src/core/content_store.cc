@@ -34,16 +34,6 @@ readFileToString(const std::string &path, std::string &out)
     return true;
 }
 
-std::string
-uniqueTempPath(const std::string &path)
-{
-    static std::atomic<std::uint64_t> counter{0};
-    std::ostringstream out;
-    out << path << ".tmp." << ::getpid() << '.'
-        << counter.fetch_add(1, std::memory_order_relaxed);
-    return out.str();
-}
-
 bool
 atomicWriteFile(const std::string &path, std::string_view bytes)
 {
@@ -51,7 +41,12 @@ atomicWriteFile(const std::string &path, std::string_view bytes)
         std::filesystem::path(path).parent_path();
     if (!parent.empty() && !ensureDirectories(parent.string()))
         return false;
-    const std::string tmp = uniqueTempPath(path);
+    // A process/thread-unique sibling: same directory, so the rename
+    // never crosses filesystems.
+    static std::atomic<std::uint64_t> counter{0};
+    const std::string tmp =
+        path + ".tmp." + std::to_string(::getpid()) + '.' +
+        std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
     std::ofstream out(tmp, std::ios::binary);
     if (!out)
         return false;
@@ -63,17 +58,11 @@ atomicWriteFile(const std::string &path, std::string_view bytes)
         std::remove(tmp.c_str());
         return false;
     }
-    if (!atomicRename(tmp, path)) {
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
         return false;
     }
     return true;
-}
-
-bool
-atomicRename(const std::string &from, const std::string &to)
-{
-    return std::rename(from.c_str(), to.c_str()) == 0;
 }
 
 } // namespace csp

@@ -1,7 +1,7 @@
 /**
  * @file
  * Filesystem primitives for the content-addressed stores (the
- * `results/cache/` result cache and `traces/cache/` trace cache):
+ * `results/cache/` result cache and `traces/cache/` trace memo):
  * recursive directory creation, whole-file reads, and atomic writes.
  *
  * Atomicity matters because concurrent cspsim processes may share one
@@ -28,21 +28,11 @@ bool ensureDirectories(const std::string &dir);
 bool readFileToString(const std::string &path, std::string &out);
 
 /**
- * A process/thread-unique sibling path of @p path, for write-then-
- * rename: same directory (so the rename never crosses filesystems),
- * named after the pid plus a process-wide counter.
- */
-std::string uniqueTempPath(const std::string &path);
-
-/**
  * Atomically publish @p bytes at @p path (unique temp file + rename),
  * creating parent directories as needed. Returns false on any
  * filesystem error, leaving no temp file behind.
  */
 bool atomicWriteFile(const std::string &path, std::string_view bytes);
-
-/** Atomically rename @p from over @p to; false on failure. */
-bool atomicRename(const std::string &from, const std::string &to);
 
 } // namespace csp
 

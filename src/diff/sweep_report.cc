@@ -26,7 +26,6 @@ const std::map<std::string, std::vector<std::string>> kRequiredKeys = {
       "duration_ns", "cached", "worker"}},
     {"trace_cache", {"workload", "digest", "records", "insts",
                      "worker"}},
-    {"trace_load", {"workload", "status", "duration_ns", "worker"}},
     {"schedule", {"cells_total", "cells_owned", "insts_owned",
                   "trace_digest"}},
     {"heartbeat",
@@ -406,7 +405,7 @@ renderSweepSummary(const SweepJournal &journal, std::ostream &out,
     std::uint64_t read_ns = 0, parse_ns = 0, entry_bytes = 0;
     std::uint64_t cached_wall_ns = 0;
     std::uint64_t verify_failures = 0;
-    std::uint64_t trace_cache = 0, trace_gen = 0, trace_load = 0;
+    std::uint64_t trace_cache = 0, trace_gen = 0;
     std::uint64_t trace_gen_ns = 0;
     std::uint64_t evicted = 0, evicted_bytes = 0;
     struct WorkloadAgg
@@ -450,8 +449,6 @@ renderSweepSummary(const SweepJournal &journal, std::ostream &out,
         } else if (event.type == "trace_gen") {
             ++trace_gen;
             trace_gen_ns += event.u64("duration_ns");
-        } else if (event.type == "trace_load") {
-            ++trace_load;
         } else if (event.type == "evict") {
             ++evicted;
             evicted_bytes += event.u64("bytes");
@@ -483,7 +480,7 @@ renderSweepSummary(const SweepJournal &journal, std::ostream &out,
         << verify_failures << " verify failure(s)\n";
     out << "traces  : " << trace_cache << " cache hit(s), "
         << trace_gen << " generated (" << fmtMs(trace_gen_ns)
-        << " ms), " << trace_load << " loaded\n";
+        << " ms)\n";
 
     const auto durationRow = [&](const char *label,
                                  const std::vector<std::uint64_t>

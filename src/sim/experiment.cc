@@ -25,7 +25,6 @@
 #include "obs/trace_events.h"
 #include "sim/result_cache.h"
 #include "sim/sweep_events.h"
-#include "trace/trace_io.h"
 #include "prefetch/context/context_prefetcher.h"
 #include "prefetch/ghb.h"
 #include "prefetch/sms.h"
@@ -48,30 +47,6 @@ joinNames(const std::vector<std::string> &names)
         joined += name;
     }
     return joined;
-}
-
-/**
- * Cache path of a workload's generated trace. The key folds in
- * kResultCacheEpoch — the same "bump on result-affecting changes"
- * epoch the result cache uses — because a stale trace file is exactly
- * as wrong as a stale result entry: the file's self-digest only proves
- * the bytes match what some past generator produced, not that today's
- * generator agrees. The workload name rides along in the filename for
- * debuggability.
- */
-std::string
-traceCachePath(const std::string &dir, const std::string &workload,
-               const workloads::WorkloadParams &params)
-{
-    WordHasher h;
-    h.add(kResultCacheEpoch);
-    h.add(fnv1a({reinterpret_cast<const std::uint8_t *>(workload.data()),
-                 workload.size()}));
-    h.add(params.scale);
-    h.add(params.seed);
-    h.add(params.placement == runtime::Placement::Sequential ? 0 : 1);
-    return dir + "/" + workload + "-" + hexDigest(h.digest()) +
-           ".csptrace";
 }
 
 void
@@ -104,24 +79,6 @@ placementName(const workloads::WorkloadParams &params)
 {
     return params.placement == runtime::Placement::Sequential ? "seq"
                                                               : "rand";
-}
-
-/** Publish @p buffer at @p path atomically (temp sibling + rename);
- *  a failed store only warns — the sweep still has the buffer. */
-void
-storeTraceInCache(const trace::TraceBuffer &buffer,
-                  const std::string &dir, const std::string &path)
-{
-    if (!ensureDirectories(dir)) {
-        warn("trace cache: cannot create %s", dir.c_str());
-        return;
-    }
-    const std::string tmp = uniqueTempPath(path);
-    if (!trace::saveTraceFile(buffer, tmp) ||
-        !atomicRename(tmp, path)) {
-        std::remove(tmp.c_str());
-        warn("trace cache: cannot store %s", path.c_str());
-    }
 }
 
 /**
@@ -548,78 +505,73 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
     SweepTelemetry telemetry;
     std::mutex telemetry_mutex;
 
-    const std::string trace_cache_dir =
-        options.trace_cache_dir.empty() ? defaultTraceCacheDir()
-                                        : options.trace_cache_dir;
+    const TraceMemo memo{options.trace_cache_dir.empty()
+                             ? defaultTraceCacheDir()
+                             : options.trace_cache_dir};
+    const auto traceKey = [&](std::size_t ti) {
+        const SweepCell &cell = grid[trace_cell[ti]];
+        return TraceKey{cell.workload, cell.params.scale,
+                        cell.params.seed, placementName(cell.params)};
+    };
+    std::vector<trace::TraceBuffer> traces(n_traces);
+    // Generate trace @p ti into traces[ti] and journal it; returns its
+    // summary.
     const auto generateTrace = [&](std::size_t ti) {
         const SweepCell &cell = grid[trace_cell[ti]];
-        return registry.create(cell.workload)->generate(cell.params);
-    };
-
-    // Phase 1: establish every trace's summary (counts + content
-    // digest) once, traces in parallel. A trace-cache hit contributes
-    // only its O(1) header here — the file is loaded lazily in phase
-    // 2, and only if a task actually misses the result cache. Misses
-    // generate (and store) the trace now. Summary lines print
-    // afterwards in trace order, so verbose output is deterministic.
-    const auto trace_gen_start = std::chrono::steady_clock::now();
-    std::vector<trace::TraceBuffer> traces(n_traces);
-    std::vector<trace::TraceFileSummary> summaries(n_traces);
-    std::vector<std::string> cache_paths(n_traces);
-    // Written only before pool.wait() (phase 1) or under trace_once
-    // (phase 2), so no atomics needed.
-    std::vector<std::uint8_t> materialized(n_traces, 0);
-    std::atomic<std::uint64_t> trace_cache_hits{0};
-    pool.parallelFor(n_traces, [&](std::size_t ti) {
-        const SweepCell &cell = grid[trace_cell[ti]];
-        if (options.use_trace_cache) {
-            cache_paths[ti] = traceCachePath(
-                trace_cache_dir, cell.workload, cell.params);
-            trace::TraceFileSummary summary;
-            if (trace::readTraceFileSummary(cache_paths[ti],
-                                            summary) ==
-                trace::TraceIoStatus::Ok) {
-                summaries[ti] = summary;
-                trace_cache_hits.fetch_add(
-                    1, std::memory_order_relaxed);
-                if (journal != nullptr) {
-                    journal->emit(
-                        "trace_cache",
-                        {J::str("workload", cell.workload),
-                         J::str("digest",
-                                hexDigest(summary.content_digest)),
-                         J::u64("records", summary.records),
-                         J::u64("insts", summary.instructions),
-                         J::u64("worker", workerId())});
-                }
-                return;
-            }
-        }
         const auto gen_start = std::chrono::steady_clock::now();
-        traces[ti] = generateTrace(ti);
-        summaries[ti] = {traces[ti].size(), traces[ti].instructions(),
-                         traces[ti].memAccesses(),
-                         traces[ti].contentDigest()};
-        materialized[ti] = 1;
-        if (options.use_trace_cache) {
-            storeTraceInCache(traces[ti], trace_cache_dir,
-                              cache_paths[ti]);
-        }
+        trace::TraceBuffer &buffer = traces[ti];
+        buffer = registry.create(cell.workload)->generate(cell.params);
+        const TraceSummary summary{buffer.size(), buffer.instructions(),
+                                   buffer.memAccesses(),
+                                   buffer.contentDigest()};
         if (journal != nullptr) {
             journal->emit(
                 "trace_gen",
                 {J::str("workload", cell.workload),
-                 J::str("digest",
-                        hexDigest(summaries[ti].content_digest)),
-                 J::u64("records", summaries[ti].records),
-                 J::u64("insts", summaries[ti].instructions),
-                 J::u64("accesses", summaries[ti].mem_accesses),
+                 J::str("digest", hexDigest(summary.content_digest)),
+                 J::u64("records", summary.records),
+                 J::u64("insts", summary.instructions),
+                 J::u64("accesses", summary.mem_accesses),
                  J::u64("duration_ns", nsSince(gen_start)),
                  J::u64("cached", options.use_trace_cache ? 1 : 0),
                  J::u64("worker", workerId())});
         }
         std::lock_guard<std::mutex> lock(telemetry_mutex);
         ++telemetry.traces_generated;
+        return summary;
+    };
+
+    // Phase 1: establish every trace's summary (counts + content
+    // digest) once, traces in parallel. A memo hit supplies it without
+    // the trace, which is generated lazily in phase 2, and only if a
+    // task actually misses the result cache. Misses generate the trace
+    // now and memoize its summary. Summary lines print afterwards in
+    // trace order, so verbose output is deterministic.
+    const auto trace_gen_start = std::chrono::steady_clock::now();
+    std::vector<TraceSummary> summaries(n_traces);
+    // Written only before pool.wait() (phase 1), so no atomics needed.
+    std::vector<std::uint8_t> materialized(n_traces, 0);
+    std::atomic<std::uint64_t> trace_cache_hits{0};
+    pool.parallelFor(n_traces, [&](std::size_t ti) {
+        if (options.use_trace_cache &&
+            memo.load(traceKey(ti), summaries[ti])) {
+            trace_cache_hits.fetch_add(1, std::memory_order_relaxed);
+            if (journal != nullptr) {
+                journal->emit(
+                    "trace_cache",
+                    {J::str("workload", grid[trace_cell[ti]].workload),
+                     J::str("digest",
+                            hexDigest(summaries[ti].content_digest)),
+                     J::u64("records", summaries[ti].records),
+                     J::u64("insts", summaries[ti].instructions),
+                     J::u64("worker", workerId())});
+            }
+            return;
+        }
+        summaries[ti] = generateTrace(ti);
+        materialized[ti] = 1;
+        if (options.use_trace_cache)
+            memo.store(traceKey(ti), summaries[ti]);
     });
     result.trace_cache_hits =
         trace_cache_hits.load(std::memory_order_relaxed);
@@ -629,7 +581,7 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
     // their last task completes in phase 2.
     {
         WordHasher combined;
-        for (const trace::TraceFileSummary &s : summaries) {
+        for (const TraceSummary &s : summaries) {
             combined.add(s.content_digest);
             result.manifest.trace_records += s.records;
             result.manifest.trace_instructions += s.instructions;
@@ -646,7 +598,7 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
                        1e6,
                    static_cast<double>(summaries[ti].mem_accesses) /
                        1e6,
-                   materialized[ti] ? "" : " [trace cache]");
+                   materialized[ti] ? "" : " [trace memo]");
         }
     }
 
@@ -701,54 +653,23 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
     std::atomic<std::uint64_t> cells_cached{0};
     std::atomic<std::uint64_t> cells_simulated{0};
 
-    // Lazy trace materialization for trace-cache hits: the first task
-    // of a trace to miss the result cache loads (or, on a corrupt
-    // file, regenerates) the trace; call_once publishes it to every
-    // other task.
+    // Lazy trace generation for memo hits: the first task of a trace
+    // to miss the result cache generates it; call_once publishes it to
+    // every other task.
     std::vector<std::once_flag> trace_once(n_traces);
     const auto ensureTrace = [&](std::size_t ti) {
         std::call_once(trace_once[ti], [&] {
             if (materialized[ti])
                 return; // generated in phase 1
-            const auto load_start = std::chrono::steady_clock::now();
-            trace::TraceBuffer loaded;
-            const trace::TraceIoStatus status =
-                trace::loadTraceFile(cache_paths[ti], loaded);
-            if (journal != nullptr) {
-                journal->emit(
-                    "trace_load",
-                    {J::str("workload", grid[trace_cell[ti]].workload),
-                     J::str("status",
-                            trace::traceIoStatusName(status)),
-                     J::u64("duration_ns", nsSince(load_start)),
-                     J::u64("worker", workerId())});
+            const TraceSummary summary = generateTrace(ti);
+            if (summary != summaries[ti]) {
+                // A stale memo entry (say, from an unbumped epoch).
+                // Results stay correct: tasks simulate the generated
+                // trace and store under its digest.
+                warn("trace memo: stale entry %s, rewriting",
+                     memo.entryPath(traceKey(ti)).c_str());
+                memo.store(traceKey(ti), summary);
             }
-            if (status == trace::TraceIoStatus::Ok) {
-                traces[ti] = std::move(loaded);
-                std::lock_guard<std::mutex> lock(telemetry_mutex);
-                ++telemetry.traces_loaded;
-            } else {
-                warn("trace cache: %s for %s, regenerating",
-                     trace::traceIoStatusName(status),
-                     cache_paths[ti].c_str());
-                traces[ti] = generateTrace(ti);
-                {
-                    std::lock_guard<std::mutex> lock(telemetry_mutex);
-                    ++telemetry.traces_generated;
-                }
-                if (traces[ti].contentDigest() !=
-                    summaries[ti].content_digest) {
-                    // The header lied (corrupt digest field). Results
-                    // stay correct — tasks simulate the regenerated
-                    // trace — but their cache keys carry the stale
-                    // digest, so they can only pollute, never alias.
-                    warn("trace cache: stale header digest in %s",
-                         cache_paths[ti].c_str());
-                }
-                storeTraceInCache(traces[ti], trace_cache_dir,
-                                  cache_paths[ti]);
-            }
-            materialized[ti] = 1;
         });
     };
 
@@ -813,8 +734,11 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
                     progress.cellDone(j, /*cached=*/true);
             } else {
                 ensureTrace(ti);
+                // Differs from the lookup's digest only after a stale
+                // memo entry.
+                key.trace_digest = traces[ti].contentDigest();
                 auto outputs = std::make_shared<CellOutputs>();
-                outputs->trace_digest = summaries[ti].content_digest;
+                outputs->trace_digest = key.trace_digest;
                 stats = simulateCell(
                     cell, traces[ti], options,
                     track ? progress.hook(j) : Simulator::ProgressFn(),

@@ -115,7 +115,7 @@ struct SweepResult
     // simulated counts cover distinct cells (one per simulation).
     std::uint64_t cells_cached = 0;
     std::uint64_t cells_simulated = 0;
-    std::uint64_t trace_cache_hits = 0; ///< workload traces not regenerated
+    std::uint64_t trace_cache_hits = 0; ///< trace summaries from the memo
     std::uint64_t traces_generated = 0; ///< workload traces generated
     // Warm-path cost attribution, summed over the cached cells (see
     // ResultCache::LoadStats). Side-band telemetry like the manifest's
@@ -192,21 +192,20 @@ struct SweepOptions
      */
     bool use_result_cache = false;
     /**
-     * Persist generated workload traces as
-     * <trace_cache_dir>/<key>.csptrace and reuse them across runs. A
-     * warm sweep reads only each file's header (content digest) up
-     * front and loads the file into a TraceBuffer (loadTraceFile)
-     * lazily, only for cells that miss the result cache.
+     * Memoize each generated trace's counts and content digest in
+     * trace_cache_dir (TraceMemo, result_cache.h). A warm sweep keys
+     * its cells from the memo and generates a trace only for cells
+     * that miss the result cache. No trace is written to disk.
      */
     bool use_trace_cache = false;
     /** Result-cache directory; empty -> defaultResultCacheDir(). */
     std::string result_cache_dir;
-    /** Trace-cache directory; empty -> defaultTraceCacheDir(). */
+    /** Trace-memo directory; empty -> defaultTraceCacheDir(). */
     std::string trace_cache_dir;
     /**
      * When non-null (and open), runSweep appends csp-events-v1
-     * lifecycle events — sweep_start, trace_cache/trace_gen/
-     * trace_load, schedule, cell_start/cell_end, heartbeat, sweep_end
+     * lifecycle events — sweep_start, trace_cache/trace_gen,
+     * schedule, cell_start/cell_end, heartbeat, sweep_end
      * — to this journal (see sweep_events.h). Strictly side-band: the
      * journal observes the sweep but never alters scheduling or
      * results; sweeps with and without a journal are bit-identical
@@ -224,8 +223,8 @@ struct SweepOptions
  * Every cell's RunStats is bit-identical to a direct Simulator::run of
  * it at any jobs count: parallelism and dedup never change results.
  *
- * With options.use_trace_cache, a cached trace contributes only its
- * header (content digest + counts) up front and is materialised lazily
+ * With options.use_trace_cache, a memoized trace contributes only its
+ * summary (content digest + counts) up front and is generated lazily
  * — only if one of its cells actually misses the result cache; with
  * options.use_result_cache, memoized cells are returned without any
  * simulation. A fully warm sweep therefore does zero trace-generation

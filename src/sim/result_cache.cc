@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -24,6 +25,7 @@ namespace csp::sim {
 namespace {
 
 constexpr const char *kSchema = "csp-result-cache-v1";
+constexpr const char *kTraceMemoSchema = "csp-trace-memo-v1";
 
 std::uint64_t
 stringHash(const std::string &text)
@@ -49,6 +51,48 @@ matchText(const diff::FlatDoc &doc, const std::string &name,
 {
     const diff::FlatValue *value = doc.find(name);
     return value != nullptr && value->text == expect;
+}
+
+/** One field of an entry's key: its name and its exact text. */
+using KeyField = std::pair<const char *, std::string>;
+
+/**
+ * Why @p text is not a @p schema entry of the current epoch with the
+ * key @p key, or nullptr when it is one; @p doc receives the entry.
+ * Fields must read exactly as they were written, so no other spelling
+ * of a number or digest ("01", "-x", upper case) passes.
+ */
+const char *
+checkEntry(const std::string &text, const char *schema,
+           std::initializer_list<KeyField> key, diff::FlatDoc &doc,
+           std::string &error)
+{
+    if (!diff::parseJsonFlat(text, doc, &error))
+        return error.c_str();
+    if (!matchText(doc, "schema", schema))
+        return "schema mismatch";
+    if (!matchText(doc, "epoch", std::to_string(kResultCacheEpoch)))
+        return "epoch mismatch";
+    // A digest collision mapping two different keys to one entry path
+    // would silently serve wrong results; the stored identity makes
+    // that (and any mis-keyed write) detectable.
+    for (const auto &[name, expect] : key) {
+        if (!matchText(doc, name, expect))
+            return "key mismatch";
+    }
+    return nullptr;
+}
+
+/** The trace memo entry's self-verification payload digest. */
+std::uint64_t
+traceSummaryDigest(const TraceSummary &summary)
+{
+    WordHasher h;
+    h.add(summary.records);
+    h.add(summary.instructions);
+    h.add(summary.mem_accesses);
+    h.add(summary.content_digest);
+    return h.digest();
 }
 
 /** Every integer field of a RunStats, in serialization order, fed to
@@ -267,40 +311,22 @@ ResultCache::load(const CellKey &key, RunStats &stats,
     };
     diff::FlatDoc doc;
     std::string error;
-    if (!diff::parseJsonFlat(text, doc, &error))
-        return reject(error.c_str());
-    if (!matchText(doc, "schema", kSchema))
-        return reject("schema mismatch");
-    std::uint64_t epoch = 0;
-    if (!parseU64(doc, "epoch", epoch) || epoch != kResultCacheEpoch)
-        return reject("epoch mismatch");
-    // A digest collision mapping two different cells to one entry path
-    // would silently serve wrong results; the stored identity makes
-    // that (and any mis-keyed write) detectable.
-    if (!matchText(doc, "config_digest", hexDigest(key.config_digest)) ||
-        !matchText(doc, "trace_digest", hexDigest(key.trace_digest)) ||
-        !matchText(doc, "workload", key.workload) ||
-        !matchText(doc, "prefetcher", key.prefetcher) ||
-        !matchText(doc, "placement", key.placement))
-        return reject("key mismatch");
-    std::uint64_t scale = 0, seed = 0;
-    if (!parseU64(doc, "scale", scale) || scale != key.scale ||
-        !parseU64(doc, "seed", seed) || seed != key.seed)
-        return reject("key mismatch");
+    if (const char *why = checkEntry(
+            text, kSchema,
+            {{"config_digest", hexDigest(key.config_digest)},
+             {"trace_digest", hexDigest(key.trace_digest)},
+             {"workload", key.workload},
+             {"prefetcher", key.prefetcher},
+             {"scale", std::to_string(key.scale)},
+             {"seed", std::to_string(key.seed)},
+             {"placement", key.placement}},
+            doc, error))
+        return reject(why);
     RunStats parsed;
     if (!parseRunStatsFlat(doc, "stats.", parsed))
         return reject("missing stats fields");
-    const diff::FlatValue *digest_field = doc.find("payload_digest");
-    if (digest_field == nullptr || digest_field->text.empty())
-        return reject("missing payload digest");
-    // Whole-string hex: no sign, prefix or overflow is read as a digest.
-    const std::string &hex = digest_field->text;
-    std::uint64_t payload_digest = 0;
-    const auto [stop, parse_error] = std::from_chars(
-        hex.data(), hex.data() + hex.size(), payload_digest, 16);
-    if (parse_error != std::errc() || stop != hex.data() + hex.size())
-        return reject("malformed payload digest");
-    if (runStatsDigest(parsed) != payload_digest)
+    if (!matchText(doc, "payload_digest",
+                   hexDigest(runStatsDigest(parsed))))
         return reject("payload digest mismatch");
     stats = parsed;
     finish(false);
@@ -394,6 +420,84 @@ ResultCache::store(const CellKey &key, const RunStats &stats,
     writeRunStatsJson(out, stats);
     out << "}\n";
     return atomicWriteFile(entryPath(key), out.str());
+}
+
+std::string
+TraceMemo::entryPath(const TraceKey &key) const
+{
+    WordHasher h;
+    h.add(kResultCacheEpoch);
+    h.add(stringHash(key.workload));
+    h.add(key.scale);
+    h.add(key.seed);
+    h.add(stringHash(key.placement));
+    return root + "/" + key.workload + "-" + hexDigest(h.digest()) +
+           ".json";
+}
+
+bool
+TraceMemo::load(const TraceKey &key, TraceSummary &summary) const
+{
+    const std::string path = entryPath(key);
+    std::string text;
+    if (!readFileToString(path, text))
+        return false; // clean miss
+    const auto reject = [&](const char *why) {
+        warn("trace memo: invalid entry %s (%s), regenerating",
+             path.c_str(), why);
+        return false;
+    };
+    diff::FlatDoc doc;
+    std::string error;
+    if (const char *why = checkEntry(
+            text, kTraceMemoSchema,
+            {{"workload", key.workload},
+             {"scale", std::to_string(key.scale)},
+             {"seed", std::to_string(key.seed)},
+             {"placement", key.placement}},
+            doc, error))
+        return reject(why);
+    TraceSummary parsed;
+    const diff::FlatValue *digest = doc.find("content_digest");
+    if (!parseU64(doc, "records", parsed.records) ||
+        !parseU64(doc, "instructions", parsed.instructions) ||
+        !parseU64(doc, "mem_accesses", parsed.mem_accesses) ||
+        digest == nullptr ||
+        std::from_chars(digest->text.data(),
+                        digest->text.data() + digest->text.size(),
+                        parsed.content_digest, 16)
+                .ec != std::errc() ||
+        hexDigest(parsed.content_digest) != digest->text)
+        return reject("malformed summary");
+    if (!matchText(doc, "payload_digest",
+                   hexDigest(traceSummaryDigest(parsed))))
+        return reject("payload digest mismatch");
+    summary = parsed;
+    return true;
+}
+
+bool
+TraceMemo::store(const TraceKey &key, const TraceSummary &summary) const
+{
+    std::ostringstream out;
+    out << "{\"schema\":\"" << kTraceMemoSchema << '"'
+        << ",\"epoch\":" << kResultCacheEpoch
+        << ",\"workload\":\"" << key.workload << '"'
+        << ",\"scale\":" << key.scale << ",\"seed\":" << key.seed
+        << ",\"placement\":\"" << key.placement << '"'
+        << ",\"records\":" << summary.records
+        << ",\"instructions\":" << summary.instructions
+        << ",\"mem_accesses\":" << summary.mem_accesses
+        << ",\"content_digest\":\"" << hexDigest(summary.content_digest)
+        << '"' << ",\"payload_digest\":\""
+        << hexDigest(traceSummaryDigest(summary)) << "\"}";
+    // No trailing newline: the parser skips trailing whitespace, so
+    // with one a cut-off newline would still load. Without it every
+    // prefix of an entry is malformed.
+    if (atomicWriteFile(entryPath(key), out.str()))
+        return true;
+    warn("trace memo: cannot store %s", entryPath(key).c_str());
+    return false;
 }
 
 } // namespace csp::sim

@@ -25,6 +25,11 @@
  * Entries are self-verifying: a stats payload digest is stored and
  * re-checked on load, so truncated or corrupted entries are detected
  * and silently recomputed (with a warning).
+ *
+ * TraceMemo keeps the same kind of entry for each generated workload
+ * trace: its counts and content digest, which is all a sweep needs of
+ * a trace to key its cells. Only a cell that misses the result cache
+ * needs the trace itself, and it regenerates it.
  */
 
 #ifndef CSP_SIM_RESULT_CACHE_H
@@ -104,7 +109,7 @@ bool resultCacheEnabledByEnv();
 /** $CSP_RESULT_CACHE_DIR when set, else "results/cache". */
 std::string defaultResultCacheDir();
 
-/** True unless CSP_TRACE_CACHE=0 disables the on-disk trace cache. */
+/** True unless CSP_TRACE_CACHE=0 disables the trace memo. */
 bool traceCacheEnabledByEnv();
 
 /** $CSP_TRACE_CACHE_DIR when set, else "traces/cache". */
@@ -161,6 +166,48 @@ class ResultCache
 
   private:
     std::string root_;
+};
+
+/** A generated trace's identity without its records: the trace
+ *  memo's value, and all a sweep keys its cells with. */
+struct TraceSummary
+{
+    std::uint64_t records = 0;
+    std::uint64_t instructions = 0;
+    std::uint64_t mem_accesses = 0;
+    std::uint64_t content_digest = 0; ///< TraceBuffer::contentDigest
+
+    bool operator==(const TraceSummary &) const = default;
+};
+
+/** Everything a generated workload trace is a function of (with the
+ *  generator code, which kResultCacheEpoch stands for). */
+struct TraceKey
+{
+    std::string workload;
+    std::uint64_t scale = 0;
+    std::uint64_t seed = 0;
+    std::string placement; ///< "seq" or "rand"
+};
+
+/** See file comment. Entries follow ResultCache's rules: schema,
+ *  epoch, full key identity and a payload digest, all re-checked on
+ *  load, and atomic stores. */
+struct TraceMemo
+{
+    std::string root; ///< memo directory, created by the first store
+
+    /** Entry path for @p key: <root>/<workload>-<hex key digest>.json
+     *  (the key digest folds in kResultCacheEpoch). */
+    std::string entryPath(const TraceKey &key) const;
+
+    /** True with @p summary filled on a verified hit. An entry that
+     *  fails any check warns and counts as a miss. */
+    bool load(const TraceKey &key, TraceSummary &summary) const;
+
+    /** Store @p summary under @p key; warns and returns false on
+     *  filesystem failure, never fatal. */
+    bool store(const TraceKey &key, const TraceSummary &summary) const;
 };
 
 /**

@@ -167,11 +167,9 @@ SweepTelemetry::statsJson() const
     registry.counter("sweep.cells_simulated", &cells_simulated,
                      "cells actually simulated");
     registry.counter("sweep.trace_cache_hits", &trace_cache_hits,
-                     "workload traces not regenerated");
+                     "workload trace summaries read from the memo");
     registry.counter("sweep.traces_generated", &traces_generated,
                      "workload traces generated");
-    registry.counter("sweep.traces_loaded", &traces_loaded,
-                     "cached traces materialised for simulation");
     registry.distribution("sweep.cell_duration_ns", &cell_duration_ns,
                           "wall-clock per cell (cached or simulated)");
     registry.counter("cache.read_ns", &cache_read_ns,

@@ -7,8 +7,8 @@
  * which worker and why the caches hit or missed. `cspsim --events-out`
  * opens a SweepEventJournal and `runSweep` appends one JSON object per
  * line as the sweep progresses: `sweep_start` (identity + schedule
- * parameters), `trace_cache`/`trace_gen`/`trace_load` (per-workload
- * trace provenance), `schedule` (the longest-first plan's cell and
+ * parameters), `trace_cache`/`trace_gen` (per-workload trace
+ * provenance), `schedule` (the longest-first plan's cell and
  * instruction totals), `cell_start`/`cell_end` (worker attribution, duration,
  * cached-vs-simulated, cache read+parse time), rate-limited
  * `heartbeat` snapshots, and a `sweep_end` roll-up embedding a
@@ -123,7 +123,6 @@ struct SweepTelemetry
     std::uint64_t cells_simulated = 0;
     std::uint64_t trace_cache_hits = 0;
     std::uint64_t traces_generated = 0;
-    std::uint64_t traces_loaded = 0;
     std::uint64_t cache_read_ns = 0;  ///< cached-entry file reads
     std::uint64_t cache_parse_ns = 0; ///< cached-entry JSON parse+verify
     std::uint64_t cache_entry_bytes = 0;

@@ -113,21 +113,6 @@ checkHeader(const char *bytes, std::uint64_t file_len, Header &header)
     return TraceIoStatus::Ok;
 }
 
-/** Read and check the header at @p stream's position; the file length
- *  is what remains of the stream from there. */
-TraceIoStatus
-readHeader(std::istream &stream, Header &header)
-{
-    const std::streampos start = stream.tellg();
-    const std::streampos end = stream.seekg(0, std::ios::end).tellg();
-    if (start < 0 || end < start || !stream.seekg(start))
-        return TraceIoStatus::CannotOpen;
-    char bytes[sizeof(Header)] = {};
-    stream.read(bytes, std::min<std::streamoff>(end - start, sizeof bytes));
-    return checkHeader(bytes, static_cast<std::uint64_t>(end - start),
-                       header);
-}
-
 /** Window size for digest verification over a mapping (see
  *  MappedTrace::open): bounds verification RSS without paying a
  *  madvise per page. */
@@ -199,11 +184,19 @@ saveTraceFile(const TraceBuffer &buffer, const std::string &path)
 TraceIoStatus
 loadTrace(std::istream &stream, TraceBuffer &buffer)
 {
+    // The file length is what remains of the stream from here.
+    const std::streampos start = stream.tellg();
+    const std::streampos end = stream.seekg(0, std::ios::end).tellg();
+    if (start < 0 || end < start || !stream.seekg(start))
+        return TraceIoStatus::CannotOpen;
+    char bytes[sizeof(Header)] = {};
+    stream.read(bytes, std::min<std::streamoff>(end - start, sizeof bytes));
     Header header{};
-    const TraceIoStatus status = readHeader(stream, header);
+    const TraceIoStatus status = checkHeader(
+        bytes, static_cast<std::uint64_t>(end - start), header);
     if (status != TraceIoStatus::Ok)
         return status;
-    // Every size below was bounded by the stream length in readHeader.
+    // Every size below was bounded by the stream length above.
     std::vector<char> dicts(dictBytes(header));
     stream.read(dicts.data(), static_cast<std::streamsize>(dicts.size()));
     std::vector<Addr> pc_dict;
@@ -225,32 +218,6 @@ loadTrace(std::istream &stream, TraceBuffer &buffer)
         std::move(payload), std::move(pc_dict), std::move(hint_dict),
         header.record_count, header.instructions, header.mem_accesses,
         payload_fnv);
-    return TraceIoStatus::Ok;
-}
-
-TraceIoStatus
-loadTraceFile(const std::string &path, TraceBuffer &buffer)
-{
-    std::ifstream stream(path, std::ios::binary);
-    if (!stream)
-        return TraceIoStatus::CannotOpen;
-    return loadTrace(stream, buffer);
-}
-
-TraceIoStatus
-readTraceFileSummary(const std::string &path, TraceFileSummary &out)
-{
-    std::ifstream stream(path, std::ios::binary);
-    if (!stream)
-        return TraceIoStatus::CannotOpen;
-    Header header{};
-    const TraceIoStatus status = readHeader(stream, header);
-    if (status != TraceIoStatus::Ok)
-        return status;
-    out.records = header.record_count;
-    out.instructions = header.instructions;
-    out.mem_accesses = header.mem_accesses;
-    out.content_digest = header.content_digest;
     return TraceIoStatus::Ok;
 }
 

@@ -14,8 +14,7 @@
  * payload is never copied, so a scale-100M replay streams through the
  * page cache instead of materialising gigabytes. The header's content
  * digest (TraceBuffer::contentDigest formula) makes every trace file
- * self-verifying, which is what lets `traces/cache/` entries be trusted
- * or silently regenerated.
+ * self-verifying: both readers refuse a file whose bytes disagree.
  *
  * The format is versioned; loading a mismatched version fails cleanly.
  */
@@ -57,31 +56,6 @@ bool saveTraceFile(const TraceBuffer &buffer, const std::string &path);
 
 /** Deserialize a trace from @p stream into @p buffer. */
 TraceIoStatus loadTrace(std::istream &stream, TraceBuffer &buffer);
-
-/** Deserialize a trace from the file at @p path. */
-TraceIoStatus loadTraceFile(const std::string &path,
-                            TraceBuffer &buffer);
-
-/** The header block of a trace file, without its payload. */
-struct TraceFileSummary
-{
-    std::uint64_t records = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t mem_accesses = 0;
-    std::uint64_t content_digest = 0;
-};
-
-/**
- * Read only the fixed header of the trace file at @p path — O(1) I/O.
- * This is how a warm sweep learns a cached trace's content digest (and
- * thus its result-cache keys) without generating or loading the trace.
- * Like every reader it checks magic, version and that the sections the
- * header claims fit in the file; the payload is NOT verified here, so
- * materialising readers re-check the digest and fall back to
- * regeneration on mismatch.
- */
-TraceIoStatus readTraceFileSummary(const std::string &path,
-                                   TraceFileSummary &out);
 
 /**
  * A packed trace file mapped read-only into the address space. The

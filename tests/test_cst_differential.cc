@@ -424,9 +424,10 @@ runDifferential(unsigned cst_entries, unsigned cst_links,
             const bool hit_a = cst.lookup(key) != nullptr;
             const bool hit_b = ref.present(key);
             ASSERT_EQ(hit_a, hit_b) << "op " << op;
-            if (hit_a)
+            if (hit_a) {
                 EXPECT_EQ(cst.bestScore(key), ref.bestScore(key))
                     << "op " << op;
+            }
         } else if (pick < 90) {
             std::int32_t delta_a = 0, delta_b = 0;
             const bool drew_a = cst.randomLink(key, draw_a, &delta_a);

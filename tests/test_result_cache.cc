@@ -112,6 +112,131 @@ TEST(ResultCache, WarmSweepIsByteIdenticalAndDoesZeroWork)
               warm.manifest.trace_instructions);
 }
 
+/** The memo key runSweep uses for @p workload at sweep()'s params. */
+TraceKey
+memoKey(const std::string &workload, std::uint64_t scale = 12000)
+{
+    return {workload, scale, 1, "rand"};
+}
+
+TEST(ResultCache, WarmMemoWithColdResultsMatchesAColdSweep)
+{
+    TempDir dirs;
+    const SweepResult cold = sweep(cachedOptions(dirs));
+    // Only summaries are memoized: no trace is written to disk.
+    std::size_t entries = 0;
+    for (const auto &file :
+         std::filesystem::directory_iterator(dirs.traceDir())) {
+        EXPECT_EQ(file.path().extension(), ".json") << file.path();
+        ++entries;
+    }
+    EXPECT_EQ(entries, kWorkloads.size());
+
+    // A fresh result cache: every cell misses, so every memoized
+    // trace is generated lazily and checked against its entry.
+    SweepOptions options = cachedOptions(dirs);
+    options.result_cache_dir = dirs.path + "/rc-fresh";
+    testing::internal::CaptureStderr();
+    const SweepResult lazy = sweep(options);
+    EXPECT_EQ(testing::internal::GetCapturedStderr().find("trace memo"),
+              std::string::npos);
+    EXPECT_EQ(lazy.trace_cache_hits, kWorkloads.size());
+    EXPECT_EQ(lazy.traces_generated, kWorkloads.size());
+    EXPECT_EQ(lazy.cells_simulated,
+              kWorkloads.size() * kPrefetchers.size());
+    EXPECT_EQ(cellCsv(cold), cellCsv(lazy));
+    EXPECT_EQ(cold.manifest.trace_digest, lazy.manifest.trace_digest);
+}
+
+TEST(ResultCache, StaleMemoDigestWarnsAndIsRewritten)
+{
+    TempDir dirs;
+    const SweepResult cold = sweep(cachedOptions(dirs));
+    const TraceMemo memo{dirs.traceDir()};
+    TraceSummary truth;
+    ASSERT_TRUE(memo.load(memoKey("list"), truth));
+    // Self-consistent (its payload digest matches) but wrong.
+    TraceSummary stale = truth;
+    stale.content_digest ^= 1;
+    ASSERT_TRUE(memo.store(memoKey("list"), stale));
+
+    SweepOptions options = cachedOptions(dirs);
+    options.result_cache_dir = dirs.path + "/rc-fresh";
+    testing::internal::CaptureStderr();
+    const SweepResult rerun = sweep(options);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "trace memo: stale entry " +
+                  memo.entryPath(memoKey("list"))),
+              std::string::npos);
+    EXPECT_EQ(cellCsv(cold), cellCsv(rerun));
+    TraceSummary rewritten;
+    ASSERT_TRUE(memo.load(memoKey("list"), rewritten));
+    EXPECT_EQ(rewritten, truth);
+
+    // The regenerated cells were stored under the true digest, so the
+    // next sweep is fully warm.
+    const SweepResult warm = sweep(options);
+    EXPECT_EQ(warm.cells_simulated, 0u);
+    EXPECT_EQ(warm.traces_generated, 0u);
+    EXPECT_EQ(cellCsv(cold), cellCsv(warm));
+}
+
+/** Every truncation and every single-bit flip of a memo entry is
+ *  refused, and the sweep that meets it regenerates the trace and
+ *  stores the entry again, byte for byte. */
+TEST(TraceMemo, CorruptionMatrixIsRegeneratedAndRestored)
+{
+    TempDir dirs;
+    SweepOptions options = cachedOptions(dirs, 1);
+    const SystemConfig config;
+    workloads::WorkloadParams params;
+    params.scale = 2000;
+    const auto run = [&] {
+        return runSweep({"list"}, {"none"}, params, config, options);
+    };
+    run();
+    const TraceMemo memo{dirs.traceDir()};
+    const TraceKey key = memoKey("list", 2000);
+    const std::string path = memo.entryPath(key);
+    std::string golden;
+    ASSERT_TRUE(readFileToString(path, golden));
+    EXPECT_EQ(golden.rfind(R"({"schema":"csp-trace-memo-v1","epoch":1,)"
+                           R"("workload":"list","scale":2000,"seed":1,)"
+                           R"("placement":"rand","records":)",
+                           0),
+              0u)
+        << golden;
+    TraceSummary summary;
+    ASSERT_TRUE(memo.load(key, summary));
+
+    const auto probe = [&](const std::string &bytes,
+                           const std::string &row) {
+        ASSERT_TRUE(atomicWriteFile(path, bytes));
+        testing::internal::CaptureStderr();
+        TraceSummary loaded;
+        EXPECT_FALSE(memo.load(key, loaded)) << row;
+        const SweepResult regenerated = run();
+        testing::internal::GetCapturedStderr();
+        EXPECT_EQ(regenerated.trace_cache_hits, 0u) << row;
+        EXPECT_EQ(regenerated.traces_generated, 1u) << row;
+        EXPECT_EQ(regenerated.cells_cached, 1u) << row;
+        std::string restored;
+        ASSERT_TRUE(readFileToString(path, restored)) << row;
+        EXPECT_EQ(restored, golden) << row;
+    };
+    for (std::size_t size = 0; size < golden.size(); ++size)
+        probe(golden.substr(0, size), "cut at " + std::to_string(size));
+    for (std::size_t at = 0; at < golden.size(); ++at) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            std::string flipped = golden;
+            flipped[at] = static_cast<char>(
+                static_cast<unsigned char>(flipped[at]) ^ (1u << bit));
+            probe(flipped, "flip bit " + std::to_string(bit) + " at " +
+                               std::to_string(at));
+        }
+    }
+}
+
 TEST(ResultCache, TruncatedEntryIsRecomputed)
 {
     TempDir dirs;

@@ -181,8 +181,7 @@ TEST(SweepReport, GoldenSummary)
               "config=cafe01234567\n"
               "cells   : 4 completed | 2 cached (50.0% hit rate) | 2 "
               "simulated | 0 verify failure(s)\n"
-              "traces  : 1 cache hit(s), 1 generated (0.800 ms), 0 "
-              "loaded\n"
+              "traces  : 1 cache hit(s), 1 generated (0.800 ms)\n"
               "\n"
               "cell duration (ms)     count        p50        p90"
               "        p99        max\n"

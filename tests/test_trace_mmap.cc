@@ -120,13 +120,13 @@ TEST(TraceMmap, OpenVerifiesTheContentDigest)
     const TraceBuffer buffer = generate("array", 20000);
     ASSERT_TRUE(saveTraceFile(buffer, file.path));
 
-    TraceFileSummary summary;
-    ASSERT_EQ(readTraceFileSummary(file.path, summary),
-              TraceIoStatus::Ok);
-    EXPECT_EQ(summary.records, buffer.size());
-    EXPECT_EQ(summary.instructions, buffer.instructions());
-    EXPECT_EQ(summary.mem_accesses, buffer.memAccesses());
-    EXPECT_EQ(summary.content_digest, buffer.contentDigest());
+    MappedTrace intact;
+    ASSERT_EQ(intact.open(file.path), TraceIoStatus::Ok);
+    EXPECT_EQ(intact.size(), buffer.size());
+    EXPECT_EQ(intact.instructions(), buffer.instructions());
+    EXPECT_EQ(intact.memAccesses(), buffer.memAccesses());
+    EXPECT_EQ(intact.contentDigest(), buffer.contentDigest());
+    intact.close();
 
     // Flip one payload byte near the end of the file.
     std::fstream bytes(file.path,

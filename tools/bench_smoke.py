@@ -298,8 +298,8 @@ def run_sweep_probe(build_dir, scale, jobs):
 
     Both passes run the identical command against the same (initially
     empty) result/trace cache directories, so the second pass exercises
-    exactly the memoized path a real re-run takes: O(1) trace-header
-    reads for the digests, then every cell served from results/cache.
+    exactly the memoized path a real re-run takes: trace-memo reads
+    for the digests, then every cell served from results/cache.
     The returned dict carries what main() gates: the warm pass's cache
     block (zero simulated cells is the correctness half of the bar) and
     the cold/warm wall-clock ratio (the perf half). The cell CSVs on

@@ -146,8 +146,8 @@ usage()
         "                           every --prefetcher; prints the cell\n"
         "                           matrix as CSV on stdout. Cells are\n"
         "                           memoized in the result cache and\n"
-        "                           traces in the trace cache, so a\n"
-        "                           repeated sweep does zero simulation\n"
+        "                           trace digests in the trace memo, so\n"
+        "                           a repeated sweep does zero simulation\n"
         "                           work with byte-identical output.\n"
         "                           Per-run outputs (--stats-out,\n"
         "                           --stats-interval, --autopsy-out,\n"
@@ -172,12 +172,12 @@ usage()
         "                           unbounded)\n"
         "  --no-result-cache        always simulate (or set\n"
         "                           CSP_RESULT_CACHE=0)\n"
-        "  --no-trace-cache         always regenerate traces (or set\n"
-        "                           CSP_TRACE_CACHE=0)\n"
+        "  --no-trace-cache         generate every trace up front (or\n"
+        "                           set CSP_TRACE_CACHE=0)\n"
         "  --result-cache-dir DIR   result cache location (default\n"
         "                           $CSP_RESULT_CACHE_DIR, else\n"
         "                           results/cache)\n"
-        "  --trace-cache DIR        trace cache location (default\n"
+        "  --trace-cache DIR        trace memo location (default\n"
         "                           $CSP_TRACE_CACHE_DIR, else\n"
         "                           traces/cache)\n"
         "  --manifest               print the run-provenance manifest\n"
