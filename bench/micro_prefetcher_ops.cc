@@ -422,8 +422,8 @@ BENCHMARK(BM_TraceObs_Enabled);
 /** Learning-observer overhead on replay, mirroring the TraceObs
  *  trio over the same mcf/context cell:
  *   - NullTap:  observer attached but observer.learn == nullptr — the
- *               context prefetcher's uninstrumented observeImpl with
- *               the replay loop's guards false. This is the "hooks
+ *               context prefetcher's one observe body with each
+ *               learning hook's null check false. This is the "hooks
  *               compiled in, learning observer off" cost the bench
  *               gate compares against BM_TraceObs_Control.
  *   - Recorder: full LearningRecorder, a snapshot per tick — the

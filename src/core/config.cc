@@ -7,11 +7,11 @@ namespace csp {
 std::uint64_t
 ContextPrefetcherConfig::storageBytes() const
 {
-    // CST: per link a 1-byte delta + 1-byte score; per entry a tag byte
-    // and a reducer reference count (paper: 2K x 4 links = 18kB incl.
-    // tags/metadata).
+    // CST: per link a 1-byte delta + 1-byte score, 4 links per entry
+    // (Cst::kLinks); per entry a tag byte and a reducer reference count
+    // (paper: 2K x 4 links = 18kB incl. tags/metadata).
     const std::uint64_t cst =
-        static_cast<std::uint64_t>(cst_entries) * (cst_links * 2 + 1);
+        static_cast<std::uint64_t>(cst_entries) * (4 * 2 + 1);
     // Reducer: 6 bits per entry (attribute bitmap sharing the 2-bit
     // tag, bit-packed), matching the paper's 16K entries = 12kB.
     const std::uint64_t reducer =
@@ -46,8 +46,8 @@ SystemConfig::describe() const
         << memory.l2.access_latency << " cycles access, shared\n"
         << "Main memory       | " << dramLatencyLabel() << "\n"
         << "--- Context prefetcher ---\n"
-        << "CST               | " << context.cst_entries << " entries x "
-        << context.cst_links << " links, direct-mapped\n"
+        << "CST               | " << context.cst_entries
+        << " entries x 4 links, direct-mapped\n"
         << "Reducer           | " << context.reducer_entries
         << " entries, direct-mapped\n"
         << "History queue     | " << context.history_entries

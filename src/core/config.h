@@ -94,15 +94,14 @@ struct RewardConfig
 /** Context-based prefetcher structures (paper Table 2, middle block). */
 struct ContextPrefetcherConfig
 {
-    unsigned cst_entries = 2048;     ///< direct-mapped CST entries
-    unsigned cst_links = 4;          ///< (delta, score) pairs per entry
+    /// Direct-mapped CST entries, of 4 (delta, score) links each.
+    unsigned cst_entries = 2048;
     unsigned reducer_entries = 16384;///< direct-mapped reducer entries
     unsigned history_entries = 50;   ///< history-queue depth
     unsigned prefetch_queue_entries = 128;
     unsigned block_bytes = 64;       ///< prediction granularity
     unsigned full_hash_bits = 16;    ///< full-context hash width
     unsigned reduced_hash_bits = 19; ///< reduced-context hash width
-    unsigned cst_tag_bits = 8;
     unsigned max_degree = 4;         ///< max prefetches per lookup
     /**
      * Minimum link score before a prediction is dispatched as a real
@@ -122,7 +121,6 @@ struct ContextPrefetcherConfig
     bool softmax_exploration = false;
     double softmax_temperature = 8.0;
     unsigned overload_threshold = 48;  ///< reducer entries per CST entry
-    unsigned underload_threshold = 1;  ///< merge point for reduction
     unsigned min_free_mshrs = 1;     ///< below this, prefetches go shadow
     RewardConfig reward;
     // Ablation toggles (DESIGN.md section 4); the paper has all on.

@@ -105,14 +105,12 @@ configDigest(const SystemConfig &config)
 
     const ContextPrefetcherConfig &ctx = config.context;
     h.add(ctx.cst_entries);
-    h.add(ctx.cst_links);
     h.add(ctx.reducer_entries);
     h.add(ctx.history_entries);
     h.add(ctx.prefetch_queue_entries);
     h.add(ctx.block_bytes);
     h.add(ctx.full_hash_bits);
     h.add(ctx.reduced_hash_bits);
-    h.add(ctx.cst_tag_bits);
     h.add(ctx.max_degree);
     h.add(static_cast<std::uint64_t>(
         static_cast<std::int64_t>(ctx.real_score_threshold)));
@@ -121,7 +119,6 @@ configDigest(const SystemConfig &config)
     h.add(ctx.softmax_exploration ? 1 : 0);
     h.add(doubleBits(ctx.softmax_temperature));
     h.add(ctx.overload_threshold);
-    h.add(ctx.underload_threshold);
     h.add(ctx.min_free_mshrs);
     const RewardConfig &reward = ctx.reward;
     h.add(reward.window_lo);

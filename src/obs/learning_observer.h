@@ -33,8 +33,8 @@ class Registry;
 
 namespace csp::obs {
 
-/** Max per-arm links surfaced through probe and snapshot events;
- *  matches the CST's own 16-candidate scan bound. */
+/** Max per-arm links surfaced through probe and snapshot events; at
+ *  least the CST's links per entry (Cst asserts it). */
 inline constexpr unsigned kMaxLearnLinks = 16;
 
 /** One reward application: the feedback unit credited (or penalised)

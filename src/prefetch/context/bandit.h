@@ -37,26 +37,10 @@ class BanditPolicy
     void
     recordOutcome(bool hit)
     {
-        if (learn_ != nullptr)
-            recordOutcomeT<true>(hit);
-        else
-            recordOutcomeT<false>(hit);
-    }
-
-    /** recordOutcome with the learning-tap notification compiled out
-     *  (kLearn=false) — the replay hot path's entry point. */
-    template <bool kLearn>
-    void
-    recordOutcomeT(bool hit)
-    {
         accuracy_.record(hit);
         refreshDerived();
-        if constexpr (kLearn) {
-            if (learn_ != nullptr) {
-                learn_->onEpsilonAdapt(
-                    {hit, accuracy_.value(), epsilon_});
-            }
-        }
+        if (learn_ != nullptr)
+            learn_->onEpsilonAdapt({hit, accuracy_.value(), epsilon_});
     }
 
     /** Smoothed prefetch-queue hit rate. */

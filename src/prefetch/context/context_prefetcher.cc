@@ -89,23 +89,20 @@ ContextPrefetcher::onTick(const obs::Tick &tick)
     learn_->onSnapshot(tick, snap);
 }
 
-template <bool kInstr>
 inline void
 ContextPrefetcher::expireEntry(const PendingPrefetch &entry)
 {
     const int penalty =
         config_.negative_rewards ? reward_.expiryPenalty() : 0;
     cst_.reward(entry.reduced_key, entry.delta, penalty);
-    policy_.recordOutcomeT<kInstr>(false);
+    policy_.recordOutcome(false);
     ++stats_.pq_expiries;
-    if constexpr (kInstr) {
-        if (learn_ != nullptr) {
-            learn_->onRewardApplied(last_cycle_,
-                                    {entry.line, entry.delta,
-                                     /*depth=*/0, penalty,
-                                     /*in_window=*/false,
-                                     /*expiry=*/true});
-        }
+    if (learn_ != nullptr) {
+        learn_->onRewardApplied(last_cycle_,
+                                {entry.line, entry.delta,
+                                 /*depth=*/0, penalty,
+                                 /*in_window=*/false,
+                                 /*expiry=*/true});
     }
 }
 
@@ -113,25 +110,17 @@ void
 ContextPrefetcher::observe(const AccessInfo &info,
                            std::vector<PrefetchRequest> &out)
 {
-    if (learn_ != nullptr || ledger_->timing())
-        observeImpl<true>(info, out);
-    else
-        observeImpl<false>(info, out);
-}
-
-template <bool kInstr>
-void
-ContextPrefetcher::observeImpl(const AccessInfo &info,
-                               std::vector<PrefetchRequest> &out)
-{
     CSP_ASSERT(info.context != nullptr);
+    // The learning observer and whether this access is timed, read
+    // once: the table's byte stores may alias both members, so a check
+    // in place would re-read them after every store.
+    obs::LearningObserver *const learn = learn_;
+    const bool timing = ledger_->timing();
     // Sub-layer attribution on timed accesses (prof::Layer::Feedback
     // through Enqueue): each mark closes the sub-layer named.
-    const auto mark = [this](prof::Layer layer) {
-        if constexpr (kInstr) {
-            if (ledger_->timing())
-                ledger_->markNested(layer);
-        }
+    const auto mark = [this, timing](prof::Layer layer) {
+        if (timing)
+            ledger_->markNested(layer);
     };
     const Addr block = alignDown(info.vaddr, config_.block_bytes);
     const AccessSeq seq = info.seq;
@@ -151,17 +140,15 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
             cst_.reward(entry.reduced_key, entry.delta, amount);
             hit_depths_.sample(depth);
             reward_by_depth_.sample(depth);
-            policy_.recordOutcomeT<kInstr>(in_window);
+            policy_.recordOutcome(in_window);
             ++stats_.pq_hits;
             if (in_window)
                 ++stats_.pq_hits_in_window;
-            if constexpr (kInstr) {
-                if (learn_ != nullptr) {
-                    learn_->onRewardApplied(
-                        info.cycle,
-                        {entry.line, entry.delta, depth, amount,
-                         in_window, /*expiry=*/false});
-                }
+            if (learn != nullptr) {
+                learn->onRewardApplied(info.cycle,
+                                       {entry.line, entry.delta, depth,
+                                        amount, in_window,
+                                        /*expiry=*/false});
             }
         });
     mark(prof::Layer::Feedback);
@@ -199,7 +186,7 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
     // Collection unit: bind sampled history contexts to this block.
     // ------------------------------------------------------------------
     const auto expiry = [this](const PendingPrefetch &entry) {
-        expireEntry<kInstr>(entry);
+        expireEntry(entry);
     };
     // Walk the sample ladder directly (same order HistoryQueue::sample
     // would visit, minus the scratch vector of pointers). The loop's
@@ -230,7 +217,7 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
             ++stats_.delta_overflows;
             continue;
         }
-        const CstAddResult added = cst_.addLinkT<kInstr>(
+        const CstAddResult added = cst_.addLink(
             hist->reduced_key, static_cast<std::int32_t>(delta));
         stats_.associations += added.inserted;
         // Overload adaptation: heavy link churn on an entry that is
@@ -262,13 +249,13 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
     const std::uint64_t learn_shadow_before = stats_.shadow_predictions;
     const std::uint64_t learn_explore_before = stats_.explorations;
     bool useful = false;
-    std::int32_t deltas[16];
-    int scores[16];
+    std::int32_t deltas[Cst::kLinks];
+    int scores[Cst::kLinks];
     const unsigned degree = policy_.degree(info.free_l1_mshrs);
     const unsigned want =
         std::max(degree, 1u); // track at least one candidate as shadow
-    const unsigned n = cst_.bestLinksT<kInstr>(
-        reduced_key, deltas, std::min<unsigned>(want, 16),
+    const unsigned n = cst_.bestLinks(
+        reduced_key, deltas, std::min(want, Cst::kLinks),
         /*min_score=*/-1, scores);
     mark(prof::Layer::Select);
     for (unsigned i = 0; i < n; ++i) {
@@ -323,17 +310,15 @@ ContextPrefetcher::observeImpl(const AccessInfo &info,
         }
     }
 
-    if constexpr (kInstr) {
-        if (learn_ != nullptr) {
-            obs::ArmSelectionEvent sel;
-            sel.real = static_cast<unsigned>(stats_.real_predictions -
-                                             learn_real_before);
-            sel.shadow = static_cast<unsigned>(
-                stats_.shadow_predictions - learn_shadow_before);
-            sel.explored = stats_.explorations != learn_explore_before;
-            sel.epsilon = policy_.epsilon();
-            learn_->onArmSelection(sel);
-        }
+    if (learn != nullptr) {
+        obs::ArmSelectionEvent sel;
+        sel.real = static_cast<unsigned>(stats_.real_predictions -
+                                         learn_real_before);
+        sel.shadow = static_cast<unsigned>(stats_.shadow_predictions -
+                                           learn_shadow_before);
+        sel.explored = stats_.explorations != learn_explore_before;
+        sel.epsilon = policy_.epsilon();
+        learn->onArmSelection(sel);
     }
 
     // Underload adaptation: contexts that never yield a usable
@@ -363,15 +348,7 @@ ContextPrefetcher::onPrefetchOutcome(Addr addr,
 void
 ContextPrefetcher::finish()
 {
-    if (learn_ != nullptr) {
-        pq_.flush([this](const PendingPrefetch &entry) {
-            expireEntry<true>(entry);
-        });
-    } else {
-        pq_.flush([this](const PendingPrefetch &entry) {
-            expireEntry<false>(entry);
-        });
-    }
+    pq_.flush([this](const PendingPrefetch &entry) { expireEntry(entry); });
 }
 
 void

@@ -101,21 +101,8 @@ class ContextPrefetcher final : public Prefetcher
     const RewardFunction &rewardFunction() const { return reward_; }
 
   private:
-    /**
-     * The whole of Algorithm 1, compiled twice: kInstr=true is the
-     * instrumented build (learning observer, ledger marks — each
-     * still checked at runtime), kInstr=false is the bare replay hot
-     * path with every observer touch point compiled out. observe()
-     * dispatches on whether a learning observer is attached or the
-     * access is timed, so untimed accesses of unobserved runs pay zero
-     * instrumentation cost (measured: folding the two into runtime
-     * checks costs 1-5%, DESIGN.md §6).
-     */
-    template <bool kInstr>
-    void observeImpl(const AccessInfo &info,
-                     std::vector<PrefetchRequest> &out);
-
-    template <bool kInstr>
+    /** Apply the expiry penalty to a queued prediction that aged out
+     *  unmatched. */
     [[gnu::always_inline]] void expireEntry(const PendingPrefetch &entry);
 
     /// Paper: 1-byte deltas of cache-line granularity, reaching 8 KiB

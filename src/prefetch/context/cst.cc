@@ -12,14 +12,10 @@ namespace csp::prefetch::ctx {
 Cst::Cst(const ContextPrefetcherConfig &config)
     : index_bits_(floorLog2(config.cst_entries)),
       index_mask_((1u << index_bits_) - 1),
-      links_per_entry_(config.cst_links),
       entries_(config.cst_entries),
-      stride_words_(1 + (2 * config.cst_links + 7) / 8),
-      arena_(static_cast<std::size_t>(config.cst_entries) *
-             (1 + (2 * config.cst_links + 7) / 8))
+      arena_(static_cast<std::size_t>(config.cst_entries) * kStrideWords)
 {
     CSP_ASSERT(isPowerOfTwo(config.cst_entries));
-    CSP_ASSERT(config.cst_links >= 1 && config.cst_links <= 16);
 }
 
 const Cst::Entry *
@@ -42,8 +38,7 @@ Cst::bestScore(std::uint32_t reduced_key) const
 {
     const std::uint32_t index = indexOf(reduced_key);
     const Entry &entry = *entryAt(index);
-    const std::int8_t *const scores =
-        deltasAt(index) + links_per_entry_;
+    const std::int8_t *const scores = deltasAt(index) + kLinks;
     int best = -128;
     std::uint32_t mask = entry.link_mask;
     while (mask != 0) {
@@ -64,10 +59,10 @@ Cst::randomLink(std::uint32_t reduced_key, Rng &rng,
     if (entry.valid == 0 || entry.tag != tagOf(reduced_key))
         return false;
     const std::int8_t *const deltas = deltasAt(index);
-    std::int32_t valid_deltas[16];
+    std::int32_t valid_deltas[kLinks];
     unsigned count = 0;
     std::uint32_t mask = entry.link_mask;
-    while (mask != 0 && count < 16) {
+    while (mask != 0) {
         const unsigned i =
             static_cast<unsigned>(std::countr_zero(mask));
         mask &= mask - 1;
@@ -89,13 +84,13 @@ Cst::softmaxLink(std::uint32_t reduced_key, Rng &rng,
     if (entry.valid == 0 || entry.tag != tagOf(reduced_key))
         return false;
     const std::int8_t *const link_deltas = deltasAt(index);
-    const std::int8_t *const scores = link_deltas + links_per_entry_;
-    double weights[16];
-    std::int32_t deltas[16];
+    const std::int8_t *const scores = link_deltas + kLinks;
+    double weights[kLinks];
+    std::int32_t deltas[kLinks];
     unsigned count = 0;
     double total = 0.0;
     std::uint32_t mask = entry.link_mask;
-    while (mask != 0 && count < 16) {
+    while (mask != 0) {
         const unsigned i =
             static_cast<unsigned>(std::countr_zero(mask));
         mask &= mask - 1;
@@ -155,8 +150,7 @@ Cst::snapshotTopK(unsigned top_k,
         if (entry.valid == 0)
             continue;
         ++live;
-        const std::int8_t *const scores =
-            deltasAt(i) + links_per_entry_;
+        const std::int8_t *const scores = deltasAt(i) + kLinks;
         int best = -128;
         std::uint32_t mask = entry.link_mask;
         while (mask != 0) {
@@ -179,12 +173,12 @@ Cst::snapshotTopK(unsigned top_k,
         const std::uint32_t index = ranked[k].index;
         const Entry &entry = *entryAt(index);
         const std::int8_t *const deltas = deltasAt(index);
-        const std::int8_t *const scores = deltas + links_per_entry_;
+        const std::int8_t *const scores = deltas + kLinks;
         obs::SnapshotContext ctx;
         ctx.key = (entry.tag << index_bits_) | index;
         ctx.churn = entry.churn;
         std::uint32_t mask = entry.link_mask;
-        while (mask != 0 && ctx.n_links < obs::kMaxLearnLinks) {
+        while (mask != 0) {
             const unsigned j =
                 static_cast<unsigned>(std::countr_zero(mask));
             mask &= mask - 1;
@@ -206,8 +200,7 @@ Cst::scoreSummary() const
         const Entry &entry = *entryAt(i);
         if (entry.valid == 0)
             continue;
-        const std::int8_t *const scores =
-            deltasAt(i) + links_per_entry_;
+        const std::int8_t *const scores = deltasAt(i) + kLinks;
         std::uint32_t mask = entry.link_mask;
         while (mask != 0) {
             const unsigned j =

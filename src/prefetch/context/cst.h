@@ -11,11 +11,11 @@
  * compete for the entry's slots under score-based replacement, so that
  * associations that earn positive rewards survive (paper section 5).
  *
- * Storage is a single flat arena of fixed-stride entry blocks. Each
- * block packs the tag/valid/churn replacement metadata and the link
- * arms — struct-of-arrays int8 delta and score lanes — into one run of
- * bytes, so with the default 4 links an entry is exactly 16 bytes and a
- * probe touches one cache line (the whole default table is 32 KiB).
+ * Storage is a single flat arena of two-word entry blocks. Each block
+ * packs the tag/valid/churn replacement metadata and the paper's four
+ * link arms — struct-of-arrays int8 delta and score lanes — into 16
+ * bytes, so a probe touches one cache line (the whole default table is
+ * 32 KiB).
  * Scores are the paper's 1-byte saturating integers, applied
  * branchlessly; deltas are likewise 1-byte (the prefetcher's delta
  * range is +-127 by construction, asserted on insert).
@@ -56,6 +56,10 @@ struct CstAddResult
 class Cst
 {
   public:
+    /** Links per entry: the paper's action-set size (Table 2). */
+    static constexpr unsigned kLinks = 4;
+    static_assert(kLinks <= obs::kMaxLearnLinks);
+
     explicit Cst(const ContextPrefetcherConfig &config);
 
     /** Entry header: replacement metadata, packed in front of the link
@@ -79,18 +83,8 @@ class Cst
      * its score is at or below zero (positive scores are protected and
      * the insertion is dropped instead).
      */
-    CstAddResult
-    addLink(std::uint32_t reduced_key, std::int32_t delta)
-    {
-        return learn_ != nullptr ? addLinkT<true>(reduced_key, delta)
-                                 : addLinkT<false>(reduced_key, delta);
-    }
-
-    /** addLink with the learning-tap notifications compiled out
-     *  (kLearn=false) — the replay hot path's entry point. */
-    template <bool kLearn>
     [[gnu::always_inline]] CstAddResult
-    addLinkT(std::uint32_t reduced_key, std::int32_t delta);
+    addLink(std::uint32_t reduced_key, std::int32_t delta);
 
     /** Feedback: apply @p reward to the (key, delta) association. */
     void reward(std::uint32_t reduced_key, std::int32_t delta, int amount);
@@ -100,24 +94,10 @@ class Cst
      * @p min_score, best first. Returns the number written to @p out
      * (and, when @p scores_out is non-null, the matching scores).
      */
-    unsigned
+    [[gnu::always_inline]] unsigned
     bestLinks(std::uint32_t reduced_key, std::int32_t *out,
               unsigned max_links, int min_score,
-              int *scores_out = nullptr) const
-    {
-        return learn_ != nullptr
-                   ? bestLinksT<true>(reduced_key, out, max_links,
-                                      min_score, scores_out)
-                   : bestLinksT<false>(reduced_key, out, max_links,
-                                       min_score, scores_out);
-    }
-
-    /** bestLinks with the probe-event notification compiled out. */
-    template <bool kLearn>
-    [[gnu::always_inline]] unsigned
-    bestLinksT(std::uint32_t reduced_key, std::int32_t *out,
-               unsigned max_links, int min_score,
-               int *scores_out = nullptr) const;
+              int *scores_out = nullptr) const;
 
     /** Best valid-link score of the entry holding @p reduced_key
      *  (-128 when the entry has no links; key must be present). */
@@ -155,13 +135,10 @@ class Cst
         __builtin_prefetch(arena_.data() +
                            static_cast<std::size_t>(
                                indexOf(reduced_key)) *
-                               stride_words_);
+                               kStrideWords);
     }
 
     unsigned entries() const { return entries_; }
-
-    /** Links per entry (the paper's action-set size). */
-    unsigned linksPerEntry() const { return links_per_entry_; }
 
     /** Number of valid entries (occupancy diagnostics). */
     unsigned liveEntries() const;
@@ -197,34 +174,32 @@ class Cst
     void reset();
 
   private:
+    /// 64-bit words per entry block: the header word, then the delta
+    /// lane and the score lane, which fill the second word exactly.
+    static constexpr unsigned kStrideWords = 2;
+    static_assert(2 * kLinks == 8, "both link lanes fill one word");
+
     Entry *
     entryAt(std::uint32_t index)
     {
         return reinterpret_cast<Entry *>(arena_.data() +
-                                         index * stride_words_);
+                                         index * kStrideWords);
     }
 
     const Entry *
     entryAt(std::uint32_t index) const
     {
         return reinterpret_cast<const Entry *>(arena_.data() +
-                                               index * stride_words_);
+                                               index * kStrideWords);
     }
 
     /** Delta lane of the entry block at @p index; the score lane
-     *  follows links_per_entry_ bytes later. */
-    std::int8_t *
-    deltasAt(std::uint32_t index)
-    {
-        return reinterpret_cast<std::int8_t *>(arena_.data() +
-                                               index * stride_words_ + 1);
-    }
-
+     *  follows kLinks bytes later. */
     const std::int8_t *
     deltasAt(std::uint32_t index) const
     {
         return reinterpret_cast<const std::int8_t *>(
-            arena_.data() + index * stride_words_ + 1);
+            arena_.data() + index * kStrideWords + 1);
     }
 
     std::uint32_t
@@ -241,17 +216,17 @@ class Cst
 
     const Entry *entryIfMatch(std::uint32_t reduced_key) const;
 
-    /** The delta and score lanes of a 4-link entry block as one word:
-     *  delta i in byte i, score i in byte 4 + i. */
+    /** The delta and score lanes of an entry block as one word:
+     *  delta i in byte i, score i in byte kLinks + i. */
     std::uint64_t &
-    linkLanes4(std::uint32_t index)
+    linkLanes(std::uint32_t index)
     {
         static_assert(std::endian::native == std::endian::little);
-        return arena_[index * stride_words_ + 1];
+        return arena_[index * kStrideWords + 1];
     }
 
     static int
-    laneScore4(std::uint64_t lanes, unsigned slot)
+    laneScore(std::uint64_t lanes, unsigned slot)
     {
         return static_cast<std::int8_t>(lanes >> (32 + 8 * slot));
     }
@@ -262,8 +237,8 @@ class Cst
      *  without borrows between bytes), masked by the link mask spread
      *  to one bit per byte. */
     static std::uint32_t
-    liveMatches4(std::uint64_t lanes, std::int32_t delta,
-                 std::uint32_t link_mask)
+    liveMatches(std::uint64_t lanes, std::int32_t delta,
+                std::uint32_t link_mask)
     {
         const std::uint32_t x =
             static_cast<std::uint32_t>(lanes) ^
@@ -275,26 +250,11 @@ class Cst
         return zero & live;
     }
 
-    /** addLinkT body, with the link count a compile-time constant on
-     *  the common configuration (kLinks = 0 reads it at runtime) so the
-     *  per-slot scans fully unroll. */
-    template <bool kLearn, unsigned kLinks>
-    [[gnu::always_inline]] CstAddResult
-    addLinkImpl(std::uint32_t reduced_key, std::int32_t delta);
-
-    /** reward() body under the same link-count specialization. */
-    template <unsigned kLinks>
-    [[gnu::always_inline]] void
-    rewardImpl(std::uint32_t reduced_key, std::int32_t delta, int amount);
-
     unsigned index_bits_;
     std::uint32_t index_mask_;
-    unsigned links_per_entry_;
     unsigned entries_;
-    unsigned stride_words_; ///< 64-bit words per entry block
-    /// entries_ * stride_words_ 64-bit words: per entry, one header
-    /// word then the int8 delta lane and int8 score lane, padded to a
-    /// word boundary.
+    /// entries_ * kStrideWords 64-bit words: per entry, one header
+    /// word then the int8 delta lane and int8 score lane.
     std::vector<std::uint64_t> arena_;
     std::uint64_t link_evictions_ = 0;
     std::uint64_t entry_evictions_ = 0;
@@ -304,45 +264,31 @@ class Cst
 // The data-collection path runs several times per demand access (one
 // addLink per sampled history depth), every reward lands here too and
 // every access ranks one entry's links; all three are inlined so the
-// replay loop never pays a call, and the first two dispatch to a body
-// whose link count is a compile-time constant for the stock 4-link
-// configuration so every per-slot scan unrolls.
+// replay loop never pays a call. Each learning-observer notification
+// is one check of learn_, read once per call: the byte stores to the
+// entry may alias it, so a re-read would follow every store.
 
-template <bool kLearn>
 inline CstAddResult
-Cst::addLinkT(std::uint32_t reduced_key, std::int32_t delta)
+Cst::addLink(std::uint32_t reduced_key, std::int32_t delta)
 {
-    if (links_per_entry_ == 4)
-        return addLinkImpl<kLearn, 4>(reduced_key, delta);
-    return addLinkImpl<kLearn, 0>(reduced_key, delta);
-}
-
-template <bool kLearn, unsigned kLinks>
-inline CstAddResult
-Cst::addLinkImpl(std::uint32_t reduced_key, std::int32_t delta)
-{
-    const unsigned nlinks =
-        kLinks != 0 ? kLinks : links_per_entry_;
     CSP_ASSERT(delta >= -128 && delta <= 127);
+    obs::LearningObserver *const learn = learn_;
     CstAddResult result;
     bool new_entry = false;
     bool entry_evicted = false;
     // Notification only: the observer sees every insertion outcome but
     // can never influence one.
     const auto notify = [&] {
-        if constexpr (kLearn) {
-            if (learn_ != nullptr) {
-                learn_->onCstInsert({result.inserted,
-                                     result.already_present, new_entry,
-                                     entry_evicted, result.evicted_link,
-                                     result.entry_conflict});
-            }
+        if (learn != nullptr) {
+            learn->onCstInsert({result.inserted, result.already_present,
+                                new_entry, entry_evicted,
+                                result.evicted_link,
+                                result.entry_conflict});
         }
     };
     const std::uint32_t index = indexOf(reduced_key);
     Entry &entry = *entryAt(index);
-    std::int8_t *const deltas = deltasAt(index);
-    std::int8_t *const scores = deltas + nlinks;
+    std::uint64_t &lanes = linkLanes(index);
     const std::uint32_t tag = tagOf(reduced_key);
 
     if (entry.valid == 0 || entry.tag != tag) {
@@ -350,8 +296,10 @@ Cst::addLinkImpl(std::uint32_t reduced_key, std::int32_t delta)
             // Conflicting live entry: protect it while it still holds
             // positively scored links, but age it so stale contexts
             // eventually yield the slot.
+            auto *const scores =
+                reinterpret_cast<std::int8_t *>(&lanes) + kLinks;
             int best = -128;
-            for (unsigned i = 0; i < nlinks; ++i) {
+            for (unsigned i = 0; i < kLinks; ++i) {
                 if (!(entry.link_mask & (1u << i)))
                     continue;
                 best = std::max(best, static_cast<int>(scores[i]));
@@ -373,90 +321,37 @@ Cst::addLinkImpl(std::uint32_t reduced_key, std::int32_t delta)
         entry.link_mask = 0;
     }
 
-    const std::uint32_t full_mask = (1u << nlinks) - 1;
-    const std::uint32_t free_bits = ~entry.link_mask & full_mask;
-    if constexpr (kLinks == 4) {
-        // The ladder's links nearly always land on the entry the last
-        // one wrote, so each insertion waits on that one's stores. Both
-        // lanes are one word, read and written whole, so the probe
-        // forwards from the store; the duplicate check is one compare
-        // and the victim a tree of selects. The outcome branches stay:
-        // they predict well, and computing every outcome with selects
-        // measured 1-10% slower (DESIGN.md section 6).
-        std::uint64_t &lanes = linkLanes4(index);
-        if (liveMatches4(lanes, delta, entry.link_mask) != 0) {
-            result.already_present = true;
-            result.entry_matches = true;
-            result.churn = entry.churn;
-            notify();
-            return result;
-        }
-        unsigned slot = static_cast<unsigned>(std::countr_zero(free_bits));
-        if (free_bits == 0) {
-            // The victim: the first strictly-minimal score (a later
-            // slot wins only when strictly lower).
-            const int s0 = laneScore4(lanes, 0);
-            const int s1 = laneScore4(lanes, 1);
-            const int s2 = laneScore4(lanes, 2);
-            const int s3 = laneScore4(lanes, 3);
-            const unsigned low01 = s1 < s0 ? 1 : 0;
-            const unsigned low23 = s3 < s2 ? 3 : 2;
-            const int min01 = std::min(s0, s1);
-            const int min23 = std::min(s2, s3);
-            slot = min23 < min01 ? low23 : low01;
-            // Score-based replacement: only displace non-positive links.
-            if (std::min(min01, min23) > 0) {
-                if (entry.churn < 255)
-                    ++entry.churn;
-                result.entry_matches = true;
-                result.churn = entry.churn;
-                notify();
-                return result;
-            }
-            result.evicted_link = true;
-            ++link_evictions_;
-            if (entry.churn < 255)
-                ++entry.churn;
-        }
-        // New link: this delta, score 0.
-        const unsigned shift = 8 * slot;
-        lanes = (lanes & ~((std::uint64_t{0xff} << shift) |
-                           (std::uint64_t{0xff} << (32 + shift)))) |
-                (std::uint64_t{static_cast<std::uint8_t>(delta)} << shift);
-        entry.link_mask |= static_cast<std::uint16_t>(1u << slot);
-        result.inserted = true;
+    // The ladder's links nearly always land on the entry the last one
+    // wrote, so each insertion waits on that one's stores. Both lanes
+    // are one word, read and written whole, so the probe forwards from
+    // the store; the duplicate check is one compare and the victim a
+    // tree of selects. The outcome branches stay: they predict well,
+    // and computing every outcome with selects measured 1-10% slower
+    // (DESIGN.md section 6).
+    if (liveMatches(lanes, delta, entry.link_mask) != 0) {
+        result.already_present = true;
         result.entry_matches = true;
         result.churn = entry.churn;
         notify();
         return result;
     }
-
-    const unsigned no_slot = nlinks;
-    unsigned weakest = no_slot;
-    int weakest_score = 0;
-    for (unsigned i = 0; i < nlinks; ++i) {
-        if (!(entry.link_mask & (1u << i)))
-            continue;
-        if (deltas[i] == delta) {
-            result.already_present = true;
-            result.entry_matches = true;
-            result.churn = entry.churn;
-            notify();
-            return result;
-        }
-        if (weakest == no_slot ||
-            static_cast<int>(scores[i]) < weakest_score) {
-            weakest = i;
-            weakest_score = scores[i];
-        }
-    }
-
-    unsigned slot;
-    if (free_bits != 0) {
-        slot = static_cast<unsigned>(std::countr_zero(free_bits));
-    } else {
+    const std::uint32_t free_bits =
+        ~entry.link_mask & ((1u << kLinks) - 1);
+    unsigned slot = static_cast<unsigned>(std::countr_zero(free_bits));
+    if (free_bits == 0) {
+        // The victim: the first strictly-minimal score (a later slot
+        // wins only when strictly lower).
+        const int s0 = laneScore(lanes, 0);
+        const int s1 = laneScore(lanes, 1);
+        const int s2 = laneScore(lanes, 2);
+        const int s3 = laneScore(lanes, 3);
+        const unsigned low01 = s1 < s0 ? 1 : 0;
+        const unsigned low23 = s3 < s2 ? 3 : 2;
+        const int min01 = std::min(s0, s1);
+        const int min23 = std::min(s2, s3);
+        slot = min23 < min01 ? low23 : low01;
         // Score-based replacement: only displace non-positive links.
-        if (weakest_score > 0) {
+        if (std::min(min01, min23) > 0) {
             if (entry.churn < 255)
                 ++entry.churn;
             result.entry_matches = true;
@@ -464,14 +359,16 @@ Cst::addLinkImpl(std::uint32_t reduced_key, std::int32_t delta)
             notify();
             return result;
         }
-        slot = weakest;
         result.evicted_link = true;
         ++link_evictions_;
         if (entry.churn < 255)
             ++entry.churn;
     }
-    deltas[slot] = static_cast<std::int8_t>(delta);
-    scores[slot] = 0;
+    // New link: this delta, score 0.
+    const unsigned shift = 8 * slot;
+    lanes = (lanes & ~((std::uint64_t{0xff} << shift) |
+                       (std::uint64_t{0xff} << (32 + shift)))) |
+            (std::uint64_t{static_cast<std::uint8_t>(delta)} << shift);
     entry.link_mask |= static_cast<std::uint16_t>(1u << slot);
     result.inserted = true;
     result.entry_matches = true;
@@ -483,93 +380,58 @@ Cst::addLinkImpl(std::uint32_t reduced_key, std::int32_t delta)
 inline void
 Cst::reward(std::uint32_t reduced_key, std::int32_t delta, int amount)
 {
-    if (links_per_entry_ == 4)
-        return rewardImpl<4>(reduced_key, delta, amount);
-    return rewardImpl<0>(reduced_key, delta, amount);
-}
-
-template <unsigned kLinks>
-inline void
-Cst::rewardImpl(std::uint32_t reduced_key, std::int32_t delta,
-                int amount)
-{
-    const unsigned nlinks =
-        kLinks != 0 ? kLinks : links_per_entry_;
     const std::uint32_t index = indexOf(reduced_key);
     Entry &entry = *entryAt(index);
     if (entry.valid == 0 || entry.tag != tagOf(reduced_key))
         return;
+    // Live links hold distinct in-range deltas, so at most one matches.
+    if (delta != static_cast<std::int8_t>(delta))
+        return;
+    std::uint64_t &lanes = linkLanes(index);
+    const std::uint32_t match =
+        liveMatches(lanes, delta, entry.link_mask);
+    if (match == 0)
+        return;
+    // Saturating apply on the link's int8 score byte.
+    const unsigned shift =
+        32 + static_cast<unsigned>(std::countr_zero(match)) / 8 * 8;
+    const int score = static_cast<std::int8_t>(lanes >> shift);
+    const auto next = static_cast<std::uint8_t>(
+        std::clamp(score + amount, -128, 127));
+    lanes = (lanes & ~(std::uint64_t{0xff} << shift)) |
+            (std::uint64_t{next} << shift);
     // A rewarded entry is healthy: candidate pressure on it is
     // competition, not overload. Decay the churn signal so the Reducer
     // only splits contexts that fail to earn rewards.
-    const auto decay = [&] {
-        if (amount > 0 && entry.churn > 0)
-            --entry.churn;
-    };
-    if constexpr (kLinks == 4) {
-        // Live links hold distinct in-range deltas, so at most one
-        // matches.
-        if (delta != static_cast<std::int8_t>(delta))
-            return;
-        std::uint64_t &lanes = linkLanes4(index);
-        const std::uint32_t match =
-            liveMatches4(lanes, delta, entry.link_mask);
-        if (match == 0)
-            return;
-        const unsigned shift =
-            32 + static_cast<unsigned>(std::countr_zero(match)) / 8 * 8;
-        const int score = static_cast<std::int8_t>(lanes >> shift);
-        const auto next = static_cast<std::uint8_t>(
-            std::clamp(score + amount, -128, 127));
-        lanes = (lanes & ~(std::uint64_t{0xff} << shift)) |
-                (std::uint64_t{next} << shift);
-        decay();
-        return;
-    }
-    std::int8_t *const deltas = deltasAt(index);
-    std::int8_t *const scores = deltas + nlinks;
-    for (unsigned i = 0; i < nlinks; ++i) {
-        if (!(entry.link_mask & (1u << i)))
-            continue;
-        if (deltas[i] == delta) {
-            // Branchless saturating apply on the int8 score lane.
-            scores[i] = static_cast<std::int8_t>(std::clamp(
-                static_cast<int>(scores[i]) + amount, -128, 127));
-            decay();
-            return;
-        }
-    }
+    if (amount > 0 && entry.churn > 0)
+        --entry.churn;
 }
 
-template <bool kLearn>
 inline unsigned
-Cst::bestLinksT(std::uint32_t reduced_key, std::int32_t *out,
-                unsigned max_links, int min_score,
-                int *scores_out) const
+Cst::bestLinks(std::uint32_t reduced_key, std::int32_t *out,
+               unsigned max_links, int min_score, int *scores_out) const
 {
+    obs::LearningObserver *const learn = learn_;
     const std::uint32_t index = indexOf(reduced_key);
     const Entry &entry = *entryAt(index);
     const bool hit =
         entry.valid != 0 && entry.tag == tagOf(reduced_key);
     const std::int8_t *const deltas = deltasAt(index);
-    const std::int8_t *const scores = deltas + links_per_entry_;
-    if constexpr (kLearn) {
-        if (learn_ != nullptr) {
-            obs::CstProbeEvent probe;
-            probe.hit = hit;
-            if (hit) {
-                std::uint32_t mask = entry.link_mask;
-                while (mask != 0 &&
-                       probe.valid_links < obs::kMaxLearnLinks) {
-                    const unsigned i =
-                        static_cast<unsigned>(std::countr_zero(mask));
-                    mask &= mask - 1;
-                    probe.scores[probe.valid_links++] =
-                        static_cast<int>(scores[i]);
-                }
+    const std::int8_t *const scores = deltas + kLinks;
+    if (learn != nullptr) {
+        obs::CstProbeEvent probe;
+        probe.hit = hit;
+        if (hit) {
+            std::uint32_t mask = entry.link_mask;
+            while (mask != 0) {
+                const unsigned i =
+                    static_cast<unsigned>(std::countr_zero(mask));
+                mask &= mask - 1;
+                probe.scores[probe.valid_links++] =
+                    static_cast<int>(scores[i]);
             }
-            learn_->onCstProbe(probe);
         }
+        learn->onCstProbe(probe);
     }
     if (!hit)
         return 0;
@@ -578,7 +440,7 @@ Cst::bestLinksT(std::uint32_t reduced_key, std::int32_t *out,
         std::int32_t delta;
         int score;
     };
-    Candidate candidates[16];
+    Candidate candidates[kLinks];
     unsigned count = 0;
     std::uint32_t mask = entry.link_mask;
     while (mask != 0) {
@@ -586,7 +448,7 @@ Cst::bestLinksT(std::uint32_t reduced_key, std::int32_t *out,
             static_cast<unsigned>(std::countr_zero(mask));
         mask &= mask - 1;
         const int score = scores[i];
-        if (score > min_score && count < 16)
+        if (score > min_score)
             candidates[count++] = {deltas[i], score};
     }
     // Stable descending insertion sort: equal scores keep slot order.

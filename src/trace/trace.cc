@@ -78,13 +78,6 @@ thread_local void *t_default_tap_user = nullptr;
 
 } // namespace
 
-PackedBytes::PackedBytes(std::size_t size)
-{
-    if (size != 0)
-        grow(size);
-    size_ = size;
-}
-
 PackedBytes &
 PackedBytes::operator=(PackedBytes &&other) noexcept
 {
@@ -233,34 +226,6 @@ TraceBuffer::decode() const
     while (const TraceRecord *rec = cur.next())
         out.push_back(*rec);
     return out;
-}
-
-TraceBuffer
-TraceBuffer::fromPacked(PackedBytes bytes,
-                        std::vector<Addr> pc_dict,
-                        std::vector<hints::Hint> hint_dict,
-                        std::size_t count, std::uint64_t instructions,
-                        std::uint64_t mem_accesses,
-                        std::uint64_t payload_fnv)
-{
-    TraceBuffer buffer;
-    buffer.bytes_ = std::move(bytes);
-    buffer.payload_fnv_ = payload_fnv;
-    buffer.pc_dict_ = std::move(pc_dict);
-    buffer.hint_dict_ = std::move(hint_dict);
-    buffer.count_ = count;
-    buffer.instructions_ = instructions;
-    buffer.mem_accesses_ = mem_accesses;
-    for (std::uint32_t i = 0; i < buffer.pc_dict_.size(); ++i)
-        buffer.pc_index_.tryEmplace(buffer.pc_dict_[i], i);
-    for (std::uint32_t i = 0; i < buffer.hint_dict_.size(); ++i)
-        buffer.hint_index_.tryEmplace(hintKey(buffer.hint_dict_[i]), i);
-    // The trailing record is unknown without decoding, so disable burst
-    // folding for the first append: last_offset_ at end-of-payload with
-    // last_is_compute_ false makes push() start a fresh record.
-    buffer.last_offset_ = buffer.bytes_.size();
-    buffer.last_is_compute_ = false;
-    return buffer;
 }
 
 std::uint64_t

@@ -90,9 +90,6 @@ class PackedBytes
   public:
     PackedBytes() = default;
 
-    /** @p size uninitialised bytes, for a reader to fill in place. */
-    explicit PackedBytes(std::size_t size);
-
     PackedBytes(PackedBytes &&other) noexcept { *this = std::move(other); }
     PackedBytes &operator=(PackedBytes &&other) noexcept;
     PackedBytes(const PackedBytes &) = delete;
@@ -194,22 +191,6 @@ class TraceBuffer
 
     /** Hint dictionary, index order (serialization; see trace_io). */
     const std::vector<hints::Hint> &hintDict() const { return hint_dict_; }
-
-    /**
-     * Reconstitute a buffer from its packed parts (the trace_io load
-     * path). Rebuilds the dictionary reverse indices and the
-     * trailing-record fold state so the buffer stays appendable.
-     * @p payload_fnv is fnv1a(@p bytes), which the loader has just
-     * computed to verify them; the buffer carries it on rather than
-     * hashing the payload a second time.
-     */
-    static TraceBuffer fromPacked(PackedBytes bytes,
-                                  std::vector<Addr> pc_dict,
-                                  std::vector<hints::Hint> hint_dict,
-                                  std::size_t count,
-                                  std::uint64_t instructions,
-                                  std::uint64_t mem_accesses,
-                                  std::uint64_t payload_fnv);
 
     /**
      * Order-sensitive digest over the packed payload and both

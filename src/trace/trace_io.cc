@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
 
 #include "core/hashing.h"
@@ -179,46 +178,6 @@ saveTraceFile(const TraceBuffer &buffer, const std::string &path)
     // disk may refuse them there.
     stream.close();
     return static_cast<bool>(stream);
-}
-
-TraceIoStatus
-loadTrace(std::istream &stream, TraceBuffer &buffer)
-{
-    // The file length is what remains of the stream from here.
-    const std::streampos start = stream.tellg();
-    const std::streampos end = stream.seekg(0, std::ios::end).tellg();
-    if (start < 0 || end < start || !stream.seekg(start))
-        return TraceIoStatus::CannotOpen;
-    char bytes[sizeof(Header)] = {};
-    stream.read(bytes, std::min<std::streamoff>(end - start, sizeof bytes));
-    Header header{};
-    const TraceIoStatus status = checkHeader(
-        bytes, static_cast<std::uint64_t>(end - start), header);
-    if (status != TraceIoStatus::Ok)
-        return status;
-    // Every size below was bounded by the stream length above.
-    std::vector<char> dicts(dictBytes(header));
-    stream.read(dicts.data(), static_cast<std::streamsize>(dicts.size()));
-    std::vector<Addr> pc_dict;
-    std::vector<hints::Hint> hint_dict;
-    unpackDicts(dicts.data(), header, pc_dict, hint_dict);
-    PackedBytes payload(header.payload_bytes);
-    stream.read(reinterpret_cast<char *>(payload.data()),
-                static_cast<std::streamsize>(payload.size()));
-    if (!stream)
-        return TraceIoStatus::Truncated;
-    const std::uint64_t payload_fnv = fnv1a(payload);
-    if (packedTraceDigestPrehashed(header.record_count,
-                                   header.instructions, payload_fnv,
-                                   pc_dict.data(), pc_dict.size(),
-                                   hint_dict.data(), hint_dict.size()) !=
-        header.content_digest)
-        return TraceIoStatus::BadDigest;
-    buffer = TraceBuffer::fromPacked(
-        std::move(payload), std::move(pc_dict), std::move(hint_dict),
-        header.record_count, header.instructions, header.mem_accesses,
-        payload_fnv);
-    return TraceIoStatus::Ok;
 }
 
 MappedTrace &

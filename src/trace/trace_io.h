@@ -1,20 +1,19 @@
 /**
  * @file
  * Binary trace serialization: save a generated TraceBuffer to disk and
- * reload it later, so expensive workload generation can be amortised
+ * replay it later, so expensive workload generation can be amortised
  * across many simulator runs (the gem5-checkpoint analogue for this
  * trace-driven setup).
  *
  * Format v2 stores the TraceBuffer's packed representation verbatim —
  * a fixed header (magic, version, counts, content digest), the PC and
  * hint dictionaries, then the packed record payload. Saving is a few
- * bulk writes instead of a decode/re-encode pass, loading reconstitutes
- * the buffer without touching individual records, and — the point —
- * MappedTrace can decode straight out of an mmap of the file: the
- * payload is never copied, so a scale-100M replay streams through the
- * page cache instead of materialising gigabytes. The header's content
- * digest (TraceBuffer::contentDigest formula) makes every trace file
- * self-verifying: both readers refuse a file whose bytes disagree.
+ * bulk writes instead of a decode/re-encode pass, and MappedTrace
+ * decodes straight out of an mmap of the file: the payload is never
+ * copied, so a scale-100M replay streams through the page cache instead
+ * of materialising gigabytes. The header's content digest
+ * (TraceBuffer::contentDigest formula) makes every trace file
+ * self-verifying: the reader refuses a file whose bytes disagree.
  *
  * The format is versioned; loading a mismatched version fails cleanly.
  */
@@ -53,9 +52,6 @@ bool saveTrace(const TraceBuffer &buffer, std::ostream &stream);
 /** Serialize @p buffer to the file at @p path; false if any byte,
  *  the final flush on close included, failed to write. */
 bool saveTraceFile(const TraceBuffer &buffer, const std::string &path);
-
-/** Deserialize a trace from @p stream into @p buffer. */
-TraceIoStatus loadTrace(std::istream &stream, TraceBuffer &buffer);
 
 /**
  * A packed trace file mapped read-only into the address space. The

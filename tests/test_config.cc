@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/config.h"
+#include "prefetch/context/cst.h"
 
 namespace csp {
 namespace {
@@ -43,7 +44,7 @@ TEST(Config, ContextPrefetcherDefaultsMatchTable2)
 {
     const ContextPrefetcherConfig ctx;
     EXPECT_EQ(ctx.cst_entries, 2048u);
-    EXPECT_EQ(ctx.cst_links, 4u);
+    EXPECT_EQ(prefetch::ctx::Cst::kLinks, 4u);
     EXPECT_EQ(ctx.reducer_entries, 16384u);
     EXPECT_EQ(ctx.history_entries, 50u);
     EXPECT_EQ(ctx.prefetch_queue_entries, 128u);

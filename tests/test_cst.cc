@@ -12,7 +12,6 @@ smallConfig()
 {
     ContextPrefetcherConfig config;
     config.cst_entries = 16;
-    config.cst_links = 4;
     return config;
 }
 

@@ -123,7 +123,6 @@ TEST(CstAllocation, SteadyStateOperationIsHeapFree)
 {
     ContextPrefetcherConfig config;
     config.cst_entries = 256;
-    config.cst_links = 8;
     Cst cst(config); // construction may allocate (table + arena)
     Rng rng(42);
 
@@ -135,9 +134,9 @@ TEST(CstAllocation, SteadyStateOperationIsHeapFree)
         cst.addLink(key, delta);
         cst.reward(key, delta,
                    static_cast<int>(rng.below(5)) - 2);
-        std::int32_t deltas[8];
-        int scores[8];
-        cst.bestLinks(key, deltas, 8, 0, scores);
+        std::int32_t deltas[Cst::kLinks];
+        int scores[Cst::kLinks];
+        cst.bestLinks(key, deltas, Cst::kLinks, 0, scores);
         std::int32_t chosen;
         cst.randomLink(key, rng, &chosen);
         cst.softmaxLink(key, rng, 2.0, &chosen);

@@ -345,26 +345,49 @@ enum class Deltas
     Narrow,
 };
 
-/** Which Cst bodies runDifferential drives. */
-enum class Body
+/** Counts the learning-tap notifications a table sends. */
+class CountingObserver final : public obs::LearningObserver
 {
-    Plain,   ///< addLink/bestLinks dispatch (no observer: kLearn=false)
-    Learning ///< the kLearn=true bodies, called directly
+  public:
+    std::uint64_t probes = 0;
+    std::uint64_t inserts = 0;
+
+    void onCstProbe(const obs::CstProbeEvent &) override { ++probes; }
+    void onCstInsert(const obs::CstInsertEvent &) override { ++inserts; }
+    void onArmSelection(const obs::ArmSelectionEvent &) override {}
+    void onEpsilonAdapt(const obs::EpsilonEvent &) override {}
+    void onRewardApplied(Cycle, const obs::RewardEvent &) override {}
+    void onSnapshot(const obs::Tick &,
+                    const obs::LearningSnapshot &) override
+    {}
+};
+
+/** Whether runDifferential attaches a learning observer to the table. */
+enum class Observer
+{
+    None,
+    Counting ///< attached at run time; every notification counted
 };
 
 /** Replay a randomized op mix against both tables and compare every
  *  observable output. Small table + narrow key space force aliasing,
- *  conflicts, full entries, and score-based replacement. */
+ *  conflicts, full entries, and score-based replacement. With a
+ *  counting observer attached, each addLink and bestLinks must also
+ *  send exactly one notification. */
 void
-runDifferential(unsigned cst_entries, unsigned cst_links,
-                std::uint64_t seed, std::uint64_t ops,
-                Deltas delta_mode = Deltas::Full, Body body = Body::Plain)
+runDifferential(unsigned cst_entries, std::uint64_t seed,
+                std::uint64_t ops, Deltas delta_mode = Deltas::Full,
+                Observer observer = Observer::None)
 {
     ContextPrefetcherConfig config;
     config.cst_entries = cst_entries;
-    config.cst_links = cst_links;
     Cst cst(config);
-    ReferenceCst ref(cst_entries, cst_links);
+    ReferenceCst ref(cst_entries, Cst::kLinks);
+    CountingObserver counter;
+    if (observer == Observer::Counting)
+        cst.setLearningObserver(&counter);
+    std::uint64_t add_calls = 0;
+    std::uint64_t best_calls = 0;
 
     Rng op_rng(seed);
     // Exploration draws must consume identical streams on both sides;
@@ -382,17 +405,14 @@ runDifferential(unsigned cst_entries, unsigned cst_links,
             return kNarrow[op_rng.below(std::size(kNarrow))];
         return static_cast<std::int32_t>(op_rng.range(-128, 127));
     };
-    const auto addLink = [&](std::uint32_t key, std::int32_t delta) {
-        return body == Body::Learning ? cst.addLinkT<true>(key, delta)
-                                      : cst.addLink(key, delta);
-    };
     for (std::uint64_t op = 0; op < ops; ++op) {
         const auto key =
             static_cast<std::uint32_t>(op_rng.below(key_space));
         const auto pick = op_rng.below(100);
         if (pick < 50) {
             const std::int32_t delta = drawDelta();
-            expectSameAddResult(addLink(key, delta),
+            ++add_calls;
+            expectSameAddResult(cst.addLink(key, delta),
                                 ref.addLink(key, delta), op);
         } else if (pick < 70) {
             const std::int32_t delta = drawDelta();
@@ -402,17 +422,14 @@ runDifferential(unsigned cst_entries, unsigned cst_links,
             ref.reward(key, delta, amount);
         } else if (pick < 80) {
             const auto max_links = static_cast<unsigned>(
-                op_rng.below(cst_links + 1));
+                op_rng.below(Cst::kLinks + 1));
             const auto min_score =
                 static_cast<int>(op_rng.range(-2, 4));
             std::int32_t deltas_a[16], deltas_b[16];
             int scores_a[16], scores_b[16];
-            const unsigned na =
-                body == Body::Learning
-                    ? cst.bestLinksT<true>(key, deltas_a, max_links,
-                                           min_score, scores_a)
-                    : cst.bestLinks(key, deltas_a, max_links, min_score,
-                                    scores_a);
+            ++best_calls;
+            const unsigned na = cst.bestLinks(key, deltas_a, max_links,
+                                              min_score, scores_a);
             const unsigned nb = ref.bestLinks(key, deltas_b, max_links,
                                               min_score, scores_b);
             ASSERT_EQ(na, nb) << "op " << op;
@@ -453,6 +470,10 @@ runDifferential(unsigned cst_entries, unsigned cst_links,
             EXPECT_EQ(cst.entryEvictions(), ref.entry_evictions)
                 << "op " << op;
         }
+        if (observer == Observer::Counting) {
+            ASSERT_EQ(counter.inserts, add_calls) << "op " << op;
+            ASSERT_EQ(counter.probes, best_calls) << "op " << op;
+        }
         if (::testing::Test::HasFatalFailure())
             return;
     }
@@ -461,71 +482,36 @@ runDifferential(unsigned cst_entries, unsigned cst_links,
     EXPECT_EQ(cst.entryEvictions(), ref.entry_evictions);
 }
 
-// The stock 4-link geometry exercises the compile-time-unrolled
-// (kLinks = 4) body; the odd link counts take the runtime-bound body.
-
 TEST(CstDifferential, StockFourLinkGeometry)
 {
-    runDifferential(/*cst_entries=*/64, /*cst_links=*/4,
-                    /*seed=*/1, /*ops=*/40000);
+    runDifferential(/*cst_entries=*/64, /*seed=*/1, /*ops=*/40000);
 }
 
 TEST(CstDifferential, StockGeometrySecondSeed)
 {
-    runDifferential(/*cst_entries=*/64, /*cst_links=*/4,
-                    /*seed=*/77, /*ops=*/40000);
+    runDifferential(/*cst_entries=*/64, /*seed=*/77, /*ops=*/40000);
 }
 
-TEST(CstDifferential, RuntimeLinkCountThree)
-{
-    runDifferential(/*cst_entries=*/32, /*cst_links=*/3,
-                    /*seed=*/5, /*ops=*/40000);
-}
-
-TEST(CstDifferential, RuntimeLinkCountSix)
-{
-    runDifferential(/*cst_entries=*/16, /*cst_links=*/6,
-                    /*seed=*/9, /*ops=*/40000);
-}
-
-TEST(CstDifferential, SingleLinkDegenerate)
-{
-    runDifferential(/*cst_entries=*/8, /*cst_links=*/1,
-                    /*seed=*/13, /*ops=*/20000);
-}
-
-// The stock geometry finds duplicates with one compare over the four
-// delta bytes and picks victims with selects; the narrow runs aim that
+// The table finds duplicates with one compare over the four delta
+// bytes and picks victims with selects; the narrow runs aim that
 // compare at the bytes 0x00, 0x7f, 0x80 and 0xff, at frequent
 // duplicates and at full entries.
 
 TEST(CstDifferential, StockGeometryNarrowDeltas)
 {
-    runDifferential(/*cst_entries=*/64, /*cst_links=*/4,
-                    /*seed=*/21, /*ops=*/40000, Deltas::Narrow);
+    runDifferential(/*cst_entries=*/64, /*seed=*/21, /*ops=*/40000,
+                    Deltas::Narrow);
 }
 
-TEST(CstDifferential, RuntimeLinkCountNarrowDeltas)
-{
-    runDifferential(/*cst_entries=*/32, /*cst_links=*/3,
-                    /*seed=*/23, /*ops=*/40000, Deltas::Narrow);
-}
+// An observer attached at run time sees every insertion and probe,
+// once each, and changes nothing the table does.
 
 TEST(CstDifferential, StockGeometryLearningBody)
 {
-    runDifferential(/*cst_entries=*/64, /*cst_links=*/4,
-                    /*seed=*/31, /*ops=*/40000, Deltas::Full,
-                    Body::Learning);
-    runDifferential(/*cst_entries=*/64, /*cst_links=*/4,
-                    /*seed=*/33, /*ops=*/40000, Deltas::Narrow,
-                    Body::Learning);
-}
-
-TEST(CstDifferential, RuntimeLinkCountLearningBody)
-{
-    runDifferential(/*cst_entries=*/16, /*cst_links=*/6,
-                    /*seed=*/35, /*ops=*/40000, Deltas::Narrow,
-                    Body::Learning);
+    runDifferential(/*cst_entries=*/64, /*seed=*/31, /*ops=*/40000,
+                    Deltas::Full, Observer::Counting);
+    runDifferential(/*cst_entries=*/64, /*seed=*/33, /*ops=*/40000,
+                    Deltas::Narrow, Observer::Counting);
 }
 
 } // namespace

@@ -81,9 +81,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(11ull, 22ull, 33ull),
                        ::testing::ValuesIn(sim::paperPrefetchers())),
     [](const auto &info) {
-        std::string name =
-            "s" + std::to_string(std::get<0>(info.param)) + "_" +
-            std::get<1>(info.param);
+        std::string name = "s";
+        name += std::to_string(std::get<0>(info.param));
+        name += '_';
+        name += std::get<1>(info.param);
         for (char &c : name) {
             if (!std::isalnum(static_cast<unsigned char>(c)))
                 c = '_';

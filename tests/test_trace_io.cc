@@ -32,18 +32,50 @@ sampleTrace()
     return buffer;
 }
 
+/** Map a trace file holding @p bytes. The file is unlinked at once:
+ *  the mapping outlives it. */
+TraceIoStatus
+openBytes(const std::string &bytes, MappedTrace &mapped)
+{
+    const std::string path = testing::TempDir() + "csp_test.csptrace";
+    std::ofstream(path, std::ios::binary) << bytes;
+    const TraceIoStatus status = mapped.open(path);
+    std::remove(path.c_str());
+    return status;
+}
+
+/** @p buffer serialized to bytes. */
+std::string
+savedBytes(const TraceBuffer &buffer)
+{
+    std::stringstream stream;
+    EXPECT_TRUE(saveTrace(buffer, stream));
+    return stream.str();
+}
+
+/** Every record of @p mapped, decoded in order. */
+std::vector<TraceRecord>
+decodeMapped(const MappedTrace &mapped)
+{
+    std::vector<TraceRecord> out;
+    TraceCursor cur = mapped.cursor();
+    while (const TraceRecord *rec = cur.next())
+        out.push_back(*rec);
+    return out;
+}
+
 TEST(TraceIo, RoundTripPreservesEverything)
 {
     const TraceBuffer original = sampleTrace();
-    std::stringstream stream;
-    ASSERT_TRUE(saveTrace(original, stream));
-    TraceBuffer loaded;
-    ASSERT_EQ(loadTrace(stream, loaded), TraceIoStatus::Ok);
+    MappedTrace loaded;
+    ASSERT_EQ(openBytes(savedBytes(original), loaded), TraceIoStatus::Ok);
     ASSERT_EQ(loaded.size(), original.size());
     EXPECT_EQ(loaded.instructions(), original.instructions());
     EXPECT_EQ(loaded.memAccesses(), original.memAccesses());
+    EXPECT_EQ(loaded.contentDigest(), original.contentDigest());
     const std::vector<TraceRecord> original_recs = original.decode();
-    const std::vector<TraceRecord> loaded_recs = loaded.decode();
+    const std::vector<TraceRecord> loaded_recs = decodeMapped(loaded);
+    ASSERT_EQ(loaded_recs.size(), original_recs.size());
     for (std::size_t i = 0; i < original_recs.size(); ++i) {
         const TraceRecord &a = original_recs[i];
         const TraceRecord &b = loaded_recs[i];
@@ -66,43 +98,35 @@ TEST(TraceIo, RoundTripOfGeneratedWorkload)
     const TraceBuffer original = workloads::Registry::builtin()
                                      .create("list")
                                      ->generate(params);
-    std::stringstream stream;
-    ASSERT_TRUE(saveTrace(original, stream));
-    TraceBuffer loaded;
-    ASSERT_EQ(loadTrace(stream, loaded), TraceIoStatus::Ok);
+    MappedTrace loaded;
+    ASSERT_EQ(openBytes(savedBytes(original), loaded), TraceIoStatus::Ok);
     ASSERT_EQ(loaded.size(), original.size());
     const std::vector<TraceRecord> original_recs = original.decode();
-    const std::vector<TraceRecord> loaded_recs = loaded.decode();
+    const std::vector<TraceRecord> loaded_recs = decodeMapped(loaded);
+    ASSERT_EQ(loaded_recs.size(), original_recs.size());
     for (std::size_t i = 0; i < original_recs.size(); i += 37)
         EXPECT_EQ(loaded_recs[i].vaddr, original_recs[i].vaddr);
 }
 
 TEST(TraceIo, BadMagicRejected)
 {
-    std::stringstream stream;
-    stream << "NOTATRACEFILE_PADDING_PADDING";
-    TraceBuffer loaded;
-    EXPECT_EQ(loadTrace(stream, loaded), TraceIoStatus::BadMagic);
+    MappedTrace loaded;
+    EXPECT_EQ(openBytes("NOTATRACEFILE_PADDING_PADDING", loaded),
+              TraceIoStatus::BadMagic);
 }
 
 TEST(TraceIo, TruncatedHeaderRejected)
 {
-    std::stringstream stream;
-    stream << "CSP";
-    TraceBuffer loaded;
-    EXPECT_EQ(loadTrace(stream, loaded), TraceIoStatus::Truncated);
+    MappedTrace loaded;
+    EXPECT_EQ(openBytes("CSP", loaded), TraceIoStatus::Truncated);
 }
 
 TEST(TraceIo, TruncatedBodyRejected)
 {
-    const TraceBuffer original = sampleTrace();
-    std::stringstream stream;
-    ASSERT_TRUE(saveTrace(original, stream));
-    std::string bytes = stream.str();
+    std::string bytes = savedBytes(sampleTrace());
     bytes.resize(bytes.size() - 10);
-    std::stringstream cut(bytes);
-    TraceBuffer loaded;
-    EXPECT_EQ(loadTrace(cut, loaded), TraceIoStatus::Truncated);
+    MappedTrace loaded;
+    EXPECT_EQ(openBytes(bytes, loaded), TraceIoStatus::Truncated);
 }
 
 TEST(TraceIo, MissingFileReported)
@@ -112,22 +136,15 @@ TEST(TraceIo, MissingFileReported)
               TraceIoStatus::CannotOpen);
 }
 
-/** Load the trace file at @p path through the stream reader. */
-TraceIoStatus
-loadFile(const std::string &path, TraceBuffer &buffer)
-{
-    std::ifstream stream(path, std::ios::binary);
-    return loadTrace(stream, buffer);
-}
-
 TEST(TraceIo, FileRoundTrip)
 {
     const TraceBuffer original = sampleTrace();
-    const std::string path = "/tmp/csp_test_trace.bin";
+    const std::string path = testing::TempDir() + "csp_test_trace.bin";
     ASSERT_TRUE(saveTraceFile(original, path));
-    TraceBuffer loaded;
-    EXPECT_EQ(loadFile(path, loaded), TraceIoStatus::Ok);
+    MappedTrace loaded;
+    EXPECT_EQ(loaded.open(path), TraceIoStatus::Ok);
     EXPECT_EQ(loaded.size(), original.size());
+    EXPECT_EQ(loaded.contentDigest(), original.contentDigest());
     std::remove(path.c_str());
 }
 
@@ -138,27 +155,6 @@ TEST(TraceIo, WriteFailureOnTheFinalFlushIsReported)
     if (!std::filesystem::exists("/dev/full"))
         GTEST_SKIP() << "no /dev/full";
     EXPECT_FALSE(saveTraceFile(sampleTrace(), "/dev/full"));
-}
-
-/** The two readers' statuses for a trace file holding @p bytes. */
-struct ReadStatuses
-{
-    TraceIoStatus load;
-    TraceIoStatus mapped;
-};
-
-ReadStatuses
-readAll(const std::string &bytes)
-{
-    const std::string path = testing::TempDir() + "csp_corrupt.csptrace";
-    std::ofstream(path, std::ios::binary) << bytes;
-    ReadStatuses out{};
-    TraceBuffer loaded;
-    out.load = loadFile(path, loaded);
-    MappedTrace mapped;
-    out.mapped = mapped.open(path, true);
-    std::remove(path.c_str());
-    return out;
 }
 
 long
@@ -213,7 +209,8 @@ TEST(TraceIo, CorruptionMatrixIsRefusedByEveryReader)
         workloads::Registry::builtin().create("list")->generate(params),
         stream));
     const std::string good = stream.str();
-    ASSERT_EQ(readAll(good).load, TraceIoStatus::Ok);
+    MappedTrace good_map;
+    ASSERT_EQ(openBytes(good, good_map), TraceIoStatus::Ok);
     const std::uint64_t payload_bytes = fieldAt<std::uint64_t>(good, 56);
     const std::size_t payload_off = good.size() - payload_bytes;
     ASSERT_GT(payload_off, kHeaderBytes); // both dictionaries non-empty
@@ -221,9 +218,8 @@ TEST(TraceIo, CorruptionMatrixIsRefusedByEveryReader)
 
     const auto expectRefused = [](const std::string &bytes,
                                   const std::string &row) {
-        const ReadStatuses got = readAll(bytes);
-        EXPECT_NE(got.load, TraceIoStatus::Ok) << row;
-        EXPECT_NE(got.mapped, TraceIoStatus::Ok) << row;
+        MappedTrace mapped;
+        EXPECT_NE(openBytes(bytes, mapped), TraceIoStatus::Ok) << row;
     };
 
     // Truncation at every header offset and at sampled payload offsets.
@@ -276,10 +272,9 @@ TEST(TraceIo, CorruptionMatrixIsRefusedByEveryReader)
             setField(bytes, offset, static_cast<std::uint32_t>(value));
         else
             setField(bytes, offset, value);
-        const ReadStatuses got = readAll(bytes);
-        const std::string row = "huge field at " + std::to_string(offset);
-        EXPECT_EQ(got.load, TraceIoStatus::Truncated) << row;
-        EXPECT_EQ(got.mapped, TraceIoStatus::Truncated) << row;
+        MappedTrace mapped;
+        EXPECT_EQ(openBytes(bytes, mapped), TraceIoStatus::Truncated)
+            << "huge field at " << offset;
     }
 
     EXPECT_LT(peakRssKib() - rss_before, 64 * 1024)

@@ -46,6 +46,8 @@ It also gates the three "disabled observability must stay free" bars
   - BM_LearnObs_NullTap (observer attached, learning observer null)
     must retain at least MIN_DISABLED_RATE of the control rate, so the
     learning hooks cost nothing when --learn-out is not requested.
+    Control and NullTap run the same context-prefetcher code; each
+    hook there is one null check.
   - BM_MemObs_NullTap (observer attached, mem observer null) must
     retain at least MIN_DISABLED_RATE of the control rate, so the
     memory-hierarchy hooks cost nothing when --mem-out is not
