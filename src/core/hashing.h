@@ -6,38 +6,60 @@
  * attribute values twice (paper section 4.4 / Figure 7): once over the full
  * attribute vector to index the Reducer, and once over the active subset to
  * index the Context-States Table. Both hashes are built from the primitives
- * here.
+ * here. StreamDigest is the bulk-payload digest behind the trace
+ * content digest.
  */
 
 #ifndef CSP_CORE_HASHING_H
 #define CSP_CORE_HASHING_H
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
 namespace csp {
 
-/** FNV-1a initial state (offset basis), for chunked hashing. */
-inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
-
-/** One FNV-1a step: @p state with @p byte folded in. */
-constexpr std::uint64_t
-fnv1aStep(std::uint64_t state, std::uint8_t byte)
-{
-    return (state ^ byte) * 0x100000001b3ull;
-}
-
-/** 64-bit FNV-1a over a byte span. */
+/** 64-bit FNV-1a over a byte span: a byte-serial hash for short keys
+ *  (cache-entry names). Bulk payloads use StreamDigest. */
 std::uint64_t fnv1a(std::span<const std::uint8_t> bytes);
 
 /**
- * Continue an FNV-1a hash from @p state over @p bytes, so large inputs
- * can be hashed window-by-window: chaining from kFnv1aBasis across
- * consecutive chunks equals fnv1a over their concatenation. Lets the
- * mmap'd trace verifier hash a file without keeping it resident.
+ * Streaming 64-bit digest of a byte stream: xxHash64 with seed 0.
+ * Four 64-bit lanes each fold one word of every 32-byte stripe through
+ * a multiply-rotate round, so the lanes run in parallel and the hash
+ * keeps pace with memory bandwidth; the tail and the final avalanche
+ * follow the xxHash64 specification, so the reference test vectors
+ * hold.
+ *
+ * update() takes the input in windows of any size: a partial stripe is
+ * buffered until the next window completes it, so the digest over any
+ * split of the input equals streamDigest() over the whole of it. That
+ * lets the mmap'd trace verifier hash a file without keeping it
+ * resident.
  */
-std::uint64_t fnv1aResume(std::uint64_t state,
-                          std::span<const std::uint8_t> bytes);
+class StreamDigest
+{
+  public:
+    /** Fold @p bytes, the next window of the input, into the state. */
+    void update(std::span<const std::uint8_t> bytes);
+
+    /** Digest of everything update() has seen so far. */
+    std::uint64_t digest() const;
+
+  private:
+    static constexpr std::size_t kStripe = 32;
+
+    std::uint64_t lanes_[4] = {0x60ea27eeadc0b5d6ull,  // P1 + P2
+                               0xc2b2ae3d27d4eb4full,  // P2
+                               0,                      // seed
+                               0x61c8864e7a143579ull}; // -P1
+    std::uint64_t total_ = 0;          ///< bytes seen
+    std::uint8_t pending_[kStripe];    ///< incomplete trailing stripe
+    std::size_t pending_size_ = 0;
+};
+
+/** StreamDigest over @p bytes in one window. */
+std::uint64_t streamDigest(std::span<const std::uint8_t> bytes);
 
 /** Strong 64-bit integer mix (splitmix64 finalizer). */
 constexpr std::uint64_t

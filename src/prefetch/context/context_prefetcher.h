@@ -67,6 +67,10 @@ class ContextPrefetcher final : public Prefetcher
 
     std::string name() const override { return "context"; }
 
+    /** Every access is keyed by its machine context (paper Table 1)
+     *  and throttled by the free L1 MSHRs. */
+    bool readsContext() const override { return true; }
+
     void observe(const AccessInfo &info,
                  std::vector<PrefetchRequest> &out) override;
 

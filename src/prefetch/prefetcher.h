@@ -5,10 +5,13 @@
  * is evaluated against (stride, GHB G/DC, GHB PC/DC, SMS).
  *
  * The simulator calls observe() once per demand access, in program
- * order, with the access's machine context and memory-system pressure;
- * the prefetcher appends candidate prefetches (real or shadow) to the
- * output vector. The simulator dispatches real candidates to the
- * hierarchy and reports each outcome back through onPrefetchOutcome().
+ * order; the prefetcher appends candidate prefetches (real or shadow)
+ * to the output vector. Only a prefetcher whose readsContext() is true
+ * is handed the access's machine context and memory-system pressure:
+ * capturing the context is a layer of its own, and the baselines read
+ * only the PC and address. The simulator dispatches real candidates to
+ * the hierarchy and reports each outcome back through
+ * onPrefetchOutcome().
  */
 
 #ifndef CSP_PREFETCH_PREFETCHER_H
@@ -61,11 +64,15 @@ struct AccessInfo
     bool is_store = false;
     bool l1_miss = false;
     bool hit_prefetched_line = false;
-    unsigned free_l1_mshrs = 0; ///< throttle input
+    /// Throttle input. Set only for a prefetcher whose readsContext()
+    /// is true; 0 otherwise.
+    unsigned free_l1_mshrs = 0;
     /// Value returned by this load (0 when unknown/not a load); see
     /// is_store.
     std::uint64_t loaded_value = 0;
-    /// Full machine context (paper Table 1); never null.
+    /// Full machine context (paper Table 1). Never null for a
+    /// prefetcher whose readsContext() is true; null for every other,
+    /// which must not read it.
     const trace::ContextSnapshot *context = nullptr;
 };
 
@@ -77,6 +84,14 @@ class Prefetcher
 
     /** Short identifier, e.g. "context", "ghb-gdc". */
     virtual std::string name() const = 0;
+
+    /**
+     * Whether observe() reads AccessInfo::context and free_l1_mshrs.
+     * The simulator asks once per run; when false it skips context
+     * capture and hands observe() a null context and 0 free MSHRs.
+     * Default: false.
+     */
+    virtual bool readsContext() const { return false; }
 
     /** Observe one demand access; append candidates to @p out. */
     virtual void observe(const AccessInfo &info,

@@ -25,7 +25,7 @@ namespace csp::sim {
 namespace {
 
 constexpr const char *kSchema = "csp-result-cache-v1";
-constexpr const char *kTraceMemoSchema = "csp-trace-memo-v1";
+constexpr const char *kTraceMemoSchema = "csp-trace-memo-v2";
 
 std::uint64_t
 stringHash(const std::string &text)
@@ -425,7 +425,11 @@ ResultCache::store(const CellKey &key, const RunStats &stats,
 std::string
 TraceMemo::entryPath(const TraceKey &key) const
 {
+    // The schema is part of the name, so an entry of an older schema
+    // (one whose content digest used another payload hash) is never
+    // read: a clean miss, not a stale entry.
     WordHasher h;
+    h.add(stringHash(kTraceMemoSchema));
     h.add(kResultCacheEpoch);
     h.add(stringHash(key.workload));
     h.add(key.scale);

@@ -198,7 +198,7 @@ struct TraceMemo
     std::string root; ///< memo directory, created by the first store
 
     /** Entry path for @p key: <root>/<workload>-<hex key digest>.json
-     *  (the key digest folds in kResultCacheEpoch). */
+     *  (the key digest folds in the schema and kResultCacheEpoch). */
     std::string entryPath(const TraceKey &key) const;
 
     /** True with @p summary filled on a verified hit. An entry that

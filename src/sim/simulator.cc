@@ -88,7 +88,8 @@ struct Replay
     Replay(Source &trace, const SystemConfig &system,
            prefetch::Prefetcher &pf, const obs::RunObserver *observer)
         : source(trace), config(system), prefetcher(pf),
-          core(system.core), hierarchy(system.memory),
+          reads_context(pf.readsContext()), core(system.core),
+          hierarchy(system.memory),
           hw(system.memory.l1d.line_bytes),
           bundle(observer != nullptr ? *observer : obs::RunObserver())
     {
@@ -178,7 +179,8 @@ struct Replay
                 const Cycle dispatch = core.dispatchNext();
                 core.complete(dispatch + 1);
                 mark<kTimed>(Layer::Cpu);
-                hw.update(rec);
+                if (reads_context)
+                    hw.update(rec);
                 mark<kTimed>(Layer::Capture);
                 break;
               }
@@ -234,7 +236,9 @@ struct Replay
         mark<kTimed>(Layer::Classify);
 
         // Hand the access to the prefetcher and dispatch its requests.
-        hw.captureInto(rec, ctx);
+        // Only a prefetcher that reads the machine context pays for it.
+        if (reads_context)
+            hw.captureInto(rec, ctx);
         mark<kTimed>(Layer::Capture);
         prefetch::AccessInfo info;
         info.seq = seq;
@@ -245,9 +249,11 @@ struct Replay
         info.is_store = is_store;
         info.l1_miss = result.l1_miss;
         info.hit_prefetched_line = result.hit_prefetched_line;
-        info.free_l1_mshrs = hierarchy.freeL1Mshrs(issue);
         info.loaded_value = is_store ? 0 : rec.loaded_value;
-        info.context = &ctx;
+        if (reads_context) {
+            info.free_l1_mshrs = hierarchy.freeL1Mshrs(issue);
+            info.context = &ctx;
+        }
         requests.clear();
         mark<kTimed>(Layer::Loop);
         prefetcher.observe(info, requests);
@@ -266,7 +272,8 @@ struct Replay
                 predicted_unissued.record(hierarchy.lineAddr(req.addr));
         }
         mark<kTimed>(Layer::MemPrefetch);
-        hw.update(rec);
+        if (reads_context)
+            hw.update(rec);
         mark<kTimed>(Layer::Capture);
         ++seq;
 
@@ -308,6 +315,9 @@ struct Replay
     Source &source;
     const SystemConfig &config;
     prefetch::Prefetcher &prefetcher;
+    /// prefetcher.readsContext(), read once: whether to capture the
+    /// machine context and the free L1 MSHRs for it.
+    const bool reads_context;
     cpu::CoreModel core;
     mem::Hierarchy hierarchy;
     trace::HwContextTracker hw;
@@ -316,7 +326,7 @@ struct Replay
     AccessSeq seq = 0;
     std::vector<prefetch::PrefetchRequest> requests;
     /// One context snapshot for the whole run; captureInto() writes
-    /// every attribute per access.
+    /// every attribute per access (context readers only).
     trace::ContextSnapshot ctx;
     // Run-local counters that exist only as registry stats.
     std::uint64_t requests_real = 0;

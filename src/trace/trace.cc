@@ -26,18 +26,18 @@ constexpr std::uint8_t kHasSize = 0x80;   ///< size != 8
  *  loaded values 64-bit), the size byte and the vaddr. */
 constexpr std::size_t kMaxRecordBytes = 1 + 5 + 1 + 8 + 5 + 10 + 10 + 5;
 
-/** Writes one record's bytes into reserved payload space and folds
- *  each into the running payload hash as it goes. */
+/** Writes one record's bytes into reserved payload space. */
 struct RecordWriter
 {
     std::uint8_t *out;
-    std::uint64_t fnv;
+
+    void put(std::uint8_t byte) { *out++ = byte; }
 
     void
-    put(std::uint8_t byte)
+    put64(std::uint64_t value)
     {
-        *out++ = byte;
-        fnv = fnv1aStep(fnv, byte);
+        std::memcpy(out, &value, sizeof value);
+        out += sizeof value;
     }
 
     void
@@ -158,17 +158,13 @@ TraceBuffer::encode(const TraceRecord &rec, std::uint32_t pc_index,
         header |= kHasRepeat;
     if (rec.size != 8)
         header |= kHasSize;
-    RecordWriter w{bytes_.tail(kMaxRecordBytes), payload_fnv_};
+    RecordWriter w{bytes_.tail(kMaxRecordBytes)};
     w.put(header);
     w.putVarint(pc_index);
     if (header & kHasSize)
         w.put(rec.size);
-    if (rec.isMem()) {
-        std::uint8_t vaddr[sizeof rec.vaddr];
-        std::memcpy(vaddr, &rec.vaddr, sizeof vaddr);
-        for (const std::uint8_t byte : vaddr)
-            w.put(byte);
-    }
+    if (rec.isMem())
+        w.put64(rec.vaddr);
     if (header & kHasHint)
         w.putVarint(hint_index);
     if (header & kHasReg)
@@ -178,7 +174,6 @@ TraceBuffer::encode(const TraceRecord &rec, std::uint32_t pc_index,
     if (header & kHasRepeat)
         w.putVarint(rec.repeat);
     bytes_.commit(w.out);
-    payload_fnv_ = w.fnv;
 }
 
 void
@@ -186,6 +181,7 @@ TraceBuffer::push(const TraceRecord &rec)
 {
     if (tap_)
         tap_(tap_user_, rec);
+    payload_hash_.reset();
     // Fold a compute burst into a preceding compute record from the same
     // site so long traces stay compact. The trailing record is the only
     // mutable one, so folding truncates it and re-encodes with the
@@ -193,14 +189,12 @@ TraceBuffer::push(const TraceRecord &rec)
     if (rec.kind == InstKind::Compute && last_is_compute_ &&
         last_rec_.pc == rec.pc) {
         bytes_.commit(bytes_.data() + last_offset_);
-        payload_fnv_ = last_fnv_;
         last_rec_.repeat += rec.repeat;
         encode(last_rec_, last_pc_index_, last_hint_index_);
         instructions_ += rec.repeat;
         return;
     }
     last_offset_ = bytes_.size();
-    last_fnv_ = payload_fnv_;
     last_is_compute_ = rec.kind == InstKind::Compute;
     const std::uint32_t pc_index = pcIndex(rec.pc);
     const std::uint32_t hint_index =
@@ -229,15 +223,28 @@ TraceBuffer::decode() const
 }
 
 std::uint64_t
+PayloadHashMemo::get(std::span<const std::uint8_t> payload) const
+{
+    if (valid_.load(std::memory_order_acquire))
+        return hash_;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!valid_.load(std::memory_order_relaxed)) {
+        hash_ = streamDigest(payload);
+        valid_.store(true, std::memory_order_release);
+    }
+    return hash_;
+}
+
+std::uint64_t
 packedTraceDigestPrehashed(std::size_t count, std::uint64_t instructions,
-                           std::uint64_t payload_fnv, const Addr *pcs,
+                           std::uint64_t payload_hash, const Addr *pcs,
                            std::size_t pc_count, const hints::Hint *hints,
                            std::size_t hint_count)
 {
     WordHasher h;
     h.add(count);
     h.add(instructions);
-    h.add(payload_fnv);
+    h.add(payload_hash);
     // Dictionary indices appear in the packed bytes, so hashing each
     // dictionary in index order pins the full record stream. Hints are
     // hashed field-wise: the struct has padding bytes.
@@ -257,16 +264,16 @@ packedTraceDigest(std::size_t count, std::uint64_t instructions,
                   const hints::Hint *hints, std::size_t hint_count)
 {
     return packedTraceDigestPrehashed(count, instructions,
-                                      fnv1a({bytes, bytes_size}), pcs,
-                                      pc_count, hints, hint_count);
+                                      streamDigest({bytes, bytes_size}),
+                                      pcs, pc_count, hints, hint_count);
 }
 
 std::uint64_t
 TraceBuffer::contentDigest() const
 {
-    return packedTraceDigestPrehashed(count_, instructions_, payload_fnv_,
-                                      pc_dict_.data(), pc_dict_.size(),
-                                      hint_dict_.data(), hint_dict_.size());
+    return packedTraceDigestPrehashed(
+        count_, instructions_, payload_hash_.get(bytes_), pc_dict_.data(),
+        pc_dict_.size(), hint_dict_.data(), hint_dict_.size());
 }
 
 const TraceRecord *

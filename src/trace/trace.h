@@ -24,23 +24,24 @@
  * and only streams the packed bytes.
  *
  * Recording costs what writing the bytes costs: each record is encoded
- * straight into the payload's tail, its PC and hint are looked up in
- * flat open-addressing dictionaries, and the payload's FNV-1a is kept
- * as the bytes are written, so the content digest never re-reads the
- * payload.
+ * straight into the payload's tail and its PC and hint are looked up in
+ * flat open-addressing dictionaries. The payload is hashed once, after
+ * recording, by the first contentDigest() call (StreamDigest, at
+ * memory speed), and the hash is kept until the next push.
  */
 
 #ifndef CSP_TRACE_TRACE_H
 #define CSP_TRACE_TRACE_H
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/flat_map.h"
-#include "core/hashing.h"
 #include "core/types.h"
 #include "hints/hint.h"
 
@@ -77,6 +78,45 @@ struct TraceRecord
 };
 
 class TraceCursor;
+
+/**
+ * A payload's StreamDigest, computed on first use and kept until
+ * reset(). Any number of const readers may call get() concurrently:
+ * the first one hashes, under a mutex, and the rest wait for its
+ * result, so a payload is hashed at most once however many sweep cells
+ * ask. reset() and moves are writes: the owner makes them while no
+ * reader runs. A move carries a computed hash along.
+ */
+class PayloadHashMemo
+{
+  public:
+    PayloadHashMemo() = default;
+    PayloadHashMemo(PayloadHashMemo &&other) noexcept
+    {
+        *this = std::move(other);
+    }
+    PayloadHashMemo &
+    operator=(PayloadHashMemo &&other) noexcept
+    {
+        hash_ = other.hash_;
+        valid_.store(other.valid_.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+        other.reset();
+        return *this;
+    }
+
+    /** The hash of @p payload, which must be the bytes the memo was
+     *  last reset() for. */
+    std::uint64_t get(std::span<const std::uint8_t> payload) const;
+
+    /** Forget the hash: the payload changed. */
+    void reset() { valid_.store(false, std::memory_order_relaxed); }
+
+  private:
+    mutable std::mutex mutex_;
+    mutable std::uint64_t hash_ = 0;
+    mutable std::atomic<bool> valid_{false};
+};
 
 /**
  * Storage for a packed payload: a malloc'd byte array grown by realloc.
@@ -199,8 +239,9 @@ class TraceBuffer
      * identically; any record, PC or hint difference changes it.
      *
      * Equal to packedTraceDigest over packedBytes() and the
-     * dictionaries, but the payload's fnv1a is kept as bytes are
-     * appended, so this costs only the dictionaries.
+     * dictionaries. The payload is hashed by the first call after the
+     * last push and the hash is kept, so further calls cost only the
+     * dictionaries. Safe to call from several threads at once.
      */
     std::uint64_t contentDigest() const;
 
@@ -237,7 +278,7 @@ class TraceBuffer
                 std::uint32_t hint_index);
 
     PackedBytes bytes_;               ///< packed records
-    std::uint64_t payload_fnv_ = kFnv1aBasis; ///< fnv1a(bytes_)
+    PayloadHashMemo payload_hash_;    ///< streamDigest(bytes_)
     std::vector<Addr> pc_dict_;       ///< PC-dictionary index -> PC
     FlatMap<Addr, std::uint32_t> pc_index_; ///< PC -> index
     // Hints are dictionary-encoded too (workloads use a handful of
@@ -251,13 +292,12 @@ class TraceBuffer
     std::uint64_t mem_accesses_ = 0;
 
     // Trailing-record state so compute bursts from the same site fold
-    // into one record. Folding truncates the payload to last_offset_,
-    // rewinds the payload hash to last_fnv_ and re-encodes last_rec_
-    // (every field preserved, dictionary indices reused) with the
-    // summed burst length. last_rec_ and its indices are kept only
-    // while the trailing record is a compute record.
+    // into one record. Folding truncates the payload to last_offset_
+    // and re-encodes last_rec_ (every field preserved, dictionary
+    // indices reused) with the summed burst length. last_rec_ and its
+    // indices are kept only while the trailing record is a compute
+    // record.
     std::size_t last_offset_ = 0;
-    std::uint64_t last_fnv_ = kFnv1aBasis;
     bool last_is_compute_ = false;
     TraceRecord last_rec_;
     std::uint32_t last_pc_index_ = 0;
@@ -281,13 +321,13 @@ std::uint64_t packedTraceDigest(std::size_t count,
                                 std::size_t hint_count);
 
 /**
- * packedTraceDigest with the payload's fnv1a already computed — for
- * verifiers that hash the payload in windows (fnv1aResume) so the whole
- * file never needs to be resident at once.
+ * packedTraceDigest with the payload's hash already computed — for
+ * verifiers that hash the payload in windows (StreamDigest) so the
+ * whole file never needs to be resident at once.
  */
 std::uint64_t packedTraceDigestPrehashed(
     std::size_t count, std::uint64_t instructions,
-    std::uint64_t payload_fnv, const Addr *pcs, std::size_t pc_count,
+    std::uint64_t payload_hash, const Addr *pcs, std::size_t pc_count,
     const hints::Hint *hints, std::size_t hint_count);
 
 /**

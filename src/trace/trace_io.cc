@@ -17,7 +17,7 @@ namespace csp::trace {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'S', 'P', 'T', 'R', 'A', 'C', 'E'};
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
 /**
  * On-disk header (64 bytes, little-endian host assumed, 8-byte
@@ -264,17 +264,18 @@ MappedTrace::open(const std::string &path, bool verify_digest)
     content_digest_ = header.content_digest;
 
     if (verify_digest) {
-        std::uint64_t fnv = kFnv1aBasis;
+        StreamDigest payload_hash;
         for (std::size_t off = 0; off < payload_bytes_;
              off += kVerifyWindowBytes) {
             const std::size_t n =
                 std::min(kVerifyWindowBytes, payload_bytes_ - off);
-            fnv = fnv1aResume(fnv, {payload_ + off, n});
+            payload_hash.update({payload_ + off, n});
             releaseConsumed(payload_ + off + n);
         }
         const std::uint64_t expect = packedTraceDigestPrehashed(
-            record_count_, instructions_, fnv, pc_dict_.data(),
-            pc_dict_.size(), hint_dict_.data(), hint_dict_.size());
+            record_count_, instructions_, payload_hash.digest(),
+            pc_dict_.data(), pc_dict_.size(), hint_dict_.data(),
+            hint_dict_.size());
         if (expect != content_digest_) {
             close();
             return TraceIoStatus::BadDigest;

@@ -5,17 +5,21 @@
  * across many simulator runs (the gem5-checkpoint analogue for this
  * trace-driven setup).
  *
- * Format v2 stores the TraceBuffer's packed representation verbatim —
+ * Format v3 stores the TraceBuffer's packed representation verbatim —
  * a fixed header (magic, version, counts, content digest), the PC and
  * hint dictionaries, then the packed record payload. Saving is a few
  * bulk writes instead of a decode/re-encode pass, and MappedTrace
  * decodes straight out of an mmap of the file: the payload is never
  * copied, so a scale-100M replay streams through the page cache instead
  * of materialising gigabytes. The header's content digest
- * (TraceBuffer::contentDigest formula) makes every trace file
- * self-verifying: the reader refuses a file whose bytes disagree.
+ * (TraceBuffer::contentDigest formula, over a StreamDigest of the
+ * payload) makes every trace file self-verifying: the reader refuses a
+ * file whose bytes disagree.
  *
  * The format is versioned; loading a mismatched version fails cleanly.
+ * v3 changed only the payload hash inside the content digest (v2's was
+ * FNV-1a), so a v2 file is refused as bad-version before its digest is
+ * read.
  */
 
 #ifndef CSP_TRACE_TRACE_IO_H

@@ -3,7 +3,8 @@
  *  row-major, a general grid matches direct simulation with each trace
  *  generated and each distinct cell simulated once, observed cells
  *  return what a direct run's observers record, and the core
- *  ThreadPool behaves. Built under
+ *  ThreadPool behaves, and concurrent contentDigest() calls agree.
+ *  Built under
  *  -fsanitize=thread by the CI TSan job (CSP_TSAN=ON) as the
  *  data-race smoke test for the whole engine. */
 
@@ -28,6 +29,8 @@
 #include "report_util.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
+#include "trace/trace.h"
+#include "workloads/registry.h"
 
 namespace csp::sim {
 namespace {
@@ -533,6 +536,40 @@ TEST(ThreadPool, DefaultJobsHonoursEnvironment)
     EXPECT_EQ(ThreadPool::defaultJobs(), hw);
     unsetenv("CSP_JOBS");
     EXPECT_EQ(ThreadPool::defaultJobs(), hw);
+}
+
+/** Sweep cells ask for their trace's digest from many workers at
+ *  once: the first call hashes the payload, and every caller must get
+ *  the digest recomputed from the bytes. */
+TEST(TraceBufferDigest, ConcurrentReadersAgreeAndAPushRehashes)
+{
+    workloads::WorkloadParams params;
+    params.scale = 5000;
+    trace::TraceBuffer buffer =
+        workloads::Registry::builtin().create("list")->generate(params);
+    const auto recomputed = [](const trace::TraceBuffer &b) {
+        return trace::packedTraceDigest(
+            b.size(), b.instructions(), b.packedBytes().data(),
+            b.packedBytes().size(), b.pcDict().data(), b.pcDict().size(),
+            b.hintDict().data(), b.hintDict().size());
+    };
+    const std::uint64_t expect = recomputed(buffer);
+    std::vector<std::uint64_t> seen(4, 0);
+    {
+        std::vector<std::thread> readers;
+        for (std::uint64_t &out : seen)
+            readers.emplace_back([&] { out = buffer.contentDigest(); });
+        for (std::thread &reader : readers)
+            reader.join();
+    }
+    for (const std::uint64_t digest : seen)
+        EXPECT_EQ(digest, expect);
+    // A move carries the kept hash; a push discards it.
+    trace::TraceBuffer moved = std::move(buffer);
+    EXPECT_EQ(moved.contentDigest(), expect);
+    trace::Recorder(moved, 0x4000).compute(1, 3);
+    EXPECT_NE(moved.contentDigest(), expect);
+    EXPECT_EQ(moved.contentDigest(), recomputed(moved));
 }
 
 } // namespace

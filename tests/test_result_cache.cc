@@ -13,10 +13,13 @@
 #include <vector>
 
 #include "core/content_store.h"
+#include "core/hashing.h"
+#include "core/run_manifest.h"
 #include "diff/csp_diff.h"
 #include "sim/experiment.h"
 #include "sim/result_cache.h"
 #include "sim/sweep_io.h"
+#include "workloads/registry.h"
 
 namespace csp::sim {
 namespace {
@@ -181,6 +184,83 @@ TEST(ResultCache, StaleMemoDigestWarnsAndIsRewritten)
     EXPECT_EQ(cellCsv(cold), cellCsv(warm));
 }
 
+/** Where a csp-trace-memo-v1 build stored @p key's entry under
+ *  @p root: its name did not fold in the schema. */
+std::string
+v1MemoPath(const std::string &root, const TraceKey &key)
+{
+    const auto text = [](const std::string &s) {
+        return fnv1a({reinterpret_cast<const std::uint8_t *>(s.data()),
+                      s.size()});
+    };
+    WordHasher h;
+    h.add(kResultCacheEpoch);
+    h.add(text(key.workload));
+    h.add(key.scale);
+    h.add(key.seed);
+    h.add(text(key.placement));
+    return root + "/" + key.workload + "-" + hexDigest(h.digest()) +
+           ".json";
+}
+
+/** A v1 entry (FNV-1a payload hash in its content digest) is never
+ *  read: the sweep misses cleanly, without the stale-entry warning, and
+ *  stores a v2 entry beside it. */
+TEST(TraceMemo, VersionOneEntryIsACleanMiss)
+{
+    TempDir dirs;
+    SweepOptions options = cachedOptions(dirs, 1);
+    const SystemConfig config;
+    workloads::WorkloadParams params;
+    params.scale = 2000;
+    const TraceMemo memo{dirs.traceDir()};
+    const TraceKey key = memoKey("list", 2000);
+    ASSERT_NE(v1MemoPath(memo.root, key), memo.entryPath(key));
+    // The entry a v1 build wrote for this trace: its true counts, and
+    // the content digest over an FNV-1a of the payload.
+    const trace::TraceBuffer buffer =
+        workloads::Registry::builtin().create("list")->generate(params);
+    TraceSummary v1;
+    v1.records = buffer.size();
+    v1.instructions = buffer.instructions();
+    v1.mem_accesses = buffer.memAccesses();
+    v1.content_digest = trace::packedTraceDigestPrehashed(
+        buffer.size(), buffer.instructions(), fnv1a(buffer.packedBytes()),
+        buffer.pcDict().data(), buffer.pcDict().size(),
+        buffer.hintDict().data(), buffer.hintDict().size());
+    ASSERT_NE(v1.content_digest, buffer.contentDigest());
+    WordHasher payload;
+    payload.add(v1.records);
+    payload.add(v1.instructions);
+    payload.add(v1.mem_accesses);
+    payload.add(v1.content_digest);
+    std::filesystem::create_directories(memo.root);
+    const std::string v1_path = v1MemoPath(memo.root, key);
+    ASSERT_TRUE(atomicWriteFile(
+        v1_path,
+        R"({"schema":"csp-trace-memo-v1","epoch":1,"workload":"list",)"
+        R"("scale":2000,"seed":1,"placement":"rand","records":)" +
+            std::to_string(v1.records) +
+            ",\"instructions\":" + std::to_string(v1.instructions) +
+            ",\"mem_accesses\":" + std::to_string(v1.mem_accesses) +
+            ",\"content_digest\":\"" + hexDigest(v1.content_digest) +
+            "\",\"payload_digest\":\"" + hexDigest(payload.digest()) +
+            "\"}"));
+
+    testing::internal::CaptureStderr();
+    TraceSummary loaded;
+    EXPECT_FALSE(memo.load(key, loaded));
+    const SweepResult result =
+        runSweep({"list"}, {"none"}, params, config, options);
+    EXPECT_EQ(testing::internal::GetCapturedStderr().find("trace memo"),
+              std::string::npos);
+    EXPECT_EQ(result.trace_cache_hits, 0u);
+    EXPECT_EQ(result.traces_generated, 1u);
+    ASSERT_TRUE(memo.load(key, loaded));
+    EXPECT_EQ(loaded.content_digest, buffer.contentDigest());
+    EXPECT_TRUE(std::filesystem::exists(v1_path));
+}
+
 /** Every truncation and every single-bit flip of a memo entry is
  *  refused, and the sweep that meets it regenerates the trace and
  *  stores the entry again, byte for byte. */
@@ -200,7 +280,7 @@ TEST(TraceMemo, CorruptionMatrixIsRegeneratedAndRestored)
     const std::string path = memo.entryPath(key);
     std::string golden;
     ASSERT_TRUE(readFileToString(path, golden));
-    EXPECT_EQ(golden.rfind(R"({"schema":"csp-trace-memo-v1","epoch":1,)"
+    EXPECT_EQ(golden.rfind(R"({"schema":"csp-trace-memo-v2","epoch":1,)"
                            R"("workload":"list","scale":2000,"seed":1,)"
                            R"("placement":"rand","records":)",
                            0),

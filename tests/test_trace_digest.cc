@@ -1,13 +1,14 @@
-/** @file TraceBuffer keeps its payload hash as records are appended;
- *  these tests check that contentDigest() always equals the digest
- *  recomputed from the packed bytes — for every workload and across
- *  compute-burst folds and hints — and pin the trace digests of
- *  results/baseline/. */
+/** @file TraceBuffer hashes its payload once, on the first
+ *  contentDigest() after a push, and keeps the hash; these tests check
+ *  that contentDigest() always equals the digest recomputed from the
+ *  packed bytes — for every workload and across compute-burst folds
+ *  and hints — and pin the trace digests, new and legacy. */
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "core/hashing.h"
 #include "core/rng.h"
 #include "trace/trace.h"
 #include "workloads/registry.h"
@@ -83,25 +84,41 @@ TEST(TraceContentDigest, RandomPushesWithFoldsAndHintsMatchAfterEveryPush)
     EXPECT_GT(buffer.hintDict().size(), 1u);
 }
 
-/** The content digest of @p workload's trace at seed 1. */
-std::uint64_t
-workloadDigest(const std::string &workload, std::uint64_t scale)
+/** @p workload's trace at seed 1. */
+TraceBuffer
+workloadTrace(const std::string &workload, std::uint64_t scale)
 {
     workloads::WorkloadParams params;
     params.scale = scale;
     params.seed = 1;
-    return workloads::Registry::builtin()
-        .create(workload)
-        ->generate(params)
-        .contentDigest();
+    return workloads::Registry::builtin().create(workload)->generate(
+        params);
+}
+
+/** The content digest as trace format v2 computed it: the same formula
+ *  over an FNV-1a of the payload. */
+std::uint64_t
+legacyFnvDigest(const TraceBuffer &buffer)
+{
+    return packedTraceDigestPrehashed(
+        buffer.size(), buffer.instructions(), fnv1a(buffer.packedBytes()),
+        buffer.pcDict().data(), buffer.pcDict().size(),
+        buffer.hintDict().data(), buffer.hintDict().size());
 }
 
 TEST(TraceContentDigest, BaselineTraceDigestsArePinned)
 {
-    // The manifest trace_digest of results/baseline/list_context.json
-    // and mcf_all.json (cspsim --stats-out runs at these scales).
-    EXPECT_EQ(workloadDigest("list", 50000), 0x335438bb5b66df0bull);
-    EXPECT_EQ(workloadDigest("mcf", 20000), 0x9d42426f4624aee6ull);
+    // The runs of results/baseline/list_context.json and mcf_all.json
+    // (cspsim --stats-out at these scales).
+    const TraceBuffer list = workloadTrace("list", 50000);
+    const TraceBuffer mcf = workloadTrace("mcf", 20000);
+    EXPECT_EQ(list.contentDigest(), 0x6a0b8d745ee062bdull);
+    EXPECT_EQ(mcf.contentDigest(), 0x3ef927bc2ee00c19ull);
+    // The baselines' manifests carry the FNV-1a digests: the same
+    // buffers still reproduce them, so the trace bytes are the ones
+    // the baselines were recorded from.
+    EXPECT_EQ(legacyFnvDigest(list), 0x335438bb5b66df0bull);
+    EXPECT_EQ(legacyFnvDigest(mcf), 0x9d42426f4624aee6ull);
 }
 
 } // namespace

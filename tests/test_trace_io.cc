@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/hashing.h"
 #include "trace/trace_io.h"
 #include "workloads/registry.h"
 
@@ -165,7 +166,7 @@ peakRssKib()
     return usage.ru_maxrss;
 }
 
-/** A header field of the v2 layout: offset and width in bytes. */
+/** A header field of the v3 layout: offset and width in bytes. */
 struct HeaderField
 {
     const char *name;
@@ -279,6 +280,32 @@ TEST(TraceIo, CorruptionMatrixIsRefusedByEveryReader)
 
     EXPECT_LT(peakRssKib() - rss_before, 64 * 1024)
         << "a reader sized an allocation from a corrupt header";
+}
+
+TEST(TraceIo, VersionTwoFileIsRefusedAsBadVersion)
+{
+    // A v2 file has the v3 layout, with the content digest taken over
+    // an FNV-1a of the payload.
+    workloads::WorkloadParams params;
+    params.scale = 2000;
+    const TraceBuffer buffer =
+        workloads::Registry::builtin().create("list")->generate(params);
+    const std::uint64_t fnv_digest = packedTraceDigestPrehashed(
+        buffer.size(), buffer.instructions(), fnv1a(buffer.packedBytes()),
+        buffer.pcDict().data(), buffer.pcDict().size(),
+        buffer.hintDict().data(), buffer.hintDict().size());
+    ASSERT_NE(fnv_digest, buffer.contentDigest());
+    std::string v2 = savedBytes(buffer);
+    ASSERT_EQ(fieldAt<std::uint32_t>(v2, 8), 3u);
+    setField(v2, 8, std::uint32_t{2});
+    setField(v2, 40, fnv_digest);
+    MappedTrace mapped;
+    EXPECT_EQ(openBytes(v2, mapped), TraceIoStatus::BadVersion);
+    EXPECT_FALSE(mapped.mapped());
+    // The version check is what refuses it: relabelled v3, the old
+    // digest no longer verifies.
+    setField(v2, 8, std::uint32_t{3});
+    EXPECT_EQ(openBytes(v2, mapped), TraceIoStatus::BadDigest);
 }
 
 TEST(TraceIo, StatusNamesDistinct)

@@ -153,6 +153,50 @@ TEST(TraceMmap, OpenVerifiesTheContentDigest)
     EXPECT_TRUE(tampered.mapped());
 }
 
+TEST(TraceMmap, VerificationCoversEveryWindow)
+{
+    // open() hashes the payload 4 MiB at a time: a flipped byte in the
+    // first window, at a window boundary, or in the partial last
+    // window is refused alike.
+    TempTraceFile file("windows");
+    const TraceBuffer buffer = generate("array", 1000000);
+    const std::size_t payload_bytes = buffer.packedBytes().size();
+    constexpr std::size_t kWindow = std::size_t{4} << 20;
+    ASSERT_GT(payload_bytes, 2 * kWindow + 1000);
+    ASSERT_NE(payload_bytes % kWindow, 0u);
+    ASSERT_TRUE(saveTraceFile(buffer, file.path));
+    std::fstream bytes(file.path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+    bytes.seekg(0, std::ios::end);
+    const std::streamoff payload_off =
+        bytes.tellg() - static_cast<std::streamoff>(payload_bytes);
+    bytes.close();
+
+    for (const std::size_t at :
+         {std::size_t{100}, kWindow - 1, kWindow, 2 * kWindow + 17,
+          payload_bytes - 1}) {
+        const auto flip = [&] {
+            std::fstream f(file.path, std::ios::in | std::ios::out |
+                                          std::ios::binary);
+            const std::streamoff pos =
+                payload_off + static_cast<std::streamoff>(at);
+            char byte = 0;
+            f.seekg(pos);
+            f.read(&byte, 1);
+            byte = static_cast<char>(byte ^ 0x01);
+            f.seekp(pos);
+            f.write(&byte, 1);
+        };
+        flip();
+        MappedTrace mapped;
+        EXPECT_EQ(mapped.open(file.path), TraceIoStatus::BadDigest)
+            << "payload byte " << at;
+        flip();
+        EXPECT_EQ(mapped.open(file.path), TraceIoStatus::Ok)
+            << "payload byte " << at << " restored";
+    }
+}
+
 TEST(TraceMmap, StreamingReplayKeepsRssNearTheWindowSize)
 {
     TempTraceFile file("rss");
