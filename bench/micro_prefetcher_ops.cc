@@ -342,32 +342,51 @@ BM_ReplayMmap_List_None(benchmark::State &s)
 BENCHMARK(BM_ReplayMmap_Mcf_Context);
 BENCHMARK(BM_ReplayMmap_List_None);
 
-/** Lifecycle-tracing overhead on replay, three configurations over the
- *  same trace and prefetcher:
- *   - Control:  no observer attached.
- *   - NullSink: an observer with every sink null — the same replay
- *               instantiation with all runtime guards false. This is
- *               the "compiled in but disabled" cost the disabled-rate
- *               bench gate compares against Control.
- *   - Enabled:  full tracker + learning recorder + Perfetto writer
- *               into a string sink, 1-in-64 sampling — the real cost
- *               of tracing a run.
+/** Observer overhead on replay: every configuration replays the same
+ *  mcf/context cell from one shared trace, so what is attached is the
+ *  only difference between two benches:
+ *   - TraceObs_Control:  no observer attached.
+ *   - TraceObs_NullSink, LearnObs_NullTap, MemObs_NullTap: an observer
+ *     with every sink null — the same replay with all runtime guards
+ *     false. This is the "compiled in but disabled" cost the bench
+ *     gates compare against Control.
+ *   - TraceObs_Enabled:  full tracker + learning recorder + Perfetto
+ *     writer into a string sink, 1-in-64 sampling — the real cost of
+ *     tracing a run.
+ *   - LearnObs_Recorder: full LearningRecorder, a snapshot per tick.
+ *   - MemObs_Recorder:   full MemRecorder — every demand access fed
+ *     through the Fenwick stack distance and the demand-only shadow
+ *     cache, plus per-set fill telemetry: the real price of the
+ *     3C+pollution taxonomy.
  */
-enum class TraceObsMode
+enum class ObsMode
 {
     Control,
     NullSink,
-    Enabled,
+    Traced,
+    Learning,
+    Memory,
 };
 
-void
-runTracedReplay(benchmark::State &state, TraceObsMode mode)
+/** The mcf trace (scale 100000, seed 1) every observer bench replays,
+ *  generated on first use. */
+const trace::TraceBuffer &
+observedTrace()
 {
-    workloads::WorkloadParams params;
-    params.scale = 100000;
-    params.seed = 1;
-    const trace::TraceBuffer trace =
-        workloads::Registry::builtin().create("mcf")->generate(params);
+    static const trace::TraceBuffer trace = [] {
+        workloads::WorkloadParams params;
+        params.scale = 100000;
+        params.seed = 1;
+        return workloads::Registry::builtin().create("mcf")->generate(
+            params);
+    }();
+    return trace;
+}
+
+void
+runObservedReplay(benchmark::State &state, ObsMode mode)
+{
+    const trace::TraceBuffer &trace = observedTrace();
     SystemConfig config;
     std::uint64_t insts = 0;
     for (auto _ : state) {
@@ -377,8 +396,9 @@ runTracedReplay(benchmark::State &state, TraceObsMode mode)
         std::unique_ptr<obs::TraceEventWriter> events;
         std::unique_ptr<obs::PrefetchTracker> tracker;
         std::unique_ptr<obs::LearningRecorder> learner;
+        std::unique_ptr<obs::MemRecorder> mem;
         obs::RunObserver observer;
-        if (mode == TraceObsMode::Enabled) {
+        if (mode == ObsMode::Traced) {
             events = std::make_unique<obs::TraceEventWriter>(sink);
             tracker = std::make_unique<obs::PrefetchTracker>(
                 events.get(), /*sample_every=*/64);
@@ -387,9 +407,14 @@ runTracedReplay(benchmark::State &state, TraceObsMode mode)
             learner = std::make_unique<obs::LearningRecorder>(
                 opts, events.get());
             observer.tracker = tracker.get();
-            observer.learn = learner.get();
+        } else if (mode == ObsMode::Learning) {
+            learner = std::make_unique<obs::LearningRecorder>();
+        } else if (mode == ObsMode::Memory) {
+            mem = std::make_unique<obs::MemRecorder>(config.memory);
         }
-        if (mode != TraceObsMode::Control)
+        observer.learn = learner.get();
+        observer.mem = mem.get();
+        if (mode != ObsMode::Control)
             simulator.setObserver(&observer);
         const sim::RunStats stats = simulator.run(trace, *prefetcher);
         benchmark::DoNotOptimize(stats.cycles);
@@ -402,123 +427,44 @@ runTracedReplay(benchmark::State &state, TraceObsMode mode)
 void
 BM_TraceObs_Control(benchmark::State &s)
 {
-    runTracedReplay(s, TraceObsMode::Control);
+    runObservedReplay(s, ObsMode::Control);
 }
 void
 BM_TraceObs_NullSink(benchmark::State &s)
 {
-    runTracedReplay(s, TraceObsMode::NullSink);
+    runObservedReplay(s, ObsMode::NullSink);
 }
 void
 BM_TraceObs_Enabled(benchmark::State &s)
 {
-    runTracedReplay(s, TraceObsMode::Enabled);
+    runObservedReplay(s, ObsMode::Traced);
+}
+void
+BM_LearnObs_NullTap(benchmark::State &s)
+{
+    runObservedReplay(s, ObsMode::NullSink);
+}
+void
+BM_LearnObs_Recorder(benchmark::State &s)
+{
+    runObservedReplay(s, ObsMode::Learning);
+}
+void
+BM_MemObs_NullTap(benchmark::State &s)
+{
+    runObservedReplay(s, ObsMode::NullSink);
+}
+void
+BM_MemObs_Recorder(benchmark::State &s)
+{
+    runObservedReplay(s, ObsMode::Memory);
 }
 
 BENCHMARK(BM_TraceObs_Control);
 BENCHMARK(BM_TraceObs_NullSink);
 BENCHMARK(BM_TraceObs_Enabled);
-
-/** Learning-observer overhead on replay, mirroring the TraceObs
- *  trio over the same mcf/context cell:
- *   - NullTap:  observer attached but observer.learn == nullptr — the
- *               context prefetcher's one observe body with each
- *               learning hook's null check false. This is the "hooks
- *               compiled in, learning observer off" cost the bench
- *               gate compares against BM_TraceObs_Control.
- *   - Recorder: full LearningRecorder, a snapshot per tick — the
- *               real cost of recording learning dynamics. */
-void
-runLearnObsReplay(benchmark::State &state, bool recording)
-{
-    workloads::WorkloadParams params;
-    params.scale = 100000;
-    params.seed = 1;
-    const trace::TraceBuffer trace =
-        workloads::Registry::builtin().create("mcf")->generate(params);
-    SystemConfig config;
-    std::uint64_t insts = 0;
-    for (auto _ : state) {
-        auto prefetcher = sim::makePrefetcher("context", config);
-        sim::Simulator simulator(config);
-        std::unique_ptr<obs::LearningRecorder> learner;
-        obs::RunObserver observer;
-        if (recording) {
-            learner = std::make_unique<obs::LearningRecorder>();
-            observer.learn = learner.get();
-        }
-        simulator.setObserver(&observer);
-        const sim::RunStats stats = simulator.run(trace, *prefetcher);
-        benchmark::DoNotOptimize(stats.cycles);
-        insts += stats.instructions;
-    }
-    state.counters["insts/s"] = benchmark::Counter(
-        static_cast<double>(insts), benchmark::Counter::kIsRate);
-}
-
-void
-BM_LearnObs_NullTap(benchmark::State &s)
-{
-    runLearnObsReplay(s, false);
-}
-void
-BM_LearnObs_Recorder(benchmark::State &s)
-{
-    runLearnObsReplay(s, true);
-}
-
 BENCHMARK(BM_LearnObs_NullTap);
 BENCHMARK(BM_LearnObs_Recorder);
-
-/** Memory-observer overhead on replay, the LearnObs pair's analogue
- *  for the hierarchy tap:
- *   - NullTap:  observer attached but observer.mem == nullptr — the
- *               hierarchy's null guard false on every demand access.
- *               This is the "hooks compiled in, mem observer off" cost
- *               the bench gate compares against BM_TraceObs_Control.
- *   - Recorder: full MemRecorder — every demand access fed through the
- *               infinite tag set, the Fenwick stack distance and the
- *               demand-only shadow cache, plus per-set fill telemetry.
- *               This is the real price of the 3C+pollution taxonomy. */
-void
-runMemObsReplay(benchmark::State &state, bool recording)
-{
-    workloads::WorkloadParams params;
-    params.scale = 100000;
-    params.seed = 1;
-    const trace::TraceBuffer trace =
-        workloads::Registry::builtin().create("mcf")->generate(params);
-    SystemConfig config;
-    std::uint64_t insts = 0;
-    for (auto _ : state) {
-        auto prefetcher = sim::makePrefetcher("context", config);
-        sim::Simulator simulator(config);
-        std::unique_ptr<obs::MemRecorder> recorder;
-        obs::RunObserver observer;
-        if (recording) {
-            recorder = std::make_unique<obs::MemRecorder>(config.memory);
-            observer.mem = recorder.get();
-        }
-        simulator.setObserver(&observer);
-        const sim::RunStats stats = simulator.run(trace, *prefetcher);
-        benchmark::DoNotOptimize(stats.cycles);
-        insts += stats.instructions;
-    }
-    state.counters["insts/s"] = benchmark::Counter(
-        static_cast<double>(insts), benchmark::Counter::kIsRate);
-}
-
-void
-BM_MemObs_NullTap(benchmark::State &s)
-{
-    runMemObsReplay(s, false);
-}
-void
-BM_MemObs_Recorder(benchmark::State &s)
-{
-    runMemObsReplay(s, true);
-}
-
 BENCHMARK(BM_MemObs_NullTap);
 BENCHMARK(BM_MemObs_Recorder);
 

@@ -80,21 +80,9 @@ Hierarchy::fillFromBelow(Addr addr, Cycle start, bool is_prefetch,
     const Cycle fill = dram_start + config_.dram_latency;
     l2_mshrs_.allocate(slot, fill);
     fill_latency_.sample(fill - start);
-    EvictInfo evicted;
-    LineState &inserted = l2_.insert(addr, fill, is_prefetch, &evicted,
-                                     /*lru_insert=*/is_prefetch);
+    LineState &inserted = fillLine(2, addr, fill, is_prefetch, pc, start);
     if (l2_line_out != nullptr)
         *l2_line_out = &inserted;
-    if (mem_obs_ != nullptr) {
-        mem_obs_->onFill(fillEvent(2, l2_.setIndexOf(addr), addr, pc,
-                                   is_prefetch, evicted));
-    }
-    if (evicted.prefetched_unused) {
-        ++stats_.prefetch_evicted_unused;
-        if (tracker_ != nullptr)
-            tracker_->onEvictedUnused(evicted.line_addr, start);
-    }
-    handleL2Eviction(evicted);
     *went_to_memory = true;
     return fill;
 }
@@ -174,19 +162,8 @@ Hierarchy::access(Addr addr, Cycle now, bool is_store, Addr pc)
     if (tracker_ != nullptr)
         tracker_->onDemandMiss(line_addr, pc, now, went_to_memory);
     l1_mshrs_.allocate(slot, fill);
-    EvictInfo evicted;
-    LineState &line = l1_.insert(line_addr, fill, false, &evicted);
-    if (mem_obs_ != nullptr) {
-        mem_obs_->onFill(fillEvent(1, l1_.setIndexOf(line_addr),
-                                   line_addr, pc, /*is_prefetch=*/false,
-                                   evicted));
-    }
-    if (evicted.prefetched_unused) {
-        ++stats_.prefetch_evicted_unused;
-        if (tracker_ != nullptr)
-            tracker_->onEvictedUnused(evicted.line_addr, now);
-    }
-    handleL1Eviction(evicted);
+    LineState &line =
+        fillLine(1, line_addr, fill, /*is_prefetch=*/false, pc, now);
     line.used = true;
     line.dirty = is_store;
     result.complete = fill;
@@ -198,34 +175,43 @@ Hierarchy::access(Addr addr, Cycle now, bool is_store, Addr pc)
     return result;
 }
 
-void
-Hierarchy::handleL1Eviction(const EvictInfo &evicted)
+LineState &
+Hierarchy::fillLine(std::uint8_t level, Addr line_addr, Cycle ready,
+                    bool is_prefetch, Addr pc, Cycle now)
 {
+    Cache &cache = level == 1 ? l1_ : l2_;
+    EvictInfo evicted;
+    // Prefetch fills enter at LRU priority (LIP) at both levels: a wrong
+    // prefetch must not displace a hot line in an at-capacity working
+    // set.
+    LineState &line = cache.insert(line_addr, ready, is_prefetch,
+                                   &evicted, /*lru_insert=*/is_prefetch);
+    if (mem_obs_ != nullptr) {
+        mem_obs_->onFill(fillEvent(level, cache.setIndexOf(line_addr),
+                                   line_addr, pc, is_prefetch, evicted));
+    }
+    if (evicted.prefetched_unused) {
+        ++stats_.prefetch_evicted_unused;
+        if (tracker_ != nullptr)
+            tracker_->onEvictedUnused(evicted.line_addr, now);
+    }
     if (!evicted.valid || !evicted.dirty)
-        return;
-    // Write-back to L2: mark the L2 copy dirty; if L2 already lost the
-    // line (non-inclusive), the writeback goes straight to DRAM and
-    // consumes write bandwidth.
-    ++stats_.l1_writebacks;
-    if (LineState *l2line = l2_.lookup(evicted.line_addr, false)) {
-        l2line->dirty = true;
-    } else {
+        return line;
+    if (level == 1) {
+        // Write-back to L2: mark the L2 copy dirty.
+        ++stats_.l1_writebacks;
+        if (LineState *l2line = l2_.lookup(evicted.line_addr, false)) {
+            l2line->dirty = true;
+            return line;
+        }
         // Non-inclusive L2 already lost the line: the dirty data goes
         // straight to DRAM, costing write bandwidth like an L2
         // writeback.
-        ++stats_.l2_writebacks;
-        dram_next_free_ += config_.dram_issue_interval;
     }
-}
-
-void
-Hierarchy::handleL2Eviction(const EvictInfo &evicted)
-{
-    if (!evicted.valid || !evicted.dirty)
-        return;
     // Dirty data leaves the chip: one DRAM write's worth of bandwidth.
     ++stats_.l2_writebacks;
     dram_next_free_ += config_.dram_issue_interval;
+    return line;
 }
 
 PrefetchOutcome
@@ -268,22 +254,7 @@ Hierarchy::prefetch(Addr addr, Cycle now, unsigned min_free_mshrs,
     const bool fill_l1 = free > min_free_mshrs;
     if (fill_l1) {
         l1_mshrs_.allocate(now, fill);
-        EvictInfo evicted;
-        // LIP for L1 prefetch fills too: a wrong prefetch must not
-        // displace a hot line in an at-capacity working set.
-        l1_.insert(line_addr, fill, true, &evicted,
-                   /*lru_insert=*/true);
-        if (mem_obs_ != nullptr) {
-            mem_obs_->onFill(fillEvent(1, l1_.setIndexOf(line_addr),
-                                       line_addr, pc,
-                                       /*is_prefetch=*/true, evicted));
-        }
-        if (evicted.prefetched_unused) {
-            ++stats_.prefetch_evicted_unused;
-            if (tracker_ != nullptr)
-                tracker_->onEvictedUnused(evicted.line_addr, now);
-        }
-        handleL1Eviction(evicted);
+        fillLine(1, line_addr, fill, /*is_prefetch=*/true, pc, now);
         // The L1 copy carries the usefulness tracking from here on.
         if (l2_line != nullptr)
             l2_line->used = true;

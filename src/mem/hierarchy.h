@@ -145,11 +145,13 @@ class Hierarchy
     void reset();
 
   private:
-    /** Account a displaced dirty L1 line (write-back to L2/DRAM). */
-    void handleL1Eviction(const EvictInfo &evicted);
-
-    /** Account a displaced dirty L2 line (write to DRAM). */
-    void handleL2Eviction(const EvictInfo &evicted);
+    /** Install @p line_addr in L1 (@p level 1) or L2 with fill time
+     *  @p ready, then account the displaced line in this order: the
+     *  memory observer's fill event, the unused-prefetch eviction
+     *  (counter and lifecycle, at cycle @p now), the dirty writeback
+     *  to L2 or DRAM. Returns the installed line. */
+    LineState &fillLine(std::uint8_t level, Addr line_addr, Cycle ready,
+                        bool is_prefetch, Addr pc, Cycle now);
 
     /** L2 lookup + fill scheduling shared by demand and prefetch paths.
      *  Returns the cycle at which the line's data reaches the L1 fill

@@ -56,7 +56,7 @@ void
 PrefetchTracker::onIssued(Addr line, Addr pc, Cycle issue, Cycle fill,
                           bool to_l1, bool to_memory)
 {
-    if (active_.find(line) != active_.end()) {
+    if (active_.find(line) != nullptr) {
         // An older prefetch for this line is still in flight; the new
         // request adds nothing — its lifecycle terminates at issue.
         classifyAtIssue(line, pc, PrefetchClass::Redundant, issue);
@@ -74,7 +74,7 @@ PrefetchTracker::onIssued(Addr line, Addr pc, Cycle issue, Cycle fill,
     record.fill = fill;
     record.to_l1 = to_l1;
     record.to_memory = to_memory;
-    active_.emplace(line, record);
+    active_.tryEmplace(line, record);
     if (events_ != nullptr && sampled(record.id)) {
         std::ostringstream args;
         args << "{\"line\":\"" << hexAddr(line) << "\",\"pc\":\""
@@ -119,13 +119,13 @@ void
 PrefetchTracker::onDemandUse(Addr line, Addr demand_pc, Cycle now,
                              bool ready)
 {
-    const auto it = active_.find(line);
-    if (it == active_.end())
+    const Lifecycle *record = active_.find(line);
+    if (record == nullptr)
         return;
     const PrefetchClass cls =
         ready ? PrefetchClass::Timely : PrefetchClass::Late;
-    closeLifecycle(it->second, cls, now);
-    active_.erase(it);
+    closeLifecycle(*record, cls, now);
+    active_.erase(line);
     DemandRow &row = by_demand_pc_[demand_pc];
     if (ready)
         ++row.covered_timely;
@@ -136,11 +136,11 @@ PrefetchTracker::onDemandUse(Addr line, Addr demand_pc, Cycle now,
 void
 PrefetchTracker::onEvictedUnused(Addr line, Cycle now)
 {
-    const auto it = active_.find(line);
-    if (it == active_.end())
+    const Lifecycle *record = active_.find(line);
+    if (record == nullptr)
         return;
-    closeLifecycle(it->second, PrefetchClass::Early, now);
-    active_.erase(it);
+    closeLifecycle(*record, PrefetchClass::Early, now);
+    active_.erase(line);
 }
 
 void
@@ -178,16 +178,16 @@ PrefetchTracker::finish(Cycle now)
 {
     // Close the survivors in issue order so the emitted span ends (and
     // the autopsy they feed) are deterministic despite the hash map.
-    std::vector<const std::pair<const Addr, Lifecycle> *> rest;
+    std::vector<Lifecycle> rest;
     rest.reserve(active_.size());
-    for (const auto &entry : active_)
-        rest.push_back(&entry);
+    active_.forEach(
+        [&rest](Addr, const Lifecycle &record) { rest.push_back(record); });
     std::sort(rest.begin(), rest.end(),
-              [](const auto *a, const auto *b) {
-                  return a->second.id < b->second.id;
+              [](const Lifecycle &a, const Lifecycle &b) {
+                  return a.id < b.id;
               });
-    for (const auto *entry : rest)
-        closeLifecycle(entry->second, PrefetchClass::Useless, now);
+    for (const Lifecycle &record : rest)
+        closeLifecycle(record, PrefetchClass::Useless, now);
     active_.clear();
 }
 
@@ -229,15 +229,14 @@ PrefetchTracker::coverage() const
 
 namespace {
 
-/** Sorted keys of an unordered map (deterministic row order). */
+/** Sorted keys of a hash map (deterministic row order). */
 template <typename Map>
 std::vector<Addr>
 sortedKeys(const Map &map)
 {
     std::vector<Addr> keys;
     keys.reserve(map.size());
-    for (const auto &entry : map)
-        keys.push_back(entry.first);
+    map.forEach([&keys](Addr key, const auto &) { keys.push_back(key); });
     std::sort(keys.begin(), keys.end());
     return keys;
 }
@@ -272,7 +271,7 @@ PrefetchTracker::writeAutopsyCsv(std::ostream &out,
         << demand_misses_ << ',' << covered() << ',' << accuracy()
         << ',' << timeliness() << ',' << coverage() << '\n';
     for (const Addr pc : sortedKeys(by_issuer_pc_)) {
-        const IssuerRow &row = by_issuer_pc_.at(pc);
+        const IssuerRow &row = *by_issuer_pc_.find(pc);
         const std::uint64_t useful =
             cls(row.classes, PrefetchClass::Timely) +
             cls(row.classes, PrefetchClass::Late);
@@ -289,7 +288,7 @@ PrefetchTracker::writeAutopsyCsv(std::ostream &out,
             << ",0\n";
     }
     for (const Addr pc : sortedKeys(by_demand_pc_)) {
-        const DemandRow &row = by_demand_pc_.at(pc);
+        const DemandRow &row = *by_demand_pc_.find(pc);
         const std::uint64_t useful =
             row.covered_timely + row.covered_late;
         out << label << ",demand_pc," << hexAddr(pc)
@@ -325,7 +324,7 @@ PrefetchTracker::writeAutopsyJson(std::ostream &out,
         << ",\"coverage\":" << coverage() << "},\"by_issuer_pc\":[";
     bool first = true;
     for (const Addr pc : sortedKeys(by_issuer_pc_)) {
-        const IssuerRow &row = by_issuer_pc_.at(pc);
+        const IssuerRow &row = *by_issuer_pc_.find(pc);
         const std::uint64_t useful =
             row.classes[static_cast<std::size_t>(
                 PrefetchClass::Timely)] +
@@ -345,7 +344,7 @@ PrefetchTracker::writeAutopsyJson(std::ostream &out,
     out << "],\"by_demand_pc\":[";
     first = true;
     for (const Addr pc : sortedKeys(by_demand_pc_)) {
-        const DemandRow &row = by_demand_pc_.at(pc);
+        const DemandRow &row = *by_demand_pc_.find(pc);
         const std::uint64_t useful =
             row.covered_timely + row.covered_late;
         out << (first ? "" : ",") << "{\"pc\":\"" << hexAddr(pc)

@@ -34,8 +34,8 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 
+#include "core/flat_map.h"
 #include "core/types.h"
 #include "obs/run_observer.h"
 
@@ -179,9 +179,9 @@ class PrefetchTracker
 
     bool sampled(std::uint64_t n) const { return n % sample_every_ == 0; }
 
-    std::unordered_map<Addr, Lifecycle> active_;
-    std::unordered_map<Addr, IssuerRow> by_issuer_pc_;
-    std::unordered_map<Addr, DemandRow> by_demand_pc_;
+    FlatMap<Addr, Lifecycle> active_; ///< in-flight, by line
+    FlatMap<Addr, IssuerRow> by_issuer_pc_;
+    FlatMap<Addr, DemandRow> by_demand_pc_;
     std::array<std::uint64_t,
                static_cast<std::size_t>(PrefetchClass::Count)>
         classes_{};

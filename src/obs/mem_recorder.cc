@@ -118,18 +118,18 @@ StackDistance::onAccess(Addr line)
     if (next_ == tree_.size())
         compact();
     std::uint64_t distance = kNoReuse;
-    auto it = last_pos_.find(line);
-    if (it != last_pos_.end()) {
-        const std::uint64_t last = it->second;
+    const auto [pos, first_touch] = last_pos_.tryEmplace(line, next_);
+    if (!first_touch) {
+        const std::uint64_t last = *pos;
         // Marked positions in (last, next_) are exactly the lines whose
         // most recent access falls after this line's — its LRU depth.
         distance = prefix(next_ == 0 ? 0 : next_ - 1) - prefix(last);
         add(last, -1);
         line_at_[last] = kInvalidAddr;
+        *pos = next_;
     }
     line_at_[next_] = line;
     add(next_, +1);
-    last_pos_[line] = next_;
     ++next_;
     return distance;
 }
@@ -240,22 +240,20 @@ MemRecorder::creditPollution(std::uint8_t level, Addr line_addr,
                              Addr demand_pc)
 {
     auto &victims = level == 1 ? l1_victims_ : l2_victims_;
-    auto it = victims.find(line_addr);
-    if (it == victims.end()) {
+    const Addr *issuer = victims.find(line_addr);
+    if (issuer == nullptr) {
         ++pollution_unattributed_[level - 1];
         return;
     }
     ++pollution_attributed_[level - 1];
-    const PairKey key{it->second, demand_pc, level};
-    victims.erase(it);
-    auto pair = pairs_.find(key);
-    if (pair != pairs_.end()) {
-        ++pair->second;
-    } else if (pairs_.size() < options_.max_pairs) {
-        pairs_.emplace(key, 1);
-    } else {
+    const PairKey key{*issuer, demand_pc, level};
+    victims.erase(line_addr);
+    if (std::uint64_t *count = pairs_.find(key))
+        ++*count;
+    else if (pairs_.size() < options_.max_pairs)
+        pairs_.tryEmplace(key, 1);
+    else
         ++pairs_overflow_;
-    }
 }
 
 void
@@ -301,11 +299,13 @@ MemRecorder::onDemandAccess(const MemAccessEvent &event)
     // Per-PC telemetry: exact for the first max_pcs distinct PCs (the
     // synthetic workloads have tens), aggregated beyond that.
     PcStats *pc = &other_pcs_;
-    auto it = pcs_.find(event.pc);
-    if (it != pcs_.end())
-        pc = &it->second;
-    else if (pcs_.size() < options_.max_pcs)
-        pc = &pcs_[event.pc];
+    if (const std::uint32_t *row = pcs_.find(event.pc)) {
+        pc = &pc_stats_[*row];
+    } else if (pcs_.size() < options_.max_pcs) {
+        pcs_.tryEmplace(event.pc,
+                        static_cast<std::uint32_t>(pc_stats_.size()));
+        pc = &pc_stats_.emplace_back();
+    }
     ++pc->accesses;
     if (l1_miss)
         ++pc->l1_misses;
@@ -509,8 +509,9 @@ MemRecorder::writeMemJson(std::ostream &out,
     // Top demand PCs by L1 misses (ties by accesses, then PC).
     std::vector<std::pair<Addr, const PcStats *>> pcs;
     pcs.reserve(pcs_.size());
-    for (const auto &entry : pcs_)
-        pcs.emplace_back(entry.first, &entry.second);
+    pcs_.forEach([&](Addr pc, std::uint32_t row) {
+        pcs.emplace_back(pc, &pc_stats_[row]);
+    });
     std::sort(pcs.begin(), pcs.end(),
               [](const auto &a, const auto &b) {
                   if (a.second->l1_misses != b.second->l1_misses)
@@ -536,8 +537,11 @@ MemRecorder::writeMemJson(std::ostream &out,
         << ",\"pc_other_accesses\":" << other_pcs_.accesses;
 
     // Pollution attribution pairs, hottest first.
-    std::vector<std::pair<PairKey, std::uint64_t>> pairs(pairs_.begin(),
-                                                         pairs_.end());
+    std::vector<std::pair<PairKey, std::uint64_t>> pairs;
+    pairs.reserve(pairs_.size());
+    pairs_.forEach([&](const PairKey &key, std::uint64_t count) {
+        pairs.emplace_back(key, count);
+    });
     std::sort(pairs.begin(), pairs.end(),
               [](const auto &a, const auto &b) {
                   if (a.second != b.second)

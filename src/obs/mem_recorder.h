@@ -28,10 +28,10 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.h"
+#include "core/flat_map.h"
 #include "core/stats.h"
 #include "core/types.h"
 #include "obs/mem_observer.h"
@@ -94,7 +94,7 @@ class StackDistance
 
     std::vector<std::uint32_t> tree_;          ///< Fenwick over positions
     std::vector<Addr> line_at_;                ///< position -> line
-    std::unordered_map<Addr, std::uint64_t> last_pos_;
+    FlatMap<Addr, std::uint64_t> last_pos_;   ///< line -> position
     std::uint64_t next_ = 0;
     std::uint64_t compactions_ = 0;
 };
@@ -269,20 +269,16 @@ class MemRecorder final : public MemObserver
         Addr demand = 0;
         std::uint8_t level = 1;
 
-        bool operator==(const PairKey &o) const
-        {
-            return issuer == o.issuer && demand == o.demand &&
-                   level == o.level;
-        }
+        bool operator==(const PairKey &) const = default;
     };
 
     struct PairKeyHash
     {
-        std::size_t operator()(const PairKey &k) const
+        std::uint64_t operator()(const PairKey &k) const
         {
             std::uint64_t h = k.issuer * 0x9e3779b97f4a7c15ull;
             h ^= k.demand + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-            return static_cast<std::size_t>(h ^ k.level);
+            return h ^ k.level;
         }
     };
 
@@ -314,14 +310,17 @@ class MemRecorder final : public MemObserver
     // Pollution attribution: evicted line -> issuer PC of the prefetch
     // fill that displaced it, consumed when the line next takes a
     // pollution-classified miss at that level (latest eviction wins).
-    std::unordered_map<Addr, Addr> l1_victims_;
-    std::unordered_map<Addr, Addr> l2_victims_;
-    std::unordered_map<PairKey, std::uint64_t, PairKeyHash> pairs_;
+    FlatMap<Addr, Addr> l1_victims_;
+    FlatMap<Addr, Addr> l2_victims_;
+    FlatMap<PairKey, std::uint64_t, PairKeyHash> pairs_;
     std::uint64_t pollution_attributed_[2] = {};   ///< [level - 1]
     std::uint64_t pollution_unattributed_[2] = {};
     std::uint64_t pairs_overflow_ = 0; ///< pairs folded past max_pairs
 
-    std::unordered_map<Addr, PcStats> pcs_;
+    // Per demand PC: pcs_ maps the PC to its row of pc_stats_ (the rows
+    // own histograms, so they stay out of the map's slots).
+    FlatMap<Addr, std::uint32_t> pcs_;
+    std::vector<PcStats> pc_stats_;
     PcStats other_pcs_; ///< aggregate past max_pcs
 
     /** One queue-timeline row: the tick and the demand accesses seen

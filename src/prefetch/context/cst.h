@@ -123,21 +123,6 @@ class Cst
     /** Clear the churn counter after the Reducer consumed the signal. */
     void clearChurn(std::uint32_t reduced_key);
 
-    /**
-     * Hint that the entry for @p reduced_key is about to be probed.
-     * Purely a memory-system hint (the arena is far larger than the
-     * data cache, so probes are almost always cold); never changes any
-     * table state or result.
-     */
-    void
-    prefetchEntry(std::uint32_t reduced_key) const
-    {
-        __builtin_prefetch(arena_.data() +
-                           static_cast<std::size_t>(
-                               indexOf(reduced_key)) *
-                               kStrideWords);
-    }
-
     unsigned entries() const { return entries_; }
 
     /** Number of valid entries (occupancy diagnostics). */

@@ -1,48 +1,27 @@
 #include "prefetch/context/prefetch_queue.h"
 
-#include <algorithm>
-
 #include "core/logging.h"
 
 namespace csp::prefetch::ctx {
 
-namespace {
-
-std::size_t
-nextPowerOfTwo(std::size_t v)
-{
-    std::size_t p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
-}
-
-} // namespace
-
-PrefetchQueue::PrefetchQueue(unsigned capacity) : ring_(capacity)
+PrefetchQueue::PrefetchQueue(unsigned capacity)
+    : ring_(capacity), words_((capacity + 63) / 64), real_(words_, 0)
 {
     CSP_ASSERT(capacity > 0);
-    words_ = (capacity + 63) / 64;
-    // At most `capacity` distinct lines are indexed at once (one more
-    // inside a push); 4x slots keeps the load factor near 1/4 so probe
-    // chains stay short.
-    const std::size_t slots =
-        std::max<std::size_t>(nextPowerOfTwo(capacity) * 4, 8);
-    slot_mask_ = slots - 1;
-    home_shift_ =
-        64 - static_cast<unsigned>(std::countr_zero(slots));
-    slots_.resize(slots);
-    bits_.assign(slots * words_, 0);
-    real_.assign(words_, 0);
+    // Most feedback probes miss. Room for twice the lines the queue can
+    // index keeps the map near quarter load, where miss probes are
+    // short.
+    index_.reserve(2 * std::size_t{capacity});
+    clearIndex();
 }
 
 void
 PrefetchQueue::demoteToShadow(Addr line)
 {
-    const std::size_t islot = indexFind(line);
-    if (islot == kNoSlot)
+    const std::uint32_t *row = index_.find(line);
+    if (row == nullptr)
         return;
-    const std::uint64_t *bits = bitsAt(islot);
+    const std::uint64_t *bits = bitsOf(*row);
     PendingPrefetch *newest = nullptr;
     for (unsigned w = 0; w < words_; ++w) {
         std::uint64_t word = bits[w];
@@ -63,14 +42,15 @@ PrefetchQueue::demoteToShadow(Addr line)
     }
 }
 
-
-
 void
-PrefetchQueue::indexClearAll()
+PrefetchQueue::clearIndex()
 {
-    for (IndexSlot &slot : slots_)
-        slot.used = false;
-    std::fill(bits_.begin(), bits_.end(), 0);
+    const std::size_t rows = ring_.size() + 1;
+    index_.clear();
+    bits_.assign(rows * words_, 0);
+    free_rows_.resize(rows);
+    for (std::size_t r = 0; r < rows; ++r)
+        free_rows_[r] = static_cast<std::uint32_t>(r);
 }
 
 unsigned
@@ -89,9 +69,8 @@ PrefetchQueue::clear()
 {
     for (PendingPrefetch &entry : ring_)
         entry.valid = false;
-    pushes_ = 0;
     head_ = 0;
-    indexClearAll();
+    clearIndex();
 }
 
 } // namespace csp::prefetch::ctx

@@ -10,15 +10,17 @@
  * useful prefetch window so that too-early predictions are observed and
  * demoted).
  *
- * The ring is paired with an open-addressed index from block address to
- * a bitmap of the ring slots holding un-hit predictions of that block
- * (the sim/predicted_set.h idiom: Fibonacci hashing, backward-shift
- * deletion, load factor <= 1/4). Every per-access query — the feedback
- * search, the dedup checks, the demotion scan — is one hash probe
- * instead of a scan of all 128 slots. Bitmaps enumerate matching slots
- * in ascending slot order, which reproduces the original linear scan's
- * callback order exactly (reward application is order-sensitive: the
- * bandit's EWMA accuracy and saturating scores do not commute).
+ * The ring is paired with an index from block address to a bitmap of
+ * the ring slots holding un-hit predictions of that block: a
+ * FlatMap<Addr, uint32_t> from line to a row of a fixed pool of
+ * capacity + 1 bitmap rows (at most capacity lines have un-hit entries,
+ * plus one inside a push), so rows stay put while the map's probe
+ * slots move. Every per-access query — the feedback search, the dedup
+ * checks, the demotion scan — is one hash probe instead of a scan of
+ * all 128 slots. Bitmaps enumerate matching slots in ascending slot
+ * order, which reproduces the original linear scan's callback order
+ * exactly (reward application is order-sensitive: the bandit's EWMA
+ * accuracy and saturating scores do not commute).
  */
 
 #ifndef CSP_PREFETCH_CONTEXT_PREFETCH_QUEUE_H
@@ -30,6 +32,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/flat_map.h"
 #include "core/logging.h"
 #include "core/types.h"
 
@@ -67,8 +70,8 @@ class PrefetchQueue
     push(Addr line, std::uint32_t reduced_key, std::int32_t delta,
          AccessSeq seq, bool shadow, const ExpiryFn &on_expiry)
     {
-        pushAt(indexFindOrInsert(line), line, reduced_key, delta, seq,
-               shadow, on_expiry);
+        pushAt(rowFor(line), line, reduced_key, delta, seq, shadow,
+               on_expiry);
     }
 
     /**
@@ -85,9 +88,9 @@ class PrefetchQueue
                           std::int32_t delta, AccessSeq seq, bool shadow,
                           const ExpiryFn &on_expiry)
     {
-        const std::size_t islot = indexFindOrInsert(line);
-        shadow = shadow || anyReal(islot);
-        pushAt(islot, line, reduced_key, delta, seq, shadow, on_expiry);
+        const std::uint32_t row = rowFor(line);
+        shadow = shadow || anyReal(row);
+        pushAt(row, line, reduced_key, delta, seq, shadow, on_expiry);
         return shadow;
     }
 
@@ -96,35 +99,17 @@ class PrefetchQueue
      * un-hit match is marked hit and reported through @p on_hit (any
      * callable taking (const PendingPrefetch &, unsigned depth), or
      * nullptr) in ascending ring-slot order. Returns the match count.
-     *
-     * @p on_match_hint, when not nullptr, is called with each matched
-     * entry (const, same ascending order) BEFORE any entry is reported
-     * as hit. It exists solely so the caller can issue memory-prefetch
-     * hints for the table lines the hit callback is about to probe; it
-     * must not mutate anything.
      */
-    template <typename HitFn, typename HintFn = std::nullptr_t>
+    template <typename HitFn>
     unsigned
-    onAccess(Addr line, AccessSeq seq, const HitFn &on_hit,
-             const HintFn &on_match_hint = nullptr)
+    onAccess(Addr line, AccessSeq seq, const HitFn &on_hit)
     {
-        const std::size_t islot = indexFind(line);
-        if (islot == kNoSlot)
+        const std::uint32_t *row = index_.find(line);
+        if (row == nullptr)
             return 0;
+        const std::uint32_t r = *row;
         unsigned matches = 0;
-        std::uint64_t *bits = bitsAt(islot);
-        if constexpr (!kIsNullFn<HintFn>) {
-            for (unsigned w = 0; w < words_; ++w) {
-                std::uint64_t word = bits[w];
-                while (word != 0) {
-                    const unsigned b =
-                        static_cast<unsigned>(std::countr_zero(word));
-                    word &= word - 1;
-                    on_match_hint(static_cast<const PendingPrefetch &>(
-                        ring_[w * 64 + b]));
-                }
-            }
-        }
+        std::uint64_t *bits = bitsOf(r);
         for (unsigned w = 0; w < words_; ++w) {
             std::uint64_t word = bits[w];
             bits[w] = 0;
@@ -141,7 +126,7 @@ class PrefetchQueue
                 }
             }
         }
-        indexEraseSlot(islot);
+        release(line, r);
         return matches;
     }
 
@@ -149,7 +134,7 @@ class PrefetchQueue
     bool
     pending(Addr line) const
     {
-        return indexFind(line) != kNoSlot;
+        return index_.find(line) != nullptr;
     }
 
     /** Flip the most recent un-hit real entry for @p line to shadow
@@ -170,7 +155,7 @@ class PrefetchQueue
             }
             entry.valid = false;
         }
-        indexClearAll();
+        clearIndex();
     }
 
     unsigned capacity() const
@@ -185,41 +170,47 @@ class PrefetchQueue
     void clear();
 
   private:
-    static constexpr std::size_t kNoSlot = ~std::size_t{0};
-
-    struct IndexSlot
-    {
-        Addr line = 0;
-        bool used = false;
-    };
-
-    std::size_t
-    homeOf(Addr line) const
-    {
-        // Fibonacci hash; top bits select the bucket.
-        return static_cast<std::size_t>(
-            (line * 0x9e3779b97f4a7c15ull) >> home_shift_);
-    }
-
     std::uint64_t *
-    bitsAt(std::size_t islot)
+    bitsOf(std::uint32_t row)
     {
-        return bits_.data() + islot * words_;
+        return bits_.data() + static_cast<std::size_t>(row) * words_;
     }
 
     const std::uint64_t *
-    bitsAt(std::size_t islot) const
+    bitsOf(std::uint32_t row) const
     {
-        return bits_.data() + islot * words_;
+        return bits_.data() + static_cast<std::size_t>(row) * words_;
     }
 
-    /** Store a prediction of the line indexed at @p islot in the
+    /** The bitmap row of @p line, taken (all zero) from the free pool
+     *  when the line has none. */
+    std::uint32_t
+    rowFor(Addr line)
+    {
+        const auto [row, inserted] = index_.tryEmplace(line);
+        if (inserted) {
+            CSP_ASSERT(!free_rows_.empty());
+            *row = free_rows_.back();
+            free_rows_.pop_back();
+        }
+        return *row;
+    }
+
+    /** Unindex @p line and return its (already emptied) @p row. */
+    void
+    release(Addr line, std::uint32_t row)
+    {
+        index_.erase(line);
+        free_rows_.push_back(row);
+    }
+
+    /** Store a prediction of @p line, whose bitmap is @p row, in the
      *  oldest ring slot, expiring what it held. The new entry's bit is
-     *  set before the old entry's is cleared, so @p islot is still
-     *  valid (a clear may erase a slot and shift others). */
+     *  set before the old entry's is cleared, so a slot that predicted
+     *  the same line keeps the row alive. */
     template <typename ExpiryFn>
     [[gnu::always_inline]] void
-    pushAt(std::size_t islot, Addr line, std::uint32_t reduced_key,
+    pushAt(std::uint32_t row, Addr line, std::uint32_t reduced_key,
            std::int32_t delta, AccessSeq seq, bool shadow,
            const ExpiryFn &on_expiry)
     {
@@ -228,17 +219,16 @@ class PrefetchQueue
             head_ = 0;
         PendingPrefetch &slot = ring_[s];
         // Already set when the expiring entry predicted the same line.
-        bitsAt(islot)[s / 64] |= std::uint64_t{1} << (s % 64);
+        bitsOf(row)[s / 64] |= std::uint64_t{1} << (s % 64);
         if (slot.valid && !slot.hit) {
             if (slot.line != line)
-                indexClearBit(slot.line, s);
+                clearBit(slot.line, s);
             if constexpr (!kIsNullFn<ExpiryFn>)
                 on_expiry(static_cast<const PendingPrefetch &>(slot));
         }
         slot = PendingPrefetch{line, reduced_key, delta, seq, shadow,
                                false, true};
         setReal(s, !shadow);
-        ++pushes_;
     }
 
     /** Record whether ring slot @p s holds a real entry. */
@@ -249,110 +239,45 @@ class PrefetchQueue
         real_[s / 64] = (real_[s / 64] & ~bit) | (real ? bit : 0);
     }
 
-    /** Whether any un-hit entry on @p islot's bitmap is real. */
+    /** Whether any un-hit entry on bitmap @p row is real. */
     bool
-    anyReal(std::size_t islot) const
+    anyReal(std::uint32_t row) const
     {
-        const std::uint64_t *bits = bitsAt(islot);
+        const std::uint64_t *bits = bitsOf(row);
         std::uint64_t any = 0;
         for (unsigned w = 0; w < words_; ++w)
             any |= bits[w] & real_[w];
         return any != 0;
     }
 
-    /** Index slot holding @p line, or kNoSlot. */
-    std::size_t
-    indexFind(Addr line) const
-    {
-        std::size_t i = homeOf(line);
-        while (slots_[i].used) {
-            if (slots_[i].line == line)
-                return i;
-            i = (i + 1) & slot_mask_;
-        }
-        return kNoSlot;
-    }
-
-    /** Index slot holding @p line, claimed (with its all-zero
-     *  bitmap) when absent. */
-    std::size_t
-    indexFindOrInsert(Addr line)
-    {
-        std::size_t i = homeOf(line);
-        while (slots_[i].used) {
-            if (slots_[i].line == line)
-                return i;
-            i = (i + 1) & slot_mask_;
-        }
-        slots_[i] = IndexSlot{line, true};
-        return i;
-    }
-
+    /** Clear ring slot @p ring_slot from @p line's bitmap, releasing
+     *  the row once it is empty. */
     void
-    indexClearBit(Addr line, std::size_t ring_slot)
+    clearBit(Addr line, std::size_t ring_slot)
     {
-        const std::size_t i = indexFind(line);
-        CSP_ASSERT(i != kNoSlot);
-        std::uint64_t *bits = bitsAt(i);
+        const std::uint32_t *row = index_.find(line);
+        CSP_ASSERT(row != nullptr);
+        std::uint64_t *bits = bitsOf(*row);
         bits[ring_slot / 64] &=
             ~(std::uint64_t{1} << (ring_slot % 64));
         for (unsigned w = 0; w < words_; ++w) {
             if (bits[w] != 0)
                 return;
         }
-        indexEraseSlot(i);
+        release(line, *row);
     }
 
-    /** Erase @p islot, whose bitmap the caller has already emptied. */
-    void
-    indexEraseSlot(std::size_t islot)
-    {
-        // Backward-shift deletion (no tombstones): entries past the
-        // hole move back into it unless that would break their own
-        // probe chain. Bitmaps travel with their slots.
-        std::size_t i = islot;
-        std::size_t j = islot;
-        for (;;) {
-            slots_[i].used = false;
-            for (;;) {
-                j = (j + 1) & slot_mask_;
-                if (!slots_[j].used) {
-                    // The last hole still holds a moved bitmap's copy.
-                    if (i != islot) {
-                        std::uint64_t *bits = bitsAt(i);
-                        for (unsigned w = 0; w < words_; ++w)
-                            bits[w] = 0;
-                    }
-                    return;
-                }
-                const std::size_t h = homeOf(slots_[j].line);
-                const bool stuck = i <= j ? (i < h && h <= j)
-                                          : (i < h || h <= j);
-                if (!stuck)
-                    break;
-            }
-            slots_[i] = slots_[j];
-            const std::uint64_t *src = bitsAt(j);
-            std::uint64_t *dst = bitsAt(i);
-            for (unsigned w = 0; w < words_; ++w)
-                dst[w] = src[w];
-            i = j;
-        }
-    }
-
-    void indexClearAll();
+    /** Unindex every line; every row is zeroed and free. */
+    void clearIndex();
 
     std::vector<PendingPrefetch> ring_;
-    std::uint64_t pushes_ = 0;
-    std::size_t head_ = 0; ///< next ring slot (pushes_ mod capacity)
-    // line -> bitmap-of-ring-slots index. Invariants: a slot exists iff
-    // at least one valid un-hit ring entry predicts its line; unused
-    // slots have all-zero bitmaps.
-    unsigned words_;        ///< bitmap words per index slot
-    std::size_t slot_mask_; ///< index size - 1 (power of two)
-    unsigned home_shift_;   ///< 64 - log2(index size)
-    std::vector<IndexSlot> slots_;
-    std::vector<std::uint64_t> bits_; ///< slots * words_, slot-major
+    std::size_t head_ = 0; ///< next ring slot: the oldest entry
+    unsigned words_;       ///< bitmap words per row
+    // Invariants: a line is indexed iff at least one valid un-hit ring
+    // entry predicts it; free rows are all zero.
+    FlatMap<Addr, std::uint32_t> index_; ///< line -> bitmap row
+    std::vector<std::uint64_t> bits_;    ///< (capacity + 1) rows
+    std::vector<std::uint32_t> free_rows_;
     /// Ring-slot bitmap, words_ words: bit s set iff ring slot s was
     /// last written with a real entry that has not been demoted since.
     /// Only read through an index bitmap, so stale bits of invalid or

@@ -6,7 +6,7 @@
  * missed line was recently predicted by the prefetcher but never issued.
  * The original implementation kept the last 256 such lines in a ring and
  * scanned all 256 slots per miss; this structure answers the identical
- * question with one hash probe.
+ * question with one FlatMap probe.
  *
  * Equivalence argument: the ring's 256 slots always hold the values
  * recorded at the last 256 record() positions (each position maps to a
@@ -25,6 +25,7 @@
 #include <array>
 #include <cstdint>
 
+#include "core/flat_map.h"
 #include "core/types.h"
 
 namespace csp::sim {
@@ -33,93 +34,38 @@ namespace csp::sim {
 class PredictedSet
 {
   public:
+    // Room for twice the window, as for the prefetch queue's index: at
+    // most quarter full, so the per-miss contains() probe stays short.
+    PredictedSet() { last_pos_.reserve(2 * kWindow); }
+
     void
     record(Addr line)
     {
+        Addr &slot = ring_[pos_ & (kWindow - 1)];
         if (pos_ >= kWindow) {
             // The record at pos_-kWindow leaves the window. Its value
             // still sits in the ring slot being overwritten; drop its
             // map entry unless the line was recorded again since.
-            const Addr old = ring_[pos_ & (kWindow - 1)];
-            const std::size_t slot = find(old);
-            if (slot != kNone && slots_[slot].pos == pos_ - kWindow)
-                erase(slot);
+            const std::uint64_t *last = last_pos_.find(slot);
+            if (last != nullptr && *last == pos_ - kWindow)
+                last_pos_.erase(slot);
         }
-        ring_[pos_ & (kWindow - 1)] = line;
-        const std::size_t slot = find(line);
-        if (slot != kNone) {
-            slots_[slot].pos = pos_;
-        } else {
-            std::size_t i = home(line);
-            while (slots_[i].used)
-                i = (i + 1) & (kSlots - 1);
-            slots_[i] = Slot{line, pos_, true};
-        }
+        slot = line;
+        last_pos_[line] = pos_;
         ++pos_;
     }
 
-    bool contains(Addr line) const { return find(line) != kNone; }
+    bool
+    contains(Addr line) const
+    {
+        return last_pos_.find(line) != nullptr;
+    }
 
   private:
     static constexpr std::size_t kWindow = 256;
-    static constexpr std::size_t kSlots = 1024; ///< load factor <= 1/4
-    static constexpr std::size_t kNone = kSlots;
-
-    struct Slot
-    {
-        Addr line = 0;
-        std::uint64_t pos = 0;
-        bool used = false;
-    };
-
-    static std::size_t
-    home(Addr line)
-    {
-        // Fibonacci hash; top bits select among kSlots buckets.
-        return static_cast<std::size_t>(
-            (line * 0x9e3779b97f4a7c15ull) >> 54);
-    }
-
-    std::size_t
-    find(Addr line) const
-    {
-        std::size_t i = home(line);
-        while (slots_[i].used) {
-            if (slots_[i].line == line)
-                return i;
-            i = (i + 1) & (kSlots - 1);
-        }
-        return kNone;
-    }
-
-    /** Remove slot @p i, backward-shifting the probe chain (no
-     *  tombstones, so probe lengths never degrade). */
-    void
-    erase(std::size_t i)
-    {
-        std::size_t j = i;
-        for (;;) {
-            slots_[i].used = false;
-            for (;;) {
-                j = (j + 1) & (kSlots - 1);
-                if (!slots_[j].used)
-                    return;
-                const std::size_t h = home(slots_[j].line);
-                // Entry at j may fill the hole at i unless its home
-                // lies cyclically within (i, j] — moving it would then
-                // break its own probe chain.
-                const bool stuck = i <= j ? (i < h && h <= j)
-                                          : (i < h || h <= j);
-                if (!stuck)
-                    break;
-            }
-            slots_[i] = slots_[j];
-            i = j;
-        }
-    }
 
     std::array<Addr, kWindow> ring_{};
-    std::array<Slot, kSlots> slots_{};
+    FlatMap<Addr, std::uint64_t> last_pos_; ///< line -> last record()
     std::uint64_t pos_ = 0;
 };
 

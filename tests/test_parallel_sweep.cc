@@ -5,8 +5,8 @@
  *  return what a direct run's observers record, and the core
  *  ThreadPool behaves, and concurrent contentDigest() calls agree.
  *  Built under
- *  -fsanitize=thread by the CI TSan job (CSP_TSAN=ON) as the
- *  data-race smoke test for the whole engine. */
+ *  -fsanitize=thread by the CI TSan job as the data-race smoke test
+ *  for the whole engine. */
 
 #include <gtest/gtest.h>
 
@@ -477,8 +477,9 @@ TEST(ParallelSweep, ObserversJoinOnOneTickGrid)
 
 /** TSan smoke: many workers, verbose heartbeat on, shared traces —
  *  exercises SweepProgress's mutex and the logging path under real
- *  thread contention. Run this binary from a CSP_TSAN=ON build to
- *  check the engine for data races. */
+ *  thread contention. Run this binary from a build configured with
+ *  -DCMAKE_CXX_FLAGS="-O1 -g -fsanitize=thread" to check the engine
+ *  for data races. */
 TEST(ParallelSweep, TsanSmokeVerboseManyJobs)
 {
     SystemConfig config;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -33,12 +34,20 @@ sampleTrace()
     return buffer;
 }
 
+/** A scratch file path private to this process: ctest runs the tests
+ *  of this file as concurrent processes sharing one TempDir(). */
+std::string
+scratchPath(const std::string &name)
+{
+    return testing::TempDir() + std::to_string(getpid()) + '_' + name;
+}
+
 /** Map a trace file holding @p bytes. The file is unlinked at once:
  *  the mapping outlives it. */
 TraceIoStatus
 openBytes(const std::string &bytes, MappedTrace &mapped)
 {
-    const std::string path = testing::TempDir() + "csp_test.csptrace";
+    const std::string path = scratchPath("csp_test.csptrace");
     std::ofstream(path, std::ios::binary) << bytes;
     const TraceIoStatus status = mapped.open(path);
     std::remove(path.c_str());
@@ -140,7 +149,7 @@ TEST(TraceIo, MissingFileReported)
 TEST(TraceIo, FileRoundTrip)
 {
     const TraceBuffer original = sampleTrace();
-    const std::string path = testing::TempDir() + "csp_test_trace.bin";
+    const std::string path = scratchPath("csp_test_trace.bin");
     ASSERT_TRUE(saveTraceFile(original, path));
     MappedTrace loaded;
     EXPECT_EQ(loaded.open(path), TraceIoStatus::Ok);
