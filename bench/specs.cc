@@ -231,7 +231,7 @@ renderFig08(const sim::SweepResult &sweep, std::ostream &out)
         for (const std::string &name : names) {
             // context.pq.hit_depth is a width-1 Histogram: bucket i
             // counts the hits at depth i. The CDF at d is the hits at
-            // depth <= d over all hits, as Histogram::cdfAt sums it.
+            // depth <= d over all hits.
             const stats::ReportEntry *depths =
                 sweep.cells[cell++].outputs->report.find(
                     "context.pq.hit_depth");

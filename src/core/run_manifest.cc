@@ -53,6 +53,8 @@ addCache(WordHasher &h, const CacheConfig &c)
     h.add(c.mshrs);
 }
 
+} // namespace
+
 std::string
 jsonEscape(const std::string &text)
 {
@@ -77,8 +79,6 @@ jsonEscape(const std::string &text)
     }
     return out;
 }
-
-} // namespace
 
 std::uint64_t
 configDigest(const SystemConfig &config)

@@ -39,6 +39,14 @@ std::uint64_t configDigest(const SystemConfig &config);
 /** 16-hex-digit rendering of a 64-bit digest. */
 std::string hexDigest(std::uint64_t digest);
 
+/**
+ * @p text as the body of a JSON string: quotes, backslashes and control
+ * characters escaped. The manifest and the sweep event journal write
+ * every string through it, so a hostile workload or path name cannot
+ * break a journal's one-object-per-line framing.
+ */
+std::string jsonEscape(const std::string &text);
+
 /** See file comment. */
 struct RunManifest
 {

@@ -18,38 +18,11 @@ Histogram::bucketEdge(std::size_t i) const
 }
 
 double
-Histogram::cdfAt(std::uint64_t value) const
-{
-    if (total_ == 0)
-        return 0.0;
-    std::uint64_t below = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        if (bucketEdge(i) <= value)
-            below += counts_[i];
-        else
-            break;
-    }
-    if (value >= max_)
-        below += overflow_;
-    return static_cast<double>(below) / static_cast<double>(total_);
-}
-
-double
 Histogram::mean() const
 {
     return total_ == 0
                ? 0.0
                : static_cast<double>(sum_) / static_cast<double>(total_);
-}
-
-void
-Histogram::clear()
-{
-    for (auto &c : counts_)
-        c = 0;
-    overflow_ = 0;
-    total_ = 0;
-    sum_ = 0;
 }
 
 Log2Histogram::Log2Histogram(std::size_t buckets) : counts_(buckets, 0)
@@ -124,15 +97,6 @@ Log2Histogram::maxEdge() const
             return bucketHi(i - 1);
     }
     return 0;
-}
-
-void
-Log2Histogram::clear()
-{
-    for (auto &c : counts_)
-        c = 0;
-    total_ = 0;
-    sum_ = 0;
 }
 
 } // namespace csp

@@ -107,17 +107,8 @@ class Histogram
     /** Inclusive upper edge of bucket @p i. */
     std::uint64_t bucketEdge(std::size_t i) const;
 
-    /**
-     * Cumulative fraction of samples with value <= @p value. This is the
-     * CDF the paper plots in Figure 8.
-     */
-    double cdfAt(std::uint64_t value) const;
-
     /** Mean of recorded samples (overflow samples counted at max). */
     double mean() const;
-
-    /** Reset all counts. */
-    void clear();
 
   private:
     static constexpr unsigned kNoShift = ~0u;
@@ -186,9 +177,6 @@ class Log2Histogram
     /** Smallest and largest non-empty bucket edges (0 when empty). */
     std::uint64_t minEdge() const;
     std::uint64_t maxEdge() const;
-
-    /** Reset all counts. */
-    void clear();
 
   private:
     std::vector<std::uint64_t> counts_;

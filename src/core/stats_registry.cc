@@ -216,12 +216,6 @@ Registry::find(const std::string &name) const
     return nullptr;
 }
 
-bool
-Registry::contains(const std::string &name) const
-{
-    return find(name) != nullptr;
-}
-
 double
 Registry::entryValue(const Entry &entry) const
 {
@@ -263,17 +257,6 @@ Registry::value(const std::string &name) const
     if (entry == nullptr)
         panic("unknown stat: %s", name.c_str());
     return entryValue(*entry);
-}
-
-DistSummary
-Registry::distSummary(const std::string &name) const
-{
-    const Entry *entry = find(name);
-    if (entry == nullptr)
-        panic("unknown stat: %s", name.c_str());
-    if (entry->kind != Kind::Distribution)
-        panic("stat %s is not a distribution", name.c_str());
-    return entry->dist();
 }
 
 bool

@@ -161,15 +161,11 @@ class Registry
                  const std::string &denominator, double scale = 1.0,
                  const std::string &desc = "");
 
-    bool contains(const std::string &name) const;
     std::size_t size() const { return entries_.size(); }
 
     /** Current cumulative value of a scalar stat; panics on unknown
-     *  names and on distributions (use distSummary). */
+     *  names and on distributions. */
     double value(const std::string &name) const;
-
-    /** Current summary of a distribution stat; panics otherwise. */
-    DistSummary distSummary(const std::string &name) const;
 
     /** Flatten current values, keeping names matching @p filter (a
      *  dotted prefix; empty keeps everything). */

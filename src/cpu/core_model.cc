@@ -86,21 +86,4 @@ CoreModel::computeBurst(std::uint32_t count)
     }
 }
 
-void
-CoreModel::reset()
-{
-    slot_ = 0;
-    fetch_ready_ = 0;
-    last_retire_ = 0;
-    last_load_complete_ = 0;
-    elapsed_ = 0;
-    instructions_ = 0;
-    std::fill(rob_.begin(), rob_.end(), 0);
-    rob_head_ = 0;
-    rob_count_ = 0;
-    std::fill(lq_.begin(), lq_.end(), 0);
-    lq_head_ = 0;
-    lq_count_ = 0;
-}
-
 } // namespace csp::cpu

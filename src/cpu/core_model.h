@@ -70,9 +70,6 @@ class CoreModel
                          static_cast<double>(elapsed_);
     }
 
-    /** Reset all pipeline state. */
-    void reset();
-
   private:
     Cycle robGate() const;
     void robPush(Cycle retire);

@@ -7,7 +7,6 @@
 #include <set>
 #include <utility>
 
-#include "core/content_store.h"
 #include "core/parse.h"
 
 namespace csp::diff {
@@ -344,24 +343,6 @@ parseJournal(const std::string &text, SweepJournal &out,
     if (!rollup_error.empty()) {
         if (error != nullptr)
             *error = rollup_error;
-        return false;
-    }
-    return true;
-}
-
-bool
-readJournal(const std::string &path, SweepJournal &out,
-            std::string *error)
-{
-    std::string text;
-    if (!readFileToString(path, text)) {
-        if (error != nullptr)
-            *error = "cannot read " + path;
-        return false;
-    }
-    if (!parseJournal(text, out, error)) {
-        if (error != nullptr)
-            *error = path + ": " + *error;
         return false;
     }
     return true;

@@ -80,10 +80,6 @@ struct JournalIdentity
 bool parseJournal(const std::string &text, SweepJournal &out,
                   std::string *error);
 
-/** Read + parseJournal a file. */
-bool readJournal(const std::string &path, SweepJournal &out,
-                 std::string *error);
-
 /**
  * Extract the identity from @p journal's first sweep_start event.
  * False with *error when the journal has none (not a sweep journal).

@@ -26,13 +26,6 @@ Cache::Cache(const CacheConfig &config, std::string name)
     CSP_ASSERT(set_mask_ == sets_ - 1);
 }
 
-void
-Cache::invalidate(Addr addr)
-{
-    if (LineState *line = lookup(addr, false))
-        line->valid = false;
-}
-
 std::uint64_t
 Cache::countUnusedPrefetches() const
 {
@@ -54,14 +47,6 @@ Cache::countInflightPrefetches(Cycle now) const
             ++count;
     }
     return count;
-}
-
-void
-Cache::reset()
-{
-    for (LineState &line : lines_)
-        line = LineState{};
-    lru_clock_ = 0;
 }
 
 } // namespace csp::mem

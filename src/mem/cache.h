@@ -105,9 +105,6 @@ class Cache
         line.lru = ++lru_clock_;
     }
 
-    /** Invalidate a line if present. */
-    void invalidate(Addr addr);
-
     /**
      * Count valid lines that were prefetched and never demand-used —
      * called at end of simulation to close the "prefetch never hit"
@@ -120,9 +117,6 @@ class Cache
      * the in-flight component of the prefetch.inflight gauge.
      */
     std::uint64_t countInflightPrefetches(Cycle now) const;
-
-    /** Drop all lines and stats. */
-    void reset();
 
     const CacheConfig &config() const { return config_; }
     const std::string &name() const { return name_; }

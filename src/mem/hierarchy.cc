@@ -369,17 +369,4 @@ Hierarchy::registerStats(stats::Registry &registry) const
                           "request-to-data cycles per DRAM fill");
 }
 
-void
-Hierarchy::reset()
-{
-    l1_.reset();
-    l2_.reset();
-    l1_mshrs_.reset();
-    l2_mshrs_.reset();
-    dram_next_free_ = 0;
-    stats_ = HierarchyStats{};
-    fill_latency_.clear();
-    now_ = 0;
-}
-
 } // namespace csp::mem

@@ -141,9 +141,6 @@ class Hierarchy
     /** Line-align an address to L1 line granularity. */
     Addr lineAddr(Addr addr) const { return l1_.lineAddr(addr); }
 
-    /** Drop all cache and MSHR state. */
-    void reset();
-
   private:
     /** Install @p line_addr in L1 (@p level 1) or L2 with fill time
      *  @p ready, then account the displaced line in this order: the

@@ -9,12 +9,4 @@ MshrFile::MshrFile(unsigned slots) : busy_(slots, 0)
     CSP_ASSERT(slots > 0);
 }
 
-void
-MshrFile::reset()
-{
-    std::fill(busy_.begin(), busy_.end(), 0);
-    allocations_ = 0;
-    busy_cycles_ = 0;
-}
-
 } // namespace csp::mem

@@ -101,9 +101,6 @@ class MshrFile
      *  occupancy in slots. */
     const std::uint64_t &busyCycles() const { return busy_cycles_; }
 
-    /** Forget all outstanding fills. */
-    void reset();
-
   private:
     std::vector<Cycle> busy_; ///< completion cycle per slot (0 = idle)
     std::uint64_t allocations_ = 0;

@@ -18,21 +18,6 @@ Cst::Cst(const ContextPrefetcherConfig &config)
     CSP_ASSERT(isPowerOfTwo(config.cst_entries));
 }
 
-const Cst::Entry *
-Cst::entryIfMatch(std::uint32_t reduced_key) const
-{
-    const Entry *entry = entryAt(indexOf(reduced_key));
-    if (entry->valid != 0 && entry->tag == tagOf(reduced_key))
-        return entry;
-    return nullptr;
-}
-
-const Cst::Entry *
-Cst::lookup(std::uint32_t reduced_key) const
-{
-    return entryIfMatch(reduced_key);
-}
-
 int
 Cst::bestScore(std::uint32_t reduced_key) const
 {
@@ -221,14 +206,6 @@ Cst::scoreSummary() const
     if (s.count > 0)
         s.mean = sum / static_cast<double>(s.count);
     return s;
-}
-
-void
-Cst::reset()
-{
-    std::fill(arena_.begin(), arena_.end(), 0);
-    link_evictions_ = 0;
-    entry_evictions_ = 0;
 }
 
 } // namespace csp::prefetch::ctx

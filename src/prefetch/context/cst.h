@@ -73,9 +73,6 @@ class Cst
     };
     static_assert(sizeof(Entry) == 8, "header must pack into one word");
 
-    /** Entry for @p reduced_key iff present with a matching tag. */
-    const Entry *lookup(std::uint32_t reduced_key) const;
-
     /**
      * Data collection: associate @p delta with @p reduced_key. New links
      * start at score 0 and must earn rewards to survive; the
@@ -155,9 +152,6 @@ class Cst
         learn_ = learn;
     }
 
-    /** Drop all learned state. */
-    void reset();
-
   private:
     /// 64-bit words per entry block: the header word, then the delta
     /// lane and the score lane, which fill the second word exactly.
@@ -198,8 +192,6 @@ class Cst
     {
         return reduced_key >> index_bits_;
     }
-
-    const Entry *entryIfMatch(std::uint32_t reduced_key) const;
 
     /** The delta and score lanes of an entry block as one word:
      *  delta i in byte i, score i in byte kLinks + i. */

@@ -24,19 +24,4 @@ HistoryQueue::HistoryQueue(unsigned capacity,
         CSP_ASSERT(depth >= 1 && depth <= capacity_);
 }
 
-
-
-std::uint64_t
-HistoryQueue::size() const
-{
-    return pushes_ < capacity_ ? pushes_ : capacity_;
-}
-
-void
-HistoryQueue::clear()
-{
-    pushes_ = 0;
-    head_ = 0;
-}
-
 } // namespace csp::prefetch::ctx

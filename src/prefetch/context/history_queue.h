@@ -50,19 +50,6 @@ class HistoryQueue
         ++pushes_;
     }
 
-    /**
-     * Collect the sampled entries, i.e. those at the configured depths
-     * behind the most recent push. Results are appended to @p out.
-     */
-    void
-    sample(std::vector<const HistoryEntry *> &out) const
-    {
-        for (unsigned depth : depths_) {
-            if (const HistoryEntry *entry = at(depth))
-                out.push_back(entry);
-        }
-    }
-
     /** Entry exactly @p depth pushes behind the newest (null if absent). */
     const HistoryEntry *
     at(unsigned depth) const
@@ -80,11 +67,7 @@ class HistoryQueue
     }
 
     unsigned capacity() const { return capacity_; }
-    std::uint64_t size() const;
     std::span<const unsigned> sampleDepths() const { return depths_; }
-
-    /** Drop all history. */
-    void clear();
 
   private:
     unsigned capacity_;

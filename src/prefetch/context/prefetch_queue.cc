@@ -64,13 +64,4 @@ PrefetchQueue::size() const
     return live;
 }
 
-void
-PrefetchQueue::clear()
-{
-    for (PendingPrefetch &entry : ring_)
-        entry.valid = false;
-    head_ = 0;
-    clearIndex();
-}
-
 } // namespace csp::prefetch::ctx

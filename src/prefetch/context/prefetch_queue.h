@@ -166,9 +166,6 @@ class PrefetchQueue
     /** Live (valid) entry count. */
     unsigned size() const;
 
-    /** Drop all entries without expiring them. */
-    void clear();
-
   private:
     std::uint64_t *
     bitsOf(std::uint32_t row)

@@ -86,11 +86,4 @@ Reducer::meanActiveAttrs() const
                            static_cast<double>(live);
 }
 
-void
-Reducer::reset()
-{
-    for (Entry &entry : table_)
-        entry = Entry{};
-}
-
 } // namespace csp::prefetch::ctx

@@ -98,9 +98,6 @@ class Reducer
     /** Mean number of active attributes over valid entries. */
     double meanActiveAttrs() const;
 
-    /** Drop all state. */
-    void reset();
-
   private:
     struct Entry
     {

@@ -95,24 +95,6 @@ Arena::allocate(std::size_t size)
     return buffer_.get() + offset;
 }
 
-void
-Arena::deallocate(void *ptr, std::size_t size)
-{
-    if (ptr == nullptr)
-        return;
-    CSP_ASSERT(size > 0);
-    const auto *bytes = static_cast<const std::byte *>(ptr);
-    CSP_ASSERT(bytes >= buffer_.get() && bytes < buffer_.get() + capacity_);
-    if (size > kMaxClass) {
-        bytes_live_ -= size;
-        return; // large blocks are not recycled
-    }
-    unsigned cls = classIndex(size);
-    free_lists_[cls].push_back(
-        static_cast<std::uint64_t>(bytes - buffer_.get()));
-    bytes_live_ -= classSize(cls);
-}
-
 Addr
 Arena::addrOf(const void *ptr) const
 {
@@ -120,19 +102,6 @@ Arena::addrOf(const void *ptr) const
     CSP_ASSERT(bytes >= buffer_.get() && bytes < buffer_.get() + capacity_);
     return base_addr_ +
            static_cast<Addr>(bytes - buffer_.get());
-}
-
-void *
-Arena::hostOf(Addr addr) const
-{
-    CSP_ASSERT(contains(addr));
-    return buffer_.get() + (addr - base_addr_);
-}
-
-bool
-Arena::contains(Addr addr) const
-{
-    return addr >= base_addr_ && addr < base_addr_ + capacity_;
 }
 
 } // namespace csp::runtime

@@ -18,8 +18,9 @@
  *     (spatially-optimised layout) and a randomised one (naive linked
  *     layout) for the Figure 14 experiment.
  *
- * Allocation uses power-of-two size classes with slab carving; free()
- * returns a slot to its class's free stack.
+ * Allocation uses power-of-two size classes with slab carving: each
+ * class pops slots from the free stack its slabs were carved into.
+ * Nothing is freed; a workload's heap lives as long as its arena.
  */
 
 #ifndef CSP_RUNTIME_ARENA_H
@@ -63,9 +64,6 @@ class Arena
     /** Allocate @p size bytes; returns a host pointer into the buffer. */
     void *allocate(std::size_t size);
 
-    /** Return @p ptr (from allocate()) to its size-class free stack. */
-    void deallocate(void *ptr, std::size_t size);
-
     /** Typed allocation + default construction. */
     template <typename T, typename... Args>
     T *
@@ -75,23 +73,8 @@ class Arena
         return new (raw) T(std::forward<Args>(args)...);
     }
 
-    /** Typed destroy + deallocation. */
-    template <typename T>
-    void
-    destroy(T *ptr)
-    {
-        ptr->~T();
-        deallocate(ptr, sizeof(T));
-    }
-
     /** Simulated address of a host pointer returned by allocate(). */
     Addr addrOf(const void *ptr) const;
-
-    /** Host pointer for a simulated address inside the arena. */
-    void *hostOf(Addr addr) const;
-
-    /** True iff @p addr lies inside this arena's simulated range. */
-    bool contains(Addr addr) const;
 
     /** Simulated base address. */
     Addr baseAddr() const { return base_addr_; }
@@ -125,7 +108,7 @@ class Arena
     std::unique_ptr<std::byte[]> buffer_;
     std::uint64_t bump_ = 0;      ///< next un-carved offset
     std::uint64_t bytes_live_ = 0;
-    /// Free slot offsets per size class (LIFO).
+    /// Carved slots not yet handed out, per size class (LIFO).
     std::vector<std::vector<std::uint64_t>> free_lists_;
 };
 

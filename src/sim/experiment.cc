@@ -390,16 +390,6 @@ SweepResult::speedup(const std::string &workload,
 }
 
 double
-SweepResult::geomeanSpeedup(const std::string &prefetcher) const
-{
-    std::vector<double> speedups;
-    speedups.reserve(workload_names.size());
-    for (const std::string &workload : workload_names)
-        speedups.push_back(speedup(workload, prefetcher));
-    return geomean(speedups);
-}
-
-double
 geomean(const std::vector<double> &values)
 {
     if (values.empty())
@@ -845,20 +835,6 @@ runSweep(const std::vector<SweepCell> &grid, const SweepOptions &options)
              J::raw("stats", telemetry.statsJson())});
     }
     return result;
-}
-
-SweepResult
-runSweep(const std::vector<std::string> &workload_names,
-         const std::vector<std::string> &prefetcher_names,
-         const workloads::WorkloadParams &params,
-         const SystemConfig &config, const SweepOptions &options)
-{
-    std::vector<SweepCell> grid;
-    for (const std::string &workload : workload_names) {
-        for (const std::string &prefetcher : prefetcher_names)
-            grid.push_back({workload, params, config, prefetcher});
-    }
-    return runSweep(grid, options);
 }
 
 } // namespace csp::sim

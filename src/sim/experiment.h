@@ -140,9 +140,6 @@ struct SweepResult
     /** IPC speedup of @p prefetcher over "none" for @p workload. */
     double speedup(const std::string &workload,
                    const std::string &prefetcher) const;
-
-    /** Geometric-mean speedup of @p prefetcher over all workloads. */
-    double geomeanSpeedup(const std::string &prefetcher) const;
 };
 
 /** The per-cell observer sinks SweepOptions::observe can attach. */
@@ -232,14 +229,6 @@ struct SweepOptions
  * bit-for-bit (caching is invisible modulo manifest timing fields).
  */
 SweepResult runSweep(const std::vector<SweepCell> &grid,
-                     const SweepOptions &options = {});
-
-/** Every workload against every prefetcher on one system: the grid
- *  of their cross product, row-major by workload. */
-SweepResult runSweep(const std::vector<std::string> &workload_names,
-                     const std::vector<std::string> &prefetcher_names,
-                     const workloads::WorkloadParams &params,
-                     const SystemConfig &config,
                      const SweepOptions &options = {});
 
 /** Geometric mean of a value vector (empty -> 1.0). */

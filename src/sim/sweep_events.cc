@@ -3,40 +3,10 @@
 #include <utility>
 
 #include "core/logging.h"
+#include "core/run_manifest.h"
 #include "core/stats_registry.h"
 
 namespace csp::sim {
-
-namespace {
-
-/** Minimal JSON string escaping — journal strings are workload /
- *  prefetcher / path names, but a hostile name must not break the
- *  one-object-per-line framing. */
-void
-appendEscaped(std::string &out, const std::string &text)
-{
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-} // namespace
 
 SweepEventJournal::~SweepEventJournal() { close(); }
 
@@ -144,7 +114,7 @@ SweepEventJournal::emit(const char *event,
             break;
         case Field::Kind::Str:
             line += '"';
-            appendEscaped(line, field.s);
+            line += jsonEscape(field.s);
             line += '"';
             break;
         case Field::Kind::Raw:

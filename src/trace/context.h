@@ -11,7 +11,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <string>
 
 #include "core/hashing.h"
 #include "core/types.h"
@@ -73,9 +72,6 @@ isPrefixMask(AttrMask mask)
 {
     return (mask & (mask + 1u)) == 0;
 }
-
-/** Human-readable attribute name. */
-const char *attrName(Attr attr);
 
 /**
  * The captured context of one memory access: one 64-bit value per
@@ -143,9 +139,6 @@ class ContextSnapshot
         }
         return prefixes;
     }
-
-    /** Debug rendering of all attribute values. */
-    std::string describe() const;
 
   private:
     /** Pre-mixed lane of attribute @p i holding @p value: the attribute

@@ -4,14 +4,6 @@
 
 namespace csp::trace {
 
-ContextSnapshot
-HwContextTracker::capture(const TraceRecord &rec) const
-{
-    ContextSnapshot ctx;
-    captureInto(rec, ctx);
-    return ctx;
-}
-
 void
 HwContextTracker::captureInto(const TraceRecord &rec,
                               ContextSnapshot &ctx) const
@@ -55,15 +47,6 @@ HwContextTracker::update(const TraceRecord &rec)
       case InstKind::Compute:
         break;
     }
-}
-
-void
-HwContextTracker::reset()
-{
-    bhr_ = 0;
-    addr_hist_[0] = addr_hist_[1] = 0;
-    addr_hist_hash_ = hashCombine(0, 0);
-    last_loaded_ = 0;
 }
 
 } // namespace csp::trace

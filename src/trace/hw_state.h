@@ -29,15 +29,11 @@ class HwContextTracker
 
     /**
      * Compose the context of a memory-access record from current
-     * hardware state plus the record's hint payload. Call *before*
-     * update() so the snapshot reflects state at issue time.
-     */
-    ContextSnapshot capture(const TraceRecord &rec) const;
-
-    /**
-     * capture() into a caller-owned snapshot. Writes every attribute,
-     * so the simulator's replay loop can reuse one ContextSnapshot for
-     * the whole run instead of constructing one per access.
+     * hardware state plus the record's hint payload, into a
+     * caller-owned snapshot. Call *before* update() so the snapshot
+     * reflects state at issue time. Writes every attribute, so the
+     * simulator's replay loop reuses one ContextSnapshot for the whole
+     * run instead of constructing one per access.
      */
     void captureInto(const TraceRecord &rec, ContextSnapshot &ctx) const;
 
@@ -46,9 +42,6 @@ class HwContextTracker
 
     /** Current branch-history register (low 16 bits meaningful). */
     std::uint16_t branchHistory() const { return bhr_; }
-
-    /** Reset all tracked state. */
-    void reset();
 
   private:
     unsigned block_bytes_;

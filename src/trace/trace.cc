@@ -211,17 +211,6 @@ TraceBuffer::push(const TraceRecord &rec)
         ++mem_accesses_;
 }
 
-std::vector<TraceRecord>
-TraceBuffer::decode() const
-{
-    std::vector<TraceRecord> out;
-    out.reserve(count_);
-    TraceCursor cur = cursor();
-    while (const TraceRecord *rec = cur.next())
-        out.push_back(*rec);
-    return out;
-}
-
 std::uint64_t
 PayloadHashMemo::get(std::span<const std::uint8_t> payload) const
 {
@@ -255,17 +244,6 @@ packedTraceDigestPrehashed(std::size_t count, std::uint64_t instructions,
     for (std::size_t i = 0; i < hint_count; ++i)
         h.add(hintKey(hints[i]));
     return h.digest();
-}
-
-std::uint64_t
-packedTraceDigest(std::size_t count, std::uint64_t instructions,
-                  const std::uint8_t *bytes, std::size_t bytes_size,
-                  const Addr *pcs, std::size_t pc_count,
-                  const hints::Hint *hints, std::size_t hint_count)
-{
-    return packedTraceDigestPrehashed(count, instructions,
-                                      streamDigest({bytes, bytes_size}),
-                                      pcs, pc_count, hints, hint_count);
 }
 
 std::uint64_t

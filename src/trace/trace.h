@@ -176,9 +176,7 @@ class PackedBytes
  * consumed sequentially through TraceCursor by the simulator.
  *
  * Records are stored packed (see file comment); random access is
- * deliberately not offered. Use cursor() for streaming replay and
- * decode() when a materialised std::vector<TraceRecord> is genuinely
- * needed (tests, tools).
+ * deliberately not offered. Use cursor() for streaming replay.
  */
 class TraceBuffer
 {
@@ -199,9 +197,6 @@ class TraceBuffer
 
     /** Streaming decoder positioned at the first record. */
     TraceCursor cursor() const;
-
-    /** Materialise every record (tests and tools; O(size()) memory). */
-    std::vector<TraceRecord> decode() const;
 
     /** Packed payload bytes plus dictionary bytes. */
     std::size_t
@@ -238,33 +233,24 @@ class TraceBuffer
      * manifests. Two buffers holding the same record stream digest
      * identically; any record, PC or hint difference changes it.
      *
-     * Equal to packedTraceDigest over packedBytes() and the
-     * dictionaries. The payload is hashed by the first call after the
-     * last push and the hash is kept, so further calls cost only the
-     * dictionaries. Safe to call from several threads at once.
+     * Equal to packedTraceDigestPrehashed over streamDigest of
+     * packedBytes() and the dictionaries. The payload is hashed by the
+     * first call after the last push and the hash is kept, so further
+     * calls cost only the dictionaries. Safe to call from several
+     * threads at once.
      */
     std::uint64_t contentDigest() const;
 
     /**
      * Test hook: observe every record exactly as handed to push(),
-     * before burst folding. Used by the golden encode/decode tests to
-     * build a reference AoS trace alongside the packed one. One
-     * well-predicted null check per push; no cost when unset.
+     * before burst folding. The tap is inherited by every TraceBuffer
+     * subsequently constructed on the calling thread (cleared with
+     * nullptr): workloads build their buffers internally, so this is
+     * how the golden encode/decode tests build a reference AoS trace
+     * alongside a workload's packed one. One well-predicted null check
+     * per push; no cost when unset.
      */
     using PushTap = void (*)(void *user, const TraceRecord &rec);
-    void
-    setPushTap(PushTap tap, void *user)
-    {
-        tap_ = tap;
-        tap_user_ = user;
-    }
-
-    /**
-     * Install a tap inherited by every TraceBuffer subsequently
-     * constructed on the calling thread (cleared with nullptr).
-     * Workloads build their buffers internally, so this is how the
-     * golden tests observe a workload's record stream as generated.
-     */
     static void setThreadPushTap(PushTap tap, void *user);
 
     TraceBuffer();
@@ -308,22 +294,11 @@ class TraceBuffer
 };
 
 /**
- * Content digest over raw packed trace parts. TraceBuffer::contentDigest
- * and the trace-file verification path (trace_io) share this formula, so
- * an mmap'd trace can be digest-checked without materialising a buffer.
- */
-std::uint64_t packedTraceDigest(std::size_t count,
-                                std::uint64_t instructions,
-                                const std::uint8_t *bytes,
-                                std::size_t bytes_size, const Addr *pcs,
-                                std::size_t pc_count,
-                                const hints::Hint *hints,
-                                std::size_t hint_count);
-
-/**
- * packedTraceDigest with the payload's hash already computed — for
- * verifiers that hash the payload in windows (StreamDigest) so the
- * whole file never needs to be resident at once.
+ * Content digest over packed trace parts, given the payload's
+ * streamDigest. TraceBuffer::contentDigest and the trace-file
+ * verification path (trace_io) share this formula; the verifier hashes
+ * the payload in windows (StreamDigest), so an mmap'd trace is
+ * digest-checked without the whole file ever being resident.
  */
 std::uint64_t packedTraceDigestPrehashed(
     std::size_t count, std::uint64_t instructions,

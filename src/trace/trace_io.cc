@@ -180,30 +180,6 @@ saveTraceFile(const TraceBuffer &buffer, const std::string &path)
     return static_cast<bool>(stream);
 }
 
-MappedTrace &
-MappedTrace::operator=(MappedTrace &&other) noexcept
-{
-    if (this == &other)
-        return *this;
-    close();
-    base_ = other.base_;
-    map_len_ = other.map_len_;
-    payload_ = other.payload_;
-    payload_bytes_ = other.payload_bytes_;
-    pc_dict_ = std::move(other.pc_dict_);
-    hint_dict_ = std::move(other.hint_dict_);
-    record_count_ = other.record_count_;
-    instructions_ = other.instructions_;
-    mem_accesses_ = other.mem_accesses_;
-    content_digest_ = other.content_digest_;
-    released_ = other.released_;
-    other.base_ = nullptr;
-    other.map_len_ = 0;
-    other.payload_ = nullptr;
-    other.payload_bytes_ = 0;
-    return *this;
-}
-
 void
 MappedTrace::close()
 {

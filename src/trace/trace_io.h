@@ -29,7 +29,6 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "trace/trace.h"
@@ -74,8 +73,6 @@ class MappedTrace
     MappedTrace() = default;
     ~MappedTrace() { close(); }
 
-    MappedTrace(MappedTrace &&other) noexcept { *this = std::move(other); }
-    MappedTrace &operator=(MappedTrace &&other) noexcept;
     MappedTrace(const MappedTrace &) = delete;
     MappedTrace &operator=(const MappedTrace &) = delete;
 

@@ -48,16 +48,6 @@ Registry::contains(const std::string &name) const
 }
 
 std::vector<std::string>
-Registry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(factories_.size());
-    for (const auto &[name, factory] : factories_)
-        out.push_back(name);
-    return out;
-}
-
-std::vector<std::string>
 Registry::namesInSuite(const std::string &suite) const
 {
     std::vector<std::string> out;

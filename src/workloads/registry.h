@@ -33,9 +33,6 @@ class Registry
     /** True iff @p name is registered. */
     bool contains(const std::string &name) const;
 
-    /** All registered names, sorted. */
-    std::vector<std::string> names() const;
-
     /** Names filtered by suite label, sorted. */
     std::vector<std::string> namesInSuite(const std::string &suite) const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/logging.h"
 #include "core/rng.h"
 #include "hints/hint.h"
 
@@ -104,16 +103,6 @@ specProfiles()
         return p;
     }();
     return profiles;
-}
-
-const SpecProfile &
-specProfile(const std::string &name)
-{
-    for (const SpecProfile &profile : specProfiles()) {
-        if (profile.name == name)
-            return profile;
-    }
-    fatal("unknown SPEC profile: %s", name.c_str());
 }
 
 trace::TraceBuffer

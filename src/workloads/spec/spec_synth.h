@@ -73,9 +73,6 @@ struct SpecProfile
 /** The 16 SPEC2006 profiles of paper Table 3. */
 const std::vector<SpecProfile> &specProfiles();
 
-/** Profile by benchmark name; fatal() if unknown. */
-const SpecProfile &specProfile(const std::string &name);
-
 /** Stream-mixture trace generator; see file comment. */
 class SpecSynth final : public Workload
 {

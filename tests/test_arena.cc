@@ -57,16 +57,6 @@ TEST(Arena, DifferentSeedsShuffleDifferently)
     EXPECT_TRUE(any_diff);
 }
 
-TEST(Arena, AddrHostRoundTrip)
-{
-    Arena arena(1 << 20, Placement::Sequential, 1);
-    void *p = arena.allocate(64);
-    const Addr addr = arena.addrOf(p);
-    EXPECT_EQ(arena.hostOf(addr), p);
-    EXPECT_TRUE(arena.contains(addr));
-    EXPECT_FALSE(arena.contains(addr + (1 << 21)));
-}
-
 TEST(Arena, BaseAddressRespected)
 {
     Arena arena(1 << 16, Placement::Sequential, 1, 0xdead0000);
@@ -74,24 +64,14 @@ TEST(Arena, BaseAddressRespected)
     EXPECT_GE(arena.addrOf(arena.allocate(16)), 0xdead0000u);
 }
 
-TEST(Arena, FreeListReusesSlots)
-{
-    Arena arena(1 << 20, Placement::Sequential, 1);
-    void *p = arena.allocate(32);
-    const Addr addr = arena.addrOf(p);
-    arena.deallocate(p, 32);
-    void *q = arena.allocate(32);
-    EXPECT_EQ(arena.addrOf(q), addr);
-}
-
 TEST(Arena, BytesLiveTracksAllocations)
 {
     Arena arena(1 << 20, Placement::Sequential, 1);
     EXPECT_EQ(arena.bytesLive(), 0u);
-    void *p = arena.allocate(16);
+    arena.allocate(16);
     EXPECT_EQ(arena.bytesLive(), 16u);
-    arena.deallocate(p, 16);
-    EXPECT_EQ(arena.bytesLive(), 0u);
+    arena.allocate(100000); // large: counted at its exact size
+    EXPECT_EQ(arena.bytesLive(), 100016u);
 }
 
 TEST(Arena, SizeClassRounding)
@@ -110,7 +90,7 @@ TEST(Arena, LargeAllocationsBumpAllocated)
     EXPECT_GE(arena.bytesCarved(), 100000u);
 }
 
-TEST(Arena, MakeAndDestroy)
+TEST(Arena, MakeConstructsInPlace)
 {
     struct Node
     {
@@ -119,8 +99,7 @@ TEST(Arena, MakeAndDestroy)
     Arena arena(1 << 20, Placement::Sequential, 1);
     Node *node = arena.make<Node>();
     EXPECT_EQ(node->x, 7);
-    arena.destroy(node);
-    EXPECT_EQ(arena.bytesLive(), 0u);
+    EXPECT_EQ(arena.bytesLive(), 16u);
 }
 
 TEST(Arena, DistinctAddressesAcrossManyAllocations)
@@ -129,13 +108,6 @@ TEST(Arena, DistinctAddressesAcrossManyAllocations)
     std::set<Addr> seen;
     for (int i = 0; i < 10000; ++i)
         EXPECT_TRUE(seen.insert(arena.addrOf(arena.allocate(48))).second);
-}
-
-TEST(Arena, DeallocateNullIsNoop)
-{
-    Arena arena(1 << 16, Placement::Sequential, 1);
-    arena.deallocate(nullptr, 16);
-    EXPECT_EQ(arena.bytesLive(), 0u);
 }
 
 TEST(ArenaDeathTest, ExhaustionIsFatal)

@@ -91,14 +91,6 @@ TEST(Cache, PeekDoesNotTouchLru)
     EXPECT_EQ(cache.lookup(0x0000), nullptr); // still evicted
 }
 
-TEST(Cache, InvalidateRemovesLine)
-{
-    Cache cache(smallCache(), "t");
-    cache.insert(0x1000, 0, false);
-    cache.invalidate(0x1000);
-    EXPECT_EQ(cache.lookup(0x1000), nullptr);
-}
-
 TEST(Cache, CountUnusedPrefetches)
 {
     Cache cache(smallCache(), "t");
@@ -117,14 +109,6 @@ TEST(Cache, DifferentSetsDoNotConflict)
         cache.insert(a, 0, false);
     for (Addr a = 0; a < 512; a += 64)
         EXPECT_NE(cache.lookup(a), nullptr);
-}
-
-TEST(Cache, ResetDropsAllLines)
-{
-    Cache cache(smallCache(), "t");
-    cache.insert(0x1000, 0, false);
-    cache.reset();
-    EXPECT_EQ(cache.lookup(0x1000), nullptr);
 }
 
 TEST(Cache, LineAddrAligns)

@@ -86,15 +86,6 @@ TEST(ContextSnapshot, HashSpreadsOverBuckets)
     EXPECT_GT(seen.size(), 490u);
 }
 
-TEST(ContextSnapshot, DescribeNamesEveryAttribute)
-{
-    const std::string text = sample().describe();
-    for (unsigned i = 0; i < kNumAttrs; ++i) {
-        EXPECT_NE(text.find(attrName(static_cast<Attr>(i))),
-                  std::string::npos);
-    }
-}
-
 TEST(ContextAttrs, MaskConstantsConsistent)
 {
     EXPECT_EQ(kAllAttrs, (1u << kNumAttrs) - 1);
@@ -104,14 +95,6 @@ TEST(ContextAttrs, MaskConstantsConsistent)
     EXPECT_EQ(kHardwareAttrs & attrBit(Attr::RefForm), 0);
     EXPECT_NE(kHardwareAttrs & attrBit(Attr::IP), 0);
     EXPECT_NE(kHardwareAttrs & attrBit(Attr::BranchHistory), 0);
-}
-
-TEST(ContextAttrs, NamesAreUnique)
-{
-    std::set<std::string> names;
-    for (unsigned i = 0; i < kNumAttrs; ++i)
-        names.insert(attrName(static_cast<Attr>(i)));
-    EXPECT_EQ(names.size(), kNumAttrs);
 }
 
 } // namespace

@@ -117,17 +117,6 @@ TEST(CoreModel, InstructionsCounted)
     EXPECT_EQ(core.instructions(), 11u);
 }
 
-TEST(CoreModel, ResetRestoresInitialState)
-{
-    CoreModel core(defaultCore());
-    core.computeBurst(100);
-    core.reset();
-    EXPECT_EQ(core.instructions(), 0u);
-    EXPECT_EQ(core.elapsed(), 0u);
-    core.computeBurst(400);
-    EXPECT_NEAR(core.ipc(), 4.0, 0.1);
-}
-
 TEST(CoreModel, IpcZeroBeforeAnyWork)
 {
     CoreModel core(defaultCore());

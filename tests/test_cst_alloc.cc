@@ -142,7 +142,6 @@ TEST(CstAllocation, SteadyStateOperationIsHeapFree)
         cst.softmaxLink(key, rng, 2.0, &chosen);
         if ((step & 1023) == 0) {
             cst.clearChurn(key);
-            (void)cst.lookup(key);
             (void)cst.liveEntries();
         }
     }

@@ -438,7 +438,12 @@ runDifferential(unsigned cst_entries, std::uint64_t seed,
                 EXPECT_EQ(scores_a[i], scores_b[i]) << "op " << op;
             }
         } else if (pick < 85) {
-            const bool hit_a = cst.lookup(key) != nullptr;
+            // Every live entry holds a link and no score is below
+            // -128, so the entry is present iff bestLinks finds one.
+            std::int32_t deltas[Cst::kLinks];
+            ++best_calls;
+            const bool hit_a =
+                cst.bestLinks(key, deltas, Cst::kLinks, -129) != 0;
             const bool hit_b = ref.present(key);
             ASSERT_EQ(hit_a, hit_b) << "op " << op;
             if (hit_a) {

@@ -10,6 +10,7 @@
 #include "core/rng.h"
 #include "prefetch/ghb.h"
 #include "trace/context.h"
+#include "trace_util.h"
 #include "workloads/registry.h"
 
 namespace csp::prefetch {
@@ -231,7 +232,7 @@ TEST(GhbDifferential, McfDemandStreamMatchesReference)
     Differential gdc(config, GhbFlavor::GlobalDC);
     Differential pcdc(config, GhbFlavor::PcDC);
     trace::ContextSnapshot ctx;
-    for (const trace::TraceRecord &rec : trace.decode()) {
+    for (const trace::TraceRecord &rec : decodeAll(trace)) {
         if (!rec.isMem())
             continue;
         AccessInfo info;

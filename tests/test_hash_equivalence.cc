@@ -27,6 +27,7 @@
 #include "core/hashing.h"
 #include "trace/context.h"
 #include "trace/hw_state.h"
+#include "trace_util.h"
 #include "workloads/registry.h"
 
 namespace csp::trace {
@@ -73,7 +74,7 @@ replayAndCompare(const std::string &workload_name)
     const auto workload =
         workloads::Registry::builtin().create(workload_name);
     const std::vector<TraceRecord> records =
-        workload->generate(params).decode();
+        decodeAll(workload->generate(params));
     ASSERT_FALSE(records.empty());
 
     const std::vector<AttrMask> masks = masksUnderTest();

@@ -159,16 +159,6 @@ TEST(Hierarchy, DemandStatsAccumulate)
     EXPECT_EQ(h.stats().l2_demand_misses, 2u);
 }
 
-TEST(Hierarchy, ResetClearsState)
-{
-    Hierarchy h(defaultMem());
-    h.access(0x10000, 0);
-    h.reset();
-    EXPECT_EQ(h.stats().demand_accesses, 0u);
-    const AccessResult r = h.access(0x10000, 0);
-    EXPECT_TRUE(r.l2_miss);
-}
-
 TEST(Hierarchy, LineAddrUsesL1Geometry)
 {
     Hierarchy h(defaultMem());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "prefetch/context/history_queue.h"
 
 namespace csp::prefetch::ctx {
@@ -15,6 +17,19 @@ entry(AccessSeq seq)
     e.line = 0x1000 + seq * 64;
     e.seq = seq;
     return e;
+}
+
+/** The sampled entries, walked the way the collection unit walks
+ *  them: at() of each configured depth, unfilled depths skipped. */
+std::vector<const HistoryEntry *>
+sampled(const HistoryQueue &q)
+{
+    std::vector<const HistoryEntry *> out;
+    for (const unsigned depth : q.sampleDepths()) {
+        if (const HistoryEntry *e = q.at(depth))
+            out.push_back(e);
+    }
+    return out;
 }
 
 TEST(HistoryQueue, AtDepthOneIsNewest)
@@ -48,7 +63,6 @@ TEST(HistoryQueue, OldEntriesOverwrittenAtCapacity)
     HistoryQueue q(4);
     for (AccessSeq s = 0; s < 10; ++s)
         q.push(entry(s));
-    EXPECT_EQ(q.size(), 4u);
     EXPECT_EQ(q.at(1)->seq, 9u);
     EXPECT_EQ(q.at(4)->seq, 6u);
     EXPECT_EQ(q.at(5), nullptr);
@@ -68,8 +82,7 @@ TEST(HistoryQueue, SampleReturnsConfiguredDepths)
     HistoryQueue q(50, {2, 5});
     for (AccessSeq s = 0; s < 20; ++s)
         q.push(entry(s));
-    std::vector<const HistoryEntry *> samples;
-    q.sample(samples);
+    const std::vector<const HistoryEntry *> samples = sampled(q);
     ASSERT_EQ(samples.size(), 2u);
     EXPECT_EQ(samples[0]->seq, 18u); // depth 2
     EXPECT_EQ(samples[1]->seq, 15u); // depth 5
@@ -80,18 +93,7 @@ TEST(HistoryQueue, SampleSkipsUnfilledDepths)
     HistoryQueue q(50, {1, 30});
     q.push(entry(0));
     q.push(entry(1));
-    std::vector<const HistoryEntry *> samples;
-    q.sample(samples);
-    EXPECT_EQ(samples.size(), 1u);
-}
-
-TEST(HistoryQueue, ClearEmptiesQueue)
-{
-    HistoryQueue q(50);
-    q.push(entry(1));
-    q.clear();
-    EXPECT_EQ(q.size(), 0u);
-    EXPECT_EQ(q.at(1), nullptr);
+    EXPECT_EQ(sampled(q).size(), 1u);
 }
 
 TEST(HistoryQueue, CapacityMatchesPaperDefault)

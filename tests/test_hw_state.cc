@@ -27,10 +27,19 @@ branchRec(bool taken)
     return rec;
 }
 
+/** The context of @p rec, captured into a fresh snapshot. */
+ContextSnapshot
+capture(const HwContextTracker &hw, const TraceRecord &rec)
+{
+    ContextSnapshot ctx;
+    hw.captureInto(rec, ctx);
+    return ctx;
+}
+
 TEST(HwState, CaptureReflectsIp)
 {
     HwContextTracker hw;
-    const auto ctx = hw.capture(loadRec(0x400100, 0x1000));
+    const auto ctx = capture(hw, loadRec(0x400100, 0x1000));
     EXPECT_EQ(ctx.get(Attr::IP), 0x400100u);
 }
 
@@ -47,7 +56,7 @@ TEST(HwState, BranchHistoryVisibleInContext)
 {
     HwContextTracker hw;
     hw.update(branchRec(true));
-    const auto ctx = hw.capture(loadRec(0x400100, 0x1000));
+    const auto ctx = capture(hw, loadRec(0x400100, 0x1000));
     EXPECT_EQ(ctx.get(Attr::BranchHistory), 1u);
 }
 
@@ -55,7 +64,7 @@ TEST(HwState, PrevDataIsLastLoadedValue)
 {
     HwContextTracker hw;
     hw.update(loadRec(0x400100, 0x1000, 0xfeed));
-    const auto ctx = hw.capture(loadRec(0x400104, 0x2000));
+    const auto ctx = capture(hw, loadRec(0x400104, 0x2000));
     EXPECT_EQ(ctx.get(Attr::PrevData), 0xfeedu);
 }
 
@@ -63,9 +72,9 @@ TEST(HwState, CaptureBeforeUpdateExcludesCurrentAccess)
 {
     HwContextTracker hw(64);
     hw.update(loadRec(0x400100, 0x1000, 1));
-    const auto before = hw.capture(loadRec(0x400104, 0x2000, 2));
+    const auto before = capture(hw, loadRec(0x400104, 0x2000, 2));
     hw.update(loadRec(0x400104, 0x2000, 2));
-    const auto after = hw.capture(loadRec(0x400108, 0x3000, 3));
+    const auto after = capture(hw, loadRec(0x400108, 0x3000, 3));
     EXPECT_NE(before.get(Attr::AddrHistory),
               after.get(Attr::AddrHistory));
     EXPECT_EQ(before.get(Attr::PrevData), 1u);
@@ -76,10 +85,10 @@ TEST(HwState, AddrHistoryAtBlockGranularity)
 {
     HwContextTracker hw(64);
     hw.update(loadRec(0x400100, 0x1000));
-    const auto a = hw.capture(loadRec(0x400104, 0x9000));
+    const auto a = capture(hw, loadRec(0x400104, 0x9000));
     HwContextTracker hw2(64);
     hw2.update(loadRec(0x400100, 0x1020)); // same 64B block as 0x1000
-    const auto b = hw2.capture(loadRec(0x400104, 0x9000));
+    const auto b = capture(hw2, loadRec(0x400104, 0x9000));
     EXPECT_EQ(a.get(Attr::AddrHistory), b.get(Attr::AddrHistory));
 }
 
@@ -92,7 +101,7 @@ TEST(HwState, StoresUpdateAddressHistoryNotPrevData)
     store.pc = 0x400104;
     store.vaddr = 0x5000;
     hw.update(store);
-    const auto ctx = hw.capture(loadRec(0x400108, 0x2000));
+    const auto ctx = capture(hw, loadRec(0x400108, 0x2000));
     EXPECT_EQ(ctx.get(Attr::PrevData), 0x11u);
 }
 
@@ -101,7 +110,7 @@ TEST(HwState, HintsMergeIntoContext)
     HwContextTracker hw;
     TraceRecord rec = loadRec(0x400100, 0x1000);
     rec.hint = hints::Hint{9, 16, hints::RefForm::Arrow};
-    const auto ctx = hw.capture(rec);
+    const auto ctx = capture(hw, rec);
     EXPECT_EQ(ctx.get(Attr::TypeInfo), 9u);
     EXPECT_EQ(ctx.get(Attr::LinkOffset), 16u);
     EXPECT_EQ(ctx.get(Attr::RefForm),
@@ -111,21 +120,10 @@ TEST(HwState, HintsMergeIntoContext)
 TEST(HwState, MissingHintYieldsSentinels)
 {
     HwContextTracker hw;
-    const auto ctx = hw.capture(loadRec(0x400100, 0x1000));
+    const auto ctx = capture(hw, loadRec(0x400100, 0x1000));
     EXPECT_EQ(ctx.get(Attr::TypeInfo), 0u);
     EXPECT_EQ(ctx.get(Attr::LinkOffset), hints::kNoLinkOffset);
     EXPECT_EQ(ctx.get(Attr::RefForm), 0u);
-}
-
-TEST(HwState, ResetClearsEverything)
-{
-    HwContextTracker hw;
-    hw.update(branchRec(true));
-    hw.update(loadRec(0x400100, 0x1000, 5));
-    hw.reset();
-    EXPECT_EQ(hw.branchHistory(), 0u);
-    const auto ctx = hw.capture(loadRec(0x400104, 0x2000));
-    EXPECT_EQ(ctx.get(Attr::PrevData), 0u);
 }
 
 TEST(HwState, ComputeDoesNotTouchState)
@@ -135,7 +133,7 @@ TEST(HwState, ComputeDoesNotTouchState)
     TraceRecord compute;
     compute.kind = InstKind::Compute;
     hw.update(compute);
-    const auto ctx = hw.capture(loadRec(0x400104, 0x2000));
+    const auto ctx = capture(hw, loadRec(0x400104, 0x2000));
     EXPECT_EQ(ctx.get(Attr::PrevData), 5u);
 }
 

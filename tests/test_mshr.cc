@@ -66,15 +66,6 @@ TEST(Mshr, BoundsParallelismUnderSaturation)
     EXPECT_EQ(last_fill, 600u);
 }
 
-TEST(Mshr, ResetFreesEverything)
-{
-    MshrFile mshrs(2);
-    mshrs.allocate(1000);
-    mshrs.allocate(1000);
-    mshrs.reset();
-    EXPECT_EQ(mshrs.freeAt(0), 2u);
-}
-
 TEST(Mshr, SlotsReported)
 {
     MshrFile mshrs(20);

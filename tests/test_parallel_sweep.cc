@@ -29,6 +29,7 @@
 #include "report_util.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
+#include "sweep_util.h"
 #include "trace/trace.h"
 #include "workloads/registry.h"
 
@@ -48,7 +49,8 @@ smallSweep(unsigned jobs, std::uint64_t scale = 12000)
     SweepOptions options;
     options.verbose = false;
     options.jobs = jobs;
-    return runSweep(kWorkloads, kPrefetchers, params, config, options);
+    return runSweep(crossGrid(kWorkloads, kPrefetchers, params, config),
+                    options);
 }
 
 SweepResult
@@ -61,7 +63,8 @@ instrumentedSweep(unsigned jobs, unsigned observe)
     options.verbose = false;
     options.jobs = jobs;
     options.observe = observe;
-    return runSweep(kWorkloads, kPrefetchers, params, config, options);
+    return runSweep(crossGrid(kWorkloads, kPrefetchers, params, config),
+                    options);
 }
 
 void
@@ -383,16 +386,16 @@ TEST(ParallelSweep, ObservedCellsMatchDirectRunObservers)
     cached.use_result_cache = true;
     cached.result_cache_dir = dir + "/rc";
     const SweepResult cold =
-        runSweep({"list"}, lineup, params, config, cached);
+        runSweep(crossGrid({"list"}, lineup, params, config), cached);
     EXPECT_EQ(cold.cells_simulated, lineup.size());
     const SweepResult warm =
-        runSweep({"list"}, lineup, params, config, cached);
+        runSweep(crossGrid({"list"}, lineup, params, config), cached);
     EXPECT_EQ(warm.cells_cached, lineup.size());
     for (const CellResult &cell : warm.cells)
         EXPECT_EQ(cell.outputs, nullptr);
     cached.observe = kObserveStats;
     const SweepResult observed =
-        runSweep({"list"}, lineup, params, config, cached);
+        runSweep(crossGrid({"list"}, lineup, params, config), cached);
     EXPECT_EQ(observed.cells_simulated, lineup.size());
     EXPECT_EQ(observed.cells_cached, 0u);
     for (std::size_t i = 0; i < lineup.size(); ++i) {
@@ -488,9 +491,10 @@ TEST(ParallelSweep, TsanSmokeVerboseManyJobs)
     SweepOptions options;
     options.verbose = true;
     options.jobs = 8;
-    const SweepResult sweep = runSweep({"list", "bst"},
-                                       {"none", "stride", "context"},
-                                       params, config, options);
+    const SweepResult sweep =
+        runSweep(crossGrid({"list", "bst"}, {"none", "stride", "context"},
+                           params, config),
+                 options);
     EXPECT_EQ(sweep.cells.size(), 6u);
     for (const CellResult &cell : sweep.cells)
         EXPECT_GT(cell.stats.ipc(), 0.0);
@@ -549,10 +553,10 @@ TEST(TraceBufferDigest, ConcurrentReadersAgreeAndAPushRehashes)
     trace::TraceBuffer buffer =
         workloads::Registry::builtin().create("list")->generate(params);
     const auto recomputed = [](const trace::TraceBuffer &b) {
-        return trace::packedTraceDigest(
-            b.size(), b.instructions(), b.packedBytes().data(),
-            b.packedBytes().size(), b.pcDict().data(), b.pcDict().size(),
-            b.hintDict().data(), b.hintDict().size());
+        return trace::packedTraceDigestPrehashed(
+            b.size(), b.instructions(), streamDigest(b.packedBytes()),
+            b.pcDict().data(), b.pcDict().size(), b.hintDict().data(),
+            b.hintDict().size());
     };
     const std::uint64_t expect = recomputed(buffer);
     std::vector<std::uint64_t> seen(4, 0);

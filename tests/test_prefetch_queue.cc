@@ -121,8 +121,6 @@ TEST(PrefetchQueue, SizeTracksLiveEntries)
     q.push(0x1000, 1, 1, 0, false, nullptr);
     q.push(0x2000, 2, 2, 1, false, nullptr);
     EXPECT_EQ(q.size(), 2u);
-    q.clear();
-    EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(PrefetchQueue, ShadowFlagPreserved)

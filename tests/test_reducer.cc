@@ -149,15 +149,6 @@ TEST(Reducer, MeanActiveAttrsTracksWidening)
     EXPECT_DOUBLE_EQ(reducer.meanActiveAttrs(), 1.5);
 }
 
-TEST(Reducer, ResetClearsEntries)
-{
-    Reducer reducer(smallConfig(), initialMask());
-    reducer.onOverload(7);
-    reducer.reset();
-    EXPECT_EQ(reducer.lookup(7), initialMask());
-    EXPECT_DOUBLE_EQ(reducer.meanActiveAttrs(), 1.0 * 2);
-}
-
 // The prefetcher reads the reduced key off the full-context hash chain
 // (trace::ContextSnapshot::prefixHashes), which is only right while
 // every mask is a prefix {0..k} of the activation order. Random

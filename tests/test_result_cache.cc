@@ -19,6 +19,7 @@
 #include "sim/experiment.h"
 #include "sim/result_cache.h"
 #include "sim/sweep_io.h"
+#include "sweep_util.h"
 #include "workloads/registry.h"
 
 namespace csp::sim {
@@ -70,7 +71,7 @@ sweep(const SweepOptions &options, std::uint64_t seed = 1)
     workloads::WorkloadParams params;
     params.scale = 12000;
     params.seed = seed;
-    return runSweep(kWorkloads, kPrefetchers, params, config,
+    return runSweep(crossGrid(kWorkloads, kPrefetchers, params, config),
                     options);
 }
 
@@ -251,7 +252,7 @@ TEST(TraceMemo, VersionOneEntryIsACleanMiss)
     TraceSummary loaded;
     EXPECT_FALSE(memo.load(key, loaded));
     const SweepResult result =
-        runSweep({"list"}, {"none"}, params, config, options);
+        runSweep(crossGrid({"list"}, {"none"}, params, config), options);
     EXPECT_EQ(testing::internal::GetCapturedStderr().find("trace memo"),
               std::string::npos);
     EXPECT_EQ(result.trace_cache_hits, 0u);
@@ -272,7 +273,8 @@ TEST(TraceMemo, CorruptionMatrixIsRegeneratedAndRestored)
     workloads::WorkloadParams params;
     params.scale = 2000;
     const auto run = [&] {
-        return runSweep({"list"}, {"none"}, params, config, options);
+        return runSweep(crossGrid({"list"}, {"none"}, params, config),
+                        options);
     };
     run();
     const TraceMemo memo{dirs.traceDir()};

@@ -76,30 +76,6 @@ TEST(Histogram, OverflowBucket)
     EXPECT_EQ(h.overflow(), 2u);
 }
 
-TEST(Histogram, CdfMonotonic)
-{
-    Histogram h(100, 100);
-    for (std::uint64_t v = 0; v < 100; ++v)
-        h.sample(v);
-    double prev = -1.0;
-    for (std::uint64_t v = 0; v < 100; v += 5) {
-        const double cdf = h.cdfAt(v);
-        EXPECT_GE(cdf, prev);
-        prev = cdf;
-    }
-    EXPECT_DOUBLE_EQ(h.cdfAt(99), 1.0);
-}
-
-TEST(Histogram, CdfAtMedian)
-{
-    Histogram h(100, 100);
-    for (int i = 0; i < 50; ++i)
-        h.sample(10);
-    for (int i = 0; i < 50; ++i)
-        h.sample(90);
-    EXPECT_NEAR(h.cdfAt(50), 0.5, 0.01);
-}
-
 TEST(Histogram, MeanOfUniformSamples)
 {
     Histogram h(1000, 100);
@@ -115,19 +91,9 @@ TEST(Histogram, MeanClampsOverflowAtMax)
     EXPECT_DOUBLE_EQ(h.mean(), 10.0);
 }
 
-TEST(Histogram, ClearResets)
+TEST(Histogram, EmptyMeanIsZero)
 {
     Histogram h(10, 10);
-    h.sample(3);
-    h.clear();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.cdfAt(9), 0.0);
-}
-
-TEST(Histogram, EmptyCdfIsZero)
-{
-    Histogram h(10, 10);
-    EXPECT_DOUBLE_EQ(h.cdfAt(9), 0.0);
     EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 }
 

@@ -31,9 +31,10 @@ TEST(StatsRegistry, RegistrationAndLookup)
     registry.gauge("mem.l1.temp", [] { return 1.5; });
 
     EXPECT_EQ(registry.size(), 3u);
-    EXPECT_TRUE(registry.contains("mem.l1.hits"));
-    EXPECT_FALSE(registry.contains("mem.l1"));
-    EXPECT_FALSE(registry.contains("mem.l1.nothere"));
+    const Report report = registry.report();
+    EXPECT_NE(report.find("mem.l1.hits"), nullptr);
+    EXPECT_EQ(report.find("mem.l1"), nullptr);
+    EXPECT_EQ(report.find("mem.l1.nothere"), nullptr);
 
     hits = 42;
     EXPECT_DOUBLE_EQ(registry.value("mem.l1.hits"), 42.0);
@@ -96,7 +97,9 @@ TEST(StatsRegistry, DistributionSummary)
     hist.sample(2);
     hist.sample(4);
     hist.sample(6);
-    const DistSummary s = registry.distSummary("pq.depth");
+    const ReportEntry *entry = registry.report().find("pq.depth");
+    ASSERT_NE(entry, nullptr);
+    const DistSummary &s = entry->dist;
     EXPECT_EQ(s.count, 3u);
     EXPECT_DOUBLE_EQ(s.mean, 4.0);
     EXPECT_DOUBLE_EQ(s.min, 2.0);

@@ -23,6 +23,7 @@
 #include "sim/result_cache.h"
 #include "sim/sweep_events.h"
 #include "sim/sweep_io.h"
+#include "sweep_util.h"
 
 namespace csp {
 namespace {
@@ -60,8 +61,8 @@ sweep(unsigned jobs, sim::SweepEventJournal *journal = nullptr)
     options.verbose = false;
     options.jobs = jobs;
     options.journal = journal;
-    return sim::runSweep(kWorkloads, kPrefetchers, params, config,
-                         options);
+    return sim::runSweep(
+        sim::crossGrid(kWorkloads, kPrefetchers, params, config), options);
 }
 
 std::string
@@ -93,9 +94,11 @@ TEST(SweepEventJournal, LiveJournalIsWellFormed)
     sweep(4, &journal);
     journal.close();
 
+    std::string text;
+    ASSERT_TRUE(readFileToString(path, text));
     diff::SweepJournal parsed;
     std::string error;
-    ASSERT_TRUE(diff::readJournal(path, parsed, &error)) << error;
+    ASSERT_TRUE(diff::parseJournal(text, parsed, &error)) << error;
     ASSERT_FALSE(parsed.events.empty());
 
     // Envelope ordering: seq strictly increasing, t_ns non-decreasing
@@ -145,6 +148,38 @@ TEST(SweepEventJournal, LiveJournalIsWellFormed)
     EXPECT_EQ(end->u64("cells_simulated"), ends - cached);
     // The roll-up embeds a stats-registry report.
     EXPECT_NE(end->u64("stats.sweep.cells_owned"), 0u);
+}
+
+TEST(SweepEventJournal, StringFieldsRoundTripEscaped)
+{
+    // A quote, a backslash, a newline and a raw control byte: each is
+    // escaped on the way out, so the event stays one line, and each
+    // reads back unchanged.
+    const std::string hostile = "a\"b\\c\nd\x01" "e";
+    TempDir dir;
+    const std::string path = dir.path + "/events.jsonl";
+    using Journal = sim::SweepEventJournal;
+    Journal journal;
+    ASSERT_TRUE(journal.open(path));
+    journal.emit("sweep_start",
+                 {Journal::str("schema", sim::kSweepEventsSchema),
+                  Journal::u64("unix_ns", 1),
+                  Journal::str("config_digest", "0"),
+                  Journal::u64("seed", 1), Journal::u64("scale", 1),
+                  Journal::str("placement", "sequential"),
+                  Journal::str("workloads", hostile),
+                  Journal::str("prefetchers", "none"),
+                  Journal::u64("jobs", 1), Journal::str("git_sha", "x")});
+    journal.close();
+
+    std::string text;
+    ASSERT_TRUE(readFileToString(path, text));
+    EXPECT_EQ(text.find('\n'), text.size() - 1);
+    diff::SweepJournal parsed;
+    std::string error;
+    ASSERT_TRUE(diff::parseJournal(text, parsed, &error)) << error;
+    ASSERT_EQ(parsed.events.size(), 1u);
+    EXPECT_EQ(parsed.events[0].text("workloads"), hostile);
 }
 
 TEST(SweepEventJournal, JournalIsSideBand)
@@ -410,11 +445,11 @@ TEST(WarmSweep, AttributesReadAndParseCost)
     options.result_cache_dir = dir.path + "/rc";
     options.trace_cache_dir = dir.path + "/tc";
     const sim::SweepResult cold = sim::runSweep(
-        kWorkloads, kPrefetchers, params, config, options);
+        sim::crossGrid(kWorkloads, kPrefetchers, params, config), options);
     EXPECT_EQ(cold.cells_cached, 0u);
     EXPECT_EQ(cold.cache_entry_bytes, 0u);
     const sim::SweepResult warm = sim::runSweep(
-        kWorkloads, kPrefetchers, params, config, options);
+        sim::crossGrid(kWorkloads, kPrefetchers, params, config), options);
     EXPECT_EQ(warm.cells_simulated, 0u);
     EXPECT_EQ(warm.cells_cached,
               kWorkloads.size() * kPrefetchers.size());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "trace/trace.h"
+#include "trace_util.h"
 
 namespace csp::trace {
 namespace {
@@ -26,7 +27,7 @@ TEST(TraceBuffer, ComputeBurstsFold)
     rec.compute(0, 3);
     rec.compute(0, 4);
     EXPECT_EQ(buffer.size(), 1u);
-    EXPECT_EQ(buffer.decode()[0].repeat, 7u);
+    EXPECT_EQ(decodeAll(buffer)[0].repeat, 7u);
     EXPECT_EQ(buffer.instructions(), 7u);
 }
 
@@ -72,7 +73,7 @@ TEST(Recorder, LoadCarriesHintAndDep)
     const hints::Hint hint{5, 0, hints::RefForm::Arrow};
     rec.load(0, 0xabc0, hint, /*loaded_value=*/0x1234,
              /*dep_on_prev_load=*/true, /*reg_value=*/0x77);
-    const TraceRecord r = buffer.decode()[0];
+    const TraceRecord r = decodeAll(buffer)[0];
     EXPECT_EQ(r.kind, InstKind::Load);
     EXPECT_EQ(r.vaddr, 0xabc0u);
     EXPECT_EQ(r.hint, hint);
@@ -87,7 +88,7 @@ TEST(Recorder, BranchRecordsOutcome)
     Recorder rec(buffer, 0x1000);
     rec.branch(0, true);
     rec.branch(0, false);
-    const std::vector<TraceRecord> records = buffer.decode();
+    const std::vector<TraceRecord> records = decodeAll(buffer);
     EXPECT_TRUE(records[0].taken);
     EXPECT_FALSE(records[1].taken);
 }
@@ -103,7 +104,7 @@ TEST(TraceBuffer, CursorMatchesDecodeAndResets)
     rec.branch(2, false);
     rec.compute(3, 5);
 
-    const std::vector<TraceRecord> records = buffer.decode();
+    const std::vector<TraceRecord> records = decodeAll(buffer);
     ASSERT_EQ(records.size(), buffer.size());
     for (int pass = 0; pass < 2; ++pass) {
         TraceCursor cursor = buffer.cursor();
@@ -133,7 +134,7 @@ TEST(TraceBuffer, SentinelLinkOffsetSurvivesRoundTrip)
     const hints::Hint hint{7, hints::kNoLinkOffset,
                            hints::RefForm::Index};
     rec.load(0, 0x4000, hint);
-    EXPECT_EQ(buffer.decode()[0].hint.link_offset,
+    EXPECT_EQ(decodeAll(buffer)[0].hint.link_offset,
               hints::kNoLinkOffset);
 }
 
@@ -156,14 +157,15 @@ TEST(TraceBuffer, PackedEncodingIsCompact)
 
 TEST(TraceBuffer, PushTapSeesUnfoldedRecords)
 {
-    TraceBuffer buffer;
     std::vector<TraceRecord> seen;
-    buffer.setPushTap(
+    TraceBuffer::setThreadPushTap(
         [](void *user, const TraceRecord &rec) {
             static_cast<std::vector<TraceRecord> *>(user)->push_back(
                 rec);
         },
         &seen);
+    TraceBuffer buffer;
+    TraceBuffer::setThreadPushTap(nullptr, nullptr);
     Recorder rec(buffer, 0x1000);
     rec.compute(0, 3);
     rec.compute(0, 4);
@@ -171,7 +173,7 @@ TEST(TraceBuffer, PushTapSeesUnfoldedRecords)
     ASSERT_EQ(seen.size(), 2u); // pre-fold
     EXPECT_EQ(seen[0].repeat, 3u);
     EXPECT_EQ(seen[1].repeat, 4u);
-    EXPECT_EQ(buffer.decode()[0].repeat, 7u);
+    EXPECT_EQ(decodeAll(buffer)[0].repeat, 7u);
 }
 
 TEST(TraceRecord, IsMemClassification)

@@ -15,6 +15,7 @@
 
 #include "core/hashing.h"
 #include "trace/trace_io.h"
+#include "trace_util.h"
 #include "workloads/registry.h"
 
 namespace csp::trace {
@@ -83,7 +84,7 @@ TEST(TraceIo, RoundTripPreservesEverything)
     EXPECT_EQ(loaded.instructions(), original.instructions());
     EXPECT_EQ(loaded.memAccesses(), original.memAccesses());
     EXPECT_EQ(loaded.contentDigest(), original.contentDigest());
-    const std::vector<TraceRecord> original_recs = original.decode();
+    const std::vector<TraceRecord> original_recs = decodeAll(original);
     const std::vector<TraceRecord> loaded_recs = decodeMapped(loaded);
     ASSERT_EQ(loaded_recs.size(), original_recs.size());
     for (std::size_t i = 0; i < original_recs.size(); ++i) {
@@ -111,7 +112,7 @@ TEST(TraceIo, RoundTripOfGeneratedWorkload)
     MappedTrace loaded;
     ASSERT_EQ(openBytes(savedBytes(original), loaded), TraceIoStatus::Ok);
     ASSERT_EQ(loaded.size(), original.size());
-    const std::vector<TraceRecord> original_recs = original.decode();
+    const std::vector<TraceRecord> original_recs = decodeAll(original);
     const std::vector<TraceRecord> loaded_recs = decodeMapped(loaded);
     ASSERT_EQ(loaded_recs.size(), original_recs.size());
     for (std::size_t i = 0; i < original_recs.size(); i += 37)

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "sim/experiment.h"
+#include "trace_util.h"
 #include "workloads/registry.h"
 #include "workloads/ubench/listsort.h"
 
@@ -42,8 +45,8 @@ TEST_P(WorkloadTraceTest, DeterministicPerSeed)
     const trace::TraceBuffer a = workload->generate(smallParams());
     const trace::TraceBuffer b = workload->generate(smallParams());
     ASSERT_EQ(a.size(), b.size());
-    const auto a_recs = a.decode();
-    const auto b_recs = b.decode();
+    const auto a_recs = decodeAll(a);
+    const auto b_recs = decodeAll(b);
     for (std::size_t i = 0; i < a_recs.size(); i += 97) {
         EXPECT_EQ(a_recs[i].vaddr, b_recs[i].vaddr) << "record " << i;
         EXPECT_EQ(a_recs[i].pc, b_recs[i].pc) << "record " << i;
@@ -85,7 +88,7 @@ TEST_P(WorkloadTraceTest, UsesMultipleCodeSites)
 
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, WorkloadTraceTest,
-    ::testing::ValuesIn(Registry::builtin().names()),
+    ::testing::ValuesIn(sim::allWorkloads()),
     [](const ::testing::TestParamInfo<std::string> &info) {
         std::string name = info.param;
         for (char &c : name) {
@@ -113,9 +116,22 @@ TEST(Registry, UnknownNameReported)
 
 TEST(Registry, NamesSortedAndUnique)
 {
-    const auto names = Registry::builtin().names();
-    const std::set<std::string> unique(names.begin(), names.end());
-    EXPECT_EQ(unique.size(), names.size());
+    // Each suite lists its names sorted, no name sits in two suites,
+    // and sim::allWorkloads(), which the parameterised tests run over,
+    // names every registered workload once.
+    std::set<std::string> registered;
+    std::size_t listed = 0;
+    for (const std::string suite :
+         {"spec2006", "pbbs", "graph500", "hpcs", "ubench"}) {
+        const auto names = Registry::builtin().namesInSuite(suite);
+        EXPECT_TRUE(std::is_sorted(names.begin(), names.end())) << suite;
+        registered.insert(names.begin(), names.end());
+        listed += names.size();
+    }
+    EXPECT_EQ(registered.size(), listed);
+    const auto all = sim::allWorkloads();
+    EXPECT_EQ(std::set<std::string>(all.begin(), all.end()), registered);
+    EXPECT_EQ(all.size(), registered.size());
 }
 
 TEST(WorkloadHints, PointerWorkloadsCarryArrowHints)
