@@ -63,18 +63,6 @@ class Cache
         return lookupImpl<0>(addr, touch);
     }
 
-    const LineState *
-    peek(Addr addr) const
-    {
-        const LineState *const set = &lines_[setIndex(addr) * ways_];
-        const Addr tag = tagOf(addr);
-        for (unsigned way = 0; way < ways_; ++way) {
-            if (set[way].valid && set[way].tag == tag)
-                return &set[way];
-        }
-        return nullptr;
-    }
-
     /**
      * Install @p addr (victimising LRU in its set) with fill-completion
      * time @p ready. @p evicted reports what was displaced. With

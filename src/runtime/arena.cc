@@ -82,7 +82,6 @@ Arena::allocate(std::size_t size)
                   size);
         }
         bump_ = offset + size;
-        bytes_live_ += size;
         return buffer_.get() + offset;
     }
     unsigned cls = classIndex(size);
@@ -91,7 +90,6 @@ Arena::allocate(std::size_t size)
         carveSlab(cls);
     std::uint64_t offset = list.back();
     list.pop_back();
-    bytes_live_ += classSize(cls);
     return buffer_.get() + offset;
 }
 

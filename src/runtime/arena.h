@@ -79,15 +79,6 @@ class Arena
     /** Simulated base address. */
     Addr baseAddr() const { return base_addr_; }
 
-    /** Bytes handed out to live allocations. */
-    std::uint64_t bytesLive() const { return bytes_live_; }
-
-    /** High-water mark of carved slab space. */
-    std::uint64_t bytesCarved() const { return bump_; }
-
-    /** Backing capacity. */
-    std::uint64_t capacity() const { return capacity_; }
-
   private:
     /// Slots carved per slab, per size class.
     static constexpr std::size_t kSlotsPerSlab = 64;
@@ -107,7 +98,6 @@ class Arena
     Rng rng_;
     std::unique_ptr<std::byte[]> buffer_;
     std::uint64_t bump_ = 0;      ///< next un-carved offset
-    std::uint64_t bytes_live_ = 0;
     /// Carved slots not yet handed out, per size class (LIFO).
     std::vector<std::vector<std::uint64_t>> free_lists_;
 };

@@ -25,7 +25,7 @@ namespace csp::sim {
 namespace {
 
 constexpr const char *kSchema = "csp-result-cache-v1";
-constexpr const char *kTraceMemoSchema = "csp-trace-memo-v2";
+constexpr const char *kTraceMemoSchema = "csp-trace-memo-v3";
 
 std::uint64_t
 stringHash(const std::string &text)

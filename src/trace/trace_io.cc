@@ -17,7 +17,7 @@ namespace csp::trace {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'S', 'P', 'T', 'R', 'A', 'C', 'E'};
-constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kVersion = 4;
 
 /**
  * On-disk header (64 bytes, little-endian host assumed, 8-byte

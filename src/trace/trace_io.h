@@ -5,7 +5,7 @@
  * across many simulator runs (the gem5-checkpoint analogue for this
  * trace-driven setup).
  *
- * Format v3 stores the TraceBuffer's packed representation verbatim —
+ * Format v4 stores the TraceBuffer's packed representation verbatim —
  * a fixed header (magic, version, counts, content digest), the PC and
  * hint dictionaries, then the packed record payload. Saving is a few
  * bulk writes instead of a decode/re-encode pass, and MappedTrace
@@ -18,8 +18,10 @@
  *
  * The format is versioned; loading a mismatched version fails cleanly.
  * v3 changed only the payload hash inside the content digest (v2's was
- * FNV-1a), so a v2 file is refused as bad-version before its digest is
- * read.
+ * FNV-1a); v4 changed only what the payload means (vaddrs are delta
+ * coded per PC slot, where v3 stored 8 raw bytes; see trace.h). A v3
+ * file's digest still verifies over its bytes, so the version check is
+ * what refuses v2 and v3 files, before their payload is read.
  */
 
 #ifndef CSP_TRACE_TRACE_IO_H

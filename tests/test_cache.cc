@@ -81,12 +81,12 @@ TEST(Cache, InsertSetsReadyCycleAndPrefetchBit)
     EXPECT_FALSE(line.used);
 }
 
-TEST(Cache, PeekDoesNotTouchLru)
+TEST(Cache, UntouchedLookupDoesNotRefreshLru)
 {
     Cache cache(smallCache(), "t");
     cache.insert(0x0000, 0, false);
     cache.insert(0x0100, 0, false);
-    cache.peek(0x0000); // must NOT refresh
+    cache.lookup(0x0000, /*touch=*/false); // must NOT refresh
     cache.insert(0x0200, 0, false);
     EXPECT_EQ(cache.lookup(0x0000), nullptr); // still evicted
 }

@@ -49,7 +49,7 @@ TEST_P(CacheGeometryTest, CapacityIsRespected)
     for (std::uint64_t i = 0; i < lines * 2; ++i)
         cache.insert(i * 64, 0, false);
     for (std::uint64_t i = 0; i < lines * 2; ++i) {
-        if (cache.peek(i * 64) != nullptr)
+        if (cache.lookup(i * 64, /*touch=*/false) != nullptr)
             ++resident;
     }
     EXPECT_LE(resident, lines);

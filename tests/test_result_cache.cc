@@ -20,6 +20,7 @@
 #include "sim/result_cache.h"
 #include "sim/sweep_io.h"
 #include "sweep_util.h"
+#include "trace_util.h"
 #include "workloads/registry.h"
 
 namespace csp::sim {
@@ -185,16 +186,20 @@ TEST(ResultCache, StaleMemoDigestWarnsAndIsRewritten)
     EXPECT_EQ(cellCsv(cold), cellCsv(warm));
 }
 
-/** Where a csp-trace-memo-v1 build stored @p key's entry under
- *  @p root: its name did not fold in the schema. */
+/** Where a build of memo @p schema stored @p key's entry under
+ *  @p root: csp-trace-memo-v1 did not fold the schema into the name
+ *  (pass nullptr), later schemas do. */
 std::string
-v1MemoPath(const std::string &root, const TraceKey &key)
+oldMemoPath(const std::string &root, const TraceKey &key,
+            const char *schema)
 {
     const auto text = [](const std::string &s) {
         return fnv1a({reinterpret_cast<const std::uint8_t *>(s.data()),
                       s.size()});
     };
     WordHasher h;
+    if (schema != nullptr)
+        h.add(text(schema));
     h.add(kResultCacheEpoch);
     h.add(text(key.workload));
     h.add(key.scale);
@@ -204,47 +209,57 @@ v1MemoPath(const std::string &root, const TraceKey &key)
            ".json";
 }
 
-/** A v1 entry (FNV-1a payload hash in its content digest) is never
- *  read: the sweep misses cleanly, without the stale-entry warning, and
- *  stores a v2 entry beside it. */
-TEST(TraceMemo, VersionOneEntryIsACleanMiss)
+/** The list trace at scale 2000, as the memo keys it. */
+trace::TraceBuffer
+memoListTrace()
 {
-    TempDir dirs;
+    workloads::WorkloadParams params;
+    params.scale = 2000;
+    return workloads::Registry::builtin().create("list")->generate(
+        params);
+}
+
+/**
+ * Store at @p path the memo entry a @p schema build wrote for the
+ * list trace at scale 2000: its true counts, and @p content_digest,
+ * the content digest as that build computed it. Then expect a sweep
+ * to miss it cleanly, without the stale-entry warning, and to store
+ * an entry of today beside it.
+ */
+void
+expectOldEntryIsACleanMiss(const TempDir &dirs, const std::string &path,
+                           const char *schema,
+                           std::uint64_t content_digest)
+{
     SweepOptions options = cachedOptions(dirs, 1);
     const SystemConfig config;
     workloads::WorkloadParams params;
     params.scale = 2000;
     const TraceMemo memo{dirs.traceDir()};
     const TraceKey key = memoKey("list", 2000);
-    ASSERT_NE(v1MemoPath(memo.root, key), memo.entryPath(key));
-    // The entry a v1 build wrote for this trace: its true counts, and
-    // the content digest over an FNV-1a of the payload.
-    const trace::TraceBuffer buffer =
-        workloads::Registry::builtin().create("list")->generate(params);
-    TraceSummary v1;
-    v1.records = buffer.size();
-    v1.instructions = buffer.instructions();
-    v1.mem_accesses = buffer.memAccesses();
-    v1.content_digest = trace::packedTraceDigestPrehashed(
-        buffer.size(), buffer.instructions(), fnv1a(buffer.packedBytes()),
-        buffer.pcDict().data(), buffer.pcDict().size(),
-        buffer.hintDict().data(), buffer.hintDict().size());
-    ASSERT_NE(v1.content_digest, buffer.contentDigest());
+    ASSERT_NE(path, memo.entryPath(key));
+    const trace::TraceBuffer buffer = memoListTrace();
+    ASSERT_NE(content_digest, buffer.contentDigest());
+    TraceSummary old;
+    old.records = buffer.size();
+    old.instructions = buffer.instructions();
+    old.mem_accesses = buffer.memAccesses();
+    old.content_digest = content_digest;
     WordHasher payload;
-    payload.add(v1.records);
-    payload.add(v1.instructions);
-    payload.add(v1.mem_accesses);
-    payload.add(v1.content_digest);
+    payload.add(old.records);
+    payload.add(old.instructions);
+    payload.add(old.mem_accesses);
+    payload.add(old.content_digest);
     std::filesystem::create_directories(memo.root);
-    const std::string v1_path = v1MemoPath(memo.root, key);
     ASSERT_TRUE(atomicWriteFile(
-        v1_path,
-        R"({"schema":"csp-trace-memo-v1","epoch":1,"workload":"list",)"
-        R"("scale":2000,"seed":1,"placement":"rand","records":)" +
-            std::to_string(v1.records) +
-            ",\"instructions\":" + std::to_string(v1.instructions) +
-            ",\"mem_accesses\":" + std::to_string(v1.mem_accesses) +
-            ",\"content_digest\":\"" + hexDigest(v1.content_digest) +
+        path,
+        std::string(R"({"schema":")") + schema +
+            R"(","epoch":1,"workload":"list",)"
+            R"("scale":2000,"seed":1,"placement":"rand","records":)" +
+            std::to_string(old.records) +
+            ",\"instructions\":" + std::to_string(old.instructions) +
+            ",\"mem_accesses\":" + std::to_string(old.mem_accesses) +
+            ",\"content_digest\":\"" + hexDigest(old.content_digest) +
             "\",\"payload_digest\":\"" + hexDigest(payload.digest()) +
             "\"}"));
 
@@ -259,7 +274,33 @@ TEST(TraceMemo, VersionOneEntryIsACleanMiss)
     EXPECT_EQ(result.traces_generated, 1u);
     ASSERT_TRUE(memo.load(key, loaded));
     EXPECT_EQ(loaded.content_digest, buffer.contentDigest());
-    EXPECT_TRUE(std::filesystem::exists(v1_path));
+    EXPECT_TRUE(std::filesystem::exists(path));
+}
+
+/** A v1 entry (FNV-1a payload hash in its content digest) is never
+ *  read. */
+TEST(TraceMemo, VersionOneEntryIsACleanMiss)
+{
+    TempDir dirs;
+    const TraceMemo memo{dirs.traceDir()};
+    expectOldEntryIsACleanMiss(
+        dirs, oldMemoPath(memo.root, memoKey("list", 2000), nullptr),
+        "csp-trace-memo-v1",
+        trace::formatV3Digest(memoListTrace(), fnv1a));
+}
+
+/** A v2 entry (the content digest of a format-v3 payload, whose
+ *  vaddrs are raw) is never read. */
+TEST(TraceMemo, VersionTwoEntryIsACleanMiss)
+{
+    TempDir dirs;
+    const TraceMemo memo{dirs.traceDir()};
+    expectOldEntryIsACleanMiss(
+        dirs,
+        oldMemoPath(memo.root, memoKey("list", 2000),
+                    "csp-trace-memo-v2"),
+        "csp-trace-memo-v2",
+        trace::formatV3Digest(memoListTrace(), streamDigest));
 }
 
 /** Every truncation and every single-bit flip of a memo entry is
@@ -282,7 +323,7 @@ TEST(TraceMemo, CorruptionMatrixIsRegeneratedAndRestored)
     const std::string path = memo.entryPath(key);
     std::string golden;
     ASSERT_TRUE(readFileToString(path, golden));
-    EXPECT_EQ(golden.rfind(R"({"schema":"csp-trace-memo-v2","epoch":1,)"
+    EXPECT_EQ(golden.rfind(R"({"schema":"csp-trace-memo-v3","epoch":1,)"
                            R"("workload":"list","scale":2000,"seed":1,)"
                            R"("placement":"rand","records":)",
                            0),

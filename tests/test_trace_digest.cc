@@ -2,7 +2,8 @@
  *  contentDigest() after a push, and keeps the hash; these tests check
  *  that contentDigest() always equals the digest recomputed from the
  *  packed bytes — for every workload and across compute-burst folds
- *  and hints — and pin the trace digests, new and legacy. */
+ *  and hints — and pin the trace digests: of the decoded records, of
+ *  the payload bytes, and of the bytes older formats wrote. */
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "core/rng.h"
 #include "sim/experiment.h"
 #include "trace/trace.h"
+#include "trace_util.h"
 #include "workloads/registry.h"
 
 namespace csp::trace {
@@ -96,17 +98,6 @@ workloadTrace(const std::string &workload, std::uint64_t scale)
         params);
 }
 
-/** The content digest as trace format v2 computed it: the same formula
- *  over an FNV-1a of the payload. */
-std::uint64_t
-legacyFnvDigest(const TraceBuffer &buffer)
-{
-    return packedTraceDigestPrehashed(
-        buffer.size(), buffer.instructions(), fnv1a(buffer.packedBytes()),
-        buffer.pcDict().data(), buffer.pcDict().size(),
-        buffer.hintDict().data(), buffer.hintDict().size());
-}
-
 /** A digest over every field of every record @p buffer decodes to:
  *  unlike the content digest it does not depend on how the records are
  *  encoded, only on what they are. */
@@ -142,13 +133,16 @@ TEST(TraceContentDigest, BaselineTraceDigestsArePinned)
     // recorded from, whatever the payload encoding.
     EXPECT_EQ(decodedRecordDigest(list), 0x4aaedeefa5cf3817ull);
     EXPECT_EQ(decodedRecordDigest(mcf), 0x0624e5bd36003c8eull);
-    EXPECT_EQ(list.contentDigest(), 0x6a0b8d745ee062bdull);
-    EXPECT_EQ(mcf.contentDigest(), 0x3ef927bc2ee00c19ull);
-    // The baselines' manifests carry the FNV-1a digests: the same
-    // buffers still reproduce them, so the trace bytes are the ones
-    // the baselines were recorded from.
-    EXPECT_EQ(legacyFnvDigest(list), 0x335438bb5b66df0bull);
-    EXPECT_EQ(legacyFnvDigest(mcf), 0x9d42426f4624aee6ull);
+    // Their format v4 bytes (vaddrs delta coded per PC slot).
+    EXPECT_EQ(list.contentDigest(), 0xc8b23b46d5816c41ull);
+    EXPECT_EQ(mcf.contentDigest(), 0xe187a4d3f62f4ecbull);
+    // The same records in format v3 (raw vaddrs) reproduce the v3
+    // content digests, and the FNV-1a digests of format v2 that the
+    // baselines' manifests carry.
+    EXPECT_EQ(formatV3Digest(list, streamDigest), 0x6a0b8d745ee062bdull);
+    EXPECT_EQ(formatV3Digest(mcf, streamDigest), 0x3ef927bc2ee00c19ull);
+    EXPECT_EQ(formatV3Digest(list, fnv1a), 0x335438bb5b66df0bull);
+    EXPECT_EQ(formatV3Digest(mcf, fnv1a), 0x9d42426f4624aee6ull);
 }
 
 } // namespace

@@ -292,30 +292,64 @@ TEST(TraceIo, CorruptionMatrixIsRefusedByEveryReader)
         << "a reader sized an allocation from a corrupt header";
 }
 
+/** @p buffer saved as a trace file of format v3: the v4 header and
+ *  dictionaries, then the v3 payload (raw vaddrs), with @p digest as
+ *  its content digest. */
+std::string
+formatV3File(const TraceBuffer &buffer, std::uint64_t digest)
+{
+    const std::vector<std::uint8_t> payload = formatV3Payload(buffer);
+    std::string bytes = savedBytes(buffer);
+    EXPECT_EQ(fieldAt<std::uint32_t>(bytes, 8), 4u);
+    bytes.resize(bytes.size() - buffer.packedBytes().size());
+    bytes.append(payload.begin(), payload.end());
+    setField(bytes, 8, std::uint32_t{3});
+    setField(bytes, 40, digest);
+    setField(bytes, 56, std::uint64_t{payload.size()});
+    return bytes;
+}
+
+TraceBuffer
+listTrace()
+{
+    workloads::WorkloadParams params;
+    params.scale = 2000;
+    return workloads::Registry::builtin().create("list")->generate(params);
+}
+
 TEST(TraceIo, VersionTwoFileIsRefusedAsBadVersion)
 {
     // A v2 file has the v3 layout, with the content digest taken over
     // an FNV-1a of the payload.
-    workloads::WorkloadParams params;
-    params.scale = 2000;
-    const TraceBuffer buffer =
-        workloads::Registry::builtin().create("list")->generate(params);
-    const std::uint64_t fnv_digest = packedTraceDigestPrehashed(
-        buffer.size(), buffer.instructions(), fnv1a(buffer.packedBytes()),
-        buffer.pcDict().data(), buffer.pcDict().size(),
-        buffer.hintDict().data(), buffer.hintDict().size());
-    ASSERT_NE(fnv_digest, buffer.contentDigest());
-    std::string v2 = savedBytes(buffer);
-    ASSERT_EQ(fieldAt<std::uint32_t>(v2, 8), 3u);
+    const TraceBuffer buffer = listTrace();
+    std::string v2 = formatV3File(buffer, formatV3Digest(buffer, fnv1a));
     setField(v2, 8, std::uint32_t{2});
-    setField(v2, 40, fnv_digest);
     MappedTrace mapped;
     EXPECT_EQ(openBytes(v2, mapped), TraceIoStatus::BadVersion);
     EXPECT_FALSE(mapped.mapped());
-    // The version check is what refuses it: relabelled v3, the old
-    // digest no longer verifies.
-    setField(v2, 8, std::uint32_t{3});
+    // The version check is what refuses it: relabelled v4, the old
+    // digest does not verify.
+    setField(v2, 8, std::uint32_t{4});
     EXPECT_EQ(openBytes(v2, mapped), TraceIoStatus::BadDigest);
+}
+
+TEST(TraceIo, VersionThreeFileIsRefusedAsBadVersion)
+{
+    // A v3 file stores each vaddr as 8 raw bytes, under the digest
+    // formula of today.
+    const TraceBuffer buffer = listTrace();
+    const std::uint64_t digest = formatV3Digest(buffer, streamDigest);
+    ASSERT_NE(digest, buffer.contentDigest());
+    std::string v3 = formatV3File(buffer, digest);
+    MappedTrace mapped;
+    EXPECT_EQ(openBytes(v3, mapped), TraceIoStatus::BadVersion);
+    EXPECT_FALSE(mapped.mapped());
+    // Only the version tells the payloads apart: relabelled v4, the
+    // digest verifies over the v3 bytes, which would decode to other
+    // records.
+    setField(v3, 8, std::uint32_t{4});
+    EXPECT_EQ(openBytes(v3, mapped), TraceIoStatus::Ok);
+    EXPECT_NE(mapped.payloadBytes(), buffer.packedBytes().size());
 }
 
 TEST(TraceIo, StatusNamesDistinct)
