@@ -22,10 +22,10 @@
  * its last one, the locality the context prefetcher's CST stores deltas
  * for. Paper-scale traces shrink from 56 bytes/record (the old AoS
  * layout) to 4.6 bytes/record on average, which is what keeps
- * many-workload parallel sweeps RAM-resident. Decoding is sequential via TraceCursor,
- * which rehydrates records into one reusable TraceRecord slot and keeps
- * its own copy of the slot table — the replay hot loop never allocates
- * and only streams the packed bytes.
+ * many-workload parallel sweeps RAM-resident. Decoding is sequential
+ * via TraceCursor, which rehydrates records into one reusable
+ * TraceRecord slot and keeps its own copy of the slot table — the
+ * replay hot loop never allocates and only streams the packed bytes.
  *
  * Recording costs what writing the bytes costs: each record is encoded
  * straight into the payload's tail and its PC and hint are looked up in

@@ -156,8 +156,9 @@ TEST(TraceBuffer, RandomRecordsRoundTripThroughAliasedVaddrSlots)
     // the zigzag edges, taken from the slot's last vaddr (whichever PC
     // wrote it), so the 10-byte codes and their wrap are exercised.
     constexpr std::uint64_t kMin = std::uint64_t{1} << 63;
-    const std::uint64_t steps[] = {0, 1, ~std::uint64_t{0}, kMin,
-                                   kMin - 1, kMin + 1, 64, ~std::uint64_t{4095}};
+    const std::uint64_t steps[] = {
+        0,  1, ~std::uint64_t{0}, kMin, kMin - 1, kMin + 1,
+        64, ~std::uint64_t{4095}};
     const hints::Hint hint_set[] = {
         hints::Hint{}, hints::Hint{1, 8, hints::RefForm::Arrow},
         hints::Hint{9, hints::kNoLinkOffset, hints::RefForm::Index}};
@@ -179,7 +180,6 @@ TEST(TraceBuffer, RandomRecordsRoundTripThroughAliasedVaddrSlots)
                 rng.chance(0.2) ? rng.next() : steps[rng.below(8)];
             rec.vaddr = last[slot] + step;
             last[slot] = rec.vaddr;
-            rec.hint = hint_set[rng.below(3)];
             rec.dep_on_prev_load = rec.kind == InstKind::Load &&
                                    rng.chance(0.3);
             rec.loaded_value = rng.chance(0.5) ? rng.next() : 0;
@@ -189,6 +189,7 @@ TEST(TraceBuffer, RandomRecordsRoundTripThroughAliasedVaddrSlots)
         } else {
             rec.repeat = static_cast<std::uint32_t>(1 + rng.below(50));
         }
+        rec.hint = hint_set[rng.below(3)]; // folded bursts keep theirs
         rec.reg_value = rng.chance(0.3) ? rng.next() : 0;
         into.push(rec);
         if (rec.kind == InstKind::Compute && trailing_compute &&

@@ -63,7 +63,8 @@ formatV3Payload(const TraceBuffer &buffer)
             out.push_back(r.size);
         if (r.isMem()) {
             for (unsigned byte = 0; byte < 8; ++byte)
-                out.push_back(static_cast<std::uint8_t>(r.vaddr >> (8 * byte)));
+                out.push_back(
+                    static_cast<std::uint8_t>(r.vaddr >> (8 * byte)));
         }
         if (r.hint.valid())
             put(indexIn(buffer.hintDict(), r.hint));
