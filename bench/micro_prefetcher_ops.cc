@@ -1,9 +1,9 @@
-/** @file Google-benchmark microbenchmarks of per-access prefetcher
- *  overhead: how much host time each prefetcher's observe() costs on a
- *  mixed synthetic stream, plus trace-generation throughput per
- *  workload (insts/sec, accesses/sec) — the other half of a sweep
- *  cell's cost. Not a paper figure — engineering data for simulator
- *  users sizing long sweeps. */
+/** @file Google-benchmark microbenchmarks behind tools/bench_smoke.py's
+ *  gates, and nothing else: the context prefetcher's per-access
+ *  observe() cost, raw trace decode from memory and from an mmap'd
+ *  file, and replay of one mcf/context cell with each observer mix.
+ *  The per-prefetcher and per-layer costs of whole sweeps live in
+ *  perfbench; these benches hold the bars perfbench does not. */
 
 #include <benchmark/benchmark.h>
 
@@ -64,11 +64,13 @@ stream(const trace::ContextSnapshot &ctx)
     return accesses;
 }
 
+/** One context-prefetcher observe() per iteration: the per-access
+ *  learning cost bench_smoke.py caps. */
 void
-runPrefetcher(benchmark::State &state, const std::string &name)
+BM_Context(benchmark::State &state)
 {
     SystemConfig config;
-    auto prefetcher = sim::makePrefetcher(name, config);
+    auto prefetcher = sim::makePrefetcher("context", config);
     trace::ContextSnapshot ctx;
     ctx.set(trace::Attr::IP, 0x400);
     const auto &accesses = stream(ctx);
@@ -83,153 +85,33 @@ runPrefetcher(benchmark::State &state, const std::string &name)
     state.SetItemsProcessed(static_cast<std::int64_t>(i));
 }
 
-void BM_Stride(benchmark::State &s) { runPrefetcher(s, "stride"); }
-void BM_GhbGdc(benchmark::State &s) { runPrefetcher(s, "ghb-gdc"); }
-void BM_GhbPcdc(benchmark::State &s) { runPrefetcher(s, "ghb-pcdc"); }
-void BM_Sms(benchmark::State &s) { runPrefetcher(s, "sms"); }
-void BM_Context(benchmark::State &s) { runPrefetcher(s, "context"); }
-
-BENCHMARK(BM_Stride);
-BENCHMARK(BM_GhbGdc);
-BENCHMARK(BM_GhbPcdc);
-BENCHMARK(BM_Sms);
 BENCHMARK(BM_Context);
 
-/** Trace-generation throughput for one workload: how many simulated
- *  instructions (and memory accesses) per host second the generator
- *  produces, content digest included. Surfaces trace-gen hotspots next
- *  to the prefetcher op costs above — runSweep's phase 1 pays exactly
- *  this per trace. */
-void
-runTraceGen(benchmark::State &state, const std::string &name)
+/** The mcf trace (scale 100000, seed 1) every decode and replay bench
+ *  reads, generated on first use. */
+const trace::TraceBuffer &
+mcfTrace()
 {
-    const auto &registry = workloads::Registry::builtin();
-    workloads::WorkloadParams params;
-    params.scale = 50000;
-    params.seed = 1;
-    std::uint64_t insts = 0;
-    std::uint64_t accesses = 0;
-    for (auto _ : state) {
-        const auto workload = registry.create(name);
-        const trace::TraceBuffer trace = workload->generate(params);
-        // runSweep's phase 1 digests every trace it generates.
-        benchmark::DoNotOptimize(trace.contentDigest());
-        insts += trace.instructions();
-        accesses += trace.memAccesses();
-    }
-    state.counters["insts/s"] = benchmark::Counter(
-        static_cast<double>(insts), benchmark::Counter::kIsRate);
-    state.counters["accesses/s"] = benchmark::Counter(
-        static_cast<double>(accesses), benchmark::Counter::kIsRate);
+    static const trace::TraceBuffer trace = [] {
+        workloads::WorkloadParams params;
+        params.scale = 100000;
+        params.seed = 1;
+        return workloads::Registry::builtin().create("mcf")->generate(
+            params);
+    }();
+    return trace;
 }
-
-void BM_TraceGen_Array(benchmark::State &s) { runTraceGen(s, "array"); }
-void BM_TraceGen_List(benchmark::State &s) { runTraceGen(s, "list"); }
-void BM_TraceGen_Mcf(benchmark::State &s) { runTraceGen(s, "mcf"); }
-void
-BM_TraceGen_Graph500List(benchmark::State &s)
-{
-    runTraceGen(s, "graph500-list");
-}
-void
-BM_TraceGen_SuffixArray(benchmark::State &s)
-{
-    runTraceGen(s, "suffixArray");
-}
-
-BENCHMARK(BM_TraceGen_Array);
-BENCHMARK(BM_TraceGen_List);
-BENCHMARK(BM_TraceGen_Mcf);
-BENCHMARK(BM_TraceGen_Graph500List);
-BENCHMARK(BM_TraceGen_SuffixArray);
-
-/** Full-trace replay throughput through the simulator (runSweep's
- *  phase 2), plus the packed encoding's bytes/record and total
- *  resident size for the replayed trace. `bytes_per_record` is the
- *  gauge behind the >= 2x compression acceptance bar (the old AoS
- *  record was 56 bytes). */
-void
-runReplay(benchmark::State &state, const std::string &workload_name,
-          const std::string &prefetcher_name)
-{
-    workloads::WorkloadParams params;
-    params.scale = 100000;
-    params.seed = 1;
-    const trace::TraceBuffer trace = workloads::Registry::builtin()
-                                         .create(workload_name)
-                                         ->generate(params);
-    SystemConfig config;
-    std::uint64_t insts = 0;
-    for (auto _ : state) {
-        auto prefetcher =
-            sim::makePrefetcher(prefetcher_name, config);
-        sim::Simulator simulator(config);
-        const sim::RunStats stats =
-            simulator.run(trace, *prefetcher);
-        benchmark::DoNotOptimize(stats.cycles);
-        insts += stats.instructions;
-    }
-    state.counters["insts/s"] = benchmark::Counter(
-        static_cast<double>(insts), benchmark::Counter::kIsRate);
-    state.counters["bytes_per_record"] =
-        benchmark::Counter(trace.bytesPerRecord());
-    state.counters["trace_bytes"] = benchmark::Counter(
-        static_cast<double>(trace.sizeBytes()));
-}
-
-void
-BM_Replay_Mcf_None(benchmark::State &s)
-{
-    runReplay(s, "mcf", "none");
-}
-void
-BM_Replay_Mcf_Context(benchmark::State &s)
-{
-    runReplay(s, "mcf", "context");
-}
-void
-BM_Replay_List_None(benchmark::State &s)
-{
-    runReplay(s, "list", "none");
-}
-void
-BM_Replay_List_Context(benchmark::State &s)
-{
-    runReplay(s, "list", "context");
-}
-void
-BM_Replay_Libquantum_None(benchmark::State &s)
-{
-    runReplay(s, "libquantum", "none");
-}
-void
-BM_Replay_Libquantum_Stride(benchmark::State &s)
-{
-    runReplay(s, "libquantum", "stride");
-}
-
-BENCHMARK(BM_Replay_Mcf_None);
-BENCHMARK(BM_Replay_Mcf_Context);
-BENCHMARK(BM_Replay_List_None);
-BENCHMARK(BM_Replay_List_Context);
-BENCHMARK(BM_Replay_Libquantum_None);
-BENCHMARK(BM_Replay_Libquantum_Stride);
 
 /** Raw decode throughput of the packed trace encoding, simulator
  *  excluded: TraceCursor over the in-memory buffer vs
  *  StreamingTraceSource over an mmap'd trace file (zero-copy decode
  *  plus windowed MADV_DONTNEED releases). bench_smoke.py floors the
- *  packed rate and gauges the mmap rate next to it, so neither the
+ *  packed rate and gates the mmap rate against it, so neither the
  *  shared decoder nor the streaming wrapper can quietly regress. */
 void
 runDecode(benchmark::State &state, bool use_mmap)
 {
-    workloads::WorkloadParams params;
-    params.scale = 100000;
-    params.seed = 1;
-    const trace::TraceBuffer buffer = workloads::Registry::builtin()
-                                          .create("mcf")
-                                          ->generate(params);
+    const trace::TraceBuffer &buffer = mcfTrace();
     trace::MappedTrace mapped;
     std::string path;
     if (use_mmap) {
@@ -274,78 +156,11 @@ void BM_Decode_Mmap(benchmark::State &s) { runDecode(s, true); }
 BENCHMARK(BM_Decode_Packed);
 BENCHMARK(BM_Decode_Mmap);
 
-/** Streaming replay throughput: the same cells as the BM_Replay_*
- *  gauges above, but fed from MappedTrace + StreamingTraceSource
- *  instead of the in-memory TraceBuffer — runSweep's replay path when
- *  a cell misses the result cache but its trace sits in traces/cache.
- *  The trace is generated and saved once outside the timed loop; every
- *  iteration replays straight out of the mapping. */
-void
-runMmapReplay(benchmark::State &state,
-              const std::string &workload_name,
-              const std::string &prefetcher_name)
-{
-    workloads::WorkloadParams params;
-    params.scale = 100000;
-    params.seed = 1;
-    const std::string path = "/tmp/csp_bench_mmap_" + workload_name +
-                             "_" + std::to_string(getpid()) +
-                             ".csptrace";
-    {
-        const trace::TraceBuffer buffer =
-            workloads::Registry::builtin()
-                .create(workload_name)
-                ->generate(params);
-        if (!trace::saveTraceFile(buffer, path)) {
-            std::remove(path.c_str());
-            state.SkipWithError("cannot save the replay trace");
-            return;
-        }
-        // The buffer dies here; the timed loop sees only the mapping.
-    }
-    trace::MappedTrace mapped;
-    if (mapped.open(path) != trace::TraceIoStatus::Ok) {
-        std::remove(path.c_str());
-        state.SkipWithError("cannot map the replay trace");
-        return;
-    }
-    SystemConfig config;
-    std::uint64_t insts = 0;
-    for (auto _ : state) {
-        auto prefetcher =
-            sim::makePrefetcher(prefetcher_name, config);
-        sim::Simulator simulator(config);
-        const sim::RunStats stats =
-            simulator.run(mapped, *prefetcher);
-        benchmark::DoNotOptimize(stats.cycles);
-        insts += stats.instructions;
-    }
-    state.counters["insts/s"] = benchmark::Counter(
-        static_cast<double>(insts), benchmark::Counter::kIsRate);
-    state.counters["trace_bytes"] = benchmark::Counter(
-        static_cast<double>(mapped.payloadBytes()));
-    mapped.close();
-    std::remove(path.c_str());
-}
-
-void
-BM_ReplayMmap_Mcf_Context(benchmark::State &s)
-{
-    runMmapReplay(s, "mcf", "context");
-}
-void
-BM_ReplayMmap_List_None(benchmark::State &s)
-{
-    runMmapReplay(s, "list", "none");
-}
-
-BENCHMARK(BM_ReplayMmap_Mcf_Context);
-BENCHMARK(BM_ReplayMmap_List_None);
-
 /** Observer overhead on replay: every configuration replays the same
- *  mcf/context cell from one shared trace, so what is attached is the
- *  only difference between two benches:
- *   - TraceObs_Control:  no observer attached.
+ *  mcf/context cell from mcfTrace(), so what is attached is the only
+ *  difference between two benches:
+ *   - TraceObs_Control:  no observer attached. Its rate is also the
+ *     context prefetcher's replay floor.
  *   - TraceObs_NullSink, LearnObs_NullTap, MemObs_NullTap: an observer
  *     with every sink null — the same replay with all runtime guards
  *     false. This is the "compiled in but disabled" cost the bench
@@ -368,25 +183,10 @@ enum class ObsMode
     Memory,
 };
 
-/** The mcf trace (scale 100000, seed 1) every observer bench replays,
- *  generated on first use. */
-const trace::TraceBuffer &
-observedTrace()
-{
-    static const trace::TraceBuffer trace = [] {
-        workloads::WorkloadParams params;
-        params.scale = 100000;
-        params.seed = 1;
-        return workloads::Registry::builtin().create("mcf")->generate(
-            params);
-    }();
-    return trace;
-}
-
 void
 runObservedReplay(benchmark::State &state, ObsMode mode)
 {
-    const trace::TraceBuffer &trace = observedTrace();
+    const trace::TraceBuffer &trace = mcfTrace();
     SystemConfig config;
     std::uint64_t insts = 0;
     for (auto _ : state) {
@@ -460,13 +260,17 @@ BM_MemObs_Recorder(benchmark::State &s)
     runObservedReplay(s, ObsMode::Memory);
 }
 
-BENCHMARK(BM_TraceObs_Control);
-BENCHMARK(BM_TraceObs_NullSink);
-BENCHMARK(BM_TraceObs_Enabled);
-BENCHMARK(BM_LearnObs_NullTap);
-BENCHMARK(BM_LearnObs_Recorder);
-BENCHMARK(BM_MemObs_NullTap);
-BENCHMARK(BM_MemObs_Recorder);
+// One replay per repetition. bench_smoke.py pairs the repetitions of
+// two benches, so each must be the same work: an iteration count
+// probed per bench read 1 on some and 2 on others, and the median of
+// 40 single-replay pairs spreads half as wide as 20 probed ones.
+BENCHMARK(BM_TraceObs_Control)->Iterations(1);
+BENCHMARK(BM_TraceObs_NullSink)->Iterations(1);
+BENCHMARK(BM_TraceObs_Enabled)->Iterations(1);
+BENCHMARK(BM_LearnObs_NullTap)->Iterations(1);
+BENCHMARK(BM_LearnObs_Recorder)->Iterations(1);
+BENCHMARK(BM_MemObs_NullTap)->Iterations(1);
+BENCHMARK(BM_MemObs_Recorder)->Iterations(1);
 
 } // namespace
 

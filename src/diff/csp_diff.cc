@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iomanip>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -313,6 +314,38 @@ void
 FlatDoc::add(std::string name, FlatValue value)
 {
     entries.emplace_back(std::move(name), std::move(value));
+}
+
+double
+num(const FlatDoc &doc, const std::string &name, double fallback)
+{
+    const FlatValue *value = doc.find(name);
+    return value != nullptr && value->is_number ? value->number
+                                                : fallback;
+}
+
+std::string
+text(const FlatDoc &doc, const std::string &name,
+     const std::string &fallback)
+{
+    const FlatValue *value = doc.find(name);
+    return value != nullptr ? value->text : fallback;
+}
+
+std::string
+fmt(double value, int precision)
+{
+    std::ostringstream out;
+    out << std::fixed << std::setprecision(precision) << value;
+    return out.str();
+}
+
+std::string
+fmtCount(double value)
+{
+    std::ostringstream out;
+    out << static_cast<long long>(value);
+    return out.str();
 }
 
 bool

@@ -48,6 +48,21 @@ struct FlatDoc
     void add(std::string name, FlatValue value);
 };
 
+/** The number at @p name in @p doc; @p fallback when it is missing or
+ *  not a number. The report writers (csplearn, cspmem) read with it. */
+double num(const FlatDoc &doc, const std::string &name,
+           double fallback = 0.0);
+
+/** The source text at @p name in @p doc; @p fallback when missing. */
+std::string text(const FlatDoc &doc, const std::string &name,
+                 const std::string &fallback = "?");
+
+/** @p value in fixed notation with @p precision decimals. */
+std::string fmt(double value, int precision = 4);
+
+/** @p value truncated to an integer. */
+std::string fmtCount(double value);
+
 /**
  * Flatten a JSON document: objects join keys with '.', arrays use the
  * element index as the key segment. Returns false (with *error set)

@@ -27,22 +27,6 @@ const char *const kSnapshotKeys[] = {
     "cumulative_reward", "explorations", "associations", "pq_hits",
     "pq_expiries", "cst_live_entries", "cst_entries"};
 
-double
-num(const FlatDoc &doc, const std::string &name, double fallback = 0.0)
-{
-    const FlatValue *value = doc.find(name);
-    return value != nullptr && value->is_number ? value->number
-                                                : fallback;
-}
-
-std::string
-text(const FlatDoc &doc, const std::string &name,
-     const std::string &fallback = "?")
-{
-    const FlatValue *value = doc.find(name);
-    return value != nullptr ? value->text : fallback;
-}
-
 std::string
 snapKey(std::size_t snap, const char *field)
 {
@@ -97,22 +81,6 @@ spark(const std::vector<double> &values)
         out += kLevels[level];
     }
     return out;
-}
-
-std::string
-fmt(double value, int precision = 4)
-{
-    std::ostringstream out;
-    out << std::fixed << std::setprecision(precision) << value;
-    return out.str();
-}
-
-std::string
-fmtCount(double value)
-{
-    std::ostringstream out;
-    out << static_cast<long long>(value);
-    return out.str();
 }
 
 std::string

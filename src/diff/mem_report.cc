@@ -13,38 +13,6 @@ namespace {
 const char *const kClasses[] = {"compulsory", "pollution", "conflict",
                                 "capacity"};
 
-double
-num(const FlatDoc &doc, const std::string &name, double fallback = 0.0)
-{
-    const FlatValue *value = doc.find(name);
-    return value != nullptr && value->is_number ? value->number
-                                                : fallback;
-}
-
-std::string
-text(const FlatDoc &doc, const std::string &name,
-     const std::string &fallback = "?")
-{
-    const FlatValue *value = doc.find(name);
-    return value != nullptr ? value->text : fallback;
-}
-
-std::string
-fmt(double value, int precision = 4)
-{
-    std::ostringstream out;
-    out << std::fixed << std::setprecision(precision) << value;
-    return out.str();
-}
-
-std::string
-fmtCount(double value)
-{
-    std::ostringstream out;
-    out << static_cast<long long>(value);
-    return out.str();
-}
-
 /** "count (share%)" cell for the taxonomy tables. */
 std::string
 share(double count, double total)

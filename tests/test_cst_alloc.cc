@@ -1,20 +1,31 @@
-/** @file Steady-state allocation audit of the Context-States Table.
+/** @file Heap-allocation audits, with global operator new/delete
+ *  overridden by counting wrappers (which is why these tests live in
+ *  their own test executable).
  *
- *  With links inlined into one contiguous arena, every CST operation
- *  after construction must run without touching the heap. This binary
- *  overrides global operator new/delete with counting wrappers (which
- *  is why the test lives in its own test executable) and asserts the
- *  allocation counter does not move across a steady-state workout of
- *  the full CST API. */
+ *  - With links inlined into one contiguous arena, every CST operation
+ *    after construction must run without touching the heap: the
+ *    counter does not move across a steady-state workout of the full
+ *    CST API.
+ *  - An observer with every sink null must leave a replay exactly as
+ *    it is without one: the same stats, the same layer-ledger call
+ *    counts and the same number of allocations. */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/rng.h"
+#include "obs/run_observer.h"
 #include "prefetch/context/cst.h"
+#include "sim/experiment.h"
+#include "sim/result_cache.h"
+#include "workloads/registry.h"
 
 namespace {
 
@@ -153,3 +164,63 @@ TEST(CstAllocation, SteadyStateOperationIsHeapFree)
 
 } // namespace
 } // namespace csp::prefetch::ctx
+
+namespace csp::sim {
+namespace {
+
+/** What one mcf/context replay leaves behind. */
+struct CountedReplay
+{
+    std::string stats_json;
+    /// Every "prof.<layer>.calls" of the run's layer ledger.
+    std::vector<std::pair<std::string, double>> ledger_calls;
+    std::uint64_t allocations = 0; ///< from construction to run() end
+};
+
+CountedReplay
+countedReplay(const trace::TraceBuffer &trace,
+              const obs::RunObserver *observer)
+{
+    SystemConfig config;
+    const std::uint64_t before = g_allocations.load();
+    auto prefetcher = makePrefetcher("context", config);
+    Simulator simulator(config);
+    simulator.setObserver(observer);
+    const RunStats stats = simulator.run(trace, *prefetcher);
+    CountedReplay out;
+    out.allocations = g_allocations.load() - before;
+    std::ostringstream json;
+    writeRunStatsJson(json, stats);
+    out.stats_json = json.str();
+    for (const stats::ReportEntry &entry :
+         simulator.lastReport().entries) {
+        if (entry.name.starts_with("prof.") &&
+            entry.name.ends_with(".calls"))
+            out.ledger_calls.emplace_back(entry.name, entry.value);
+    }
+    return out;
+}
+
+/** The disabled path bench_smoke.py times against no observer at all,
+ *  checked exactly: an observer with every sink null changes neither
+ *  the stats, nor a layer-ledger call count, nor how often the replay
+ *  touches the heap. */
+TEST(DisabledObserver, NullSinksLeaveTheReplayAsItIs)
+{
+    workloads::WorkloadParams params;
+    params.scale = 20000;
+    params.seed = 1;
+    const trace::TraceBuffer trace =
+        workloads::Registry::builtin().create("mcf")->generate(params);
+    const obs::RunObserver null_sinks;
+    const CountedReplay plain = countedReplay(trace, nullptr);
+    const CountedReplay observed = countedReplay(trace, &null_sinks);
+
+    EXPECT_EQ(plain.stats_json, observed.stats_json);
+    ASSERT_FALSE(plain.ledger_calls.empty());
+    EXPECT_EQ(plain.ledger_calls, observed.ledger_calls);
+    EXPECT_EQ(plain.allocations, observed.allocations);
+}
+
+} // namespace
+} // namespace csp::sim
